@@ -138,12 +138,43 @@ let json_add_obj key fields =
         (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
     ^ "}")
 
+(* CPU model from /proc/cpuinfo where there is one, for the host record. *)
+let cpu_model () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> "unknown"
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> "unknown"
+      | line -> (
+        match String.index_opt line ':' with
+        | Some i when String.trim (String.sub line 0 i) = "model name" ->
+          String.trim (String.sub line (i + 1) (String.length line - i - 1))
+        | Some _ | None -> scan ())
+    in
+    let model = scan () in
+    close_in ic;
+    model
+
+(* Writes nothing when no section added a field, so a run of sections
+   without fields leaves the file as it was; otherwise writes [path.tmp]
+   and renames it into place. *)
 let write_bench_json path =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n%s\n}\n"
-    (String.concat ",\n"
-       (List.rev_map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) !json_fields));
-  close_out oc;
-  Printf.printf "\nwrote %s\n" path
+  if !json_fields <> [] then begin
+    let host =
+      Printf.sprintf "{\"os\": %S, \"cpu\": %S, \"cores\": %d, \"ocaml\": %S}" Sys.os_type
+        (cpu_model ())
+        (Domain.recommended_domain_count ())
+        Sys.ocaml_version
+    in
+    let fields = ("host", host) :: List.rev !json_fields in
+    let tmp = path ^ ".tmp" in
+    let oc = open_out tmp in
+    Printf.fprintf oc "{\n%s\n}\n"
+      (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) fields));
+    close_out oc;
+    Sys.rename tmp path;
+    Printf.printf "\nwrote %s\n" path
+  end
 
 let pf = Printf.printf

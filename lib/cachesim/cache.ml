@@ -42,30 +42,27 @@ let create cfg =
 
 (* Ways within a set are kept in recency order: index 0 is MRU. A hit
    rotates the line to front; a miss shifts everything down and installs at
-   front (evicting the last way). *)
+   front (evicting the last way). The way search is a plain loop, not a
+   local recursive function, so an access allocates nothing. *)
 let touch_line t line_addr =
-  let set = line_addr land t.set_mask in
-  let base = set * t.cfg.assoc in
   let assoc = t.cfg.assoc in
+  let base = (line_addr land t.set_mask) * assoc in
   let tags = t.tags in
-  let rec find i = if i = assoc then -1 else if tags.(base + i) = line_addr then i else find (i + 1) in
-  let pos = find 0 in
+  let pos = ref 0 in
+  while !pos < assoc && tags.(base + !pos) <> line_addr do
+    incr pos
+  done;
+  let pos = !pos in
   if pos = 0 then true
-  else if pos > 0 then begin
-    (* move to front *)
-    for j = pos downto 1 do
-      tags.(base + j) <- tags.(base + j - 1)
-    done;
-    tags.(base) <- line_addr;
-    true
-  end
   else begin
-    if tags.(base + assoc - 1) = -1 then t.filled <- t.filled + 1;
-    for j = assoc - 1 downto 1 do
+    let hit = pos < assoc in
+    let last = if hit then pos else assoc - 1 in
+    if (not hit) && tags.(base + last) = -1 then t.filled <- t.filled + 1;
+    for j = last downto 1 do
       tags.(base + j) <- tags.(base + j - 1)
     done;
     tags.(base) <- line_addr;
-    false
+    hit
   end
 
 let access t addr len =
@@ -79,6 +76,8 @@ let access t addr len =
   done;
   if not !hit then t.misses <- t.misses + 1;
   !hit
+
+let repeat_hits t n = t.accesses <- t.accesses + n
 
 let accesses t = t.accesses
 let misses t = t.misses

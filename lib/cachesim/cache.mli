@@ -3,7 +3,8 @@
     Geometry follows Callgrind's simulator: size, associativity and line
     size, all powers of two. Accesses are by byte address and length; an
     access that straddles a line boundary touches both lines (and counts as
-    a miss if either misses), like cg_sim does. *)
+    a miss if either misses), like cg_sim does. The access path allocates
+    nothing, so the simulator adds no GC work per guest event. *)
 
 type t
 
@@ -27,8 +28,15 @@ val create : config -> t
 
 (** [access t addr len] touches [len] bytes at [addr]; returns [true] on a
     hit (every touched line present). Lines touched are made
-    most-recently-used. *)
+    most-recently-used. Allocates nothing. *)
 val access : t -> int -> int -> bool
+
+(** [repeat_hits t n] counts [n] more accesses that hit without touching
+    the tag array. It is exact only for repeats of an access that lies in
+    one line and was the last access to [t]: that line is then MRU in its
+    set, so touching it again would hit and move nothing. Callers use it
+    to batch the sequential instruction fetches that fall in one line. *)
+val repeat_hits : t -> int -> unit
 
 val accesses : t -> int
 val misses : t -> int

@@ -32,3 +32,6 @@ val total : t -> Cost.t
 val fold : t -> (Dbi.Context.id -> Cost.t -> 'a -> 'a) -> 'a -> 'a
 
 val machine : t -> Dbi.Machine.t
+
+(** The simulated cache hierarchy, for its whole-run counters. *)
+val hierarchy : t -> Cachesim.Hierarchy.t

@@ -189,12 +189,14 @@ let slot_of t index =
   | None -> None
   | Some page -> page.(index land (page_slots - 1))
 
+(* Flushes and unmaps the oldest chunk and returns it: every byte is back
+   to its never-touched state, so its planes can back the next chunk. *)
 let evict_one t =
   match Queue.take_opt t.fifo with
-  | None -> ()
-  | Some index ->
-    (match slot_of t index with
-    | None -> ()
+  | None -> None
+  | Some index -> (
+    match slot_of t index with
+    | None -> None
     | Some c ->
       flush_chunk t c;
       (match t.dir.(index lsr page_bits) with
@@ -204,7 +206,8 @@ let evict_one t =
       t.evictions <- t.evictions + 1;
       (match t.last_chunk with
       | Some lc when lc.index = index -> t.last_chunk <- None
-      | Some _ | None -> ()))
+      | Some _ | None -> ());
+      Some c)
 
 let page_for t index =
   let d = index lsr page_bits in
@@ -216,7 +219,7 @@ let page_for t index =
     t.pages <- t.pages + 1;
     page
 
-let new_chunk t index =
+let fresh_chunk t index =
   let reuse =
     if t.reuse_mode then
       Some
@@ -228,17 +231,25 @@ let new_chunk t index =
         }
     else None
   in
+  {
+    index;
+    writer = make_i16 no_ctx;
+    writer_call = (if t.track_writer_call then Some (make_u32 ()) else None);
+    reader = make_i16 no_ctx;
+    reader_call = make_u32 ();
+    reuse;
+  }
+
+(* Under the FIFO limit the evicted chunk's planes are recycled instead of
+   allocating new Bigarrays, so dead planes never wait for the GC. *)
+let new_chunk t index =
+  let recycled = if t.live >= t.max_chunks then evict_one t else None in
   let c =
-    {
-      index;
-      writer = make_i16 no_ctx;
-      writer_call = (if t.track_writer_call then Some (make_u32 ()) else None);
-      reader = make_i16 no_ctx;
-      reader_call = make_u32 ();
-      reuse;
-    }
+    match recycled with
+    | Some old -> { old with index }
+    | None -> fresh_chunk t index
   in
-  if t.live >= t.max_chunks then evict_one t;
+  (* [shadow.chunks_allocated] counts installs, recycled or fresh *)
   t.allocs <- t.allocs + 1;
   let page = page_for t index in
   page.(index land (page_slots - 1)) <- Some c;

@@ -111,6 +111,113 @@ let test_unvisited_ctx_zero_cost () =
   let c = Callgrind.Tool.cost tool 9999 in
   Alcotest.(check int) "zero" 0 c.Callgrind.Cost.ir
 
+(* Whole-program Callgrind totals for every PARSEC clone at simsmall, pinned
+   from the per-fetch cache model before fetches were batched per line.
+   Any change to the cache simulator or to Callgrind's charging must leave
+   every counter here unchanged. *)
+type golden = {
+  ir : int;
+  dr : int;
+  dw : int;
+  i1mr : int;
+  d1mr : int;
+  d1mw : int;
+  ilmr : int;
+  dlmr : int;
+  dlmw : int;
+  calls : int;
+  cycles : int;
+}
+
+let simsmall_goldens =
+  [
+    ( "blackscholes",
+      { ir = 1478258; dr = 81666; dw = 32473; i1mr = 1381; d1mr = 1547; d1mw = 1608;
+        ilmr = 1375; dlmr = 2; dlmw = 1601; calls = 11245; cycles = 1821418 } );
+    ( "bodytrack",
+      { ir = 3874154; dr = 191761; dw = 26371; i1mr = 1619; d1mr = 1; d1mw = 292;
+        ilmr = 713; dlmr = 1; dlmw = 292; calls = 1974; cycles = 3993874 } );
+    ( "canneal",
+      { ir = 2550812; dr = 259758; dw = 127594; i1mr = 3555; d1mr = 9670; d1mw = 1959;
+        ilmr = 1140; dlmr = 2; dlmw = 1123; calls = 48446; cycles = 2929152 } );
+    ( "dedup",
+      { ir = 7692243; dr = 337127; dw = 86878; i1mr = 9729; d1mr = 33; d1mw = 8419;
+        ilmr = 858; dlmr = 2; dlmw = 8314; calls = 4486; cycles = 8791453 } );
+    ( "facesim",
+      { ir = 1242912; dr = 159646; dw = 92626; i1mr = 500; d1mr = 24828; d1mw = 4129;
+        ilmr = 500; dlmr = 1; dlmw = 2476; calls = 132; cycles = 1835182 } );
+    ( "ferret",
+      { ir = 391272; dr = 144397; dw = 55579; i1mr = 639; d1mr = 98; d1mw = 981;
+        ilmr = 620; dlmr = 1; dlmw = 975; calls = 734; cycles = 568052 } );
+    ( "fluidanimate",
+      { ir = 670240; dr = 75280; dw = 26110; i1mr = 566; d1mr = 1; d1mw = 506;
+        ilmr = 566; dlmr = 1; dlmw = 506; calls = 39; cycles = 788270 } );
+    ( "freqmine",
+      { ir = 260387; dr = 62635; dw = 11056; i1mr = 402; d1mr = 4625; d1mw = 1380;
+        ilmr = 402; dlmr = 92; dlmw = 938; calls = 2506; cycles = 467657 } );
+    ( "raytrace",
+      { ir = 1615598; dr = 301924; dw = 58076; i1mr = 626; d1mr = 34550; d1mw = 5800;
+        ilmr = 626; dlmr = 1; dlmw = 5796; calls = 13015; cycles = 2667658 } );
+    ( "streamcluster",
+      { ir = 654076; dr = 174972; dw = 83591; i1mr = 734; d1mr = 8986; d1mw = 8840;
+        ilmr = 572; dlmr = 1; dlmw = 1027; calls = 7631; cycles = 999676 } );
+    ( "swaptions",
+      { ir = 409898; dr = 108018; dw = 44672; i1mr = 406; d1mr = 1; d1mw = 28;
+        ilmr = 406; dlmr = 1; dlmw = 28; calls = 6415; cycles = 457748 } );
+    ( "vips",
+      { ir = 376520; dr = 45834; dw = 21678; i1mr = 750; d1mr = 9; d1mw = 2233;
+        ilmr = 749; dlmr = 1; dlmw = 968; calls = 66; cycles = 578240 } );
+    ( "x264",
+      { ir = 749194; dr = 101067; dw = 28629; i1mr = 706; d1mr = 65; d1mw = 585;
+        ilmr = 682; dlmr = 1; dlmw = 585; calls = 1755; cycles = 889554 } );
+  ]
+
+let test_simsmall_goldens () =
+  Alcotest.(check (list string))
+    "every PARSEC clone pinned"
+    (List.map (fun w -> w.Workloads.Workload.name) Workloads.Suite.parsec)
+    (List.map fst simsmall_goldens);
+  List.iter
+    (fun (name, g) ->
+      let w = Result.get_ok (Workloads.Suite.find name) in
+      let r = Driver.run_workload ~with_sigil:false ~with_callgrind:true w Workloads.Scale.Simsmall in
+      let c = Callgrind.Tool.total (Option.get r.Driver.callgrind) in
+      let check field want got = Alcotest.(check int) (name ^ " " ^ field) want got in
+      check "ir" g.ir c.Callgrind.Cost.ir;
+      check "dr" g.dr c.Callgrind.Cost.dr;
+      check "dw" g.dw c.Callgrind.Cost.dw;
+      check "i1mr" g.i1mr c.Callgrind.Cost.i1mr;
+      check "d1mr" g.d1mr c.Callgrind.Cost.d1mr;
+      check "d1mw" g.d1mw c.Callgrind.Cost.d1mw;
+      check "ilmr" g.ilmr c.Callgrind.Cost.ilmr;
+      check "dlmr" g.dlmr c.Callgrind.Cost.dlmr;
+      check "dlmw" g.dlmw c.Callgrind.Cost.dlmw;
+      check "calls" g.calls c.Callgrind.Cost.calls;
+      check "CEst" g.cycles (Callgrind.Estimate.cycles c))
+    simsmall_goldens
+
+(* The Callgrind hot path allocates nothing per event: a Callgrind-only
+   run allocates what a no-op tool run does, up to per-context records and
+   table growth. The per-fetch model this replaced allocated ~19 words per
+   retired instruction. *)
+let test_allocation_bound () =
+  List.iter
+    (fun name ->
+      let w = Result.get_ok (Workloads.Suite.find name) in
+      let words tool =
+        let before = Gc.minor_words () in
+        let r = Dbi.Runner.run ~tools:[ tool ] (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall) in
+        (Gc.minor_words () -. before, Dbi.Machine.now r.Dbi.Runner.machine)
+      in
+      let nop, instr = words (fun _ -> Dbi.Tool.nop "nop") in
+      let cg, instr' = words (fun m -> Callgrind.Tool.tool (Callgrind.Tool.create m)) in
+      Alcotest.(check int) (name ^ " same instructions") instr instr';
+      let per_instr = (cg -. nop) /. float_of_int instr in
+      if per_instr > 0.01 then
+        Alcotest.failf "%s: Callgrind allocates %.4f words per instruction (bound 0.01)" name
+          per_instr)
+    [ "canneal"; "dedup" ]
+
 let () =
   Alcotest.run "callgrind"
     [
@@ -123,5 +230,7 @@ let () =
           Alcotest.test_case "cost arithmetic" `Quick test_cost_arithmetic;
           Alcotest.test_case "report rows sorted" `Quick test_report_rows_sorted;
           Alcotest.test_case "unvisited ctx zero cost" `Quick test_unvisited_ctx_zero_cost;
+          Alcotest.test_case "simsmall goldens" `Quick test_simsmall_goldens;
+          Alcotest.test_case "allocation bound" `Quick test_allocation_bound;
         ] );
     ]

@@ -225,6 +225,56 @@ let test_packed_footprint () =
     (Printf.sprintf "empty-table floor is small (%d bytes)" base)
     true (base < 65536)
 
+(* An evicted chunk's planes back the next chunk installed. Dirty every
+   field of chunk A, let chunk B evict and recycle it, and B must read
+   exactly like a never-touched chunk in every mode. *)
+let test_recycled_chunk_reads_fresh () =
+  let n = Shadow.chunk_bytes in
+  let b = addr + n in
+  List.iter
+    (fun (reuse, track_writer_call) ->
+      let mode = Printf.sprintf "reuse=%b writer_call=%b" reuse track_writer_call in
+      let log = ref [] in
+      let sink =
+        {
+          Shadow.on_episode_end =
+            (fun ~reader ~reads ~first ~last -> log := `Ep (reader, reads, first, last) :: !log);
+          on_version_end = (fun ~producer ~nonunique -> log := `Ver (producer, nonunique) :: !log);
+        }
+      in
+      let t = mk ~reuse ~track_writer_call ~max_chunks:1 ~sink () in
+      Shadow.write_range t ~ctx:3 ~call:7 ~now:1 addr n;
+      ignore (Shadow.read_range t ~ctx:5 ~call:9 ~now:2 addr n);
+      ignore (Shadow.read_range t ~ctx:5 ~call:9 ~now:3 addr n);
+      (* the same (ctx, call) as A's stale reader: a fresh byte is unique,
+         program input, with no producer call *)
+      Alcotest.(check (list run_t))
+        (mode ^ ": recycled chunk reads as untouched")
+        [ { Shadow.r_producer = Dbi.Context.root; r_producer_call = 0; r_bytes = n; r_unique_bytes = n } ]
+        (Shadow.read_range t ~ctx:5 ~call:9 ~now:10 b n);
+      Alcotest.(check int) (mode ^ ": one eviction") 1 (Shadow.evictions t);
+      Alcotest.(check (option int)) (mode ^ ": no stale writer") None (Shadow.producer_of t (b + 17));
+      log := [];
+      (* a second read by the same call is non-unique; a new reader then
+         closes a two-read episode that began at B's first read *)
+      ignore (Shadow.read_range t ~ctx:5 ~call:9 ~now:11 b n);
+      ignore (Shadow.read_range t ~ctx:6 ~call:1 ~now:12 b n);
+      Shadow.flush t;
+      let expected =
+        if reuse then
+          List.init n (fun _ -> `Ep (6, 1, 12, 12))
+          @ List.init n (fun _ -> `Ver (Dbi.Context.root, 1))
+          @ List.init n (fun _ -> `Ep (5, 2, 10, 11))
+        else []
+      in
+      Alcotest.(check bool) (mode ^ ": episode and version fields start at zero") true
+        (List.sort compare !log = List.sort compare expected);
+      Alcotest.(check int)
+        (mode ^ ": installs counted")
+        2
+        (Telemetry.get_int (Telemetry.of_samples (Shadow.telemetry t)) "shadow.chunks_allocated"))
+    [ (false, false); (false, true); (true, false); (true, true) ]
+
 let () =
   Alcotest.run "shadow_range"
     [
@@ -242,5 +292,6 @@ let () =
           Alcotest.test_case "range equals per-byte" `Quick test_range_equals_per_byte;
           Alcotest.test_case "range bounds" `Quick test_range_bounds;
           Alcotest.test_case "packed footprint" `Quick test_packed_footprint;
+          Alcotest.test_case "recycled chunk reads fresh" `Quick test_recycled_chunk_reads_fresh;
         ] );
     ]
