@@ -21,7 +21,7 @@ type t = {
   serial : int;
   best : built option;
   nodes : int;
-  order : built list; (* creation (= topological) order *)
+  order : built array; (* creation (= topological) order, slots [0, nodes) *)
 }
 
 type stream = (Sigil.Event_log.entry -> unit) -> unit
@@ -131,7 +131,7 @@ let pass (type n) ~(mk : ctx:Dbi.Context.id -> call:int -> occ:int -> self:int -
 
 let analyze_stream stream =
   let id = ref 0 in
-  let order_rev = ref [] in
+  let order = ref [||] in
   let mk ~ctx ~call ~occ ~self ~deps =
     let start, pred =
       List.fold_left
@@ -151,12 +151,20 @@ let analyze_stream stream =
         b_preds = deps;
       }
     in
+    (* indexed by [b_id] and grown by doubling: one slot per node, and
+       nothing to reverse at the end of the pass, when the DAG is
+       largest *)
+    if b.b_id = Array.length !order then begin
+      let grown = Array.make (max 1024 (2 * b.b_id)) b in
+      Array.blit !order 0 grown 0 b.b_id;
+      order := grown
+    end;
+    !order.(b.b_id) <- b;
     incr id;
-    order_rev := b :: !order_rev;
     b
   in
   let serial, nodes, best = pass ~mk ~incl:(fun b -> b.b_incl) stream in
-  { serial; best; nodes; order = List.rev !order_rev }
+  { serial; best; nodes; order = !order }
 
 let analyze log = analyze_stream (Sigil.Event_log.iter log)
 
@@ -227,19 +235,19 @@ let schedule t ~cores =
   let finish = Array.make (max 1 t.nodes) 0 in
   let core_free = Array.make cores 0 in
   let makespan = ref 0 in
-  List.iter
-    (fun b ->
-      let ready = List.fold_left (fun acc p -> max acc finish.(p.b_id)) 0 b.b_preds in
-      let core = ref 0 in
-      for k = 1 to cores - 1 do
-        if core_free.(k) < core_free.(!core) then core := k
-      done;
-      let start = max ready core_free.(!core) in
-      let stop = start + b.b_self in
-      core_free.(!core) <- stop;
-      finish.(b.b_id) <- stop;
-      if stop > !makespan then makespan := stop)
-    t.order;
+  for i = 0 to t.nodes - 1 do
+    let b = t.order.(i) in
+    let ready = List.fold_left (fun acc p -> max acc finish.(p.b_id)) 0 b.b_preds in
+    let core = ref 0 in
+    for k = 1 to cores - 1 do
+      if core_free.(k) < core_free.(!core) then core := k
+    done;
+    let start = max ready core_free.(!core) in
+    let stop = start + b.b_self in
+    core_free.(!core) <- stop;
+    finish.(b.b_id) <- stop;
+    if stop > !makespan then makespan := stop
+  done;
   let makespan = !makespan in
   {
     cores;

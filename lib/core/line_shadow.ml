@@ -41,11 +41,11 @@ let touch t ~now addr size =
   let first_line = addr lsr t.line_bits in
   let last_line = (addr + size - 1) lsr t.line_bits in
   for line = first_line to last_line do
-    match Hashtbl.find_opt t.table line with
-    | Some c ->
+    match Hashtbl.find t.table line with
+    | c ->
       c.accesses <- c.accesses + 1;
       c.last <- now
-    | None -> Hashtbl.add t.table line { accesses = 1; first = now; last = now }
+    | exception Not_found -> Hashtbl.add t.table line { accesses = 1; first = now; last = now }
   done
 
 let line_size t = t.size

@@ -22,10 +22,14 @@ let edge_key src dst = (src lsl 30) lor dst
 type t = {
   mutable stats : fn_stats option array;
   edges : (int, edge) Hashtbl.t;
-  mutable last_edge : edge option; (* consecutive reads usually share an edge *)
+  mutable last_edge : edge; (* consecutive reads usually share an edge *)
 }
 
-let create () = { stats = Array.make 256 None; edges = Hashtbl.create 256; last_edge = None }
+(* The empty [last_edge] cache: no context id is negative, so it never
+   matches and is never updated. *)
+let no_edge = { src = -1; dst = -1; bytes = 0; unique_bytes = 0 }
+
+let create () = { stats = Array.make 256 None; edges = Hashtbl.create 256; last_edge = no_edge }
 
 let zero_stats () =
   {
@@ -54,20 +58,20 @@ let stats t ctx =
     s
 
 let edge t src dst =
-  match t.last_edge with
-  | Some e when e.src = src && e.dst = dst -> e
-  | Some _ | None ->
+  let last = t.last_edge in
+  if last.src = src && last.dst = dst then last
+  else begin
     let key = edge_key src dst in
     let e =
-      match Hashtbl.find_opt t.edges key with
-      | Some e -> e
-      | None ->
+      try Hashtbl.find t.edges key
+      with Not_found ->
         let e = { src; dst; bytes = 0; unique_bytes = 0 } in
         Hashtbl.add t.edges key e;
         e
     in
-    t.last_edge <- Some e;
+    t.last_edge <- e;
     e
+  end
 
 let record_run t ~producer ~consumer ~bytes ~unique_bytes =
   let nonunique = bytes - unique_bytes in
@@ -122,7 +126,7 @@ let merge ~into src =
       d.bytes <- d.bytes + e.bytes;
       d.unique_bytes <- d.unique_bytes + e.unique_bytes)
     src.edges;
-  into.last_edge <- None
+  into.last_edge <- no_edge
 
 let edges t = Hashtbl.fold (fun _ e acc -> e :: acc) t.edges []
 let in_edges t ctx = List.filter (fun e -> e.dst = ctx) (edges t)

@@ -41,9 +41,9 @@ val record_read :
   t -> producer:Dbi.Context.id -> consumer:Dbi.Context.id -> unique:bool -> bytes:int -> unit
 
 (** [record_run t ~producer ~consumer ~bytes ~unique_bytes] records one
-    coalesced {!Shadow.run} — [bytes] total of which [unique_bytes] were
-    first-use — with a single stats and edge update. [record_read] is the
-    single-flag special case. *)
+    coalesced run of {!Shadow.read_range} — [bytes] total of which
+    [unique_bytes] were first-use — with a single stats and edge update.
+    [record_read] is the single-flag special case. *)
 val record_run :
   t ->
   producer:Dbi.Context.id ->

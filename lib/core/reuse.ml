@@ -60,9 +60,9 @@ let sink t : Shadow.sink =
           c.reuse_reads <- c.reuse_reads + (reads - 1);
           c.lifetime_sum <- c.lifetime_sum + lifetime;
           let bin = lifetime / t.bin * t.bin in
-          match Hashtbl.find_opt c.hist bin with
-          | Some r -> incr r
-          | None -> Hashtbl.add c.hist bin (ref 1)
+          match Hashtbl.find c.hist bin with
+          | r -> incr r
+          | exception Not_found -> Hashtbl.add c.hist bin (ref 1)
         end);
     on_version_end =
       (fun ~producer:_ ~nonunique ->

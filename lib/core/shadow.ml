@@ -15,13 +15,6 @@ type read_result = {
   unique : bool;
 }
 
-type run = {
-  r_producer : Dbi.Context.id;
-  r_producer_call : int;
-  r_bytes : int;
-  r_unique_bytes : int;
-}
-
 let chunk_bits = 12
 let chunk_size = 1 lsl chunk_bits
 let chunk_bytes = chunk_size
@@ -89,7 +82,7 @@ type t = {
   mutable peak : int;
   mutable pages : int; (* superpages are never freed: monotone *)
   mutable evictions : int;
-  mutable last_chunk : chunk option; (* single-entry lookup cache *)
+  mutable last_chunk : chunk; (* single-entry lookup cache, [no_chunk] when empty *)
   (* telemetry probes: plain int bumps, once per call (not per byte) *)
   mutable allocs : int;
   mutable range_reads : int;
@@ -99,6 +92,19 @@ type t = {
   mutable range_write_bytes : int;
   read_size : Telemetry.Hist.t;
 }
+
+(* The empty lookup cache: its index matches no address, so [chunk_for]
+   never returns it and its empty planes are never touched. *)
+let no_chunk =
+  let empty () = Bigarray.Array1.create Bigarray.int16_unsigned Bigarray.c_layout 0 in
+  {
+    index = -1;
+    writer = empty ();
+    writer_call = None;
+    reader = empty ();
+    reader_call = { lo = empty (); hi = empty () };
+    reuse = None;
+  }
 
 let create ?(reuse = false) ?(track_writer_call = false) ?max_chunks ?(sink = null_sink) () =
   {
@@ -112,7 +118,7 @@ let create ?(reuse = false) ?(track_writer_call = false) ?max_chunks ?(sink = nu
     peak = 0;
     pages = 0;
     evictions = 0;
-    last_chunk = None;
+    last_chunk = no_chunk;
     allocs = 0;
     range_reads = 0;
     range_read_bytes = 0;
@@ -204,9 +210,7 @@ let evict_one t =
       | None -> assert false);
       t.live <- t.live - 1;
       t.evictions <- t.evictions + 1;
-      (match t.last_chunk with
-      | Some lc when lc.index = index -> t.last_chunk <- None
-      | Some _ | None -> ());
+      if t.last_chunk.index = index then t.last_chunk <- no_chunk;
       Some c)
 
 let page_for t index =
@@ -261,16 +265,16 @@ let new_chunk t index =
 let chunk_for t addr =
   if addr < 0 || addr >= max_address then invalid_arg "Shadow: address out of range";
   let index = addr lsr chunk_bits in
-  match t.last_chunk with
-  | Some c when c.index = index -> c
-  | Some _ | None ->
+  if t.last_chunk.index = index then t.last_chunk
+  else begin
     let c =
       match slot_of t index with
       | Some c -> c
       | None -> new_chunk t index
     in
-    t.last_chunk <- Some c;
+    t.last_chunk <- c;
     c
+  end
 
 (* Packed-field bounds, checked once per operation (not per byte). *)
 let[@inline] check_packed ctx call now =
@@ -340,12 +344,15 @@ let[@inline] check_range addr len =
   if len <= 0 then invalid_arg "Shadow: range length must be positive";
   if addr < 0 || addr > max_address - len then invalid_arg "Shadow: address out of range"
 
+(* Both loops keep the live run in local refs (never captured by a
+   closure, so they stay unboxed) and hand each finished run straight to
+   [on_run]: a range read allocates nothing. *)
+
 (* Baseline-mode fast path (no reuse stats, no producer calls): the
    per-byte work is three plane loads, a compare, and at most three plane
    stores — every configuration match is hoisted out of the loop and the
    producer call is constantly 0, so runs split on producer only. *)
-let read_range_fast t ~ctx ~call addr len =
-  let runs = ref [] in
+let read_range_fast t ~ctx ~call addr len on_run =
   let run_producer = ref (-1) in
   let run_bytes = ref 0 in
   let run_unique = ref 0 in
@@ -383,15 +390,11 @@ let read_range_fast t ~ctx ~call addr len =
         run_unique := !run_unique + unique
       end
       else begin
-        if !run_bytes > 0 then
-          runs :=
-            {
-              r_producer = !run_producer;
-              r_producer_call = 0;
-              r_bytes = !run_bytes;
-              r_unique_bytes = !run_unique;
-            }
-            :: !runs;
+        if !run_bytes > 0 then begin
+          t.range_runs <- t.range_runs + 1;
+          on_run ~producer:!run_producer ~producer_call:0 ~bytes:!run_bytes
+            ~unique_bytes:!run_unique
+        end;
         run_producer := producer;
         run_bytes := 1;
         run_unique := unique
@@ -400,36 +403,16 @@ let read_range_fast t ~ctx ~call addr len =
     pos := !pos + span;
     remaining := !remaining - span
   done;
-  if !run_bytes > 0 then
-    runs :=
-      {
-        r_producer = !run_producer;
-        r_producer_call = 0;
-        r_bytes = !run_bytes;
-        r_unique_bytes = !run_unique;
-      }
-      :: !runs;
-  List.rev !runs
+  t.range_runs <- t.range_runs + 1;
+  on_run ~producer:!run_producer ~producer_call:0 ~bytes:!run_bytes ~unique_bytes:!run_unique
 
-let read_range_general t ~ctx ~call ~now addr len =
-  let runs = ref [] in
+let read_range_general t ~ctx ~call ~now addr len on_run =
   (* live run accumulator; consecutive bytes sharing (producer, call)
      coalesce into one run *)
   let run_producer = ref (-1) in
   let run_pcall = ref 0 in
   let run_bytes = ref 0 in
   let run_unique = ref 0 in
-  let emit () =
-    if !run_bytes > 0 then
-      runs :=
-        {
-          r_producer = !run_producer;
-          r_producer_call = !run_pcall;
-          r_bytes = !run_bytes;
-          r_unique_bytes = !run_unique;
-        }
-        :: !runs
-  in
   let pos = ref addr in
   let remaining = ref len in
   while !remaining > 0 do
@@ -447,7 +430,11 @@ let read_range_general t ~ctx ~call ~now addr len =
         run_unique := !run_unique + unique
       end
       else begin
-        emit ();
+        if !run_bytes > 0 then begin
+          t.range_runs <- t.range_runs + 1;
+          on_run ~producer:!run_producer ~producer_call:!run_pcall ~bytes:!run_bytes
+            ~unique_bytes:!run_unique
+        end;
         run_producer := producer;
         run_pcall := producer_call;
         run_bytes := 1;
@@ -457,21 +444,18 @@ let read_range_general t ~ctx ~call ~now addr len =
     pos := !pos + span;
     remaining := !remaining - span
   done;
-  emit ();
-  List.rev !runs
+  t.range_runs <- t.range_runs + 1;
+  on_run ~producer:!run_producer ~producer_call:!run_pcall ~bytes:!run_bytes
+    ~unique_bytes:!run_unique
 
-let read_range t ~ctx ~call ~now addr len =
+let read_range t ~ctx ~call ~now addr len on_run =
   check_packed ctx call now;
   check_range addr len;
   t.range_reads <- t.range_reads + 1;
   t.range_read_bytes <- t.range_read_bytes + len;
   Telemetry.Hist.observe t.read_size len;
-  let runs =
-    if t.reuse_mode || t.track_writer_call then read_range_general t ~ctx ~call ~now addr len
-    else read_range_fast t ~ctx ~call addr len
-  in
-  t.range_runs <- t.range_runs + List.length runs;
-  runs
+  if t.reuse_mode || t.track_writer_call then read_range_general t ~ctx ~call ~now addr len on_run
+  else read_range_fast t ~ctx ~call addr len on_run
 
 (* In non-reuse mode the sink calls of [flush_byte] are no-ops, so an
    overwrite only needs to clear the reader episode — no full flush. *)
@@ -489,29 +473,17 @@ let write t ~ctx ~call ~now:_ addr =
   let c = chunk_for t addr in
   write_byte t c (addr land (chunk_size - 1)) ~ctx ~call
 
-(* Spans wide enough to amortize the [Array1.sub] descriptor allocations
-   are cleared with [Array1.fill] (memset) instead of a per-byte loop. *)
-let fill_span_threshold = 32
-
 let write_span_fast (c : chunk) i0 span ~ctx =
-  if span >= fill_span_threshold then begin
-    Bigarray.Array1.(fill (sub c.reader i0 span) no_ctx);
-    Bigarray.Array1.(fill (sub c.reader_call.lo i0 span) 0);
-    Bigarray.Array1.(fill (sub c.reader_call.hi i0 span) 0);
-    Bigarray.Array1.(fill (sub c.writer i0 span) ctx)
-  end
-  else begin
-    let reader_a = c.reader in
-    let rc_lo = c.reader_call.lo in
-    let rc_hi = c.reader_call.hi in
-    let writer_a = c.writer in
-    for i = i0 to i0 + span - 1 do
-      Bigarray.Array1.unsafe_set reader_a i no_ctx;
-      Bigarray.Array1.unsafe_set rc_lo i 0;
-      Bigarray.Array1.unsafe_set rc_hi i 0;
-      Bigarray.Array1.unsafe_set writer_a i ctx
-    done
-  end
+  let reader_a = c.reader in
+  let rc_lo = c.reader_call.lo in
+  let rc_hi = c.reader_call.hi in
+  let writer_a = c.writer in
+  for i = i0 to i0 + span - 1 do
+    Bigarray.Array1.unsafe_set reader_a i no_ctx;
+    Bigarray.Array1.unsafe_set rc_lo i 0;
+    Bigarray.Array1.unsafe_set rc_hi i 0;
+    Bigarray.Array1.unsafe_set writer_a i ctx
+  done
 
 let write_range t ~ctx ~call ~now:_ addr len =
   check_packed ctx call 0;

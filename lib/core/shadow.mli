@@ -63,17 +63,6 @@ type read_result = {
           accelerator re-fetches its inputs on every invocation. *)
 }
 
-(** One run of a range operation: a maximal span of consecutive bytes that
-    share the same producer and producer call. Runs let the tool pay its
-    per-access accounting (profile update, transfer accumulation) once per
-    run instead of once per byte. *)
-type run = {
-  r_producer : Dbi.Context.id;
-  r_producer_call : int;
-  r_bytes : int; (** bytes in the run *)
-  r_unique_bytes : int; (** of which first-use (see {!read_result.unique}) *)
-}
-
 (** [create ~reuse ~track_writer_call ~max_chunks ~sink ()] builds an empty
     table. [reuse] allocates the extended shadow objects;
     [track_writer_call] adds the producer call number (used in event-file
@@ -90,16 +79,42 @@ val read : t -> ctx:Dbi.Context.id -> call:int -> now:int -> int -> read_result
     producer. *)
 val write : t -> ctx:Dbi.Context.id -> call:int -> now:int -> int -> unit
 
-(** [read_range t ~ctx ~call ~now addr len] shadows a [len]-byte read as
-    one operation: the chunk is resolved once per within-chunk span and
-    consecutive bytes with the same (producer, producer call) coalesce into
-    one {!run}. The returned runs are in address order and their byte
-    counts sum to [len]. Byte-for-byte equivalent to [len] calls of
-    {!read} — same sink callbacks in the same order, same classification.
+(** [read_range t ~ctx ~call ~now addr len on_run] shadows a [len]-byte
+    read as one operation and reports it as {e runs}: maximal spans of
+    consecutive bytes that share the same producer and producer call. The
+    chunk is resolved once per within-chunk span, and the caller pays its
+    per-access accounting (profile update, transfer accumulation) once per
+    run instead of once per byte. Byte-for-byte equivalent to [len] calls
+    of {!read}: same classification, same sink callbacks in the same order.
+
+    Callback contract:
+    - [on_run ~producer ~producer_call ~bytes ~unique_bytes] is called once
+      per run, in address order, before [read_range] returns. [bytes] is
+      positive and the [bytes] of one call sum to [len]; [unique_bytes] of
+      them were first-use reads (see {!read_result.unique});
+      [producer_call] is 0 unless [track_writer_call] was set.
+    - Two consecutive runs never share both [producer] and
+      [producer_call]. Runs coalesce across chunk boundaries.
+    - Sink callbacks (episode and version ends, including those of chunks
+      evicted mid-range) fire per byte as the read walks the span, so a run
+      is reported only after the sink calls of all its bytes, and after
+      those of the first byte of the next run.
+    - [on_run] must not call back into [t].
+
+    Nothing is allocated per call: [on_run] should be built once, not per
+    read.
 
     @raise Invalid_argument if the span leaves the shadowed region or
     [len <= 0]. *)
-val read_range : t -> ctx:Dbi.Context.id -> call:int -> now:int -> int -> int -> run list
+val read_range :
+  t ->
+  ctx:Dbi.Context.id ->
+  call:int ->
+  now:int ->
+  int ->
+  int ->
+  (producer:Dbi.Context.id -> producer_call:int -> bytes:int -> unique_bytes:int -> unit) ->
+  unit
 
 (** [write_range t ~ctx ~call ~now addr len] records a [len]-byte write,
     resolving each chunk once per span. Equivalent to [len] calls of

@@ -5,9 +5,11 @@ let xfer_call key = key land ((1 lsl 40) - 1)
 
 type xfer_acc = { mutable bytes : int; mutable unique : int }
 
+(* Call frames are pooled: a frame is reused by every call that runs at
+   its depth, so entering a call allocates nothing. *)
 type frame = {
-  ctx : Dbi.Context.id;
-  call : int;
+  mutable ctx : Dbi.Context.id;
+  mutable call : int;
   mutable frag_int_ops : int;
   mutable frag_fp_ops : int;
   frag_xfers : (int, xfer_acc) Hashtbl.t;
@@ -23,11 +25,20 @@ type t = {
   log : Event_log.t option; (* in-memory sink, when we own one *)
   sink : Event_log.sink option; (* where produced events flow *)
   events_dispatched : int ref; (* telemetry: entries pushed into the sink *)
-  mutable stack : frame list; (* innermost first; bottom = synthetic root *)
+  mutable frames : frame array; (* slot 0 = synthetic root; grows by doubling *)
+  mutable depth : int; (* slot of the innermost frame *)
 }
 
-let new_frame ctx call =
-  { ctx; call; frag_int_ops = 0; frag_fp_ops = 0; frag_xfers = Hashtbl.create 8 }
+let new_frame () =
+  {
+    ctx = Dbi.Context.root;
+    call = 0;
+    frag_int_ops = 0;
+    frag_fp_ops = 0;
+    frag_xfers = Hashtbl.create 8;
+  }
+
+let initial_frames = 64
 
 let create ?(options = Options.default) ?event_sink machine =
   let reuse = Reuse.create () in
@@ -66,7 +77,8 @@ let create ?(options = Options.default) ?event_sink machine =
     log;
     sink;
     events_dispatched;
-    stack = [ new_frame Dbi.Context.root 0 ];
+    frames = Array.init initial_frames (fun _ -> new_frame ());
+    depth = 0;
   }
 
 let flush_fragment t frame =
@@ -101,13 +113,23 @@ let flush_fragment t frame =
                  unique_bytes = acc.unique;
                }))
         (List.sort compare keys);
-      Hashtbl.reset frame.frag_xfers
+      (* [clear] keeps the buckets for the frame's next call *)
+      Hashtbl.clear frame.frag_xfers
     end
 
-let top t =
-  match t.stack with
-  | frame :: _ -> frame
-  | [] -> assert false (* the synthetic root frame is never popped *)
+let[@inline] top t = t.frames.(t.depth)
+
+(* Makes the frame above the innermost one the innermost, for a new call. *)
+let push t ctx call =
+  let depth = t.depth + 1 in
+  if depth = Array.length t.frames then
+    t.frames <-
+      Array.init (2 * depth) (fun i ->
+          if i < depth then t.frames.(i) else new_frame ());
+  let frame = t.frames.(depth) in
+  frame.ctx <- ctx;
+  frame.call <- call;
+  t.depth <- depth
 
 (* Dependency edges also cover a function consuming data from an earlier
    call of itself (the PRNG-state chains of §IV-C); only reads of the
@@ -116,9 +138,8 @@ let[@inline] xfer_add frame ~producer ~producer_call ~bytes ~unique_bytes =
   if producer <> frame.ctx || producer_call <> frame.call then begin
     let key = xfer_key producer producer_call in
     let acc =
-      match Hashtbl.find_opt frame.frag_xfers key with
-      | Some acc -> acc
-      | None ->
+      try Hashtbl.find frame.frag_xfers key
+      with Not_found ->
         let acc = { bytes = 0; unique = 0 } in
         Hashtbl.add frame.frag_xfers key acc;
         acc
@@ -141,26 +162,16 @@ let byte_read t frame addr =
     xfer_add frame ~producer:r.Shadow.producer ~producer_call:r.Shadow.producer_call ~bytes:1
       ~unique_bytes:(if r.Shadow.unique then 1 else 0)
 
-(* Range fast path: one shadow traversal for the whole access, then one
-   profile update and one transfer-accumulator hit per coalesced run. *)
-let range_read t frame addr size =
-  let runs =
-    Shadow.read_range t.shadow ~ctx:frame.ctx ~call:frame.call
-      ~now:(Dbi.Machine.now t.machine) addr size
-  in
-  let log = t.sink <> None in
-  List.iter
-    (fun (run : Shadow.run) ->
-      Profile.record_run t.profile ~producer:run.Shadow.r_producer ~consumer:frame.ctx
-        ~bytes:run.Shadow.r_bytes ~unique_bytes:run.Shadow.r_unique_bytes;
-      if log then
-        xfer_add frame ~producer:run.Shadow.r_producer
-          ~producer_call:run.Shadow.r_producer_call ~bytes:run.Shadow.r_bytes
-          ~unique_bytes:run.Shadow.r_unique_bytes)
-    runs
-
 let tool t : Dbi.Tool.t =
   let line_mode = t.line <> None in
+  let log = t.sink <> None in
+  (* Range reads: one shadow traversal for the whole access, then one
+     profile update and one transfer-accumulator hit per coalesced run. *)
+  let on_run ~producer ~producer_call ~bytes ~unique_bytes =
+    let frame = top t in
+    Profile.record_run t.profile ~producer ~consumer:frame.ctx ~bytes ~unique_bytes;
+    if log then xfer_add frame ~producer ~producer_call ~bytes ~unique_bytes
+  in
   {
     name = "sigil";
     on_enter =
@@ -172,20 +183,19 @@ let tool t : Dbi.Tool.t =
           (match t.sink with
           | Some emit -> emit (Event_log.Call { ctx; call })
           | None -> ());
-          t.stack <- new_frame ctx call :: t.stack
+          push t ctx call
         end);
     on_leave =
       (fun ~ctx:_ ~fn:_ ->
-        if not line_mode then begin
-          match t.stack with
-          | [ _root ] -> () (* unbalanced leave; machine validates, be safe *)
-          | frame :: rest ->
-            flush_fragment t frame;
-            (match t.sink with
-            | Some emit -> emit (Event_log.Ret { ctx = frame.ctx; call = frame.call })
-            | None -> ());
-            t.stack <- rest
-          | [] -> assert false
+        (* an unbalanced leave at the root is ignored; the machine
+           validates, be safe *)
+        if (not line_mode) && t.depth > 0 then begin
+          let frame = top t in
+          flush_fragment t frame;
+          (match t.sink with
+          | Some emit -> emit (Event_log.Ret { ctx = frame.ctx; call = frame.call })
+          | None -> ());
+          t.depth <- t.depth - 1
         end);
     on_read =
       (fun ~ctx:_ ~addr ~size ->
@@ -197,7 +207,9 @@ let tool t : Dbi.Tool.t =
             for i = 0 to size - 1 do
               byte_read t frame (addr + i)
             done
-          else range_read t frame addr size);
+          else
+            Shadow.read_range t.shadow ~ctx:frame.ctx ~call:frame.call
+              ~now:(Dbi.Machine.now t.machine) addr size on_run);
     on_write =
       (fun ~ctx ~addr ~size ->
         match t.line with
@@ -223,9 +235,9 @@ let tool t : Dbi.Tool.t =
     on_branch = (fun ~ctx:_ ~taken:_ -> ());
     on_finish =
       (fun () ->
-        (match t.stack with
-        | [ root ] -> flush_fragment t root
-        | frames -> List.iter (flush_fragment t) frames);
+        for depth = t.depth downto 0 do
+          flush_fragment t t.frames.(depth)
+        done;
         Shadow.flush t.shadow);
   }
 

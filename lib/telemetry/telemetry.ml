@@ -40,7 +40,9 @@ module Hist = struct
       bits 0 v
 
   let bucket_lo b = if b <= 0 then 0 else 1 lsl (b - 1)
-  let observe t v = t.(bucket_of v) <- t.(bucket_of v) + 1
+  let observe t v =
+    let b = bucket_of v in
+    t.(b) <- t.(b) + 1
   let counts t = trim t
   let total t = Array.fold_left ( + ) 0 t
 end

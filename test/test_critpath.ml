@@ -136,7 +136,22 @@ let test_schedule_respects_deps () =
          ])
   in
   let s = Analysis.Critpath.schedule t ~cores:8 in
-  Alcotest.(check int) "dependency serializes" 20 s.Analysis.Critpath.makespan
+  Alcotest.(check int) "dependency serializes" 20 s.Analysis.Critpath.makespan;
+  (* a chain of 3000 calls, each consuming the previous one's output:
+     thousands of nodes, scheduled in creation order *)
+  let n = 3000 in
+  let chain =
+    List.concat
+      (List.init n (fun i ->
+           let c = i + 1 in
+           (call 1 c :: (if c > 1 then [ xfer (1, c - 1) (1, c) 8 ] else []))
+           @ [ comp 1 c 3; ret 1 c ]))
+  in
+  let t = Analysis.Critpath.analyze (log_of chain) in
+  (* each call closes an empty root fragment, then its own *)
+  Alcotest.(check int) "chain nodes" (2 * n) (Analysis.Critpath.node_count t);
+  let s = Analysis.Critpath.schedule t ~cores:8 in
+  Alcotest.(check int) "long chain serializes" (3 * n) s.Analysis.Critpath.makespan
 
 let test_schedule_bounds () =
   let t =

@@ -3,12 +3,7 @@ open Sigil
 (* Range API: chunk clamping, run coalescing, eviction mid-range, and
    byte-for-byte equivalence with the single-byte calls. *)
 
-let run_t : Shadow.run Alcotest.testable =
-  Alcotest.testable
-    (fun ppf (r : Shadow.run) ->
-      Format.fprintf ppf "{producer=%d; call=%d; bytes=%d; unique=%d}" r.Shadow.r_producer
-        r.Shadow.r_producer_call r.Shadow.r_bytes r.Shadow.r_unique_bytes)
-    ( = )
+let run_t = Run_list.run_t
 
 let mk ?reuse ?track_writer_call ?max_chunks ?sink () =
   Shadow.create ?reuse ?track_writer_call ?max_chunks ?sink ()
@@ -18,10 +13,10 @@ let addr = 0x200000
 let test_single_run_coalesced () =
   let t = mk () in
   Shadow.write_range t ~ctx:3 ~call:1 ~now:0 addr 64;
-  let runs = Shadow.read_range t ~ctx:5 ~call:1 ~now:1 addr 64 in
+  let runs = Run_list.read_range t ~ctx:5 ~call:1 ~now:1 addr 64 in
   Alcotest.(check (list run_t))
     "one coalesced run"
-    [ { Shadow.r_producer = 3; r_producer_call = 0; r_bytes = 64; r_unique_bytes = 64 } ]
+    [ { Run_list.producer = 3; producer_call = 0; bytes = 64; unique_bytes = 64 } ]
     runs
 
 let test_runs_split_on_producer () =
@@ -29,13 +24,13 @@ let test_runs_split_on_producer () =
   Shadow.write_range t ~ctx:3 ~call:1 ~now:0 addr 8;
   Shadow.write_range t ~ctx:4 ~call:1 ~now:0 (addr + 8) 4;
   Shadow.write_range t ~ctx:3 ~call:1 ~now:0 (addr + 12) 4;
-  let runs = Shadow.read_range t ~ctx:5 ~call:1 ~now:1 addr 16 in
+  let runs = Run_list.read_range t ~ctx:5 ~call:1 ~now:1 addr 16 in
   Alcotest.(check (list run_t))
     "three runs, split at producer changes"
     [
-      { Shadow.r_producer = 3; r_producer_call = 0; r_bytes = 8; r_unique_bytes = 8 };
-      { Shadow.r_producer = 4; r_producer_call = 0; r_bytes = 4; r_unique_bytes = 4 };
-      { Shadow.r_producer = 3; r_producer_call = 0; r_bytes = 4; r_unique_bytes = 4 };
+      { Run_list.producer = 3; producer_call = 0; bytes = 8; unique_bytes = 8 };
+      { Run_list.producer = 4; producer_call = 0; bytes = 4; unique_bytes = 4 };
+      { Run_list.producer = 3; producer_call = 0; bytes = 4; unique_bytes = 4 };
     ]
     runs
 
@@ -45,12 +40,12 @@ let test_runs_split_on_producer_call () =
   let t = mk ~track_writer_call:true () in
   Shadow.write_range t ~ctx:3 ~call:1 ~now:0 addr 4;
   Shadow.write_range t ~ctx:3 ~call:2 ~now:0 (addr + 4) 4;
-  let runs = Shadow.read_range t ~ctx:5 ~call:1 ~now:1 addr 8 in
+  let runs = Run_list.read_range t ~ctx:5 ~call:1 ~now:1 addr 8 in
   Alcotest.(check (list run_t))
     "split at producer-call change"
     [
-      { Shadow.r_producer = 3; r_producer_call = 1; r_bytes = 4; r_unique_bytes = 4 };
-      { Shadow.r_producer = 3; r_producer_call = 2; r_bytes = 4; r_unique_bytes = 4 };
+      { Run_list.producer = 3; producer_call = 1; bytes = 4; unique_bytes = 4 };
+      { Run_list.producer = 3; producer_call = 2; bytes = 4; unique_bytes = 4 };
     ]
     runs
 
@@ -58,12 +53,12 @@ let test_unique_vs_nonunique_mix () =
   let t = mk () in
   Shadow.write_range t ~ctx:3 ~call:1 ~now:0 addr 8;
   (* pre-read the middle 4 bytes with the same (ctx, call) as below *)
-  ignore (Shadow.read_range t ~ctx:5 ~call:1 ~now:1 (addr + 2) 4);
-  let runs = Shadow.read_range t ~ctx:5 ~call:1 ~now:2 addr 8 in
+  ignore (Run_list.read_range t ~ctx:5 ~call:1 ~now:1 (addr + 2) 4);
+  let runs = Run_list.read_range t ~ctx:5 ~call:1 ~now:2 addr 8 in
   (* one producer throughout, so still one run; 4 of its bytes are re-reads *)
   Alcotest.(check (list run_t))
     "unique count excludes same-call re-reads"
-    [ { Shadow.r_producer = 3; r_producer_call = 0; r_bytes = 8; r_unique_bytes = 4 } ]
+    [ { Run_list.producer = 3; producer_call = 0; bytes = 8; unique_bytes = 4 } ]
     runs
 
 let test_cross_chunk_span () =
@@ -71,10 +66,10 @@ let test_cross_chunk_span () =
   let start = (3 * Shadow.chunk_bytes) - 5 in
   Shadow.write_range t ~ctx:7 ~call:1 ~now:0 start 10;
   Alcotest.(check int) "two chunks allocated" 2 (Shadow.chunks_live t);
-  let runs = Shadow.read_range t ~ctx:5 ~call:1 ~now:1 start 10 in
+  let runs = Run_list.read_range t ~ctx:5 ~call:1 ~now:1 start 10 in
   Alcotest.(check (list run_t))
     "runs coalesce across the chunk boundary"
-    [ { Shadow.r_producer = 7; r_producer_call = 0; r_bytes = 10; r_unique_bytes = 10 } ]
+    [ { Run_list.producer = 7; producer_call = 0; bytes = 10; unique_bytes = 10 } ]
     runs;
   (* both sides of the boundary really are shadowed *)
   Alcotest.(check (option int)) "left of boundary" (Some 7) (Shadow.producer_of t start);
@@ -97,10 +92,10 @@ let test_eviction_mid_range () =
   (* reading back across the boundary thrashes the single slot again:
      re-allocating chunk 0 evicts chunk 1 before its span is read, so every
      byte comes back as program input — exactly what per-byte reads do *)
-  let runs = Shadow.read_range t ~ctx:5 ~call:1 ~now:1 start 8 in
+  let runs = Run_list.read_range t ~ctx:5 ~call:1 ~now:1 start 8 in
   Alcotest.(check (list run_t))
     "thrashed bytes read as root-produced"
-    [ { Shadow.r_producer = Dbi.Context.root; r_producer_call = 0; r_bytes = 8; r_unique_bytes = 8 } ]
+    [ { Run_list.producer = Dbi.Context.root; producer_call = 0; bytes = 8; unique_bytes = 8 } ]
     runs;
   Alcotest.(check int) "read re-evicted both chunks" 3 (Shadow.evictions t)
 
@@ -117,7 +112,7 @@ let test_eviction_mid_range_flushes_sink () =
   (* cross-chunk read evicts chunk 0 when it reaches chunk 1; the flush
      reports the written byte's version and, as program input, the two
      bytes of chunk 0 the read itself just touched *)
-  ignore (Shadow.read_range t ~ctx:5 ~call:1 ~now:1 (Shadow.chunk_bytes - 2) 4);
+  ignore (Run_list.read_range t ~ctx:5 ~call:1 ~now:1 (Shadow.chunk_bytes - 2) 4);
   Alcotest.(check (list (pair int int)))
     "evicted versions reported"
     [ (Dbi.Context.root, 0); (Dbi.Context.root, 0); (9, 0) ]
@@ -154,7 +149,7 @@ let test_range_equals_per_byte () =
         | `W (ctx, call, a, n) ->
           Shadow.write_range by_range ~ctx ~call ~now:0 a n;
           []
-        | `R (ctx, call, a, n) -> Shadow.read_range by_range ~ctx ~call ~now:call a n)
+        | `R (ctx, call, a, n) -> Run_list.read_range by_range ~ctx ~call ~now:call a n)
       ops
   in
   let by_byte, log_b = record () in
@@ -177,9 +172,9 @@ let test_range_equals_per_byte () =
      unique flags within a run are not positional, so compare totals *)
   List.iter2
     (fun runs bytes ->
-      let run_total = List.fold_left (fun a (r : Shadow.run) -> a + r.Shadow.r_bytes) 0 runs in
+      let run_total = List.fold_left (fun a (r : Run_list.run) -> a + r.bytes) 0 runs in
       let run_unique =
-        List.fold_left (fun a (r : Shadow.run) -> a + r.Shadow.r_unique_bytes) 0 runs
+        List.fold_left (fun a (r : Run_list.run) -> a + r.unique_bytes) 0 runs
       in
       let byte_unique =
         List.fold_left (fun a (r : Shadow.read_result) -> a + if r.Shadow.unique then 1 else 0) 0 bytes
@@ -191,9 +186,9 @@ let test_range_equals_per_byte () =
 let test_range_bounds () =
   let t = mk () in
   Alcotest.check_raises "past the end" (Invalid_argument "Shadow: address out of range")
-    (fun () -> ignore (Shadow.read_range t ~ctx:1 ~call:1 ~now:0 (Shadow.max_address - 4) 8));
+    (fun () -> ignore (Run_list.read_range t ~ctx:1 ~call:1 ~now:0 (Shadow.max_address - 4) 8));
   Alcotest.check_raises "empty range" (Invalid_argument "Shadow: range length must be positive")
-    (fun () -> ignore (Shadow.read_range t ~ctx:1 ~call:1 ~now:0 addr 0));
+    (fun () -> ignore (Run_list.read_range t ~ctx:1 ~call:1 ~now:0 addr 0));
   Alcotest.check_raises "packed ctx bound"
     (Invalid_argument "Shadow: context id exceeds packed 16-bit bound") (fun () ->
       Shadow.write_range t ~ctx:0xFFFF ~call:1 ~now:0 addr 1)
@@ -244,21 +239,21 @@ let test_recycled_chunk_reads_fresh () =
       in
       let t = mk ~reuse ~track_writer_call ~max_chunks:1 ~sink () in
       Shadow.write_range t ~ctx:3 ~call:7 ~now:1 addr n;
-      ignore (Shadow.read_range t ~ctx:5 ~call:9 ~now:2 addr n);
-      ignore (Shadow.read_range t ~ctx:5 ~call:9 ~now:3 addr n);
+      ignore (Run_list.read_range t ~ctx:5 ~call:9 ~now:2 addr n);
+      ignore (Run_list.read_range t ~ctx:5 ~call:9 ~now:3 addr n);
       (* the same (ctx, call) as A's stale reader: a fresh byte is unique,
          program input, with no producer call *)
       Alcotest.(check (list run_t))
         (mode ^ ": recycled chunk reads as untouched")
-        [ { Shadow.r_producer = Dbi.Context.root; r_producer_call = 0; r_bytes = n; r_unique_bytes = n } ]
-        (Shadow.read_range t ~ctx:5 ~call:9 ~now:10 b n);
+        [ { Run_list.producer = Dbi.Context.root; producer_call = 0; bytes = n; unique_bytes = n } ]
+        (Run_list.read_range t ~ctx:5 ~call:9 ~now:10 b n);
       Alcotest.(check int) (mode ^ ": one eviction") 1 (Shadow.evictions t);
       Alcotest.(check (option int)) (mode ^ ": no stale writer") None (Shadow.producer_of t (b + 17));
       log := [];
       (* a second read by the same call is non-unique; a new reader then
          closes a two-read episode that began at B's first read *)
-      ignore (Shadow.read_range t ~ctx:5 ~call:9 ~now:11 b n);
-      ignore (Shadow.read_range t ~ctx:6 ~call:1 ~now:12 b n);
+      ignore (Run_list.read_range t ~ctx:5 ~call:9 ~now:11 b n);
+      ignore (Run_list.read_range t ~ctx:6 ~call:1 ~now:12 b n);
       Shadow.flush t;
       let expected =
         if reuse then

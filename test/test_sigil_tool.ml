@@ -221,6 +221,126 @@ let test_stripped_run_still_works () =
     rows;
   ignore r
 
+(* A recursive guest function nested deeper than the tool's initial frame
+   pool, entered twice so the second descent runs on frames recycled from
+   the first. Each level reads its caller's slot and, after the recursive
+   call returns, its callee's slot, so transfers cross many frames. *)
+let recursion_depth = 300
+
+let deep_recursion m =
+  Dbi.Guest.call m "main" (fun () ->
+      let slots = Dbi.Guest.alloc m (8 * (recursion_depth + 2)) in
+      let slot d = slots + (8 * d) in
+      Dbi.Guest.write m (slot 0) 8;
+      let rec descend d =
+        Dbi.Guest.call m "rec" (fun () ->
+            Dbi.Guest.read m (slot (d - 1)) 8;
+            Dbi.Guest.iop m 3;
+            Dbi.Guest.write m (slot d) 8;
+            if d < recursion_depth then begin
+              descend (d + 1);
+              Dbi.Guest.read m (slot (d + 1)) 8;
+              Dbi.Guest.write m (slot (d + 1)) 8
+            end;
+            Dbi.Guest.flop m 2)
+      in
+      descend 1;
+      Dbi.Guest.read m (slot 1) 8;
+      descend 1;
+      Dbi.Guest.read_range m slots (8 * (recursion_depth + 1)))
+
+(* Pinned before the tool's call stack became a pool of reusable frames:
+   MD5 and length of the canonical profile rendering and of the text
+   event stream. *)
+let deep_profile_golden = ("357cdbc0ed64ef6ba4aa3e354dadd3cf", 23218)
+let deep_events_golden = ("92f93af9d9c98ccf338bada1e82adff4", 48549)
+
+let test_frame_pool_deep_recursion () =
+  let tool = ref None in
+  let _ =
+    Dbi.Runner.run ~call_overhead:0
+      ~tools:
+        [
+          (fun m ->
+            let t = Sigil.Tool.create ~options:Sigil.Options.(with_events default) m in
+            tool := Some t;
+            let hooks = Sigil.Tool.tool t in
+            (* an unbalanced leave at the root is ignored: no Ret, no pop *)
+            hooks.Dbi.Tool.on_leave ~ctx:Dbi.Context.root ~fn:0;
+            hooks);
+        ]
+      deep_recursion
+  in
+  let tool = Option.get !tool in
+  let digest s = (Digest.to_hex (Digest.string s), String.length s) in
+  Alcotest.(check (pair string int))
+    "profile unchanged" deep_profile_golden
+    (digest (Sigil.Profile_io.to_string tool));
+  let entries = Sigil.Event_log.entries (Option.get (Sigil.Tool.event_log tool)) in
+  Alcotest.(check (pair string int))
+    "event stream unchanged" deep_events_golden
+    (digest (String.concat "\n" (List.map Sigil.Event_log.entry_to_string entries)));
+  (* well nested: every Call has its Ret, and fragments and transfers
+     belong to the innermost open call (the root outside every call) *)
+  let stack = ref [] in
+  let innermost () = match !stack with top :: _ -> top | [] -> (Dbi.Context.root, 0) in
+  List.iter
+    (function
+      | Sigil.Event_log.Call { ctx; call } -> stack := (ctx, call) :: !stack
+      | Sigil.Event_log.Ret { ctx; call } -> (
+        match !stack with
+        | top :: rest when top = (ctx, call) -> stack := rest
+        | _ -> Alcotest.failf "Ret (%d, %d) does not close the innermost call" ctx call)
+      | Sigil.Event_log.Comp { ctx; call; _ } ->
+        Alcotest.(check (pair int int)) "Comp in the innermost call" (innermost ()) (ctx, call)
+      | Sigil.Event_log.Xfer { dst_ctx; dst_call; _ } ->
+        Alcotest.(check (pair int int))
+          "Xfer into the innermost call" (innermost ())
+          (dst_ctx, dst_call))
+    entries;
+  Alcotest.(check int) "every Call returned" 0 (List.length !stack);
+  let calls =
+    List.length (List.filter (function Sigil.Event_log.Call _ -> true | _ -> false) entries)
+  in
+  Alcotest.(check int) "calls" ((2 * recursion_depth) + 1) calls
+
+(* The Sigil hot path allocates nothing per event in byte, reuse and line
+   modes: a Sigil-only run allocates what a no-op tool run does, up to
+   per-context records, chunk planes and table growth. Events mode is left
+   out: every Call/Comp/Xfer/Ret entry is a boxed [Event_log.entry] handed
+   to the sink, so it allocates by design. *)
+let test_allocation_bound () =
+  let modes =
+    Sigil.Options.
+      [
+        ("byte", default);
+        ("reuse", with_reuse default);
+        ("line", with_line_size default 64);
+      ]
+  in
+  List.iter
+    (fun name ->
+      let w = Result.get_ok (Workloads.Suite.find name) in
+      let words tool =
+        let before = Gc.minor_words () in
+        let r =
+          Dbi.Runner.run ~tools:[ tool ] (fun m ->
+              w.Workloads.Workload.run m Workloads.Scale.Simsmall)
+        in
+        (Gc.minor_words () -. before, Dbi.Machine.now r.Dbi.Runner.machine)
+      in
+      let nop, instr = words (fun _ -> Dbi.Tool.nop "nop") in
+      List.iter
+        (fun (mode, options) ->
+          let sigil, instr' = words (fun m -> Sigil.Tool.tool (Sigil.Tool.create ~options m)) in
+          Alcotest.(check int) (Printf.sprintf "%s %s same instructions" name mode) instr instr';
+          let per_instr = (sigil -. nop) /. float_of_int instr in
+          if per_instr > 0.1 then
+            Alcotest.failf "%s %s: Sigil allocates %.4f words per instruction (bound 0.1)" name mode
+              per_instr)
+        modes)
+    [ "canneal"; "dedup"; "vips"; "bodytrack" ]
+
 let () =
   Alcotest.run "sigil_tool"
     [
@@ -235,5 +355,7 @@ let () =
           Alcotest.test_case "memory limit accuracy loss" `Quick test_memory_limit_accuracy_loss;
           Alcotest.test_case "report rows" `Quick test_report_rows;
           Alcotest.test_case "stripped run still works" `Quick test_stripped_run_still_works;
+          Alcotest.test_case "frame pool deep recursion" `Quick test_frame_pool_deep_recursion;
+          Alcotest.test_case "allocation bound" `Quick test_allocation_bound;
         ] );
     ]
