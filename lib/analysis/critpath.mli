@@ -34,13 +34,28 @@ type t
     text file — the analysis never needs the log materialized. *)
 type stream = (Sigil.Event_log.entry -> unit) -> unit
 
-(** [analyze log] builds every dependency chain and the critical path. *)
+(** [analyze log] builds every dependency chain and the critical path.
+
+    @raise Failure when a Comp, Xfer or Ret does not name the innermost
+    open call, or an entry arrives after the root returned. The message
+    gives the 0-based entry index and the expected and found
+    (ctx, call). {!analyze_stream} and {!summarize_stream} fail the
+    same way. *)
 val analyze : Sigil.Event_log.t -> t
 
 (** [analyze_stream stream] is {!analyze} in a single incremental pass
     over any {!stream}: memory is proportional to the dependency DAG
     (needed for {!critical_path} and {!schedule}), never to the encoded
-    log, which is consumed entry by entry. *)
+    log, which is consumed entry by entry.
+
+    Each node costs 48 bytes: six int columns indexed by node id (context,
+    call, occurrence, self, inclusive length and the offset of its
+    dependencies). Each dependency costs 8 bytes more in one flat array.
+    Columns grow in fixed blocks of 4096 entries, so growth never copies
+    the DAG. The latest occurrence of each call sits in an open-addressing
+    table of 16 bytes per slot, at most half full. The pass allocates
+    nothing per entry or per node on the minor heap beyond what the
+    stream itself allocates. *)
 val analyze_stream : stream -> t
 
 (** {2 O(1)-per-fragment summary}

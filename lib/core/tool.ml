@@ -3,7 +3,101 @@ let xfer_key src_ctx src_call = (src_ctx lsl 40) lor (src_call land ((1 lsl 40) 
 let xfer_src key = key lsr 40
 let xfer_call key = key land ((1 lsl 40) - 1)
 
-type xfer_acc = { mutable bytes : int; mutable unique : int }
+(* Transfers consumed by the open fragment, summed per producer key. A
+   call flushes its caller's fragment before it runs, so only the
+   innermost frame ever has transfers pending and one accumulator serves
+   the whole stack. Open addressing with linear probing over int arrays
+   (load at most one half); [used] lists the occupied slots, and a flush
+   sorts it by key in place, emits, and empties exactly those slots. *)
+type xfers = {
+  mutable keys : int array; (* [no_key] marks a free slot *)
+  mutable bytes : int array;
+  mutable unique : int array;
+  mutable used : int array; (* occupied slots, [0, n) *)
+  mutable n : int;
+}
+
+let no_key = -1 (* keys are >= 0: context ids and call numbers are *)
+
+let new_xfers capacity =
+  {
+    keys = Array.make capacity no_key;
+    bytes = Array.make capacity 0;
+    unique = Array.make capacity 0;
+    used = Array.make (capacity / 2) 0;
+    n = 0;
+  }
+
+(* The first slot of [key]'s probe sequence: multiply to spread the call
+   bits, fold the context bits (40 and up) down. *)
+let[@inline] home key mask =
+  let h = key * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 31)) land mask
+
+(* [key]'s slot, or the free slot where it belongs. *)
+let find_slot keys key =
+  let mask = Array.length keys - 1 in
+  let i = ref (home key mask) in
+  while keys.(!i) <> key && keys.(!i) <> no_key do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let grow_xfers x =
+  let keys = x.keys and bytes = x.bytes and unique = x.unique and used = x.used in
+  let capacity = 2 * Array.length keys in
+  x.keys <- Array.make capacity no_key;
+  x.bytes <- Array.make capacity 0;
+  x.unique <- Array.make capacity 0;
+  x.used <- Array.make (capacity / 2) 0;
+  for u = 0 to x.n - 1 do
+    let o = used.(u) in
+    let i = find_slot x.keys keys.(o) in
+    x.keys.(i) <- keys.(o);
+    x.bytes.(i) <- bytes.(o);
+    x.unique.(i) <- unique.(o);
+    x.used.(u) <- i
+  done
+
+let xfers_add x key ~bytes ~unique_bytes =
+  if 2 * (x.n + 1) > Array.length x.keys then grow_xfers x;
+  let i = find_slot x.keys key in
+  if x.keys.(i) = no_key then begin
+    x.keys.(i) <- key;
+    x.bytes.(i) <- 0;
+    x.unique.(i) <- 0;
+    x.used.(x.n) <- i;
+    x.n <- x.n + 1
+  end;
+  x.bytes.(i) <- x.bytes.(i) + bytes;
+  x.unique.(i) <- x.unique.(i) + unique_bytes
+
+(* Heapsort of [used.(0 .. n-1)] by key: in place, no allocation. *)
+let rec sift keys used root n =
+  let child = (2 * root) + 1 in
+  if child < n then begin
+    let child =
+      if child + 1 < n && keys.(used.(child + 1)) > keys.(used.(child)) then child + 1 else child
+    in
+    if keys.(used.(child)) > keys.(used.(root)) then begin
+      let s = used.(root) in
+      used.(root) <- used.(child);
+      used.(child) <- s;
+      sift keys used child n
+    end
+  end
+
+let sort_used x =
+  let keys = x.keys and used = x.used and n = x.n in
+  for root = (n / 2) - 1 downto 0 do
+    sift keys used root n
+  done;
+  for last = n - 1 downto 1 do
+    let s = used.(0) in
+    used.(0) <- used.(last);
+    used.(last) <- s;
+    sift keys used 0 last
+  done
 
 (* Call frames are pooled: a frame is reused by every call that runs at
    its depth, so entering a call allocates nothing. *)
@@ -12,7 +106,6 @@ type frame = {
   mutable call : int;
   mutable frag_int_ops : int;
   mutable frag_fp_ops : int;
-  frag_xfers : (int, xfer_acc) Hashtbl.t;
 }
 
 type t = {
@@ -27,16 +120,10 @@ type t = {
   events_dispatched : int ref; (* telemetry: entries pushed into the sink *)
   mutable frames : frame array; (* slot 0 = synthetic root; grows by doubling *)
   mutable depth : int; (* slot of the innermost frame *)
+  xfers : xfers; (* the innermost frame's pending transfers *)
 }
 
-let new_frame () =
-  {
-    ctx = Dbi.Context.root;
-    call = 0;
-    frag_int_ops = 0;
-    frag_fp_ops = 0;
-    frag_xfers = Hashtbl.create 8;
-  }
+let new_frame () = { ctx = Dbi.Context.root; call = 0; frag_int_ops = 0; frag_fp_ops = 0 }
 
 let initial_frames = 64
 
@@ -79,6 +166,7 @@ let create ?(options = Options.default) ?event_sink machine =
     events_dispatched;
     frames = Array.init initial_frames (fun _ -> new_frame ());
     depth = 0;
+    xfers = new_xfers 16;
   }
 
 let flush_fragment t frame =
@@ -96,25 +184,26 @@ let flush_fragment t frame =
            });
     frame.frag_int_ops <- 0;
     frame.frag_fp_ops <- 0;
-    if Hashtbl.length frame.frag_xfers > 0 then begin
-      (* deterministic order for reproducible event files *)
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) frame.frag_xfers [] in
-      List.iter
-        (fun key ->
-          let acc = Hashtbl.find frame.frag_xfers key in
-          emit
-            (Event_log.Xfer
-               {
-                 src_ctx = xfer_src key;
-                 src_call = xfer_call key;
-                 dst_ctx = frame.ctx;
-                 dst_call = frame.call;
-                 bytes = acc.bytes;
-                 unique_bytes = acc.unique;
-               }))
-        (List.sort compare keys);
-      (* [clear] keeps the buckets for the frame's next call *)
-      Hashtbl.clear frame.frag_xfers
+    let x = t.xfers in
+    if x.n > 0 then begin
+      (* sorted by key, for reproducible event files *)
+      sort_used x;
+      for u = 0 to x.n - 1 do
+        let i = x.used.(u) in
+        let key = x.keys.(i) in
+        emit
+          (Event_log.Xfer
+             {
+               src_ctx = xfer_src key;
+               src_call = xfer_call key;
+               dst_ctx = frame.ctx;
+               dst_call = frame.call;
+               bytes = x.bytes.(i);
+               unique_bytes = x.unique.(i);
+             });
+        x.keys.(i) <- no_key
+      done;
+      x.n <- 0
     end
 
 let[@inline] top t = t.frames.(t.depth)
@@ -134,19 +223,9 @@ let push t ctx call =
 (* Dependency edges also cover a function consuming data from an earlier
    call of itself (the PRNG-state chains of §IV-C); only reads of the
    current call's own writes impose no ordering. *)
-let[@inline] xfer_add frame ~producer ~producer_call ~bytes ~unique_bytes =
-  if producer <> frame.ctx || producer_call <> frame.call then begin
-    let key = xfer_key producer producer_call in
-    let acc =
-      try Hashtbl.find frame.frag_xfers key
-      with Not_found ->
-        let acc = { bytes = 0; unique = 0 } in
-        Hashtbl.add frame.frag_xfers key acc;
-        acc
-    in
-    acc.bytes <- acc.bytes + bytes;
-    acc.unique <- acc.unique + unique_bytes
-  end
+let[@inline] xfer_add t frame ~producer ~producer_call ~bytes ~unique_bytes =
+  if producer <> frame.ctx || producer_call <> frame.call then
+    xfers_add t.xfers (xfer_key producer producer_call) ~bytes ~unique_bytes
 
 (* Per-byte reference path (Options.per_byte_shadow): the pre-range
    implementation, kept for differential tests and the ablation. *)
@@ -159,7 +238,7 @@ let byte_read t frame addr =
   match t.sink with
   | None -> ()
   | Some _ ->
-    xfer_add frame ~producer:r.Shadow.producer ~producer_call:r.Shadow.producer_call ~bytes:1
+    xfer_add t frame ~producer:r.Shadow.producer ~producer_call:r.Shadow.producer_call ~bytes:1
       ~unique_bytes:(if r.Shadow.unique then 1 else 0)
 
 let tool t : Dbi.Tool.t =
@@ -170,7 +249,7 @@ let tool t : Dbi.Tool.t =
   let on_run ~producer ~producer_call ~bytes ~unique_bytes =
     let frame = top t in
     Profile.record_run t.profile ~producer ~consumer:frame.ctx ~bytes ~unique_bytes;
-    if log then xfer_add frame ~producer ~producer_call ~bytes ~unique_bytes
+    if log then xfer_add t frame ~producer ~producer_call ~bytes ~unique_bytes
   in
   {
     name = "sigil";

@@ -66,13 +66,28 @@ type delta = {
   mutable s_call : int; (* typically feeds many consecutive consumers *)
   mutable n_ops : int; (* previous computation's int op count *)
   mutable n_bytes : int; (* previous transfer's byte count *)
-  mutable stack : (int * int) list;
-      (* open frames seen since the chunk began (Call pushes, Ret pops):
-         after a Ret, the resuming parent's fragment matches the top *)
+  (* open frames seen since the chunk began (Call pushes, Ret pops), in
+     slots [0, depth): after a Ret, the resuming parent's fragment
+     matches the top. The arrays grow by doubling and outlive [reset]. *)
+  mutable st_ctx : int array;
+  mutable st_call : int array;
+  mutable depth : int;
 }
 
+let initial_stack = 64
+
 let delta () =
-  { d_ctx = 0; d_call = 0; s_ctx = 0; s_call = 0; n_ops = 0; n_bytes = 0; stack = [] }
+  {
+    d_ctx = 0;
+    d_call = 0;
+    s_ctx = 0;
+    s_call = 0;
+    n_ops = 0;
+    n_bytes = 0;
+    st_ctx = Array.make initial_stack 0;
+    st_call = Array.make initial_stack 0;
+    depth = 0;
+  }
 
 let reset d =
   d.d_ctx <- 0;
@@ -81,46 +96,56 @@ let reset d =
   d.s_call <- 0;
   d.n_ops <- 0;
   d.n_bytes <- 0;
-  d.stack <- []
+  d.depth <- 0
+
+let push d ctx call =
+  if d.depth = Array.length d.st_ctx then begin
+    let grow a = Array.init (2 * d.depth) (fun i -> if i < d.depth then a.(i) else 0) in
+    d.st_ctx <- grow d.st_ctx;
+    d.st_call <- grow d.st_call
+  end;
+  d.st_ctx.(d.depth) <- ctx;
+  d.st_call.(d.depth) <- call;
+  d.depth <- d.depth + 1
+
+let pop d = if d.depth > 0 then d.depth <- d.depth - 1
+
+(* The position flag of an entry at (ctx, call): [flag_samepos],
+   [flag_stackpos] or 0 — at most one is set, either elides the
+   position varints. *)
+let classify d ctx call =
+  if ctx = d.d_ctx && call = d.d_call then flag_samepos
+  else if d.depth > 0 && d.st_ctx.(d.depth - 1) = ctx && d.st_call.(d.depth - 1) = call then
+    flag_stackpos
+  else 0
+
+let[@inline] add_tag buf tag = Buffer.add_char buf (Char.unsafe_chr tag)
+
+(* Writes the position varints unless [flags] elide them, then makes
+   (ctx, call) the running pair. *)
+let write_pos d buf flags ctx call =
+  if flags land (flag_samepos lor flag_stackpos) = 0 then begin
+    Varint.write_signed buf (ctx - d.d_ctx);
+    Varint.write_signed buf (call - d.d_call)
+  end;
+  d.d_ctx <- ctx;
+  d.d_call <- call
 
 let encode_entry d buf (e : Sigil.Event_log.entry) =
-  let tag base ~samepos ~stackpos ~omit ~samesrc ~samenum =
-    Buffer.add_char buf
-      (Char.chr
-         (base
-         lor (if samepos then flag_samepos else 0)
-         lor (if stackpos then flag_stackpos else 0)
-         lor (if omit then flag_omit else 0)
-         lor (if samesrc then flag_samesrc else 0)
-         lor if samenum then flag_samenum else 0))
-  in
-  (* (samepos, stackpos): at most one set — either elides the position *)
-  let classify ctx call =
-    if ctx = d.d_ctx && call = d.d_call then (true, false)
-    else
-      match d.stack with
-      | (c, k) :: _ when c = ctx && k = call -> (false, true)
-      | _ -> (false, false)
-  in
-  let pos ~samepos ~stackpos ctx call =
-    if not (samepos || stackpos) then begin
-      Varint.write_signed buf (ctx - d.d_ctx);
-      Varint.write_signed buf (call - d.d_call)
-    end;
-    d.d_ctx <- ctx;
-    d.d_call <- call
-  in
   match e with
   | Call { ctx; call } ->
-    let sp, st = classify ctx call in
-    tag tag_call ~samepos:sp ~stackpos:st ~omit:false ~samesrc:false ~samenum:false;
-    pos ~samepos:sp ~stackpos:st ctx call;
-    d.stack <- (ctx, call) :: d.stack
+    let pos = classify d ctx call in
+    add_tag buf (tag_call lor pos);
+    write_pos d buf pos ctx call;
+    push d ctx call
   | Comp { ctx; call; int_ops; fp_ops } ->
-    let sp, st = classify ctx call in
+    let pos = classify d ctx call in
     let sn = int_ops = d.n_ops in
-    tag tag_comp ~samepos:sp ~stackpos:st ~omit:(fp_ops = 0) ~samesrc:false ~samenum:sn;
-    pos ~samepos:sp ~stackpos:st ctx call;
+    add_tag buf
+      (tag_comp lor pos
+      lor (if fp_ops = 0 then flag_omit else 0)
+      lor if sn then flag_samenum else 0);
+    write_pos d buf pos ctx call;
     if not sn then Varint.write buf int_ops;
     d.n_ops <- int_ops;
     if fp_ops <> 0 then Varint.write buf fp_ops
@@ -128,11 +153,15 @@ let encode_entry d buf (e : Sigil.Event_log.entry) =
     (* destination is the open call — rebase the running pair to it; the
        producer repeats the previous transfer's (flag) or is encoded
        relative to the destination (producers sit near their consumers) *)
-    let sp, st = classify dst_ctx dst_call in
+    let pos = classify d dst_ctx dst_call in
     let ss = src_ctx = d.s_ctx && src_call = d.s_call in
     let sn = bytes = d.n_bytes in
-    tag tag_xfer ~samepos:sp ~stackpos:st ~omit:(unique_bytes = bytes) ~samesrc:ss ~samenum:sn;
-    pos ~samepos:sp ~stackpos:st dst_ctx dst_call;
+    add_tag buf
+      (tag_xfer lor pos
+      lor (if unique_bytes = bytes then flag_omit else 0)
+      lor (if ss then flag_samesrc else 0)
+      lor if sn then flag_samenum else 0);
+    write_pos d buf pos dst_ctx dst_call;
     if not ss then begin
       Varint.write_signed buf (src_ctx - dst_ctx);
       Varint.write_signed buf (src_call - dst_call)
@@ -143,35 +172,29 @@ let encode_entry d buf (e : Sigil.Event_log.entry) =
     d.n_bytes <- bytes;
     if unique_bytes <> bytes then Varint.write buf unique_bytes
   | Ret { ctx; call } ->
-    let sp, st = classify ctx call in
-    tag tag_ret ~samepos:sp ~stackpos:st ~omit:false ~samesrc:false ~samenum:false;
-    pos ~samepos:sp ~stackpos:st ctx call;
-    (match d.stack with
-    | _ :: tl -> d.stack <- tl
-    | [] -> ())
+    let pos = classify d ctx call in
+    add_tag buf (tag_ret lor pos);
+    write_pos d buf pos ctx call;
+    pop d
 
-let decode_pos d ~samepos ~stackpos b ~pos =
-  if samepos then ()
-  else if stackpos then begin
-    match d.stack with
-    | (c, k) :: _ ->
-      d.d_ctx <- c;
-      d.d_call <- k
-    | [] -> failwith "Tracefile: stackpos flag with no open frame"
+(* Makes the entry's position the running pair. *)
+let read_pos d byte b ~pos =
+  if byte land flag_samepos <> 0 then ()
+  else if byte land flag_stackpos <> 0 then begin
+    if d.depth = 0 then failwith "Tracefile: stackpos flag with no open frame";
+    d.d_ctx <- d.st_ctx.(d.depth - 1);
+    d.d_call <- d.st_call.(d.depth - 1)
   end
   else begin
     d.d_ctx <- d.d_ctx + Varint.read_signed b ~pos;
     d.d_call <- d.d_call + Varint.read_signed b ~pos
-  end;
-  (d.d_ctx, d.d_call)
+  end
 
 let decode_entry d b ~pos : Sigil.Event_log.entry =
   if !pos >= Bytes.length b then raise Varint.Truncated;
   let byte = Char.code (Bytes.get b !pos) in
   incr pos;
   let base = byte land 0x07 in
-  let samepos = byte land flag_samepos <> 0 in
-  let stackpos = byte land flag_stackpos <> 0 in
   let omit = byte land flag_omit <> 0 in
   let samesrc = byte land flag_samesrc <> 0 in
   let samenum = byte land flag_samenum <> 0 in
@@ -180,33 +203,39 @@ let decode_entry d b ~pos : Sigil.Event_log.entry =
   if samenum && base <> tag_xfer && base <> tag_comp then
     failwith (Printf.sprintf "Tracefile: unknown entry tag 0x%02x" byte);
   if base = tag_call then begin
-    let ctx, call = decode_pos d ~samepos ~stackpos b ~pos in
-    d.stack <- (ctx, call) :: d.stack;
-    Call { ctx; call }
+    read_pos d byte b ~pos;
+    push d d.d_ctx d.d_call;
+    Call { ctx = d.d_ctx; call = d.d_call }
   end
   else if base = tag_comp then begin
-    let ctx, call = decode_pos d ~samepos ~stackpos b ~pos in
+    read_pos d byte b ~pos;
     let int_ops = if samenum then d.n_ops else Varint.read b ~pos in
     d.n_ops <- int_ops;
     let fp_ops = if omit then 0 else Varint.read b ~pos in
-    Comp { ctx; call; int_ops; fp_ops }
+    Comp { ctx = d.d_ctx; call = d.d_call; int_ops; fp_ops }
   end
   else if base = tag_xfer then begin
-    let dst_ctx, dst_call = decode_pos d ~samepos ~stackpos b ~pos in
+    read_pos d byte b ~pos;
     if not samesrc then begin
-      d.s_ctx <- dst_ctx + Varint.read_signed b ~pos;
-      d.s_call <- dst_call + Varint.read_signed b ~pos
+      d.s_ctx <- d.d_ctx + Varint.read_signed b ~pos;
+      d.s_call <- d.d_call + Varint.read_signed b ~pos
     end;
     let bytes = if samenum then d.n_bytes else Varint.read b ~pos in
     d.n_bytes <- bytes;
     let unique_bytes = if omit then bytes else Varint.read b ~pos in
-    Xfer { src_ctx = d.s_ctx; src_call = d.s_call; dst_ctx; dst_call; bytes; unique_bytes }
+    Xfer
+      {
+        src_ctx = d.s_ctx;
+        src_call = d.s_call;
+        dst_ctx = d.d_ctx;
+        dst_call = d.d_call;
+        bytes;
+        unique_bytes;
+      }
   end
   else if base = tag_ret then begin
-    let ctx, call = decode_pos d ~samepos ~stackpos b ~pos in
-    (match d.stack with
-    | _ :: tl -> d.stack <- tl
-    | [] -> ());
-    Ret { ctx; call }
+    read_pos d byte b ~pos;
+    pop d;
+    Ret { ctx = d.d_ctx; call = d.d_call }
   end
   else failwith (Printf.sprintf "Tracefile: unknown entry tag 0x%02x" byte)

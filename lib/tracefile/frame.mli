@@ -59,15 +59,11 @@ val get_u64 : bytes -> int -> int
     int op count / a transfer's byte count repeats the previous one — op
     and transfer sizes are heavily repetitive). *)
 
-type delta = {
-  mutable d_ctx : int;
-  mutable d_call : int;
-  mutable s_ctx : int;
-  mutable s_call : int;
-  mutable n_ops : int;
-  mutable n_bytes : int;
-  mutable stack : (int * int) list;
-}
+(** The codec's running state: the running and producer (ctx, call)
+    pairs, the previous op and byte counts, and the open-frame stack, kept
+    in int arrays so encoding and decoding allocate nothing beyond the
+    decoded entry. *)
+type delta
 
 val delta : unit -> delta
 

@@ -230,12 +230,16 @@ let read_chunk ic (c : chunk) =
 let decode_payload (c : chunk) payload f =
   let d = Frame.delta () in
   let pos = ref 0 in
-  (try
-     for _ = 1 to c.c_entries do
-       f (Frame.decode_entry d payload ~pos)
-     done
-   with Varint.Truncated | Failure _ ->
-     Frame.corrupt ~offset:c.c_offset "undecodable chunk payload");
+  for _ = 1 to c.c_entries do
+    (* only decoding failures are the chunk's fault; the consumer's own
+       exceptions pass through unchanged *)
+    let e =
+      try Frame.decode_entry d payload ~pos
+      with Varint.Truncated | Failure _ ->
+        Frame.corrupt ~offset:c.c_offset "undecodable chunk payload"
+    in
+    f e
+  done;
   if !pos <> Bytes.length payload then
     Frame.corrupt ~offset:c.c_offset "chunk payload has trailing garbage"
 

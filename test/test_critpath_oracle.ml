@@ -1,0 +1,269 @@
+(* The column-stored critical-path DAG against the list-based
+   implementation it replaced (Critpath_ref, kept verbatim): a qcheck
+   differential over random well-nested event streams, the located
+   failures of a malformed stream, and the allocation bound per node. *)
+
+open Sigil
+module Cp = Analysis.Critpath
+
+let log_of entries =
+  let log = Event_log.create () in
+  List.iter (Event_log.add log) entries;
+  log
+
+(* A random stream as Sigil would emit it: Comp and Xfer always name the
+   innermost open call, every Ret closes it. Besides calls that closed
+   earlier, transfers come from the consuming call itself, from calls
+   still open further down the stack, from producers that never existed,
+   and repeat the previous producer. One stream in four recurses past the
+   initial frame pool; one in four leaves calls open at the end; most
+   leave work pending in the root. *)
+let gen_stream : Event_log.entry list QCheck.Gen.t =
+ fun st ->
+  let rand n = Random.State.int st n in
+  let out = ref [] in
+  let emit e = out := e :: !out in
+  let stack = ref [ (Dbi.Context.root, 0) ] in
+  let closed = ref [||] and n_closed = ref 0 in
+  let next_call = Array.make 16 0 in
+  let last_src = ref (Dbi.Context.root, 0) in
+  let top () = List.hd !stack in
+  let comp () =
+    let ctx, call = top () in
+    emit (Event_log.Comp { ctx; call; int_ops = rand 6; fp_ops = (if rand 3 = 0 then rand 4 else 0) })
+  in
+  let xfer () =
+    let dst_ctx, dst_call = top () in
+    let src_ctx, src_call =
+      match rand 6 with
+      | 0 | 1 when !n_closed > 0 -> !closed.(rand !n_closed)
+      | 2 -> (dst_ctx, dst_call)
+      | 3 -> List.nth !stack (rand (List.length !stack))
+      | 4 -> (100 + rand 5, rand 50)
+      | _ -> !last_src
+    in
+    last_src := (src_ctx, src_call);
+    emit (Event_log.Xfer { src_ctx; src_call; dst_ctx; dst_call; bytes = 8; unique_bytes = 8 })
+  in
+  let call ctx =
+    let c = next_call.(ctx) + 1 in
+    next_call.(ctx) <- c;
+    emit (Event_log.Call { ctx; call = c });
+    stack := (ctx, c) :: !stack
+  in
+  let ret () =
+    match !stack with
+    | [ _ ] -> ()
+    | ((ctx, c) as frame) :: rest ->
+      emit (Event_log.Ret { ctx; call = c });
+      if !n_closed = Array.length !closed then
+        closed := Array.append !closed (Array.make (max 8 !n_closed) frame);
+      !closed.(!n_closed) <- frame;
+      incr n_closed;
+      stack := rest
+    | [] -> assert false
+  in
+  let steps = 20 + rand 200 in
+  for _ = 1 to steps do
+    match rand 10 with
+    | 0 | 1 | 2 -> comp ()
+    | 3 | 4 | 5 -> xfer ()
+    | 6 | 7 -> call (1 + rand 15)
+    | _ -> ret ()
+  done;
+  if rand 4 = 0 then begin
+    (* recursion deeper than the initial frame pool *)
+    let ctx = 1 + rand 15 in
+    let depth = 65 + rand 100 in
+    for _ = 1 to depth do
+      call ctx;
+      if rand 2 = 0 then comp ();
+      if rand 3 = 0 then xfer ()
+    done
+  end;
+  if rand 4 <> 0 then
+    while List.length !stack > 1 do
+      if rand 3 = 0 then comp ();
+      if rand 4 = 0 then xfer ();
+      ret ()
+    done;
+  (* work left pending in the innermost frame (the root, if all returned) *)
+  if rand 5 <> 0 then begin
+    comp ();
+    if rand 2 = 0 then xfer ()
+  end;
+  List.rev !out
+
+let arb_stream =
+  QCheck.make
+    ~print:(fun es -> String.concat "\n" (List.map Event_log.entry_to_string es))
+    ~small:List.length gen_stream
+
+let agree entries =
+  let log = log_of entries in
+  let r = Critpath_ref.analyze log and t = Cp.analyze log in
+  let ref_path =
+    List.map
+      (fun (n : Critpath_ref.node) ->
+        Critpath_ref.(n.ctx, n.call, n.occurrence, n.self, n.inclusive))
+      (Critpath_ref.critical_path r)
+  in
+  let path =
+    List.map (fun (n : Cp.node) -> Cp.(n.ctx, n.call, n.occurrence, n.self, n.inclusive))
+      (Cp.critical_path t)
+  in
+  let rs = Critpath_ref.summarize_stream (Event_log.iter log) in
+  let s = Cp.summarize_stream (Event_log.iter log) in
+  let schedules_agree =
+    List.for_all
+      (fun cores ->
+        let a = Critpath_ref.schedule r ~cores and b = Cp.schedule t ~cores in
+        a.Critpath_ref.makespan = b.Cp.makespan
+        && a.Critpath_ref.utilization = b.Cp.utilization
+        && a.Critpath_ref.speedup = b.Cp.speedup)
+      [ 1; 2; 3; 4; 5 ]
+  in
+  Critpath_ref.serial_length r = Cp.serial_length t
+  && Critpath_ref.critical_path_length r = Cp.critical_path_length t
+  && Critpath_ref.node_count r = Cp.node_count t
+  && Critpath_ref.parallelism r = Cp.parallelism t
+  && ref_path = path
+  && Critpath_ref.critical_path_contexts r = Cp.critical_path_contexts t
+  && rs.Critpath_ref.s_serial = s.Cp.s_serial
+  && rs.Critpath_ref.s_critical = s.Cp.s_critical
+  && rs.Critpath_ref.s_fragments = s.Cp.s_fragments
+  && schedules_agree
+
+let differential =
+  QCheck.Test.make ~name:"columns agree with the list-based DAG" ~count:500 arb_stream agree
+
+(* The generator must reach the cases it promises, or the differential
+   says less than it claims. *)
+let test_generator_coverage () =
+  let st = Random.State.make [| 11 |] in
+  let deep = ref 0 and self_xfer = ref 0 and open_at_end = ref 0 and root_work = ref 0 in
+  for _ = 1 to 200 do
+    let es = gen_stream st in
+    let depth = ref 0 and max_depth = ref 0 in
+    List.iter
+      (function
+        | Event_log.Call _ ->
+          incr depth;
+          max_depth := max !max_depth !depth
+        | Event_log.Ret _ -> decr depth
+        | Event_log.Xfer { src_ctx; src_call; dst_ctx; dst_call; _ } ->
+          if src_ctx = dst_ctx && src_call = dst_call && dst_ctx <> Dbi.Context.root then
+            incr self_xfer
+        | Event_log.Comp _ -> ())
+      es;
+    if !max_depth > 64 then incr deep;
+    if !depth > 0 then incr open_at_end
+    else
+      match List.rev es with
+      | (Event_log.Comp { ctx = 0; _ } | Event_log.Xfer { dst_ctx = 0; _ }) :: _ -> incr root_work
+      | _ -> ()
+  done;
+  List.iter
+    (fun (what, n) -> if n < 10 then Alcotest.failf "only %d of 200 streams have %s" n what)
+    [
+      ("recursion past 64", !deep);
+      ("self-transfers", !self_xfer);
+      ("calls open at the end", !open_at_end);
+      ("work left in the root", !root_work);
+    ]
+
+(* ---------------------------------------------------------------- *)
+(* Located failures                                                 *)
+(* ---------------------------------------------------------------- *)
+
+let expect_failure name entries expected =
+  match Cp.analyze (log_of entries) with
+  | exception Failure msg -> Alcotest.(check string) name expected msg
+  | _ -> Alcotest.failf "%s: malformed stream accepted" name
+
+let test_located_failures () =
+  let call ctx call = Event_log.Call { ctx; call } in
+  let ret ctx call = Event_log.Ret { ctx; call } in
+  let comp ctx call = Event_log.Comp { ctx; call; int_ops = 1; fp_ops = 0 } in
+  expect_failure "comp"
+    [ call 1 1; comp 1 1; comp 2 1 ]
+    "Critpath: entry 2: Comp does not match the open call: expected (ctx 1, call 1), found (ctx \
+     2, call 1)";
+  expect_failure "xfer"
+    [
+      call 1 1;
+      Event_log.Xfer
+        { src_ctx = 0; src_call = 0; dst_ctx = 1; dst_call = 2; bytes = 8; unique_bytes = 8 };
+    ]
+    "Critpath: entry 1: Xfer does not match the open call: expected (ctx 1, call 1), found (ctx \
+     1, call 2)";
+  expect_failure "ret"
+    [ call 1 1; call 2 1; ret 1 1 ]
+    "Critpath: entry 2: Ret does not match the open call: expected (ctx 2, call 1), found (ctx 1, \
+     call 1)";
+  expect_failure "call after the root returned"
+    [ comp 0 0; ret 0 0; call 3 1 ]
+    "Critpath: entry 2: Call with empty stack: expected an open caller (the root has returned), \
+     found (ctx 3, call 1)";
+  expect_failure "ret after the root returned"
+    [ ret 0 0; ret 5 7 ]
+    "Critpath: entry 1: Ret with empty stack: expected an open call (the root has returned), \
+     found (ctx 5, call 7)";
+  (* summarize_stream shares the pass, and the message; read back from a
+     binary trace, the failure stays the analysis's, not a chunk's *)
+  let bad = [ call 1 1; comp 2 1 ] in
+  let expected =
+    "Critpath: entry 1: Comp does not match the open call: expected (ctx 1, call 1), found (ctx \
+     2, call 1)"
+  in
+  (match Cp.summarize_stream (Event_log.iter (log_of bad)) with
+  | exception Failure msg -> Alcotest.(check string) "summary" expected msg
+  | _ -> Alcotest.fail "summary: malformed stream accepted");
+  let path = Filename.temp_file "sigil_critpath" ".tf" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Tracefile.Writer.write_log (log_of bad) path;
+      let r = Tracefile.Reader.open_file path in
+      Fun.protect
+        ~finally:(fun () -> Tracefile.Reader.close r)
+        (fun () ->
+          match Cp.analyze_stream (Tracefile.Reader.iter r) with
+          | exception Failure msg -> Alcotest.(check string) "binary trace" expected msg
+          | _ -> Alcotest.fail "binary trace: malformed stream accepted"))
+
+(* ---------------------------------------------------------------- *)
+(* Allocation                                                       *)
+(* ---------------------------------------------------------------- *)
+
+(* Nodes are int columns in major-heap blocks, frames and pending work are
+   pooled, so building the DAG of an in-memory log allocates a bounded
+   number of minor words per node: the boxed tuple the pass returns, the
+   closures it builds and nothing per entry. *)
+let test_allocation_bound () =
+  List.iter
+    (fun name ->
+      let w = Result.get_ok (Workloads.Suite.find name) in
+      let options = Options.(with_events default) in
+      let r = Driver.run_workload ~options w Workloads.Scale.Simsmall in
+      let log = Option.get (Tool.event_log (Driver.sigil r)) in
+      let before = Gc.minor_words () in
+      let t = Cp.analyze log in
+      let words = Gc.minor_words () -. before in
+      let per_node = words /. float_of_int (Cp.node_count t) in
+      if per_node > 3.0 then
+        Alcotest.failf "%s: Critpath.analyze allocates %.3f minor words per node (bound 3)" name
+          per_node)
+    [ "canneal"; "dedup"; "streamcluster" ]
+
+let () =
+  Alcotest.run "critpath_oracle"
+    [
+      ( "differential",
+        [
+          QCheck_alcotest.to_alcotest differential;
+          Alcotest.test_case "generator coverage" `Quick test_generator_coverage;
+        ] );
+      ("failures", [ Alcotest.test_case "located" `Quick test_located_failures ]);
+      ("allocation", [ Alcotest.test_case "analyze bound" `Quick test_allocation_bound ]);
+    ]

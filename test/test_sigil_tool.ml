@@ -341,6 +341,55 @@ let test_allocation_bound () =
         modes)
     [ "canneal"; "dedup"; "vips"; "bodytrack" ]
 
+(* Events mode allocates only the entries it hands to the sink: the
+   fragment flush accumulates transfers in pooled int arrays. Measured
+   against a byte-mode run of the same workload (which "allocation bound"
+   covers), a Sigil-only run into a sink that drops every entry allocates
+   the boxes of those entries (header plus fields: 3 words for Call and
+   Ret, 5 for Comp, 7 for Xfer) plus 1%. Two costs that are not per entry
+   get their own allowance: the writer-call plane each shadow chunk adds
+   when events are on (a u32 plane of two Bigarray headers, 23 words a
+   chunk on dedup), and the transfer accumulator and sink wrapper built
+   once per run. *)
+let test_events_allocation_bound () =
+  List.iter
+    (fun name ->
+      let w = Result.get_ok (Workloads.Suite.find name) in
+      let words options sink =
+        let tool = ref None in
+        let before = Gc.minor_words () in
+        let _ =
+          Dbi.Runner.run
+            ~tools:
+              [
+                (fun m ->
+                  let t = Sigil.Tool.create ~options ?event_sink:sink m in
+                  tool := Some t;
+                  Sigil.Tool.tool t);
+              ]
+            (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall)
+        in
+        let words = Gc.minor_words () -. before in
+        let snapshot = Telemetry.of_samples (Sigil.Tool.telemetry (Option.get !tool)) in
+        (words, Telemetry.get_int snapshot "shadow.chunks_allocated")
+      in
+      let byte, _ = words Sigil.Options.default None in
+      let boxes = ref 0 in
+      let sink (e : Sigil.Event_log.entry) =
+        match e with
+        | Call _ | Ret _ -> boxes := !boxes + 3
+        | Comp _ -> boxes := !boxes + 5
+        | Xfer _ -> boxes := !boxes + 7
+      in
+      let events, chunks = words Sigil.Options.(with_events default) (Some sink) in
+      let bound = (1.01 *. float_of_int !boxes) +. float_of_int ((32 * chunks) + 256) in
+      if events -. byte > bound then
+        Alcotest.failf
+          "%s events: Sigil allocates %.0f words beyond byte mode for %d words of entries and %d \
+           chunks (bound %.0f)"
+          name (events -. byte) !boxes chunks bound)
+    [ "canneal"; "dedup"; "vips"; "bodytrack" ]
+
 let () =
   Alcotest.run "sigil_tool"
     [
@@ -357,5 +406,6 @@ let () =
           Alcotest.test_case "stripped run still works" `Quick test_stripped_run_still_works;
           Alcotest.test_case "frame pool deep recursion" `Quick test_frame_pool_deep_recursion;
           Alcotest.test_case "allocation bound" `Quick test_allocation_bound;
+          Alcotest.test_case "events allocation bound" `Quick test_events_allocation_bound;
         ] );
     ]

@@ -299,6 +299,117 @@ let test_dedup_size_ratio () =
             (Printf.sprintf "text/binary ratio %.2f >= 4" ratio)
             true (ratio >= 4.0)))
 
+(* ---------------------------------------------------------------- *)
+(* Byte identity                                                    *)
+(* ---------------------------------------------------------------- *)
+
+(* MD5 of the binary trace (streamed through the writer, closed with the
+   run's symbol and context tables) and of the text event log, in events
+   mode at simsmall. Pinned before the codec, the fragment flush and the
+   critical-path DAG moved to int arrays: every byte must stay put. *)
+let trace_goldens =
+  [
+    ("canneal", "1ff93e4046fd690cf4c2e959e129428d", "ca2fe7e24a13c1a950e39040409dcf78");
+    ("dedup", "9746db53614594443d687b0bc1be16d6", "c196e752c96b880bc4a49cc9e66ce647");
+    ("streamcluster", "4285cb2f08534a1b726869b2ea209ae9", "8fb30e11c34e7020c7e4b6d849dac457");
+    ("libquantum", "842fb812efc41ac5de88a0e73247f6ab", "dbb53e7be954c44edd1550f61611f867");
+  ]
+
+let file_md5 path = Digest.to_hex (Digest.file path)
+
+let test_trace_goldens () =
+  List.iter
+    (fun (name, binary_md5, text_md5) ->
+      with_temp ".tf" (fun tf ->
+          with_temp ".txt" (fun txt ->
+              let options = Sigil.Options.(with_events default) in
+              let w = Tracefile.Writer.create ~options tf in
+              let log = Event_log.create () in
+              let r =
+                Driver.run_workload ~options
+                  ~event_sink:(Event_log.tee (Tracefile.Writer.sink w) (Event_log.memory_sink log))
+                  (find_workload name) Workloads.Scale.Simsmall
+              in
+              let m = r.Driver.machine in
+              Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
+                ~contexts:(Dbi.Machine.contexts m) w;
+              Event_log.save log txt;
+              Alcotest.(check string) (name ^ " binary trace") binary_md5 (file_md5 tf);
+              Alcotest.(check string) (name ^ " text log") text_md5 (file_md5 txt))))
+    trace_goldens
+
+(* 200 calls open at once inside one chunk, past the codec's initial
+   frame stack: each level computes, consumes from its parent, and
+   resumes after its child returns (the stackpos case). *)
+(* pinned with the list-based frame stack the arrays replaced *)
+let deep_nesting_golden = ("b226cb9bddb0f6abf0ec36e39b8cfc5b", 2348)
+
+let test_deep_nesting_roundtrip () =
+  let depth = 200 in
+  let entries = ref [] in
+  let add e = entries := e :: !entries in
+  for d = 1 to depth do
+    add (Event_log.Call { ctx = d; call = d * 3 });
+    add (Event_log.Comp { ctx = d; call = d * 3; int_ops = d; fp_ops = 0 });
+    add
+      (Event_log.Xfer
+         {
+           src_ctx = d - 1;
+           src_call = (d - 1) * 3;
+           dst_ctx = d;
+           dst_call = d * 3;
+           bytes = 8;
+           unique_bytes = 8;
+         })
+  done;
+  for d = depth downto 1 do
+    add (Event_log.Ret { ctx = d; call = d * 3 });
+    add (Event_log.Comp { ctx = d - 1; call = (d - 1) * 3; int_ops = 1; fp_ops = d })
+  done;
+  let entries = List.rev !entries in
+  let buf = Buffer.create 1024 in
+  let d = Tracefile.Frame.delta () in
+  List.iter (Tracefile.Frame.encode_entry d buf) entries;
+  let b = Buffer.to_bytes buf in
+  (* an encoder and decoder that lose the same frame still round-trip:
+     the bytes themselves are pinned *)
+  Alcotest.(check (pair string int))
+    "encoding unchanged" deep_nesting_golden
+    (Digest.to_hex (Digest.bytes b), Bytes.length b);
+  let d' = Tracefile.Frame.delta () in
+  let pos = ref 0 in
+  let decoded = List.map (fun _ -> Tracefile.Frame.decode_entry d' b ~pos) entries in
+  Alcotest.(check int) "consumed all" (Bytes.length b) !pos;
+  Alcotest.(check (list entry)) "codec roundtrip" entries decoded;
+  with_temp ".tf" (fun path ->
+      let w = write_entries entries path in
+      Alcotest.(check int) "one chunk" 1 (Tracefile.Writer.chunks w);
+      Alcotest.(check (list entry)) "file roundtrip" entries (read_entries path))
+
+(* The writer encodes straight into its chunk buffer: over entries built
+   beforehand, [Writer.add] allocates at most 0.01 minor words per entry
+   (chunk payloads are copied out in major-heap blocks). *)
+let test_writer_allocation_bound () =
+  let options = Sigil.Options.(with_events default) in
+  let log = Event_log.create () in
+  let _r =
+    Driver.run_workload ~options ~event_sink:(Event_log.memory_sink log)
+      (find_workload "canneal") Workloads.Scale.Simsmall
+  in
+  let entries = Array.of_list (Event_log.entries log) in
+  with_temp ".tf" (fun path ->
+      let w = Tracefile.Writer.create ~options path in
+      let before = Gc.minor_words () in
+      for i = 0 to Array.length entries - 1 do
+        Tracefile.Writer.add w entries.(i)
+      done;
+      let words = Gc.minor_words () -. before in
+      Tracefile.Writer.close w;
+      let per_entry = words /. float_of_int (Array.length entries) in
+      if per_entry > 0.01 then
+        Alcotest.failf "Writer.add allocates %.4f minor words per entry over %d entries (bound 0.01)"
+          per_entry (Array.length entries))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "tracefile"
@@ -308,7 +419,11 @@ let () =
           Alcotest.test_case "unit cases" `Quick test_varint_cases;
           Alcotest.test_case "truncated" `Quick test_varint_truncated;
         ] );
-      ("codec", [ qt codec_roundtrip ]);
+      ( "codec",
+        [
+          qt codec_roundtrip;
+          Alcotest.test_case "200 nested calls in one chunk" `Quick test_deep_nesting_roundtrip;
+        ] );
       ( "file",
         [
           Alcotest.test_case "roundtrip" `Quick test_file_roundtrip;
@@ -327,5 +442,7 @@ let () =
           Alcotest.test_case "embedded tables" `Slow test_embedded_tables;
           Alcotest.test_case "sink memory bound" `Slow test_sink_memory_bound;
           Alcotest.test_case "dedup size ratio" `Slow test_dedup_size_ratio;
+          Alcotest.test_case "trace goldens" `Slow test_trace_goldens;
+          Alcotest.test_case "writer allocation bound" `Slow test_writer_allocation_bound;
         ] );
     ]
