@@ -641,70 +641,9 @@ let events_bench () =
   close_out oc;
   pf "wrote BENCH_events.json\n"
 
-(* ------------------------------------------------------------------ *)
-(* Shadow bench: telemetry overhead guard                              *)
-(* ------------------------------------------------------------------ *)
-
-(* failed workloads (suite's Isolate policy) or tripped guards; a non-zero
-   count turns into exit code 3 (valid but incomplete/flagged results) at
-   the end of the run *)
+(* failed workloads (suite's Isolate policy); a non-zero count turns
+   into exit code 3 (valid but incomplete results) at the end of the run *)
 let suite_failures = ref 0
-
-(* The probes themselves (mutable int bumps in the shadow engine, machine
-   and writer) are always compiled in; Options.collect_stats only adds
-   snapshot assembly at run end. This section measures exactly that
-   stats-on vs stats-off delta on the shadow-heaviest workloads and guards
-   it below [telemetry_guard_pct]. *)
-let telemetry_guard_pct = 3.0
-let telemetry_workloads = [ "canneal"; "dedup"; "streamcluster" ]
-
-let telemetry_overhead_bench () =
-  banner "Shadow bench: telemetry overhead (stats on vs off, simsmall)";
-  (* simsmall runs last tens of milliseconds; min-of-5 suppresses scheduler
-     noise that would otherwise dwarf the effect being guarded *)
-  let time options name =
-    best 5 (fun () -> (Driver.run_workload ~options (workload name) small).Driver.elapsed_s)
-  in
-  let rows =
-    List.map
-      (fun name ->
-        let base_s = time (baseline_options name) name in
-        let stats_s = time (Sigil.Options.with_stats (baseline_options name)) name in
-        (name, base_s, stats_s))
-      telemetry_workloads
-  in
-  List.iter
-    (fun (name, base_s, stats_s) ->
-      pf "%-14s base %.4fs   stats %.4fs   %+.2f%%\n" name base_s stats_s
-        (100.0 *. (stats_s -. base_s) /. Float.max base_s 1e-9))
-    rows;
-  let tot f = List.fold_left (fun a r -> a +. f r) 0.0 rows in
-  let base_total = tot (fun (_, b, _) -> b) and stats_total = tot (fun (_, _, s) -> s) in
-  let overhead_pct = 100.0 *. (stats_total -. base_total) /. Float.max base_total 1e-9 in
-  let ok = overhead_pct < telemetry_guard_pct in
-  pf "total: base %.4fs, stats %.4fs -> overhead %+.2f%% (guard < %.1f%%): %s\n" base_total
-    stats_total overhead_pct telemetry_guard_pct
-    (if ok then "ok" else "EXCEEDED");
-  let oc = open_out "BENCH_telemetry.json" in
-  Printf.fprintf oc "{\n  \"scale\": \"simsmall\",\n  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, base_s, stats_s) ->
-      Printf.fprintf oc "    {\"name\": %S, \"base_s\": %.4f, \"stats_s\": %.4f}%s\n" name base_s
-        stats_s
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"base_total_s\": %.4f,\n\
-    \  \"stats_total_s\": %.4f,\n\
-    \  \"overhead_pct\": %.2f,\n\
-    \  \"guard_pct\": %.1f,\n\
-    \  \"ok\": %b\n\
-     }\n"
-    base_total stats_total overhead_pct telemetry_guard_pct ok;
-  close_out oc;
-  pf "wrote BENCH_telemetry.json\n";
-  if not ok then incr suite_failures
 
 (* ------------------------------------------------------------------ *)
 (* Suite: sequential vs domain-parallel full-evaluation wall-clock     *)
@@ -810,14 +749,6 @@ let prewarm selected pool =
         | "micro" ->
           [ thunk (fun () -> paired_run "canneal" small);
             thunk (fun () -> events_run "libquantum" small) ]
-        | "shadow" ->
-          (* overhead timings must not share the cache; nothing to prewarm,
-             but warm the code paths once so JIT-free OCaml cold-start cost
-             (page faults, lazy symbol resolution) lands outside the timed
-             region *)
-          List.map
-            (fun n -> thunk (fun () -> Driver.run_workload ~options:(baseline_options n) (workload n) small))
-            telemetry_workloads
         | _ -> [])
       selected
   in
@@ -840,7 +771,6 @@ let sections =
     ("range", ablation_range_batching);
     ("granularity", ablation_granularity);
     ("events", events_bench);
-    ("shadow", telemetry_overhead_bench);
     ("suite", suite_bench);
   ]
 
@@ -870,9 +800,8 @@ let stats_sweep path =
 (* dune exec bench/main.exe -- [--only sec1,sec2] [--domains N]
    [--stats-out FILE]; default runs everything on a Pool.recommended-sized
    pool. BENCH_shadow.json collects whatever the selected sections
-   measured; the suite section additionally writes BENCH_suite.json, the
-   shadow section BENCH_telemetry.json, and --stats-out dumps the
-   harness's own telemetry sweep. *)
+   measured; the suite section additionally writes BENCH_suite.json, and
+   --stats-out dumps the harness's own telemetry sweep. *)
 let () =
   let t0 = Dbi.Runner.monotonic_s () in
   let argv = Array.to_list Sys.argv in

@@ -73,11 +73,26 @@ let entry_of_string line =
     | _ -> fail ())
   | _ -> fail ()
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> iter t (fun e -> output_string oc (entry_to_string e ^ "\n")))
+let write_file path f =
+  (* built under a temporary name and published only when complete, so
+     a crash never leaves a torn file under [path] *)
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
+  match
+    f (fun e ->
+        output_string oc (entry_to_string e);
+        output_char oc '\n')
+  with
+  | result ->
+    close_out oc;
+    Sys.rename tmp path;
+    result
+  | exception e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+let save t path = write_file path (iter t)
 
 let iter_file path f =
   let ic = open_in path in

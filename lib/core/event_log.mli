@@ -69,6 +69,14 @@ val entry_to_string : entry -> string
     @raise Failure on a malformed line. *)
 val entry_of_string : string -> entry
 
+(** [write_file path f] streams a text event file: [f emit] calls [emit]
+    once per entry, in order, and its result is returned. The file is
+    written to [path ^ ".tmp"] and renamed over [path] only once [f]
+    returns; if [f] raises, the [.tmp] is removed and the exception
+    re-raised, so [path] is never left torn. *)
+val write_file : string -> (sink -> 'a) -> 'a
+
+(** [save t path] is [write_file path (iter t)]. *)
 val save : t -> string -> unit
 
 (** [iter_file path f] streams a saved text event file record by record in

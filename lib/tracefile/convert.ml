@@ -21,26 +21,12 @@ let binary_to_text src dst =
   Fun.protect
     ~finally:(fun () -> Reader.close r)
     (fun () ->
-      (* same atomic discipline as the binary writer: build the text file
-         under a temporary name and publish it only when complete *)
-      let tmp = dst ^ ".tmp" in
-      let oc = open_out tmp in
-      match
-        let n = ref 0 in
-        Reader.iter r (fun e ->
-            output_string oc (Sigil.Event_log.entry_to_string e);
-            output_char oc '\n';
-            incr n);
-        !n
-      with
-      | n ->
-        close_out oc;
-        Sys.rename tmp dst;
-        n
-      | exception e ->
-        close_out_noerr oc;
-        (try Sys.remove tmp with Sys_error _ -> ());
-        raise e)
+      let n = ref 0 in
+      Sigil.Event_log.write_file dst (fun emit ->
+          Reader.iter r (fun e ->
+              emit e;
+              incr n));
+      !n)
 
 let repair ?chunk_bytes src dst =
   let r, report = Reader.open_salvage src in

@@ -26,8 +26,9 @@ val ckpt_magic : int
 (** u32 framing an index-checkpoint section. Checkpoints share the data
     chunks' 16-byte header layout ([ckpt_magic], count, payload length,
     CRC-32) but carry the chunk index accumulated so far instead of
-    entries; readers skip them, and salvage uses the latest intact one to
-    bound how much a torn tail can lose. *)
+    entries. No reader decodes that payload: readers skip checkpoints, and
+    salvage checks their CRC and walks past intact ones. The writer flushes
+    after each one, which is what bounds how much a SIGKILL can lose. *)
 
 val chunk_header_bytes : int
 val trailer_bytes : int

@@ -1,16 +1,19 @@
 (** Streaming binary event-trace reader.
 
     Opening a file parses the header, the trailer, the chunk index and the
-    embedded symbol/context tables — but no event data. {!iter} and
-    {!fold} then stream the trace one chunk at a time, so peak memory is
-    one chunk's payload regardless of trace length; {!map_chunks} fans the
-    independent per-chunk decodes out over a {!Pool.t}.
+    embedded symbol/context tables, but no event data. {!iter} then
+    streams the trace one chunk at a time, so peak memory is one chunk's
+    payload regardless of trace length.
 
-    Every structural failure raises {!Frame.Corrupt} carrying the file
-    offset of the offending chunk: a truncated file is diagnosed at open
-    time (the reader re-scans the chunk framing to name the first
-    incomplete chunk), a payload whose CRC-32 does not match its header is
-    reported when that chunk is decoded. *)
+    Both ways to open a trace share one forward walk over the section
+    framing: {!open_salvage} keeps the longest intact prefix it finds, and
+    {!open_file} is salvage that allows no damage. Every structural failure
+    raises {!Frame.Corrupt} carrying the file offset of the offending
+    section: a file without a trailer is walked at open time and the first
+    damaged (or missing) section is named, an index or table that
+    disagrees with the trailer is rejected at open time, and a payload
+    whose CRC-32 does not match its header is reported when that chunk is
+    decoded. *)
 
 type t
 
@@ -18,7 +21,10 @@ type t
     traces from the line-oriented text format. *)
 val is_tracefile : string -> bool
 
-(** @raise Frame.Corrupt on a damaged or truncated file.
+(** [open_file path] opens a complete trace. An intact trailer is trusted:
+    the index and tables are checked against it and nothing else is read.
+
+    @raise Frame.Corrupt on a damaged or truncated file.
     @raise Sys_error when the file cannot be read. *)
 val open_file : string -> t
 
@@ -87,22 +93,9 @@ val fn_name : t -> Dbi.Context.id -> string
 (** {2 Streaming access} *)
 
 val iter : t -> (Sigil.Event_log.entry -> unit) -> unit
-val fold : t -> init:'a -> f:('a -> Sigil.Event_log.entry -> 'a) -> 'a
 
-(** [to_log t] materializes the whole trace in memory (compatibility with
-    list-based consumers; prefer {!iter}). *)
-val to_log : t -> Sigil.Event_log.t
-
-(** {2 Parallel per-chunk decode}
-
-    Chunks are self-contained (delta state resets at chunk boundaries), so
-    they decode independently. Each task opens its own file descriptor;
-    results come back in chunk order. *)
-
-val map_chunks : ?pool:Pool.t -> t -> (int -> Sigil.Event_log.entry array -> 'a) -> 'a list
-
-(** [validate ?pool t] decodes every chunk (in parallel when a pool is
-    given), checking framing, CRCs and entry counts against the index.
+(** [validate t] decodes every chunk, checking framing, CRCs and entry
+    counts against the index.
 
     @raise Frame.Corrupt on the first damaged chunk. *)
-val validate : ?pool:Pool.t -> t -> unit
+val validate : t -> unit

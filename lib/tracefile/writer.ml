@@ -58,20 +58,25 @@ let create ?(chunk_bytes = Frame.default_chunk_bytes)
     closed = false;
   }
 
-(* An index checkpoint carries everything a salvage needs to account for
-   the chunks before it: the total entry count so far and the index
-   triples. Readers skip these sections; [Reader.open_salvage] uses the
-   last intact one to tell dropped chunks from never-written ones. *)
-let write_checkpoint t =
-  let b = Buffer.create 256 in
-  Varint.write b t.total_entries;
-  let index = List.rev t.index_rev in
+(* (offset, entries, payload bytes) per data chunk, in file order: the
+   body of both the final chunk index and every checkpoint. *)
+let add_index_triples b index =
   List.iter
     (fun (offset, entries, bytes) ->
       Varint.write b offset;
       Varint.write b entries;
       Varint.write b bytes)
-    index;
+    index
+
+(* An index checkpoint records the entry total so far and the index
+   triples of the chunks before it, then flushes the channel: the flush is
+   what bounds a SIGKILL's loss to one checkpoint interval. Readers never
+   decode the payload; [Reader.open_salvage] checks its CRC and skips it. *)
+let write_checkpoint t =
+  let b = Buffer.create 256 in
+  Varint.write b t.total_entries;
+  let index = List.rev t.index_rev in
+  add_index_triples b index;
   let payload = Buffer.to_bytes b in
   let payload_len = Bytes.length payload in
   Buffer.clear t.head;
@@ -83,7 +88,6 @@ let write_checkpoint t =
   output_bytes t.oc payload;
   Buffer.clear t.head;
   t.checkpoints <- t.checkpoints + 1;
-  (* bound what a SIGKILL can lose to one checkpoint interval *)
   flush t.oc
 
 let flush_chunk t =
@@ -188,12 +192,7 @@ let write_index t index =
   let b = t.head in
   Buffer.clear b;
   Varint.write b (List.length index);
-  List.iter
-    (fun (offset, entries, bytes) ->
-      Varint.write b offset;
-      Varint.write b entries;
-      Varint.write b bytes)
-    index;
+  add_index_triples b index;
   Buffer.output_buffer t.oc b;
   Buffer.clear b
 

@@ -12,10 +12,10 @@
     [path] only by a successful [close], so the destination is always
     either absent, the previous complete trace, or the new complete trace.
     Every [checkpoint_every] data chunks the writer emits an
-    index-checkpoint section ({!Frame.ckpt_magic}) and flushes the OS
-    buffer, bounding what a SIGKILL can lose and giving
-    [Reader.open_salvage] an authoritative index for the prefix before the
-    damage. *)
+    index-checkpoint section ({!Frame.ckpt_magic}) and flushes the channel.
+    The flush bounds what a SIGKILL can lose to one checkpoint interval;
+    [Reader.open_salvage] recovers the flushed chunks by walking their own
+    framing and skips intact checkpoints. *)
 
 type t
 

@@ -41,6 +41,26 @@ let test_file_roundtrip () =
   Sys.remove path;
   Alcotest.(check (list entry)) "file roundtrip" sample_entries (Event_log.entries loaded)
 
+(* A writer that dies midway publishes nothing: the previous file keeps
+   its bytes and no .tmp is left behind. *)
+let test_write_file_crash_safe () =
+  let log = Event_log.create () in
+  List.iter (Event_log.add log) sample_entries;
+  let path = Filename.temp_file "sigil_events" ".txt" in
+  Event_log.save log path;
+  let before = In_channel.with_open_bin path In_channel.input_all in
+  (match
+     Event_log.write_file path (fun emit ->
+         emit (List.hd sample_entries);
+         failwith "producer died")
+   with
+  | () -> Alcotest.fail "failing producer published"
+  | exception Failure _ -> ());
+  let after = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check bool) "no .tmp left" false (Sys.file_exists (path ^ ".tmp"));
+  Sys.remove path;
+  Alcotest.(check string) "old file untouched" before after
+
 let qcheck_entry_gen =
   let open QCheck.Gen in
   let small = int_range 0 1000 in
@@ -71,6 +91,7 @@ let () =
           Alcotest.test_case "string roundtrip" `Quick test_string_roundtrip;
           Alcotest.test_case "malformed rejected" `Quick test_malformed_rejected;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+          Alcotest.test_case "crash-safe file writer" `Quick test_write_file_crash_safe;
           QCheck_alcotest.to_alcotest qcheck_roundtrip;
         ] );
     ]

@@ -91,6 +91,20 @@ let check_salvage_invariant ~what ~baseline path =
   | exception e ->
     Alcotest.failf "%s: uncaught exception escaped salvage: %s" what (Printexc.to_string e)
 
+(* The strict half of the contract: [open_file] + [iter] on a damaged file
+   yields the whole original trace or a [Frame.Corrupt] with an offset,
+   never a shorter list and never another exception. *)
+let check_open_file_invariant ~what ~baseline path =
+  match read_entries path with
+  | entries when entries = baseline -> `Full
+  | entries ->
+    Alcotest.failf "%s: open_file returned %d of %d entries without an error" what
+      (List.length entries) (List.length baseline)
+  | exception Tracefile.Frame.Corrupt { offset; _ } ->
+    if offset < 0 then Alcotest.failf "%s: open_file error with negative offset" what;
+    `Error offset
+  | exception e -> Alcotest.failf "%s: open_file raised %s" what (Printexc.to_string e)
+
 (* ---------------------------------------------------------------- *)
 (* Exhaustive truncation sweep                                      *)
 (* ---------------------------------------------------------------- *)
@@ -107,13 +121,23 @@ let test_truncation_sweep () =
   let salvages = ref 0 and partial = ref 0 and errors = ref 0 in
   for cut = 0 to len do
     Faultinject.truncated_copy ~src ~dst ~len:cut;
-    match
-      check_salvage_invariant ~what:(Printf.sprintf "truncate at %d" cut) ~baseline dst
-    with
-    | `Salvaged (_, entries) ->
-      incr salvages;
-      if entries <> [] && List.length entries < List.length baseline then incr partial
-    | `Error _ -> incr errors
+    let what = Printf.sprintf "truncate at %d" cut in
+    (* open_file is salvage that allows no damage: it names the offset
+       salvage stopped at, or, when salvage walked the whole cut file
+       clean, the cut itself, where the trailer should have been *)
+    let salvage_stop =
+      match check_salvage_invariant ~what ~baseline dst with
+      | `Salvaged (report, entries) ->
+        incr salvages;
+        if entries <> [] && List.length entries < List.length baseline then incr partial;
+        Option.value report.Tracefile.Reader.first_bad_offset ~default:cut
+      | `Error offset ->
+        incr errors;
+        offset
+    in
+    match check_open_file_invariant ~what ~baseline dst with
+    | `Full -> if cut < len then Alcotest.failf "%s: open_file accepted a cut file" what
+    | `Error offset -> Alcotest.(check int) (what ^ ": open_file offset") salvage_stop offset
   done;
   Alcotest.(check int) "every offset handled" (len + 1) (!salvages + !errors);
   (* the sweep must actually exercise both halves of the contract *)
@@ -144,9 +168,9 @@ let test_bit_flip_sweep () =
        still visits every bit index in every 8-byte window *)
     let bit = byte mod 8 in
     Faultinject.bit_flipped_copy ~src ~dst ~byte ~bit;
-    match
-      check_salvage_invariant ~what:(Printf.sprintf "flip byte %d bit %d" byte bit) ~baseline dst
-    with
+    let what = Printf.sprintf "flip byte %d bit %d" byte bit in
+    ignore (check_open_file_invariant ~what ~baseline dst);
+    match check_salvage_invariant ~what ~baseline dst with
     | `Salvaged (report, entries) ->
       if List.length entries < List.length baseline || report.Tracefile.Reader.first_bad_offset <> None
       then incr detected

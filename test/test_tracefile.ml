@@ -1,7 +1,7 @@
 (* Binary event-trace format: varint/codec round-trips (including extreme
    values), chunk framing, corruption diagnostics with chunk offsets,
-   parallel decode, text<->binary conversion and the size/memory bounds
-   the format exists for. *)
+   text<->binary conversion and the size/memory bounds the format exists
+   for. *)
 
 open Sigil
 
@@ -127,13 +127,7 @@ let test_multichunk_roundtrip () =
         (fun () ->
           Alcotest.(check int) "entry count" (List.length entries)
             (Tracefile.Reader.entry_count r);
-          Tracefile.Reader.validate r;
-          (* parallel per-chunk decode sees the same entries in order *)
-          Pool.with_pool ~domains:2 (fun pool ->
-              let per_chunk =
-                Tracefile.Reader.map_chunks ~pool r (fun _ arr -> Array.to_list arr)
-              in
-              Alcotest.(check (list entry)) "map_chunks" entries (List.concat per_chunk))))
+          Tracefile.Reader.validate r))
 
 let test_qcheck_file_roundtrip =
   QCheck.Test.make ~name:"file roundtrip (random logs, tiny chunks)" ~count:50
@@ -209,6 +203,81 @@ let test_not_a_tracefile () =
       | exception Tracefile.Frame.Corrupt { offset = 0; _ } -> ()
       | exception e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
       | _ -> Alcotest.fail "text file opened as tracefile")
+
+let varints ns =
+  let b = Buffer.create 16 in
+  List.iter (Tracefile.Varint.write b) ns;
+  Buffer.contents b
+
+(* A clean one-chunk trace whose tail is re-laid by hand: the raw
+   [tables] region, then the writer's chunk index with its count replaced
+   by [chunk_count], then a trailer pointing at both. Returns the tables
+   offset. *)
+let write_crafted_tail ~tables ~chunk_count path =
+  let _ = write_entries sample_entries path in
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let len = String.length data in
+  let u64 off = Tracefile.Frame.get_u64 (Bytes.of_string data) off in
+  let tables_offset = u64 (len - 32) and index_offset = u64 (len - 24) in
+  (* one chunk: the index is a one-byte count, then that chunk's triple *)
+  Alcotest.(check string) "writer's chunk count" (varints [ 1 ]) (String.sub data index_offset 1);
+  let b = Buffer.create len in
+  Buffer.add_string b (String.sub data 0 tables_offset);
+  Buffer.add_string b tables;
+  let crafted_index_offset = Buffer.length b in
+  Buffer.add_string b (varints [ chunk_count ]);
+  Buffer.add_string b (String.sub data (index_offset + 1) (len - 32 - index_offset - 1));
+  Tracefile.Frame.add_u64 b tables_offset;
+  Tracefile.Frame.add_u64 b crafted_index_offset;
+  Tracefile.Frame.add_u64 b (u64 (len - 16));
+  Buffer.add_string b Tracefile.Frame.trailer_magic;
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents b));
+  tables_offset
+
+(* the CLI sits next to this test in the build tree *)
+let sigil_trace =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/sigil_trace.exe"
+
+(* A table or index count below zero or past the bytes left is damage at
+   the tables offset: open_file raises [Corrupt] (not [Invalid_argument]
+   or [Out_of_memory]), salvage keeps the chunk and reports the tail lost,
+   and [sigil_trace inspect] exits 2 with a one-line message. *)
+let test_crafted_counts () =
+  (* tables: symbol count, stripped byte, then (no names) context count *)
+  let tables ~symbols ~contexts = varints [ symbols ] ^ "\000" ^ varints [ contexts ] in
+  List.iter
+    (fun (what, tables, chunk_count) ->
+      with_temp ".tf" (fun path ->
+          let tables_offset = write_crafted_tail ~tables ~chunk_count path in
+          check_corrupt_at ~expected_offset:tables_offset (fun () ->
+              Tracefile.Reader.open_file path);
+          (match Tracefile.Reader.open_salvage path with
+          | r, report ->
+            Tracefile.Reader.close r;
+            Alcotest.(check bool) (what ^ ": tail lost") false report.Tracefile.Reader.tail_valid;
+            Alcotest.(check int)
+              (what ^ ": chunk kept")
+              (List.length sample_entries) report.Tracefile.Reader.recovered_entries
+          | exception e -> Alcotest.failf "%s: salvage raised %s" what (Printexc.to_string e));
+          with_temp ".err" (fun err ->
+              let code =
+                Sys.command
+                  (Printf.sprintf "%s inspect %s > /dev/null 2> %s" (Filename.quote sigil_trace)
+                     (Filename.quote path) (Filename.quote err))
+              in
+              Alcotest.(check int) (what ^ ": inspect exit code") 2 code;
+              let lines =
+                In_channel.with_open_bin err In_channel.input_all
+                |> String.split_on_char '\n'
+                |> List.filter (( <> ) "")
+              in
+              Alcotest.(check int) (what ^ ": one stderr line") 1 (List.length lines))))
+    [
+      ("negative symbol count", tables ~symbols:(-1) ~contexts:0, 1);
+      ("symbol count 2^32", tables ~symbols:(1 lsl 32) ~contexts:0, 1);
+      ("negative context count", tables ~symbols:0 ~contexts:(-1), 1);
+      ("negative chunk count", tables ~symbols:0 ~contexts:0, -1);
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* Converter                                                        *)
@@ -427,7 +496,7 @@ let () =
       ( "file",
         [
           Alcotest.test_case "roundtrip" `Quick test_file_roundtrip;
-          Alcotest.test_case "multi-chunk + parallel decode" `Quick test_multichunk_roundtrip;
+          Alcotest.test_case "multi-chunk + validate" `Quick test_multichunk_roundtrip;
           qt test_qcheck_file_roundtrip;
         ] );
       ( "corruption",
@@ -435,6 +504,7 @@ let () =
           Alcotest.test_case "truncated file" `Quick test_truncated_file;
           Alcotest.test_case "corrupted crc" `Quick test_corrupted_crc;
           Alcotest.test_case "not a tracefile" `Quick test_not_a_tracefile;
+          Alcotest.test_case "crafted table counts" `Quick test_crafted_counts;
         ] );
       ("convert", [ Alcotest.test_case "text<->binary" `Quick test_convert_roundtrip ]);
       ( "runs",
