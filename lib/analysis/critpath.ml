@@ -36,20 +36,19 @@ module Col = struct
 end
 
 (* Nodes are columns indexed by node id (creation order, which is
-   topological). Dependencies are in CSR form: node [i]'s are
+   topological): the packed call key, the inclusive length and the offset
+   of its dependencies. Dependencies are in CSR form: node [i]'s are
    [deps.(dep_off i) .. deps.(dep_off (i + 1) - 1)], in the order the
    pass resolved them (transfers in arrival order, then the call edge,
-   then the previous occurrence). The best predecessor is not stored:
-   it is the first dependency whose inclusive length equals the node's
-   start, {!pred}. *)
+   then the previous occurrence). A node's start is the largest inclusive
+   length among its dependencies (0 without any), so its self cost is
+   [incl - start] and its best predecessor, {!pred}, is the first
+   dependency that reaches the start. *)
 type t = {
   serial : int;
   best : int; (* node id ending the critical path, or [none] *)
   nodes : int;
-  n_ctx : Col.t;
-  n_call : Col.t;
-  n_occ : Col.t;
-  n_self : Col.t;
+  n_key : Col.t; (* [call_key ctx call] *)
   n_incl : Col.t;
   dep_off : Col.t; (* [nodes + 1] entries *)
   deps : Col.t;
@@ -57,70 +56,35 @@ type t = {
 
 type stream = (Sigil.Event_log.entry -> unit) -> unit
 
-let call_key ctx call = (ctx lsl 40) lor (call land ((1 lsl 40) - 1))
+(* Context ids fit the shadow's 16-bit plane, call numbers the 40 bits
+   below them; a pass only packs a (ctx, call) it has checked. *)
+let max_ctx = Sigil.Shadow.max_ctx
+let call_bits = 40
+let call_key ctx call = (ctx lsl call_bits) lor call
+let key_ctx key = key lsr call_bits
+let key_call key = key land ((1 lsl call_bits) - 1)
 
-(* "No node": the handle of an absent previous occurrence or caller, and
-   the free-slot key of [latest]. A call key is [min_int] only for a
-   context id of 2^22, far above [Shadow.max_ctx]. *)
+(* "No node": the handle of an absent previous occurrence, caller or
+   producer. *)
 let none = min_int
-
-(* The latest closed occurrence of every call: open addressing with
-   linear probing from call key to node handle, load at most one half. *)
-type latest = { mutable keys : int array; mutable vals : int array; mutable count : int }
-
-let[@inline] home key mask =
-  let h = key * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 31)) land mask
-
-let slot keys key =
-  let mask = Array.length keys - 1 in
-  let i = ref (home key mask) in
-  while keys.(!i) <> key && keys.(!i) <> none do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let latest_find l key =
-  let i = slot l.keys key in
-  if l.keys.(i) = none then none else l.vals.(i)
-
-let latest_replace l key v =
-  if 2 * (l.count + 1) > Array.length l.keys then begin
-    let keys = l.keys and vals = l.vals in
-    l.keys <- Array.make (2 * Array.length keys) none;
-    l.vals <- Array.make (2 * Array.length keys) 0;
-    Array.iteri
-      (fun j k ->
-        if k <> none then begin
-          let i = slot l.keys k in
-          l.keys.(i) <- k;
-          l.vals.(i) <- vals.(j)
-        end)
-      keys
-  end;
-  let i = slot l.keys key in
-  if l.keys.(i) = none then begin
-    l.keys.(i) <- key;
-    l.count <- l.count + 1
-  end;
-  l.vals.(i) <- v
 
 (* The open call stack, pooled by depth: slot 0 is the synthetic root.
    Only the innermost frame ever has work pending (a call closes its
-   caller's fragment first, a return closes its own), so the pending
-   operations and transfers live in one scratch buffer. *)
+   caller's fragment first, a return closes its own), so its operations
+   and resolved dependencies live in one scratch buffer. The latest closed
+   occurrence of every call is [latest.(ctx).(call)]: call numbers count
+   from 1 per context in Call order, so each context's row is dense. *)
 type pass_state = {
-  mutable f_ctx : int array;
-  mutable f_call : int array;
-  mutable f_occ : int array; (* next occurrence index *)
+  mutable f_key : int array;
   mutable f_last : int array; (* previous occurrence of this call, or [none] *)
   mutable f_call_pred : int array; (* caller's occurrence that called us, or [none] *)
   mutable depth : int; (* innermost open frame; -1 once the root returned *)
   mutable pending_ops : int;
-  mutable pending : int array; (* producer call keys, arrival order *)
-  mutable n_pending : int;
-  mutable dep_buf : int array; (* the closing fragment's dependency handles *)
-  latest : latest;
+  mutable dep_buf : int array; (* the open fragment's dependency handles *)
+  mutable n_deps : int;
+  mutable xfer_pending : bool; (* a transfer arrived, resolved or not *)
+  mutable latest : int array array; (* by context, then call number *)
+  mutable calls : int array; (* calls seen per context *)
   mutable total_ops : int;
   mutable node_count : int;
   mutable best_handle : int;
@@ -131,23 +95,54 @@ let initial_depth = 64
 
 let grow a n = Array.init (2 * n) (fun i -> if i < n then a.(i) else 0)
 
-let push_frame s ctx call call_pred =
+let push_dep s h =
+  if s.n_deps = Array.length s.dep_buf then s.dep_buf <- grow s.dep_buf s.n_deps;
+  s.dep_buf.(s.n_deps) <- h;
+  s.n_deps <- s.n_deps + 1
+
+let push_frame s key call_pred =
   let d = s.depth + 1 in
-  if d = Array.length s.f_ctx then begin
-    s.f_ctx <- grow s.f_ctx d;
-    s.f_call <- grow s.f_call d;
-    s.f_occ <- grow s.f_occ d;
+  if d = Array.length s.f_key then begin
+    s.f_key <- grow s.f_key d;
     s.f_last <- grow s.f_last d;
     s.f_call_pred <- grow s.f_call_pred d
   end;
-  s.f_ctx.(d) <- ctx;
-  s.f_call.(d) <- call;
-  s.f_occ.(d) <- 0;
+  s.f_key.(d) <- key;
   s.f_last.(d) <- none;
   s.f_call_pred.(d) <- call_pred;
   s.depth <- d
 
+(* A producer outside the table never closed: program input, evicted or
+   out of range. *)
+let latest_find s ctx call =
+  if ctx < 0 || ctx >= Array.length s.latest then none
+  else
+    let row = s.latest.(ctx) in
+    if call < 0 || call >= Array.length row then none else row.(call)
+
 let fail_at s what fmt = Printf.ksprintf failwith ("Critpath: entry %d: %s " ^^ fmt) s.index what
+
+(* Checks that [call] is context [ctx]'s next call number and opens its
+   slot in the context's row. *)
+let register_call s ctx call =
+  if ctx < 0 || ctx > max_ctx then
+    fail_at s "Call" "context out of range: expected 0 .. %d, found (ctx %d, call %d)"
+      max_ctx ctx call;
+  let n = Array.length s.calls in
+  if ctx >= n then begin
+    let m = min (max_ctx + 1) (max (2 * n) (ctx + 1)) in
+    s.calls <- Array.init m (fun i -> if i < n then s.calls.(i) else 0);
+    s.latest <- Array.init m (fun i -> if i < n then s.latest.(i) else [||])
+  end;
+  let next = s.calls.(ctx) + 1 in
+  if call <> next then
+    fail_at s "Call" "out of sequence: expected (ctx %d, call %d), found (ctx %d, call %d)" ctx
+      next ctx call;
+  s.calls.(ctx) <- call;
+  let row = s.latest.(ctx) in
+  if call >= Array.length row then
+    s.latest.(ctx) <-
+      Array.init (max 8 (2 * call)) (fun i -> if i < Array.length row then row.(i) else none)
 
 (* The innermost frame must be (ctx, call). *)
 let check_open s what ctx call =
@@ -155,46 +150,30 @@ let check_open s what ctx call =
     fail_at s what
       "with empty stack: expected an open call (the root has returned), found (ctx %d, call %d)"
       ctx call;
-  let d = s.depth in
-  if s.f_ctx.(d) <> ctx || s.f_call.(d) <> call then
+  let key = s.f_key.(s.depth) in
+  if key_ctx key <> ctx || key_call key <> call then
     fail_at s what
       "does not match the open call: expected (ctx %d, call %d), found (ctx %d, call %d)"
-      s.f_ctx.(d) s.f_call.(d) ctx call
+      (key_ctx key) (key_call key) ctx call
 
 (* Closes the innermost frame's fragment into a node and returns its
    handle. *)
 let close_fragment s ~add ~incl =
   let d = s.depth in
-  if s.n_pending + 2 > Array.length s.dep_buf then
-    s.dep_buf <- Array.make (2 * (s.n_pending + 2)) 0;
-  let deps = s.dep_buf in
-  let nd = ref 0 in
-  for j = 0 to s.n_pending - 1 do
-    (* a producer that never closed is program input or evicted: no ordering *)
-    let h = latest_find s.latest s.pending.(j) in
-    if h <> none then begin
-      deps.(!nd) <- h;
-      incr nd
-    end
-  done;
   if s.f_call_pred.(d) <> none then begin
-    deps.(!nd) <- s.f_call_pred.(d);
-    incr nd;
+    push_dep s s.f_call_pred.(d);
     s.f_call_pred.(d) <- none
   end;
-  if s.f_last.(d) <> none then begin
-    deps.(!nd) <- s.f_last.(d);
-    incr nd
-  end;
-  let ctx = s.f_ctx.(d) and call = s.f_call.(d) in
-  let h = add ~ctx ~call ~occ:s.f_occ.(d) ~self:s.pending_ops deps !nd in
+  if s.f_last.(d) <> none then push_dep s s.f_last.(d);
+  let key = s.f_key.(d) in
+  let h = add ~key ~self:s.pending_ops s.dep_buf s.n_deps in
   s.node_count <- s.node_count + 1;
   s.total_ops <- s.total_ops + s.pending_ops;
-  s.f_occ.(d) <- s.f_occ.(d) + 1;
   s.f_last.(d) <- h;
   s.pending_ops <- 0;
-  s.n_pending <- 0;
-  latest_replace s.latest (call_key ctx call) h;
+  s.n_deps <- 0;
+  s.xfer_pending <- false;
+  s.latest.(key_ctx key).(key_call key) <- h;
   if s.best_handle = none || incl s.best_handle < incl h then s.best_handle <- h;
   h
 
@@ -204,28 +183,27 @@ let close_fragment s ~add ~incl =
    back. The full analysis hands out node ids; the O(1) summary uses the
    inclusive lengths themselves as handles. Returns (serial length,
    fragment count, best handle or [none]). *)
-let pass ~(add : ctx:int -> call:int -> occ:int -> self:int -> int array -> int -> int)
-    ~(incl : int -> int) (stream : stream) =
+let pass ~(add : key:int -> self:int -> int array -> int -> int) ~(incl : int -> int)
+    (stream : stream) =
   let s =
     {
-      f_ctx = Array.make initial_depth 0;
-      f_call = Array.make initial_depth 0;
-      f_occ = Array.make initial_depth 0;
+      f_key = Array.make initial_depth 0;
       f_last = Array.make initial_depth 0;
       f_call_pred = Array.make initial_depth 0;
       depth = -1;
       pending_ops = 0;
-      pending = Array.make 16 0;
-      n_pending = 0;
       dep_buf = Array.make 16 0;
-      latest = { keys = Array.make 1024 none; vals = Array.make 1024 0; count = 0 };
+      n_deps = 0;
+      xfer_pending = false;
+      latest = [| [| none |] |];
+      calls = [| 0 |];
       total_ops = 0;
       node_count = 0;
       best_handle = none;
       index = 0;
     }
   in
-  push_frame s Dbi.Context.root 0 none;
+  push_frame s (call_key Dbi.Context.root 0) none;
   stream (fun entry ->
       (match entry with
       | Sigil.Event_log.Comp { ctx; call; int_ops; fp_ops } ->
@@ -233,17 +211,20 @@ let pass ~(add : ctx:int -> call:int -> occ:int -> self:int -> int array -> int 
         s.pending_ops <- s.pending_ops + int_ops + fp_ops
       | Sigil.Event_log.Xfer { src_ctx; src_call; dst_ctx; dst_call; _ } ->
         check_open s "Xfer" dst_ctx dst_call;
-        if s.n_pending = Array.length s.pending then s.pending <- grow s.pending s.n_pending;
-        s.pending.(s.n_pending) <- call_key src_ctx src_call;
-        s.n_pending <- s.n_pending + 1
+        (* nothing closes before this fragment does, so the producer's
+           latest occurrence can be resolved now *)
+        let h = latest_find s src_ctx src_call in
+        if h <> none then push_dep s h;
+        s.xfer_pending <- true
       | Sigil.Event_log.Call { ctx; call } ->
         if s.depth < 0 then
           fail_at s "Call"
             "with empty stack: expected an open caller (the root has returned), found (ctx %d, \
              call %d)"
             ctx call;
+        register_call s ctx call;
         let b = close_fragment s ~add ~incl in
-        push_frame s ctx call b
+        push_frame s (call_key ctx call) b
       | Sigil.Event_log.Ret { ctx; call } ->
         check_open s "Ret" ctx call;
         let (_ : int) = close_fragment s ~add ~incl in
@@ -251,16 +232,15 @@ let pass ~(add : ctx:int -> call:int -> occ:int -> self:int -> int array -> int 
       s.index <- s.index + 1);
   (* close what remains: only the innermost frame (normally the synthetic
      root) can have work pending *)
-  if s.depth >= 0 && (s.pending_ops > 0 || s.n_pending > 0) then
+  if s.depth >= 0 && (s.pending_ops > 0 || s.xfer_pending) then
     ignore (close_fragment s ~add ~incl : int);
   (s.total_ops, s.node_count, s.best_handle)
 
 let analyze_stream stream =
-  let n_ctx = Col.create () and n_call = Col.create () and n_occ = Col.create () in
-  let n_self = Col.create () and n_incl = Col.create () in
+  let n_key = Col.create () and n_incl = Col.create () in
   let dep_off = Col.create () and all_deps = Col.create () in
-  let add ~ctx ~call ~occ ~self deps nd =
-    let id = n_ctx.Col.n in
+  let add ~key ~self deps nd =
+    let id = n_key.Col.n in
     let start = ref 0 in
     Col.push dep_off all_deps.Col.n;
     for j = 0 to nd - 1 do
@@ -269,23 +249,20 @@ let analyze_stream stream =
       if i > !start then start := i;
       Col.push all_deps d
     done;
-    Col.push n_ctx ctx;
-    Col.push n_call call;
-    Col.push n_occ occ;
-    Col.push n_self self;
+    Col.push n_key key;
     Col.push n_incl (!start + self);
     id
   in
   let serial, nodes, best = pass ~add ~incl:(Col.get n_incl) stream in
   Col.push dep_off all_deps.Col.n;
-  { serial; best; nodes; n_ctx; n_call; n_occ; n_self; n_incl; dep_off; deps = all_deps }
+  { serial; best; nodes; n_key; n_incl; dep_off; deps = all_deps }
 
 let analyze log = analyze_stream (Sigil.Event_log.iter log)
 
 type summary = { s_serial : int; s_critical : int; s_fragments : int }
 
 let summarize_stream stream =
-  let add ~ctx:_ ~call:_ ~occ:_ ~self deps nd =
+  let add ~key:_ ~self deps nd =
     let start = ref 0 in
     for j = 0 to nd - 1 do
       if deps.(j) > !start then start := deps.(j)
@@ -306,47 +283,59 @@ let parallelism t =
   let cp = critical_path_length t in
   if cp = 0 then 1.0 else float_of_int t.serial /. float_of_int cp
 
-(* The predecessor on node [i]'s longest chain: its first dependency that
-   reaches the node's start, none when the chain starts at [i]. *)
+(* The predecessor on node [i]'s longest chain: its first dependency of
+   the largest inclusive length, none when the chain starts at [i]. *)
 let pred t i =
-  let start = Col.get t.n_incl i - Col.get t.n_self i in
-  let p = ref none in
-  if start > 0 then begin
-    let j = ref (Col.get t.dep_off i) in
-    while !p = none do
-      let d = Col.get t.deps !j in
-      if Col.get t.n_incl d = start then p := d;
-      incr j
-    done
-  end;
+  let p = ref none and start = ref 0 in
+  for j = Col.get t.dep_off i to Col.get t.dep_off (i + 1) - 1 do
+    let d = Col.get t.deps j in
+    if Col.get t.n_incl d > !start then begin
+      start := Col.get t.n_incl d;
+      p := d
+    end
+  done;
   !p
 
+(* Node ids on the critical path, ascending: program order. *)
+let path_ids t =
+  let rec chain acc i = if i = none then acc else chain (i :: acc) (pred t i) in
+  chain [] t.best
+
 let critical_path t =
-  let rec collect acc i =
-    if i = none then acc
-    else
-      collect
-        ({
-           ctx = Col.get t.n_ctx i;
-           call = Col.get t.n_call i;
-           occurrence = Col.get t.n_occ i;
-           self = Col.get t.n_self i;
-           inclusive = Col.get t.n_incl i;
-         }
-        :: acc)
-        (pred t i)
+  (* a node's occurrence is the number of earlier nodes of its call: one
+     forward scan up to the path's end, counting only the calls on it *)
+  let path = path_ids t in
+  let seen = Hashtbl.create 16 in
+  List.iter (fun i -> Hashtbl.replace seen (Col.get t.n_key i) 0) path;
+  let rec scan i path acc =
+    match path with
+    | [] -> List.rev acc
+    | p :: rest ->
+      let key = Col.get t.n_key i in
+      let occurrence =
+        match Hashtbl.find_opt seen key with
+        | Some o ->
+          Hashtbl.replace seen key (o + 1);
+          o
+        | None -> 0
+      in
+      if i < p then scan (i + 1) path acc
+      else
+        let inclusive = Col.get t.n_incl i and q = pred t i in
+        let self = inclusive - (if q = none then 0 else Col.get t.n_incl q) in
+        let n = { ctx = key_ctx key; call = key_call key; occurrence; self; inclusive } in
+        scan (i + 1) rest (n :: acc)
   in
-  collect [] t.best
+  scan 0 path []
 
 let critical_path_contexts t =
-  let path = List.rev (critical_path t) in
   (* leaf first *)
   let rec dedup = function
     | a :: b :: rest when a = b -> dedup (b :: rest)
     | a :: rest -> a :: dedup rest
     | [] -> []
   in
-  dedup (List.map (fun n -> n.ctx) path)
+  dedup (List.rev_map (fun i -> key_ctx (Col.get t.n_key i)) (path_ids t))
 
 let node_count t = t.nodes
 
@@ -367,17 +356,18 @@ let schedule t ~cores =
   let core_free = Array.make cores 0 in
   let makespan = ref 0 in
   for i = 0 to t.nodes - 1 do
-    let ready = ref 0 in
+    let ready = ref 0 and dep_start = ref 0 in
     for j = Col.get t.dep_off i to Col.get t.dep_off (i + 1) - 1 do
-      let f = finish.(Col.get t.deps j) in
-      if f > !ready then ready := f
+      let d = Col.get t.deps j in
+      if finish.(d) > !ready then ready := finish.(d);
+      if Col.get t.n_incl d > !dep_start then dep_start := Col.get t.n_incl d
     done;
     let core = ref 0 in
     for k = 1 to cores - 1 do
       if core_free.(k) < core_free.(!core) then core := k
     done;
     let start = max !ready core_free.(!core) in
-    let stop = start + Col.get t.n_self i in
+    let stop = start + Col.get t.n_incl i - !dep_start in
     core_free.(!core) <- stop;
     finish.(i) <- stop;
     if stop > !makespan then makespan := stop

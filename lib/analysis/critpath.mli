@@ -36,9 +36,15 @@ type stream = (Sigil.Event_log.entry -> unit) -> unit
 
 (** [analyze log] builds every dependency chain and the critical path.
 
+    Call numbers count from 1 per context in Call order, as
+    [Dbi.Machine] numbers them, and context ids lie in [0, 0xFFFE]. A
+    transfer whose producer is outside that range, or has not been called
+    yet, imposes no ordering, like one from program input.
+
     @raise Failure when a Comp, Xfer or Ret does not name the innermost
-    open call, or an entry arrives after the root returned. The message
-    gives the 0-based entry index and the expected and found
+    open call, a Call's context is out of range or its number is not that
+    context's next one, or an entry arrives after the root returned. The
+    message gives the 0-based entry index and the expected and found
     (ctx, call). {!analyze_stream} and {!summarize_stream} fail the
     same way. *)
 val analyze : Sigil.Event_log.t -> t
@@ -48,14 +54,17 @@ val analyze : Sigil.Event_log.t -> t
     (needed for {!critical_path} and {!schedule}), never to the encoded
     log, which is consumed entry by entry.
 
-    Each node costs 48 bytes: six int columns indexed by node id (context,
-    call, occurrence, self, inclusive length and the offset of its
-    dependencies). Each dependency costs 8 bytes more in one flat array.
-    Columns grow in fixed blocks of 4096 entries, so growth never copies
-    the DAG. The latest occurrence of each call sits in an open-addressing
-    table of 16 bytes per slot, at most half full. The pass allocates
-    nothing per entry or per node on the minor heap beyond what the
-    stream itself allocates. *)
+    Each node costs 24 bytes: three int columns indexed by node id (the
+    packed context and call, the inclusive length and the offset of its
+    dependencies). A node's self cost and best predecessor are derived
+    from its dependencies' inclusive lengths, and the occurrence index of
+    a {!critical_path} node by one scan when the path is read. Each
+    dependency costs 8 bytes more in one flat array. Columns grow in fixed
+    blocks of 4096 entries, so growth never copies the DAG. While the pass
+    runs, the latest occurrence of each call costs 8 bytes more, in one
+    array per context indexed by call number and grown by doubling. The
+    pass allocates nothing per entry or per node on the minor heap beyond
+    what the stream itself allocates. *)
 val analyze_stream : stream -> t
 
 (** {2 O(1)-per-fragment summary}
@@ -63,7 +72,7 @@ val analyze_stream : stream -> t
     When only the Fig 13 numbers are wanted, the DAG need not be retained:
     a fragment's contribution reduces to one int (its inclusive chain
     length), so the pass keeps just the open call stack and the
-    latest-occurrence table. *)
+    latest-occurrence table (8 bytes per call). *)
 
 type summary = {
   s_serial : int; (** total operations (serial schedule length) *)
@@ -88,7 +97,8 @@ val critical_path_length : t -> int
 val parallelism : t -> float
 
 (** Nodes on the critical path, program order (main-side first, leaf
-    last). *)
+    last). Their occurrence indices cost one scan of the nodes up to the
+    path's end. *)
 val critical_path : t -> node list
 
 (** Distinct contexts along the critical path, leaf-to-start order,

@@ -33,6 +33,10 @@
 
 type t
 
+(** The largest context id the packed planes hold: 0xFFFE, as 0xFFFF is
+    their "no context". *)
+val max_ctx : int
+
 (** Where finished episodes and versions are reported (the {!Reuse}
     accumulator implements this). *)
 type sink = {

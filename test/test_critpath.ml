@@ -89,6 +89,25 @@ let test_unknown_producer_ignored () =
   in
   Alcotest.(check int) "runs fine" 10 (Analysis.Critpath.critical_path_length t)
 
+let test_out_of_range_producer_ignored () =
+  (* producer call numbers past 40 bits, or negative, name no call: they
+     must not alias call (1, 1) when packed into a call key *)
+  List.iter
+    (fun src_call ->
+      let log =
+        log_of
+          [
+            call 1 1; comp 1 1 10; ret 1 1;
+            call 1 2; xfer (1, src_call) (1, 2) 8; comp 1 2 10; ret 1 2;
+          ]
+      in
+      let name = Printf.sprintf "producer call %d" src_call in
+      Alcotest.(check int) name 10
+        (Analysis.Critpath.critical_path_length (Analysis.Critpath.analyze log));
+      Alcotest.(check int) (name ^ ", summary") 10
+        (Analysis.Critpath.summarize_stream (Event_log.iter log)).Analysis.Critpath.s_critical)
+    [ (1 lsl 40) + 1; 1 - (1 lsl 40) ]
+
 let test_mismatched_comp_rejected () =
   match Analysis.Critpath.analyze (log_of [ call 1 1; comp 2 9 10 ]) with
   | exception Failure _ -> ()
@@ -208,6 +227,8 @@ let () =
           Alcotest.test_case "occurrences ordered" `Quick test_occurrences_within_call_ordered;
           Alcotest.test_case "path nodes and contexts" `Quick test_path_nodes_and_contexts;
           Alcotest.test_case "unknown producer ignored" `Quick test_unknown_producer_ignored;
+          Alcotest.test_case "out-of-range producer ignored" `Quick
+            test_out_of_range_producer_ignored;
           Alcotest.test_case "mismatched comp rejected" `Quick test_mismatched_comp_rejected;
           Alcotest.test_case "empty log" `Quick test_empty_log;
           Alcotest.test_case "node count" `Quick test_node_count;

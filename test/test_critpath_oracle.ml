@@ -181,11 +181,31 @@ let expect_failure name entries expected =
   | exception Failure msg -> Alcotest.(check string) name expected msg
   | _ -> Alcotest.failf "%s: malformed stream accepted" name
 
+(* summarize_stream shares the pass, and the message; read back from a
+   binary trace, the failure stays the analysis's, not a chunk's *)
+let expect_everywhere name entries expected =
+  expect_failure name entries expected;
+  (match Cp.summarize_stream (Event_log.iter (log_of entries)) with
+  | exception Failure msg -> Alcotest.(check string) (name ^ ", summary") expected msg
+  | _ -> Alcotest.failf "%s, summary: malformed stream accepted" name);
+  let path = Filename.temp_file "sigil_critpath" ".tf" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Tracefile.Writer.write_log (log_of entries) path;
+      let r = Tracefile.Reader.open_file path in
+      Fun.protect
+        ~finally:(fun () -> Tracefile.Reader.close r)
+        (fun () ->
+          match Cp.analyze_stream (Tracefile.Reader.iter r) with
+          | exception Failure msg -> Alcotest.(check string) (name ^ ", binary trace") expected msg
+          | _ -> Alcotest.failf "%s, binary trace: malformed stream accepted" name))
+
 let test_located_failures () =
   let call ctx call = Event_log.Call { ctx; call } in
   let ret ctx call = Event_log.Ret { ctx; call } in
   let comp ctx call = Event_log.Comp { ctx; call; int_ops = 1; fp_ops = 0 } in
-  expect_failure "comp"
+  expect_everywhere "comp"
     [ call 1 1; comp 1 1; comp 2 1 ]
     "Critpath: entry 2: Comp does not match the open call: expected (ctx 1, call 1), found (ctx \
      2, call 1)";
@@ -209,28 +229,19 @@ let test_located_failures () =
     [ ret 0 0; ret 5 7 ]
     "Critpath: entry 1: Ret with empty stack: expected an open call (the root has returned), \
      found (ctx 5, call 7)";
-  (* summarize_stream shares the pass, and the message; read back from a
-     binary trace, the failure stays the analysis's, not a chunk's *)
-  let bad = [ call 1 1; comp 2 1 ] in
-  let expected =
-    "Critpath: entry 1: Comp does not match the open call: expected (ctx 1, call 1), found (ctx \
-     2, call 1)"
-  in
-  (match Cp.summarize_stream (Event_log.iter (log_of bad)) with
-  | exception Failure msg -> Alcotest.(check string) "summary" expected msg
-  | _ -> Alcotest.fail "summary: malformed stream accepted");
-  let path = Filename.temp_file "sigil_critpath" ".tf" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Tracefile.Writer.write_log (log_of bad) path;
-      let r = Tracefile.Reader.open_file path in
-      Fun.protect
-        ~finally:(fun () -> Tracefile.Reader.close r)
-        (fun () ->
-          match Cp.analyze_stream (Tracefile.Reader.iter r) with
-          | exception Failure msg -> Alcotest.(check string) "binary trace" expected msg
-          | _ -> Alcotest.fail "binary trace: malformed stream accepted"))
+  (* call numbers count from 1 per context, in Call order *)
+  expect_everywhere "call out of sequence"
+    [ call 1 1; ret 1 1; call 2 1; call 1 3 ]
+    "Critpath: entry 3: Call out of sequence: expected (ctx 1, call 2), found (ctx 1, call 3)";
+  expect_everywhere "call repeated"
+    [ call 1 1; ret 1 1; call 1 1 ]
+    "Critpath: entry 2: Call out of sequence: expected (ctx 1, call 2), found (ctx 1, call 1)";
+  expect_everywhere "context past the shadow's plane"
+    [ call 1 1; comp 1 1; call 0xFFFF 1 ]
+    "Critpath: entry 2: Call context out of range: expected 0 .. 65534, found (ctx 65535, call 1)";
+  expect_everywhere "negative context"
+    [ call (-3) 1 ]
+    "Critpath: entry 0: Call context out of range: expected 0 .. 65534, found (ctx -3, call 1)"
 
 (* ---------------------------------------------------------------- *)
 (* Allocation                                                       *)
@@ -256,6 +267,31 @@ let test_allocation_bound () =
           per_node)
     [ "canneal"; "dedup"; "streamcluster" ]
 
+(* The DAG is three int columns per node (call key, inclusive length,
+   dependency offset) and one per dependency, counted here from the
+   list-based DAG. The slack is, per column, one partly filled block of
+   4096 entries, and per block its header and two spine slots. *)
+let test_dag_size () =
+  let w = Result.get_ok (Workloads.Suite.find "canneal") in
+  let r = Driver.run_workload ~options:Options.(with_events default) w Workloads.Scale.Simsmall in
+  let log = Option.get (Tool.event_log (Driver.sigil r)) in
+  let t = Cp.analyze log in
+  let nodes = Cp.node_count t in
+  let deps =
+    let r = Critpath_ref.analyze log in
+    let n = ref 0 in
+    for i = 0 to Critpath_ref.node_count r - 1 do
+      n := !n + List.length r.Critpath_ref.order.(i).Critpath_ref.b_preds
+    done;
+    !n
+  in
+  let entries = (3 * nodes) + deps in
+  let bound = entries + (4 * 4096) + (3 * ((entries / 4096) + 4)) + 64 in
+  let words = Obj.reachable_words (Obj.repr t) in
+  if words > bound then
+    Alcotest.failf "canneal: the DAG of %d nodes and %d dependencies holds %d words (bound %d)"
+      nodes deps words bound
+
 let () =
   Alcotest.run "critpath_oracle"
     [
@@ -265,5 +301,9 @@ let () =
           Alcotest.test_case "generator coverage" `Quick test_generator_coverage;
         ] );
       ("failures", [ Alcotest.test_case "located" `Quick test_located_failures ]);
-      ("allocation", [ Alcotest.test_case "analyze bound" `Quick test_allocation_bound ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "analyze bound" `Quick test_allocation_bound;
+          Alcotest.test_case "DAG size" `Quick test_dag_size;
+        ] );
     ]
