@@ -699,10 +699,17 @@ let suite_bench () =
   report_failures "sequential" seq;
   report_failures "parallel" par;
   let fp_seq = fingerprint seq and fp_par = fingerprint par in
+  let cores = Domain.recommended_domain_count () in
+  (* a speedup is published only when the pool really had its cores *)
+  let preconditions =
+    [ ("domains > 1", domains > 1); ("host_cores >= domains", cores >= domains) ]
+  in
+  let failed = List.filter_map (fun (c, ok) -> if ok then None else Some c) preconditions in
   let speedup = sequential_s /. Float.max parallel_s 1e-9 in
-  pf "%d workloads, %d domains (host reports %d cores)\n" (List.length parsec) domains
-    (Domain.recommended_domain_count ());
-  pf "sequential: %.3fs   parallel: %.3fs   speedup: %.2fx\n" sequential_s parallel_s speedup;
+  pf "%d workloads, %d domains (host reports %d cores)\n" (List.length parsec) domains cores;
+  pf "sequential: %.3fs   parallel: %.3fs   " sequential_s parallel_s;
+  if failed = [] then pf "speedup: %.2fx\n" speedup
+  else pf "speedup withheld: precondition failed: %s\n" (String.concat "; " failed);
   pf "profile fingerprint: sequential %s, parallel %s -> %s\n" fp_seq fp_par
     (if fp_seq = fp_par then "bit-identical" else "MISMATCH");
   let oc = open_out "BENCH_suite.json" in
@@ -714,12 +721,14 @@ let suite_bench () =
     \  \"host_cores\": %d,\n\
     \  \"sequential_s\": %.3f,\n\
     \  \"parallel_s\": %.3f,\n\
-    \  \"speedup\": %.2f,\n\
+    \  \"preconditions\": { %s },\n\
+    \  \"speedup\": %s,\n\
     \  \"bit_identical\": %b\n\
      }\n"
-    (List.length parsec) domains
-    (Domain.recommended_domain_count ())
-    sequential_s parallel_s speedup (fp_seq = fp_par);
+    (List.length parsec) domains cores sequential_s parallel_s
+    (String.concat ", " (List.map (fun (c, ok) -> Printf.sprintf "\"%s\": %b" c ok) preconditions))
+    (if failed = [] then Printf.sprintf "%.2f" speedup else "null")
+    (fp_seq = fp_par);
   close_out oc;
   pf "wrote BENCH_suite.json\n";
   if fp_seq <> fp_par then

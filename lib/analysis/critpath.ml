@@ -6,14 +6,23 @@ type node = {
   inclusive : int;
 }
 
-(* A growable int column stored in fixed-size blocks: appending never
-   copies what is already stored, so the DAG's peak memory is its size,
-   not its size plus a doubled copy. Blocks are large enough to be
-   allocated straight in the major heap. *)
+(* Growable columns stored in fixed-size blocks: appending never copies
+   what is already stored, so the DAG's peak memory is its size, not its
+   size plus a doubled copy. Only the spine (one pointer per block) is
+   ever copied; its spare slots hold the newest block until their own
+   arrives. Blocks are large enough to be allocated straight in the major
+   heap. *)
+let add_block spine k block =
+  let spine =
+    if k < Array.length spine then spine else Array.append spine (Array.make (max 16 k) block)
+  in
+  spine.(k) <- block;
+  spine
+
+(* Ints, in blocks of 4096. *)
 module Col = struct
   let bits = 12
-  let block = 1 lsl bits
-  let mask = block - 1
+  let mask = (1 lsl bits) - 1
 
   type t = { mutable blocks : int array array; mutable n : int }
 
@@ -21,38 +30,66 @@ module Col = struct
   let[@inline] get c i = c.blocks.(i lsr bits).(i land mask)
 
   let push c v =
-    let b = c.n lsr bits in
-    if c.n land mask = 0 then begin
-      if b = Array.length c.blocks then begin
-        (* only the spine (one pointer per block) is ever copied *)
-        let spine = Array.make (max 16 (2 * b)) [||] in
-        Array.blit c.blocks 0 spine 0 b;
-        c.blocks <- spine
-      end;
-      c.blocks.(b) <- Array.make block 0
-    end;
-    c.blocks.(b).(c.n land mask) <- v;
+    let k = c.n lsr bits in
+    if c.n land mask = 0 then c.blocks <- add_block c.blocks k (Array.make (mask + 1) 0);
+    c.blocks.(k).(c.n land mask) <- v;
     c.n <- c.n + 1
 end
 
-(* Nodes are columns indexed by node id (creation order, which is
-   topological): the packed call key, the inclusive length and the offset
-   of its dependencies. Dependencies are in CSR form: node [i]'s are
-   [deps.(dep_off i) .. deps.(dep_off (i + 1) - 1)], in the order the
-   pass resolved them (transfers in arrival order, then the call edge,
-   then the previous occurrence). A node's start is the largest inclusive
-   length among its dependencies (0 without any), so its self cost is
-   [incl - start] and its best predecessor, {!pred}, is the first
-   dependency that reaches the start. *)
+(* Bytes, in blocks of 64 KB, with an LEB128 encoder. *)
+module Buf = struct
+  let bits = 16
+  let mask = (1 lsl bits) - 1
+
+  type t = { mutable blocks : Bytes.t array; mutable n : int }
+
+  let create () = { blocks = [||]; n = 0 }
+  let[@inline] get b i = Char.code (Bytes.unsafe_get b.blocks.(i lsr bits) (i land mask))
+
+  let push b v =
+    let k = b.n lsr bits in
+    if b.n land mask = 0 then b.blocks <- add_block b.blocks k (Bytes.create (mask + 1));
+    Bytes.unsafe_set b.blocks.(k) (b.n land mask) (Char.unsafe_chr v);
+    b.n <- b.n + 1
+
+  let rec put b v =
+    push b (if v < 0x80 then v else v land 0x7F lor 0x80);
+    if v >= 0x80 then put b (v lsr 7)
+end
+
+type cursor = { buf : Buf.t; mutable pos : int }
+
+let rec read_more c v shift =
+  let b = Buf.get c.buf c.pos in
+  c.pos <- c.pos + 1;
+  let v = v lor ((b land 0x7F) lsl shift) in
+  if b < 0x80 then v else read_more c v (shift + 7)
+
+(* Most varints are one byte: that case is inline. *)
+let[@inline] read c =
+  let b = Buf.get c.buf c.pos in
+  c.pos <- c.pos + 1;
+  if b < 0x80 then b else read_more c (b land 0x7F) 7
+
+(* Nodes are numbered by creation order, which is topological. A node's
+   inclusive length is an int column indexed by node id; the rest is its
+   record in one byte stream of LEB128 varints: context, call number,
+   dependency count, then [id - dep] per dependency in the order the pass
+   resolved them (transfers in arrival order, the call edge, the previous
+   occurrence). [seek] holds every [seek_every]-th record's offset. A
+   node's start is the largest inclusive length among its dependencies (0
+   without any), so its self cost is [incl - start] and its best
+   predecessor is the first dependency that reaches the start. *)
 type t = {
   serial : int;
   best : int; (* node id ending the critical path, or [none] *)
   nodes : int;
-  n_key : Col.t; (* [call_key ctx call] *)
   n_incl : Col.t;
-  dep_off : Col.t; (* [nodes + 1] entries *)
-  deps : Col.t;
+  records : Buf.t;
+  seek : Col.t; (* byte offset of node [k * seek_every]'s record *)
 }
+
+let seek_every = 64
 
 type stream = (Sigil.Event_log.entry -> unit) -> unit
 
@@ -237,25 +274,25 @@ let pass ~(add : key:int -> self:int -> int array -> int -> int) ~(incl : int ->
   (s.total_ops, s.node_count, s.best_handle)
 
 let analyze_stream stream =
-  let n_key = Col.create () and n_incl = Col.create () in
-  let dep_off = Col.create () and all_deps = Col.create () in
+  let n_incl = Col.create () and records = Buf.create () and seek = Col.create () in
   let add ~key ~self deps nd =
-    let id = n_key.Col.n in
+    let id = n_incl.Col.n in
+    if id mod seek_every = 0 then Col.push seek records.Buf.n;
+    Buf.put records (key_ctx key);
+    Buf.put records (key_call key);
+    Buf.put records nd;
     let start = ref 0 in
-    Col.push dep_off all_deps.Col.n;
     for j = 0 to nd - 1 do
       let d = deps.(j) in
       let i = Col.get n_incl d in
       if i > !start then start := i;
-      Col.push all_deps d
+      Buf.put records (id - d)
     done;
-    Col.push n_key key;
     Col.push n_incl (!start + self);
     id
   in
   let serial, nodes, best = pass ~add ~incl:(Col.get n_incl) stream in
-  Col.push dep_off all_deps.Col.n;
-  { serial; best; nodes; n_key; n_incl; dep_off; deps = all_deps }
+  { serial; best; nodes; n_incl; records; seek }
 
 let analyze log = analyze_stream (Sigil.Event_log.iter log)
 
@@ -283,59 +320,90 @@ let parallelism t =
   let cp = critical_path_length t in
   if cp = 0 then 1.0 else float_of_int t.serial /. float_of_int cp
 
-(* The predecessor on node [i]'s longest chain: its first dependency of
-   the largest inclusive length, none when the chain starts at [i]. *)
-let pred t i =
-  let p = ref none and start = ref 0 in
-  for j = Col.get t.dep_off i to Col.get t.dep_off (i + 1) - 1 do
-    let d = Col.get t.deps j in
-    if Col.get t.n_incl d > !start then begin
-      start := Col.get t.n_incl d;
-      p := d
+(* Folds [f] over the critical path from its end back to its start, with
+   each node's id and call key. Every step goes to a lower id, so each
+   block of [seek_every] records on the way is decoded once, into its
+   nodes' keys and best predecessors. *)
+let fold_path t f acc =
+  let keys = Array.make seek_every 0 and preds = Array.make seek_every none in
+  let c = { buf = t.records; pos = 0 } in
+  let rec go acc block i =
+    if i = none then acc
+    else begin
+      let b = i / seek_every in
+      if b <> block then begin
+        c.pos <- Col.get t.seek b;
+        for j = 0 to min seek_every (t.nodes - (b * seek_every)) - 1 do
+          let id = (b * seek_every) + j in
+          let ctx = read c in
+          keys.(j) <- call_key ctx (read c);
+          let p = ref none and start = ref 0 in
+          for _ = 1 to read c do
+            let d = id - read c in
+            if Col.get t.n_incl d > !start then begin
+              start := Col.get t.n_incl d;
+              p := d
+            end
+          done;
+          preds.(j) <- !p
+        done
+      end;
+      let j = i mod seek_every in
+      go (f acc i keys.(j)) b preds.(j)
     end
-  done;
-  !p
-
-(* Node ids on the critical path, ascending: program order. *)
-let path_ids t =
-  let rec chain acc i = if i = none then acc else chain (i :: acc) (pred t i) in
-  chain [] t.best
+  in
+  go acc (-1) t.best
 
 let critical_path t =
+  (* every node's call key is looked up: hash it inline, not with the
+     generic hash's C call *)
+  let module Keys = Hashtbl.Make (struct
+    include Int
+    let hash k = (k lxor (k lsr 29)) land max_int
+  end) in
+  let seen = Keys.create 16 in
+  (* program order *)
+  let path =
+    fold_path t
+      (fun acc i key ->
+        Keys.replace seen key 0;
+        i :: acc)
+      []
+  in
   (* a node's occurrence is the number of earlier nodes of its call: one
-     forward scan up to the path's end, counting only the calls on it *)
-  let path = path_ids t in
-  let seen = Hashtbl.create 16 in
-  List.iter (fun i -> Hashtbl.replace seen (Col.get t.n_key i) 0) path;
-  let rec scan i path acc =
+     forward scan up to the path's end, counting only the calls on it. A
+     node's predecessor on the path is the one before it, so its self
+     cost is the difference of their inclusive lengths. *)
+  let c = { buf = t.records; pos = 0 } in
+  let rec scan i prev path acc =
     match path with
     | [] -> List.rev acc
     | p :: rest ->
-      let key = Col.get t.n_key i in
-      let occurrence =
-        match Hashtbl.find_opt seen key with
-        | Some o ->
-          Hashtbl.replace seen key (o + 1);
-          o
-        | None -> 0
-      in
-      if i < p then scan (i + 1) path acc
+      let ctx = read c in
+      let call = read c in
+      for _ = 1 to read c do
+        ignore (read c : int)
+      done;
+      let key = call_key ctx call in
+      let occurrence = Option.value (Keys.find_opt seen key) ~default:(-1) in
+      if occurrence >= 0 then Keys.replace seen key (occurrence + 1);
+      if i < p then scan (i + 1) prev path acc
       else
-        let inclusive = Col.get t.n_incl i and q = pred t i in
-        let self = inclusive - (if q = none then 0 else Col.get t.n_incl q) in
-        let n = { ctx = key_ctx key; call = key_call key; occurrence; self; inclusive } in
-        scan (i + 1) rest (n :: acc)
+        let inclusive = Col.get t.n_incl i in
+        let n = { ctx; call; occurrence; self = inclusive - prev; inclusive } in
+        scan (i + 1) inclusive rest (n :: acc)
   in
-  scan 0 path []
+  scan 0 0 path []
 
 let critical_path_contexts t =
-  (* leaf first *)
-  let rec dedup = function
-    | a :: b :: rest when a = b -> dedup (b :: rest)
-    | a :: rest -> a :: dedup rest
-    | [] -> []
-  in
-  dedup (List.rev_map (fun i -> key_ctx (Col.get t.n_key i)) (path_ids t))
+  (* leaf first, consecutive duplicates removed *)
+  List.rev
+    (fold_path t
+       (fun acc _ key ->
+         match acc with
+         | ctx :: _ when ctx = key_ctx key -> acc
+         | _ -> key_ctx key :: acc)
+       [])
 
 let node_count t = t.nodes
 
@@ -355,10 +423,12 @@ let schedule t ~cores =
   let finish = Array.make (max 1 t.nodes) 0 in
   let core_free = Array.make cores 0 in
   let makespan = ref 0 in
+  let c = { buf = t.records; pos = 0 } in
   for i = 0 to t.nodes - 1 do
+    ignore (read c + read c : int) (* context and call *);
     let ready = ref 0 and dep_start = ref 0 in
-    for j = Col.get t.dep_off i to Col.get t.dep_off (i + 1) - 1 do
-      let d = Col.get t.deps j in
+    for _ = 1 to read c do
+      let d = i - read c in
       if finish.(d) > !ready then ready := finish.(d);
       if Col.get t.n_incl d > !dep_start then dep_start := Col.get t.n_incl d
     done;

@@ -54,17 +54,19 @@ val analyze : Sigil.Event_log.t -> t
     (needed for {!critical_path} and {!schedule}), never to the encoded
     log, which is consumed entry by entry.
 
-    Each node costs 24 bytes: three int columns indexed by node id (the
-    packed context and call, the inclusive length and the offset of its
-    dependencies). A node's self cost and best predecessor are derived
-    from its dependencies' inclusive lengths, and the occurrence index of
-    a {!critical_path} node by one scan when the path is read. Each
-    dependency costs 8 bytes more in one flat array. Columns grow in fixed
-    blocks of 4096 entries, so growth never copies the DAG. While the pass
-    runs, the latest occurrence of each call costs 8 bytes more, in one
-    array per context indexed by call number and grown by doubling. The
-    pass allocates nothing per entry or per node on the minor heap beyond
-    what the stream itself allocates. *)
+    Each node costs 8 bytes for its inclusive length, in an int column
+    indexed by node id, plus its record in one byte stream: LEB128
+    varints of its context, call number, dependency count and, per
+    dependency, how many nodes back it lies. Most fields fit one byte, so
+    a record is about 7 bytes on canneal. The byte offset of every 64th record costs 1/8 byte more per
+    node. A node's self cost and best predecessor are derived from its
+    dependencies' inclusive lengths, and the occurrence index of a
+    {!critical_path} node by one scan when the path is read. Columns grow
+    in fixed blocks (4096 ints, 64 KB of records), so growth never copies
+    the DAG. While the pass runs, the latest occurrence of each call
+    costs 8 bytes more, in one array per context indexed by call number
+    and grown by doubling. The pass allocates nothing per entry or per
+    node on the minor heap beyond what the stream itself allocates. *)
 val analyze_stream : stream -> t
 
 (** {2 O(1)-per-fragment summary}

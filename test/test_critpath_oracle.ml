@@ -1,7 +1,8 @@
-(* The column-stored critical-path DAG against the list-based
-   implementation it replaced (Critpath_ref, kept verbatim): a qcheck
-   differential over random well-nested event streams, the located
-   failures of a malformed stream, and the allocation bound per node. *)
+(* The compact critical-path DAG against the list-based implementation
+   it replaced (Critpath_ref, kept verbatim): a qcheck differential over
+   random well-nested event streams, long deterministic streams past the
+   generator's reach, the located failures of a malformed stream, MD5
+   goldens of the reports, and the allocation and size bounds. *)
 
 open Sigil
 module Cp = Analysis.Critpath
@@ -99,7 +100,7 @@ let arb_stream =
     ~print:(fun es -> String.concat "\n" (List.map Event_log.entry_to_string es))
     ~small:List.length gen_stream
 
-let agree entries =
+let agree ?(cores = [ 1; 2; 3; 4; 5 ]) entries =
   let log = log_of entries in
   let r = Critpath_ref.analyze log and t = Cp.analyze log in
   let ref_path =
@@ -121,7 +122,7 @@ let agree entries =
         a.Critpath_ref.makespan = b.Cp.makespan
         && a.Critpath_ref.utilization = b.Cp.utilization
         && a.Critpath_ref.speedup = b.Cp.speedup)
-      [ 1; 2; 3; 4; 5 ]
+      cores
   in
   Critpath_ref.serial_length r = Cp.serial_length t
   && Critpath_ref.critical_path_length r = Cp.critical_path_length t
@@ -171,6 +172,59 @@ let test_generator_coverage () =
       ("calls open at the end", !open_at_end);
       ("work left in the root", !root_work);
     ]
+
+(* ---------------------------------------------------------------- *)
+(* Long streams                                                     *)
+(* ---------------------------------------------------------------- *)
+
+(* What the generator never reaches: 20,500 calls in context 1 (call
+   numbers past 2^14), contexts 200 and 0xFFFE, and ~55 K nodes, enough
+   for several 64 KB blocks of node records. Each call of context 1
+   consumes from the one before it, so with a light producer the
+   critical path runs through the whole stream. The producer (0xFFFE, 1)
+   is called first and consumed only by the trailing root fragment, a
+   dependency more than 2^14 nodes back; when it is heavy the path jumps
+   back along it. *)
+let long_stream ~heavy =
+  let out = ref [] in
+  let emit e = out := e :: !out in
+  let comp ctx call n = emit (Event_log.Comp { ctx; call; int_ops = n; fp_ops = n land 1 }) in
+  let xfer (src_ctx, src_call) (dst_ctx, dst_call) =
+    emit (Event_log.Xfer { src_ctx; src_call; dst_ctx; dst_call; bytes = 8; unique_bytes = 8 })
+  in
+  let call_ret ctx call body =
+    emit (Event_log.Call { ctx; call });
+    body ();
+    emit (Event_log.Ret { ctx; call })
+  in
+  call_ret 0xFFFE 1 (fun () -> comp 0xFFFE 1 (if heavy then 1_000_000 else 2));
+  call_ret 200 1 (fun () ->
+      comp 200 1 3;
+      xfer (0xFFFE, 1) (200, 1));
+  let wide = ref 1 in
+  for c = 1 to 20_500 do
+    comp 0 0 1;
+    call_ret 1 c (fun () ->
+        comp 1 c ((c mod 7) + 1);
+        if c > 1 then xfer (1, c - 1) (1, c);
+        if c mod 3 = 0 then begin
+          incr wide;
+          call_ret 200 !wide (fun () ->
+              comp 200 !wide (c mod 5);
+              xfer (1, c) (200, !wide))
+        end;
+        comp 1 c 1)
+  done;
+  comp 0 0 5;
+  xfer (0xFFFE, 1) (0, 0);
+  List.rev !out
+
+let test_long_streams () =
+  List.iter
+    (fun heavy ->
+      if not (agree ~cores:[ 1; 2; 3; 4; 8 ] (long_stream ~heavy)) then
+        Alcotest.failf "long stream (heavy producer %b) disagrees with the list-based DAG" heavy)
+    [ false; true ]
 
 (* ---------------------------------------------------------------- *)
 (* Located failures                                                 *)
@@ -247,10 +301,10 @@ let test_located_failures () =
 (* Allocation                                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* Nodes are int columns in major-heap blocks, frames and pending work are
-   pooled, so building the DAG of an in-memory log allocates a bounded
-   number of minor words per node: the boxed tuple the pass returns, the
-   closures it builds and nothing per entry. *)
+(* Nodes are an int column and a byte stream in major-heap blocks, frames
+   and pending work are pooled, so building the DAG of an in-memory log
+   allocates a bounded number of minor words per node: the boxed tuple
+   the pass returns, the closures it builds and nothing per entry. *)
 let test_allocation_bound () =
   List.iter
     (fun name ->
@@ -267,30 +321,81 @@ let test_allocation_bound () =
           per_node)
     [ "canneal"; "dedup"; "streamcluster" ]
 
-(* The DAG is three int columns per node (call key, inclusive length,
-   dependency offset) and one per dependency, counted here from the
-   list-based DAG. The slack is, per column, one partly filled block of
-   4096 entries, and per block its header and two spine slots. *)
+(* The DAG is one int column of inclusive lengths, a byte stream of
+   varint node records and the byte offset of every 64th record: under 2
+   words per node on canneal, whose records average under 8 bytes. The
+   slack is one partly filled block per column (4096 ints, 64 KB, 4096
+   ints) plus, per block, its header and two spine slots. *)
 let test_dag_size () =
   let w = Result.get_ok (Workloads.Suite.find "canneal") in
   let r = Driver.run_workload ~options:Options.(with_events default) w Workloads.Scale.Simsmall in
-  let log = Option.get (Tool.event_log (Driver.sigil r)) in
-  let t = Cp.analyze log in
+  let t = Cp.analyze (Option.get (Tool.event_log (Driver.sigil r))) in
   let nodes = Cp.node_count t in
-  let deps =
-    let r = Critpath_ref.analyze log in
-    let n = ref 0 in
-    for i = 0 to Critpath_ref.node_count r - 1 do
-      n := !n + List.length r.Critpath_ref.order.(i).Critpath_ref.b_preds
-    done;
-    !n
-  in
-  let entries = (3 * nodes) + deps in
-  let bound = entries + (4 * 4096) + (3 * ((entries / 4096) + 4)) + 64 in
+  let blocks = (nodes / 4096) + (nodes / 8192) + 3 in
+  let bound = (2 * nodes) + 4096 + (65536 / 8) + 4096 + (3 * (blocks + 16)) + 64 in
   let words = Obj.reachable_words (Obj.repr t) in
   if words > bound then
-    Alcotest.failf "canneal: the DAG of %d nodes and %d dependencies holds %d words (bound %d)"
-      nodes deps words bound
+    Alcotest.failf "canneal: the DAG of %d nodes holds %d words (bound %d)" nodes words bound
+
+(* ---------------------------------------------------------------- *)
+(* Report goldens                                                   *)
+(* ---------------------------------------------------------------- *)
+
+(* the CLI sits next to this test in the build tree *)
+let sigil_critpath =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/sigil_critpath.exe"
+
+let cli_md5 args =
+  let out = Filename.temp_file "sigil_critpath" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command (Printf.sprintf "%s %s > %s" (Filename.quote sigil_critpath) args
+           (Filename.quote out))
+      in
+      if code <> 0 then Alcotest.failf "sigil_critpath %s exited %d" args code;
+      Digest.to_hex (Digest.file out))
+
+(* Pinned with the three-column DAG: the full report (parallelism, path
+   contexts, 1/2/4/8-core schedules), the --summary report, and every
+   critical-path node as "ctx call occurrence self inclusive" lines. *)
+let report_goldens =
+  [
+    ( "canneal",
+      "1043a12f43535ce9eefb89a0830b6715",
+      "df43790e3c62992f150e0884326b32c6",
+      "dd66cf0a32bcf23e1f921c1d81f50332" );
+    ( "dedup",
+      "c6a7a04997ba68668386b9b11f8b436a",
+      "d604bb200db33dc0efe0677d78878c49",
+      "0ec8f8721ce0944ed4479dd8a8661ca1" );
+    ( "streamcluster",
+      "1a41f0cdcec3c5255b362d7d9fa4671a",
+      "bfb135121e9f659f8a55f50dfdd77eee",
+      "25f443948d107f65743e60dc6f990a65" );
+  ]
+
+let test_report_goldens () =
+  List.iter
+    (fun (name, full, summary, path) ->
+      Alcotest.(check string)
+        (name ^ " full report") full
+        (cli_md5 (name ^ " --cores 1 --cores 2 --cores 4 --cores 8"));
+      Alcotest.(check string) (name ^ " summary") summary (cli_md5 (name ^ " --summary"));
+      let w = Result.get_ok (Workloads.Suite.find name) in
+      let r = Driver.run_workload ~options:Options.(with_events default) w Workloads.Scale.Simsmall in
+      let lines =
+        List.map
+          (fun (n : Cp.node) ->
+            Printf.sprintf "%d %d %d %d %d\n" n.Cp.ctx n.Cp.call n.Cp.occurrence n.Cp.self
+              n.Cp.inclusive)
+          (Cp.critical_path (Driver.critpath r))
+      in
+      Alcotest.(check string)
+        (name ^ " critical path") path
+        (Digest.to_hex (Digest.string (String.concat "" lines))))
+    report_goldens
 
 let () =
   Alcotest.run "critpath_oracle"
@@ -299,8 +404,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest differential;
           Alcotest.test_case "generator coverage" `Quick test_generator_coverage;
+          Alcotest.test_case "long streams" `Quick test_long_streams;
         ] );
       ("failures", [ Alcotest.test_case "located" `Quick test_located_failures ]);
+      ("goldens", [ Alcotest.test_case "reports" `Quick test_report_goldens ]);
       ( "allocation",
         [
           Alcotest.test_case "analyze bound" `Quick test_allocation_bound;
