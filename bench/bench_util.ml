@@ -62,9 +62,17 @@ let reuse_run name scale =
   cached ~tag:"reuse" ~name ~scale (fun () ->
       Driver.run_workload ~options:Sigil.Options.(with_reuse default) (workload name) scale)
 
+(* An events-mode run and its entries in trace order, collected through
+   the tool's sink (the tool keeps none). Not cached: the entries are the
+   biggest thing a run can leave behind. *)
 let events_run name scale =
-  cached ~tag:"events" ~name ~scale (fun () ->
-      Driver.run_workload ~options:Sigil.Options.(with_events default) (workload name) scale)
+  let entries = ref [] in
+  let run =
+    Driver.run_workload ~options:Sigil.Options.(with_events default)
+      ~event_sink:(fun e -> entries := e :: !entries)
+      (workload name) scale
+  in
+  (run, Array.of_list (List.rev !entries))
 
 let line_run name scale =
   cached ~tag:"line" ~name ~scale (fun () ->
@@ -157,8 +165,8 @@ let cpu_model () =
     model
 
 (* Writes nothing when no section added a field, so a run of sections
-   without fields leaves the file as it was; otherwise writes [path.tmp]
-   and renames it into place. *)
+   without fields leaves the file as it was; otherwise writes it
+   crash-safely. *)
 let write_bench_json path =
   if !json_fields <> [] then begin
     let host =
@@ -168,12 +176,9 @@ let write_bench_json path =
         Sys.ocaml_version
     in
     let fields = ("host", host) :: List.rev !json_fields in
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    Printf.fprintf oc "{\n%s\n}\n"
-      (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) fields));
-    close_out oc;
-    Sys.rename tmp path;
+    Dbi.Atomic_file.write path (fun oc ->
+        Printf.fprintf oc "{\n%s\n}\n"
+          (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) fields)));
     Printf.printf "\nwrote %s\n" path
   end
 

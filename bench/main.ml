@@ -237,8 +237,16 @@ let fig13 () =
   let results =
     pmap
       (fun name ->
-        let run = events_run name small in
-        (name, run, Driver.critpath run))
+        (* the workload runs inside the analysis' stream *)
+        let run = ref None in
+        let cp =
+          Analysis.Critpath.analyze_stream (fun emit ->
+              run :=
+                Some
+                  (Driver.run_workload ~options:Sigil.Options.(with_events default)
+                     ~event_sink:emit (workload name) small))
+        in
+        (name, Option.get !run, cp))
       fig13_benchmarks
   in
   print_string
@@ -387,12 +395,13 @@ let microbenches () =
     ];
 
   (* fig 13: event logging and chain building *)
-  let log = Option.get (Sigil.Tool.event_log (Driver.sigil (events_run "libquantum" small))) in
+  let _, entries = events_run "libquantum" small in
   pf "fig13 (event-file post-processing, whole libquantum log):\n";
   ignore @@ microbench ~name:"fig13_critpath"
     [
-      Test.make ~name:"Critpath.analyze"
-        (Staged.stage (fun () -> ignore (Analysis.Critpath.analyze log)));
+      Test.make ~name:"Critpath.analyze_stream"
+        (Staged.stage (fun () ->
+             ignore (Analysis.Critpath.analyze_stream (fun f -> Array.iter f entries))));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -558,19 +567,19 @@ let events_bench () =
   let file_size path = Int64.to_int (In_channel.with_open_bin path In_channel.length) in
   let rows =
     (* timed sequentially so the throughput numbers are not cross-domain
-       noise; the instrumented runs themselves come from the cache *)
+       noise; only encode and decode are timed, not the run itself *)
     List.map
       (fun name ->
-        let run = events_run name small in
-        let log = Option.get (Sigil.Tool.event_log (Driver.sigil run)) in
-        let entries = Sigil.Event_log.length log in
+        let run, log = events_run name small in
+        let entries = Array.length log in
         let txt = Filename.temp_file ("bench_events_" ^ name) ".txt" in
         let tf = Filename.temp_file ("bench_events_" ^ name) ".tf" in
-        Sigil.Event_log.save log txt;
+        Sigil.Event_log.write_file txt (fun emit -> Array.iter emit log);
         let m = run.Driver.machine in
         let t0 = Dbi.Runner.monotonic_s () in
-        Tracefile.Writer.write_log ~symbols:(Dbi.Machine.symbols m)
-          ~contexts:(Dbi.Machine.contexts m) log tf;
+        let w = Tracefile.Writer.create tf in
+        Array.iter (Tracefile.Writer.add w) log;
+        Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m) w;
         let encode_s = Dbi.Runner.monotonic_s () -. t0 in
         let r = Tracefile.Reader.open_file tf in
         let seen = ref 0 in
@@ -753,11 +762,7 @@ let prewarm selected pool =
         | "fig7" -> List.map (fun n -> thunk (fun () -> paired_run n small)) parsec
         | "fig8" -> List.map (fun n -> thunk (fun () -> reuse_run n small)) parsec
         | "fig12" -> List.map (fun n -> thunk (fun () -> line_run n small)) parsec
-        | "fig13" -> List.map (fun n -> thunk (fun () -> events_run n small)) fig13_benchmarks
-        | "events" -> List.map (fun n -> thunk (fun () -> events_run n small)) parsec
-        | "micro" ->
-          [ thunk (fun () -> paired_run "canneal" small);
-            thunk (fun () -> events_run "libquantum" small) ]
+        | "micro" -> [ thunk (fun () -> paired_run "canneal" small) ]
         | _ -> [])
       selected
   in

@@ -1,8 +1,8 @@
 (* Critical-path case study (paper §IV-C): dependency chains from the
    event file, longest path and function-level parallelism limit. Works
-   from a live run or from a saved event trace (binary or text); binary
-   traces embed the producing run's symbol/context tables, so loaded
-   traces print real function names. *)
+   from a live run or from a saved event trace (binary or text), through
+   the same streaming pass; binary traces embed the producing run's
+   symbol/context tables, so loaded traces print real function names. *)
 
 open Cmdliner
 
@@ -53,13 +53,21 @@ let run name scale load_path cores summary =
     if summary then print_summary path (Analysis.Critpath.summarize_stream stream)
     else report path (Analysis.Critpath.analyze_stream stream) raw_ctx cores
   | None ->
+    (* the workload runs inside the stream, so a live run goes through the
+       same pass as a loaded trace and no entry outlives its fragment *)
     let workload = Cli_common.resolve name in
-    let r = Driver.run_workload ~options:Sigil.Options.(with_events default) workload scale in
     let title = Printf.sprintf "%s (%s)" name (Workloads.Scale.name scale) in
-    if summary then
-      let log = Option.get (Sigil.Tool.event_log (Driver.sigil r)) in
-      print_summary title (Analysis.Critpath.summarize_stream (Sigil.Event_log.iter log))
-    else report title (Driver.critpath r) (Driver.fn_name r) cores
+    let run = ref None in
+    let stream emit =
+      run :=
+        Some
+          (Driver.run_workload ~options:Sigil.Options.(with_events default) ~event_sink:emit
+             workload scale)
+    in
+    if summary then print_summary title (Analysis.Critpath.summarize_stream stream)
+    else
+      let cp = Analysis.Critpath.analyze_stream stream in
+      report title cp (Driver.fn_name (Option.get !run)) cores
 
 let cmd =
   let load =
@@ -83,8 +91,9 @@ let cmd =
       value & flag
       & info [ "summary" ]
           ~doc:
-            "Stream the trace through the O(1)-memory summary pass: serial length, critical \
-             path and parallelism only (no dependency DAG, no path listing or scheduling).")
+            "Stream the live run or the loaded trace through the summary pass, which keeps \
+             no dependency DAG, only the open calls and each call's latest fragment: serial \
+             length, critical path and parallelism only (no path listing or scheduling).")
   in
   Cmd.v
     (Cmd.info "sigil_critpath" ~doc:"Critical-path analysis over Sigil event files")

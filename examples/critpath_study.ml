@@ -9,10 +9,21 @@ let benchmarks =
   [ "blackscholes"; "bodytrack"; "canneal"; "dedup"; "fluidanimate"; "streamcluster";
     "swaptions"; "libquantum" ]
 
+let workload name =
+  match Workloads.Suite.find name with Ok w -> w | Error e -> failwith e
+
+let run_events ~event_sink name =
+  Driver.run_workload ~options:Sigil.Options.(with_events default) ~event_sink (workload name)
+    Workloads.Scale.Simsmall
+
+(* The workload runs inside the analysis' stream: every event goes
+   straight into the dependency DAG and none is kept. *)
 let analyze name =
-  match Driver.run_named ~options:Sigil.Options.(with_events default) name Workloads.Scale.Simsmall with
-  | Error e -> failwith e
-  | Ok r -> (r, Driver.critpath r)
+  let run = ref None in
+  let cp =
+    Analysis.Critpath.analyze_stream (fun emit -> run := Some (run_events ~event_sink:emit name))
+  in
+  (Option.get !run, cp)
 
 let () =
   let results = List.map (fun name -> (name, analyze name)) benchmarks in
@@ -62,15 +73,19 @@ let () =
     "The schedule saturates near the Fig-13 limit: beyond that, extra cores only\n\
      idle against the critical path.";
 
-  (* event files are a first-class artifact: save one and re-analyze it *)
-  let r, cp_live = List.assoc "libquantum" results in
-  let log = Option.get (Sigil.Tool.event_log (Driver.sigil r)) in
+  (* event files are a first-class artifact: record one and re-analyze it *)
+  let _, cp_live = List.assoc "libquantum" results in
   let path = Filename.temp_file "libquantum_events" ".txt" in
-  Sigil.Event_log.save log path;
-  let cp_loaded = Analysis.Critpath.analyze (Sigil.Event_log.load path) in
+  let records = ref 0 in
+  Sigil.Event_log.write_file path (fun emit ->
+      ignore
+        (run_events "libquantum" ~event_sink:(fun e ->
+             incr records;
+             emit e)));
+  let cp_loaded = Analysis.Critpath.analyze_stream (Sigil.Event_log.iter_file path) in
   Printf.printf
     "\nEvent file round-trip (%s): %d records; parallelism %.2fx live vs %.2fx reloaded.\n" path
-    (Sigil.Event_log.length log)
+    !records
     (Analysis.Critpath.parallelism cp_live)
     (Analysis.Critpath.parallelism cp_loaded);
   Sys.remove path

@@ -8,8 +8,8 @@
 let reuse_options = Sigil.Options.(with_reuse default)
 
 let run name ?(options = reuse_options) () =
-  match Driver.run_named ~options name Workloads.Scale.Simsmall with
-  | Ok r -> r
+  match Workloads.Suite.find name with
+  | Ok w -> Driver.run_workload ~options w Workloads.Scale.Simsmall
   | Error e -> failwith e
 
 let () =

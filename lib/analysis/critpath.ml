@@ -294,8 +294,6 @@ let analyze_stream stream =
   let serial, nodes, best = pass ~add ~incl:(Col.get n_incl) stream in
   { serial; best; nodes; n_incl; records; seek }
 
-let analyze log = analyze_stream (Sigil.Event_log.iter log)
-
 type summary = { s_serial : int; s_critical : int; s_fragments : int }
 
 let summarize_stream stream =

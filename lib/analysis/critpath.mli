@@ -1,8 +1,10 @@
-(** Critical-path analysis over sequential event files (§II-C2, §IV-C).
+(** Critical-path analysis over sequential event streams (§II-C2, §IV-C).
 
-    Reconstructs the dependency chains of Fig 3 from an {!Sigil.Event_log}:
-    every function call is split into occurrence nodes (a new occurrence
-    each time the function resumes after a child call), with
+    Reconstructs the dependency chains of Fig 3 from a stream of
+    {!Sigil.Event_log} entries, read from a saved trace or produced live
+    by a workload running inside the stream: every function call is split
+    into occurrence nodes (a new occurrence each time the function resumes
+    after a child call), with
 
     - a conservative order edge from the previous occurrence of the same
       call,
@@ -28,31 +30,24 @@ type node = {
 
 type t
 
-(** A push-based producer of event entries in trace order: partially
-    applied [Sigil.Event_log.iter log], a streaming binary-trace iterator
-    ([Tracefile.Reader.iter r]), or [Sigil.Event_log.iter_file path] for a
-    text file — the analysis never needs the log materialized. *)
+(** A push-based producer of event entries in trace order: a streaming
+    binary-trace iterator ([Tracefile.Reader.iter r]),
+    [Sigil.Event_log.iter_file path] for a text file, or a live run that
+    hands the consumer to the tool as its event sink,
+    [fun emit -> ignore (Driver.run_workload ~options ~event_sink:emit w scale)]
+    — the analysis never needs the entries materialized. *)
 type stream = (Sigil.Event_log.entry -> unit) -> unit
 
-(** [analyze log] builds every dependency chain and the critical path.
+(** [analyze_stream stream] builds every dependency chain and the
+    critical path in a single incremental pass over any {!stream}: memory
+    is proportional to the dependency DAG (needed for {!critical_path} and
+    {!schedule}), never to the encoded log, which is consumed entry by
+    entry.
 
     Call numbers count from 1 per context in Call order, as
     [Dbi.Machine] numbers them, and context ids lie in [0, 0xFFFE]. A
     transfer whose producer is outside that range, or has not been called
     yet, imposes no ordering, like one from program input.
-
-    @raise Failure when a Comp, Xfer or Ret does not name the innermost
-    open call, a Call's context is out of range or its number is not that
-    context's next one, or an entry arrives after the root returned. The
-    message gives the 0-based entry index and the expected and found
-    (ctx, call). {!analyze_stream} and {!summarize_stream} fail the
-    same way. *)
-val analyze : Sigil.Event_log.t -> t
-
-(** [analyze_stream stream] is {!analyze} in a single incremental pass
-    over any {!stream}: memory is proportional to the dependency DAG
-    (needed for {!critical_path} and {!schedule}), never to the encoded
-    log, which is consumed entry by entry.
 
     Each node costs 8 bytes for its inclusive length, in an int column
     indexed by node id, plus its record in one byte stream: LEB128
@@ -66,7 +61,13 @@ val analyze : Sigil.Event_log.t -> t
     the DAG. While the pass runs, the latest occurrence of each call
     costs 8 bytes more, in one array per context indexed by call number
     and grown by doubling. The pass allocates nothing per entry or per
-    node on the minor heap beyond what the stream itself allocates. *)
+    node on the minor heap beyond what the stream itself allocates.
+
+    @raise Failure when a Comp, Xfer or Ret does not name the innermost
+    open call, a Call's context is out of range or its number is not that
+    context's next one, or an entry arrives after the root returned. The
+    message gives the 0-based entry index and the expected and found
+    (ctx, call). {!summarize_stream} fails the same way. *)
 val analyze_stream : stream -> t
 
 (** {2 O(1)-per-fragment summary}
@@ -83,7 +84,7 @@ type summary = {
 }
 
 (** Single pass, no DAG: bit-identical serial/critical/parallelism to
-    {!analyze} over the same stream. *)
+    {!analyze_stream} over the same stream. *)
 val summarize_stream : stream -> summary
 
 (** serial / critical (1.0 for an empty program), as {!parallelism}. *)

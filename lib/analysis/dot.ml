@@ -89,10 +89,7 @@ let critical_path tool critpath ppf =
   Format.fprintf ppf "}@."
 
 let to_file render path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Dbi.Atomic_file.write path (fun oc ->
       let ppf = Format.formatter_of_out_channel oc in
       render ppf;
       Format.pp_print_flush ppf ())

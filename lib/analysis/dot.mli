@@ -19,7 +19,8 @@ val cdfg : ?min_bytes:int -> ?max_nodes:int -> Sigil.Tool.t -> Format.formatter 
 val critical_path : Sigil.Tool.t -> Critpath.t -> Format.formatter -> unit
 
 (** [save_cdfg ?min_bytes ?max_nodes tool path] / [save_critical_path] are
-    file-writing conveniences. *)
+    file-writing conveniences; both write crash-safely, through
+    [Dbi.Atomic_file.write]. *)
 val save_cdfg : ?min_bytes:int -> ?max_nodes:int -> Sigil.Tool.t -> string -> unit
 
 val save_critical_path : Sigil.Tool.t -> Critpath.t -> string -> unit

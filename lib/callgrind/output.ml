@@ -62,10 +62,7 @@ let write tool ppf =
   visit Dbi.Context.root
 
 let save tool path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Dbi.Atomic_file.write path (fun oc ->
       let ppf = Format.formatter_of_out_channel oc in
       write tool ppf;
       Format.pp_print_flush ppf ())

@@ -13,5 +13,6 @@ val events : string list
 (** [write tool ppf] emits the profile. *)
 val write : Tool.t -> Format.formatter -> unit
 
-(** [save tool path] writes to a file. *)
+(** [save tool path] writes to a file crash-safely, through
+    [Dbi.Atomic_file.write]. *)
 val save : Tool.t -> string -> unit

@@ -13,36 +13,6 @@ type entry =
 
 type sink = entry -> unit
 
-let tee a b e =
-  a e;
-  b e
-
-(* Growable array; the [dummy] fills unused slots. *)
-type t = { mutable arr : entry array; mutable n : int }
-
-let dummy = Ret { ctx = 0; call = 0 }
-
-let create () = { arr = [||]; n = 0 }
-
-let add t e =
-  if t.n = Array.length t.arr then begin
-    let grown = Array.make (max 64 (2 * t.n)) dummy in
-    Array.blit t.arr 0 grown 0 t.n;
-    t.arr <- grown
-  end;
-  t.arr.(t.n) <- e;
-  t.n <- t.n + 1
-
-let memory_sink t = add t
-let length t = t.n
-
-let iter t f =
-  for i = 0 to t.n - 1 do
-    f t.arr.(i)
-  done
-
-let entries t = List.init t.n (fun i -> t.arr.(i))
-
 let entry_to_string = function
   | Call { ctx; call } -> Printf.sprintf "C %d %d" ctx call
   | Comp { ctx; call; int_ops; fp_ops } -> Printf.sprintf "O %d %d %d %d" ctx call int_ops fp_ops
@@ -74,25 +44,10 @@ let entry_of_string line =
   | _ -> fail ()
 
 let write_file path f =
-  (* built under a temporary name and published only when complete, so
-     a crash never leaves a torn file under [path] *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  match
-    f (fun e ->
-        output_string oc (entry_to_string e);
-        output_char oc '\n')
-  with
-  | result ->
-    close_out oc;
-    Sys.rename tmp path;
-    result
-  | exception e ->
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
-
-let save t path = write_file path (iter t)
+  Dbi.Atomic_file.write path (fun oc ->
+      f (fun e ->
+          output_string oc (entry_to_string e);
+          output_char oc '\n'))
 
 let iter_file path f =
   let ic = open_in path in
@@ -107,8 +62,3 @@ let iter_file path f =
         | exception End_of_file -> ()
       in
       loop ())
-
-let load path =
-  let t = create () in
-  iter_file path (add t);
-  t

@@ -5,7 +5,10 @@ type t = {
       (** extend shadow objects with re-use count and lifetime variables
           (Table I, "Additional variables for Reuse mode") *)
   collect_events : bool;
-      (** record the sequential event file alongside aggregates *)
+      (** record the sequential event file alongside aggregates; the
+          entries stream into the event sink [Tool.create] requires with
+          this option, and the flag is part of {!fingerprint}, so trace
+          headers name the run's mode *)
   line_size : int option;
       (** shadow cache lines of this many bytes instead of single bytes
           (line-granularity mode, §IV-B3); [None] = byte granularity *)

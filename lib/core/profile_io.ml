@@ -96,18 +96,7 @@ let to_string tool = render (snapshot_of_tool tool)
 
 let save tool path =
   let text = to_string tool in
-  (* write-temp-then-rename: a failure mid-write must not clobber an
-     existing good profile with a torn one *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  match output_string oc text with
-  | () ->
-    close_out oc;
-    Sys.rename tmp path
-  | exception e ->
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  Dbi.Atomic_file.write path (fun oc -> output_string oc text)
 
 let load path =
   let ic = open_in path in

@@ -38,10 +38,8 @@ type edge = {
 
 type snapshot
 
-(** [save tool path] writes the finished run's profile, atomically: the
-    text goes to [path ^ ".tmp"] and is renamed over [path] only once
-    complete, so [path] never holds a torn profile (the .tmp is removed on
-    error). *)
+(** [save tool path] writes the finished run's profile crash-safely,
+    through [Dbi.Atomic_file.write]: [path] never holds a torn profile. *)
 val save : Tool.t -> string -> unit
 
 (** [to_string tool] is the exact file [save] would write. The rendering is

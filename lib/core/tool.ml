@@ -115,7 +115,6 @@ type t = {
   profile : Profile.t;
   reuse : Reuse.t;
   line : Line_shadow.t option;
-  log : Event_log.t option; (* in-memory sink, when we own one *)
   sink : Event_log.sink option; (* where produced events flow *)
   events_dispatched : int ref; (* telemetry: entries pushed into the sink *)
   mutable frames : frame array; (* slot 0 = synthetic root; grows by doubling *)
@@ -129,23 +128,17 @@ let initial_frames = 64
 
 let create ?(options = Options.default) ?event_sink machine =
   let reuse = Reuse.create () in
-  (* an external sink turns event collection on even without the option *)
-  let log, sink =
-    match event_sink with
-    | Some s -> (None, Some s)
-    | None ->
-      if options.Options.collect_events then
-        let log = Event_log.create () in
-        (Some log, Some (Event_log.memory_sink log))
-      else (None, None)
-  in
+  (* the tool keeps no entries: events need somewhere to go, and a sink
+     turns them on even without the option *)
+  if options.Options.collect_events && event_sink = None then
+    invalid_arg "Sigil.Tool.create: collect_events needs an event_sink";
   let events_dispatched = ref 0 in
   let sink =
     Option.map
       (fun emit e ->
         incr events_dispatched;
         emit e)
-      sink
+      event_sink
   in
   let shadow =
     Shadow.create ~reuse:options.Options.reuse_mode ~track_writer_call:(sink <> None)
@@ -161,7 +154,6 @@ let create ?(options = Options.default) ?event_sink machine =
       (match options.Options.line_size with
       | Some size -> Some (Line_shadow.create ~line_size:size ())
       | None -> None);
-    log;
     sink;
     events_dispatched;
     frames = Array.init initial_frames (fun _ -> new_frame ());
@@ -325,7 +317,6 @@ let machine t = t.machine
 let profile t = t.profile
 let reuse t = t.reuse
 let line_shadow t = t.line
-let event_log t = t.log
 let shadow_footprint_bytes t = Shadow.footprint_bytes t.shadow
 let shadow_footprint_peak_bytes t = Shadow.footprint_peak_bytes t.shadow
 let shadow_evictions t = Shadow.evictions t.shadow

@@ -4,7 +4,8 @@
     receives function names, addresses and operation counts, shadows every
     data byte, and produces the paper's outputs — the per-context aggregate
     {!Profile}, the {!Reuse} statistics (reuse mode), the {!Line_shadow}
-    records (line mode), and the sequential {!Event_log} (event mode).
+    records (line mode), and the sequential {!Event_log} entries (event
+    mode), streamed into a caller's sink as the run produces them.
 
     In line-granularity mode the tool shadows lines instead of bytes and
     skips per-function aggregation, exactly as §IV-B3 describes; the
@@ -14,12 +15,15 @@ type t
 
 (** [create ?options ?event_sink machine] builds the tool state.
 
-    When [event_sink] is given, event collection is enabled (regardless of
-    [Options.collect_events]) and every produced entry is pushed into the
-    sink as the run executes — nothing is buffered in the tool, so a
-    streaming sink (e.g. [Tracefile.Writer.sink]) keeps memory bounded for
-    arbitrarily long traces; {!event_log} is [None] in that case. Without
-    a sink, [Options.collect_events] selects the in-memory log. *)
+    Events flow only through [event_sink]: when one is given, event
+    collection is enabled (regardless of [Options.collect_events]) and
+    every produced entry is pushed into the sink as the run executes.
+    Nothing is buffered in the tool, so memory is bounded by what the sink
+    keeps — a streaming sink (e.g. [Tracefile.Writer.sink]) stays bounded
+    for arbitrarily long traces.
+
+    @raise Invalid_argument when [Options.collect_events] is set and no
+    [event_sink] is given. *)
 val create : ?options:Options.t -> ?event_sink:Event_log.sink -> Dbi.Machine.t -> t
 
 (** The callback record to attach to the machine. *)
@@ -36,10 +40,6 @@ val reuse : t -> Reuse.t
 
 (** Line records; [None] unless line mode was configured. *)
 val line_shadow : t -> Line_shadow.t option
-
-(** The in-memory event log; [None] unless [collect_events] selected it
-    (an external [event_sink] owns the entries instead). *)
-val event_log : t -> Event_log.t option
 
 (** {2 Shadow-memory introspection (Fig 6 data)} *)
 

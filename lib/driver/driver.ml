@@ -17,7 +17,6 @@ module Run_error = struct
     | Raised of string
     | Timeout of { limit_s : float; now : int }
     | Budget_exhausted of { budget : int; now : int }
-    | Unresolved of string
 
   type t = {
     workload : string;
@@ -32,7 +31,6 @@ module Run_error = struct
       Printf.sprintf "timed out after %gs (retired-instruction clock %d)" limit_s now
     | Budget_exhausted { budget; now } ->
       Printf.sprintf "instruction budget %d exhausted (clock %d)" budget now
-    | Unresolved msg -> msg
 
   let to_string e =
     Printf.sprintf "%s@%s: %s" e.workload (Workloads.Scale.name e.scale)
@@ -92,11 +90,6 @@ let run_workload ?(options = Sigil.Options.default) ?event_sink ?(with_sigil = t
     elapsed_s = r.Dbi.Runner.elapsed_s;
     stats;
   }
-
-let run_named ?options ?with_sigil ?with_callgrind name scale =
-  match Workloads.Suite.find name with
-  | Error _ as e -> e
-  | Ok w -> Ok (run_workload ?options ?with_sigil ?with_callgrind w scale)
 
 type job = {
   j_workload : Workloads.Workload.t;
@@ -172,29 +165,6 @@ let run_many ?pool ?progress ?(fault_policy = Fail_fast) jobs =
   | None -> List.map task jobs
   | Some p -> Pool.map p task jobs
 
-let run_suite ?pool ?progress ?fault_policy ?options ?with_sigil ?with_callgrind ?stripped
-    specs =
-  let resolved =
-    List.map
-      (fun (name, scale) ->
-        match Workloads.Suite.find name with
-        | Error e ->
-          Error
-            { Run_error.workload = name; scale; cause = Run_error.Unresolved e; backtrace = "" }
-        | Ok w -> Ok (job ?options ?with_sigil ?with_callgrind ?stripped w scale))
-      specs
-  in
-  let runs = run_many ?pool ?progress ?fault_policy (List.filter_map Result.to_option resolved) in
-  (* zip the results back over the resolution errors, preserving order *)
-  let rec rebuild resolved runs =
-    match (resolved, runs) with
-    | [], [] -> []
-    | Error e :: rest, runs -> Error e :: rebuild rest runs
-    | Ok _ :: rest, run :: runs -> run :: rebuild rest runs
-    | Ok _ :: _, [] | [], _ :: _ -> assert false
-  in
-  rebuild resolved runs
-
 let time_native (w : Workloads.Workload.t) scale =
   (Dbi.Runner.time_native (fun m -> w.Workloads.Workload.run m scale)).Dbi.Runner.elapsed_s
 
@@ -209,11 +179,6 @@ let callgrind run =
   | None -> invalid_arg "Driver.callgrind: Callgrind was not attached to this run"
 
 let cdfg run = Analysis.Cdfg.build ?callgrind:run.callgrind (sigil run)
-
-let critpath run =
-  match Sigil.Tool.event_log (sigil run) with
-  | Some log -> Analysis.Critpath.analyze log
-  | None -> invalid_arg "Driver.critpath: run without Options.collect_events"
 
 let fn_name run ctx =
   if ctx = Dbi.Context.root then "<root>"
@@ -283,13 +248,7 @@ module Stats = struct
       (Printf.sprintf "  \"aggregate\": %s\n}\n" (Telemetry.to_json agg));
     Buffer.contents buf
 
-  (* Same crash-safety discipline as profile/trace artifacts: write the
-     whole file to [path.tmp], then atomically rename. *)
   let write_json ?wall ?pool ~scale named_results path =
     let json = to_json ?wall ?pool ~scale named_results in
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc json;
-    close_out oc;
-    Sys.rename tmp path
+    Dbi.Atomic_file.write path (fun oc -> output_string oc json)
 end

@@ -39,21 +39,11 @@ val run_workload :
   Workloads.Scale.t ->
   run
 
-(** [run_named ?options ?with_sigil ?with_callgrind name scale] resolves the
-    workload by name first. Returns [Error _] for unknown names. *)
-val run_named :
-  ?options:Sigil.Options.t ->
-  ?with_sigil:bool ->
-  ?with_callgrind:bool ->
-  string ->
-  Workloads.Scale.t ->
-  (run, string) result
-
 (** {2 Batch execution}
 
     One evaluation sweep = many independent [(workload, scale, options)]
-    runs. [run_many]/[run_suite] fan a batch out over a {!Pool} (when one is
-    given) and hand the results back {e in submission order}; because every
+    runs. [run_many] fans a batch out over a {!Pool} (when one is
+    given) and hands the results back {e in submission order}; because every
     run's machine, tool and PRNG state is run-local, the parallel results
     are bit-identical to a sequential loop over the same jobs. *)
 
@@ -73,7 +63,6 @@ module Run_error : sig
         (** wall-clock guard tripped ([Options.timeout_s]) *)
     | Budget_exhausted of { budget : int; now : int }
         (** instruction-budget guard tripped ([Options.instr_budget]) *)
-    | Unresolved of string  (** workload name did not resolve; never ran *)
 
   type t = {
     workload : string;  (** workload name (as submitted) *)
@@ -115,22 +104,6 @@ val run_many :
   job list ->
   (run, Run_error.t) result list
 
-(** [run_suite ?pool ?fault_policy ... specs] is {!run_many} over named
-    workloads: each [(name, scale)] resolves first (unknown names become
-    [Error] with cause {!Run_error.Unresolved} and are never run), all
-    resolvable jobs execute as one batch, and results come back aligned
-    with [specs]. *)
-val run_suite :
-  ?pool:Pool.t ->
-  ?progress:Progress.t ->
-  ?fault_policy:fault_policy ->
-  ?options:Sigil.Options.t ->
-  ?with_sigil:bool ->
-  ?with_callgrind:bool ->
-  ?stripped:bool ->
-  (string * Workloads.Scale.t) list ->
-  (run, Run_error.t) result list
-
 (** [time_native w scale] is the uninstrumented baseline run time. *)
 val time_native : Workloads.Workload.t -> Workloads.Scale.t -> float
 
@@ -143,10 +116,6 @@ val callgrind : run -> Callgrind.Tool.t
 (** [cdfg run] builds the control data flow graph from a run that had both
     tools attached (Callgrind optional). *)
 val cdfg : run -> Analysis.Cdfg.t
-
-(** [critpath run] analyzes the event log (requires
-    [Options.collect_events]). *)
-val critpath : run -> Analysis.Critpath.t
 
 (** [fn_name run ctx] renders a context's function name. *)
 val fn_name : run -> Dbi.Context.id -> string
@@ -178,7 +147,7 @@ module Stats : sig
     string
 
   (** [write_json ?wall ?pool ~scale named_results path] writes {!to_json}
-      crash-safely ([path.tmp] then atomic rename). *)
+      crash-safely, through [Dbi.Atomic_file.write]. *)
   val write_json :
     ?wall:bool ->
     ?pool:Pool.t ->

@@ -230,12 +230,3 @@ let discard t =
     close_out_noerr t.oc;
     try Sys.remove t.tmp_path with Sys_error _ -> ()
   end
-
-let write_log ?chunk_bytes ?options ?symbols ?contexts log path =
-  let w = create ?chunk_bytes ?options path in
-  match Sigil.Event_log.iter log (add w) with
-  | () -> close ?symbols ?contexts w
-  | exception e ->
-    (* don't publish (or leave behind) a half-written file *)
-    discard w;
-    raise e

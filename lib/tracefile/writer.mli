@@ -77,15 +77,3 @@ val close_raw :
     successful [close]. Use on the failure path so a crashed run leaves no
     partial artifact behind. *)
 val discard : t -> unit
-
-(** [write_log ?chunk_bytes ?options ?symbols ?contexts log path] dumps an
-    in-memory log in one call; on error the partial .tmp is removed and
-    the exception re-raised. *)
-val write_log :
-  ?chunk_bytes:int ->
-  ?options:Sigil.Options.t ->
-  ?symbols:Dbi.Symbol.t ->
-  ?contexts:Dbi.Context.t ->
-  Sigil.Event_log.t ->
-  string ->
-  unit

@@ -166,8 +166,6 @@ let analyze_stream stream =
   let serial, nodes, best = pass ~mk ~incl:(fun b -> b.b_incl) stream in
   { serial; best; nodes; order = !order }
 
-let analyze log = analyze_stream (Sigil.Event_log.iter log)
-
 type summary = { s_serial : int; s_critical : int; s_fragments : int }
 
 let summarize_stream stream =

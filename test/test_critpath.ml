@@ -1,9 +1,6 @@
 open Sigil
 
-let log_of entries =
-  let log = Event_log.create () in
-  List.iter (Event_log.add log) entries;
-  log
+let stream_of entries f = List.iter f entries
 
 let call ctx call = Event_log.Call { ctx; call }
 let ret ctx call = Event_log.Ret { ctx; call }
@@ -15,8 +12,8 @@ let xfer (src_ctx, src_call) (dst_ctx, dst_call) bytes =
 let test_serial_chain () =
   (* second call of f consumes the first call's output: fully serial *)
   let t =
-    Analysis.Critpath.analyze
-      (log_of
+    Analysis.Critpath.analyze_stream
+      (stream_of
          [
            call 1 1; comp 1 1 10; ret 1 1;
            call 1 2; xfer (1, 1) (1, 2) 8; comp 1 2 10; ret 1 2;
@@ -28,8 +25,8 @@ let test_serial_chain () =
 
 let test_independent_calls_parallel () =
   let t =
-    Analysis.Critpath.analyze
-      (log_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
+    Analysis.Critpath.analyze_stream
+      (stream_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
   in
   Alcotest.(check int) "critical path one call" 10 (Analysis.Critpath.critical_path_length t);
   Alcotest.(check (float 1e-9)) "2x parallel" 2.0 (Analysis.Critpath.parallelism t)
@@ -38,7 +35,7 @@ let test_non_blocking_caller () =
   (* A(5) calls B(7); A resumes for 4 more ops without reading B's data:
      the resumption depends only on A's previous occurrence (Fig 3) *)
   let entries = [ call 1 1; comp 1 1 5; call 2 1; comp 2 1 7; ret 2 1; comp 1 1 4; ret 1 1 ] in
-  let t = Analysis.Critpath.analyze (log_of entries) in
+  let t = Analysis.Critpath.analyze_stream (stream_of entries) in
   Alcotest.(check int) "serial" 16 (Analysis.Critpath.serial_length t);
   (* chains: A1(5)->B(12) and A1(5)->A2(9); B wins *)
   Alcotest.(check int) "critical path through B" 12 (Analysis.Critpath.critical_path_length t)
@@ -49,7 +46,7 @@ let test_data_dep_orders_caller () =
     [ call 1 1; comp 1 1 5; call 2 1; comp 2 1 7; ret 2 1;
       xfer (2, 1) (1, 1) 8; comp 1 1 4; ret 1 1 ]
   in
-  let t = Analysis.Critpath.analyze (log_of entries) in
+  let t = Analysis.Critpath.analyze_stream (stream_of entries) in
   Alcotest.(check int) "fully serial now" 16 (Analysis.Critpath.critical_path_length t)
 
 let test_occurrences_within_call_ordered () =
@@ -58,13 +55,13 @@ let test_occurrences_within_call_ordered () =
   let entries =
     [ call 1 1; comp 1 1 6; call 2 1; ret 2 1; comp 1 1 6; ret 1 1 ]
   in
-  let t = Analysis.Critpath.analyze (log_of entries) in
+  let t = Analysis.Critpath.analyze_stream (stream_of entries) in
   Alcotest.(check int) "both fragments chain" 12 (Analysis.Critpath.critical_path_length t)
 
 let test_path_nodes_and_contexts () =
   let t =
-    Analysis.Critpath.analyze
-      (log_of
+    Analysis.Critpath.analyze_stream
+      (stream_of
          [
            call 1 1; comp 1 1 3;
            call 2 1; xfer (1, 1) (2, 1) 4; comp 2 1 5; ret 2 1;
@@ -84,8 +81,8 @@ let test_path_nodes_and_contexts () =
 let test_unknown_producer_ignored () =
   (* transfers from evicted/unknown producers impose no ordering *)
   let t =
-    Analysis.Critpath.analyze
-      (log_of [ call 1 1; xfer (99, 5) (1, 1) 8; comp 1 1 10; ret 1 1 ])
+    Analysis.Critpath.analyze_stream
+      (stream_of [ call 1 1; xfer (99, 5) (1, 1) 8; comp 1 1 10; ret 1 1 ])
   in
   Alcotest.(check int) "runs fine" 10 (Analysis.Critpath.critical_path_length t)
 
@@ -94,8 +91,8 @@ let test_out_of_range_producer_ignored () =
      must not alias call (1, 1) when packed into a call key *)
   List.iter
     (fun src_call ->
-      let log =
-        log_of
+      let stream =
+        stream_of
           [
             call 1 1; comp 1 1 10; ret 1 1;
             call 1 2; xfer (1, src_call) (1, 2) 8; comp 1 2 10; ret 1 2;
@@ -103,33 +100,33 @@ let test_out_of_range_producer_ignored () =
       in
       let name = Printf.sprintf "producer call %d" src_call in
       Alcotest.(check int) name 10
-        (Analysis.Critpath.critical_path_length (Analysis.Critpath.analyze log));
+        (Analysis.Critpath.critical_path_length (Analysis.Critpath.analyze_stream stream));
       Alcotest.(check int) (name ^ ", summary") 10
-        (Analysis.Critpath.summarize_stream (Event_log.iter log)).Analysis.Critpath.s_critical)
+        (Analysis.Critpath.summarize_stream stream).Analysis.Critpath.s_critical)
     [ (1 lsl 40) + 1; 1 - (1 lsl 40) ]
 
 let test_mismatched_comp_rejected () =
-  match Analysis.Critpath.analyze (log_of [ call 1 1; comp 2 9 10 ]) with
+  match Analysis.Critpath.analyze_stream (stream_of [ call 1 1; comp 2 9 10 ]) with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "accepted mismatched Comp"
 
 let test_empty_log () =
-  let t = Analysis.Critpath.analyze (log_of []) in
+  let t = Analysis.Critpath.analyze_stream (stream_of []) in
   Alcotest.(check int) "zero serial" 0 (Analysis.Critpath.serial_length t);
   Alcotest.(check (float 1e-9)) "parallelism 1" 1.0 (Analysis.Critpath.parallelism t)
 
 let test_node_count () =
   let t =
-    Analysis.Critpath.analyze
-      (log_of [ call 1 1; comp 1 1 6; call 2 1; ret 2 1; comp 1 1 6; ret 1 1 ])
+    Analysis.Critpath.analyze_stream
+      (stream_of [ call 1 1; comp 1 1 6; call 2 1; ret 2 1; comp 1 1 6; ret 1 1 ])
   in
   (* root fragment + A occ0 + B occ0 + A occ1 *)
   Alcotest.(check int) "four nodes" 4 (Analysis.Critpath.node_count t)
 
 let test_schedule_one_core_serializes () =
   let t =
-    Analysis.Critpath.analyze
-      (log_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
+    Analysis.Critpath.analyze_stream
+      (stream_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
   in
   let s = Analysis.Critpath.schedule t ~cores:1 in
   Alcotest.(check int) "makespan = serial" (Analysis.Critpath.serial_length t)
@@ -138,8 +135,8 @@ let test_schedule_one_core_serializes () =
 
 let test_schedule_parallel_work () =
   let t =
-    Analysis.Critpath.analyze
-      (log_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
+    Analysis.Critpath.analyze_stream
+      (stream_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
   in
   let s = Analysis.Critpath.schedule t ~cores:2 in
   Alcotest.(check int) "two independent calls overlap" 10 s.Analysis.Critpath.makespan;
@@ -147,8 +144,8 @@ let test_schedule_parallel_work () =
 
 let test_schedule_respects_deps () =
   let t =
-    Analysis.Critpath.analyze
-      (log_of
+    Analysis.Critpath.analyze_stream
+      (stream_of
          [
            call 1 1; comp 1 1 10; ret 1 1;
            call 1 2; xfer (1, 1) (1, 2) 8; comp 1 2 10; ret 1 2;
@@ -166,7 +163,7 @@ let test_schedule_respects_deps () =
            (call 1 c :: (if c > 1 then [ xfer (1, c - 1) (1, c) 8 ] else []))
            @ [ comp 1 c 3; ret 1 c ]))
   in
-  let t = Analysis.Critpath.analyze (log_of chain) in
+  let t = Analysis.Critpath.analyze_stream (stream_of chain) in
   (* each call closes an empty root fragment, then its own *)
   Alcotest.(check int) "chain nodes" (2 * n) (Analysis.Critpath.node_count t);
   let s = Analysis.Critpath.schedule t ~cores:8 in
@@ -174,8 +171,8 @@ let test_schedule_respects_deps () =
 
 let test_schedule_bounds () =
   let t =
-    Analysis.Critpath.analyze
-      (log_of
+    Analysis.Critpath.analyze_stream
+      (stream_of
          [ call 1 1; comp 1 1 7; ret 1 1; call 2 1; comp 2 1 9; ret 2 1;
            call 3 1; comp 3 1 5; ret 3 1 ])
   in
@@ -191,7 +188,7 @@ let test_schedule_bounds () =
     [ 1; 2; 4; 16 ]
 
 let test_schedule_cores_validated () =
-  let t = Analysis.Critpath.analyze (log_of []) in
+  let t = Analysis.Critpath.analyze_stream (stream_of []) in
   Alcotest.check_raises "zero cores" (Invalid_argument "Critpath.schedule: cores must be positive")
     (fun () -> ignore (Analysis.Critpath.schedule t ~cores:0))
 
@@ -211,7 +208,7 @@ let qcheck_parallelism_at_least_one =
             (counts, ret ctx n :: comp ctx n ops :: call ctx n :: acc))
           ([], []) calls
       in
-      let t = Analysis.Critpath.analyze (log_of (List.rev entries)) in
+      let t = Analysis.Critpath.analyze_stream (stream_of (List.rev entries)) in
       Analysis.Critpath.parallelism t >= 1.0 -. 1e-9
       && Analysis.Critpath.critical_path_length t <= Analysis.Critpath.serial_length t)
 

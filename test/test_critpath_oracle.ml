@@ -7,10 +7,19 @@
 open Sigil
 module Cp = Analysis.Critpath
 
-let log_of entries =
-  let log = Event_log.create () in
-  List.iter (Event_log.add log) entries;
-  log
+let stream_of entries f = List.iter f entries
+
+(* A simsmall events-mode run of [name], its entries collected through the
+   tool's sink. *)
+let run_entries name =
+  let w = Result.get_ok (Workloads.Suite.find name) in
+  let entries = ref [] in
+  let r =
+    Driver.run_workload ~options:Options.(with_events default)
+      ~event_sink:(fun e -> entries := e :: !entries)
+      w Workloads.Scale.Simsmall
+  in
+  (r, Array.of_list (List.rev !entries))
 
 (* A random stream as Sigil would emit it: Comp and Xfer always name the
    innermost open call, every Ret closes it. Besides calls that closed
@@ -101,8 +110,8 @@ let arb_stream =
     ~small:List.length gen_stream
 
 let agree ?(cores = [ 1; 2; 3; 4; 5 ]) entries =
-  let log = log_of entries in
-  let r = Critpath_ref.analyze log and t = Cp.analyze log in
+  let stream = stream_of entries in
+  let r = Critpath_ref.analyze_stream stream and t = Cp.analyze_stream stream in
   let ref_path =
     List.map
       (fun (n : Critpath_ref.node) ->
@@ -113,8 +122,8 @@ let agree ?(cores = [ 1; 2; 3; 4; 5 ]) entries =
     List.map (fun (n : Cp.node) -> Cp.(n.ctx, n.call, n.occurrence, n.self, n.inclusive))
       (Cp.critical_path t)
   in
-  let rs = Critpath_ref.summarize_stream (Event_log.iter log) in
-  let s = Cp.summarize_stream (Event_log.iter log) in
+  let rs = Critpath_ref.summarize_stream stream in
+  let s = Cp.summarize_stream stream in
   let schedules_agree =
     List.for_all
       (fun cores ->
@@ -231,7 +240,7 @@ let test_long_streams () =
 (* ---------------------------------------------------------------- *)
 
 let expect_failure name entries expected =
-  match Cp.analyze (log_of entries) with
+  match Cp.analyze_stream (stream_of entries) with
   | exception Failure msg -> Alcotest.(check string) name expected msg
   | _ -> Alcotest.failf "%s: malformed stream accepted" name
 
@@ -239,14 +248,16 @@ let expect_failure name entries expected =
    binary trace, the failure stays the analysis's, not a chunk's *)
 let expect_everywhere name entries expected =
   expect_failure name entries expected;
-  (match Cp.summarize_stream (Event_log.iter (log_of entries)) with
+  (match Cp.summarize_stream (stream_of entries) with
   | exception Failure msg -> Alcotest.(check string) (name ^ ", summary") expected msg
   | _ -> Alcotest.failf "%s, summary: malformed stream accepted" name);
   let path = Filename.temp_file "sigil_critpath" ".tf" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Tracefile.Writer.write_log (log_of entries) path;
+      let w = Tracefile.Writer.create path in
+      List.iter (Tracefile.Writer.add w) entries;
+      Tracefile.Writer.close w;
       let r = Tracefile.Reader.open_file path in
       Fun.protect
         ~finally:(fun () -> Tracefile.Reader.close r)
@@ -302,23 +313,20 @@ let test_located_failures () =
 (* ---------------------------------------------------------------- *)
 
 (* Nodes are an int column and a byte stream in major-heap blocks, frames
-   and pending work are pooled, so building the DAG of an in-memory log
-   allocates a bounded number of minor words per node: the boxed tuple
-   the pass returns, the closures it builds and nothing per entry. *)
+   and pending work are pooled, so building the DAG of entries already in
+   memory allocates a bounded number of minor words per node: the boxed
+   tuple the pass returns, the closures it builds and nothing per entry. *)
 let test_allocation_bound () =
   List.iter
     (fun name ->
-      let w = Result.get_ok (Workloads.Suite.find name) in
-      let options = Options.(with_events default) in
-      let r = Driver.run_workload ~options w Workloads.Scale.Simsmall in
-      let log = Option.get (Tool.event_log (Driver.sigil r)) in
+      let _, entries = run_entries name in
       let before = Gc.minor_words () in
-      let t = Cp.analyze log in
+      let t = Cp.analyze_stream (fun f -> Array.iter f entries) in
       let words = Gc.minor_words () -. before in
       let per_node = words /. float_of_int (Cp.node_count t) in
       if per_node > 3.0 then
-        Alcotest.failf "%s: Critpath.analyze allocates %.3f minor words per node (bound 3)" name
-          per_node)
+        Alcotest.failf "%s: Critpath.analyze_stream allocates %.3f minor words per node (bound 3)"
+          name per_node)
     [ "canneal"; "dedup"; "streamcluster" ]
 
 (* The DAG is one int column of inclusive lengths, a byte stream of
@@ -327,9 +335,8 @@ let test_allocation_bound () =
    slack is one partly filled block per column (4096 ints, 64 KB, 4096
    ints) plus, per block, its header and two spine slots. *)
 let test_dag_size () =
-  let w = Result.get_ok (Workloads.Suite.find "canneal") in
-  let r = Driver.run_workload ~options:Options.(with_events default) w Workloads.Scale.Simsmall in
-  let t = Cp.analyze (Option.get (Tool.event_log (Driver.sigil r))) in
+  let _, entries = run_entries "canneal" in
+  let t = Cp.analyze_stream (fun f -> Array.iter f entries) in
   let nodes = Cp.node_count t in
   let blocks = (nodes / 4096) + (nodes / 8192) + 3 in
   let bound = (2 * nodes) + 4096 + (65536 / 8) + 4096 + (3 * (blocks + 16)) + 64 in
@@ -383,14 +390,13 @@ let test_report_goldens () =
         (name ^ " full report") full
         (cli_md5 (name ^ " --cores 1 --cores 2 --cores 4 --cores 8"));
       Alcotest.(check string) (name ^ " summary") summary (cli_md5 (name ^ " --summary"));
-      let w = Result.get_ok (Workloads.Suite.find name) in
-      let r = Driver.run_workload ~options:Options.(with_events default) w Workloads.Scale.Simsmall in
+      let _, entries = run_entries name in
       let lines =
         List.map
           (fun (n : Cp.node) ->
             Printf.sprintf "%d %d %d %d %d\n" n.Cp.ctx n.Cp.call n.Cp.occurrence n.Cp.self
               n.Cp.inclusive)
-          (Cp.critical_path (Driver.critpath r))
+          (Cp.critical_path (Cp.analyze_stream (fun f -> Array.iter f entries)))
       in
       Alcotest.(check string)
         (name ^ " critical path") path

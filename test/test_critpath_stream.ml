@@ -1,10 +1,8 @@
 (* Streaming critical-path analysis over binary traces must be
-   bit-identical to the in-memory path: for every PARSEC workload at
-   simsmall, one run feeds both an in-memory log and the binary writer
-   (via tee), then analyze (in-memory), analyze_stream (binary reader)
-   and summarize_stream must agree on every number. *)
-
-open Sigil
+   bit-identical to the live one: for every PARSEC workload at simsmall,
+   the workload runs inside analyze_stream with its entries teed into the
+   binary writer, then analyze_stream and summarize_stream over the binary
+   reader must agree with the live analysis on every number. *)
 
 let with_temp f =
   let path = Filename.temp_file "sigil_cps" ".tf" in
@@ -13,59 +11,62 @@ let with_temp f =
 let check_workload (w : Workloads.Workload.t) =
   with_temp (fun path ->
       let options = Sigil.Options.(with_events default) in
-      let log = Event_log.create () in
       let writer = Tracefile.Writer.create ~options path in
-      let r =
-        Driver.run_workload ~options
-          ~event_sink:(Event_log.tee (Event_log.memory_sink log) (Tracefile.Writer.sink writer))
-          w Workloads.Scale.Simsmall
+      let entries = ref 0 in
+      let live =
+        Analysis.Critpath.analyze_stream (fun emit ->
+            let r =
+              Driver.run_workload ~options
+                ~event_sink:(fun e ->
+                  incr entries;
+                  Tracefile.Writer.add writer e;
+                  emit e)
+                w Workloads.Scale.Simsmall
+            in
+            let m = r.Driver.machine in
+            Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
+              ~contexts:(Dbi.Machine.contexts m) writer)
       in
-      let m = r.Driver.machine in
-      Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
-        ~contexts:(Dbi.Machine.contexts m) writer;
       let reader = Tracefile.Reader.open_file path in
       Fun.protect
         ~finally:(fun () -> Tracefile.Reader.close reader)
         (fun () ->
           let name = w.Workloads.Workload.name in
-          Alcotest.(check int)
-            (name ^ " entry count")
-            (Event_log.length log)
+          Alcotest.(check int) (name ^ " entry count") !entries
             (Tracefile.Reader.entry_count reader);
-          let mem = Analysis.Critpath.analyze log in
           let strm = Analysis.Critpath.analyze_stream (Tracefile.Reader.iter reader) in
           Alcotest.(check int)
             (name ^ " serial")
-            (Analysis.Critpath.serial_length mem)
+            (Analysis.Critpath.serial_length live)
             (Analysis.Critpath.serial_length strm);
           Alcotest.(check int)
             (name ^ " critical")
-            (Analysis.Critpath.critical_path_length mem)
+            (Analysis.Critpath.critical_path_length live)
             (Analysis.Critpath.critical_path_length strm);
           Alcotest.(check int)
             (name ^ " nodes")
-            (Analysis.Critpath.node_count mem)
+            (Analysis.Critpath.node_count live)
             (Analysis.Critpath.node_count strm);
           Alcotest.(check (float 0.0))
             (name ^ " parallelism")
-            (Analysis.Critpath.parallelism mem)
+            (Analysis.Critpath.parallelism live)
             (Analysis.Critpath.parallelism strm);
           Alcotest.(check (list int))
             (name ^ " critical path contexts")
-            (Analysis.Critpath.critical_path_contexts mem)
+            (Analysis.Critpath.critical_path_contexts live)
             (Analysis.Critpath.critical_path_contexts strm);
           let s = Analysis.Critpath.summarize_stream (Tracefile.Reader.iter reader) in
           Alcotest.(check int)
             (name ^ " summary serial")
-            (Analysis.Critpath.serial_length mem)
+            (Analysis.Critpath.serial_length live)
             s.Analysis.Critpath.s_serial;
           Alcotest.(check int)
             (name ^ " summary critical")
-            (Analysis.Critpath.critical_path_length mem)
+            (Analysis.Critpath.critical_path_length live)
             s.Analysis.Critpath.s_critical;
           Alcotest.(check int)
             (name ^ " summary fragments")
-            (Analysis.Critpath.node_count mem)
+            (Analysis.Critpath.node_count live)
             s.Analysis.Critpath.s_fragments))
 
 let tests =

@@ -1,11 +1,11 @@
-let run_guest ?(options = Sigil.Options.default) body =
+let run_guest ?(options = Sigil.Options.default) ?event_sink body =
   let tool = ref None in
   let _ =
     Dbi.Runner.run ~call_overhead:0
       ~tools:
         [
           (fun m ->
-            let t = Sigil.Tool.create ~options m in
+            let t = Sigil.Tool.create ~options ?event_sink m in
             tool := Some t;
             Sigil.Tool.tool t);
         ]
@@ -22,6 +22,15 @@ let toy m =
       Dbi.Guest.call m "consumer" (fun () ->
           Dbi.Guest.read_range m a 32;
           Dbi.Guest.flop m 9))
+
+(* [toy] run inside the critical-path pass's stream *)
+let toy_critpath () =
+  let tool = ref None in
+  let cp =
+    Analysis.Critpath.analyze_stream (fun emit ->
+        tool := Some (run_guest ~options:Sigil.Options.(with_events default) ~event_sink:emit toy))
+  in
+  (Option.get !tool, cp)
 
 let render_cdfg ?min_bytes ?max_nodes tool =
   let buf = Buffer.create 1024 in
@@ -61,8 +70,7 @@ let test_cdfg_max_nodes_keeps_ancestors () =
   Alcotest.(check bool) "ancestor kept" true (contains dot "mid")
 
 let test_critical_path_dot () =
-  let tool = run_guest ~options:Sigil.Options.(with_events default) toy in
-  let cp = Analysis.Critpath.analyze (Option.get (Sigil.Tool.event_log tool)) in
+  let tool, cp = toy_critpath () in
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   Analysis.Dot.critical_path tool cp ppf;
@@ -72,8 +80,7 @@ let test_critical_path_dot () =
   Alcotest.(check bool) "self/incl labels" true (contains dot "self=")
 
 let test_save_files () =
-  let tool = run_guest ~options:Sigil.Options.(with_events default) toy in
-  let cp = Analysis.Critpath.analyze (Option.get (Sigil.Tool.event_log tool)) in
+  let tool, cp = toy_critpath () in
   let p1 = Filename.temp_file "cdfg" ".dot" and p2 = Filename.temp_file "cp" ".dot" in
   Fun.protect
     ~finally:(fun () ->

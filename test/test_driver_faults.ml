@@ -85,17 +85,6 @@ let test_fail_fast_raises_through () =
   | _ -> Alcotest.fail "pooled Fail_fast swallowed the crash"
   | exception Failure msg -> Alcotest.(check string) "original exception" "injected crash" msg
 
-let test_unresolved_workload_cause () =
-  match
-    Driver.run_suite ~fault_policy:Driver.Isolate [ ("blackscholes", small); ("nope", small) ]
-  with
-  | [ Ok _; Error e ] -> (
-    match e.Driver.Run_error.cause with
-    | Driver.Run_error.Unresolved _ ->
-      Alcotest.(check string) "error names the spec" "nope" e.Driver.Run_error.workload
-    | _ -> Alcotest.fail "expected an Unresolved cause")
-  | _ -> Alcotest.fail "expected [Ok; Error] aligned with specs"
-
 let test_instruction_budget_guard () =
   let options = Sigil.Options.with_instr_budget Sigil.Options.default 1000 in
   (* direct run: the guard exception escapes *)
@@ -148,7 +137,6 @@ let () =
           Alcotest.test_case "crasher isolated, 13 survivors bit-identical" `Quick
             test_isolate_completes_surviving_jobs;
           Alcotest.test_case "fail-fast raises through" `Quick test_fail_fast_raises_through;
-          Alcotest.test_case "unresolved workload cause" `Quick test_unresolved_workload_cause;
         ] );
       ( "guards",
         [

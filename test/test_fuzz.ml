@@ -66,7 +66,10 @@ let rec print_prog p =
             | Call p -> print_prog p)
           p.actions))
 
-let run_all prog =
+(* An event sink that keeps the entries in [log], newest first. *)
+let into log e = log := e :: !log
+
+let run_all ?(event_sink = ignore) prog =
   let sigil = ref None and cg = ref None in
   let r =
     Dbi.Runner.run ~call_overhead:0
@@ -74,7 +77,9 @@ let run_all prog =
         [
           (fun m ->
             let t =
-              Sigil.Tool.create ~options:Sigil.Options.(with_events (with_reuse default)) m
+              Sigil.Tool.create
+                ~options:Sigil.Options.(with_events (with_reuse default))
+                ~event_sink m
             in
             sigil := Some t;
             Sigil.Tool.tool t);
@@ -131,25 +136,24 @@ let prop_unique_bounded =
 let prop_event_log_consistent =
   QCheck.Test.make ~name:"event log balanced and critpath bounded" ~count:120 arbitrary
     (fun prog ->
-      let sigil, _, m = run_all prog in
-      match Sigil.Tool.event_log sigil with
-      | None -> false
-      | Some log ->
-        let calls, rets =
-          List.fold_left
-            (fun (c, r) -> function
-              | Sigil.Event_log.Call _ -> (c + 1, r)
-              | Sigil.Event_log.Ret _ -> (c, r + 1)
-              | Sigil.Event_log.Comp _ | Sigil.Event_log.Xfer _ -> (c, r))
-            (0, 0) (Sigil.Event_log.entries log)
-        in
-        let cp = Analysis.Critpath.analyze log in
-        let c = Dbi.Machine.counters m in
-        calls = rets
-        && calls = c.Dbi.Machine.calls
-        && Analysis.Critpath.serial_length cp = c.Dbi.Machine.int_ops + c.Dbi.Machine.fp_ops
-        && Analysis.Critpath.critical_path_length cp <= Analysis.Critpath.serial_length cp
-        && Analysis.Critpath.parallelism cp >= 1.0 -. 1e-9)
+      let log = ref [] in
+      let _, _, m = run_all ~event_sink:(into log) prog in
+      let entries = List.rev !log in
+      let calls, rets =
+        List.fold_left
+          (fun (c, r) -> function
+            | Sigil.Event_log.Call _ -> (c + 1, r)
+            | Sigil.Event_log.Ret _ -> (c, r + 1)
+            | Sigil.Event_log.Comp _ | Sigil.Event_log.Xfer _ -> (c, r))
+          (0, 0) entries
+      in
+      let cp = Analysis.Critpath.analyze_stream (fun f -> List.iter f entries) in
+      let c = Dbi.Machine.counters m in
+      calls = rets
+      && calls = c.Dbi.Machine.calls
+      && Analysis.Critpath.serial_length cp = c.Dbi.Machine.int_ops + c.Dbi.Machine.fp_ops
+      && Analysis.Critpath.critical_path_length cp <= Analysis.Critpath.serial_length cp
+      && Analysis.Critpath.parallelism cp >= 1.0 -. 1e-9)
 
 let prop_cdfg_consistent =
   QCheck.Test.make ~name:"cdfg inclusive costs and breakevens sane" ~count:80 arbitrary
@@ -186,19 +190,20 @@ let prop_reuse_consistent =
    program driven through Shadow.read_range/write_range (default) and
    through the per-byte reference loop must produce bit-identical profiles,
    event logs, and reuse statistics. *)
-let run_differential prog options =
+let run_differential ?range_log ?per_byte_log prog options =
   let range = ref None and per_byte = ref None in
   let _ =
     Dbi.Runner.run ~call_overhead:0
       ~tools:
         [
           (fun m ->
-            let t = Sigil.Tool.create ~options m in
+            let t = Sigil.Tool.create ~options ?event_sink:(Option.map into range_log) m in
             range := Some t;
             Sigil.Tool.tool t);
           (fun m ->
             let t =
-              Sigil.Tool.create ~options:(Sigil.Options.with_per_byte_shadow options) m
+              Sigil.Tool.create ~options:(Sigil.Options.with_per_byte_shadow options)
+                ?event_sink:(Option.map into per_byte_log) m
             in
             per_byte := Some t;
             Sigil.Tool.tool t);
@@ -230,12 +235,15 @@ let profiles_equal a b =
 let prop_range_matches_per_byte =
   QCheck.Test.make ~name:"range engine bit-identical to per-byte reference" ~count:120
     arbitrary (fun prog ->
-      let range, per_byte = run_differential prog Sigil.Options.(with_events (with_reuse default)) in
+      let range_log = ref [] and per_byte_log = ref [] in
+      let range, per_byte =
+        run_differential ~range_log ~per_byte_log prog
+          Sigil.Options.(with_events (with_reuse default))
+      in
       let bins t = Sigil.Reuse.version_bins (Sigil.Tool.reuse t) in
-      let log t = Sigil.Event_log.entries (Option.get (Sigil.Tool.event_log t)) in
       profiles_equal (Sigil.Tool.profile range) (Sigil.Tool.profile per_byte)
       && bins range = bins per_byte
-      && log range = log per_byte)
+      && !range_log = !per_byte_log)
 
 let prop_range_matches_per_byte_limited =
   QCheck.Test.make ~name:"range engine matches per-byte under FIFO eviction" ~count:60
@@ -250,14 +258,14 @@ let prop_range_matches_per_byte_limited =
       && Sigil.Tool.shadow_evictions range = Sigil.Tool.shadow_evictions per_byte)
 
 (* Single-tool runner for the line-shadow and telemetry properties. *)
-let run_one options prog =
+let run_one ?log options prog =
   let sigil = ref None in
   let _ =
     Dbi.Runner.run ~call_overhead:0
       ~tools:
         [
           (fun m ->
-            let t = Sigil.Tool.create ~options m in
+            let t = Sigil.Tool.create ~options ?event_sink:(Option.map into log) m in
             sigil := Some t;
             Sigil.Tool.tool t);
         ]
@@ -353,13 +361,13 @@ let prop_stats_flag_inert =
   QCheck.Test.make ~name:"stats collection never perturbs the run" ~count:60 arbitrary
     (fun prog ->
       let base = Sigil.Options.(with_events (with_reuse default)) in
-      let off = run_one base prog in
-      let on_ = run_one (Sigil.Options.with_stats base) prog in
-      let entries t = Sigil.Event_log.entries (Option.get (Sigil.Tool.event_log t)) in
+      let log_off = ref [] and log_on = ref [] in
+      let off = run_one ~log:log_off base prog in
+      let on_ = run_one ~log:log_on (Sigil.Options.with_stats base) prog in
       profiles_equal (Sigil.Tool.profile off) (Sigil.Tool.profile on_)
       && Sigil.Reuse.version_bins (Sigil.Tool.reuse off)
          = Sigil.Reuse.version_bins (Sigil.Tool.reuse on_)
-      && entries off = entries on_
+      && !log_off = !log_on
       && Dbi.Machine.counters (Sigil.Tool.machine off)
          = Dbi.Machine.counters (Sigil.Tool.machine on_)
       && Telemetry.equal

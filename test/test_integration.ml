@@ -1,7 +1,7 @@
 (* Cross-module integration: full Sigil + Callgrind runs over real
    workloads, checking the invariants the paper's experiments rely on. *)
 
-let run name ~options =
+let run ?event_sink name ~options =
   let w = match Workloads.Suite.find name with Ok w -> w | Error e -> Alcotest.fail e in
   let sigil = ref None and cg = ref None in
   let r =
@@ -9,7 +9,7 @@ let run name ~options =
       ~tools:
         [
           (fun m ->
-            let t = Sigil.Tool.create ~options m in
+            let t = Sigil.Tool.create ~options ?event_sink m in
             sigil := Some t;
             Sigil.Tool.tool t);
           (fun m ->
@@ -22,6 +22,17 @@ let run name ~options =
   (Option.get !sigil, Option.get !cg, r.Dbi.Runner.machine)
 
 let full_options = Sigil.Options.(with_events (with_reuse default))
+
+(* A full run whose entries go straight into the critical-path pass, as
+   in sigil_critpath; also returns the run's machine. *)
+let critpath name =
+  let machine = ref None in
+  let cp =
+    Analysis.Critpath.analyze_stream (fun emit ->
+        let _, _, m = run name ~options:full_options ~event_sink:emit in
+        machine := Some m)
+  in
+  (cp, Option.get !machine)
 
 let test_sigil_and_machine_agree () =
   let sigil, _, m = run "blackscholes" ~options:Sigil.Options.default in
@@ -86,12 +97,7 @@ let test_low_coverage_trio_is_lower () =
     (blackscholes > 0.5 && fluidanimate > 0.5)
 
 let test_critical_path_shapes () =
-  let parallelism name =
-    let sigil, _, _ = run name ~options:full_options in
-    match Sigil.Tool.event_log sigil with
-    | Some log -> Analysis.Critpath.parallelism (Analysis.Critpath.analyze log)
-    | None -> Alcotest.fail "no event log"
-  in
+  let parallelism name = Analysis.Critpath.parallelism (fst (critpath name)) in
   let sc = parallelism "streamcluster" in
   let fa = parallelism "fluidanimate" in
   Alcotest.(check bool) "streamcluster high" true (sc > 10.0);
@@ -99,9 +105,7 @@ let test_critical_path_shapes () =
   Alcotest.(check bool) "both >= 1" true (sc >= 1.0 && fa >= 1.0)
 
 let test_streamcluster_rand_chain () =
-  let sigil, _, m = run "streamcluster" ~options:full_options in
-  let log = Option.get (Sigil.Tool.event_log sigil) in
-  let cp = Analysis.Critpath.analyze log in
+  let cp, m = critpath "streamcluster" in
   let contexts = Dbi.Machine.contexts m in
   let symbols = Dbi.Machine.symbols m in
   let names =
@@ -118,7 +122,7 @@ let test_streamcluster_rand_chain () =
     [ "drand48_iterate"; "pkmedian"; "localSearch"; "streamCluster"; "main" ]
 
 let test_vips_reuse_contrast () =
-  let sigil, _, _ = run "vips" ~options:full_options in
+  let sigil, _, _ = run "vips" ~options:full_options ~event_sink:ignore in
   let rows = Analysis.Reuse_report.top_reusers ~n:10 sigil in
   let find label =
     List.find_opt (fun (r : Analysis.Reuse_report.fn_row) -> r.Analysis.Reuse_report.label = label) rows
@@ -136,7 +140,7 @@ let test_vips_reuse_contrast () =
     (match h_xyz with (0, _) :: _ -> true | _ -> false)
 
 let test_fig8_blackscholes_zero_reuse () =
-  let sigil, _, _ = run "blackscholes" ~options:full_options in
+  let sigil, _, _ = run "blackscholes" ~options:full_options ~event_sink:ignore in
   let bd = Analysis.Reuse_report.byte_breakdown sigil in
   Alcotest.(check bool) "mostly zero reuse" true (bd.Analysis.Reuse_report.zero > 0.8);
   Alcotest.(check (float 1e-6)) "fractions sum to 1" 1.0

@@ -2,20 +2,31 @@
    run under the full Sigil tool. Call overhead is disabled so operation
    counts are exact. *)
 
-let run_guest ?(options = Sigil.Options.default) body =
+let run_guest ?(options = Sigil.Options.default) ?event_sink body =
   let tool = ref None in
   let r =
     Dbi.Runner.run ~call_overhead:0
       ~tools:
         [
           (fun m ->
-            let t = Sigil.Tool.create ~options m in
+            let t = Sigil.Tool.create ~options ?event_sink m in
             tool := Some t;
             Sigil.Tool.tool t);
         ]
       body
   in
   (Option.get !tool, r.Dbi.Runner.machine)
+
+(* [run_guest] in events mode, with the entries the tool streamed out, in
+   order *)
+let run_events body =
+  let log = ref [] in
+  let tool, m =
+    run_guest ~options:Sigil.Options.(with_events default)
+      ~event_sink:(fun e -> log := e :: !log)
+      body
+  in
+  (tool, m, List.rev !log)
 
 let find_ctx m path_wanted =
   let contexts = Dbi.Machine.contexts m in
@@ -87,12 +98,7 @@ let test_reuse_bins_exact () =
   Alcotest.(check int) "high reuse" 0 bins.Sigil.Reuse.high
 
 let test_event_log_structure () =
-  let tool, m = run_guest ~options:Sigil.Options.(with_events default) toy in
-  let log =
-    match Sigil.Tool.event_log tool with
-    | Some log -> log
-    | None -> Alcotest.fail "no event log"
-  in
+  let _, m, entries = run_events toy in
   let consumer = find_ctx m "main/consumer" in
   let producer = find_ctx m "main/producer" in
   let main = find_ctx m "main" in
@@ -105,7 +111,7 @@ let test_event_log_structure () =
         | Sigil.Event_log.Xfer _ | Sigil.Event_log.Call _ | Sigil.Event_log.Ret _
         | Sigil.Event_log.Comp _ ->
           None)
-      (Sigil.Event_log.entries log)
+      entries
   in
   Alcotest.(check int) "two transfer edges into consumer" 2 (List.length xfers);
   Alcotest.(check bool) "from main" true (List.mem (main, 16, 8) xfers);
@@ -117,10 +123,21 @@ let test_event_log_structure () =
         | Sigil.Event_log.Call _ -> (c + 1, r)
         | Sigil.Event_log.Ret _ -> (c, r + 1)
         | Sigil.Event_log.Comp _ | Sigil.Event_log.Xfer _ -> (c, r))
-      (0, 0) (Sigil.Event_log.entries log)
+      (0, 0) entries
   in
   Alcotest.(check int) "balanced" calls rets;
   Alcotest.(check int) "three calls" 3 calls
+
+(* The tool keeps no entries, so events mode without a sink is refused;
+   a sink alone turns events on. *)
+let test_events_need_a_sink () =
+  let options = Sigil.Options.(with_events default) in
+  Alcotest.check_raises "collect_events without a sink"
+    (Invalid_argument "Sigil.Tool.create: collect_events needs an event_sink") (fun () ->
+      ignore (Sigil.Tool.create ~options (Dbi.Machine.create ())));
+  let seen = ref 0 in
+  let _ = run_guest ~event_sink:(fun _ -> incr seen) toy in
+  Alcotest.(check bool) "a sink without the option receives entries" true (!seen > 0)
 
 let test_same_function_cross_call_edge () =
   (* a function consuming data from an earlier call of itself produces a
@@ -133,19 +150,18 @@ let test_same_function_cross_call_edge () =
             Dbi.Guest.read m a 8;
             Dbi.Guest.write m a 8))
   in
-  let tool, m = run_guest ~options:Sigil.Options.(with_events default) body in
+  let tool, m, entries = run_events body in
   let iter_ctx = find_ctx m "main/iter" in
   let p = Sigil.Tool.profile tool in
   let s = Sigil.Profile.stats p iter_ctx in
   Alcotest.(check int) "classified local" 8 s.Sigil.Profile.local_unique;
-  let log = Option.get (Sigil.Tool.event_log tool) in
   let self_edges =
     List.filter
       (function
         | Sigil.Event_log.Xfer { src_ctx; dst_ctx; src_call; dst_call; _ } ->
           src_ctx = iter_ctx && dst_ctx = iter_ctx && src_call <> dst_call
         | Sigil.Event_log.Call _ | Sigil.Event_log.Ret _ | Sigil.Event_log.Comp _ -> false)
-      (Sigil.Event_log.entries log)
+      entries
   in
   Alcotest.(check int) "cross-call self edge" 1 (List.length self_edges)
 
@@ -256,13 +272,17 @@ let deep_profile_golden = ("357cdbc0ed64ef6ba4aa3e354dadd3cf", 23218)
 let deep_events_golden = ("92f93af9d9c98ccf338bada1e82adff4", 48549)
 
 let test_frame_pool_deep_recursion () =
-  let tool = ref None in
+  let tool = ref None and log = ref [] in
   let _ =
     Dbi.Runner.run ~call_overhead:0
       ~tools:
         [
           (fun m ->
-            let t = Sigil.Tool.create ~options:Sigil.Options.(with_events default) m in
+            let t =
+              Sigil.Tool.create ~options:Sigil.Options.(with_events default)
+                ~event_sink:(fun e -> log := e :: !log)
+                m
+            in
             tool := Some t;
             let hooks = Sigil.Tool.tool t in
             (* an unbalanced leave at the root is ignored: no Ret, no pop *)
@@ -276,7 +296,7 @@ let test_frame_pool_deep_recursion () =
   Alcotest.(check (pair string int))
     "profile unchanged" deep_profile_golden
     (digest (Sigil.Profile_io.to_string tool));
-  let entries = Sigil.Event_log.entries (Option.get (Sigil.Tool.event_log tool)) in
+  let entries = List.rev !log in
   Alcotest.(check (pair string int))
     "event stream unchanged" deep_events_golden
     (digest (String.concat "\n" (List.map Sigil.Event_log.entry_to_string entries)));
@@ -399,6 +419,7 @@ let () =
           Alcotest.test_case "edges exact" `Quick test_edges_exact;
           Alcotest.test_case "reuse bins exact" `Quick test_reuse_bins_exact;
           Alcotest.test_case "event log structure" `Quick test_event_log_structure;
+          Alcotest.test_case "events need a sink" `Quick test_events_need_a_sink;
           Alcotest.test_case "same-fn cross-call edge" `Quick test_same_function_cross_call_edge;
           Alcotest.test_case "line mode" `Quick test_line_mode;
           Alcotest.test_case "memory limit accuracy loss" `Quick test_memory_limit_accuracy_loss;

@@ -11,6 +11,11 @@ let specs =
     ("dedup", Workloads.Scale.Simsmall);
   ]
 
+let jobs =
+  List.map
+    (fun (name, scale) -> Driver.job (Result.get_ok (Workloads.Suite.find name)) scale)
+    specs
+
 let profile_texts runs =
   List.map
     (fun r ->
@@ -20,9 +25,9 @@ let profile_texts runs =
     runs
 
 let test_parallel_bit_identical () =
-  let sequential = profile_texts (Driver.run_suite specs) in
+  let sequential = profile_texts (Driver.run_many jobs) in
   let parallel =
-    Pool.with_pool ~domains:2 (fun p -> profile_texts (Driver.run_suite ~pool:p specs))
+    Pool.with_pool ~domains:2 (fun p -> profile_texts (Driver.run_many ~pool:p jobs))
   in
   List.iteri
     (fun i (s, p) ->
@@ -32,14 +37,9 @@ let test_parallel_bit_identical () =
     (List.combine sequential parallel);
   (* a second parallel sweep reproduces itself, too *)
   let parallel' =
-    Pool.with_pool ~domains:3 (fun p -> profile_texts (Driver.run_suite ~pool:p specs))
+    Pool.with_pool ~domains:3 (fun p -> profile_texts (Driver.run_many ~pool:p jobs))
   in
   Alcotest.(check bool) "3-domain sweep identical to 2-domain sweep" true (parallel = parallel')
-
-let test_run_suite_reports_unknown () =
-  match Driver.run_suite [ ("blackscholes", Workloads.Scale.Simsmall); ("nope", Workloads.Scale.Simsmall) ] with
-  | [ Ok _; Error _ ] -> ()
-  | _ -> Alcotest.fail "expected [Ok; Error] aligned with the spec list"
 
 let sigil_tool_of body =
   let tool = ref None in
@@ -122,7 +122,6 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "parallel suite bit-identical" `Quick test_parallel_bit_identical;
-          Alcotest.test_case "run_suite unknown workload" `Quick test_run_suite_reports_unknown;
           Alcotest.test_case "Profile.merge order-independent" `Quick
             test_profile_merge_order_independent;
           Alcotest.test_case "Compare.diff_many order-independent" `Quick

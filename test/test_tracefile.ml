@@ -284,10 +284,8 @@ let test_crafted_counts () =
 (* ---------------------------------------------------------------- *)
 
 let test_convert_roundtrip () =
-  let log = Event_log.create () in
-  List.iter (Event_log.add log) sample_entries;
   with_temp ".txt" (fun txt ->
-      Event_log.save log txt;
+      Event_log.write_file txt (fun emit -> List.iter emit sample_entries);
       with_temp ".tf" (fun tf ->
           let n = Tracefile.Convert.text_to_binary ~chunk_bytes:64 txt tf in
           Alcotest.(check int) "entry count" (List.length sample_entries) n;
@@ -295,8 +293,9 @@ let test_convert_roundtrip () =
           with_temp ".txt" (fun txt2 ->
               let n' = Tracefile.Convert.binary_to_text tf txt2 in
               Alcotest.(check int) "entry count back" n n';
-              Alcotest.(check (list entry)) "text->binary->text" sample_entries
-                (Event_log.entries (Event_log.load txt2)))))
+              let back = ref [] in
+              Event_log.iter_file txt2 (fun e -> back := e :: !back);
+              Alcotest.(check (list entry)) "text->binary->text" sample_entries (List.rev !back))))
 
 (* ---------------------------------------------------------------- *)
 (* Live runs: embedded tables, memory bound, size bound             *)
@@ -304,6 +303,16 @@ let test_convert_roundtrip () =
 
 let find_workload name =
   match Workloads.Suite.find name with Ok w -> w | Error e -> Alcotest.fail e
+
+(* A simsmall run's entries in trace order, collected through the tool's
+   sink. *)
+let run_entries ~options name =
+  let acc = ref [] in
+  let _r =
+    Driver.run_workload ~options ~event_sink:(fun e -> acc := e :: !acc) (find_workload name)
+      Workloads.Scale.Simsmall
+  in
+  List.rev !acc
 
 let test_embedded_tables () =
   with_temp ".tf" (fun path ->
@@ -353,16 +362,12 @@ let test_dedup_size_ratio () =
   let options =
     Sigil.Options.(with_events { default with max_chunks = Some 300 })
   in
-  let log = Event_log.create () in
-  let _r =
-    Driver.run_workload ~options ~event_sink:(Event_log.memory_sink log)
-      (find_workload "dedup") Workloads.Scale.Simsmall
-  in
+  let entries = run_entries ~options "dedup" in
   let size path = In_channel.with_open_bin path In_channel.length |> Int64.to_int in
   with_temp ".txt" (fun txt ->
       with_temp ".tf" (fun tf ->
-          Event_log.save log txt;
-          Tracefile.Writer.write_log log tf;
+          Event_log.write_file txt (fun emit -> List.iter emit entries);
+          ignore (write_entries entries tf : Tracefile.Writer.t);
           let ratio = float_of_int (size txt) /. float_of_int (size tf) in
           Alcotest.(check bool)
             (Printf.sprintf "text/binary ratio %.2f >= 4" ratio)
@@ -393,16 +398,18 @@ let test_trace_goldens () =
           with_temp ".txt" (fun txt ->
               let options = Sigil.Options.(with_events default) in
               let w = Tracefile.Writer.create ~options tf in
-              let log = Event_log.create () in
-              let r =
-                Driver.run_workload ~options
-                  ~event_sink:(Event_log.tee (Tracefile.Writer.sink w) (Event_log.memory_sink log))
-                  (find_workload name) Workloads.Scale.Simsmall
-              in
-              let m = r.Driver.machine in
-              Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
-                ~contexts:(Dbi.Machine.contexts m) w;
-              Event_log.save log txt;
+              (* one run streams into both files *)
+              Event_log.write_file txt (fun emit ->
+                  let r =
+                    Driver.run_workload ~options
+                      ~event_sink:(fun e ->
+                        Tracefile.Writer.add w e;
+                        emit e)
+                      (find_workload name) Workloads.Scale.Simsmall
+                  in
+                  let m = r.Driver.machine in
+                  Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
+                    ~contexts:(Dbi.Machine.contexts m) w);
               Alcotest.(check string) (name ^ " binary trace") binary_md5 (file_md5 tf);
               Alcotest.(check string) (name ^ " text log") text_md5 (file_md5 txt))))
     trace_goldens
@@ -460,12 +467,7 @@ let test_deep_nesting_roundtrip () =
    (chunk payloads are copied out in major-heap blocks). *)
 let test_writer_allocation_bound () =
   let options = Sigil.Options.(with_events default) in
-  let log = Event_log.create () in
-  let _r =
-    Driver.run_workload ~options ~event_sink:(Event_log.memory_sink log)
-      (find_workload "canneal") Workloads.Scale.Simsmall
-  in
-  let entries = Array.of_list (Event_log.entries log) in
+  let entries = Array.of_list (run_entries ~options "canneal") in
   with_temp ".tf" (fun path ->
       let w = Tracefile.Writer.create ~options path in
       let before = Gc.minor_words () in

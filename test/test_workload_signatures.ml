@@ -18,21 +18,21 @@ let reuse_run name =
   in
   Option.get !tool
 
-let events_run name =
+(* The workload runs inside the critical-path pass's stream. *)
+let parallelism name =
   let w = match Workloads.Suite.find name with Ok w -> w | Error e -> Alcotest.fail e in
-  let tool = ref None in
-  let _ =
-    Dbi.Runner.run
-      ~tools:
-        [
-          (fun m ->
-            let t = Sigil.Tool.create ~options:Sigil.Options.(with_events default) m in
-            tool := Some t;
-            Sigil.Tool.tool t);
-        ]
-      (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall)
-  in
-  Option.get !tool
+  Analysis.Critpath.parallelism
+    (Analysis.Critpath.analyze_stream (fun emit ->
+         ignore
+           (Dbi.Runner.run
+              ~tools:
+                [
+                  (fun m ->
+                    Sigil.Tool.tool
+                      (Sigil.Tool.create ~options:Sigil.Options.(with_events default)
+                         ~event_sink:emit m));
+                ]
+              (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall))))
 
 let paired_run name =
   let w = match Workloads.Suite.find name with Ok w -> w | Error e -> Alcotest.fail e in
@@ -57,11 +57,6 @@ let paired_run name =
 let coverage name =
   let sigil, cg = paired_run name in
   (Analysis.Partition.trim (Analysis.Cdfg.build ~callgrind:cg sigil)).Analysis.Partition.coverage
-
-let parallelism name =
-  let tool = events_run name in
-  Analysis.Critpath.parallelism
-    (Analysis.Critpath.analyze (Option.get (Sigil.Tool.event_log tool)))
 
 let fn_share_of_ops tool name =
   let profile = Sigil.Tool.profile tool in
