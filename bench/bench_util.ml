@@ -62,14 +62,14 @@ let reuse_run name scale =
   cached ~tag:"reuse" ~name ~scale (fun () ->
       Driver.run_workload ~options:Sigil.Options.(with_reuse default) (workload name) scale)
 
-(* An events-mode run and its entries in trace order, collected through
-   the tool's sink (the tool keeps none). Not cached: the entries are the
+(* An events-mode run and its entries in trace order, copied out of the
+   tool's sink (the tool keeps none and lends each). Not cached: the entries are the
    biggest thing a run can leave behind. *)
 let events_run name scale =
   let entries = ref [] in
   let run =
     Driver.run_workload ~options:Sigil.Options.(with_events default)
-      ~event_sink:(fun e -> entries := e :: !entries)
+      ~event_sink:(fun e -> entries := Sigil.Event_log.copy e :: !entries)
       (workload name) scale
   in
   (run, Array.of_list (List.rev !entries))

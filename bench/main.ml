@@ -650,6 +650,109 @@ let events_bench () =
   close_out oc;
   pf "wrote BENCH_events.json\n"
 
+(* ------------------------------------------------------------------ *)
+(* Events path allocation, stage by stage                              *)
+(* ------------------------------------------------------------------ *)
+
+(* set from --scale; only the alloc section reads it *)
+let alloc_scale = ref small
+
+(* stages over the bound; a non-zero count turns into exit code 1 *)
+let alloc_failures = ref 0
+
+(* A stage allocating more minor words per retired instruction than this
+   has grown a per-event allocation: the events path lends entries and
+   keeps its state in int arrays, so what is left is per chunk and per
+   run. *)
+let alloc_bound = 0.01
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. before, r)
+
+(* The stages of the Fig 13 pipeline, and whether [alloc_bound] gates
+   them: the guest program is the workload's own, and [schedule] builds
+   per-node arrays once per call. *)
+let alloc_stage_names =
+  [|
+    ("guest program (Dbi.Tool.nop)", false);
+    ("Sigil emission into a null sink", true);
+    ("Tracefile.Writer", true);
+    ("one decode pass (Reader.iter)", true);
+    ("analyze_stream beyond its decode", true);
+    ("schedule (4 cores)", false);
+  |]
+
+(* Retired instructions of one workload and the minor words of each stage
+   in [alloc_stage_names], as the difference from the stage before it; a
+   decode pass and [schedule] are measured alone. Minor words repeat
+   exactly run to run at one domain, so the host does not matter. *)
+let alloc_stages name scale =
+  let w = workload name in
+  let options = Sigil.Options.(with_events default) in
+  let run tool = Dbi.Runner.run ~tools:[ tool ] (fun m -> w.Workloads.Workload.run m scale) in
+  let sigil sink m = Sigil.Tool.tool (Sigil.Tool.create ~options ~event_sink:sink m) in
+  let nop, r = minor_words (fun () -> run (fun _ -> Dbi.Tool.nop "nop")) in
+  let null, _ = minor_words (fun () -> run (sigil ignore)) in
+  let tf = Filename.temp_file ("bench_alloc_" ^ name) ".tf" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tf)
+    (fun () ->
+      let written, () =
+        minor_words (fun () ->
+            let wr = Tracefile.Writer.create ~options tf in
+            let m = (run (sigil (Tracefile.Writer.sink wr))).Dbi.Runner.machine in
+            Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
+              ~contexts:(Dbi.Machine.contexts m) wr)
+      in
+      let read f =
+        let rd = Tracefile.Reader.open_file tf in
+        Fun.protect
+          ~finally:(fun () -> Tracefile.Reader.close rd)
+          (fun () -> minor_words (fun () -> f rd))
+      in
+      let decode, () = read (fun rd -> Tracefile.Reader.iter rd ignore) in
+      let analyze, cp =
+        read (fun rd -> Analysis.Critpath.analyze_stream (Tracefile.Reader.iter rd))
+      in
+      let schedule, _ = minor_words (fun () -> Analysis.Critpath.schedule cp ~cores:4) in
+      ( Dbi.Machine.now r.Dbi.Runner.machine,
+        [| nop; null -. nop; written -. null; decode; analyze -. decode; schedule |] ))
+
+let alloc_bench () =
+  let scale = !alloc_scale in
+  banner
+    (Printf.sprintf "Events path allocation: minor words per retired instruction (%s)"
+       (Workloads.Scale.name scale));
+  let runs =
+    List.map
+      (fun name -> (name, alloc_stages name scale))
+      [ "canneal"; "streamcluster"; "blackscholes" ]
+  in
+  let instr = List.fold_left (fun acc (_, (i, _)) -> acc + i) 0 runs in
+  pf "%-34s" "stage";
+  List.iter (fun (name, _) -> pf " %13s" name) runs;
+  pf " %13s\n" "all";
+  Array.iteri
+    (fun k (stage, gated) ->
+      pf "%-34s" stage;
+      List.iter
+        (fun (name, (i, words)) ->
+          let v = words.(k) /. float_of_int i in
+          pf " %13.4f" v;
+          if gated && v > alloc_bound then begin
+            incr alloc_failures;
+            Printf.eprintf "alloc: %s: %s allocates %.4f minor words per instruction (bound %g)\n"
+              name stage v alloc_bound
+          end)
+        runs;
+      let words = List.fold_left (fun acc (_, (_, words)) -> acc +. words.(k)) 0. runs in
+      pf " %13.4f\n" (words /. float_of_int instr))
+    alloc_stage_names;
+  pf "%d retired instructions; gated stages (emission, writer, decode, analyze) bound %g\n" instr
+    alloc_bound
+
 (* failed workloads (suite's Isolate policy); a non-zero count turns
    into exit code 3 (valid but incomplete results) at the end of the run *)
 let suite_failures = ref 0
@@ -785,6 +888,7 @@ let sections =
     ("range", ablation_range_batching);
     ("granularity", ablation_granularity);
     ("events", events_bench);
+    ("alloc", alloc_bench);
     ("suite", suite_bench);
   ]
 
@@ -812,9 +916,10 @@ let stats_sweep path =
   pf "wrote %s\n" path
 
 (* dune exec bench/main.exe -- [--only sec1,sec2] [--domains N]
-   [--stats-out FILE]; default runs everything on a Pool.recommended-sized
-   pool. BENCH_shadow.json collects whatever the selected sections
-   measured; the suite section additionally writes BENCH_suite.json, and
+   [--stats-out FILE] [--scale S]; default runs everything on a
+   Pool.recommended-sized pool, and the alloc section at simsmall.
+   BENCH_shadow.json collects whatever the selected sections measured;
+   the suite section additionally writes BENCH_suite.json, and
    --stats-out dumps the harness's own telemetry sweep. *)
 let () =
   let t0 = Dbi.Runner.monotonic_s () in
@@ -847,6 +952,15 @@ let () =
     parse argv
   in
   suite_domains := domains;
+  (let rec parse = function
+     | "--scale" :: v :: _ -> (
+       match Workloads.Scale.of_string v with
+       | Ok s -> alloc_scale := s
+       | Error e -> failwith ("--scale: " ^ e))
+     | _ :: rest -> parse rest
+     | [] -> ()
+   in
+   parse argv);
   let pool = if domains > 1 then Some (Pool.create ~domains ()) else None in
   Bench_util.set_pool pool;
   let selected =
@@ -872,6 +986,7 @@ let () =
        (Dbi.Runner.monotonic_s () -. t0)
        domains
        (if domains = 1 then "" else "s"));
+  if !alloc_failures > 0 then exit 1;
   (* distinct from a crash (any other non-zero): results above are valid
      but incomplete *)
   if !suite_failures > 0 then exit 3

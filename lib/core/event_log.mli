@@ -14,7 +14,7 @@
     - [Xfer]: bytes flowing from a producer call to the current fragment;
     - [Ret]: the call returned.
 
-    Entries exist only in flight: the tool pushes each one into a {!sink}
+    Entries exist only in flight: the tool lends each one to a {!sink}
     as the run produces it and keeps none, so a consumer chooses where
     they go — the streaming binary writer in [Tracefile.Writer], the text
     file of {!write_file}, or an analysis such as
@@ -25,22 +25,71 @@
     binary format. *)
 
 type entry =
-  | Call of { ctx : Dbi.Context.id; call : int }
-  | Comp of { ctx : Dbi.Context.id; call : int; int_ops : int; fp_ops : int }
-  | Xfer of {
-      src_ctx : Dbi.Context.id;
-      src_call : int;
-      dst_ctx : Dbi.Context.id;
-      dst_call : int;
-      bytes : int;
-      unique_bytes : int;
+  | Call of { mutable ctx : Dbi.Context.id; mutable call : int }
+  | Comp of {
+      mutable ctx : Dbi.Context.id;
+      mutable call : int;
+      mutable int_ops : int;
+      mutable fp_ops : int;
     }
-  | Ret of { ctx : Dbi.Context.id; call : int }
+  | Xfer of {
+      mutable src_ctx : Dbi.Context.id;
+      mutable src_call : int;
+      mutable dst_ctx : Dbi.Context.id;
+      mutable dst_call : int;
+      mutable bytes : int;
+      mutable unique_bytes : int;
+    }
+  | Ret of { mutable ctx : Dbi.Context.id; mutable call : int }
+(** The fields are mutable only so that a producer can refill one entry
+    per constructor (see {!scratch}); no consumer writes them. *)
 
-(** {2 Sinks} *)
+(** {2 Sinks}
 
-(** Where produced entries flow. Applied once per entry, in trace order. *)
+    {b Lending contract.} A producer on the hot path — the Sigil tool and
+    [Tracefile.Reader.iter] — does not allocate an entry per event: it
+    refills one {!scratch} entry per constructor and lends it to the sink.
+    An entry passed to a sink is valid for that call only; the producer
+    overwrites it with a later entry of the same constructor. A consumer
+    that keeps an entry past the call stores [copy e]. No consumer mutates
+    an entry it is given. Consumers that act on the fields at once — the
+    trace writer, the text writer, [Analysis.Critpath] — copy nothing. *)
+
+(** Where produced entries flow. Applied once per entry, in trace order;
+    the entry is lent for the call only. *)
 type sink = entry -> unit
+
+(** [copy e] is a fresh entry equal to [e], for a consumer that keeps a
+    lent entry. *)
+val copy : entry -> entry
+
+(** {2 Producer scratch} *)
+
+(** One reusable entry per constructor. A producer keeps its own: a
+    scratch is never shared between producers or domains. *)
+type scratch
+
+val scratch : unit -> scratch
+
+(** Each setter refills the scratch entry of its constructor and returns
+    it, to be lent to a sink. The returned entry stays valid until the
+    next call of the same setter on the same scratch. *)
+
+val set_call : scratch -> ctx:Dbi.Context.id -> call:int -> entry
+
+val set_comp : scratch -> ctx:Dbi.Context.id -> call:int -> int_ops:int -> fp_ops:int -> entry
+
+val set_xfer :
+  scratch ->
+  src_ctx:Dbi.Context.id ->
+  src_call:int ->
+  dst_ctx:Dbi.Context.id ->
+  dst_call:int ->
+  bytes:int ->
+  unique_bytes:int ->
+  entry
+
+val set_ret : scratch -> ctx:Dbi.Context.id -> call:int -> entry
 
 (** {2 Text format} *)
 

@@ -116,6 +116,7 @@ type t = {
   reuse : Reuse.t;
   line : Line_shadow.t option;
   sink : Event_log.sink option; (* where produced events flow *)
+  scratch : Event_log.scratch; (* the entries lent to [sink], refilled per event *)
   events_dispatched : int ref; (* telemetry: entries pushed into the sink *)
   mutable frames : frame array; (* slot 0 = synthetic root; grows by doubling *)
   mutable depth : int; (* slot of the innermost frame *)
@@ -155,6 +156,7 @@ let create ?(options = Options.default) ?event_sink machine =
       | Some size -> Some (Line_shadow.create ~line_size:size ())
       | None -> None);
     sink;
+    scratch = Event_log.scratch ();
     events_dispatched;
     frames = Array.init initial_frames (fun _ -> new_frame ());
     depth = 0;
@@ -167,13 +169,8 @@ let flush_fragment t frame =
   | Some emit ->
     if frame.frag_int_ops > 0 || frame.frag_fp_ops > 0 then
       emit
-        (Event_log.Comp
-           {
-             ctx = frame.ctx;
-             call = frame.call;
-             int_ops = frame.frag_int_ops;
-             fp_ops = frame.frag_fp_ops;
-           });
+        (Event_log.set_comp t.scratch ~ctx:frame.ctx ~call:frame.call ~int_ops:frame.frag_int_ops
+           ~fp_ops:frame.frag_fp_ops);
     frame.frag_int_ops <- 0;
     frame.frag_fp_ops <- 0;
     let x = t.xfers in
@@ -184,15 +181,8 @@ let flush_fragment t frame =
         let i = x.used.(u) in
         let key = x.keys.(i) in
         emit
-          (Event_log.Xfer
-             {
-               src_ctx = xfer_src key;
-               src_call = xfer_call key;
-               dst_ctx = frame.ctx;
-               dst_call = frame.call;
-               bytes = x.bytes.(i);
-               unique_bytes = x.unique.(i);
-             });
+          (Event_log.set_xfer t.scratch ~src_ctx:(xfer_src key) ~src_call:(xfer_call key)
+             ~dst_ctx:frame.ctx ~dst_call:frame.call ~bytes:x.bytes.(i) ~unique_bytes:x.unique.(i));
         x.keys.(i) <- no_key
       done;
       x.n <- 0
@@ -252,7 +242,7 @@ let tool t : Dbi.Tool.t =
           flush_fragment t parent;
           Profile.record_call t.profile ~ctx;
           (match t.sink with
-          | Some emit -> emit (Event_log.Call { ctx; call })
+          | Some emit -> emit (Event_log.set_call t.scratch ~ctx ~call)
           | None -> ());
           push t ctx call
         end);
@@ -264,7 +254,7 @@ let tool t : Dbi.Tool.t =
           let frame = top t in
           flush_fragment t frame;
           (match t.sink with
-          | Some emit -> emit (Event_log.Ret { ctx = frame.ctx; call = frame.call })
+          | Some emit -> emit (Event_log.set_ret t.scratch ~ctx:frame.ctx ~call:frame.call)
           | None -> ());
           t.depth <- t.depth - 1
         end);

@@ -34,9 +34,11 @@ let node t id =
 let enter t parent fn =
   if fn < 0 || fn >= 1 lsl 20 then invalid_arg "Context.enter: bad function id";
   let k = key parent fn in
-  match Hashtbl.find_opt t.by_key k with
-  | Some id -> id
-  | None ->
+  (* [find] rather than [find_opt]: a hit, the common case, allocates no
+     option *)
+  match Hashtbl.find t.by_key k with
+  | id -> id
+  | exception Not_found ->
     let pnode = node t parent in
     let id = t.n in
     if id = Array.length t.nodes then begin

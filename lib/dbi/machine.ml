@@ -32,7 +32,11 @@ type t = {
   call_overhead : int;
   mutable tools : Tool.t array; (* capacity; slots [0, n_tools) are live *)
   mutable n_tools : int;
-  mutable stack : (Context.id * Symbol.id) list;
+  (* the live call stack, innermost call in slot [depth - 1]: parallel
+     int columns that grow by doubling, so a call allocates nothing *)
+  mutable stack_ctx : Context.id array;
+  mutable stack_fn : Symbol.id array;
+  mutable depth : int;
   mutable cur_ctx : Context.id;
   mutable call_numbers : int array; (* per context, grown on demand *)
   mutable now : int;
@@ -58,6 +62,8 @@ type t = {
    a fraction of a second. *)
 let timeout_probe_interval = 1 lsl 16
 
+let initial_stack = 64
+
 let create ?(stripped = false) ?(call_overhead = 10) ?budget ?timeout_s () =
   (match budget with
   | Some b when b <= 0 -> invalid_arg "Machine.create: budget must be positive"
@@ -75,7 +81,9 @@ let create ?(stripped = false) ?(call_overhead = 10) ?budget ?timeout_s () =
     call_overhead;
     tools = [||];
     n_tools = 0;
-    stack = [];
+    stack_ctx = Array.make initial_stack 0;
+    stack_fn = Array.make initial_stack 0;
+    depth = 0;
     cur_ctx = Context.root;
     call_numbers = Array.make 256 0;
     now = 0;
@@ -140,7 +148,7 @@ let counters t =
     syscalls = t.syscalls;
   }
 
-let stack_depth t = List.length t.stack
+let stack_depth t = t.depth
 
 let bump_call t ctx =
   let len = Array.length t.call_numbers in
@@ -175,7 +183,19 @@ let enter t name =
   let fn = Symbol.intern t.symbols name in
   let ctx = Context.enter t.contexts t.cur_ctx fn in
   let call = bump_call t ctx in
-  t.stack <- (ctx, fn) :: t.stack;
+  let d = t.depth in
+  if d = Array.length t.stack_ctx then begin
+    let grow a =
+      let grown = Array.make (2 * d) 0 in
+      Array.blit a 0 grown 0 d;
+      grown
+    in
+    t.stack_ctx <- grow t.stack_ctx;
+    t.stack_fn <- grow t.stack_fn
+  end;
+  t.stack_ctx.(d) <- ctx;
+  t.stack_fn.(d) <- fn;
+  t.depth <- d + 1;
   t.cur_ctx <- ctx;
   t.calls <- t.calls + 1;
   let tools = t.tools and n = t.n_tools in
@@ -185,15 +205,15 @@ let enter t name =
   ctx
 
 let leave t =
-  match t.stack with
-  | [] -> invalid_arg "Machine.leave: empty call stack"
-  | (ctx, fn) :: rest ->
-    let tools = t.tools and n = t.n_tools in
-    for i = 0 to n - 1 do
-      tools.(i).on_leave ~ctx ~fn
-    done;
-    t.stack <- rest;
-    t.cur_ctx <- (match rest with [] -> Context.root | (c, _) :: _ -> c)
+  let d = t.depth - 1 in
+  if d < 0 then invalid_arg "Machine.leave: empty call stack";
+  let ctx = t.stack_ctx.(d) and fn = t.stack_fn.(d) in
+  let tools = t.tools and n = t.n_tools in
+  for i = 0 to n - 1 do
+    tools.(i).on_leave ~ctx ~fn
+  done;
+  t.depth <- d;
+  t.cur_ctx <- (if d = 0 then Context.root else t.stack_ctx.(d - 1))
 
 let read t addr size =
   if size <= 0 then invalid_arg "Machine.read: size must be positive";
@@ -276,7 +296,7 @@ let telemetry t =
     ]
 
 let finish t =
-  if t.stack <> [] then invalid_arg "Machine.finish: calls still live";
+  if t.depth > 0 then invalid_arg "Machine.finish: calls still live";
   if not t.finished then begin
     t.finished <- true;
     for i = 0 to t.n_tools - 1 do

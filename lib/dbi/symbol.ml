@@ -16,9 +16,11 @@ let create ?(stripped = false) () =
   { stripped; by_name = Hashtbl.create 64; names = Array.make 64 ""; n = 0 }
 
 let intern t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some id -> id
-  | None ->
+  (* [find] rather than [find_opt]: a hit, the common case, allocates no
+     option *)
+  match Hashtbl.find t.by_name name with
+  | id -> id
+  | exception Not_found ->
     let id = t.n in
     if id = Array.length t.names then begin
       let grown = Array.make (2 * id) "" in

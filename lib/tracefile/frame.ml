@@ -72,6 +72,7 @@ type delta = {
   mutable st_ctx : int array;
   mutable st_call : int array;
   mutable depth : int;
+  scratch : Sigil.Event_log.scratch; (* the entries [decode_entry] lends *)
 }
 
 let initial_stack = 64
@@ -87,6 +88,7 @@ let delta () =
     st_ctx = Array.make initial_stack 0;
     st_call = Array.make initial_stack 0;
     depth = 0;
+    scratch = Sigil.Event_log.scratch ();
   }
 
 let reset d =
@@ -205,14 +207,14 @@ let decode_entry d b ~pos : Sigil.Event_log.entry =
   if base = tag_call then begin
     read_pos d byte b ~pos;
     push d d.d_ctx d.d_call;
-    Call { ctx = d.d_ctx; call = d.d_call }
+    Sigil.Event_log.set_call d.scratch ~ctx:d.d_ctx ~call:d.d_call
   end
   else if base = tag_comp then begin
     read_pos d byte b ~pos;
     let int_ops = if samenum then d.n_ops else Varint.read b ~pos in
     d.n_ops <- int_ops;
     let fp_ops = if omit then 0 else Varint.read b ~pos in
-    Comp { ctx = d.d_ctx; call = d.d_call; int_ops; fp_ops }
+    Sigil.Event_log.set_comp d.scratch ~ctx:d.d_ctx ~call:d.d_call ~int_ops ~fp_ops
   end
   else if base = tag_xfer then begin
     read_pos d byte b ~pos;
@@ -223,19 +225,12 @@ let decode_entry d b ~pos : Sigil.Event_log.entry =
     let bytes = if samenum then d.n_bytes else Varint.read b ~pos in
     d.n_bytes <- bytes;
     let unique_bytes = if omit then bytes else Varint.read b ~pos in
-    Xfer
-      {
-        src_ctx = d.s_ctx;
-        src_call = d.s_call;
-        dst_ctx = d.d_ctx;
-        dst_call = d.d_call;
-        bytes;
-        unique_bytes;
-      }
+    Sigil.Event_log.set_xfer d.scratch ~src_ctx:d.s_ctx ~src_call:d.s_call ~dst_ctx:d.d_ctx
+      ~dst_call:d.d_call ~bytes ~unique_bytes
   end
   else if base = tag_ret then begin
     read_pos d byte b ~pos;
     pop d;
-    Ret { ctx = d.d_ctx; call = d.d_call }
+    Sigil.Event_log.set_ret d.scratch ~ctx:d.d_ctx ~call:d.d_call
   end
   else failwith (Printf.sprintf "Tracefile: unknown entry tag 0x%02x" byte)

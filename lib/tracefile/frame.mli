@@ -61,19 +61,26 @@ val get_u64 : bytes -> int -> int
     and transfer sizes are heavily repetitive). *)
 
 (** The codec's running state: the running and producer (ctx, call)
-    pairs, the previous op and byte counts, and the open-frame stack, kept
-    in int arrays so encoding and decoding allocate nothing beyond the
-    decoded entry. *)
+    pairs, the previous op and byte counts, the open-frame stack, kept in
+    int arrays, and the scratch entries decoding refills, so encoding and
+    decoding allocate nothing. *)
 type delta
 
 val delta : unit -> delta
 
-(** [reset d] zeroes both running pairs — done at every chunk boundary so
-    chunks decode independently. *)
+(** [reset d] returns [d] to the state of a fresh {!delta}: both running
+    pairs and the previous counts zeroed, no open frame. Done at every
+    chunk boundary so chunks decode independently. *)
 val reset : delta -> unit
 
 val encode_entry : delta -> Buffer.t -> Sigil.Event_log.entry -> unit
 
-(** @raise Varint.Truncated on a cut-off value.
+(** [decode_entry d b ~pos] decodes the entry at [!pos] and advances
+    [pos] past it. The result is [d]'s scratch entry of its constructor,
+    lent as {!Sigil.Event_log.sink} describes: the next decode through [d]
+    may overwrite it, so a caller that keeps it stores
+    [Sigil.Event_log.copy] of it.
+
+    @raise Varint.Truncated on a cut-off value.
     @raise Failure on an unknown tag. *)
 val decode_entry : delta -> bytes -> pos:int ref -> Sigil.Event_log.entry

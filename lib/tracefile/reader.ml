@@ -42,8 +42,10 @@ let section_at ic ~offset ~limit =
       (Printf.sprintf "chunk CRC mismatch (stored 0x%08x, computed 0x%08x)" crc actual);
   (magic, Frame.get_u32 header 4, payload)
 
-let decode_payload (c : chunk) payload f =
-  let d = Frame.delta () in
+(* [d] is reset first, so one codec state (and its scratch entries)
+   serves every chunk of a pass. *)
+let decode_payload d (c : chunk) payload f =
+  Frame.reset d;
   let pos = ref 0 in
   for _ = 1 to c.c_entries do
     (* only decoding failures are the chunk's fault; the consumer's own
@@ -64,13 +66,14 @@ let decode_payload (c : chunk) payload f =
    its offset and reason: the recovered chunks are a strict prefix, never
    entries past a gap. *)
 let walk ic ~start ~limit =
+  let d = Frame.delta () in
   let rec go offset acc entries =
     if offset >= limit then (List.rev acc, entries, None)
     else
       match
         let magic, count, payload = section_at ic ~offset ~limit in
         let c = { c_offset = offset; c_entries = count; c_bytes = Bytes.length payload } in
-        if magic = Frame.chunk_magic then decode_payload c payload ignore;
+        if magic = Frame.chunk_magic then decode_payload d c payload ignore;
         (magic = Frame.chunk_magic, c)
       with
       | exception Frame.Corrupt { offset; reason } -> (List.rev acc, entries, Some (offset, reason))
@@ -363,7 +366,9 @@ let read_chunk t (c : chunk) =
     Frame.corrupt ~offset:c.c_offset "chunk header disagrees with index";
   payload
 
-let iter t f = Array.iter (fun c -> decode_payload c (read_chunk t c) f) t.chunks
+let iter t f =
+  let d = Frame.delta () in
+  Array.iter (fun c -> decode_payload d c (read_chunk t c) f) t.chunks
 
 (* decode_payload checks each chunk's count and the index sums to the
    entry total, so a full decode is the whole check *)

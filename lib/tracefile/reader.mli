@@ -92,6 +92,10 @@ val fn_name : t -> Dbi.Context.id -> string
 
 (** {2 Streaming access} *)
 
+(** [iter t f] decodes every chunk in file order and applies [f] to each
+    entry. Each entry is lent for the call only, as
+    {!Sigil.Event_log.sink} describes: a consumer that keeps one stores
+    [Sigil.Event_log.copy] of it. Decoding allocates no entry. *)
 val iter : t -> (Sigil.Event_log.entry -> unit) -> unit
 
 (** [validate t] decodes every chunk, checking framing, CRCs and entry

@@ -16,7 +16,7 @@ let run_entries name =
   let entries = ref [] in
   let r =
     Driver.run_workload ~options:Options.(with_events default)
-      ~event_sink:(fun e -> entries := e :: !entries)
+      ~event_sink:(fun e -> entries := Event_log.copy e :: !entries)
       w Workloads.Scale.Simsmall
   in
   (r, Array.of_list (List.rev !entries))

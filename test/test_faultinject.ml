@@ -56,7 +56,7 @@ let read_entries path =
     ~finally:(fun () -> Tracefile.Reader.close r)
     (fun () ->
       let out = ref [] in
-      Tracefile.Reader.iter r (fun e -> out := e :: !out);
+      Tracefile.Reader.iter r (fun e -> out := Event_log.copy e :: !out);
       List.rev !out)
 
 let take n l = List.filteri (fun i _ -> i < n) l
@@ -68,7 +68,7 @@ let check_salvage_invariant ~what ~baseline path =
   | r, report ->
     let got = ref [] in
     let entries =
-      match Tracefile.Reader.iter r (fun e -> got := e :: !got) with
+      match Tracefile.Reader.iter r (fun e -> got := Event_log.copy e :: !got) with
       | () ->
         Tracefile.Reader.close r;
         List.rev !got
@@ -299,7 +299,7 @@ let test_repair_roundtrip () =
         report.Tracefile.Reader.recovered_entries
         (Tracefile.Reader.entry_count r);
       let got = ref [] in
-      Tracefile.Reader.iter r (fun e -> got := e :: !got);
+      Tracefile.Reader.iter r (fun e -> got := Event_log.copy e :: !got);
       let got = List.rev !got in
       Alcotest.(check bool) "repaired entries are a prefix of the original" true
         (got = take (List.length got) baseline);

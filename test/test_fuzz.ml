@@ -67,7 +67,7 @@ let rec print_prog p =
           p.actions))
 
 (* An event sink that keeps the entries in [log], newest first. *)
-let into log e = log := e :: !log
+let into log e = log := Sigil.Event_log.copy e :: !log
 
 let run_all ?(event_sink = ignore) prog =
   let sigil = ref None and cg = ref None in

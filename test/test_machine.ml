@@ -169,6 +169,39 @@ let test_bad_event_args () =
       Dbi.Machine.op m Dbi.Event.Int_op (-1));
   Dbi.Machine.leave m
 
+(* The guest call path allocates nothing: the call stack is two int
+   columns, and a symbol or context lookup that hits boxes no option. Once
+   a machine has seen its functions and its deepest stack, 10 k
+   enter/leave pairs 100 deep (past the columns' first growth) allocate
+   the same minor words as an empty measurement: none. *)
+let test_calls_allocate_nothing () =
+  let m = Dbi.Machine.create () in
+  Dbi.Machine.attach m (Dbi.Tool.nop "nop");
+  let rec nest d =
+    if d > 0 then begin
+      let (_ : Dbi.Context.id) = Dbi.Machine.enter m "f" in
+      nest (d - 1);
+      Dbi.Machine.leave m
+    end
+  in
+  let pairs () =
+    for _ = 1 to 100 do
+      nest 100
+    done
+  in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  nest 100;
+  let calls = (Dbi.Machine.counters m).Dbi.Machine.calls in
+  let empty = minor_words ignore in
+  let words = minor_words pairs in
+  Alcotest.(check int) "10 k calls" 10_000 ((Dbi.Machine.counters m).Dbi.Machine.calls - calls);
+  Alcotest.(check (float 0.)) "minor words for 10 k enter/leave pairs" 0. (words -. empty);
+  Alcotest.(check int) "stack unwound" 0 (Dbi.Machine.stack_depth m)
+
 let () =
   Alcotest.run "machine"
     [
@@ -187,5 +220,6 @@ let () =
           Alcotest.test_case "finish idempotent" `Quick test_finish_idempotent;
           Alcotest.test_case "stripped machine" `Quick test_stripped_machine;
           Alcotest.test_case "bad event args" `Quick test_bad_event_args;
+          Alcotest.test_case "calls allocate nothing" `Quick test_calls_allocate_nothing;
         ] );
     ]

@@ -86,7 +86,9 @@ let codec_roundtrip =
       let b = Buffer.to_bytes buf in
       let d' = Tracefile.Frame.delta () in
       let pos = ref 0 in
-      let decoded = List.map (fun _ -> Tracefile.Frame.decode_entry d' b ~pos) entries in
+      let decoded =
+        List.map (fun _ -> Event_log.copy (Tracefile.Frame.decode_entry d' b ~pos)) entries
+      in
       !pos = Bytes.length b && decoded = entries)
 
 (* ---------------------------------------------------------------- *)
@@ -105,7 +107,7 @@ let read_entries path =
     ~finally:(fun () -> Tracefile.Reader.close r)
     (fun () ->
       let acc = ref [] in
-      Tracefile.Reader.iter r (fun e -> acc := e :: !acc);
+      Tracefile.Reader.iter r (fun e -> acc := Event_log.copy e :: !acc);
       List.rev !acc)
 
 let test_file_roundtrip () =
@@ -294,7 +296,7 @@ let test_convert_roundtrip () =
               let n' = Tracefile.Convert.binary_to_text tf txt2 in
               Alcotest.(check int) "entry count back" n n';
               let back = ref [] in
-              Event_log.iter_file txt2 (fun e -> back := e :: !back);
+              Event_log.iter_file txt2 (fun e -> back := Event_log.copy e :: !back);
               Alcotest.(check (list entry)) "text->binary->text" sample_entries (List.rev !back))))
 
 (* ---------------------------------------------------------------- *)
@@ -309,8 +311,9 @@ let find_workload name =
 let run_entries ~options name =
   let acc = ref [] in
   let _r =
-    Driver.run_workload ~options ~event_sink:(fun e -> acc := e :: !acc) (find_workload name)
-      Workloads.Scale.Simsmall
+    Driver.run_workload ~options
+      ~event_sink:(fun e -> acc := Event_log.copy e :: !acc)
+      (find_workload name) Workloads.Scale.Simsmall
   in
   List.rev !acc
 
@@ -454,7 +457,9 @@ let test_deep_nesting_roundtrip () =
     (Digest.to_hex (Digest.bytes b), Bytes.length b);
   let d' = Tracefile.Frame.delta () in
   let pos = ref 0 in
-  let decoded = List.map (fun _ -> Tracefile.Frame.decode_entry d' b ~pos) entries in
+  let decoded =
+    List.map (fun _ -> Event_log.copy (Tracefile.Frame.decode_entry d' b ~pos)) entries
+  in
   Alcotest.(check int) "consumed all" (Bytes.length b) !pos;
   Alcotest.(check (list entry)) "codec roundtrip" entries decoded;
   with_temp ".tf" (fun path ->
@@ -480,6 +485,73 @@ let test_writer_allocation_bound () =
       if per_entry > 0.01 then
         Alcotest.failf "Writer.add allocates %.4f minor words per entry over %d entries (bound 0.01)"
           per_entry (Array.length entries))
+
+(* Decoding lends the scratch entries of one codec state, which serves
+   every chunk of the pass, instead of allocating an entry per entry: a
+   [Reader.iter] pass over canneal's trace allocates at most 0.01 minor
+   words per entry (payloads are read into major-heap blocks). *)
+let test_reader_allocation_bound () =
+  with_temp ".tf" (fun path ->
+      let options = Sigil.Options.(with_events default) in
+      let w = Tracefile.Writer.create ~options path in
+      let _r =
+        Driver.run_workload ~options ~event_sink:(Tracefile.Writer.sink w)
+          (find_workload "canneal") Workloads.Scale.Simsmall
+      in
+      Tracefile.Writer.close w;
+      let rd = Tracefile.Reader.open_file path in
+      Fun.protect
+        ~finally:(fun () -> Tracefile.Reader.close rd)
+        (fun () ->
+          let n = ref 0 in
+          let before = Gc.minor_words () in
+          Tracefile.Reader.iter rd (fun _ -> incr n);
+          let words = Gc.minor_words () -. before in
+          let per_entry = words /. float_of_int !n in
+          if per_entry > 0.01 then
+            Alcotest.failf
+              "Reader.iter allocates %.4f minor words per entry over %d entries (bound 0.01)"
+              per_entry !n))
+
+(* The lending contract end to end. For every PARSEC clone at simsmall, a
+   live sink that keeps [copy e] ends up with the stream it printed during
+   each call, and a decode of the binary trace the same run wrote, copying
+   each entry, gives that stream back. A producer that refilled an entry
+   a consumer had kept, or a copy that missed a field, shows here. *)
+let test_lend_contract () =
+  let check_stream what expected got =
+    let rec go i = function
+      | [], [] -> ()
+      | e :: es, g :: gs ->
+        if String.equal e g then go (i + 1) (es, gs)
+        else Alcotest.failf "%s: entry %d is %S, expected %S" what i g e
+      | _ ->
+        Alcotest.failf "%s: %d entries, expected %d" what (List.length got)
+          (List.length expected)
+    in
+    go 0 (expected, got)
+  in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let name = w.Workloads.Workload.name in
+      with_temp ".tf" (fun path ->
+          let options = Sigil.Options.(with_events default) in
+          let wr = Tracefile.Writer.create ~options path in
+          let kept = ref [] and printed = ref [] in
+          let _r =
+            Driver.run_workload ~options
+              ~event_sink:(fun e ->
+                kept := Event_log.copy e :: !kept;
+                printed := Event_log.entry_to_string e :: !printed;
+                Tracefile.Writer.add wr e)
+              w Workloads.Scale.Simsmall
+          in
+          Tracefile.Writer.close wr;
+          let printed = List.rev !printed in
+          let strings = List.map Event_log.entry_to_string in
+          check_stream (name ^ " kept copies") printed (strings (List.rev !kept));
+          check_stream (name ^ " decoded copies") printed (strings (read_entries path))))
+    Workloads.Suite.parsec
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -516,5 +588,7 @@ let () =
           Alcotest.test_case "dedup size ratio" `Slow test_dedup_size_ratio;
           Alcotest.test_case "trace goldens" `Slow test_trace_goldens;
           Alcotest.test_case "writer allocation bound" `Slow test_writer_allocation_bound;
+          Alcotest.test_case "reader allocation bound" `Slow test_reader_allocation_bound;
+          Alcotest.test_case "lend contract" `Slow test_lend_contract;
         ] );
     ]
