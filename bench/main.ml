@@ -572,9 +572,7 @@ let events_bench () =
       (fun name ->
         let run, log = events_run name small in
         let entries = Array.length log in
-        let txt = Filename.temp_file ("bench_events_" ^ name) ".txt" in
         let tf = Filename.temp_file ("bench_events_" ^ name) ".tf" in
-        Sigil.Event_log.write_file txt (fun emit -> Array.iter emit log);
         let m = run.Driver.machine in
         let t0 = Dbi.Runner.monotonic_s () in
         let w = Tracefile.Writer.create tf in
@@ -589,6 +587,9 @@ let events_bench () =
         Tracefile.Reader.close r;
         if !seen <> entries then
           failwith (Printf.sprintf "events bench: %s decoded %d of %d" name !seen entries);
+        (* the text column is the dump of the trace just written *)
+        let txt = Filename.temp_file ("bench_events_" ^ name) ".txt" in
+        ignore (Tracefile.Convert.binary_to_text tf txt : int);
         let text_b = file_size txt and bin_b = file_size tf in
         Sys.remove txt;
         Sys.remove tf;
@@ -624,30 +625,29 @@ let events_bench () =
   Sys.remove stream_tf;
   pf "streaming sink (dedup): %d records in %d chunks, peak buffer %d B (chunk target %d B)\n"
     stream_records stream_chunks stream_peak Tracefile.Frame.default_chunk_bytes;
-  let oc = open_out "BENCH_events.json" in
-  Printf.fprintf oc "{\n  \"scale\": \"simsmall\",\n  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, entries, text_b, bin_b, enc_s, dec_s) ->
+  Dbi.Atomic_file.write "BENCH_events.json" (fun oc ->
+      Printf.fprintf oc "{\n  \"scale\": \"simsmall\",\n  \"workloads\": [\n";
+      List.iteri
+        (fun i (name, entries, text_b, bin_b, enc_s, dec_s) ->
+          Printf.fprintf oc
+            "    {\"name\": %S, \"entries\": %d, \"text_bytes\": %d, \"binary_bytes\": %d, \
+             \"ratio\": %.2f, \"encode_mrec_s\": %.2f, \"decode_mrec_s\": %.2f}%s\n"
+            name entries text_b bin_b
+            (float_of_int text_b /. float_of_int bin_b)
+            (mrec entries enc_s) (mrec entries dec_s)
+            (if i = List.length rows - 1 then "" else ","))
+        rows;
       Printf.fprintf oc
-        "    {\"name\": %S, \"entries\": %d, \"text_bytes\": %d, \"binary_bytes\": %d, \
-         \"ratio\": %.2f, \"encode_mrec_s\": %.2f, \"decode_mrec_s\": %.2f}%s\n"
-        name entries text_b bin_b
-        (float_of_int text_b /. float_of_int bin_b)
-        (mrec entries enc_s) (mrec entries dec_s)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"total_text_bytes\": %d,\n\
-    \  \"total_binary_bytes\": %d,\n\
-    \  \"total_ratio\": %.2f,\n\
-    \  \"stream\": {\"workload\": \"dedup\", \"records\": %d, \"chunks\": %d, \
-     \"peak_buffer_bytes\": %d, \"chunk_target_bytes\": %d}\n\
-     }\n"
-    total_text total_bin
-    (float_of_int total_text /. float_of_int total_bin)
-    stream_records stream_chunks stream_peak Tracefile.Frame.default_chunk_bytes;
-  close_out oc;
+        "  ],\n\
+        \  \"total_text_bytes\": %d,\n\
+        \  \"total_binary_bytes\": %d,\n\
+        \  \"total_ratio\": %.2f,\n\
+        \  \"stream\": {\"workload\": \"dedup\", \"records\": %d, \"chunks\": %d, \
+         \"peak_buffer_bytes\": %d, \"chunk_target_bytes\": %d}\n\
+         }\n"
+        total_text total_bin
+        (float_of_int total_text /. float_of_int total_bin)
+        stream_records stream_chunks stream_peak Tracefile.Frame.default_chunk_bytes);
   pf "wrote BENCH_events.json\n"
 
 (* ------------------------------------------------------------------ *)
@@ -824,24 +824,24 @@ let suite_bench () =
   else pf "speedup withheld: precondition failed: %s\n" (String.concat "; " failed);
   pf "profile fingerprint: sequential %s, parallel %s -> %s\n" fp_seq fp_par
     (if fp_seq = fp_par then "bit-identical" else "MISMATCH");
-  let oc = open_out "BENCH_suite.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workloads\": %d,\n\
-    \  \"scale\": \"simsmall\",\n\
-    \  \"domains\": %d,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"sequential_s\": %.3f,\n\
-    \  \"parallel_s\": %.3f,\n\
-    \  \"preconditions\": { %s },\n\
-    \  \"speedup\": %s,\n\
-    \  \"bit_identical\": %b\n\
-     }\n"
-    (List.length parsec) domains cores sequential_s parallel_s
-    (String.concat ", " (List.map (fun (c, ok) -> Printf.sprintf "\"%s\": %b" c ok) preconditions))
-    (if failed = [] then Printf.sprintf "%.2f" speedup else "null")
-    (fp_seq = fp_par);
-  close_out oc;
+  Dbi.Atomic_file.write "BENCH_suite.json" (fun oc ->
+      Printf.fprintf oc
+        "{\n\
+        \  \"workloads\": %d,\n\
+        \  \"scale\": \"simsmall\",\n\
+        \  \"domains\": %d,\n\
+        \  \"host_cores\": %d,\n\
+        \  \"sequential_s\": %.3f,\n\
+        \  \"parallel_s\": %.3f,\n\
+        \  \"preconditions\": { %s },\n\
+        \  \"speedup\": %s,\n\
+        \  \"bit_identical\": %b\n\
+         }\n"
+        (List.length parsec) domains cores sequential_s parallel_s
+        (String.concat ", "
+           (List.map (fun (c, ok) -> Printf.sprintf "\"%s\": %b" c ok) preconditions))
+        (if failed = [] then Printf.sprintf "%.2f" speedup else "null")
+        (fp_seq = fp_par));
   pf "wrote BENCH_suite.json\n";
   if fp_seq <> fp_par then
     failwith "suite determinism violated: parallel profiles differ from sequential"

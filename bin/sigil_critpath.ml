@@ -1,8 +1,8 @@
 (* Critical-path case study (paper §IV-C): dependency chains from the
    event file, longest path and function-level parallelism limit. Works
-   from a live run or from a saved event trace (binary or text), through
-   the same streaming pass; binary traces embed the producing run's
-   symbol/context tables, so loaded traces print real function names. *)
+   from a live run or from a saved binary event trace, through the same
+   streaming pass; traces embed the producing run's symbol/context
+   tables, so loaded traces print real function names. *)
 
 open Cmdliner
 
@@ -34,7 +34,7 @@ let raw_ctx ctx = "ctx:" ^ string_of_int ctx
 let run name scale load_path cores summary =
   Cli_common.guard @@ fun () ->
   match load_path with
-  | Some path when Tracefile.Reader.is_tracefile path ->
+  | Some path ->
     let r = Tracefile.Reader.open_file path in
     Fun.protect
       ~finally:(fun () -> Tracefile.Reader.close r)
@@ -46,12 +46,6 @@ let run name scale load_path cores summary =
             if Tracefile.Reader.has_names r then Tracefile.Reader.fn_name r else raw_ctx
           in
           report path (Analysis.Critpath.analyze_stream stream) describe cores)
-  | Some path ->
-    (* text event file: streamed line by line; context ids resolve only
-       against the run that produced it, so print raw ids *)
-    let stream = Sigil.Event_log.iter_file path in
-    if summary then print_summary path (Analysis.Critpath.summarize_stream stream)
-    else report path (Analysis.Critpath.analyze_stream stream) raw_ctx cores
   | None ->
     (* the workload runs inside the stream, so a live run goes through the
        same pass as a loaded trace and no entry outlives its fragment *)
@@ -76,8 +70,8 @@ let cmd =
       & opt (some string) None
       & info [ "load" ] ~docv:"FILE"
           ~doc:
-            "Post-process a saved event trace (binary or text, auto-detected) instead of \
-             running.")
+            "Post-process a saved binary event trace (sigil_run --events) instead of running. \
+             A text dump from sigil_trace convert is not an event trace.")
   in
   let cores =
     Arg.(

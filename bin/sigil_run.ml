@@ -43,6 +43,7 @@ let run names scale limit max_chunks stripped domains fault_policy timeout budge
        single_only);
   (match (trace_path, workloads) with
   | Some path, workload :: _ ->
+    Cli_common.guard @@ fun () ->
     let m = Dbi.Trace.record path (fun m -> workload.Workloads.Workload.run m scale) in
     Format.printf "raw trace (%d guest instructions) written to %s@." (Dbi.Machine.now m) path
   | Some _, [] | None, _ -> ());

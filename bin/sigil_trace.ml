@@ -1,9 +1,11 @@
 (* Record raw guest event streams and re-analyze them offline — profiles
-   are platform-independent and only need collecting once. *)
+   are platform-independent and only need collecting once — and dump,
+   inspect or repair binary event traces. *)
 
 open Cmdliner
 
 let record name scale path =
+  Cli_common.guard @@ fun () ->
   let workload = Cli_common.resolve name in
   let m = Dbi.Trace.record path (fun m -> workload.Workloads.Workload.run m scale) in
   let c = Dbi.Machine.counters m in
@@ -11,6 +13,7 @@ let record name scale path =
     (Workloads.Scale.name scale) (Dbi.Machine.now m) c.Dbi.Machine.calls path
 
 let replay path limit =
+  Cli_common.guard @@ fun () ->
   let tool = ref None in
   let m =
     Dbi.Trace.replay
@@ -26,15 +29,10 @@ let replay path limit =
   Format.printf "replayed %s: %d instructions@.@." path (Dbi.Machine.now m);
   Sigil.Report.pp ~limit Format.std_formatter (Option.get !tool)
 
-let convert src dst chunk_bytes =
+let convert src dst =
   Cli_common.guard @@ fun () ->
-  match Tracefile.Convert.sniff src with
-  | Tracefile.Convert.Text ->
-    let n = Tracefile.Convert.text_to_binary ?chunk_bytes src dst in
-    Format.printf "converted %s (text) -> %s (binary): %d records@." src dst n
-  | Tracefile.Convert.Binary ->
-    let n = Tracefile.Convert.binary_to_text src dst in
-    Format.printf "converted %s (binary) -> %s (text): %d records@." src dst n
+  let n = Tracefile.Convert.binary_to_text src dst in
+  Format.printf "converted %s (binary) -> %s (text): %d records@." src dst n
 
 let file_size path =
   let ic = open_in_bin path in
@@ -47,52 +45,39 @@ let repair src dst chunk_bytes =
 
 let inspect path check =
   Cli_common.guard @@ fun () ->
-  match Tracefile.Convert.sniff path with
-  | Tracefile.Convert.Text ->
-    let n = ref 0 in
-    Sigil.Event_log.iter_file path (fun _ -> incr n);
-    Format.printf "%s: text event trace@." path;
-    Format.printf "  records:   %d@." !n;
-    Format.printf "  file size: %d B@." (file_size path)
-  | Tracefile.Convert.Binary ->
-    let r = Tracefile.Reader.open_file path in
-    Fun.protect
-      ~finally:(fun () -> Tracefile.Reader.close r)
-      (fun () ->
-        Format.printf "%s: binary event trace (version %d)@." path (Tracefile.Reader.version r);
-        Format.printf "  options:     %s@." (Tracefile.Reader.options_tag r);
-        Format.printf "  records:     %d@." (Tracefile.Reader.entry_count r);
-        Format.printf "  chunks:      %d (target %d B)@." (Tracefile.Reader.chunk_count r)
-          (Tracefile.Reader.chunk_bytes r);
-        Format.printf "  symbols:     %d@." (Tracefile.Reader.symbol_count r);
-        Format.printf "  contexts:    %d@." (Tracefile.Reader.context_count r);
-        Format.printf "  file size:   %d B@." (file_size path);
-        if check then begin
-          Tracefile.Reader.validate r;
-          Format.printf "  integrity:   all chunk CRCs and counts verified@."
-        end)
+  let r = Tracefile.Reader.open_file path in
+  Fun.protect
+    ~finally:(fun () -> Tracefile.Reader.close r)
+    (fun () ->
+      Format.printf "%s: binary event trace (version %d)@." path (Tracefile.Reader.version r);
+      Format.printf "  options:     %s@." (Tracefile.Reader.options_tag r);
+      Format.printf "  records:     %d@." (Tracefile.Reader.entry_count r);
+      Format.printf "  chunks:      %d (target %d B)@." (Tracefile.Reader.chunk_count r)
+        (Tracefile.Reader.chunk_bytes r);
+      Format.printf "  symbols:     %d@." (Tracefile.Reader.symbol_count r);
+      Format.printf "  contexts:    %d@." (Tracefile.Reader.context_count r);
+      Format.printf "  file size:   %d B@." (file_size path);
+      if check then begin
+        Tracefile.Reader.validate r;
+        Format.printf "  integrity:   all chunk CRCs and counts verified@."
+      end)
 
 let convert_cmd =
   let src =
     Arg.(
-      required & pos 0 (some string) None & info [] ~docv:"SRC" ~doc:"Event trace to convert.")
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"SRC" ~doc:"Binary event trace to dump.")
   in
   let dst =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"DST" ~doc:"Output file.")
-  in
-  let chunk_bytes =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "chunk-bytes" ] ~docv:"N"
-          ~doc:"Target chunk payload size when writing binary (default 65536).")
+    Arg.(required & pos 1 (some string) None & info [] ~docv:"DST" ~doc:"Text output file.")
   in
   Cmd.v
     (Cmd.info "convert"
        ~doc:
-         "Convert an event trace between the text and framed binary formats (direction \
-          auto-detected from SRC)")
-    Term.(const convert $ src $ dst $ chunk_bytes)
+         "Dump a binary event trace as text, one C/O/X/R record per line, for reading and \
+          diffing (output only: no tool reads the text back)")
+    Term.(const convert $ src $ dst)
 
 let repair_cmd =
   let src =
@@ -151,7 +136,8 @@ let replay_cmd =
 
 let cmd =
   Cmd.group
-    (Cmd.info "sigil_trace" ~doc:"Record, replay, convert and inspect guest event streams")
+    (Cmd.info "sigil_trace"
+       ~doc:"Record and replay guest event streams; dump, inspect and repair event traces")
     [ record_cmd; replay_cmd; convert_cmd; inspect_cmd; repair_cmd ]
 
 let () = exit (Cmd.eval cmd)

@@ -75,17 +75,16 @@ let () =
 
   (* event files are a first-class artifact: record one and re-analyze it *)
   let _, cp_live = List.assoc "libquantum" results in
-  let path = Filename.temp_file "libquantum_events" ".txt" in
-  let records = ref 0 in
-  Sigil.Event_log.write_file path (fun emit ->
-      ignore
-        (run_events "libquantum" ~event_sink:(fun e ->
-             incr records;
-             emit e)));
-  let cp_loaded = Analysis.Critpath.analyze_stream (Sigil.Event_log.iter_file path) in
+  let path = Filename.temp_file "libquantum_events" ".tf" in
+  let w = Tracefile.Writer.create path in
+  ignore (run_events "libquantum" ~event_sink:(Tracefile.Writer.sink w));
+  Tracefile.Writer.close w;
+  let r = Tracefile.Reader.open_file path in
+  let cp_loaded = Analysis.Critpath.analyze_stream (Tracefile.Reader.iter r) in
+  Tracefile.Reader.close r;
   Printf.printf
     "\nEvent file round-trip (%s): %d records; parallelism %.2fx live vs %.2fx reloaded.\n" path
-    !records
+    (Tracefile.Writer.entries w)
     (Analysis.Critpath.parallelism cp_live)
     (Analysis.Critpath.parallelism cp_loaded);
   Sys.remove path

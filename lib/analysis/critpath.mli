@@ -31,9 +31,9 @@ type node = {
 type t
 
 (** A push-based producer of event entries in trace order: a streaming
-    binary-trace iterator ([Tracefile.Reader.iter r]),
-    [Sigil.Event_log.iter_file path] for a text file, or a live run that
-    hands the consumer to the tool as its event sink,
+    read of the binary event file ([Tracefile.Reader.iter r]; no text
+    form is read back), or a live run that hands the consumer to the
+    tool as its event sink,
     [fun emit -> ignore (Driver.run_workload ~options ~event_sink:emit w scale)]
     — the analysis never needs the entries materialized. *)
 type stream = (Sigil.Event_log.entry -> unit) -> unit

@@ -16,13 +16,14 @@
 
     Entries exist only in flight: the tool lends each one to a {!sink}
     as the run produces it and keeps none, so a consumer chooses where
-    they go — the streaming binary writer in [Tracefile.Writer], the text
-    file of {!write_file}, or an analysis such as
-    [Analysis.Critpath.analyze_stream] running over the live workload.
-    Memory is then bounded by the consumer, never by the trace length. The
-    line-oriented text serialization ([C]/[O]/[X]/[R] records) remains the
-    interchange format; [Tracefile.Convert] translates between it and the
-    binary format. *)
+    they go — the streaming binary writer in [Tracefile.Writer], or an
+    analysis such as [Analysis.Critpath.analyze_stream] running over the
+    live workload. Memory is then bounded by the consumer, never by the
+    trace length. The binary trace of [Tracefile] is the one event file:
+    it is what tools write and the only thing they read back. The
+    one-line text form of {!entry_to_string} ([C]/[O]/[X]/[R] records) is
+    output only, a dump for people and for [diff]
+    ([Tracefile.Convert.binary_to_text]). *)
 
 type entry =
   | Call of { mutable ctx : Dbi.Context.id; mutable call : int }
@@ -53,7 +54,7 @@ type entry =
     overwrites it with a later entry of the same constructor. A consumer
     that keeps an entry past the call stores [copy e]. No consumer mutates
     an entry it is given. Consumers that act on the fields at once — the
-    trace writer, the text writer, [Analysis.Critpath] — copy nothing. *)
+    trace writer, the text dump, [Analysis.Critpath] — copy nothing. *)
 
 (** Where produced entries flow. Applied once per entry, in trace order;
     the entry is lent for the call only. *)
@@ -91,24 +92,9 @@ val set_xfer :
 
 val set_ret : scratch -> ctx:Dbi.Context.id -> call:int -> entry
 
-(** {2 Text format} *)
+(** {2 Text dump} *)
 
+(** [entry_to_string e] is [e]'s line in the text dump: [C ctx call],
+    [O ctx call int_ops fp_ops], [X src_ctx src_call dst_ctx dst_call
+    bytes unique_bytes] or [R ctx call]. No tool parses it back. *)
 val entry_to_string : entry -> string
-
-(** [entry_of_string line] parses one record.
-
-    @raise Failure on a malformed line. *)
-val entry_of_string : string -> entry
-
-(** [write_file path f] streams a text event file: [f emit] calls [emit]
-    once per entry, in order, and its result is returned. The file is
-    written through [Dbi.Atomic_file.write]: [path] appears only once [f]
-    returns; if [f] raises, an existing [path] keeps its bytes and no
-    [.tmp] is left behind. *)
-val write_file : string -> (sink -> 'a) -> 'a
-
-(** [iter_file path f] streams a saved text event file record by record in
-    constant memory (blank lines skipped).
-
-    @raise Failure on a malformed file. *)
-val iter_file : string -> (entry -> unit) -> unit

@@ -1,8 +1,10 @@
 (** Crash-safe file output.
 
-    Every artifact the tools write (profiles, text event files, Callgrind
-    and DOT outputs, stats JSON) goes through {!write}, so a run that dies
-    midway never leaves a torn file under the destination name. *)
+    Every artifact the tools write (profiles, raw guest recordings, text
+    dumps of event traces, Callgrind and DOT outputs, stats JSON, bench
+    results) goes through {!write}, so a run that dies midway never leaves
+    a torn file under the destination name. The binary event trace keeps
+    the same [.tmp]-then-rename discipline in [Tracefile.Writer]. *)
 
 (** [write path f] opens [path ^ ".tmp"], passes the channel to [f], and
     once [f] returns closes it and renames it over [path], returning [f]'s

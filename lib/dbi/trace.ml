@@ -21,12 +21,7 @@ let recorder oc machine : Tool.t =
   }
 
 let record path workload =
-  let oc = open_out path in
-  let result =
-    Runner.run ~tools:[ recorder oc ] workload
-  in
-  close_out oc;
-  result.Runner.machine
+  Atomic_file.write path (fun oc -> (Runner.run ~tools:[ recorder oc ] workload).Runner.machine)
 
 let apply_line machine line =
   let fail () = failwith ("Trace: malformed record: " ^ line) in

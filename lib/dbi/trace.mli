@@ -31,7 +31,9 @@
 val recorder : out_channel -> Machine.t -> Tool.t
 
 (** [record path workload] runs [workload] with only the recorder attached
-    and writes the trace to [path]. Returns the machine (for counters). *)
+    and writes the trace to [path] through {!Atomic_file.write}: if the
+    workload raises, [path] is not created (an existing one keeps its
+    bytes) and no [.tmp] is left. Returns the machine (for counters). *)
 val record : string -> (Machine.t -> unit) -> Machine.t
 
 (** [replay ~tools path] reconstructs the guest run from a trace file.

@@ -1,30 +1,13 @@
-type format = Binary | Text
-
-let sniff path = if Reader.is_tracefile path then Binary else Text
-
-let text_to_binary ?chunk_bytes src dst =
-  let w = Writer.create ?chunk_bytes dst in
-  match
-    Sigil.Event_log.iter_file src (Writer.add w);
-    Writer.entries w
-  with
-  | n ->
-    Writer.close w;
-    n
-  | exception e ->
-    (* a malformed source must not publish (or leave) a partial trace *)
-    Writer.discard w;
-    raise e
-
 let binary_to_text src dst =
   let r = Reader.open_file src in
   Fun.protect
     ~finally:(fun () -> Reader.close r)
     (fun () ->
       let n = ref 0 in
-      Sigil.Event_log.write_file dst (fun emit ->
+      Dbi.Atomic_file.write dst (fun oc ->
           Reader.iter r (fun e ->
-              emit e;
+              output_string oc (Sigil.Event_log.entry_to_string e);
+              output_char oc '\n';
               incr n));
       !n)
 

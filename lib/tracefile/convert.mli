@@ -1,24 +1,14 @@
-(** Text ↔ binary event-trace conversion.
+(** The text dump of a binary trace, and trace repair.
 
-    Keeps every pre-existing text event file usable with the binary
-    toolchain and lets a binary trace be inspected with line tools. Both
-    directions stream record-by-record in bounded memory. A text trace
-    carries no symbol/context tables, so a binary file produced from one is
-    self-framed but nameless ([Reader.has_names] is false). *)
+    The binary trace is the one event file: no tool reads any other.
+    {!binary_to_text} prints one [Sigil.Event_log.entry_to_string] line
+    per entry, for people and for [diff]; nothing parses it back. *)
 
-type format = Binary | Text
+(** [binary_to_text src dst] streams in bounded memory, writes [dst]
+    through [Dbi.Atomic_file.write] and returns the entry count.
 
-(** [sniff path] detects the format from the file magic. *)
-val sniff : string -> format
-
-(** [text_to_binary ?chunk_bytes src dst] returns the entry count.
-
-    @raise Failure on a malformed text record. *)
-val text_to_binary : ?chunk_bytes:int -> string -> string -> int
-
-(** [binary_to_text src dst] returns the entry count.
-
-    @raise Frame.Corrupt on a damaged binary trace. *)
+    @raise Frame.Corrupt on a damaged binary trace or a file that is not
+    one (at offset 0); [dst] is then left as it was. *)
 val binary_to_text : string -> string -> int
 
 (** [repair ?chunk_bytes src dst] rewrites a damaged trace into a clean,

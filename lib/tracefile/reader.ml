@@ -326,18 +326,6 @@ let open_trace ~strict path =
 let open_file path = fst (open_trace ~strict:true path)
 let open_salvage path = open_trace ~strict:false path
 
-let is_tracefile path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = String.length Frame.magic in
-      in_channel_length ic >= len
-      &&
-      let b = Bytes.create len in
-      really_input ic b 0 len;
-      Bytes.to_string b = Frame.magic)
-
 let close t = close_in_noerr t.ic
 let version t = t.r_version
 let options_tag t = t.r_options_tag

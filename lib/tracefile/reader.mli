@@ -1,4 +1,5 @@
-(** Streaming binary event-trace reader.
+(** Streaming binary event-trace reader: the one reader of Sigil event
+    files (text is an output-only dump, see [Convert]).
 
     Opening a file parses the header, the trailer, the chunk index and the
     embedded symbol/context tables, but no event data. {!iter} then
@@ -17,12 +18,10 @@
 
 type t
 
-(** [is_tracefile path] sniffs the 8-byte magic — used to tell binary
-    traces from the line-oriented text format. *)
-val is_tracefile : string -> bool
-
 (** [open_file path] opens a complete trace. An intact trailer is trusted:
     the index and tables are checked against it and nothing else is read.
+    A file without the trace magic, a text dump included, is corrupt at
+    offset 0.
 
     @raise Frame.Corrupt on a damaged or truncated file.
     @raise Sys_error when the file cannot be read. *)

@@ -59,8 +59,8 @@ val bytes_written : t -> int
 val telemetry : t -> Telemetry.sample list
 
 (** [close ?symbols ?contexts w] flushes the final chunk, writes the
-    embedded tables (empty when omitted, e.g. for converted text traces
-    whose producing run is gone), the chunk index and the trailer, closes
+    embedded tables (empty when omitted: readers then print raw context
+    ids), the chunk index and the trailer, closes
     the .tmp and renames it over the destination. Idempotent. *)
 val close : ?symbols:Dbi.Symbol.t -> ?contexts:Dbi.Context.t -> t -> unit
 

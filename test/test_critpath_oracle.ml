@@ -364,6 +364,38 @@ let cli_md5 args =
       if code <> 0 then Alcotest.failf "sigil_critpath %s exited %d" args code;
       Digest.to_hex (Digest.file out))
 
+(* A Call out of sequence in a loaded trace is a located error: exit 2
+   and one stderr line naming the entry. *)
+let test_cli_bad_calls () =
+  let path = Filename.temp_file "sigil_critpath" ".tf" in
+  let err = Filename.temp_file "sigil_critpath" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ path; err ])
+    (fun () ->
+      let w = Tracefile.Writer.create path in
+      List.iter (Tracefile.Writer.add w)
+        Event_log.
+          [ Call { ctx = 1; call = 1 }; Ret { ctx = 1; call = 1 }; Call { ctx = 1; call = 3 } ];
+      Tracefile.Writer.close w;
+      let code =
+        Sys.command
+          (Printf.sprintf "%s blackscholes --load %s > /dev/null 2> %s"
+             (Filename.quote sigil_critpath) (Filename.quote path) (Filename.quote err))
+      in
+      Alcotest.(check int) "exit code" 2 code;
+      let lines =
+        In_channel.with_open_bin err In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      Alcotest.(check (list string))
+        "one stderr line"
+        [
+          "error: Critpath: entry 2: Call out of sequence: expected (ctx 1, call 2), found (ctx 1, \
+           call 3)";
+        ]
+        lines)
+
 (* Pinned with the three-column DAG: the full report (parallelism, path
    contexts, 1/2/4/8-core schedules), the --summary report, and every
    critical-path node as "ctx call occurrence self inclusive" lines. *)
@@ -412,7 +444,11 @@ let () =
           Alcotest.test_case "generator coverage" `Quick test_generator_coverage;
           Alcotest.test_case "long streams" `Quick test_long_streams;
         ] );
-      ("failures", [ Alcotest.test_case "located" `Quick test_located_failures ]);
+      ( "failures",
+        [
+          Alcotest.test_case "located" `Quick test_located_failures;
+          Alcotest.test_case "located on the CLI" `Quick test_cli_bad_calls;
+        ] );
       ("goldens", [ Alcotest.test_case "reports" `Quick test_report_goldens ]);
       ( "allocation",
         [

@@ -105,6 +105,48 @@ let test_blank_lines_ignored () =
   let machine = Dbi.Trace.replay_events ~tools:[] [ ""; "E main"; "  "; "I 3"; "L"; "" ] in
   Alcotest.(check int) "ops counted" 3 (Dbi.Machine.counters machine).Dbi.Machine.int_ops
 
+(* A recording whose workload raises publishes nothing: Dbi.Trace.record
+   writes through Atomic_file, so neither the file nor its .tmp is left. *)
+let test_record_crash_safe () =
+  with_temp (fun path ->
+      Sys.remove path;
+      (match
+         Dbi.Trace.record path (fun m ->
+             small_guest m;
+             failwith "workload died")
+       with
+      | _ -> Alcotest.fail "failing workload recorded"
+      | exception Failure _ -> ());
+      Alcotest.(check bool) "no file" false (Sys.file_exists path);
+      Alcotest.(check bool) "no .tmp" false (Sys.file_exists (path ^ ".tmp")))
+
+(* the CLI sits next to this test in the build tree *)
+let sigil_trace =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/sigil_trace.exe"
+
+(* sigil_trace replay on a malformed recording exits 2 with one stderr
+   line, not an uncaught exception and its backtrace. *)
+let test_replay_malformed_cli () =
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "E main\nZ 1\nL\n");
+      let err = Filename.temp_file "dbi_trace" ".err" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove err)
+        (fun () ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s replay %s > /dev/null 2> %s" (Filename.quote sigil_trace)
+                 (Filename.quote path) (Filename.quote err))
+          in
+          Alcotest.(check int) "exit code" 2 code;
+          let lines =
+            In_channel.with_open_bin err In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (( <> ) "")
+          in
+          Alcotest.(check (list string)) "one stderr line"
+            [ "error: Trace: malformed record: Z 1" ] lines))
+
 let () =
   Alcotest.run "trace"
     [
@@ -116,5 +158,7 @@ let () =
           Alcotest.test_case "spaced names roundtrip" `Quick test_spaced_names_roundtrip;
           Alcotest.test_case "malformed rejected" `Quick test_malformed_rejected;
           Alcotest.test_case "blank lines ignored" `Quick test_blank_lines_ignored;
+          Alcotest.test_case "record crash-safe" `Quick test_record_crash_safe;
+          Alcotest.test_case "replay malformed on the CLI" `Quick test_replay_malformed_cli;
         ] );
     ]

@@ -1,7 +1,6 @@
 (* Binary event-trace format: varint/codec round-trips (including extreme
-   values), chunk framing, corruption diagnostics with chunk offsets,
-   text<->binary conversion and the size/memory bounds the format exists
-   for. *)
+   values), chunk framing, corruption diagnostics with chunk offsets, the
+   text dump and the size/memory bounds the format exists for. *)
 
 open Sigil
 
@@ -197,14 +196,54 @@ let test_corrupted_crc () =
               check_corrupt_at ~expected_offset:victim (fun () ->
                   Tracefile.Reader.validate r))))
 
+(* the CLIs sit next to this test in the build tree *)
+let cli name = Filename.concat (Filename.dirname Sys.executable_name) ("../bin/" ^ name ^ ".exe")
+let sigil_trace = cli "sigil_trace"
+
+(* [cli_stderr exe args] runs a CLI with stdout discarded and returns its
+   exit code and its non-empty stderr lines. *)
+let cli_stderr exe args =
+  with_temp ".err" (fun err ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote exe) args
+             (Filename.quote err))
+      in
+      let lines =
+        In_channel.with_open_bin err In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      (code, lines))
+
+(* The binary trace is the only event file: a text file is corrupt at
+   offset 0 for the reader and for every CLI that takes a trace, which
+   exits 2 with one stderr line. *)
 let test_not_a_tracefile () =
   with_temp ".txt" (fun path ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "C 1 1\n");
-      Alcotest.(check bool) "sniff" false (Tracefile.Reader.is_tracefile path);
-      match Tracefile.Reader.open_file path with
+      (match Tracefile.Reader.open_file path with
       | exception Tracefile.Frame.Corrupt { offset = 0; _ } -> ()
       | exception e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
-      | _ -> Alcotest.fail "text file opened as tracefile")
+      | _ -> Alcotest.fail "text file opened as tracefile");
+      with_temp ".out" (fun out ->
+          Sys.remove out;
+          let p = Filename.quote path in
+          List.iter
+            (fun (what, exe, args) ->
+              let code, lines = cli_stderr exe args in
+              Alcotest.(check int) (what ^ ": exit code") 2 code;
+              Alcotest.(check (list string))
+                (what ^ ": one stderr line")
+                [ "error: corrupt trace at offset 0: not a sigil tracefile (too short)" ]
+                lines)
+            [
+              ("sigil_critpath --load", cli "sigil_critpath", "blackscholes --load " ^ p);
+              ("sigil_trace inspect", sigil_trace, "inspect " ^ p);
+              ("sigil_trace convert", sigil_trace, "convert " ^ p ^ " " ^ Filename.quote out);
+            ];
+          Alcotest.(check bool) "convert published nothing" false (Sys.file_exists out);
+          Alcotest.(check bool) "convert left no .tmp" false (Sys.file_exists (out ^ ".tmp"))))
 
 let varints ns =
   let b = Buffer.create 16 in
@@ -236,10 +275,6 @@ let write_crafted_tail ~tables ~chunk_count path =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents b));
   tables_offset
 
-(* the CLI sits next to this test in the build tree *)
-let sigil_trace =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/sigil_trace.exe"
-
 (* A table or index count below zero or past the bytes left is damage at
    the tables offset: open_file raises [Corrupt] (not [Invalid_argument]
    or [Out_of_memory]), salvage keeps the chunk and reports the tail lost,
@@ -261,19 +296,9 @@ let test_crafted_counts () =
               (what ^ ": chunk kept")
               (List.length sample_entries) report.Tracefile.Reader.recovered_entries
           | exception e -> Alcotest.failf "%s: salvage raised %s" what (Printexc.to_string e));
-          with_temp ".err" (fun err ->
-              let code =
-                Sys.command
-                  (Printf.sprintf "%s inspect %s > /dev/null 2> %s" (Filename.quote sigil_trace)
-                     (Filename.quote path) (Filename.quote err))
-              in
-              Alcotest.(check int) (what ^ ": inspect exit code") 2 code;
-              let lines =
-                In_channel.with_open_bin err In_channel.input_all
-                |> String.split_on_char '\n'
-                |> List.filter (( <> ) "")
-              in
-              Alcotest.(check int) (what ^ ": one stderr line") 1 (List.length lines))))
+          let code, lines = cli_stderr sigil_trace ("inspect " ^ Filename.quote path) in
+          Alcotest.(check int) (what ^ ": inspect exit code") 2 code;
+          Alcotest.(check int) (what ^ ": one stderr line") 1 (List.length lines)))
     [
       ("negative symbol count", tables ~symbols:(-1) ~contexts:0, 1);
       ("symbol count 2^32", tables ~symbols:(1 lsl 32) ~contexts:0, 1);
@@ -282,22 +307,22 @@ let test_crafted_counts () =
     ]
 
 (* ---------------------------------------------------------------- *)
-(* Converter                                                        *)
+(* Text dump                                                        *)
 (* ---------------------------------------------------------------- *)
 
-let test_convert_roundtrip () =
-  with_temp ".txt" (fun txt ->
-      Event_log.write_file txt (fun emit -> List.iter emit sample_entries);
-      with_temp ".tf" (fun tf ->
-          let n = Tracefile.Convert.text_to_binary ~chunk_bytes:64 txt tf in
+(* The dump is one entry_to_string line per entry, in trace order. *)
+let test_dump () =
+  with_temp ".tf" (fun tf ->
+      with_temp ".txt" (fun txt ->
+          let _ = write_entries ~chunk_bytes:64 sample_entries tf in
+          let n = Tracefile.Convert.binary_to_text tf txt in
           Alcotest.(check int) "entry count" (List.length sample_entries) n;
-          Alcotest.(check bool) "binary sniff" true (Tracefile.Reader.is_tracefile tf);
-          with_temp ".txt" (fun txt2 ->
-              let n' = Tracefile.Convert.binary_to_text tf txt2 in
-              Alcotest.(check int) "entry count back" n n';
-              let back = ref [] in
-              Event_log.iter_file txt2 (fun e -> back := Event_log.copy e :: !back);
-              Alcotest.(check (list entry)) "text->binary->text" sample_entries (List.rev !back))))
+          Alcotest.(check (list string))
+            "one line per entry"
+            (List.map Event_log.entry_to_string sample_entries)
+            (In_channel.with_open_bin txt In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (( <> ) ""))))
 
 (* ---------------------------------------------------------------- *)
 (* Live runs: embedded tables, memory bound, size bound             *)
@@ -361,7 +386,8 @@ let test_sink_memory_bound () =
         (Tracefile.Writer.peak_buffer_bytes w <= chunk_bytes + 64))
 
 let test_dedup_size_ratio () =
-  (* acceptance bound: binary >= 4x smaller than text on dedup simsmall *)
+  (* acceptance bound: binary >= 4x smaller than its text dump on dedup
+     simsmall *)
   let options =
     Sigil.Options.(with_events { default with max_chunks = Some 300 })
   in
@@ -369,8 +395,8 @@ let test_dedup_size_ratio () =
   let size path = In_channel.with_open_bin path In_channel.length |> Int64.to_int in
   with_temp ".txt" (fun txt ->
       with_temp ".tf" (fun tf ->
-          Event_log.write_file txt (fun emit -> List.iter emit entries);
           ignore (write_entries entries tf : Tracefile.Writer.t);
+          ignore (Tracefile.Convert.binary_to_text tf txt : int);
           let ratio = float_of_int (size txt) /. float_of_int (size tf) in
           Alcotest.(check bool)
             (Printf.sprintf "text/binary ratio %.2f >= 4" ratio)
@@ -381,9 +407,11 @@ let test_dedup_size_ratio () =
 (* ---------------------------------------------------------------- *)
 
 (* MD5 of the binary trace (streamed through the writer, closed with the
-   run's symbol and context tables) and of the text event log, in events
-   mode at simsmall. Pinned before the codec, the fragment flush and the
-   critical-path DAG moved to int arrays: every byte must stay put. *)
+   run's symbol and context tables) and of its text dump, in events mode
+   at simsmall. Pinned before the codec, the fragment flush and the
+   critical-path DAG moved to int arrays, the text MD5 when the run wrote
+   its text itself: every byte must stay put, and the dump must print
+   exactly the entries the run produced. *)
 let trace_goldens =
   [
     ("canneal", "1ff93e4046fd690cf4c2e959e129428d", "ca2fe7e24a13c1a950e39040409dcf78");
@@ -401,18 +429,14 @@ let test_trace_goldens () =
           with_temp ".txt" (fun txt ->
               let options = Sigil.Options.(with_events default) in
               let w = Tracefile.Writer.create ~options tf in
-              (* one run streams into both files *)
-              Event_log.write_file txt (fun emit ->
-                  let r =
-                    Driver.run_workload ~options
-                      ~event_sink:(fun e ->
-                        Tracefile.Writer.add w e;
-                        emit e)
-                      (find_workload name) Workloads.Scale.Simsmall
-                  in
-                  let m = r.Driver.machine in
-                  Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
-                    ~contexts:(Dbi.Machine.contexts m) w);
+              let r =
+                Driver.run_workload ~options ~event_sink:(Tracefile.Writer.sink w)
+                  (find_workload name) Workloads.Scale.Simsmall
+              in
+              let m = r.Driver.machine in
+              Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
+                ~contexts:(Dbi.Machine.contexts m) w;
+              ignore (Tracefile.Convert.binary_to_text tf txt : int);
               Alcotest.(check string) (name ^ " binary trace") binary_md5 (file_md5 tf);
               Alcotest.(check string) (name ^ " text log") text_md5 (file_md5 txt))))
     trace_goldens
@@ -580,7 +604,7 @@ let () =
           Alcotest.test_case "not a tracefile" `Quick test_not_a_tracefile;
           Alcotest.test_case "crafted table counts" `Quick test_crafted_counts;
         ] );
-      ("convert", [ Alcotest.test_case "text<->binary" `Quick test_convert_roundtrip ]);
+      ("convert", [ Alcotest.test_case "binary->text dump" `Quick test_dump ]);
       ( "runs",
         [
           Alcotest.test_case "embedded tables" `Slow test_embedded_tables;
