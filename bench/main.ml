@@ -121,11 +121,9 @@ let fig4_5_6 () =
 (* Figure 7 and Tables II/III: partitioning                            *)
 (* ------------------------------------------------------------------ *)
 
-(* candidate ranking fans the trim reduction over calltree subtrees on the
-   shared pool (Partition.trim ?pool); bit-identical to the sequential pass *)
 let trimmed name =
   let run = paired_run name small in
-  Analysis.Partition.trim ?pool:!Bench_util.pool
+  Analysis.Partition.trim
     (Analysis.Cdfg.build ~callgrind:(Driver.callgrind run) (Driver.sigil run))
 
 let fig7_tables () =
@@ -753,7 +751,7 @@ let alloc_bench () =
   pf "%d retired instructions; gated stages (emission, writer, decode, analyze) bound %g\n" instr
     alloc_bound
 
-(* failed workloads (suite's Isolate policy); a non-zero count turns
+(* failed workloads (Driver.run_many isolates them); a non-zero count turns
    into exit code 3 (valid but incomplete results) at the end of the run *)
 let suite_failures = ref 0
 
@@ -798,14 +796,13 @@ let suite_bench () =
       results
   in
   let t0 = Dbi.Runner.monotonic_s () in
-  let seq = Driver.run_many ~fault_policy:Driver.Isolate (jobs ()) in
+  let seq = Driver.run_many (jobs ()) in
   let sequential_s = Dbi.Runner.monotonic_s () -. t0 in
   let t1 = Dbi.Runner.monotonic_s () in
   let par =
     if domains > 1 then
-      Pool.with_pool ~domains (fun p ->
-          Driver.run_many ~pool:p ~fault_policy:Driver.Isolate (jobs ()))
-    else Driver.run_many ~fault_policy:Driver.Isolate (jobs ())
+      Pool.with_pool ~domains (fun p -> Driver.run_many ~pool:p (jobs ()))
+    else Driver.run_many (jobs ())
   in
   let parallel_s = Dbi.Runner.monotonic_s () -. t1 in
   report_failures "sequential" seq;
@@ -904,7 +901,7 @@ let stats_sweep path =
           (workload name) small)
       parsec
   in
-  let results = Driver.run_many ?pool:!Bench_util.pool ~fault_policy:Driver.Isolate jobs in
+  let results = Driver.run_many ?pool:!Bench_util.pool jobs in
   List.iter
     (function
       | Ok _ -> ()

@@ -2,6 +2,22 @@
 
 open Cmdliner
 
+(* [checked conv ok what] is [conv] restricted to values satisfying [ok]:
+   anything else is a usage error at parse time (exit 124), so the library
+   never sees it. *)
+let checked conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let pos_int = checked Arg.int (fun n -> n > 0) "a positive integer"
+
+let power_of_two = checked Arg.int (fun n -> n > 0 && n land (n - 1) = 0) "a power of two"
+
 let workload_arg =
   let doc =
     "Workload to profile. Known: " ^ String.concat ", " (Workloads.Suite.names ()) ^ "."
@@ -49,7 +65,7 @@ let max_chunks_arg =
     "Memory-limit parameter: cap live second-level shadow chunks (freed FIFO), trading accuracy \
      for footprint."
   in
-  Arg.(value & opt (some int) None & info [ "max-chunks" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some pos_int) None & info [ "max-chunks" ] ~docv:"N" ~doc)
 
 let stripped_arg =
   let doc = "Profile as if the binary had no debugging symbols." in
@@ -66,34 +82,25 @@ let with_max_chunks options = function
   | None -> options
   | Some n -> Sigil.Options.with_max_chunks options n
 
-(* Exit codes: 0 success, 2 usage / unreadable or corrupt input, 3 partial
-   results (some jobs failed under --fault-policy isolate but the rest
-   completed and were reported). *)
+(* Exit codes: 0 success, 2 unknown workload / unreadable, corrupt or
+   malformed input, 3 partial results (some jobs failed, the rest completed
+   and were reported), 124 a usage error caught by cmdliner. *)
 let exit_partial = 3
-
-let fault_policy_arg =
-  let policy_conv = Arg.enum [ ("fail-fast", Driver.Fail_fast); ("isolate", Driver.Isolate) ] in
-  let doc =
-    "What a crashing workload does to the rest of the batch: $(b,fail-fast) aborts everything \
-     on the first failure; $(b,isolate) captures each failure, completes every other workload \
-     and exits with status 3 when any failed."
-  in
-  Arg.(value & opt policy_conv Driver.Fail_fast & info [ "fault-policy" ] ~docv:"POLICY" ~doc)
 
 let timeout_arg =
   let doc =
     "Abort a workload once it has held the CPU for $(docv) wall-clock seconds (checked every \
-     ~65k retired guest instructions). Combine with --fault-policy isolate to keep the rest of \
-     the batch."
+     ~65k retired guest instructions); the rest of the batch still runs."
   in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
+  let non_negative = checked Arg.float (fun s -> s >= 0.0) "a non-negative number" in
+  Arg.(value & opt (some non_negative) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
 
 let instr_budget_arg =
   let doc =
     "Abort a workload once its retired-instruction clock exceeds $(docv) — a deterministic, \
      platform-independent run bound."
   in
-  Arg.(value & opt (some int) None & info [ "instr-budget" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some pos_int) None & info [ "instr-budget" ] ~docv:"N" ~doc)
 
 let stats_arg =
   let doc =

@@ -76,7 +76,7 @@ let cmd =
   let cores =
     Arg.(
       value
-      & opt_all int []
+      & opt_all Cli_common.pos_int []
       & info [ "cores" ] ~docv:"N"
           ~doc:"Also list-schedule the dependency chains onto $(docv) cores (repeatable).")
   in

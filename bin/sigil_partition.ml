@@ -3,7 +3,7 @@
 
 open Cmdliner
 
-let run name scale limit bus max_coverage callgrind_out domains =
+let run name scale limit bus max_coverage callgrind_out =
   Cli_common.guard @@ fun () ->
   let workload = Cli_common.resolve name in
   let r = Driver.run_workload ~with_callgrind:true workload scale in
@@ -13,10 +13,7 @@ let run name scale limit bus max_coverage callgrind_out domains =
     Format.printf "callgrind-format profile written to %s@." path
   | None -> ());
   let cdfg = Driver.cdfg r in
-  let trimmed =
-    Cli_common.with_domains domains (fun pool ->
-        Analysis.Partition.trim ~bus_bytes_per_cycle:bus ~max_coverage ?pool cdfg)
-  in
+  let trimmed = Analysis.Partition.trim ~bus_bytes_per_cycle:bus ~max_coverage cdfg in
   let ranked = Analysis.Partition.rank trimmed in
   Format.printf "== partitioning: %s (%s), bus %.1f B/cycle ==@." name
     (Workloads.Scale.name scale) bus;
@@ -64,6 +61,6 @@ let cmd =
     (Cmd.info "sigil_partition" ~doc:"Communication-aware HW/SW partitioning from Sigil profiles")
     Term.(
       const run $ Cli_common.workload_arg $ Cli_common.scale_arg $ Cli_common.limit_arg $ bus
-      $ max_coverage $ callgrind_out $ Cli_common.domains_arg)
+      $ max_coverage $ callgrind_out)
 
 let () = exit (Cmd.eval cmd)

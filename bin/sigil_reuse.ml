@@ -75,7 +75,7 @@ let cmd =
   let line_size =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Cli_common.power_of_two) None
       & info [ "line-size" ] ~docv:"BYTES"
           ~doc:"Shadow cache lines of $(docv) bytes instead of single bytes.")
   in

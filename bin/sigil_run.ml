@@ -1,8 +1,8 @@
 (* Run one or more workloads under Sigil and dump the aggregate profiles
-   (optionally the event file, a saved profile, a DOT graph, or a raw
-   trace), the tool's primary interface. Multi-workload invocations fan the
-   independent runs out over a domain pool (-j/--domains); reports print in
-   argument order and are bit-identical to a sequential run. *)
+   (optionally the event file, a saved profile or a DOT graph), the tool's
+   primary interface. Multi-workload invocations fan the independent runs
+   out over a domain pool (-j/--domains); reports print in argument order
+   and are bit-identical to a sequential run. *)
 
 open Cmdliner
 
@@ -21,9 +21,9 @@ let pp_stats ~det snapshot =
   let s = if det then Telemetry.deterministic snapshot else snapshot in
   Telemetry.pp Format.std_formatter s
 
-let run names scale limit max_chunks stripped domains fault_policy timeout budget events_path
-    chunk_bytes checkpoint_every stats stats_out stats_det progress edges flat tree
-    save_profile dot_path trace_path =
+let run names scale limit max_chunks stripped domains timeout budget events_path chunk_bytes
+    checkpoint_every stats stats_out stats_det progress edges flat tree save_profile dot_path =
+  Cli_common.guard @@ fun () ->
   let workloads = List.map Cli_common.resolve names in
   (if List.length names > 1 then
      let single_only =
@@ -31,7 +31,6 @@ let run names scale limit max_chunks stripped domains fault_policy timeout budge
          ("--events", events_path <> None);
          ("--save-profile", save_profile <> None);
          ("--dot", dot_path <> None);
-         ("--trace", trace_path <> None);
        ]
      in
      List.iter
@@ -41,12 +40,6 @@ let run names scale limit max_chunks stripped domains fault_policy timeout budge
            exit 2
          end)
        single_only);
-  (match (trace_path, workloads) with
-  | Some path, workload :: _ ->
-    Cli_common.guard @@ fun () ->
-    let m = Dbi.Trace.record path (fun m -> workload.Workloads.Workload.run m scale) in
-    Format.printf "raw trace (%d guest instructions) written to %s@." (Dbi.Machine.now m) path
-  | Some _, [] | None, _ -> ());
   let options = Cli_common.with_max_chunks Sigil.Options.default max_chunks in
   let options = if events_path <> None then Sigil.Options.with_events options else options in
   let options = Cli_common.with_guards options ~timeout ~budget in
@@ -65,7 +58,7 @@ let run names scale limit max_chunks stripped domains fault_policy timeout budge
   let results, pool_used =
     Cli_common.with_domains domains (fun pool ->
         Cli_common.with_progress progress (List.length workloads) (fun prog ->
-            ( Driver.run_many ?pool ?progress:prog ~fault_policy
+            ( Driver.run_many ?pool ?progress:prog
                 (List.map (fun w -> Driver.job ~options ?event_sink ~stripped w scale) workloads),
               pool )))
   in
@@ -163,13 +156,13 @@ let cmd =
       & info [ "events" ] ~docv:"FILE"
           ~doc:
             "Also record the sequential event trace to $(docv) in the framed binary format, \
-             streamed chunk by chunk during the run (bounded memory). Use sigil_trace convert \
-             to go to/from the line-oriented text format.")
+             streamed chunk by chunk during the run (bounded memory). sigil_trace convert \
+             dumps it as text. A failed run publishes no trace.")
   in
   let chunk_bytes =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Cli_common.pos_int) None
       & info [ "chunk-bytes" ] ~docv:"N"
           ~doc:
             "Target payload bytes per --events chunk (default 65536). Smaller chunks cost more \
@@ -178,7 +171,7 @@ let cmd =
   let checkpoint_every =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Cli_common.pos_int) None
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:
             "Write a durable index checkpoint (and flush) into the --events trace every $(docv) \
@@ -208,23 +201,14 @@ let cmd =
       & opt (some string) None
       & info [ "dot" ] ~docv:"FILE" ~doc:"Write the control data flow graph as Graphviz DOT.")
   in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Also record the raw event stream to $(docv) (replayable with Dbi.Trace, no re-run \
-             needed).")
-  in
   Cmd.v
     (Cmd.info "sigil_run" ~doc:"Profile workloads' function-level communication with Sigil")
     Term.(
       const run $ Cli_common.workloads_arg $ Cli_common.scale_arg $ Cli_common.limit_arg
       $ Cli_common.max_chunks_arg $ Cli_common.stripped_arg $ Cli_common.domains_arg
-      $ Cli_common.fault_policy_arg $ Cli_common.timeout_arg $ Cli_common.instr_budget_arg
+      $ Cli_common.timeout_arg $ Cli_common.instr_budget_arg
       $ events $ chunk_bytes $ checkpoint_every $ Cli_common.stats_arg $ Cli_common.stats_out_arg
       $ Cli_common.stats_det_arg $ Cli_common.progress_arg $ edges $ flat $ tree $ save_profile
-      $ dot $ trace)
+      $ dot)
 
 let () = exit (Cmd.eval cmd)

@@ -93,7 +93,7 @@ let repair_cmd =
   let chunk_bytes =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Cli_common.pos_int) None
       & info [ "chunk-bytes" ] ~docv:"N"
           ~doc:"Target chunk payload size for the rewritten trace (default: the source's).")
   in

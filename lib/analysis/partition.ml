@@ -52,21 +52,18 @@ let candidate_of ?(bus_bytes_per_cycle = default_bus_bytes_per_cycle) cdfg total
    leaves (single hot functions like fluidanimate's ComputeForces) are
    exempt. Without this, top-level drivers whose I/O happens inside their
    own sub-tree always win with breakeven 1.0. *)
-(* The visit is a pure bottom-up reduction per subtree: it returns the best
-   breakeven available anywhere inside (own included) together with the
-   selected leaves of the trimmed subtree, in preorder. Parent selection
-   only ever {e replaces} what the children selected, so subtrees can be
-   reduced independently — [?pool] fans the top two levels of the calltree
-   out across domains; concatenating the per-child results in child order
-   reproduces the sequential preorder bit for bit. *)
-let trim ?(bus_bytes_per_cycle = default_bus_bytes_per_cycle) ?(max_coverage = 0.5) ?pool cdfg =
+let trim ?(bus_bytes_per_cycle = default_bus_bytes_per_cycle) ?(max_coverage = 0.5) cdfg =
   let total = Cdfg.total_cycles cdfg in
   let never_merge n = n.Cdfg.name = "<root>" || n.Cdfg.name = "main" || is_syscall n.Cdfg.name in
   let box_allowed n =
     n.Cdfg.children = []
     || float_of_int n.Cdfg.incl_cycles <= max_coverage *. float_of_int (max 1 total)
   in
-  let combine n ctx kid_results =
+  (* bottom-up: returns the best breakeven anywhere inside the subtree (own
+     included) and the selected leaves of the trimmed subtree, in preorder *)
+  let rec visit ctx =
+    let n = Cdfg.node cdfg ctx in
+    let kid_results = List.map visit n.Cdfg.children in
     let own =
       if never_merge n || not (box_allowed n) then infinity
       else breakeven ~bus_bytes_per_cycle cdfg ctx
@@ -81,21 +78,7 @@ let trim ?(bus_bytes_per_cycle = default_bus_bytes_per_cycle) ?(max_coverage = 0
     in
     (min own best_inside, selected)
   in
-  let rec visit ctx =
-    let n = Cdfg.node cdfg ctx in
-    combine n ctx (List.map visit n.Cdfg.children)
-  in
-  let rec visit_fanout depth ctx =
-    let n = Cdfg.node cdfg ctx in
-    let kids =
-      match pool with
-      | Some p when depth > 0 && List.length n.Cdfg.children > 1 ->
-        Pool.map p (visit_fanout (depth - 1)) n.Cdfg.children
-      | _ -> List.map (if depth > 0 then visit_fanout (depth - 1) else visit) n.Cdfg.children
-    in
-    combine n ctx kids
-  in
-  let _, selected = visit_fanout 2 Dbi.Context.root in
+  let _, selected = visit Dbi.Context.root in
   let coverage =
     List.fold_left (fun acc (c : candidate) -> acc +. c.coverage) 0.0 selected
   in

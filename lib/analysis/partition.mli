@@ -52,13 +52,8 @@ val breakeven : ?bus_bytes_per_cycle:float -> Cdfg.t -> Dbi.Context.id -> float
     {e driver} box may take: a non-leaf node doing less than half of its
     sub-tree's work itself only merges below the bound, which keeps the
     heuristic selecting "useful functions" rather than the whole program
-    (the root and [main] are never merged either way).
-
-    [pool] parallelizes the reduction over the top two levels of calltree
-    subtrees; results are bit-identical to the sequential pass (the
-    per-subtree reductions are pure and re-assembled in child order). *)
-val trim :
-  ?bus_bytes_per_cycle:float -> ?max_coverage:float -> ?pool:Pool.t -> Cdfg.t -> trimmed
+    (the root and [main] are never merged either way). *)
+val trim : ?bus_bytes_per_cycle:float -> ?max_coverage:float -> Cdfg.t -> trimmed
 
 (** [rank trimmed] sorts candidates by increasing breakeven, deduplicated
     by function name (keeping each name's best context). *)

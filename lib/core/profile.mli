@@ -70,10 +70,8 @@ val merge : into:t -> t -> unit
 (** All communication edges, unordered. *)
 val edges : t -> edge list
 
-(** Incoming / outgoing edges of one context. *)
+(** Incoming edges of one context. *)
 val in_edges : t -> Dbi.Context.id -> edge list
-
-val out_edges : t -> Dbi.Context.id -> edge list
 
 (** [output_bytes t ctx] sums outgoing edges: [(total, unique)]. *)
 val output_bytes : t -> Dbi.Context.id -> int * int

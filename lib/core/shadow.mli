@@ -49,8 +49,6 @@ type sink = {
           [producer = Dbi.Context.root]. Only emitted in reuse mode. *)
 }
 
-val null_sink : sink
-
 (** Result of shadowing one read. *)
 type read_result = {
   producer : Dbi.Context.id;

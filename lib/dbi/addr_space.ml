@@ -88,5 +88,4 @@ let live_block t addr =
     t.live None
 
 let heap_live_bytes t = t.live_bytes
-let heap_extent t = t.brk - heap_base
 let live_blocks t = Hashtbl.length t.live

@@ -45,8 +45,5 @@ val live_block : t -> int -> (int * int) option
 (** Total bytes currently allocated on the heap. *)
 val heap_live_bytes : t -> int
 
-(** High-water mark of the heap break, in bytes above {!heap_base}. *)
-val heap_extent : t -> int
-
 (** Number of live heap blocks. *)
 val live_blocks : t -> int

@@ -8,12 +8,4 @@ type access =
 
 type byte_range = int * int
 
-let pp_op_kind ppf = function
-  | Int_op -> Format.pp_print_string ppf "int"
-  | Fp_op -> Format.pp_print_string ppf "fp"
-
-let pp_access ppf = function
-  | Read -> Format.pp_print_string ppf "read"
-  | Write -> Format.pp_print_string ppf "write"
-
 let range_valid (addr, len) = addr >= 0 && len > 0

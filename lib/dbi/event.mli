@@ -23,9 +23,6 @@ type access =
     the buffers a system call reads from or writes into. *)
 type byte_range = int * int
 
-val pp_op_kind : Format.formatter -> op_kind -> unit
-val pp_access : Format.formatter -> access -> unit
-
 (** [range_valid (addr, len)] holds when the range lies in the guest address
     space and has positive length. *)
 val range_valid : byte_range -> bool

@@ -17,8 +17,8 @@ type t
     Long or runaway guest runs can be bounded in two platform-independent
     ways: a cap on the retired-instruction clock and a wall-clock timeout.
     Both raise out of the event-injection call that crossed the limit, so
-    a driver running a batch under [Driver.Isolate] captures them as
-    structured per-job errors while the remaining jobs proceed. *)
+    [Driver.run_many] captures them as structured per-job errors while the
+    remaining jobs of its batch proceed. *)
 
 exception Budget_exhausted of { budget : int; now : int }
 (** The retired-instruction clock passed the configured budget. *)

@@ -23,30 +23,46 @@ let recorder oc machine : Tool.t =
 let record path workload =
   Atomic_file.write path (fun oc -> (Runner.run ~tools:[ recorder oc ] workload).Runner.machine)
 
-let apply_line machine line =
-  let fail () = failwith ("Trace: malformed record: " ^ line) in
-  let int_field s = match int_of_string_opt s with Some v -> v | None -> fail () in
+(* Every record is checked against what [Machine] would reject, so a bad
+   trace fails as a [Failure] naming its line rather than as the machine's
+   [Invalid_argument]. *)
+let apply_line machine lineno line =
+  let fail reason = failwith (Printf.sprintf "Trace: line %d: %s: %s" lineno reason line) in
+  let int_field s = match int_of_string_opt s with Some v -> v | None -> fail "malformed record" in
+  let size s = match int_field s with v when v > 0 -> v | _ -> fail "size must be positive" in
+  let count s = match int_field s with v when v >= 0 -> v | _ -> fail "negative count" in
   (* function names may contain spaces ("operator new"): E takes the rest
      of the line verbatim *)
   if String.length line > 2 && line.[0] = 'E' && line.[1] = ' ' then
     ignore (Machine.enter machine (String.sub line 2 (String.length line - 2)))
   else
   match String.split_on_char ' ' line with
-  | [ "L" ] -> Machine.leave machine
-  | [ "R"; addr; size ] -> Machine.read machine (int_field addr) (int_field size)
-  | [ "W"; addr; size ] -> Machine.write machine (int_field addr) (int_field size)
-  | [ "I"; count ] -> Machine.op machine Event.Int_op (int_field count)
-  | [ "F"; count ] -> Machine.op machine Event.Fp_op (int_field count)
+  | [ "L" ] ->
+    if Machine.stack_depth machine = 0 then fail "leave with no live call";
+    Machine.leave machine
+  | [ "R"; addr; sz ] -> Machine.read machine (int_field addr) (size sz)
+  | [ "W"; addr; sz ] -> Machine.write machine (int_field addr) (size sz)
+  | [ "I"; n ] -> Machine.op machine Event.Int_op (count n)
+  | [ "F"; n ] -> Machine.op machine Event.Fp_op (count n)
   | [ "B"; taken ] -> Machine.branch machine ~taken:(int_field taken <> 0)
-  | _ -> fail ()
+  | _ -> fail "malformed record"
 
 let replay_seq ~tools lines =
   (* overhead ops were recorded explicitly; do not re-inject them *)
   let machine = Machine.create ~call_overhead:0 () in
   List.iter (fun make -> Machine.attach machine (make machine)) tools;
+  let lineno = ref 0 in
   Seq.iter
-    (fun line -> if String.trim line <> "" then apply_line machine (String.trim line))
+    (fun line ->
+      incr lineno;
+      let line = String.trim line in
+      if line <> "" then apply_line machine !lineno line)
     lines;
+  let open_calls = Machine.stack_depth machine in
+  if open_calls > 0 then
+    failwith
+      (Printf.sprintf "Trace: line %d: end of trace with %d call(s) still live" !lineno
+         open_calls);
   Machine.finish machine;
   machine
 

@@ -10,8 +10,6 @@ type run = {
   stats : Telemetry.snapshot option;
 }
 
-type fault_policy = Fail_fast | Isolate
-
 module Run_error = struct
   type cause =
     | Raised of string
@@ -122,9 +120,9 @@ let classify = function
   | Dbi.Machine.Budget_exhausted { budget; now } -> Run_error.Budget_exhausted { budget; now }
   | e -> Run_error.Raised (Printexc.to_string e)
 
-(* Under [Isolate] the exception (with its backtrace) is captured inside the
-   task, so from [Pool]'s point of view every task returns normally — a
-   crashing workload can never take the rest of the batch down with it. *)
+(* A job's exception (with its backtrace) is captured inside the task, so
+   from [Pool]'s point of view every task returns normally: a crashing
+   workload can never take the rest of the batch down with it. *)
 let attempt ?on_start j =
   match run_job ?on_start j with
   | r -> Ok r
@@ -142,22 +140,17 @@ let attempt ?on_start j =
    tool layer is global), so fanning a batch across domains is safe and —
    because [Pool.map] preserves submission order — bit-identical to the
    sequential loop. *)
-let run_many ?pool ?progress ?(fault_policy = Fail_fast) jobs =
-  let attempt_one =
-    match fault_policy with
-    | Fail_fast -> fun ?on_start j -> Ok (run_job ?on_start j)
-    | Isolate -> attempt
-  in
+let run_many ?pool ?progress jobs =
   let task =
     match progress with
-    | None -> fun j -> attempt_one j
+    | None -> fun j -> attempt j
     | Some p ->
       fun j ->
         let h =
           Progress.start p ~workload:j.j_workload.Workloads.Workload.name
             ~scale:(Workloads.Scale.name j.j_scale)
         in
-        let result = attempt_one ~on_start:(Progress.attach h) j in
+        let result = attempt ~on_start:(Progress.attach h) j in
         Progress.finish p h ~ok:(Result.is_ok result);
         result
   in

@@ -47,15 +47,7 @@ val run_workload :
     run's machine, tool and PRNG state is run-local, the parallel results
     are bit-identical to a sequential loop over the same jobs. *)
 
-(** What a crashing job does to the rest of its batch. [Fail_fast]
-    propagates the first exception (in submission order) out of
-    [run_many], discarding the batch — the historical behaviour.
-    [Isolate] captures each job's failure as a {!Run_error.t} and runs
-    every other job to completion; surviving runs are bit-identical to a
-    batch that never contained the crasher. *)
-type fault_policy = Fail_fast | Isolate
-
-(** Structured description of one failed job, captured under {!Isolate}. *)
+(** Structured description of one failed job, as {!run_many} returns it. *)
 module Run_error : sig
   type cause =
     | Raised of string  (** [Printexc.to_string] of the escaping exception *)
@@ -90,19 +82,15 @@ val job :
   Workloads.Scale.t ->
   job
 
-(** [run_many ?pool ?progress ?fault_policy jobs] executes the batch
-    ([pool = None] runs in the calling domain) and returns results in
-    submission order. Under the default [Fail_fast] every element is [Ok]
-    (a failing job raises out of the call); under [Isolate] failed jobs
-    come back as [Error] and the rest of the batch completes. [progress]
-    reports each job's start/finish (and live clock, via the run-start
-    hook) to a {!Progress.t} heartbeat; it never influences results. *)
+(** [run_many ?pool ?progress jobs] executes the batch ([pool = None] runs
+    in the calling domain) and returns results in submission order. A job
+    whose run raises comes back as [Error] and every other job runs to
+    completion; surviving runs are bit-identical to a batch that never
+    contained the crasher. [progress] reports each job's start/finish (and
+    live clock, via the run-start hook) to a {!Progress.t} heartbeat; it
+    never influences results. *)
 val run_many :
-  ?pool:Pool.t ->
-  ?progress:Progress.t ->
-  ?fault_policy:fault_policy ->
-  job list ->
-  (run, Run_error.t) result list
+  ?pool:Pool.t -> ?progress:Progress.t -> job list -> (run, Run_error.t) result list
 
 (** [time_native w scale] is the uninstrumented baseline run time. *)
 val time_native : Workloads.Workload.t -> Workloads.Scale.t -> float

@@ -4,8 +4,8 @@
     bag of independent instrumented runs: each owns its own {!Dbi.Machine},
     tool state and PRNG, so fanning them across OCaml 5 domains changes
     wall-clock only, never results. This pool is the one parallel-execution
-    primitive in the tree; {!Driver.run_many}, the benchmark harness and the
-    parallel analysis passes all share it.
+    primitive in the tree; {!Driver.run_many} and the benchmark harness
+    share it.
 
     Determinism contract: {!map} and {!run} return results in submission
     order regardless of which domain executed what, and raise the {e first}
@@ -40,8 +40,7 @@ val size : t -> int
     exception. Safe to call from inside a pool task (the nested batch is
     drained by the same domains).
 
-    Failure semantics (the no-deadlock contract {!Driver.run_many} builds
-    its [Isolate] fault policy on): a raising task never aborts, skips or
+    Failure semantics (no deadlock): a raising task never aborts, skips or
     blocks the rest of its batch — every submitted task runs exactly once,
     [map] only returns (or re-raises) after all of them have completed,
     and the pool remains usable for subsequent batches. The exception

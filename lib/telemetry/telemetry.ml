@@ -56,7 +56,6 @@ let seconds name v = { name; domain = Wall; value = Seconds v }
 type snapshot = sample list (* sorted by name, names unique *)
 
 let empty = []
-let is_empty s = s = []
 let samples s = s
 
 let combine_values name a b =

@@ -77,7 +77,6 @@ val seconds : string -> float -> sample
 type snapshot
 
 val empty : snapshot
-val is_empty : snapshot -> bool
 
 (** [of_samples ss] sorts by name and combines duplicates with the merge
     rule of their constructor.

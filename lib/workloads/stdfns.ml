@@ -56,17 +56,6 @@ let memmove m ~dst ~src ~len =
       (* overlap check *)
       Guest.memcpy m ~dst ~src len)
 
-let memset m ~dst ~len =
-  Guest.call m "memset" (fun () ->
-      let rec go off =
-        if off < len then begin
-          Guest.write m (dst + off) (min 8 (len - off));
-          Guest.iop m 1;
-          go (off + 8)
-        end
-      in
-      go 0)
-
 let memchr m ~src ~len rng =
   Guest.call m "memchr" (fun () ->
       let pos = Prng.int rng (max 1 len) in

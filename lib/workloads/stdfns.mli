@@ -39,7 +39,6 @@ val strtof : Machine.t -> src:int -> dst:int -> unit
 
 val memcpy : Machine.t -> dst:int -> src:int -> len:int -> unit
 val memmove : Machine.t -> dst:int -> src:int -> len:int -> unit
-val memset : Machine.t -> dst:int -> len:int -> unit
 
 (** [memchr m ~src ~len rng] scans for a byte; the match position is drawn
     from [rng] (guest-visible work is the scan itself). *)

@@ -8,7 +8,3 @@ type t = {
   description : string;
   run : Dbi.Machine.t -> Scale.t -> unit;
 }
-
-let suite_name = function
-  | Parsec -> "PARSEC-2.1"
-  | Spec -> "SPEC"

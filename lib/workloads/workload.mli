@@ -12,5 +12,3 @@ type t = {
       (** Deterministic: equal (machine history, scale) gives equal event
           streams. *)
 }
-
-val suite_name : suite -> string

@@ -20,10 +20,8 @@ let test_in_process () =
   let peak = (Gc.quick_stat ()).Gc.top_heap_words in
   if peak > bound then Alcotest.failf "top_heap_words %d (bound %d)" peak bound
 
-(* the CLI sits next to this test in the build tree; the runtime prints
-   its GC counters at exit under OCAMLRUNPARAM=v=0x400 *)
-let sigil_critpath =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/sigil_critpath.exe"
+(* the runtime prints its GC counters at exit under OCAMLRUNPARAM=v=0x400 *)
+let sigil_critpath = Cli.exe "sigil_critpath"
 
 let test_cli () =
   let err = Filename.temp_file "sigil_critpath" ".err" in

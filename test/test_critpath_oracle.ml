@@ -348,9 +348,7 @@ let test_dag_size () =
 (* Report goldens                                                   *)
 (* ---------------------------------------------------------------- *)
 
-(* the CLI sits next to this test in the build tree *)
-let sigil_critpath =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/sigil_critpath.exe"
+let sigil_critpath = Cli.exe "sigil_critpath"
 
 let cli_md5 args =
   let out = Filename.temp_file "sigil_critpath" ".out" in
@@ -368,26 +366,18 @@ let cli_md5 args =
    and one stderr line naming the entry. *)
 let test_cli_bad_calls () =
   let path = Filename.temp_file "sigil_critpath" ".tf" in
-  let err = Filename.temp_file "sigil_critpath" ".err" in
   Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ path; err ])
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let w = Tracefile.Writer.create path in
       List.iter (Tracefile.Writer.add w)
         Event_log.
           [ Call { ctx = 1; call = 1 }; Ret { ctx = 1; call = 1 }; Call { ctx = 1; call = 3 } ];
       Tracefile.Writer.close w;
-      let code =
-        Sys.command
-          (Printf.sprintf "%s blackscholes --load %s > /dev/null 2> %s"
-             (Filename.quote sigil_critpath) (Filename.quote path) (Filename.quote err))
+      let code, lines =
+        Cli.stderr "sigil_critpath" ("blackscholes --load " ^ Filename.quote path)
       in
       Alcotest.(check int) "exit code" 2 code;
-      let lines =
-        In_channel.with_open_bin err In_channel.input_all
-        |> String.split_on_char '\n'
-        |> List.filter (( <> ) "")
-      in
       Alcotest.(check (list string))
         "one stderr line"
         [

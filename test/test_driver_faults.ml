@@ -1,8 +1,7 @@
-(* Fault-isolated batch execution (ISSUE 4 tentpole a): a crashing
-   workload under [Isolate] is captured as a structured [Run_error] while
-   every other job completes bit-identically to a clean run; [Fail_fast]
-   keeps the historical raise-through behaviour; the wall-clock and
-   instruction-budget guards surface as their own causes. *)
+(* Fault-isolated batch execution: a crashing workload is captured as a
+   structured [Run_error] while every other job completes bit-identically
+   to a clean run; the wall-clock and instruction-budget guards surface as
+   their own causes. *)
 
 let small = Workloads.Scale.Simsmall
 
@@ -30,9 +29,9 @@ let contains ~sub s =
   let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
   n = 0 || at 0
 
-(* Acceptance criterion: 13 workloads + one always-crashing one under
-   Isolate -> exactly one Run_error, and the 13 survivors' profiles are
-   bit-identical to a clean run's (fingerprint unchanged). *)
+(* 13 workloads + one always-crashing one -> exactly one Run_error, and the
+   13 survivors' profiles are bit-identical to a clean run's (fingerprint
+   unchanged). *)
 let test_isolate_completes_surviving_jobs () =
   let clean =
     List.map
@@ -70,20 +69,11 @@ let test_isolate_completes_surviving_jobs () =
       (fingerprint oks)
   in
   (* sequential *)
-  check_results (Driver.run_many ~fault_policy:Driver.Isolate (with_crasher ()));
+  check_results (Driver.run_many (with_crasher ()));
   (* and fanned over a pool: the crash must not poison other domains *)
   check_results
     (Pool.with_pool ~domains:3 (fun p ->
-         Driver.run_many ~pool:p ~fault_policy:Driver.Isolate (with_crasher ())))
-
-let test_fail_fast_raises_through () =
-  let jobs = [ Driver.job crasher small; Driver.job (List.hd Workloads.Suite.parsec) small ] in
-  (match Driver.run_many jobs with
-  | _ -> Alcotest.fail "Fail_fast swallowed the crash"
-  | exception Failure msg -> Alcotest.(check string) "original exception" "injected crash" msg);
-  match Pool.with_pool ~domains:2 (fun p -> Driver.run_many ~pool:p jobs) with
-  | _ -> Alcotest.fail "pooled Fail_fast swallowed the crash"
-  | exception Failure msg -> Alcotest.(check string) "original exception" "injected crash" msg
+         Driver.run_many ~pool:p (with_crasher ())))
 
 let test_instruction_budget_guard () =
   let options = Sigil.Options.with_instr_budget Sigil.Options.default 1000 in
@@ -95,9 +85,9 @@ let test_instruction_budget_guard () =
   | exception Dbi.Machine.Budget_exhausted { budget; now } ->
     Alcotest.(check int) "budget echoed" 1000 budget;
     Alcotest.(check bool) "tripped just past the budget" true (now > 1000));
-  (* under Isolate it becomes a structured cause *)
+  (* in a batch it becomes a structured cause *)
   match
-    Driver.run_many ~fault_policy:Driver.Isolate
+    Driver.run_many
       [ Driver.job ~options (List.hd Workloads.Suite.parsec) small ]
   with
   | [ Error { Driver.Run_error.cause = Driver.Run_error.Budget_exhausted { budget; _ }; _ } ] ->
@@ -108,7 +98,7 @@ let test_timeout_guard () =
   (* a zero-second limit trips on the first probe, deterministically *)
   let options = Sigil.Options.with_timeout Sigil.Options.default 0.0 in
   match
-    Driver.run_many ~fault_policy:Driver.Isolate
+    Driver.run_many
       [ Driver.job ~options (List.hd Workloads.Suite.parsec) small ]
   with
   | [ Error { Driver.Run_error.cause = Driver.Run_error.Timeout { limit_s; _ }; _ } ] ->
@@ -129,6 +119,49 @@ let test_run_error_rendering () =
     "dedup@simsmall: instruction budget 10 exhausted (clock 11)"
     (Driver.Run_error.to_string e)
 
+(* A run that trips its guard while streaming --events is reported as one
+   FAILED line with exit 3, and its trace writer is discarded: neither the
+   trace nor its .tmp is left behind. *)
+let test_cli_failed_run_publishes_nothing () =
+  let path = Filename.temp_file "driver_faults" ".tf" in
+  Sys.remove path;
+  let leftovers = [ path; path ^ ".tmp" ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> if Sys.file_exists p then Sys.remove p) leftovers)
+    (fun () ->
+      let code, lines =
+        Cli.stderr "sigil_run"
+          ("blackscholes --instr-budget 1000 --events " ^ Filename.quote path)
+      in
+      Alcotest.(check int) "exit code" 3 code;
+      Alcotest.(check (list string)) "one FAILED line"
+        [
+          "sigil_run: FAILED blackscholes@simsmall: instruction budget 1000 exhausted (clock \
+           1001)";
+        ]
+        lines;
+      List.iter
+        (fun p -> Alcotest.(check bool) ("no " ^ Filename.basename p) false (Sys.file_exists p))
+        leftovers)
+
+(* Numeric flags the libraries would reject are usage errors at parse
+   time (cmdliner's exit 124), not uncaught Invalid_argument (exit 125). *)
+let test_cli_numeric_flags_checked () =
+  List.iter
+    (fun (name, args) ->
+      let code, _ = Cli.stderr name args in
+      Alcotest.(check int) (name ^ " " ^ args) 124 code)
+    [
+      ("sigil_reuse", "blackscholes --line-size 3");
+      ("sigil_run", "blackscholes --max-chunks 0");
+      ("sigil_run", "blackscholes --events unused.tf --chunk-bytes 0");
+      ("sigil_run", "blackscholes --events unused.tf --checkpoint-every 0");
+      ("sigil_run", "blackscholes --instr-budget 0");
+      ("sigil_run", "blackscholes --timeout=-1");
+      ("sigil_critpath", "blackscholes --cores 0");
+      ("sigil_trace", "repair src.tf dst.tf --chunk-bytes 0");
+    ]
+
 let () =
   Alcotest.run "driver_faults"
     [
@@ -136,12 +169,18 @@ let () =
         [
           Alcotest.test_case "crasher isolated, 13 survivors bit-identical" `Quick
             test_isolate_completes_surviving_jobs;
-          Alcotest.test_case "fail-fast raises through" `Quick test_fail_fast_raises_through;
         ] );
       ( "guards",
         [
           Alcotest.test_case "instruction budget" `Quick test_instruction_budget_guard;
           Alcotest.test_case "wall-clock timeout" `Quick test_timeout_guard;
           Alcotest.test_case "Run_error.to_string" `Quick test_run_error_rendering;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "failed run publishes no trace" `Quick
+            test_cli_failed_run_publishes_nothing;
+          Alcotest.test_case "numeric flags checked at parse time" `Quick
+            test_cli_numeric_flags_checked;
         ] );
     ]

@@ -52,8 +52,8 @@ let test_nested_map () =
         [ [ 10; 11; 12 ]; [ 20; 21; 22 ]; [ 30; 31; 32 ] ]
         table)
 
-(* The no-deadlock contract Driver's Isolate fault policy builds on: a
-   raising task never prevents the rest of its batch from running. *)
+(* The no-deadlock contract: a raising task never prevents the rest of its
+   batch from running. *)
 let test_failed_batch_runs_every_task () =
   let n = 64 in
   let ran = Array.make n false in

@@ -1,8 +1,7 @@
 (* Parallel execution must never change results: a suite fanned over a
    domain pool produces bit-identical profiles to the sequential loop
-   (every run's Machine/tool/PRNG state is run-local), Profile.merge and
-   Compare.diff_many are order-independent reductions, and the pool-backed
-   Partition.trim matches the sequential pass. *)
+   (every run's Machine/tool/PRNG state is run-local), and Profile.merge and
+   Compare.diff_many are order-independent reductions. *)
 
 let specs =
   [
@@ -106,16 +105,6 @@ let test_diff_many_order_independent () =
   Alcotest.(check int) "merged sides are identical" 0
     (List.length (Analysis.Compare.changed d12))
 
-let test_parallel_trim_matches_sequential () =
-  let tool = run_workload_tool "canneal" in
-  let cdfg = Analysis.Cdfg.build tool in
-  let seq = Analysis.Partition.trim cdfg in
-  let par = Pool.with_pool ~domains:2 (fun p -> Analysis.Partition.trim ~pool:p cdfg) in
-  Alcotest.(check bool) "selected candidates identical" true
-    (seq.Analysis.Partition.selected = par.Analysis.Partition.selected);
-  Alcotest.(check (float 0.0)) "coverage identical" seq.Analysis.Partition.coverage
-    par.Analysis.Partition.coverage
-
 let () =
   Alcotest.run "suite_determinism"
     [
@@ -126,7 +115,5 @@ let () =
             test_profile_merge_order_independent;
           Alcotest.test_case "Compare.diff_many order-independent" `Quick
             test_diff_many_order_independent;
-          Alcotest.test_case "parallel Partition.trim matches" `Quick
-            test_parallel_trim_matches_sequential;
         ] );
     ]

@@ -99,7 +99,20 @@ let test_malformed_rejected () =
       match Dbi.Trace.replay_events ~tools:[] [ "E main"; line ] with
       | exception Failure _ -> ()
       | _ -> Alcotest.failf "accepted malformed %S" line)
-    [ "Z 1"; "R 1"; "I x"; "B 2 3"; "E" ]
+    [ "Z 1"; "R 1"; "I x"; "B 2 3"; "E" ];
+  (* records the machine itself would reject fail as a Failure naming
+     their line, never as the machine's Invalid_argument *)
+  List.iter
+    (fun (lines, expected) ->
+      match Dbi.Trace.replay_events ~tools:[] lines with
+      | exception Failure msg -> Alcotest.(check string) "located failure" expected msg
+      | _ -> Alcotest.failf "accepted %S" (String.concat "; " lines))
+    [
+      ([ "E main"; "R 1 0" ], "Trace: line 2: size must be positive: R 1 0");
+      ([ "L" ], "Trace: line 1: leave with no live call: L");
+      ([ "E main" ], "Trace: line 1: end of trace with 1 call(s) still live");
+      ([ "E main"; "I 3"; "I -4" ], "Trace: line 3: negative count: I -4");
+    ]
 
 let test_blank_lines_ignored () =
   let machine = Dbi.Trace.replay_events ~tools:[] [ ""; "E main"; "  "; "I 3"; "L"; "" ] in
@@ -120,32 +133,21 @@ let test_record_crash_safe () =
       Alcotest.(check bool) "no file" false (Sys.file_exists path);
       Alcotest.(check bool) "no .tmp" false (Sys.file_exists (path ^ ".tmp")))
 
-(* the CLI sits next to this test in the build tree *)
-let sigil_trace =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/sigil_trace.exe"
-
 (* sigil_trace replay on a malformed recording exits 2 with one stderr
    line, not an uncaught exception and its backtrace. *)
 let test_replay_malformed_cli () =
-  with_temp (fun path ->
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "E main\nZ 1\nL\n");
-      let err = Filename.temp_file "dbi_trace" ".err" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove err)
-        (fun () ->
-          let code =
-            Sys.command
-              (Printf.sprintf "%s replay %s > /dev/null 2> %s" (Filename.quote sigil_trace)
-                 (Filename.quote path) (Filename.quote err))
-          in
+  List.iter
+    (fun (contents, expected) ->
+      with_temp (fun path ->
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+          let code, lines = Cli.stderr "sigil_trace" ("replay " ^ Filename.quote path) in
           Alcotest.(check int) "exit code" 2 code;
-          let lines =
-            In_channel.with_open_bin err In_channel.input_all
-            |> String.split_on_char '\n'
-            |> List.filter (( <> ) "")
-          in
-          Alcotest.(check (list string)) "one stderr line"
-            [ "error: Trace: malformed record: Z 1" ] lines))
+          Alcotest.(check (list string)) "one stderr line" [ expected ] lines))
+    [
+      ("E main\nZ 1\nL\n", "error: Trace: line 2: malformed record: Z 1");
+      ("E main\nR 1 0\nL\n", "error: Trace: line 2: size must be positive: R 1 0");
+      ("E main\nI 1\n", "error: Trace: line 2: end of trace with 1 call(s) still live");
+    ]
 
 let () =
   Alcotest.run "trace"

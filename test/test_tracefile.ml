@@ -196,26 +196,6 @@ let test_corrupted_crc () =
               check_corrupt_at ~expected_offset:victim (fun () ->
                   Tracefile.Reader.validate r))))
 
-(* the CLIs sit next to this test in the build tree *)
-let cli name = Filename.concat (Filename.dirname Sys.executable_name) ("../bin/" ^ name ^ ".exe")
-let sigil_trace = cli "sigil_trace"
-
-(* [cli_stderr exe args] runs a CLI with stdout discarded and returns its
-   exit code and its non-empty stderr lines. *)
-let cli_stderr exe args =
-  with_temp ".err" (fun err ->
-      let code =
-        Sys.command
-          (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote exe) args
-             (Filename.quote err))
-      in
-      let lines =
-        In_channel.with_open_bin err In_channel.input_all
-        |> String.split_on_char '\n'
-        |> List.filter (( <> ) "")
-      in
-      (code, lines))
-
 (* The binary trace is the only event file: a text file is corrupt at
    offset 0 for the reader and for every CLI that takes a trace, which
    exits 2 with one stderr line. *)
@@ -230,17 +210,17 @@ let test_not_a_tracefile () =
           Sys.remove out;
           let p = Filename.quote path in
           List.iter
-            (fun (what, exe, args) ->
-              let code, lines = cli_stderr exe args in
+            (fun (what, name, args) ->
+              let code, lines = Cli.stderr name args in
               Alcotest.(check int) (what ^ ": exit code") 2 code;
               Alcotest.(check (list string))
                 (what ^ ": one stderr line")
                 [ "error: corrupt trace at offset 0: not a sigil tracefile (too short)" ]
                 lines)
             [
-              ("sigil_critpath --load", cli "sigil_critpath", "blackscholes --load " ^ p);
-              ("sigil_trace inspect", sigil_trace, "inspect " ^ p);
-              ("sigil_trace convert", sigil_trace, "convert " ^ p ^ " " ^ Filename.quote out);
+              ("sigil_critpath --load", "sigil_critpath", "blackscholes --load " ^ p);
+              ("sigil_trace inspect", "sigil_trace", "inspect " ^ p);
+              ("sigil_trace convert", "sigil_trace", "convert " ^ p ^ " " ^ Filename.quote out);
             ];
           Alcotest.(check bool) "convert published nothing" false (Sys.file_exists out);
           Alcotest.(check bool) "convert left no .tmp" false (Sys.file_exists (out ^ ".tmp"))))
@@ -296,7 +276,7 @@ let test_crafted_counts () =
               (what ^ ": chunk kept")
               (List.length sample_entries) report.Tracefile.Reader.recovered_entries
           | exception e -> Alcotest.failf "%s: salvage raised %s" what (Printexc.to_string e));
-          let code, lines = cli_stderr sigil_trace ("inspect " ^ Filename.quote path) in
+          let code, lines = Cli.stderr "sigil_trace" ("inspect " ^ Filename.quote path) in
           Alcotest.(check int) (what ^ ": inspect exit code") 2 code;
           Alcotest.(check int) (what ^ ": one stderr line") 1 (List.length lines)))
     [
