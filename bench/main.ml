@@ -1,12 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Figs 4-13, Tables II-III), prints Bechamel microbenchmarks
-   for the code path each experiment exercises, and runs the ablations
-   called out in DESIGN.md. See EXPERIMENTS.md for paper-vs-measured.
+   evaluation (Figs 4-13, Tables II-III) and runs the deterministic
+   ablations called out in DESIGN.md. See EXPERIMENTS.md for
+   paper-vs-measured.
 
      dune exec bench/main.exe *)
 
 open Bench_util
-open Bechamel
 
 let parsec = List.map (fun (w : Workloads.Workload.t) -> w.Workloads.Workload.name) Workloads.Suite.parsec
 let small = Workloads.Scale.Simsmall
@@ -55,11 +54,12 @@ let measure_overhead name scale =
 
 let fig4_5_6 () =
   banner "Fig 4/5: slowdown of Sigil and Callgrind relative to native";
-  (* per-workload measurements are independent; under --domains N they run
-     concurrently (timings then include scheduling noise, as any wall-clock
-     measurement does — the profile-derived figures stay bit-identical) *)
-  let rows = pmap (fun n -> measure_overhead n small) parsec in
-  let rows_medium = pmap (fun n -> measure_overhead n medium) parsec in
+  (* the one wall-clock figure: every run is timed alone on the main
+     domain, never inside a pool task, whatever --domains says *)
+  pf "precondition: runs timed one at a time on the main domain (host reports %d cores)\n"
+    (Domain.recommended_domain_count ());
+  let rows = List.map (fun n -> measure_overhead n small) parsec in
+  let rows_medium = List.map (fun n -> measure_overhead n medium) parsec in
   print_string (section "Fig 4: slowdown vs native (simsmall)");
   print_string
     (Analysis.Table.render
@@ -108,10 +108,6 @@ let fig4_5_6 () =
        (List.map2
           (fun (n, s) (_, m) -> [ n; Printf.sprintf "%.1f" s; Printf.sprintf "%.1f" m ])
           fp_small fp_medium));
-  json_add_obj "fig6_footprint_peak_mb_simsmall"
-    (List.map (fun (n, mb) -> (n, Printf.sprintf "%.3f" mb)) fp_small);
-  json_add_obj "fig6_footprint_peak_mb_simmedium"
-    (List.map (fun (n, mb) -> (n, Printf.sprintf "%.3f" mb)) fp_medium);
   let evictions =
     Sigil.Tool.shadow_evictions (Driver.sigil (paired_run "dedup" medium))
   in
@@ -282,167 +278,20 @@ let fig13 () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: the code path behind each experiment      *)
-(* ------------------------------------------------------------------ *)
-
-let microbenches () =
-  banner "Microbenchmarks (Bechamel): per-event costs behind each figure";
-  (* figs 4/5: tool dispatch cost per memory event *)
-  let mk_machine tools =
-    let m = Dbi.Machine.create ~call_overhead:0 () in
-    List.iter (fun make -> Dbi.Machine.attach m (make m)) tools;
-    ignore (Dbi.Machine.enter m "main");
-    m
-  in
-  let native_m = mk_machine [] in
-  let sigil_m = mk_machine [ (fun m -> Sigil.Tool.tool (Sigil.Tool.create m)) ] in
-  let sigil_perbyte_m =
-    mk_machine
-      [
-        (fun m ->
-          Sigil.Tool.tool
-            (Sigil.Tool.create ~options:Sigil.Options.(with_per_byte_shadow default) m));
-      ]
-  in
-  let sigil_reuse_m =
-    mk_machine
-      [ (fun m -> Sigil.Tool.tool (Sigil.Tool.create ~options:Sigil.Options.(with_reuse default) m)) ]
-  in
-  let cg_m = mk_machine [ (fun m -> Callgrind.Tool.tool (Callgrind.Tool.create m)) ] in
-  let counter = ref 0 in
-  let rw m () =
-    incr counter;
-    let addr = 0x200000 + (!counter land 0xFFFF) in
-    Dbi.Machine.write m addr 8;
-    Dbi.Machine.read m addr 8
-  in
-  pf "fig4/fig5 (8-byte write+read event, per tool):\n";
-  let fig4_rows =
-    microbench ~name:"fig4_slowdown"
-      [
-        Test.make ~name:"native" (Staged.stage (rw native_m));
-        Test.make ~name:"callgrind" (Staged.stage (rw cg_m));
-        Test.make ~name:"sigil" (Staged.stage (rw sigil_m));
-        Test.make ~name:"sigil-perbyte" (Staged.stage (rw sigil_perbyte_m));
-        Test.make ~name:"sigil+reuse" (Staged.stage (rw sigil_reuse_m));
-      ]
-  in
-  let sigil_ns = ns_of fig4_rows "sigil" and perbyte_ns = ns_of fig4_rows "sigil-perbyte" in
-  pf "  range-batched sigil vs per-byte baseline: %.2fx\n" (perbyte_ns /. sigil_ns);
-  json_add_obj "fig4_events_per_sec"
-    (List.map
-       (fun leaf -> (leaf, json_num (events_per_sec (ns_of fig4_rows leaf))))
-       [ "native"; "callgrind"; "sigil"; "sigil-perbyte"; "sigil+reuse" ]);
-  json_add "fig4_range_speedup_vs_per_byte" (Printf.sprintf "%.2f" (perbyte_ns /. sigil_ns));
-
-  (* fig 6: shadow chunk allocation *)
-  let shadow = Sigil.Shadow.create () in
-  let chunk_counter = ref 0 in
-  pf "fig6 (shadow memory):\n";
-  let fig6_rows =
-    microbench ~name:"fig6_memory"
-      [
-        Test.make ~name:"chunk cold touch"
-          (Staged.stage (fun () ->
-               chunk_counter := (!chunk_counter + 1) land 0xFFFF;
-               Sigil.Shadow.write shadow ~ctx:1 ~call:1 ~now:0 (!chunk_counter * Sigil.Shadow.chunk_bytes)));
-        Test.make ~name:"byte re-touch"
-          (Staged.stage (fun () -> Sigil.Shadow.write shadow ~ctx:1 ~call:1 ~now:0 64));
-      ]
-  in
-  ignore fig6_rows;
-
-  (* fig 7 / tables: graph construction and trimming on a real profile *)
-  let run = paired_run "canneal" small in
-  pf "fig7/table2/table3 (post-processing on the canneal profile):\n";
-  ignore @@ microbench ~name:"fig7_partition"
-    [
-      Test.make ~name:"Cdfg.build"
-        (Staged.stage (fun () ->
-             ignore (Analysis.Cdfg.build ~callgrind:(Driver.callgrind run) (Driver.sigil run))));
-      (let cdfg = Analysis.Cdfg.build ~callgrind:(Driver.callgrind run) (Driver.sigil run) in
-       Test.make ~name:"Partition.trim"
-         (Staged.stage (fun () -> ignore (Analysis.Partition.trim cdfg))));
-    ];
-
-  (* figs 8-11: reuse-mode shadow reads *)
-  let reuse_shadow = Sigil.Shadow.create ~reuse:true () in
-  let t = ref 0 in
-  pf "fig8-fig11 (reuse-mode shadow read):\n";
-  ignore @@ microbench ~name:"fig8_reuse"
-    [
-      Test.make ~name:"read same episode"
-        (Staged.stage (fun () ->
-             incr t;
-             ignore (Sigil.Shadow.read reuse_shadow ~ctx:1 ~call:1 ~now:!t 128)));
-      Test.make ~name:"read alternating readers"
-        (Staged.stage (fun () ->
-             incr t;
-             ignore (Sigil.Shadow.read reuse_shadow ~ctx:(1 + (!t land 1)) ~call:1 ~now:!t 256)));
-    ];
-
-  (* fig 12: line shadowing *)
-  let line = Sigil.Line_shadow.create () in
-  pf "fig12 (line-granularity touch):\n";
-  ignore @@ microbench ~name:"fig12_line"
-    [
-      Test.make ~name:"line touch"
-        (Staged.stage (fun () ->
-             incr t;
-             Sigil.Line_shadow.touch line ~now:!t (!t land 0xFFFF) 8));
-    ];
-
-  (* fig 13: event logging and chain building *)
-  let _, entries = events_run "libquantum" small in
-  pf "fig13 (event-file post-processing, whole libquantum log):\n";
-  ignore @@ microbench ~name:"fig13_critpath"
-    [
-      Test.make ~name:"Critpath.analyze_stream"
-        (Staged.stage (fun () ->
-             ignore (Analysis.Critpath.analyze_stream (fun f -> Array.iter f entries))));
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md §5)                                            *)
 (* ------------------------------------------------------------------ *)
-
-let ablation_shadow_layout () =
-  banner "Ablation: two-level shadow table vs flat hashtable";
-  (* same access pattern against both layouts *)
-  let two_level = Sigil.Shadow.create () in
-  let flat : (int, int) Hashtbl.t = Hashtbl.create 65536 in
-  let t = ref 0 in
-  ignore @@ microbench ~name:"ablation_shadow_layout"
-    [
-      Test.make ~name:"two-level write"
-        (Staged.stage (fun () ->
-             incr t;
-             Sigil.Shadow.write two_level ~ctx:1 ~call:1 ~now:!t (!t land 0xFFFFF)));
-      Test.make ~name:"flat hashtable write"
-        (Staged.stage (fun () ->
-             incr t;
-             Hashtbl.replace flat (!t land 0xFFFFF) 1));
-    ];
-  pf
-    "The two-level table also gives O(1) range flushes at chunk granularity,\n\
-     which the FIFO limiter and end-of-run flush depend on.\n"
 
 let ablation_memory_limit () =
   banner "Ablation: FIFO memory limiter on/off (dedup, simsmall)";
   let w = workload "dedup" in
-  let run options =
-    let t0 = Dbi.Runner.monotonic_s () in
-    let r = Driver.run_workload ~options w small in
-    (r, Dbi.Runner.monotonic_s () -. t0)
-  in
+  let run options = Driver.run_workload ~options w small in
   match pmap run [ Sigil.Options.default; Sigil.Options.with_max_chunks Sigil.Options.default 64 ] with
-  | [ (unlimited, t_unl); (limited, t_lim) ] ->
+  | [ unlimited; limited ] ->
     let footprint r = float_of_int (Sigil.Tool.shadow_footprint_peak_bytes (Driver.sigil r)) /. 1e6 in
     let unique r = fst (Sigil.Profile.totals (Sigil.Tool.profile (Driver.sigil r))) in
-    pf "unlimited: %.1f MB peak, %.3fs, %d unique read bytes\n" (footprint unlimited) t_unl
-      (unique unlimited);
-    pf "limited:   %.1f MB peak, %.3fs, %d unique read bytes (%d evictions)\n"
-      (footprint limited) t_lim (unique limited)
+    pf "unlimited: %.1f MB peak, %d unique read bytes\n" (footprint unlimited) (unique unlimited);
+    pf "limited:   %.1f MB peak, %d unique read bytes (%d evictions)\n" (footprint limited)
+      (unique limited)
       (Sigil.Tool.shadow_evictions (Driver.sigil limited));
     pf "accuracy loss on unique counts: %.3f%%\n"
       (100.0
@@ -494,145 +343,126 @@ let ablation_reader_set () =
     "The single last-reader pointer (Table I) counts interleaved re-reads as\n\
      unique; real workloads rarely interleave that tightly, so the gap stays small.\n"
 
+(* The range engine's batching factor, read off the shadow's own counters
+   on the Fig 4-7 runs: every coalesced run is one profile and transfer
+   update where a per-byte engine would make one per byte. *)
 let ablation_range_batching () =
-  banner "Ablation: range-batched shadow engine vs per-byte reference";
-  (* identical machines, identical access stream; only the engine differs.
-     8 B is the fig4 event; 64 B approximates a vector/line copy. *)
-  let mk options =
-    let m = Dbi.Machine.create ~call_overhead:0 () in
-    Dbi.Machine.attach m (Sigil.Tool.tool (Sigil.Tool.create ~options m));
-    ignore (Dbi.Machine.enter m "main");
-    m
-  in
-  let range_m = mk Sigil.Options.default in
-  let perbyte_m = mk Sigil.Options.(with_per_byte_shadow default) in
-  let counter = ref 0 in
-  let rw m size () =
-    incr counter;
-    let addr = 0x200000 + (!counter land 0xFFFF) in
-    Dbi.Machine.write m addr size;
-    Dbi.Machine.read m addr size
-  in
+  banner "Ablation: range-batched shadow reads (Fig 4-7 runs, simsmall)";
   let rows =
-    microbench ~name:"ablation_range_batching"
-      [
-        Test.make ~name:"range 8B rw" (Staged.stage (rw range_m 8));
-        Test.make ~name:"per-byte 8B rw" (Staged.stage (rw perbyte_m 8));
-        Test.make ~name:"range 64B rw" (Staged.stage (rw range_m 64));
-        Test.make ~name:"per-byte 64B rw" (Staged.stage (rw perbyte_m 64));
-      ]
+    List.map
+      (fun name ->
+        let tool = Driver.sigil (paired_run name small) in
+        let get = Telemetry.get_int (Telemetry.of_samples (Sigil.Tool.telemetry tool)) in
+        (name, get "shadow.range_reads", get "shadow.range_read_bytes", get "shadow.range_runs"))
+      parsec
   in
-  let speedup sz =
-    ns_of rows (Printf.sprintf "per-byte %s rw" sz) /. ns_of rows (Printf.sprintf "range %s rw" sz)
+  let per_run bytes runs = float_of_int bytes /. float_of_int (max 1 runs) in
+  let reads, bytes, runs =
+    List.fold_left
+      (fun (r, b, n) (_, r', b', n') -> (r + r', b + b', n + n'))
+      (0, 0, 0) rows
   in
-  pf "range vs per-byte speedup: %.2fx at 8 B, %.2fx at 64 B\n" (speedup "8B") (speedup "64B");
-  json_add_obj "ablation_range_vs_per_byte"
-    [
-      ("range_8b_events_per_sec", json_num (events_per_sec (ns_of rows "range 8B rw")));
-      ("per_byte_8b_events_per_sec", json_num (events_per_sec (ns_of rows "per-byte 8B rw")));
-      ("range_64b_events_per_sec", json_num (events_per_sec (ns_of rows "range 64B rw")));
-      ("per_byte_64b_events_per_sec", json_num (events_per_sec (ns_of rows "per-byte 64B rw")));
-      ("speedup_8b", Printf.sprintf "%.2f" (speedup "8B"));
-      ("speedup_64b", Printf.sprintf "%.2f" (speedup "64B"));
-    ];
+  print_string
+    (Analysis.Table.render
+       ~headers:[ "benchmark"; "range reads"; "read bytes"; "runs"; "bytes/run" ]
+       (List.map
+          (fun (name, reads, bytes, runs) ->
+            [
+              name;
+              string_of_int reads;
+              string_of_int bytes;
+              string_of_int runs;
+              Printf.sprintf "%.2f" (per_run bytes runs);
+            ])
+          (rows @ [ ("total", reads, bytes, runs) ])));
   pf
     "One chunk lookup per span and one profile/transfer update per coalesced\n\
-     run replace the per-byte table walk and hashtable hit.\n"
+     run replace the per-byte table walk: bytes/run is the batching factor.\n"
 
 let ablation_granularity () =
   banner "Ablation: byte vs line shadow granularity (x264, simsmall)";
   let w = workload "x264" in
-  let timed options =
-    let t0 = Dbi.Runner.monotonic_s () in
-    let r = Driver.run_workload ~options w small in
-    (r, Dbi.Runner.monotonic_s () -. t0)
-  in
-  match pmap timed [ Sigil.Options.default; Sigil.Options.with_line_size Sigil.Options.default 64 ] with
-  | [ (byte_run, t_byte); (line_run, t_line) ] ->
-    pf "byte granularity: %.3fs, %.1f MB shadow\n" t_byte
+  let run options = Driver.run_workload ~options w small in
+  match pmap run [ Sigil.Options.default; Sigil.Options.with_line_size Sigil.Options.default 64 ] with
+  | [ byte_run; line_run ] ->
+    pf "byte granularity: %.1f MB shadow\n"
       (float_of_int (Sigil.Tool.shadow_footprint_peak_bytes (Driver.sigil byte_run)) /. 1e6);
-    pf "line granularity: %.3fs, %d line records\n" t_line
+    pf "line granularity: %d line records\n"
       (Sigil.Line_shadow.lines (Option.get (Sigil.Tool.line_shadow (Driver.sigil line_run))));
     pf "line mode trades per-function attribution for footprint and speed.\n"
   | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Events: framed binary traces vs text (sizes, encode/decode rates)   *)
+(* Events: framed binary traces vs their text dump (sizes)             *)
 (* ------------------------------------------------------------------ *)
 
+(* Streams an events-mode run of [name] into a binary trace at [path]
+   and returns the closed writer; the header fingerprints [options], the
+   default when omitted. *)
+let write_trace ?options name path =
+  let w = Tracefile.Writer.create ?options path in
+  let run =
+    Driver.run_workload
+      ~options:(Sigil.Options.with_events (Option.value options ~default:Sigil.Options.default))
+      ~event_sink:(Tracefile.Writer.sink w) (workload name) small
+  in
+  let m = run.Driver.machine in
+  Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m) w;
+  w
+
+(* Every figure here is a size: a pure function of the code, so
+   BENCH_events.json is identical run to run and at any --domains. *)
 let events_bench () =
   banner "Events: framed binary event traces vs text (simsmall)";
   let file_size path = Int64.to_int (In_channel.with_open_bin path In_channel.length) in
   let rows =
-    (* timed sequentially so the throughput numbers are not cross-domain
-       noise; only encode and decode are timed, not the run itself *)
-    List.map
+    pmap
       (fun name ->
-        let run, log = events_run name small in
-        let entries = Array.length log in
         let tf = Filename.temp_file ("bench_events_" ^ name) ".tf" in
-        let m = run.Driver.machine in
-        let t0 = Dbi.Runner.monotonic_s () in
-        let w = Tracefile.Writer.create tf in
-        Array.iter (Tracefile.Writer.add w) log;
-        Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m) w;
-        let encode_s = Dbi.Runner.monotonic_s () -. t0 in
-        let r = Tracefile.Reader.open_file tf in
-        let seen = ref 0 in
-        let t1 = Dbi.Runner.monotonic_s () in
-        Tracefile.Reader.iter r (fun _ -> incr seen);
-        let decode_s = Dbi.Runner.monotonic_s () -. t1 in
-        Tracefile.Reader.close r;
-        if !seen <> entries then
-          failwith (Printf.sprintf "events bench: %s decoded %d of %d" name !seen entries);
-        (* the text column is the dump of the trace just written *)
         let txt = Filename.temp_file ("bench_events_" ^ name) ".txt" in
-        ignore (Tracefile.Convert.binary_to_text tf txt : int);
-        let text_b = file_size txt and bin_b = file_size tf in
-        Sys.remove txt;
-        Sys.remove tf;
-        (name, entries, text_b, bin_b, encode_s, decode_s))
+        Fun.protect
+          ~finally:(fun () -> List.iter Sys.remove [ tf; txt ])
+          (fun () ->
+            let entries = Tracefile.Writer.entries (write_trace name tf) in
+            (* the text column is the dump of the trace just written *)
+            let dumped = Tracefile.Convert.binary_to_text tf txt in
+            if dumped <> entries then
+              failwith (Printf.sprintf "events bench: %s dumped %d of %d" name dumped entries);
+            (name, entries, file_size txt, file_size tf)))
       parsec
   in
-  let mrec n s = float_of_int n /. Float.max s 1e-9 /. 1e6 in
-  pf "%-14s %9s %10s %10s %6s %11s %11s\n" "workload" "entries" "text B" "binary B" "ratio"
-    "enc Mrec/s" "dec Mrec/s";
+  pf "%-14s %9s %10s %10s %6s\n" "workload" "entries" "text B" "binary B" "ratio";
   List.iter
-    (fun (name, entries, text_b, bin_b, enc_s, dec_s) ->
-      pf "%-14s %9d %10d %10d %5.1fx %11.1f %11.1f\n" name entries text_b bin_b
-        (float_of_int text_b /. float_of_int bin_b)
-        (mrec entries enc_s) (mrec entries dec_s))
+    (fun (name, entries, text_b, bin_b) ->
+      pf "%-14s %9d %10d %10d %5.1fx\n" name entries text_b bin_b
+        (float_of_int text_b /. float_of_int bin_b))
     rows;
   let tot f = List.fold_left (fun a r -> a + f r) 0 rows in
-  let total_text = tot (fun (_, _, t, _, _, _) -> t) in
-  let total_bin = tot (fun (_, _, _, b, _, _) -> b) in
+  let total_text = tot (fun (_, _, t, _) -> t) in
+  let total_bin = tot (fun (_, _, _, b) -> b) in
   pf "total: %d B text, %d B binary (%.1fx smaller)\n" total_text total_bin
     (float_of_int total_text /. float_of_int total_bin);
   (* the sink the tool streams through during a run buffers at most one
      chunk: demonstrate on the paper's memory-limit workload *)
   let stream_tf = Filename.temp_file "bench_events_stream" ".tf" in
-  let options = Sigil.Options.with_events (baseline_options "dedup") in
-  let w = Tracefile.Writer.create ~options stream_tf in
-  let _ =
-    Driver.run_workload ~options ~event_sink:(Tracefile.Writer.sink w) (workload "dedup") small
+  let w =
+    write_trace ~options:(Sigil.Options.with_events (baseline_options "dedup")) "dedup" stream_tf
   in
-  Tracefile.Writer.close w;
+  Sys.remove stream_tf;
   let stream_records = Tracefile.Writer.entries w in
   let stream_chunks = Tracefile.Writer.chunks w in
   let stream_peak = Tracefile.Writer.peak_buffer_bytes w in
-  Sys.remove stream_tf;
   pf "streaming sink (dedup): %d records in %d chunks, peak buffer %d B (chunk target %d B)\n"
     stream_records stream_chunks stream_peak Tracefile.Frame.default_chunk_bytes;
   Dbi.Atomic_file.write "BENCH_events.json" (fun oc ->
       Printf.fprintf oc "{\n  \"scale\": \"simsmall\",\n  \"workloads\": [\n";
       List.iteri
-        (fun i (name, entries, text_b, bin_b, enc_s, dec_s) ->
+        (fun i (name, entries, text_b, bin_b) ->
           Printf.fprintf oc
             "    {\"name\": %S, \"entries\": %d, \"text_bytes\": %d, \"binary_bytes\": %d, \
-             \"ratio\": %.2f, \"encode_mrec_s\": %.2f, \"decode_mrec_s\": %.2f}%s\n"
+             \"ratio\": %.2f}%s\n"
             name entries text_b bin_b
             (float_of_int text_b /. float_of_int bin_b)
-            (mrec entries enc_s) (mrec entries dec_s)
             (if i = List.length rows - 1 then "" else ","))
         rows;
       Printf.fprintf oc
@@ -859,10 +689,9 @@ let prewarm selected pool =
             (fun n ->
               [ thunk (fun () -> paired_run n small); thunk (fun () -> paired_run n medium) ])
             parsec
-        | "fig7" -> List.map (fun n -> thunk (fun () -> paired_run n small)) parsec
+        | "fig7" | "range" -> List.map (fun n -> thunk (fun () -> paired_run n small)) parsec
         | "fig8" -> List.map (fun n -> thunk (fun () -> reuse_run n small)) parsec
         | "fig12" -> List.map (fun n -> thunk (fun () -> line_run n small)) parsec
-        | "micro" -> [ thunk (fun () -> paired_run "canneal" small) ]
         | _ -> [])
       selected
   in
@@ -878,8 +707,6 @@ let sections =
     ("fig8", fig8_to_11);
     ("fig12", fig12);
     ("fig13", fig13);
-    ("micro", microbenches);
-    ("layout", ablation_shadow_layout);
     ("memlimit", ablation_memory_limit);
     ("readerset", ablation_reader_set);
     ("range", ablation_range_batching);
@@ -889,94 +716,58 @@ let sections =
     ("suite", suite_bench);
   ]
 
-(* --stats-out FILE: run the full suite with telemetry and dump the
-   sigil-stats/1 document (same format as sigil_run --stats-out). *)
-let stats_sweep path =
-  banner "Stats sweep: full PARSEC suite with telemetry (simsmall)";
-  let jobs =
-    List.map
-      (fun name ->
-        Driver.job
-          ~options:(Sigil.Options.with_stats (baseline_options name))
-          (workload name) small)
-      parsec
-  in
-  let results = Driver.run_many ?pool:!Bench_util.pool jobs in
-  List.iter
-    (function
-      | Ok _ -> ()
-      | Error e ->
-        incr suite_failures;
-        pf "FAILED (stats sweep): %s\n" (Driver.Run_error.to_string e))
-    results;
-  Driver.Stats.write_json ?pool:!Bench_util.pool ~scale:small (List.combine parsec results) path;
-  pf "wrote %s\n" path
+(* A bad argument is one "bench: ..." line on stderr and exit 2, before
+   any workload runs. *)
+let bad_arg fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
 
-(* dune exec bench/main.exe -- [--only sec1,sec2] [--domains N]
-   [--stats-out FILE] [--scale S]; default runs everything on a
-   Pool.recommended-sized pool, and the alloc section at simsmall.
-   BENCH_shadow.json collects whatever the selected sections measured;
-   the suite section additionally writes BENCH_suite.json, and
-   --stats-out dumps the harness's own telemetry sweep. *)
-let () =
-  let t0 = Dbi.Runner.monotonic_s () in
-  let argv = Array.to_list Sys.argv in
-  let stats_out =
-    let rec parse = function
-      | "--stats-out" :: v :: _ -> Some v
-      | _ :: rest -> parse rest
-      | [] -> None
-    in
-    parse argv
-  in
-  let only =
-    let rec parse = function
-      | "--only" :: v :: _ -> Some (String.split_on_char ',' v)
-      | _ :: rest -> parse rest
-      | [] -> None
-    in
-    parse argv
-  in
-  let domains =
-    let rec parse = function
-      | "--domains" :: v :: _ -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 -> n
-        | Some _ | None -> failwith (Printf.sprintf "--domains: bad count %S" v))
-      | _ :: rest -> parse rest
-      | [] -> Pool.recommended ()
-    in
-    parse argv
-  in
-  suite_domains := domains;
-  (let rec parse = function
-     | "--scale" :: v :: _ -> (
-       match Workloads.Scale.of_string v with
-       | Ok s -> alloc_scale := s
-       | Error e -> failwith ("--scale: " ^ e))
-     | _ :: rest -> parse rest
-     | [] -> ()
-   in
-   parse argv);
-  let pool = if domains > 1 then Some (Pool.create ~domains ()) else None in
-  Bench_util.set_pool pool;
-  let selected =
-    match only with
-    | None -> sections
-    | Some names ->
+(* [parse_args args] is the selected sections and the domain count; it
+   sets [alloc_scale] from --scale. *)
+let parse_args args =
+  let rec go selected domains = function
+    | [] -> (selected, domains)
+    | "--only" :: v :: rest ->
+      let names = String.split_on_char ',' v in
       List.iter
         (fun n ->
           if not (List.mem_assoc n sections) then
-            failwith
-              (Printf.sprintf "unknown section %S (have: %s)" n
-                 (String.concat ", " (List.map fst sections))))
+            bad_arg "unknown section %S (have: %s)" n
+              (String.concat ", " (List.map fst sections)))
         names;
-      List.filter (fun (n, _) -> List.mem n names) sections
+      go (List.filter (fun (n, _) -> List.mem n names) sections) domains rest
+    | "--domains" :: v :: rest -> (
+      match int_of_string_opt v with
+      | Some n when n >= 1 -> go selected n rest
+      | Some _ | None -> bad_arg "--domains: bad count %S" v)
+    | "--scale" :: v :: rest -> (
+      match Workloads.Scale.of_string v with
+      | Ok s ->
+        alloc_scale := s;
+        go selected domains rest
+      | Error e -> bad_arg "--scale: %s" e)
+    | [ ("--only" | "--domains" | "--scale") as flag ] -> bad_arg "%s needs a value" flag
+    | arg :: _ ->
+      bad_arg "unknown argument %S (usage: main.exe [--only SECTION,...] [--domains N] [--scale S])"
+        arg
   in
+  go sections (Pool.recommended ()) args
+
+(* dune exec bench/main.exe -- [--only sec1,sec2] [--domains N] [--scale S];
+   default runs everything on a Pool.recommended-sized pool, and the alloc
+   section at simsmall. The events section writes BENCH_events.json and
+   the suite section BENCH_suite.json. *)
+let () =
+  let t0 = Dbi.Runner.monotonic_s () in
+  let selected, domains = parse_args (List.tl (Array.to_list Sys.argv)) in
+  suite_domains := domains;
+  let pool = if domains > 1 then Some (Pool.create ~domains ()) else None in
+  Bench_util.set_pool pool;
   (match pool with Some p -> prewarm selected p | None -> ());
   List.iter (fun (_, f) -> f ()) selected;
-  Option.iter stats_sweep stats_out;
-  write_bench_json "BENCH_shadow.json";
   (match pool with Some p -> Pool.shutdown p | None -> ());
   banner
     (Printf.sprintf "done in %.1fs (%d domain%s)"

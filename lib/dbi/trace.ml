@@ -31,6 +31,12 @@ let apply_line machine lineno line =
   let int_field s = match int_of_string_opt s with Some v -> v | None -> fail "malformed record" in
   let size s = match int_field s with v when v > 0 -> v | _ -> fail "size must be positive" in
   let count s = match int_field s with v when v >= 0 -> v | _ -> fail "negative count" in
+  (* an access must fit below the stack top, where every data address lies *)
+  let access addr sz =
+    let addr = int_field addr and size = size sz in
+    if addr < 0 || addr > Addr_space.stack_top - size then fail "address out of range";
+    (addr, size)
+  in
   (* function names may contain spaces ("operator new"): E takes the rest
      of the line verbatim *)
   if String.length line > 2 && line.[0] = 'E' && line.[1] = ' ' then
@@ -40,8 +46,12 @@ let apply_line machine lineno line =
   | [ "L" ] ->
     if Machine.stack_depth machine = 0 then fail "leave with no live call";
     Machine.leave machine
-  | [ "R"; addr; sz ] -> Machine.read machine (int_field addr) (size sz)
-  | [ "W"; addr; sz ] -> Machine.write machine (int_field addr) (size sz)
+  | [ "R"; addr; sz ] ->
+    let addr, size = access addr sz in
+    Machine.read machine addr size
+  | [ "W"; addr; sz ] ->
+    let addr, size = access addr sz in
+    Machine.write machine addr size
   | [ "I"; n ] -> Machine.op machine Event.Int_op (count n)
   | [ "F"; n ] -> Machine.op machine Event.Fp_op (count n)
   | [ "B"; taken ] -> Machine.branch machine ~taken:(int_field taken <> 0)

@@ -39,8 +39,9 @@ val record : string -> (Machine.t -> unit) -> Machine.t
 (** [replay ~tools path] reconstructs the guest run from a trace file.
 
     @raise Failure on a malformed trace, with the offending line number:
-    an unparsable record, a non-positive [R]/[W] size, a negative op
-    count, an [L] with no live call, or calls still live at the end. *)
+    an unparsable record, a non-positive [R]/[W] size, an [R]/[W] range
+    outside [\[0, Addr_space.stack_top)], a negative op count, an [L]
+    with no live call, or calls still live at the end. *)
 val replay : tools:(Machine.t -> Tool.t) list -> string -> Machine.t
 
 (** [replay_events ~tools lines] is {!replay} over in-memory trace lines

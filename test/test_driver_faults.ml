@@ -162,6 +162,28 @@ let test_cli_numeric_flags_checked () =
       ("sigil_trace", "repair src.tf dst.tf --chunk-bytes 0");
     ]
 
+(* The bench harness rejects a bad argument with one "bench: ..." line
+   and exit 2 before any workload runs: a leftover flag is never ignored. *)
+let test_cli_bench_arguments_rejected () =
+  let usage = "(usage: main.exe [--only SECTION,...] [--domains N] [--scale S])" in
+  List.iter
+    (fun (args, expected) ->
+      let code, lines = Cli.stderr ~dir:"bench" "main" args in
+      Alcotest.(check int) ("exit code of " ^ args) 2 code;
+      Alcotest.(check (list string)) ("one stderr line for " ^ args) [ expected ] lines)
+    [
+      ("--bogus --only alloc", "bench: unknown argument \"--bogus\" " ^ usage);
+      ("--only alloc --stats-out F", "bench: unknown argument \"--stats-out\" " ^ usage);
+      ( "--only alloc,micro",
+        "bench: unknown section \"micro\" (have: fig4, fig7, fig8, fig12, fig13, memlimit, \
+         readerset, range, granularity, events, alloc, suite)" );
+      ("--only", "bench: --only needs a value");
+      ("--domains 0 --only alloc", "bench: --domains: bad count \"0\"");
+      ("--domains two", "bench: --domains: bad count \"two\"");
+      ( "--only alloc --scale huge",
+        "bench: --scale: unknown scale \"huge\" (expected simsmall|simmedium|simlarge)" );
+    ]
+
 let () =
   Alcotest.run "driver_faults"
     [
@@ -182,5 +204,6 @@ let () =
             test_cli_failed_run_publishes_nothing;
           Alcotest.test_case "numeric flags checked at parse time" `Quick
             test_cli_numeric_flags_checked;
+          Alcotest.test_case "bench arguments rejected" `Quick test_cli_bench_arguments_rejected;
         ] );
     ]

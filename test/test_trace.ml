@@ -112,6 +112,8 @@ let test_malformed_rejected () =
       ([ "L" ], "Trace: line 1: leave with no live call: L");
       ([ "E main" ], "Trace: line 1: end of trace with 1 call(s) still live");
       ([ "E main"; "I 3"; "I -4" ], "Trace: line 3: negative count: I -4");
+      ([ "E main"; "R -5 8"; "L" ], "Trace: line 2: address out of range: R -5 8");
+      ([ "E main"; "W 1073741820 8"; "L" ], "Trace: line 2: address out of range: W 1073741820 8");
     ]
 
 let test_blank_lines_ignored () =
@@ -147,6 +149,8 @@ let test_replay_malformed_cli () =
       ("E main\nZ 1\nL\n", "error: Trace: line 2: malformed record: Z 1");
       ("E main\nR 1 0\nL\n", "error: Trace: line 2: size must be positive: R 1 0");
       ("E main\nI 1\n", "error: Trace: line 2: end of trace with 1 call(s) still live");
+      ("E main\nR -5 8\nL\n", "error: Trace: line 2: address out of range: R -5 8");
+      ("E main\nW 1073741820 8\nL\n", "error: Trace: line 2: address out of range: W 1073741820 8");
     ]
 
 let () =
