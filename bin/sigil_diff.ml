@@ -1,35 +1,27 @@
 (* Compare saved Sigil profiles (from sigil_run --save-profile): which call
-   paths' computation or true communication moved. Each side may be a
-   comma-separated list of profiles — e.g. the per-shard outputs of a
-   domain-parallel suite run — merged by call path before diffing; the
-   merge is a commutative sum, so shard order never changes the report. *)
+   paths' computation or true communication moved, and which
+   communication edges. Each side may be a comma-separated list of
+   profiles — e.g. the per-shard outputs of a domain-parallel suite run —
+   merged by call path before diffing; the merge is a commutative sum, so
+   shard order never changes the report. *)
 
 open Cmdliner
 
 let run before after limit all =
   Cli_common.guard @@ fun () ->
-  let load_all spec = List.map Sigil.Profile_io.load (String.split_on_char ',' spec) in
-  let deltas = Analysis.Compare.diff_many ~before:(load_all before) ~after:(load_all after) in
-  let deltas = if all then deltas else Analysis.Compare.changed deltas in
-  if deltas = [] then print_endline "profiles are identical"
-  else Analysis.Compare.pp ~limit Format.std_formatter deltas
+  let load = List.map Tracefile.Profile_file.load in
+  let diff = Analysis.Compare.diff_many ~before:(load before) ~after:(load after) in
+  let diff = if all then diff else Analysis.Compare.changed diff in
+  if Analysis.Compare.is_empty diff then print_endline "profiles are identical"
+  else Analysis.Compare.pp ~limit Format.std_formatter diff
 
 let cmd =
-  let before =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BEFORE" ~doc:"Baseline profile (or comma-separated shard profiles).")
-  in
-  let after =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"AFTER" ~doc:"New profile (or comma-separated shard profiles).")
-  in
-  let all = Arg.(value & flag & info [ "all" ] ~doc:"Include unchanged call paths.") in
+  let profiles n docv doc = Arg.(required & pos n (some (list string)) None & info [] ~docv ~doc) in
+  let before = profiles 0 "BEFORE" "Baseline profile (or comma-separated shard profiles)." in
+  let after = profiles 1 "AFTER" "New profile (or comma-separated shard profiles)." in
+  let all = Arg.(value & flag & info [ "all" ] ~doc:"Include unchanged call paths and edges.") in
   Cmd.v
-    (Cmd.info "sigil_diff" ~doc:"Diff two saved Sigil profiles by call path")
+    (Cmd.info "sigil_diff" ~doc:"Diff two saved Sigil profiles by call path and edge")
     Term.(const run $ before $ after $ Cli_common.limit_arg $ all)
 
 let () = exit (Cmd.eval cmd)

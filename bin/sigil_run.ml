@@ -88,7 +88,8 @@ let run names scale limit max_chunks stripped domains timeout budget events_path
     let tool = Driver.sigil r in
     (match save_profile with
     | Some path ->
-      Sigil.Profile_io.save tool path;
+      Tracefile.Profile_file.save ~options:(Sigil.Tool.options tool)
+        (Sigil.Profile_io.snapshot_of_tool tool) path;
       Format.printf "@.profile written to %s@." path
     | None -> ());
     (match dot_path with
@@ -193,7 +194,9 @@ let cmd =
       value
       & opt (some string) None
       & info [ "save-profile" ] ~docv:"FILE"
-          ~doc:"Write the aggregate profile to $(docv) (reload with Sigil.Profile_io).")
+          ~doc:
+            "Write the aggregate profile to $(docv) as a binary profile (sigil_diff compares \
+             profiles; sigil_trace convert dumps one as text).")
   in
   let dot =
     Arg.(

@@ -1,31 +1,31 @@
 (* Record raw guest event streams and re-analyze them offline — profiles
-   are platform-independent and only need collecting once — and dump,
-   inspect or repair binary event traces. *)
+   are platform-independent and only need collecting once — dump or
+   inspect any binary trace file (event trace, recording or profile), and
+   repair event traces. *)
 
 open Cmdliner
 
 let record name scale path =
   Cli_common.guard @@ fun () ->
   let workload = Cli_common.resolve name in
-  let m = Dbi.Trace.record path (fun m -> workload.Workloads.Workload.run m scale) in
+  let m = Tracefile.Recording.record path (fun m -> workload.Workloads.Workload.run m scale) in
   let c = Dbi.Machine.counters m in
   Format.printf "recorded %s (%s): %d instructions, %d calls -> %s@." name
     (Workloads.Scale.name scale) (Dbi.Machine.now m) c.Dbi.Machine.calls path
 
+let with_reader path f =
+  let r = Tracefile.Reader.open_file path in
+  Fun.protect ~finally:(fun () -> Tracefile.Reader.close r) (fun () -> f r)
+
 let replay path limit =
   Cli_common.guard @@ fun () ->
   let tool = ref None in
-  let m =
-    Dbi.Trace.replay
-      ~tools:
-        [
-          (fun machine ->
-            let t = Sigil.Tool.create machine in
-            tool := Some t;
-            Sigil.Tool.tool t);
-        ]
-      path
+  let sigil machine =
+    let t = Sigil.Tool.create machine in
+    tool := Some t;
+    Sigil.Tool.tool t
   in
+  let m = with_reader path (Tracefile.Recording.replay ~tools:[ sigil ]) in
   Format.printf "replayed %s: %d instructions@.@." path (Dbi.Machine.now m);
   Sigil.Report.pp ~limit Format.std_formatter (Option.get !tool)
 
@@ -45,11 +45,10 @@ let repair src dst chunk_bytes =
 
 let inspect path check =
   Cli_common.guard @@ fun () ->
-  let r = Tracefile.Reader.open_file path in
-  Fun.protect
-    ~finally:(fun () -> Tracefile.Reader.close r)
-    (fun () ->
-      Format.printf "%s: binary event trace (version %d)@." path (Tracefile.Reader.version r);
+  with_reader path (fun r ->
+      Format.printf "%s: binary %s (version %d)@." path
+        (Tracefile.Frame.kind_name (Tracefile.Reader.kind r))
+        (Tracefile.Reader.version r);
       Format.printf "  options:     %s@." (Tracefile.Reader.options_tag r);
       Format.printf "  records:     %d@." (Tracefile.Reader.entry_count r);
       Format.printf "  chunks:      %d (target %d B)@." (Tracefile.Reader.chunk_count r)
@@ -58,38 +57,25 @@ let inspect path check =
       Format.printf "  contexts:    %d@." (Tracefile.Reader.context_count r);
       Format.printf "  file size:   %d B@." (file_size path);
       if check then begin
-        Tracefile.Reader.validate r;
-        Format.printf "  integrity:   all chunk CRCs and counts verified@."
+        Tracefile.Convert.validate r;
+        Format.printf "  integrity:   all chunk CRCs and record counts verified@."
       end)
 
+(* A positional file argument. *)
+let file n docv doc = Arg.(required & pos n (some string) None & info [] ~docv ~doc)
+
 let convert_cmd =
-  let src =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"SRC" ~doc:"Binary event trace to dump.")
-  in
-  let dst =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"DST" ~doc:"Text output file.")
-  in
+  let src = file 0 "SRC" "Binary trace file to dump: event trace, recording or profile." in
   Cmd.v
     (Cmd.info "convert"
        ~doc:
-         "Dump a binary event trace as text, one C/O/X/R record per line, for reading and \
-          diffing (output only: no tool reads the text back)")
-    Term.(const convert $ src $ dst)
+         "Dump a binary trace file as text for reading and diffing: an event trace as C/O/X/R \
+          lines, a recording as E/L/R/W/I/F/B lines, a profile as its sigil-profile text \
+          (output only: no tool reads the text back)")
+    Term.(const convert $ src $ file 1 "DST" "Text output file.")
 
 let repair_cmd =
-  let src =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"SRC"
-          ~doc:"Damaged binary trace (e.g. a .tmp left behind by a killed run).")
-  in
-  let dst =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"DST" ~doc:"Clean output trace.")
-  in
+  let src = file 0 "SRC" "Damaged binary event trace (e.g. a .tmp left behind by a killed run)." in
   let chunk_bytes =
     Arg.(
       value
@@ -100,44 +86,34 @@ let repair_cmd =
   Cmd.v
     (Cmd.info "repair"
        ~doc:
-         "Salvage a damaged or crash-torn binary trace: recover the longest intact prefix of \
-          chunks and rewrite it as a clean, fully-indexed trace (SRC is untouched)")
-    Term.(const repair $ src $ dst $ chunk_bytes)
+         "Salvage a damaged or crash-torn binary event trace: recover the longest intact prefix \
+          of chunks and rewrite it as a clean, fully-indexed trace (SRC is untouched)")
+    Term.(const repair $ src $ file 1 "DST" "Clean output trace." $ chunk_bytes)
 
 let inspect_cmd =
-  let path =
-    Arg.(
-      required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Event trace to inspect.")
-  in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ] ~doc:"Also decode every chunk, verifying CRCs and entry counts.")
+    Arg.(value & flag & info [ "check" ] ~doc:"Also decode every record, verifying CRCs and counts.")
   in
   Cmd.v
-    (Cmd.info "inspect" ~doc:"Print an event trace's header, tables and framing metadata")
-    Term.(const inspect $ path $ check)
+    (Cmd.info "inspect" ~doc:"Print a trace file's kind, header, tables and framing metadata")
+    Term.(const inspect $ file 0 "FILE" "Trace file to inspect." $ check)
 
 let record_cmd =
-  let path =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE" ~doc:"Trace output file.")
-  in
   Cmd.v
-    (Cmd.info "record" ~doc:"Run a workload and record its raw event stream")
-    Term.(const record $ Cli_common.workload_arg $ Cli_common.scale_arg $ path)
+    (Cmd.info "record" ~doc:"Run a workload and record its raw event stream as a binary recording")
+    Term.(
+      const record $ Cli_common.workload_arg $ Cli_common.scale_arg
+      $ file 1 "FILE" "Recording output file.")
 
 let replay_cmd =
-  let path =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Trace file to replay.")
-  in
   Cmd.v
-    (Cmd.info "replay" ~doc:"Drive Sigil from a recorded trace (no re-run needed)")
-    Term.(const replay $ path $ Cli_common.limit_arg)
+    (Cmd.info "replay" ~doc:"Drive Sigil from a recording (no re-run needed)")
+    Term.(const replay $ file 0 "FILE" "Recording to replay." $ Cli_common.limit_arg)
 
 let cmd =
   Cmd.group
     (Cmd.info "sigil_trace"
-       ~doc:"Record and replay guest event streams; dump, inspect and repair event traces")
+       ~doc:"Record and replay guest event streams; dump and inspect trace files; repair event traces")
     [ record_cmd; replay_cmd; convert_cmd; inspect_cmd; repair_cmd ]
 
 let () = exit (Cmd.eval cmd)

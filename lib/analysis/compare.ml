@@ -1,79 +1,77 @@
+type status = [ `Changed | `Added | `Removed | `Same ]
+
 type delta = {
-  path : string;
-  ops_before : int;
-  ops_after : int;
-  unique_in_before : int;
-  unique_in_after : int;
-  status : [ `Changed | `Added | `Removed | `Same ];
+  key : string;
+  before : int;
+  after : int;
+  unique_before : int;
+  unique_after : int;
+  status : status;
 }
 
-let index snapshot =
-  let table = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Sigil.Profile_io.ctx_stats) ->
-      let path = Sigil.Profile_io.path snapshot s.Sigil.Profile_io.ctx in
-      (* recursion can revisit a path string; accumulate *)
-      let ops = s.Sigil.Profile_io.int_ops + s.Sigil.Profile_io.fp_ops in
-      let unique = s.Sigil.Profile_io.input_unique in
-      match Hashtbl.find_opt table path with
-      | Some (o, u) -> Hashtbl.replace table path (o + ops, u + unique)
-      | None -> Hashtbl.replace table path (ops, unique))
-    (Sigil.Profile_io.contexts snapshot);
-  table
+type t = { paths : delta list; edges : delta list }
 
-(* Merging path-indexed tables is a commutative sum, so the aggregate of a
+let add table key (n, unique) =
+  let n0, u0 = Option.value ~default:(0, 0) (Hashtbl.find_opt table key) in
+  Hashtbl.replace table key (n0 + n, u0 + unique)
+
+(* Summing into key-indexed tables is commutative, so the aggregate of a
    snapshot list is independent of list order — shards produced by the
-   domain-parallel suite runner can be diffed without sorting them first. *)
-let index_many snapshots =
-  let table = Hashtbl.create 64 in
+   domain-parallel suite runner can be diffed without sorting them first.
+   Recursion can revisit a path, and so an edge key: both accumulate. *)
+let index snapshots =
+  let paths = Hashtbl.create 64 and edges = Hashtbl.create 64 in
   List.iter
     (fun snap ->
-      Hashtbl.iter
-        (fun path (ops, unique) ->
-          match Hashtbl.find_opt table path with
-          | Some (o, u) -> Hashtbl.replace table path (o + ops, u + unique)
-          | None -> Hashtbl.replace table path (ops, unique))
-        (index snap))
+      let path = Sigil.Profile_io.path snap in
+      List.iter
+        (fun (s : Sigil.Profile_io.ctx_stats) ->
+          add paths (path s.ctx) (s.int_ops + s.fp_ops, s.input_unique))
+        (Sigil.Profile_io.contexts snap);
+      List.iter
+        (fun (e : Sigil.Profile_io.edge) ->
+          add edges (path e.src ^ " -> " ^ path e.dst) (e.bytes, e.unique_bytes))
+        (Sigil.Profile_io.edges snap))
     snapshots;
-  table
+  (paths, edges)
 
 let diff_indexed b a =
-  let paths = Hashtbl.create 64 in
-  Hashtbl.iter (fun p _ -> Hashtbl.replace paths p ()) b;
-  Hashtbl.iter (fun p _ -> Hashtbl.replace paths p ()) a;
+  let keys = Hashtbl.create 64 in
+  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) b;
+  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) a;
   let rows =
     Hashtbl.fold
-      (fun path () acc ->
-        let bo, bu = Option.value ~default:(0, 0) (Hashtbl.find_opt b path) in
-        let ao, au = Option.value ~default:(0, 0) (Hashtbl.find_opt a path) in
+      (fun key () acc ->
+        let before, unique_before = Option.value ~default:(0, 0) (Hashtbl.find_opt b key) in
+        let after, unique_after = Option.value ~default:(0, 0) (Hashtbl.find_opt a key) in
         let status =
-          match (Hashtbl.mem b path, Hashtbl.mem a path) with
+          match (Hashtbl.mem b key, Hashtbl.mem a key) with
           | false, true -> `Added
           | true, false -> `Removed
           | true, true | false, false ->
-            if bo = ao && bu = au then `Same else `Changed
+            if before = after && unique_before = unique_after then `Same else `Changed
         in
-        {
-          path;
-          ops_before = bo;
-          ops_after = ao;
-          unique_in_before = bu;
-          unique_in_after = au;
-          status;
-        }
-        :: acc)
-      paths []
+        { key; before; after; unique_before; unique_after; status } :: acc)
+      keys []
   in
   List.sort
     (fun x y ->
-      match compare (abs (y.ops_after - y.ops_before)) (abs (x.ops_after - x.ops_before)) with
-      | 0 -> compare x.path y.path
+      match compare (abs (y.after - y.before)) (abs (x.after - x.before)) with
+      | 0 -> compare x.key y.key
       | c -> c)
     rows
 
-let diff before after = diff_indexed (index before) (index after)
-let diff_many ~before ~after = diff_indexed (index_many before) (index_many after)
-let changed deltas = List.filter (fun d -> d.status <> `Same) deltas
+let diff_many ~before ~after =
+  let b_paths, b_edges = index before and a_paths, a_edges = index after in
+  { paths = diff_indexed b_paths a_paths; edges = diff_indexed b_edges a_edges }
+
+let diff before after = diff_many ~before:[ before ] ~after:[ after ]
+
+let changed t =
+  let keep = List.filter (fun d -> d.status <> `Same) in
+  { paths = keep t.paths; edges = keep t.edges }
+
+let is_empty t = t.paths = [] && t.edges = []
 
 let status_string = function
   | `Changed -> "~"
@@ -81,12 +79,19 @@ let status_string = function
   | `Removed -> "-"
   | `Same -> "="
 
-let pp ?(limit = 25) ppf deltas =
-  Format.fprintf ppf "%2s %12s %12s %10s %10s  %s@." "" "ops-before" "ops-after" "uniq-in-b"
-    "uniq-in-a" "path";
-  List.iteri
-    (fun i d ->
-      if i < limit then
-        Format.fprintf ppf "%2s %12d %12d %10d %10d  %s@." (status_string d.status) d.ops_before
-          d.ops_after d.unique_in_before d.unique_in_after d.path)
-    deltas
+let pp_rows ~limit ppf (n, unique, what) rows =
+  if rows <> [] then begin
+    Format.fprintf ppf "%2s %12s %12s %10s %10s  %s@." "" (n ^ "-before") (n ^ "-after")
+      (unique ^ "-b") (unique ^ "-a") what;
+    List.iteri
+      (fun i d ->
+        if i < limit then
+          Format.fprintf ppf "%2s %12d %12d %10d %10d  %s@." (status_string d.status) d.before
+            d.after d.unique_before d.unique_after d.key)
+      rows
+  end
+
+let pp ?(limit = 25) ppf t =
+  pp_rows ~limit ppf ("ops", "uniq-in", "path") t.paths;
+  if t.paths <> [] && t.edges <> [] then Format.fprintf ppf "@.";
+  pp_rows ~limit ppf ("bytes", "uniq", "edge") t.edges

@@ -20,28 +20,29 @@ type edge = {
 }
 
 type snapshot = {
-  names : (int, string) Hashtbl.t;
+  names : string array; (* by function id *)
   by_ctx : (Dbi.Context.id, ctx_stats) Hashtbl.t;
   order : Dbi.Context.id list; (* preorder *)
   edge_list : edge list;
 }
 
-let magic = "sigil-profile 1"
+let make ~names ~contexts ~edges =
+  let by_ctx = Hashtbl.create 256 in
+  List.iter (fun s -> Hashtbl.replace by_ctx s.ctx s) contexts;
+  { names; by_ctx; order = List.map (fun s -> s.ctx) contexts; edge_list = edges }
 
 let snapshot_of_tool tool =
   let machine = Tool.machine tool in
   let profile = Tool.profile tool in
   let contexts = Dbi.Machine.contexts machine in
   let symbols = Dbi.Machine.symbols machine in
-  let names = Hashtbl.create 64 in
-  Dbi.Symbol.iter symbols (fun id name -> Hashtbl.replace names id name);
-  let by_ctx = Hashtbl.create 256 in
-  let order = ref [] in
-  let rec visit ctx =
+  let names = Array.make (Dbi.Symbol.count symbols) "" in
+  Dbi.Symbol.iter symbols (fun id name -> names.(id) <- name);
+  let rec visit acc ctx =
     let s = Profile.stats profile ctx in
     let parent = match Dbi.Context.parent contexts ctx with Some p -> p | None -> -1 in
     let fn = if ctx = Dbi.Context.root then -1 else Dbi.Context.fn contexts ctx in
-    Hashtbl.replace by_ctx ctx
+    let stats =
       {
         ctx;
         parent;
@@ -54,12 +55,11 @@ let snapshot_of_tool tool =
         written = s.Profile.written;
         int_ops = s.Profile.int_ops;
         fp_ops = s.Profile.fp_ops;
-      };
-    order := ctx :: !order;
-    List.iter visit (Dbi.Context.children contexts ctx)
+      }
+    in
+    List.fold_left visit (stats :: acc) (Dbi.Context.children contexts ctx)
   in
-  visit Dbi.Context.root;
-  let edge_list =
+  let edges =
     List.map
       (fun (e : Profile.edge) ->
         {
@@ -70,16 +70,12 @@ let snapshot_of_tool tool =
         })
       (Profile.edges profile)
   in
-  let edge_list = List.sort compare edge_list in
-  { names; by_ctx; order = List.rev !order; edge_list }
+  make ~names ~contexts:(List.rev (visit [] Dbi.Context.root)) ~edges:(List.sort compare edges)
 
 let render snap =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (magic ^ "\n");
-  let symbol_ids = Hashtbl.fold (fun id _ acc -> id :: acc) snap.names [] in
-  List.iter
-    (fun id -> Printf.bprintf buf "S %d %s\n" id (Hashtbl.find snap.names id))
-    (List.sort compare symbol_ids);
+  Buffer.add_string buf "sigil-profile 1\n";
+  Array.iteri (fun id name -> Printf.bprintf buf "S %d %s\n" id name) snap.names;
   List.iter
     (fun ctx ->
       let s = Hashtbl.find snap.by_ctx ctx in
@@ -93,86 +89,12 @@ let render snap =
   Buffer.contents buf
 
 let to_string tool = render (snapshot_of_tool tool)
-
-let save tool path =
-  let text = to_string tool in
-  Dbi.Atomic_file.write path (fun oc -> output_string oc text)
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let fail line = failwith ("Profile_io: malformed line: " ^ line) in
-      (match input_line ic with
-      | header when header = magic -> ()
-      | header -> failwith ("Profile_io: unsupported header: " ^ header)
-      | exception End_of_file -> failwith "Profile_io: empty file");
-      let names = Hashtbl.create 64 in
-      let by_ctx = Hashtbl.create 256 in
-      let order = ref [] in
-      let edges = ref [] in
-      let ints line rest = List.map (fun s -> match int_of_string_opt s with Some v -> v | None -> fail line) rest in
-      let rec loop () =
-        match input_line ic with
-        | exception End_of_file -> ()
-        | line ->
-          (if String.trim line <> "" then
-             match String.split_on_char ' ' line with
-             | "S" :: id :: name_parts ->
-               let id = match int_of_string_opt id with Some v -> v | None -> fail line in
-               Hashtbl.replace names id (String.concat " " name_parts)
-             | "C" :: rest -> (
-               match ints line rest with
-               | [ ctx; parent; fn; calls ] ->
-                 Hashtbl.replace by_ctx ctx
-                   {
-                     ctx;
-                     parent;
-                     fn;
-                     calls;
-                     input_unique = 0;
-                     input_nonunique = 0;
-                     local_unique = 0;
-                     local_nonunique = 0;
-                     written = 0;
-                     int_ops = 0;
-                     fp_ops = 0;
-                   };
-                 order := ctx :: !order
-               | _ -> fail line)
-             | "T" :: rest -> (
-               match ints line rest with
-               | [ ctx; iu; inn; lu; ln; written; iops; fops ] -> (
-                 match Hashtbl.find_opt by_ctx ctx with
-                 | None -> fail line
-                 | Some s ->
-                   Hashtbl.replace by_ctx ctx
-                     {
-                       s with
-                       input_unique = iu;
-                       input_nonunique = inn;
-                       local_unique = lu;
-                       local_nonunique = ln;
-                       written;
-                       int_ops = iops;
-                       fp_ops = fops;
-                     })
-               | _ -> fail line)
-             | "X" :: rest -> (
-               match ints line rest with
-               | [ src; dst; bytes; unique_bytes ] ->
-                 edges := { src; dst; bytes; unique_bytes } :: !edges
-               | _ -> fail line)
-             | _ -> fail line);
-          loop ()
-      in
-      loop ();
-      { names; by_ctx; order = List.rev !order; edge_list = List.rev !edges })
+let names snap = snap.names
 
 let fn_name snap fn =
   if fn < 0 then "<root>"
-  else match Hashtbl.find_opt snap.names fn with Some n -> n | None -> "?" ^ string_of_int fn
+  else if fn < Array.length snap.names then snap.names.(fn)
+  else "?" ^ string_of_int fn
 
 let stats snap ctx =
   match Hashtbl.find_opt snap.by_ctx ctx with

@@ -1,13 +1,13 @@
-(** Persistent aggregate profiles.
+(** Aggregate profiles detached from the run.
 
     The paper closes by promising to "release the profile data for many
     commonly used benchmarks... researchers can use the data without
-    running Sigil". This module is that artifact: a finished run's symbol
+    running Sigil". A {!snapshot} is that data: a finished run's symbol
     table, calling-context tree, per-context aggregates and communication
-    edges serialize to a self-contained text file, and load back into a
-    {!snapshot} that can be inspected without a machine or a re-run.
-
-    Format (line-oriented):
+    edges, inspectable without a machine or a re-run. It is saved and
+    loaded as a profile section of the binary trace container
+    ([Tracefile.Profile_file], docs/FORMATS.md §6); {!render} is its text
+    dump, which nothing parses back:
     {v
  sigil-profile 1
  S <fn-id> <name>                         symbols
@@ -38,25 +38,27 @@ type edge = {
 
 type snapshot
 
-(** [save tool path] writes the finished run's profile crash-safely,
-    through [Dbi.Atomic_file.write]: [path] never holds a torn profile. *)
-val save : Tool.t -> string -> unit
-
-(** [to_string tool] is the exact file [save] would write. The rendering is
-    canonical (sorted symbols and edges, preorder contexts), so two runs
-    are bit-identical profiles iff their [to_string] outputs are equal —
-    the equality the parallel-vs-sequential determinism test checks. *)
-val to_string : Tool.t -> string
-
-(** [snapshot_of_tool tool] captures without touching the filesystem. *)
+(** [snapshot_of_tool tool] captures a finished run's profile. *)
 val snapshot_of_tool : Tool.t -> snapshot
 
-(** [load path] parses a saved profile.
+(** [make ~names ~contexts ~edges] is the snapshot with function names
+    [names] (by id), [contexts] in preorder and [edges]; a loader builds
+    one from a saved profile. *)
+val make : names:string array -> contexts:ctx_stats list -> edges:edge list -> snapshot
 
-    @raise Failure on malformed input or unsupported version. *)
-val load : string -> snapshot
+(** [render snap] is the text dump above. The rendering is canonical
+    (symbols by id, preorder contexts, sorted edges), so two runs are
+    bit-identical profiles iff their dumps are equal. *)
+val render : snapshot -> string
+
+(** [to_string tool] is [render (snapshot_of_tool tool)]: the equality the
+    parallel-vs-sequential determinism test checks. *)
+val to_string : Tool.t -> string
 
 (** {2 Queries} *)
+
+(** Function names by id. *)
+val names : snapshot -> string array
 
 (** Function name by id ([fn = -1] renders ["<root>"]). *)
 val fn_name : snapshot -> int -> string

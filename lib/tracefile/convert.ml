@@ -3,13 +3,25 @@ let binary_to_text src dst =
   Fun.protect
     ~finally:(fun () -> Reader.close r)
     (fun () ->
-      let n = ref 0 in
       Dbi.Atomic_file.write dst (fun oc ->
-          Reader.iter r (fun e ->
-              output_string oc (Sigil.Event_log.entry_to_string e);
-              output_char oc '\n';
-              incr n));
-      !n)
+          match Reader.kind r with
+          | Frame.Events ->
+            let n = ref 0 in
+            Reader.iter r (fun e ->
+                output_string oc (Sigil.Event_log.entry_to_string e);
+                output_char oc '\n';
+                incr n);
+            !n
+          | Frame.Recording -> Recording.dump r oc
+          | Frame.Profile ->
+            output_string oc (Sigil.Profile_io.render (Profile_file.of_reader r));
+            Reader.entry_count r))
+
+let validate r =
+  match Reader.kind r with
+  | Frame.Events -> Reader.validate r
+  | Frame.Recording -> Recording.iter r (fun _ _ -> ())
+  | Frame.Profile -> ignore (Profile_file.of_reader r)
 
 let repair ?chunk_bytes src dst =
   let r, report = Reader.open_salvage src in

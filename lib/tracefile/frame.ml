@@ -13,10 +13,27 @@ let trailer_magic = "sigilend"
 let version = 1
 let chunk_magic = 0x48434753 (* "SGCH" read as LE u32 *)
 let ckpt_magic = 0x504b4753 (* "SGKP" read as LE u32 *)
+let recording_magic = 0x43524753 (* "SGRC" *)
+let profile_magic = 0x46504753 (* "SGPF" *)
 let chunk_header_bytes = 16
 let trailer_bytes = 32
 let default_chunk_bytes = 64 * 1024
 let default_checkpoint_every = 16
+
+type kind = Events | Recording | Profile
+
+let section_magic = function
+  | Events -> chunk_magic
+  | Recording -> recording_magic
+  | Profile -> profile_magic
+
+let kind_of_magic m =
+  List.find_opt (fun k -> section_magic k = m) [ Events; Recording; Profile ]
+
+let kind_name = function
+  | Events -> "event trace"
+  | Recording -> "recording"
+  | Profile -> "profile"
 
 let add_u32 buf v =
   for i = 0 to 3 do
@@ -193,6 +210,7 @@ let read_pos d byte b ~pos =
   end
 
 let decode_entry d b ~pos : Sigil.Event_log.entry =
+  if !pos = 0 then reset d;
   if !pos >= Bytes.length b then raise Varint.Truncated;
   let byte = Char.code (Bytes.get b !pos) in
   incr pos;

@@ -1,13 +1,13 @@
-(** On-disk layout constants and the chunk-level entry codec of the binary
-    event-trace format (documented in docs/FORMATS.md §6).
+(** On-disk layout constants, section kinds and the chunk-level entry
+    codec of the binary trace container (documented in docs/FORMATS.md §6).
 
-    A trace file is: an 8-byte magic + version + options-fingerprint header;
-    a sequence of framed chunks (fixed 16-byte header carrying a chunk
-    magic, entry count, payload length and CRC-32, followed by the
-    varint/delta-encoded payload); the symbol and context tables; a chunk
-    index; and a fixed 32-byte trailer locating the tables and index from
-    the end of the file. Delta state resets at every chunk boundary, so any
-    chunk decodes independently of the others. *)
+    A file is: an 8-byte magic + version + options-fingerprint header; a
+    sequence of framed sections (fixed 16-byte header carrying a section
+    magic, record count, payload length and CRC-32, followed by the
+    varint-coded payload); the symbol and context tables; a section index;
+    and a fixed 32-byte trailer locating the tables and index from the end
+    of the file. Every data section of one file has the same {!kind}, and
+    each decodes independently of the others. *)
 
 exception Corrupt of { offset : int; reason : string }
 (** Raised by readers on any structural damage. [offset] is the file offset
@@ -21,6 +21,15 @@ val trailer_magic : string (** 8 bytes, end of file *)
 
 val version : int
 val chunk_magic : int (** u32 framing each chunk header *)
+
+(** What a file's data chunks hold, by chunk magic: events ("SGCH", the
+    entry codec below), a recording ("SGRC") or a profile ("SGPF"). *)
+type kind = Events | Recording | Profile
+
+val section_magic : kind -> int
+val kind_of_magic : int -> kind option
+
+val kind_name : kind -> string
 
 val ckpt_magic : int
 (** u32 framing an index-checkpoint section. Checkpoints share the data
@@ -76,7 +85,8 @@ val reset : delta -> unit
 val encode_entry : delta -> Buffer.t -> Sigil.Event_log.entry -> unit
 
 (** [decode_entry d b ~pos] decodes the entry at [!pos] and advances
-    [pos] past it. The result is [d]'s scratch entry of its constructor,
+    [pos] past it; at [!pos = 0], a chunk's first entry, it {!reset}s [d]
+    first. The result is [d]'s scratch entry of its constructor,
     lent as {!Sigil.Event_log.sink} describes: the next decode through [d]
     may overwrite it, so a caller that keeps it stores
     [Sigil.Event_log.copy] of it.

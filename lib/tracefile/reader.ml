@@ -1,17 +1,24 @@
 type chunk = { c_offset : int; c_entries : int; c_bytes : int }
 
+(* The embedded tables; all empty when the file carries none. *)
+type tables = {
+  names : string array; (* function names *)
+  stripped : bool;
+  ctx_parent : int array; (* per-context parent and function ids *)
+  ctx_fn : int array;
+}
+
+let no_tables = { names = [||]; stripped = false; ctx_parent = [||]; ctx_fn = [||] }
+
 type t = {
   ic : in_channel;
-  r_version : int;
+  r_kind : Frame.kind;
   r_options_tag : string;
   r_chunk_bytes : int;
-  r_stripped : bool;
   chunks : chunk array;
   total_entries : int;
   data_end : int; (* first byte past the last chunk this reader may read *)
-  names : string array; (* function names; empty when no table embedded *)
-  ctx_fn : int array; (* per-context function id; empty when absent *)
-  ctx_parent : int array;
+  tables : tables;
 }
 
 let read_bytes_at ic ~offset ~len =
@@ -21,14 +28,14 @@ let read_bytes_at ic ~offset ~len =
   b
 
 (* The only place a section header is parsed: the 16-byte framing at
-   [offset] (a data chunk or an index checkpoint), its payload bounded by
-   [limit] and checked against the stored CRC-32. Returns the magic, the
-   header's count field and the payload. *)
+   [offset] (a data section of any kind or an index checkpoint), its
+   payload bounded by [limit] and checked against the stored CRC-32.
+   Returns the magic, the header's count field and the payload. *)
 let section_at ic ~offset ~limit =
   if limit - offset < Frame.chunk_header_bytes then Frame.corrupt ~offset "truncated chunk header";
   let header = read_bytes_at ic ~offset ~len:Frame.chunk_header_bytes in
   let magic = Frame.get_u32 header 0 in
-  if magic <> Frame.chunk_magic && magic <> Frame.ckpt_magic then
+  if magic <> Frame.ckpt_magic && Frame.kind_of_magic magic = None then
     Frame.corrupt ~offset "bad chunk magic";
   let len = Frame.get_u32 header 8 in
   if limit - offset - Frame.chunk_header_bytes < len then
@@ -42,46 +49,56 @@ let section_at ic ~offset ~limit =
       (Printf.sprintf "chunk CRC mismatch (stored 0x%08x, computed 0x%08x)" crc actual);
   (magic, Frame.get_u32 header 4, payload)
 
-(* [d] is reset first, so one codec state (and its scratch entries)
-   serves every chunk of a pass. *)
-let decode_payload d (c : chunk) payload f =
-  Frame.reset d;
+(* Decodes the [count] records of a section payload whose first byte is
+   at file offset [base], applying [f offset record] to each. Only
+   decoding failures are the section's fault; [f]'s own exceptions pass
+   through unchanged. *)
+let decode_section decode f ~base payload count =
   let pos = ref 0 in
-  for _ = 1 to c.c_entries do
-    (* only decoding failures are the chunk's fault; the consumer's own
-       exceptions pass through unchanged *)
-    let e =
-      try Frame.decode_entry d payload ~pos
-      with Varint.Truncated | Failure _ ->
-        Frame.corrupt ~offset:c.c_offset "undecodable chunk payload"
-    in
-    f e
+  for _ = 1 to count do
+    let offset = base + !pos in
+    match decode payload ~pos with
+    | r -> f offset r
+    | exception (Varint.Truncated | Failure _) -> Frame.corrupt ~offset "undecodable record"
   done;
   if !pos <> Bytes.length payload then
-    Frame.corrupt ~offset:c.c_offset "chunk payload has trailing garbage"
+    Frame.corrupt ~offset:(base + !pos) "section payload has trailing garbage"
 
 (* Forward walk over the sections in [start, limit), keeping every data
-   chunk that is wholly present, CRC-clean and fully decodable, and
-   skipping intact checkpoints. Stops at the first damage, returned with
-   its offset and reason: the recovered chunks are a strict prefix, never
-   entries past a gap. *)
+   section that is wholly present, CRC-clean, of the first one's kind and,
+   for event chunks, fully decodable, and skipping intact checkpoints
+   (each counts the data chunks before it). Stops at the first damage,
+   returned with its offset and reason: the recovered sections are a
+   strict prefix, never records past a gap. The kind is the first data
+   section's ([Events] when there is none). *)
 let walk ic ~start ~limit =
   let d = Frame.delta () in
+  let kind = ref None in
   let rec go offset acc entries =
     if offset >= limit then (List.rev acc, entries, None)
     else
       match
         let magic, count, payload = section_at ic ~offset ~limit in
         let c = { c_offset = offset; c_entries = count; c_bytes = Bytes.length payload } in
-        if magic = Frame.chunk_magic then decode_payload d c payload ignore;
-        (magic = Frame.chunk_magic, c)
+        let k = Frame.kind_of_magic magic in
+        (match (k, !kind) with
+        | Some k, Some first when k <> first -> Frame.corrupt ~offset "section kind changes mid-file"
+        | Some _, None -> kind := k
+        | None, _ when count <> List.length acc ->
+          Frame.corrupt ~offset "checkpoint disagrees with the chunks before it"
+        | _ -> ());
+        if k = Some Frame.Events then
+          decode_section (Frame.decode_entry d) (fun _ _ -> ())
+            ~base:(offset + Frame.chunk_header_bytes) payload count;
+        (k <> None, c)
       with
       | exception Frame.Corrupt { offset; reason } -> (List.rev acc, entries, Some (offset, reason))
       | is_data, c ->
         let next = offset + Frame.chunk_header_bytes + c.c_bytes in
         if is_data then go next (c :: acc) (entries + c.c_entries) else go next acc entries
   in
-  go start [] 0
+  let chunks, entries, bad = go start [] 0 in
+  (chunks, entries, bad, Option.value !kind ~default:Frame.Events)
 
 (* After damage at [start - 1], count later data chunks that still frame
    and CRC clean. Salvage refuses to resume past a gap (delta state and
@@ -95,7 +112,7 @@ let count_resync ic ~start ~limit =
       | exception Frame.Corrupt _ -> go (offset + 1) n
       | magic, _, payload ->
         let next = offset + Frame.chunk_header_bytes + Bytes.length payload in
-        go next (if magic = Frame.chunk_magic then n + 1 else n)
+        go next (if magic <> Frame.ckpt_magic then n + 1 else n)
   in
   go start 0
 
@@ -118,23 +135,22 @@ let parse_header ic ~file_len =
     let tag = Bytes.sub_string pre !pos tag_len in
     pos := !pos + tag_len;
     let chunk_bytes = Varint.read pre ~pos in
-    (version, tag, chunk_bytes, !pos)
+    (tag, chunk_bytes, !pos)
   with Varint.Truncated -> Frame.corrupt ~offset:!pos "truncated header"
 
 type tail = {
   t_tables_offset : int;
   t_total_entries : int;
-  t_names : string array;
-  t_stripped : bool;
-  t_ctx_fn : int array;
-  t_ctx_parent : int array;
+  t_tables : tables;
   t_chunks : chunk array;
 }
 
 (* Parse everything the trailer locates (tables + chunk index). The caller
-   has already verified the trailer magic. The index must tile the data
-   region in order, end where the trailer starts and account for the
-   trailer's entry total, so a damaged index cannot shorten the trace. *)
+   has already verified the trailer magic. Every context must name an
+   older parent (so the tree has no cycle) and, when names are present, a
+   known function. The index must tile the data region in order, end
+   where the trailer starts and account for the trailer's entry total, so
+   a damaged index cannot shorten the trace. *)
 let parse_tail ic ~file_len ~data_start =
   let trailer_offset = file_len - Frame.trailer_bytes in
   let trailer = read_bytes_at ic ~offset:trailer_offset ~len:Frame.trailer_bytes in
@@ -173,8 +189,13 @@ let parse_tail ic ~file_len ~data_start =
     let ctx_fn = Array.make context_count (-1) in
     let ctx_parent = Array.make context_count (-1) in
     for ctx = 1 to context_count - 1 do
-      ctx_parent.(ctx) <- Varint.read meta ~pos;
-      ctx_fn.(ctx) <- Varint.read meta ~pos
+      let parent = Varint.read meta ~pos in
+      let fn = Varint.read meta ~pos in
+      if parent < 0 || parent >= ctx || (symbol_count > 0 && (fn < 0 || fn >= symbol_count)) then
+        Frame.corrupt ~offset:tables_offset
+          (Printf.sprintf "context %d has parent %d and function %d" ctx parent fn);
+      ctx_parent.(ctx) <- parent;
+      ctx_fn.(ctx) <- fn
     done;
     pos := index_offset - tables_offset;
     let chunk_count = count () in
@@ -197,14 +218,21 @@ let parse_tail ic ~file_len ~data_start =
     {
       t_tables_offset = tables_offset;
       t_total_entries = total_entries;
-      t_names = names;
-      t_stripped = stripped;
-      t_ctx_fn = ctx_fn;
-      t_ctx_parent = ctx_parent;
+      t_tables = { names; stripped; ctx_parent; ctx_fn };
       t_chunks = chunks;
     }
   with Varint.Truncated ->
     Frame.corrupt ~offset:tables_offset "truncated symbol/context tables or chunk index"
+
+(* The kind of an indexed file: its first section's, read from that
+   section's magic ([Events] when the file has none). *)
+let kind_at ic chunks =
+  if chunks = [||] then Frame.Events
+  else
+    let offset = chunks.(0).c_offset in
+    match Frame.kind_of_magic (Frame.get_u32 (read_bytes_at ic ~offset ~len:4) 0) with
+    | Some k -> k
+    | None -> Frame.corrupt ~offset "bad chunk magic"
 
 let has_trailer ic ~file_len ~data_start =
   file_len - data_start >= Frame.trailer_bytes
@@ -241,7 +269,7 @@ let open_trace ~strict path =
     (* a damaged header is unsalvageable: without the chunk-size framing
        start there is no prefix to trust, so [Frame.Corrupt] escapes with
        the offending offset in both modes *)
-    let version, tag, chunk_bytes, data_start = parse_header ic ~file_len in
+    let tag, chunk_bytes, data_start = parse_header ic ~file_len in
     let tail =
       if not (has_trailer ic ~file_len ~data_start) then None
       else
@@ -249,7 +277,7 @@ let open_trace ~strict path =
         | tl -> Some tl
         | exception Frame.Corrupt _ when not strict -> None
     in
-    let chunks, entries, report =
+    let chunks, entries, report, kind =
       match tail with
       | Some tl when strict ->
         let n = Array.length tl.t_chunks in
@@ -262,10 +290,10 @@ let open_trace ~strict path =
             tail_valid = true;
           }
         in
-        (tl.t_chunks, tl.t_total_entries, report)
+        (tl.t_chunks, tl.t_total_entries, report, kind_at ic tl.t_chunks)
       | _ ->
         let limit = match tail with Some tl -> tl.t_tables_offset | None -> file_len in
-        let recovered, entries, bad = walk ic ~start:data_start ~limit in
+        let recovered, entries, bad, kind = walk ic ~start:data_start ~limit in
         if strict then begin
           match bad with
           | Some (offset, reason) -> Frame.corrupt ~offset reason
@@ -289,7 +317,7 @@ let open_trace ~strict path =
             tail_valid = tail <> None;
           }
         in
-        (recovered, entries, report)
+        (recovered, entries, report, kind)
     in
     let data_end =
       match chunks with
@@ -298,23 +326,16 @@ let open_trace ~strict path =
         let c = chunks.(Array.length chunks - 1) in
         c.c_offset + Frame.chunk_header_bytes + c.c_bytes
     in
-    let names, stripped, ctx_fn, ctx_parent =
-      match tail with
-      | Some tl -> (tl.t_names, tl.t_stripped, tl.t_ctx_fn, tl.t_ctx_parent)
-      | None -> ([||], false, [||], [||])
-    in
+    let tables = match tail with Some tl -> tl.t_tables | None -> no_tables in
     ( {
         ic;
-        r_version = version;
+        r_kind = kind;
         r_options_tag = tag;
         r_chunk_bytes = chunk_bytes;
-        r_stripped = stripped;
         chunks;
         total_entries = entries;
         data_end;
-        names;
-        ctx_fn;
-        ctx_parent;
+        tables;
       },
       report )
   with
@@ -327,22 +348,24 @@ let open_file path = fst (open_trace ~strict:true path)
 let open_salvage path = open_trace ~strict:false path
 
 let close t = close_in_noerr t.ic
-let version t = t.r_version
+let kind t = t.r_kind
+let data_end t = t.data_end
+let version _ = Frame.version
 let options_tag t = t.r_options_tag
 let chunk_bytes t = t.r_chunk_bytes
 let entry_count t = t.total_entries
 let chunk_count t = Array.length t.chunks
 let chunk_offsets t = Array.to_list (Array.map (fun c -> c.c_offset) t.chunks)
-let symbol_count t = Array.length t.names
-let context_count t = Array.length t.ctx_fn
-let has_names t = Array.length t.names > 0 && Array.length t.ctx_fn > 0
-let raw_tables t = (t.names, t.r_stripped, t.ctx_parent, t.ctx_fn)
+let symbol_count t = Array.length t.tables.names
+let context_count t = Array.length t.tables.ctx_fn
+let has_names t = symbol_count t > 0 && context_count t > 0
+let raw_tables { tables = tb; _ } = (tb.names, tb.stripped, tb.ctx_parent, tb.ctx_fn)
 
-let fn_name t ctx =
+let fn_name { tables = tb; _ } ctx =
   if ctx = Dbi.Context.root then "<root>"
-  else if ctx > 0 && ctx < Array.length t.ctx_fn then begin
-    let fn = t.ctx_fn.(ctx) in
-    if fn >= 0 && fn < Array.length t.names then t.names.(fn) else "ctx:" ^ string_of_int ctx
+  else if ctx > 0 && ctx < Array.length tb.ctx_fn then begin
+    let fn = tb.ctx_fn.(ctx) in
+    if fn >= 0 && fn < Array.length tb.names then tb.names.(fn) else "ctx:" ^ string_of_int ctx
   end
   else "ctx:" ^ string_of_int ctx
 
@@ -350,14 +373,35 @@ let fn_name t ctx =
    the data chunk the index describes. *)
 let read_chunk t (c : chunk) =
   let magic, count, payload = section_at t.ic ~offset:c.c_offset ~limit:t.data_end in
-  if magic <> Frame.chunk_magic || count <> c.c_entries || Bytes.length payload <> c.c_bytes then
+  if
+    magic <> Frame.section_magic t.r_kind
+    || count <> c.c_entries
+    || Bytes.length payload <> c.c_bytes
+  then
     Frame.corrupt ~offset:c.c_offset "chunk header disagrees with index";
   payload
 
+(* Raises at the first chunk unless [t] holds [kind]. *)
+let expect t kind =
+  if t.r_kind <> kind then
+    Frame.corrupt
+      ~offset:(if t.chunks = [||] then t.data_end else t.chunks.(0).c_offset)
+      (Printf.sprintf "%s expected, found %s" (Frame.kind_name kind) (Frame.kind_name t.r_kind))
+
+let records t kind decode f =
+  expect t kind;
+  Array.iter
+    (fun c ->
+      decode_section decode f ~base:(c.c_offset + Frame.chunk_header_bytes) (read_chunk t c)
+        c.c_entries)
+    t.chunks
+
+(* one codec state (and its scratch entries) serves every chunk of a
+   pass: decoding a chunk's first entry resets it *)
 let iter t f =
   let d = Frame.delta () in
-  Array.iter (fun c -> decode_payload d c (read_chunk t c) f) t.chunks
+  records t Frame.Events (Frame.decode_entry d) (fun _ e -> f e)
 
-(* decode_payload checks each chunk's count and the index sums to the
+(* decode_section checks each chunk's count and the index sums to the
    entry total, so a full decode is the whole check *)
 let validate t = iter t ignore

@@ -1,10 +1,11 @@
-(** Streaming binary event-trace reader: the one reader of Sigil event
-    files (text is an output-only dump, see [Convert]).
+(** Streaming reader of the binary trace container: the one reader of
+    event traces, recordings and profiles (text is an output-only dump,
+    see [Convert]).
 
     Opening a file parses the header, the trailer, the chunk index and the
-    embedded symbol/context tables, but no event data. {!iter} then
-    streams the trace one chunk at a time, so peak memory is one chunk's
-    payload regardless of trace length.
+    embedded symbol/context tables, but no records. {!iter} and {!records}
+    then stream the file one chunk at a time, so peak memory is one
+    chunk's payload regardless of file length.
 
     Both ways to open a trace share one forward walk over the section
     framing: {!open_salvage} keeps the longest intact prefix it finds, and
@@ -12,7 +13,8 @@
     raises {!Frame.Corrupt} carrying the file offset of the offending
     section: a file without a trailer is walked at open time and the first
     damaged (or missing) section is named, an index or table that
-    disagrees with the trailer is rejected at open time, and a payload
+    disagrees with the trailer (a context's parent must be an older
+    context, its function a known symbol) is rejected at open time, and a payload
     whose CRC-32 does not match its header is reported when that chunk is
     decoded. *)
 
@@ -61,6 +63,12 @@ val close : t -> unit
 
 (** {2 Metadata (header, trailer, embedded tables)} *)
 
+(** The kind of the file's data sections. *)
+val kind : t -> Frame.kind
+
+(** File offset just past the last data section this reader reads. *)
+val data_end : t -> int
+
 val version : t -> int
 
 (** The producing run's [Sigil.Options.fingerprint]. *)
@@ -91,14 +99,23 @@ val fn_name : t -> Dbi.Context.id -> string
 
 (** {2 Streaming access} *)
 
-(** [iter t f] decodes every chunk in file order and applies [f] to each
-    entry. Each entry is lent for the call only, as
+(** [iter t f] decodes every chunk of an event trace in file order and
+    applies [f] to each entry. Each entry is lent for the call only, as
     {!Sigil.Event_log.sink} describes: a consumer that keeps one stores
-    [Sigil.Event_log.copy] of it. Decoding allocates no entry. *)
+    [Sigil.Event_log.copy] of it. Decoding allocates no entry.
+
+    @raise Frame.Corrupt when [t] is not an event trace. *)
 val iter : t -> (Sigil.Event_log.entry -> unit) -> unit
 
-(** [validate t] decodes every chunk, checking framing, CRCs and entry
-    counts against the index.
+(** [records t kind decode f] applies [f offset (decode payload ~pos)] to
+    each record of a [kind] file in order, [offset] being the record's
+    file offset. A wrong kind, a record [decode] fails on ([Failure],
+    [Varint.Truncated]) or bytes after a chunk's last record raise
+    {!Frame.Corrupt} at their offset. *)
+val records : t -> Frame.kind -> (bytes -> pos:int ref -> 'a) -> (int -> 'a -> unit) -> unit
+
+(** [validate t] decodes every chunk of an event trace, checking framing,
+    CRCs and entry counts against the index.
 
     @raise Frame.Corrupt on the first damaged chunk. *)
 val validate : t -> unit

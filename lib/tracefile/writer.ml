@@ -1,5 +1,6 @@
 type t = {
   oc : out_channel;
+  magic : int; (* the data sections' magic: the file's kind *)
   final_path : string;
   tmp_path : string;
   chunk_bytes : int;
@@ -17,7 +18,7 @@ type t = {
   mutable closed : bool;
 }
 
-let create ?(chunk_bytes = Frame.default_chunk_bytes)
+let create ?(kind = Frame.Events) ?(chunk_bytes = Frame.default_chunk_bytes)
     ?(checkpoint_every = Frame.default_checkpoint_every) ?options ?options_tag path =
   if chunk_bytes <= 0 then invalid_arg "Tracefile.Writer.create: chunk_bytes must be positive";
   if checkpoint_every <= 0 then
@@ -41,6 +42,7 @@ let create ?(chunk_bytes = Frame.default_chunk_bytes)
   Buffer.clear head;
   {
     oc;
+    magic = Frame.section_magic kind;
     final_path = path;
     tmp_path;
     chunk_bytes;
@@ -68,6 +70,19 @@ let add_index_triples b index =
       Varint.write b bytes)
     index
 
+(* The one place a section is framed: the 16-byte header, then the
+   payload. *)
+let write_section t magic count payload =
+  let len = Bytes.length payload in
+  Buffer.clear t.head;
+  Frame.add_u32 t.head magic;
+  Frame.add_u32 t.head count;
+  Frame.add_u32 t.head len;
+  Frame.add_u32 t.head (Crc32.bytes payload ~pos:0 ~len);
+  Buffer.output_buffer t.oc t.head;
+  output_bytes t.oc payload;
+  Buffer.clear t.head
+
 (* An index checkpoint records the entry total so far and the index
    triples of the chunks before it, then flushes the channel: the flush is
    what bounds a SIGKILL's loss to one checkpoint interval. Readers never
@@ -77,32 +92,18 @@ let write_checkpoint t =
   Varint.write b t.total_entries;
   let index = List.rev t.index_rev in
   add_index_triples b index;
-  let payload = Buffer.to_bytes b in
-  let payload_len = Bytes.length payload in
-  Buffer.clear t.head;
-  Frame.add_u32 t.head Frame.ckpt_magic;
-  Frame.add_u32 t.head (List.length index);
-  Frame.add_u32 t.head payload_len;
-  Frame.add_u32 t.head (Crc32.bytes payload ~pos:0 ~len:payload_len);
-  Buffer.output_buffer t.oc t.head;
-  output_bytes t.oc payload;
-  Buffer.clear t.head;
+  write_section t Frame.ckpt_magic (List.length index) (Buffer.to_bytes b);
   t.checkpoints <- t.checkpoints + 1;
   flush t.oc
 
-let flush_chunk t =
-  if t.chunk_entries > 0 then begin
+(* [~force] writes the section even when empty: a file of another kind
+   than events must hold at least one section to show its kind *)
+let flush_chunk ?(force = false) t =
+  if t.chunk_entries > 0 || force then begin
     let offset = pos_out t.oc in
     let payload_len = Buffer.length t.buf in
-    let payload = Buffer.to_bytes t.buf in
+    write_section t t.magic t.chunk_entries (Buffer.to_bytes t.buf);
     Buffer.clear t.buf;
-    Buffer.clear t.head;
-    Frame.add_u32 t.head Frame.chunk_magic;
-    Frame.add_u32 t.head t.chunk_entries;
-    Frame.add_u32 t.head payload_len;
-    Frame.add_u32 t.head (Crc32.bytes payload ~pos:0 ~len:payload_len);
-    Buffer.output_buffer t.oc t.head;
-    output_bytes t.oc payload;
     t.index_rev <- (offset, t.chunk_entries, payload_len) :: t.index_rev;
     Telemetry.Hist.observe t.chunk_payload payload_len;
     t.chunk_entries <- 0;
@@ -115,14 +116,24 @@ let flush_chunk t =
     end
   end
 
-let add t e =
-  if t.closed then invalid_arg "Tracefile.Writer.add: writer is closed";
-  Frame.encode_entry t.delta t.buf e;
+(* Counts the record just encoded into [t.buf] and closes the section at
+   the chunk target. *)
+let commit t =
   t.chunk_entries <- t.chunk_entries + 1;
   t.total_entries <- t.total_entries + 1;
   let len = Buffer.length t.buf in
   if len > t.peak_buffer then t.peak_buffer <- len;
   if len >= t.chunk_bytes then flush_chunk t
+
+let add t e =
+  if t.closed then invalid_arg "Tracefile.Writer.add: writer is closed";
+  Frame.encode_entry t.delta t.buf e;
+  commit t
+
+let add_record t encode r =
+  if t.closed then invalid_arg "Tracefile.Writer.add_record: writer is closed";
+  encode t.buf r;
+  commit t
 
 let sink t = add t
 let entries t = t.total_entries
@@ -198,7 +209,7 @@ let write_index t index =
 
 let finalize t ~names ~stripped ~ctx_parent ~ctx_fn =
   if not t.closed then begin
-    flush_chunk t;
+    flush_chunk ~force:(t.index_rev = [] && t.magic <> Frame.chunk_magic) t;
     let tables_offset = pos_out t.oc in
     write_tables_raw t ~names ~stripped ~ctx_parent ~ctx_fn;
     let index_offset = pos_out t.oc in

@@ -1,12 +1,12 @@
-(** Streaming binary event-trace writer.
-
-    A writer is a bounded-buffer {!Sigil.Event_log.sink}: entries are
-    varint/delta-encoded into an in-memory chunk buffer that is framed and
-    flushed to disk every time it reaches the chunk target, so the memory
-    held on behalf of the trace never exceeds one chunk (plus one entry)
-    no matter how long the run is. [close] appends the symbol and context
-    tables of the producing run (making the file self-describing for
-    name resolution), the chunk index, and the trailer.
+(** Streaming writer of the binary trace container, for every
+    {!Frame.kind}. An event-trace writer is a bounded-buffer
+    {!Sigil.Event_log.sink}: entries are varint/delta-encoded into an
+    in-memory chunk buffer that is framed and flushed to disk every time
+    it reaches the chunk target, so the memory held on behalf of the trace
+    never exceeds one chunk (plus one entry) no matter how long the run
+    is. [close] appends the symbol and context tables of the producing run
+    (making the file self-describing for name resolution), the chunk
+    index, and the trailer.
 
     Crash safety: all output goes to [path ^ ".tmp"] and is renamed to
     [path] only by a successful [close], so the destination is always
@@ -19,19 +19,26 @@
 
 type t
 
-(** [create ?chunk_bytes ?checkpoint_every ?options ?options_tag path]
-    opens [path ^ ".tmp"] and writes the header. [options] is
-    fingerprinted into the header ([Sigil.Options.default] when omitted);
-    [options_tag] overrides the fingerprint string verbatim (used by
-    [Convert.repair] to preserve the source trace's tag); [chunk_bytes] is
-    the chunk payload target ({!Frame.default_chunk_bytes});
-    [checkpoint_every] is the index-checkpoint cadence in data chunks
+(** [create ?kind ?chunk_bytes ?checkpoint_every ?options ?options_tag path]
+    opens [path ^ ".tmp"] and writes the header. [kind] (default [Events])
+    sets the magic of every data chunk; a writer of another kind writes at
+    least one chunk, empty if need be, so its file shows the kind.
+    [options] is fingerprinted into the header ([Sigil.Options.default]
+    when omitted); [options_tag] overrides the fingerprint string verbatim
+    (used by [Convert.repair] to preserve the source trace's tag, and empty
+    for a recording); [chunk_bytes] is the chunk payload target
+    ({!Frame.default_chunk_bytes}); [checkpoint_every] is the
+    index-checkpoint cadence in data chunks
     ({!Frame.default_checkpoint_every}). *)
 val create :
-  ?chunk_bytes:int -> ?checkpoint_every:int -> ?options:Sigil.Options.t -> ?options_tag:string ->
-  string -> t
+  ?kind:Frame.kind -> ?chunk_bytes:int -> ?checkpoint_every:int -> ?options:Sigil.Options.t ->
+  ?options_tag:string -> string -> t
 
 val add : t -> Sigil.Event_log.entry -> unit
+
+(** [add_record w encode r] is [add] for the other kinds: [encode]
+    appends [r] to the chunk buffer. *)
+val add_record : t -> (Buffer.t -> 'a -> unit) -> 'a -> unit
 
 (** [sink w] is [add w] as a sink to pass to [Sigil.Tool.create] or
     [Driver.run_workload]. *)

@@ -348,6 +348,180 @@ let test_close_is_atomic_rename () =
   let fresh = write_trace ~entries:40 path in
   Alcotest.(check bool) "new trace replaced the old one" true (read_entries path = fresh)
 
+(* ---------------------------------------------------------------- *)
+(* The other kinds: a saved profile and a raw recording             *)
+(* ---------------------------------------------------------------- *)
+
+let small_guest m =
+  Dbi.Guest.call m "main" (fun () ->
+      let a = Dbi.Guest.alloc m 128 in
+      Dbi.Guest.call m "producer" (fun () ->
+          Dbi.Guest.flop m 20;
+          Dbi.Guest.write_range m a 64);
+      Dbi.Guest.call m "consumer" (fun () ->
+          Dbi.Guest.read_range m a 64;
+          Dbi.Guest.branch m true);
+      Dbi.Guest.syscall m "write" ~reads:[ (a, 16) ] ~writes:[])
+
+(* A profile of [small_guest]: one chunk. *)
+let write_profile path =
+  let tool = ref None in
+  ignore
+    (Dbi.Runner.run
+       ~tools:
+         [
+           (fun m ->
+             let t = Tool.create m in
+             tool := Some t;
+             Tool.tool t);
+         ]
+       small_guest);
+  Tracefile.Profile_file.save (Profile_io.snapshot_of_tool (Option.get !tool)) path
+
+(* A recording of [small_guest] in 16-byte chunks with a checkpoint every
+   3 chunks. *)
+let write_recording path =
+  let w =
+    Tracefile.Writer.create ~kind:Tracefile.Frame.Recording ~chunk_bytes:16 ~checkpoint_every:3
+      ~options_tag:"" path
+  in
+  let m = (Dbi.Runner.run ~tools:[ Tracefile.Recording.recorder w ] small_guest).machine in
+  Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m) w
+
+let with_reader path f =
+  let r = Tracefile.Reader.open_file path in
+  Fun.protect ~finally:(fun () -> Tracefile.Reader.close r) (fun () -> f r)
+
+let recording_records r =
+  let out = ref [] in
+  Tracefile.Recording.iter r (fun _ rc -> out := rc :: !out);
+  List.rev !out
+
+let replay path = with_reader path (fun r -> ignore (Tracefile.Recording.replay ~tools:[] r))
+
+(* [f ()] must raise [Frame.Corrupt] at an offset inside the file. *)
+let expect_located ~what ~len f =
+  match f () with
+  | () -> Alcotest.failf "%s: accepted" what
+  | exception Tracefile.Frame.Corrupt { offset; _ } ->
+    if offset < 0 || offset > len then Alcotest.failf "%s: offset %d outside the file" what offset
+  | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+
+(* Every CRC'd section of a clean file, data chunk or checkpoint, as the
+   byte span [first, last]: the framing walked from the first chunk to
+   the tables. *)
+let section_spans path =
+  let data = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let tables = Tracefile.Frame.get_u64 data (Bytes.length data - 32) in
+  let first = with_reader path (fun r -> List.hd (Tracefile.Reader.chunk_offsets r)) in
+  let rec go off acc =
+    if off >= tables then List.rev acc
+    else
+      let next = off + Tracefile.Frame.chunk_header_bytes + Tracefile.Frame.get_u32 data (off + 8) in
+      go next ((off, next - 1) :: acc)
+  in
+  go first []
+
+(* Every cut of a profile fails as a located [Corrupt]: a profile is only
+   ever read whole. *)
+let test_profile_truncation_sweep () =
+  with_temp_dir @@ fun dir ->
+  let src = Filename.concat dir "clean.prof" and dst = Filename.concat dir "cut.prof" in
+  write_profile src;
+  ignore (Tracefile.Profile_file.load src);
+  let len = Faultinject.file_length src in
+  for cut = 0 to len - 1 do
+    Faultinject.truncated_copy ~src ~dst ~len:cut;
+    expect_located ~what:(Printf.sprintf "profile cut at %d" cut) ~len:cut (fun () ->
+        ignore (Tracefile.Profile_file.load dst))
+  done
+
+(* Every cut of a recording fails to replay with a located [Corrupt];
+   salvage gives a prefix of its records (all of them when only the tail
+   was cut), whose replay fails at an offset too (the tail, symbol table
+   included, is gone), or a located [Corrupt]. *)
+let test_recording_truncation_sweep () =
+  with_temp_dir @@ fun dir ->
+  let src = Filename.concat dir "clean.rec" and dst = Filename.concat dir "cut.rec" in
+  write_recording src;
+  replay src;
+  let baseline = with_reader src recording_records in
+  let len = Faultinject.file_length src in
+  let partial = ref 0 in
+  for cut = 0 to len - 1 do
+    Faultinject.truncated_copy ~src ~dst ~len:cut;
+    let what = Printf.sprintf "recording cut at %d" cut in
+    expect_located ~what ~len:cut (fun () -> replay dst);
+    let salvage () =
+      let r, _ = Tracefile.Reader.open_salvage dst in
+      Fun.protect
+        ~finally:(fun () -> Tracefile.Reader.close r)
+        (fun () ->
+          let records = recording_records r in
+          let n = List.length records in
+          if records <> take n baseline then Alcotest.failf "%s: salvage is not a prefix" what;
+          if n > 0 then begin
+            incr partial;
+            expect_located ~what:(what ^ ": salvaged replay") ~len:cut (fun () ->
+                ignore (Tracefile.Recording.replay ~tools:[] r))
+          end)
+    in
+    match salvage () with
+    | () -> ()
+    | exception Tracefile.Frame.Corrupt { offset; _ } when offset >= 0 && offset <= cut -> ()
+    | exception e -> Alcotest.failf "%s: salvage raised %s" what (Printexc.to_string e)
+  done;
+  Alcotest.(check bool) "some cuts salvage a non-empty prefix" true (!partial > 0)
+
+(* No single-bit flip raises anything but [Corrupt]; a flip inside a CRC'd
+   section is always detected, by the loader or by salvage. Only the
+   header's options tag, the tables and the trailer counters are
+   unchecksummed. *)
+let flip_sweep ~src ~dst ~load =
+  let spans = section_spans src in
+  let len = Faultinject.file_length src in
+  for byte = 0 to len - 1 do
+    let bit = byte mod 8 in
+    Faultinject.bit_flipped_copy ~src ~dst ~byte ~bit;
+    let what = Printf.sprintf "flip byte %d bit %d" byte bit in
+    let located =
+      match load dst with
+      | () -> false
+      | exception Tracefile.Frame.Corrupt { offset; _ } ->
+        if offset < 0 || offset > len then Alcotest.failf "%s: offset %d" what offset;
+        true
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+    in
+    let salvage_detects () =
+      match Tracefile.Reader.open_salvage dst with
+      | r, report ->
+        Tracefile.Reader.close r;
+        report.Tracefile.Reader.first_bad_offset <> None
+      | exception Tracefile.Frame.Corrupt _ -> true
+    in
+    if List.exists (fun (a, b) -> a <= byte && byte <= b) spans && not (located || salvage_detects ())
+    then Alcotest.failf "%s: a flip inside a section went unnoticed" what
+  done;
+  List.length spans
+
+let test_profile_flip_sweep () =
+  with_temp_dir @@ fun dir ->
+  let src = Filename.concat dir "clean.prof" in
+  write_profile src;
+  let sections =
+    flip_sweep ~src ~dst:(Filename.concat dir "flip.prof") ~load:(fun p ->
+        ignore (Tracefile.Profile_file.load p))
+  in
+  Alcotest.(check int) "one chunk" 1 sections
+
+let test_recording_flip_sweep () =
+  with_temp_dir @@ fun dir ->
+  let src = Filename.concat dir "clean.rec" in
+  write_recording src;
+  let sections = flip_sweep ~src ~dst:(Filename.concat dir "flip.rec") ~load:replay in
+  (* data chunks and checkpoints *)
+  Alcotest.(check bool) "several sections" true (sections >= 4)
+
 let () =
   Alcotest.run "faultinject"
     [
@@ -357,6 +531,13 @@ let () =
           Alcotest.test_case "exhaustive bit-flip sweep" `Quick test_bit_flip_sweep;
           Alcotest.test_case "torn tail" `Quick test_torn_tail;
           Alcotest.test_case "unclosed .tmp salvages" `Quick test_salvage_unclosed_tmp;
+        ] );
+      ( "kinds",
+        [
+          Alcotest.test_case "profile truncation sweep" `Quick test_profile_truncation_sweep;
+          Alcotest.test_case "recording truncation sweep" `Quick test_recording_truncation_sweep;
+          Alcotest.test_case "profile bit-flip sweep" `Quick test_profile_flip_sweep;
+          Alcotest.test_case "recording bit-flip sweep" `Quick test_recording_flip_sweep;
         ] );
       ( "sinks",
         [ Alcotest.test_case "failing sink triggers" `Quick test_failing_sink ] );

@@ -376,26 +376,30 @@ let prop_stats_flag_inert =
 
 let prop_trace_replay_identical =
   QCheck.Test.make ~name:"trace replay reproduces the profile" ~count:40 arbitrary (fun prog ->
-      let path = Filename.temp_file "fuzz_trace" ".txt" in
+      let path = Filename.temp_file "fuzz_trace" ".rec" in
       Fun.protect
         ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
         (fun () ->
           let original =
-            Dbi.Trace.record path (fun m ->
+            Tracefile.Recording.record path (fun m ->
                 (* record runs with default overhead; fine, it is recorded *)
                 interp m prog)
           in
           let replayed_tool = ref None in
+          let r = Tracefile.Reader.open_file path in
           let _ =
-            Dbi.Trace.replay
-              ~tools:
-                [
-                  (fun m ->
-                    let t = Sigil.Tool.create m in
-                    replayed_tool := Some t;
-                    Sigil.Tool.tool t);
-                ]
-              path
+            Fun.protect
+              ~finally:(fun () -> Tracefile.Reader.close r)
+              (fun () ->
+                Tracefile.Recording.replay
+                  ~tools:
+                    [
+                      (fun m ->
+                        let t = Sigil.Tool.create m in
+                        replayed_tool := Some t;
+                        Sigil.Tool.tool t);
+                    ]
+                  r)
           in
           let replayed = Sigil.Tool.machine (Option.get !replayed_tool) in
           Dbi.Machine.now original = Dbi.Machine.now replayed

@@ -88,24 +88,22 @@ let snapshot body = Sigil.Profile_io.snapshot_of_tool (run_sigil body)
 
 let test_compare_same () =
   let a = snapshot (toy 10) and b = snapshot (toy 10) in
-  let deltas = Analysis.Compare.diff a b in
+  let diff = Analysis.Compare.diff a b in
   List.iter
     (fun (d : Analysis.Compare.delta) ->
-      Alcotest.(check bool) ("same " ^ d.Analysis.Compare.path) true
+      Alcotest.(check bool) ("same " ^ d.Analysis.Compare.key) true
         (d.Analysis.Compare.status = `Same))
-    deltas;
-  Alcotest.(check (list string)) "nothing changed" []
-    (List.map
-       (fun (d : Analysis.Compare.delta) -> d.Analysis.Compare.path)
-       (Analysis.Compare.changed deltas))
+    (diff.paths @ diff.edges);
+  Alcotest.(check bool) "nothing changed" true
+    (Analysis.Compare.is_empty (Analysis.Compare.changed diff))
 
 let test_compare_changed () =
   let a = snapshot (toy 10) and b = snapshot (toy 50) in
-  let changed = Analysis.Compare.changed (Analysis.Compare.diff a b) in
-  match List.find_opt (fun (d : Analysis.Compare.delta) -> d.Analysis.Compare.path = "main/worker") changed with
+  let changed = (Analysis.Compare.changed (Analysis.Compare.diff a b)).paths in
+  match List.find_opt (fun (d : Analysis.Compare.delta) -> d.Analysis.Compare.key = "main/worker") changed with
   | Some d ->
-    Alcotest.(check int) "ops before" 10 d.Analysis.Compare.ops_before;
-    Alcotest.(check int) "ops after" 50 d.Analysis.Compare.ops_after;
+    Alcotest.(check int) "ops before" 10 d.Analysis.Compare.before;
+    Alcotest.(check int) "ops after" 50 d.Analysis.Compare.after;
     Alcotest.(check bool) "status changed" true (d.Analysis.Compare.status = `Changed)
   | None -> Alcotest.fail "worker delta missing"
 
@@ -116,19 +114,42 @@ let test_compare_added_removed () =
         Dbi.Guest.call m "main" (fun () ->
             Dbi.Guest.call m "newcomer" (fun () -> Dbi.Guest.iop m 5)))
   in
-  let deltas = Analysis.Compare.diff a b in
+  let deltas = (Analysis.Compare.diff a b).paths in
   let by_path p =
-    List.find (fun (d : Analysis.Compare.delta) -> d.Analysis.Compare.path = p) deltas
+    List.find (fun (d : Analysis.Compare.delta) -> d.Analysis.Compare.key = p) deltas
   in
   Alcotest.(check bool) "worker removed" true ((by_path "main/worker").Analysis.Compare.status = `Removed);
   Alcotest.(check bool) "newcomer added" true ((by_path "main/newcomer").Analysis.Compare.status = `Added)
 
 let test_compare_sorted_by_magnitude () =
   let a = snapshot (toy 10) and b = snapshot (toy 5000) in
-  match Analysis.Compare.changed (Analysis.Compare.diff a b) with
+  match (Analysis.Compare.changed (Analysis.Compare.diff a b)).paths with
   | first :: _ ->
-    Alcotest.(check string) "biggest mover first" "main/worker" first.Analysis.Compare.path
+    Alcotest.(check string) "biggest mover first" "main/worker" first.Analysis.Compare.key
   | [] -> Alcotest.fail "no changes"
+
+(* Two profiles whose contexts agree and whose edges do not: the diff has
+   no path row but one removed edge row, keyed by both call paths. *)
+let test_compare_edges_only () =
+  let a =
+    snapshot (fun m ->
+        Dbi.Guest.call m "main" (fun () ->
+            let buf = Dbi.Guest.alloc m 64 in
+            Dbi.Guest.call m "producer" (fun () -> Dbi.Guest.write_range m buf 64);
+            Dbi.Guest.call m "consumer" (fun () -> Dbi.Guest.read_range m buf 64)))
+  in
+  let b =
+    Sigil.Profile_io.make ~names:(Sigil.Profile_io.names a)
+      ~contexts:(Sigil.Profile_io.contexts a) ~edges:[]
+  in
+  let diff = Analysis.Compare.changed (Analysis.Compare.diff a b) in
+  Alcotest.(check int) "no path changed" 0 (List.length diff.paths);
+  match diff.edges with
+  | [ d ] ->
+    Alcotest.(check string) "edge key" "main/producer -> main/consumer" d.Analysis.Compare.key;
+    Alcotest.(check (pair int int)) "bytes before/after" (64, 0) (d.before, d.after);
+    Alcotest.(check bool) "removed" true (d.status = `Removed)
+  | rows -> Alcotest.failf "expected one removed edge, got %d rows" (List.length rows)
 
 let () =
   Alcotest.run "output_compare"
@@ -146,5 +167,6 @@ let () =
           Alcotest.test_case "changed" `Quick test_compare_changed;
           Alcotest.test_case "added and removed" `Quick test_compare_added_removed;
           Alcotest.test_case "sorted by magnitude" `Quick test_compare_sorted_by_magnitude;
+          Alcotest.test_case "edges only" `Quick test_compare_edges_only;
         ] );
     ]

@@ -1,4 +1,5 @@
-(* Saved profiles must reload to exactly the live run's data. *)
+(* Saved profiles must reload to exactly the live run's data, dump to its
+   text rendering, and fail on damage as one located error. *)
 
 let run_guest body =
   let tool = ref None in
@@ -26,88 +27,191 @@ let toy m =
           Dbi.Guest.flop m 9))
 
 let with_temp f =
-  let path = Filename.temp_file "sigil_profile" ".txt" in
+  let path = Filename.temp_file "sigil_profile" ".prof" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
 
-let test_roundtrip_stats () =
+let save tool path =
+  Tracefile.Profile_file.save (Sigil.Profile_io.snapshot_of_tool tool) path
+
+(* [save] then [load] of [tool]'s profile. *)
+let reload tool =
   with_temp (fun path ->
-      let tool = run_guest toy in
-      Sigil.Profile_io.save tool path;
-      let snap = Sigil.Profile_io.load path in
-      let live = Sigil.Profile_io.snapshot_of_tool tool in
-      Alcotest.(check int) "same context count"
-        (List.length (Sigil.Profile_io.contexts live))
-        (List.length (Sigil.Profile_io.contexts snap));
-      List.iter2
-        (fun (a : Sigil.Profile_io.ctx_stats) (b : Sigil.Profile_io.ctx_stats) ->
-          Alcotest.(check bool) "stats equal" true (a = b))
-        (Sigil.Profile_io.contexts live)
-        (Sigil.Profile_io.contexts snap);
-      Alcotest.(check bool) "edges equal" true
-        (Sigil.Profile_io.edges live = Sigil.Profile_io.edges snap);
-      Alcotest.(check (pair int int)) "totals equal" (Sigil.Profile_io.totals live)
-        (Sigil.Profile_io.totals snap))
+      save tool path;
+      Tracefile.Profile_file.load path)
+
+let test_roundtrip_stats () =
+  let tool = run_guest toy in
+  let snap = reload tool in
+  let live = Sigil.Profile_io.snapshot_of_tool tool in
+  Alcotest.(check int) "same context count"
+    (List.length (Sigil.Profile_io.contexts live))
+    (List.length (Sigil.Profile_io.contexts snap));
+  List.iter2
+    (fun (a : Sigil.Profile_io.ctx_stats) (b : Sigil.Profile_io.ctx_stats) ->
+      Alcotest.(check bool) "stats equal" true (a = b))
+    (Sigil.Profile_io.contexts live)
+    (Sigil.Profile_io.contexts snap);
+  Alcotest.(check bool) "edges equal" true
+    (Sigil.Profile_io.edges live = Sigil.Profile_io.edges snap);
+  Alcotest.(check (pair int int)) "totals equal" (Sigil.Profile_io.totals live)
+    (Sigil.Profile_io.totals snap)
 
 let test_totals_match_live_profile () =
-  with_temp (fun path ->
-      let tool = run_guest toy in
-      Sigil.Profile_io.save tool path;
-      let snap = Sigil.Profile_io.load path in
-      Alcotest.(check (pair int int)) "totals match Profile.totals"
-        (Sigil.Profile.totals (Sigil.Tool.profile tool))
-        (Sigil.Profile_io.totals snap))
+  let tool = run_guest toy in
+  Alcotest.(check (pair int int)) "totals match Profile.totals"
+    (Sigil.Profile.totals (Sigil.Tool.profile tool))
+    (Sigil.Profile_io.totals (reload tool))
 
 let test_paths_preserved () =
-  with_temp (fun path ->
-      let tool = run_guest toy in
-      Sigil.Profile_io.save tool path;
-      let snap = Sigil.Profile_io.load path in
-      let paths = List.map (fun (s : Sigil.Profile_io.ctx_stats) -> Sigil.Profile_io.path snap s.Sigil.Profile_io.ctx) (Sigil.Profile_io.contexts snap) in
-      List.iter
-        (fun expected ->
-          Alcotest.(check bool) ("has " ^ expected) true (List.mem expected paths))
-        [ "<root>"; "main"; "main/operator new"; "main/producer"; "main/consumer" ])
+  let snap = reload (run_guest toy) in
+  let paths =
+    List.map
+      (fun (s : Sigil.Profile_io.ctx_stats) -> Sigil.Profile_io.path snap s.ctx)
+      (Sigil.Profile_io.contexts snap)
+  in
+  List.iter
+    (fun expected -> Alcotest.(check bool) ("has " ^ expected) true (List.mem expected paths))
+    [ "<root>"; "main"; "main/operator new"; "main/producer"; "main/consumer" ]
 
 let test_children () =
-  with_temp (fun path ->
-      let tool = run_guest toy in
-      Sigil.Profile_io.save tool path;
-      let snap = Sigil.Profile_io.load path in
-      let main =
-        List.find
-          (fun (s : Sigil.Profile_io.ctx_stats) -> Sigil.Profile_io.path snap s.Sigil.Profile_io.ctx = "main")
-          (Sigil.Profile_io.contexts snap)
-      in
-      Alcotest.(check int) "main has three children" 3
-        (List.length (Sigil.Profile_io.children snap main.Sigil.Profile_io.ctx)))
+  let snap = reload (run_guest toy) in
+  let main =
+    List.find
+      (fun (s : Sigil.Profile_io.ctx_stats) -> Sigil.Profile_io.path snap s.ctx = "main")
+      (Sigil.Profile_io.contexts snap)
+  in
+  Alcotest.(check int) "main has three children" 3
+    (List.length (Sigil.Profile_io.children snap main.ctx))
 
+(* The loaded profile's dump is byte for byte the live run's rendering. *)
 let test_workload_roundtrip () =
+  let w = match Workloads.Suite.find "vips" with Ok w -> w | Error e -> Alcotest.fail e in
+  let tool = run_guest (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall) in
   with_temp (fun path ->
-      let w = match Workloads.Suite.find "vips" with Ok w -> w | Error e -> Alcotest.fail e in
-      let tool = run_guest (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall) in
-      Sigil.Profile_io.save tool path;
-      let snap = Sigil.Profile_io.load path in
+      save tool path;
       Alcotest.(check (pair int int)) "totals survive"
         (Sigil.Profile.totals (Sigil.Tool.profile tool))
-        (Sigil.Profile_io.totals snap))
+        (Sigil.Profile_io.totals (Tracefile.Profile_file.load path));
+      with_temp (fun txt ->
+          let records = Tracefile.Convert.binary_to_text path txt in
+          let snap = Sigil.Profile_io.snapshot_of_tool tool in
+          Alcotest.(check int) "one record per context and edge"
+            (List.length (Sigil.Profile_io.contexts snap) + List.length (Sigil.Profile_io.edges snap))
+            records;
+          Alcotest.(check string) "dump = to_string" (Sigil.Profile_io.to_string tool)
+            (In_channel.with_open_bin txt In_channel.input_all)))
+
+let check_corrupt_at what expected f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Tracefile.Frame.Corrupt { offset; reason } ->
+    Alcotest.(check int) (what ^ ": offset (" ^ reason ^ ")") expected offset
 
 let test_bad_header_rejected () =
   with_temp (fun path ->
-      let oc = open_out path in
-      output_string oc "not-a-profile\n";
-      close_out oc;
-      match Sigil.Profile_io.load path with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "accepted bad header")
+      Out_channel.with_open_bin path (fun oc -> output_string oc "sigil-profile 1\nS 0 main\n");
+      check_corrupt_at "text profile" 0 (fun () -> Tracefile.Profile_file.load path))
 
-let test_malformed_line_rejected () =
+(* A profile whose chunk holds the given raw records (each a list of
+   varints) over a one-function, two-context table. *)
+let write_raw_profile path records =
+  let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Profile path in
+  List.iter
+    (Tracefile.Writer.add_record w (fun buf ints -> List.iter (Tracefile.Varint.write buf) ints))
+    records;
+  Tracefile.Writer.close_raw ~names:[| "main" |] ~ctx_parent:[| 0; 0 |] ~ctx_fn:[| 0; 0 |] w;
+  let r = Tracefile.Reader.open_file path in
+  let first = List.hd (Tracefile.Reader.chunk_offsets r) + Tracefile.Frame.chunk_header_bytes in
+  Tracefile.Reader.close r;
+  first
+
+(* Every record is checked: a context outside the table, a context
+   recorded twice or not at all, an edge to an unknown context and an
+   unknown tag each fail at the offending record's offset. *)
+let test_malformed_record_rejected () =
+  let ctx id = [ 1; id; 1; 0; 0; 0; 0; 0; 3; 0 ] in
+  let ctx_bytes = 10 in
+  List.iter
+    (fun (what, records, at) ->
+      with_temp (fun path ->
+          let first = write_raw_profile path records in
+          check_corrupt_at what (first + at) (fun () -> Tracefile.Profile_file.load path)))
+    [
+      ("context outside the table", [ ctx 0; ctx 7 ], ctx_bytes);
+      ("context twice", [ ctx 0; ctx 1; ctx 1 ], 2 * ctx_bytes);
+      ("edge to an unknown context", [ ctx 0; ctx 1; [ 2; 1; 9; 8; 8 ] ], 2 * ctx_bytes);
+      ("unknown tag", [ ctx 0; [ 5 ] ], ctx_bytes);
+      ("negative context", [ ctx 0; ctx (-1) ], ctx_bytes);
+    ];
   with_temp (fun path ->
-      let oc = open_out path in
-      output_string oc "sigil-profile 1\nQ bogus\n";
-      close_out oc;
-      match Sigil.Profile_io.load path with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "accepted malformed line")
+      let first = write_raw_profile path [ ctx 0 ] in
+      (* a missing context is reported where the records end *)
+      check_corrupt_at "context without a record" (first + ctx_bytes) (fun () ->
+          Tracefile.Profile_file.load path))
+
+(* A profile with a record for each of three contexts, whose tree is
+   [ctx_parent]. *)
+let three_contexts ~ctx_parent path =
+  let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Profile path in
+  List.iter
+    (Tracefile.Writer.add_record w (fun buf ints -> List.iter (Tracefile.Varint.write buf) ints))
+    (List.init 3 (fun ctx -> [ 1; ctx; 1; 0; 0; 0; 0; 0; 3; 0 ]));
+  Tracefile.Writer.close_raw ~names:[| "main" |] ~ctx_parent ~ctx_fn:[| 0; 0; 0 |] w
+
+(* The probes of a damaged or hostile profile given to sigil_diff: each
+   exits 2 with one located stderr line (a missing parent used to exit
+   125, a cycle to hang). *)
+let test_diff_rejects_damage () =
+  with_temp (fun good ->
+      save (run_guest toy) good;
+      let data = In_channel.with_open_bin good In_channel.input_all in
+      List.iter
+        (fun (what, write) ->
+          with_temp (fun bad ->
+              write bad;
+              let code, lines =
+                Cli.stderr "sigil_diff" (Filename.quote good ^ " " ^ Filename.quote bad)
+              in
+              Alcotest.(check int) (what ^ ": exit code") 2 code;
+              match lines with
+              | [ line ] when String.starts_with ~prefix:"error: corrupt trace at offset " line -> ()
+              | _ -> Alcotest.failf "%s: stderr %S" what (String.concat "\n" lines)))
+        [
+          ( "cut in half",
+            fun p ->
+              Out_channel.with_open_bin p (fun oc ->
+                  output_string oc (String.sub data 0 (String.length data / 2))) );
+          ("parent that does not exist", three_contexts ~ctx_parent:[| 0; 0; 5 |]);
+          ("parent cycle", three_contexts ~ctx_parent:[| 0; 2; 1 |]);
+        ])
+
+(* Two profiles that differ only by their edges are not identical. *)
+let test_diff_sees_edges () =
+  let live = Sigil.Profile_io.snapshot_of_tool (run_guest toy) in
+  let no_edges =
+    Sigil.Profile_io.make ~names:(Sigil.Profile_io.names live)
+      ~contexts:(Sigil.Profile_io.contexts live) ~edges:[]
+  in
+  with_temp (fun a ->
+      with_temp (fun b ->
+          Tracefile.Profile_file.save live a;
+          Tracefile.Profile_file.save no_edges b;
+          let out = Filename.temp_file "sigil_diff" ".out" in
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s %s > %s" (Cli.exe "sigil_diff") (Filename.quote a)
+                 (Filename.quote b) (Filename.quote out))
+          in
+          let lines = In_channel.with_open_bin out In_channel.input_all |> String.split_on_char '\n' in
+          Sys.remove out;
+          Alcotest.(check int) "exit code" 0 code;
+          Alcotest.(check bool) "not identical" false (List.mem "profiles are identical" lines);
+          Alcotest.(check bool) "removed edge printed" true
+            (List.exists
+               (fun l ->
+                 String.starts_with ~prefix:" -" l
+                 && String.ends_with ~suffix:"main/producer -> main/consumer" l)
+               lines)))
 
 let () =
   Alcotest.run "profile_io"
@@ -120,6 +224,8 @@ let () =
           Alcotest.test_case "children" `Quick test_children;
           Alcotest.test_case "workload roundtrip" `Quick test_workload_roundtrip;
           Alcotest.test_case "bad header rejected" `Quick test_bad_header_rejected;
-          Alcotest.test_case "malformed line rejected" `Quick test_malformed_line_rejected;
+          Alcotest.test_case "malformed record rejected" `Quick test_malformed_record_rejected;
+          Alcotest.test_case "sigil_diff rejects damage" `Quick test_diff_rejects_damage;
+          Alcotest.test_case "sigil_diff sees edges" `Quick test_diff_sees_edges;
         ] );
     ]

@@ -103,7 +103,8 @@ let test_diff_many_order_independent () =
   let d21 = Analysis.Compare.diff_many ~before:[ s2; s1 ] ~after:[ s1; s2 ] in
   Alcotest.(check bool) "delta rows independent of shard order" true (d12 = d21);
   Alcotest.(check int) "merged sides are identical" 0
-    (List.length (Analysis.Compare.changed d12))
+    (let c = Analysis.Compare.changed d12 in
+     List.length c.paths + List.length c.edges)
 
 let () =
   Alcotest.run "suite_determinism"

@@ -1,5 +1,8 @@
-(* Trace record/replay: the replayed machine must be indistinguishable from
-   the original for every tool. *)
+(* Recording and replay: the replayed machine must be indistinguishable
+   from the original for every tool, and a malformed recording fails as a
+   [Frame.Corrupt] at the offending record's offset. *)
+
+module Recording = Tracefile.Recording
 
 let small_guest m =
   Dbi.Guest.call m "main" (fun () ->
@@ -16,58 +19,47 @@ let small_guest m =
       Dbi.Guest.syscall m "write" ~reads:[ (a, 16) ] ~writes:[])
 
 let with_temp f =
-  let path = Filename.temp_file "dbi_trace" ".txt" in
+  let path = Filename.temp_file "dbi_trace" ".rec" in
   let finally () = if Sys.file_exists path then Sys.remove path in
   Fun.protect ~finally (fun () -> f path)
 
+let with_reader path f =
+  let r = Tracefile.Reader.open_file path in
+  Fun.protect ~finally:(fun () -> Tracefile.Reader.close r) (fun () -> f r)
+
+let replay ?(tools = []) path = with_reader path (Recording.replay ~tools)
+
+(* A tool constructor that also hands the Sigil tool back. *)
+let sigil ?(options = Sigil.Options.default) cell m =
+  let t = Sigil.Tool.create ~options ~event_sink:ignore m in
+  cell := Some t;
+  Sigil.Tool.tool t
+
 let test_counters_reproduced () =
   with_temp (fun path ->
-      let original = Dbi.Trace.record path small_guest in
-      let replayed = Dbi.Trace.replay ~tools:[] path in
+      let original = Recording.record path small_guest in
+      let replayed = replay path in
       let a = Dbi.Machine.counters original and b = Dbi.Machine.counters replayed in
-      Alcotest.(check int) "int ops" a.Dbi.Machine.int_ops b.Dbi.Machine.int_ops;
-      Alcotest.(check int) "fp ops" a.Dbi.Machine.fp_ops b.Dbi.Machine.fp_ops;
-      Alcotest.(check int) "reads" a.Dbi.Machine.reads b.Dbi.Machine.reads;
-      Alcotest.(check int) "writes" a.Dbi.Machine.writes b.Dbi.Machine.writes;
-      Alcotest.(check int) "read bytes" a.Dbi.Machine.read_bytes b.Dbi.Machine.read_bytes;
-      Alcotest.(check int) "branches" a.Dbi.Machine.branches b.Dbi.Machine.branches;
-      Alcotest.(check int) "calls" a.Dbi.Machine.calls b.Dbi.Machine.calls;
+      Alcotest.(check int) "int ops" a.int_ops b.int_ops;
+      Alcotest.(check int) "fp ops" a.fp_ops b.fp_ops;
+      Alcotest.(check int) "reads" a.reads b.reads;
+      Alcotest.(check int) "writes" a.writes b.writes;
+      Alcotest.(check int) "read bytes" a.read_bytes b.read_bytes;
+      Alcotest.(check int) "branches" a.branches b.branches;
+      Alcotest.(check int) "calls" a.calls b.calls;
       Alcotest.(check int) "clock" (Dbi.Machine.now original) (Dbi.Machine.now replayed))
 
 let test_sigil_profile_reproduced () =
   with_temp (fun path ->
-      (* sigil attached live vs sigil driven from the trace *)
-      let live = ref None in
-      let _ =
-        Dbi.Runner.run
-          ~tools:
-            [
-              Dbi.Trace.recorder (open_out path);
-              (fun m ->
-                let t = Sigil.Tool.create m in
-                live := Some t;
-                Sigil.Tool.tool t);
-            ]
-          small_guest
-      in
-      let replayed = ref None in
-      let _ =
-        Dbi.Trace.replay
-          ~tools:
-            [
-              (fun m ->
-                let t = Sigil.Tool.create m in
-                replayed := Some t;
-                Sigil.Tool.tool t);
-            ]
-          path
-      in
-      let totals t = Sigil.Profile.totals (Sigil.Tool.profile (Option.get t)) in
-      Alcotest.(check (pair int int)) "profile totals identical" (totals !live) (totals !replayed);
-      let edge_count t =
-        List.length (Sigil.Profile.edges (Sigil.Tool.profile (Option.get t)))
-      in
-      Alcotest.(check int) "edge count identical" (edge_count !live) (edge_count !replayed))
+      (* sigil attached live, next to the recorder, vs sigil driven from the
+         recording *)
+      let live = ref None and replayed = ref None in
+      let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Recording path in
+      let m = (Dbi.Runner.run ~tools:[ Recording.recorder w; sigil live ] small_guest).machine in
+      Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m) w;
+      ignore (replay ~tools:[ sigil replayed ] path);
+      let text t = Sigil.Profile_io.to_string (Option.get t) in
+      Alcotest.(check string) "profiles identical" (text !live) (text !replayed))
 
 let test_workload_trace_roundtrip () =
   with_temp (fun path ->
@@ -75,58 +67,115 @@ let test_workload_trace_roundtrip () =
         match Workloads.Suite.find "swaptions" with Ok w -> w | Error e -> Alcotest.fail e
       in
       let original =
-        Dbi.Trace.record path (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall)
+        Recording.record path (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall)
       in
-      let replayed = Dbi.Trace.replay ~tools:[] path in
+      let replayed = replay path in
       Alcotest.(check int) "clock identical" (Dbi.Machine.now original)
         (Dbi.Machine.now replayed);
       Alcotest.(check int) "context tree identical"
         (Dbi.Context.count (Dbi.Machine.contexts original))
         (Dbi.Context.count (Dbi.Machine.contexts replayed)))
 
-let test_spaced_names_roundtrip () =
-  let machine =
-    Dbi.Trace.replay_events ~tools:[] [ "E main"; "E operator new"; "I 5"; "L"; "L" ]
+(* For every workload, in byte, reuse, 64 B line and events modes, Sigil
+   driven from the recording renders the live run's profile exactly. *)
+let test_replay_identity_suite () =
+  let modes =
+    Sigil.Options.
+      [
+        ("byte", default);
+        ("reuse", with_reuse default);
+        ("line 64", with_line_size default 64);
+        ("events", with_events default);
+      ]
   in
-  let found = ref false in
-  Dbi.Symbol.iter (Dbi.Machine.symbols machine) (fun _ n ->
-      if n = "operator new" then found := true);
-  Alcotest.(check bool) "name with space preserved" true !found
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let run m = w.run m Workloads.Scale.Simsmall in
+      with_temp (fun path ->
+          ignore (Recording.record path run);
+          List.iter
+            (fun (mode, options) ->
+              let live = ref None and replayed = ref None in
+              ignore (Dbi.Runner.run ~tools:[ sigil ~options live ] run);
+              ignore (replay ~tools:[ sigil ~options replayed ] path);
+              let text t = Sigil.Profile_io.to_string (Option.get t) in
+              Alcotest.(check string) (w.name ^ " " ^ mode) (text !live) (text !replayed))
+            modes))
+    Workloads.Suite.all
 
+(* A recording of [records] over the symbol table [names]; returns each
+   record's file offset and the offset where the records end. *)
+let write_recording ?(names = [| "main" |]) path records =
+  let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Recording path in
+  List.iter (Recording.add w) records;
+  Tracefile.Writer.close_raw ~names w;
+  with_reader path (fun r ->
+      let offsets = ref [] in
+      Recording.iter r (fun offset _ -> offsets := offset :: !offsets);
+      (List.rev !offsets, Tracefile.Reader.data_end r))
+
+let test_spaced_names_roundtrip () =
+  with_temp (fun path ->
+      ignore
+        (write_recording ~names:[| "main"; "operator new" |] path
+           [ Enter 0; Enter 1; Op (Int_op, 5); Leave; Leave ]);
+      let found = ref false in
+      Dbi.Symbol.iter
+        (Dbi.Machine.symbols (replay path))
+        (fun _ n -> if n = "operator new" then found := true);
+      Alcotest.(check bool) "name with space preserved" true !found)
+
+(* Recordings the machine would reject, each with the index of the record
+   blamed (the end of the records when [None]) and the expected reason. *)
+let malformed : (Recording.record list * int option * string) list =
+  [
+    ([ Enter 0; Access (Read, 1, 0) ], Some 1, "size must be positive: R 1 0");
+    ([ Leave ], Some 0, "leave with no live call: L");
+    ([ Enter 0 ], None, "end of recording with 1 call(s) still live");
+    ([ Enter 0; Op (Int_op, 3); Op (Int_op, -4) ], Some 2, "negative count: I -4");
+    ([ Enter 0; Op (Fp_op, -1); Leave ], Some 1, "negative count: F -1");
+    ([ Enter 0; Access (Read, -5, 8); Leave ], Some 1, "address out of range: R -5 8");
+    ( [ Enter 0; Access (Write, 1073741820, 8); Leave ],
+      Some 1,
+      "address out of range: W 1073741820 8" );
+    ([ Enter 3 ], Some 0, "unknown symbol id 3");
+  ]
+
+let expected_offset (offsets, end_) = function Some i -> List.nth offsets i | None -> end_
+
+(* Every malformed record fails as a [Frame.Corrupt] naming its offset,
+   never as the machine's [Invalid_argument]. *)
 let test_malformed_rejected () =
   List.iter
-    (fun line ->
-      match Dbi.Trace.replay_events ~tools:[] [ "E main"; line ] with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.failf "accepted malformed %S" line)
-    [ "Z 1"; "R 1"; "I x"; "B 2 3"; "E" ];
-  (* records the machine itself would reject fail as a Failure naming
-     their line, never as the machine's Invalid_argument *)
-  List.iter
-    (fun (lines, expected) ->
-      match Dbi.Trace.replay_events ~tools:[] lines with
-      | exception Failure msg -> Alcotest.(check string) "located failure" expected msg
-      | _ -> Alcotest.failf "accepted %S" (String.concat "; " lines))
-    [
-      ([ "E main"; "R 1 0" ], "Trace: line 2: size must be positive: R 1 0");
-      ([ "L" ], "Trace: line 1: leave with no live call: L");
-      ([ "E main" ], "Trace: line 1: end of trace with 1 call(s) still live");
-      ([ "E main"; "I 3"; "I -4" ], "Trace: line 3: negative count: I -4");
-      ([ "E main"; "R -5 8"; "L" ], "Trace: line 2: address out of range: R -5 8");
-      ([ "E main"; "W 1073741820 8"; "L" ], "Trace: line 2: address out of range: W 1073741820 8");
-    ]
+    (fun (records, blamed, reason) ->
+      with_temp (fun path ->
+          let where = write_recording path records in
+          match replay path with
+          | exception Tracefile.Frame.Corrupt c ->
+            Alcotest.(check (pair int string))
+              "located failure"
+              (expected_offset where blamed, reason)
+              (c.offset, c.reason)
+          | _ -> Alcotest.failf "accepted %s" reason))
+    malformed;
+  (* an undecodable record: an unknown tag *)
+  with_temp (fun path ->
+      let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Recording path in
+      Recording.add w (Enter 0);
+      Tracefile.Writer.add_record w Tracefile.Varint.write 9;
+      Tracefile.Writer.close_raw ~names:[| "main" |] w;
+      match replay path with
+      | exception Tracefile.Frame.Corrupt { reason = "undecodable record"; _ } -> ()
+      | exception e -> Alcotest.failf "unknown tag raised %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "unknown tag accepted")
 
-let test_blank_lines_ignored () =
-  let machine = Dbi.Trace.replay_events ~tools:[] [ ""; "E main"; "  "; "I 3"; "L"; "" ] in
-  Alcotest.(check int) "ops counted" 3 (Dbi.Machine.counters machine).Dbi.Machine.int_ops
-
-(* A recording whose workload raises publishes nothing: Dbi.Trace.record
-   writes through Atomic_file, so neither the file nor its .tmp is left. *)
+(* A recording whose workload raises publishes nothing: neither the file
+   nor its .tmp is left. *)
 let test_record_crash_safe () =
   with_temp (fun path ->
       Sys.remove path;
       (match
-         Dbi.Trace.record path (fun m ->
+         Recording.record path (fun m ->
              small_guest m;
              failwith "workload died")
        with
@@ -135,23 +184,24 @@ let test_record_crash_safe () =
       Alcotest.(check bool) "no file" false (Sys.file_exists path);
       Alcotest.(check bool) "no .tmp" false (Sys.file_exists (path ^ ".tmp")))
 
-(* sigil_trace replay on a malformed recording exits 2 with one stderr
-   line, not an uncaught exception and its backtrace. *)
+(* sigil_trace replay on a malformed recording exits 2 with one located
+   stderr line, not an uncaught exception and its backtrace. *)
 let test_replay_malformed_cli () =
   List.iter
-    (fun (contents, expected) ->
+    (fun (records, blamed, reason) ->
       with_temp (fun path ->
-          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+          let where = write_recording path records in
           let code, lines = Cli.stderr "sigil_trace" ("replay " ^ Filename.quote path) in
           Alcotest.(check int) "exit code" 2 code;
-          Alcotest.(check (list string)) "one stderr line" [ expected ] lines))
-    [
-      ("E main\nZ 1\nL\n", "error: Trace: line 2: malformed record: Z 1");
-      ("E main\nR 1 0\nL\n", "error: Trace: line 2: size must be positive: R 1 0");
-      ("E main\nI 1\n", "error: Trace: line 2: end of trace with 1 call(s) still live");
-      ("E main\nR -5 8\nL\n", "error: Trace: line 2: address out of range: R -5 8");
-      ("E main\nW 1073741820 8\nL\n", "error: Trace: line 2: address out of range: W 1073741820 8");
-    ]
+          Alcotest.(check (list string))
+            "one stderr line"
+            [
+              Printf.sprintf "error: corrupt trace at offset %d: %s"
+                (expected_offset where blamed)
+                reason;
+            ]
+            lines))
+    malformed
 
 let () =
   Alcotest.run "trace"
@@ -163,8 +213,8 @@ let () =
           Alcotest.test_case "workload trace roundtrip" `Quick test_workload_trace_roundtrip;
           Alcotest.test_case "spaced names roundtrip" `Quick test_spaced_names_roundtrip;
           Alcotest.test_case "malformed rejected" `Quick test_malformed_rejected;
-          Alcotest.test_case "blank lines ignored" `Quick test_blank_lines_ignored;
           Alcotest.test_case "record crash-safe" `Quick test_record_crash_safe;
           Alcotest.test_case "replay malformed on the CLI" `Quick test_replay_malformed_cli;
+          Alcotest.test_case "replay identity over the suite" `Slow test_replay_identity_suite;
         ] );
     ]

@@ -286,6 +286,74 @@ let test_crafted_counts () =
       ("negative chunk count", tables ~symbols:0 ~contexts:0, -1);
     ]
 
+(* Every context must name an older parent and, when names are present,
+   a known function: anything else is damage at the tables offset for
+   open_file (and for inspect), and salvage keeps the chunks but not the
+   tables. A parent past the table, or a parent cycle, would otherwise
+   reach the path queries. *)
+let test_context_table_checked () =
+  List.iter
+    (fun (what, ctx_parent, ctx_fn) ->
+      with_temp ".tf" (fun path ->
+          let w = Tracefile.Writer.create path in
+          List.iter (Tracefile.Writer.add w) sample_entries;
+          Tracefile.Writer.close_raw ~names:[| "main"; "f" |] ~ctx_parent ~ctx_fn w;
+          let data = In_channel.with_open_bin path In_channel.input_all in
+          let tables_offset =
+            Tracefile.Frame.get_u64 (Bytes.of_string data) (String.length data - 32)
+          in
+          check_corrupt_at ~expected_offset:tables_offset (fun () ->
+              Tracefile.Reader.open_file path);
+          (match Tracefile.Reader.open_salvage path with
+          | r, report ->
+            Tracefile.Reader.close r;
+            Alcotest.(check bool) (what ^ ": tail lost") false report.Tracefile.Reader.tail_valid;
+            Alcotest.(check int)
+              (what ^ ": entries kept")
+              (List.length sample_entries) report.Tracefile.Reader.recovered_entries
+          | exception e -> Alcotest.failf "%s: salvage raised %s" what (Printexc.to_string e));
+          let code, lines = Cli.stderr "sigil_trace" ("inspect " ^ Filename.quote path) in
+          Alcotest.(check int) (what ^ ": inspect exit code") 2 code;
+          Alcotest.(check int) (what ^ ": one stderr line") 1 (List.length lines)))
+    [
+      ("parent that does not exist", [| 0; 0; 5 |], [| 0; 0; 1 |]);
+      ("parent not older than its child", [| 0; 0; 2 |], [| 0; 0; 1 |]);
+      ("parent cycle", [| 0; 2; 1 |], [| 0; 0; 1 |]);
+      ("negative parent", [| 0; -1; 0 |], [| 0; 0; 1 |]);
+      ("unknown function", [| 0; 0; 1 |], [| 0; 0; 2 |]);
+    ]
+
+(* A file holds one kind: an event trace is not a recording or a profile,
+   and a profile is not an event trace. Each mismatch is damage at the
+   first chunk, on the API and on the CLI. *)
+let test_kind_mismatch () =
+  with_temp ".tf" (fun path ->
+      let _ = write_entries sample_entries path in
+      let r = Tracefile.Reader.open_file path in
+      let first = List.hd (Tracefile.Reader.chunk_offsets r) in
+      check_corrupt_at ~expected_offset:first (fun () ->
+          Tracefile.Recording.replay ~tools:[] r);
+      Tracefile.Reader.close r;
+      check_corrupt_at ~expected_offset:first (fun () -> Tracefile.Profile_file.load path));
+  with_temp ".prof" (fun path ->
+      let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Profile path in
+      Tracefile.Writer.add_record w (fun buf ints -> List.iter (Tracefile.Varint.write buf) ints)
+        [ 1; 0; 0; 0; 0; 0; 0; 0; 0; 0 ];
+      Tracefile.Writer.close_raw ~ctx_parent:[| 0 |] ~ctx_fn:[| 0 |] w;
+      let first =
+        let r = Tracefile.Reader.open_file path in
+        Fun.protect
+          ~finally:(fun () -> Tracefile.Reader.close r)
+          (fun () -> List.hd (Tracefile.Reader.chunk_offsets r))
+      in
+      check_corrupt_at ~expected_offset:first (fun () -> read_entries path);
+      let code, lines = Cli.stderr "sigil_critpath" ("blackscholes --load " ^ Filename.quote path) in
+      Alcotest.(check int) "critpath exit code" 2 code;
+      Alcotest.(check (list string))
+        "one stderr line"
+        [ Printf.sprintf "error: corrupt trace at offset %d: event trace expected, found profile" first ]
+        lines)
+
 (* ---------------------------------------------------------------- *)
 (* Text dump                                                        *)
 (* ---------------------------------------------------------------- *)
@@ -583,6 +651,8 @@ let () =
           Alcotest.test_case "corrupted crc" `Quick test_corrupted_crc;
           Alcotest.test_case "not a tracefile" `Quick test_not_a_tracefile;
           Alcotest.test_case "crafted table counts" `Quick test_crafted_counts;
+          Alcotest.test_case "context table checked at open" `Quick test_context_table_checked;
+          Alcotest.test_case "one kind per file" `Quick test_kind_mismatch;
         ] );
       ("convert", [ Alcotest.test_case "binary->text dump" `Quick test_dump ]);
       ( "runs",
