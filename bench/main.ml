@@ -119,8 +119,10 @@ let fig4_5_6 () =
 
 let trimmed name =
   let run = paired_run name small in
+  let cg = Driver.callgrind run in
+  let self_cycles ctx = Callgrind.Estimate.cycles (Callgrind.Tool.cost cg ctx) in
   Analysis.Partition.trim
-    (Analysis.Cdfg.build ~callgrind:(Driver.callgrind run) (Driver.sigil run))
+    (Analysis.Cdfg.of_snapshot ~self_cycles (Sigil.Profile_io.snapshot_of_tool (Driver.sigil run)))
 
 let fig7_tables () =
   banner "Fig 7: coverage of the trimmed-calltree leaves";
@@ -250,9 +252,10 @@ let fig13 () =
   List.iter
     (fun name ->
       let _, run, cp = List.find (fun (n, _, _) -> n = name) results in
+      let snap = Sigil.Profile_io.snapshot_of_tool (Driver.sigil run) in
       let path =
         Analysis.Critpath.critical_path_contexts cp
-        |> List.map (Driver.fn_name run)
+        |> List.map (Sigil.Profile_io.name snap)
         |> List.filter (fun n -> n <> "<root>")
       in
       let shown = List.filteri (fun i _ -> i < 8) path in

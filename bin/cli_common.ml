@@ -38,7 +38,7 @@ let domains_arg =
      pool, results return in submission order and are bit-identical to a sequential run. \
      Default: the host's recommended domain count (capped at 8)."
   in
-  Arg.(value & opt int (Pool.recommended ()) & info [ "j"; "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int (Pool.recommended ()) & info [ "j"; "domains" ] ~docv:"N" ~doc)
 
 (* [with_domains n f] runs [f pool] with a pool of [n] domains, or with
    [None] when [n <= 1] (sequential, no domains spawned). *)
@@ -58,7 +58,7 @@ let scale_arg =
 
 let limit_arg =
   let doc = "Maximum rows to print." in
-  Arg.(value & opt int 25 & info [ "n"; "limit" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int 25 & info [ "n"; "limit" ] ~docv:"N" ~doc)
 
 let max_chunks_arg =
   let doc =

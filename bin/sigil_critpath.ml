@@ -61,7 +61,8 @@ let run name scale load_path cores summary =
     if summary then print_summary title (Analysis.Critpath.summarize_stream stream)
     else
       let cp = Analysis.Critpath.analyze_stream stream in
-      report title cp (Driver.fn_name (Option.get !run)) cores
+      let snap = Sigil.Profile_io.snapshot_of_tool (Driver.sigil (Option.get !run)) in
+      report title cp (Sigil.Profile_io.name snap) cores
 
 let cmd =
   let load =

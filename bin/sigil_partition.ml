@@ -7,12 +7,16 @@ let run name scale limit bus max_coverage callgrind_out =
   Cli_common.guard @@ fun () ->
   let workload = Cli_common.resolve name in
   let r = Driver.run_workload ~with_callgrind:true workload scale in
+  let cg = Driver.callgrind r in
   (match callgrind_out with
   | Some path ->
-    Callgrind.Output.save (Driver.callgrind r) path;
+    Callgrind.Output.save cg path;
     Format.printf "callgrind-format profile written to %s@." path
   | None -> ());
-  let cdfg = Driver.cdfg r in
+  let self_cycles ctx = Callgrind.Estimate.cycles (Callgrind.Tool.cost cg ctx) in
+  let cdfg =
+    Analysis.Cdfg.of_snapshot ~self_cycles (Sigil.Profile_io.snapshot_of_tool (Driver.sigil r))
+  in
   let trimmed = Analysis.Partition.trim ~bus_bytes_per_cycle:bus ~max_coverage cdfg in
   let ranked = Analysis.Partition.rank trimmed in
   Format.printf "== partitioning: %s (%s), bus %.1f B/cycle ==@." name
@@ -40,13 +44,16 @@ let cmd =
   let bus =
     Arg.(
       value
-      & opt float Analysis.Partition.default_bus_bytes_per_cycle
+      & opt
+          (Cli_common.checked float (fun b -> b > 0.0) "a positive number")
+          Analysis.Partition.default_bus_bytes_per_cycle
       & info [ "bus" ] ~docv:"BYTES" ~doc:"SoC bus bandwidth in bytes per cycle.")
   in
   let max_coverage =
     Arg.(
       value
-      & opt float 0.5
+      & opt (Cli_common.checked float (fun f -> f >= 0.0 && f <= 1.0) "a fraction in [0, 1]")
+          0.5
       & info [ "max-coverage" ] ~docv:"FRAC"
           ~doc:"Largest program share a merged driver box may take.")
   in

@@ -29,6 +29,13 @@ let run name scale limit fn_hist line_size =
     let options = Sigil.Options.(with_reuse default) in
     let r = Driver.run_workload ~options workload scale in
     let tool = Driver.sigil r in
+    List.iter
+      (fun fn ->
+        if Analysis.Reuse_report.find_contexts tool fn = [] then begin
+          Format.eprintf "error: no function %S ran in %s@." fn name;
+          exit 2
+        end)
+      fn_hist;
     let bd = Analysis.Reuse_report.byte_breakdown tool in
     Format.printf "== data reuse: %s (%s) ==@." name (Workloads.Scale.name scale);
     Format.printf "data elements: %d@." bd.Analysis.Reuse_report.elements;

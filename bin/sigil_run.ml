@@ -63,38 +63,41 @@ let run names scale limit max_chunks stripped domains timeout budget events_path
               pool )))
   in
   let failures = ref 0 in
-  List.iter2
-    (fun name result ->
-      match result with
-      | Error e ->
-        incr failures;
-        Format.eprintf "sigil_run: FAILED %s@." (Driver.Run_error.to_string e)
-      | Ok r ->
-        report name scale r;
-        let tool = Driver.sigil r in
-        if flat then Analysis.Flat.pp ~limit Format.std_formatter tool
-        else Sigil.Report.pp ~limit Format.std_formatter tool;
-        if tree then begin
-          Format.printf "@.calltree (inclusive ops, unique bytes in/out):@.";
-          Analysis.Flat.calltree Format.std_formatter tool
-        end;
-        if edges then begin
-          Format.printf "@.communication edges (by unique bytes):@.";
-          Sigil.Report.pp_edges ~limit Format.std_formatter tool
-        end)
-    names results;
-  (match results with
-  | [ Ok r ] -> (
-    let tool = Driver.sigil r in
+  (* one snapshot per run feeds every report and file below *)
+  let snapshots =
+    List.map2
+      (fun name result ->
+        match result with
+        | Error e ->
+          incr failures;
+          Format.eprintf "sigil_run: FAILED %s@." (Driver.Run_error.to_string e);
+          None
+        | Ok r ->
+          report name scale r;
+          let snap = Sigil.Profile_io.snapshot_of_tool (Driver.sigil r) in
+          if flat then Analysis.Flat.pp ~limit Format.std_formatter snap
+          else Sigil.Report.pp ~limit Format.std_formatter snap;
+          if tree then begin
+            Format.printf "@.calltree (inclusive ops, unique bytes in/out):@.";
+            Analysis.Flat.calltree Format.std_formatter snap
+          end;
+          if edges then begin
+            Format.printf "@.communication edges (by unique bytes):@.";
+            Sigil.Report.pp_edges ~limit Format.std_formatter snap
+          end;
+          Some snap)
+      names results
+  in
+  (match (results, snapshots) with
+  | [ Ok r ], [ Some snap ] -> (
     (match save_profile with
     | Some path ->
-      Tracefile.Profile_file.save ~options:(Sigil.Tool.options tool)
-        (Sigil.Profile_io.snapshot_of_tool tool) path;
+      Tracefile.Profile_file.save ~options:(Sigil.Tool.options (Driver.sigil r)) snap path;
       Format.printf "@.profile written to %s@." path
     | None -> ());
     (match dot_path with
     | Some path ->
-      Analysis.Dot.save_cdfg tool path;
+      Analysis.Dot.save_cdfg snap path;
       Format.printf "@.control data flow graph (DOT) written to %s@." path
     | None -> ());
     match (events_path, event_writer) with

@@ -27,7 +27,8 @@ let replay path limit =
   in
   let m = with_reader path (Tracefile.Recording.replay ~tools:[ sigil ]) in
   Format.printf "replayed %s: %d instructions@.@." path (Dbi.Machine.now m);
-  Sigil.Report.pp ~limit Format.std_formatter (Option.get !tool)
+  Sigil.Report.pp ~limit Format.std_formatter
+    (Sigil.Profile_io.snapshot_of_tool (Option.get !tool))
 
 let convert src dst =
   Cli_common.guard @@ fun () ->

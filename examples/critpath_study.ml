@@ -39,9 +39,10 @@ let () =
   List.iter
     (fun name ->
       let r, cp = List.assoc name results in
+      let snap = Sigil.Profile_io.snapshot_of_tool (Driver.sigil r) in
       let path =
         Analysis.Critpath.critical_path_contexts cp
-        |> List.map (Driver.fn_name r)
+        |> List.map (Sigil.Profile_io.name snap)
         |> List.filter (fun n -> n <> "<root>")
       in
       Printf.printf "\n%s critical path (leaf -> main):\n  %s\n" name (String.concat " -> " path);

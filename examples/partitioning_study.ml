@@ -7,18 +7,21 @@
 
 let benchmarks = [ "blackscholes"; "bodytrack"; "canneal"; "dedup"; "ferret"; "swaptions" ]
 
-let study name =
+(* The control data flow graph of one run with Sigil and Callgrind
+   attached together: Sigil's profile supplies the dependency edges,
+   Callgrind the cycle estimates for t_sw. *)
+let cdfg name =
   let workload =
     match Workloads.Suite.find name with
     | Ok w -> w
     | Error e -> failwith e
   in
-  (* one run with Sigil and Callgrind attached together: Sigil supplies
-     the dependency edges, Callgrind the cycle estimates for t_sw *)
   let r = Driver.run_workload ~with_callgrind:true workload Workloads.Scale.Simsmall in
-  let cdfg = Driver.cdfg r in
-  let trimmed = Analysis.Partition.trim cdfg in
-  (name, trimmed)
+  let cg = Driver.callgrind r in
+  let self_cycles ctx = Callgrind.Estimate.cycles (Callgrind.Tool.cost cg ctx) in
+  Analysis.Cdfg.of_snapshot ~self_cycles (Sigil.Profile_io.snapshot_of_tool (Driver.sigil r))
+
+let study name = (name, Analysis.Partition.trim (cdfg name))
 
 let () =
   let results = List.map study benchmarks in
@@ -59,9 +62,7 @@ let () =
 
   (* sensitivity: a narrower bus punishes communication-heavy candidates *)
   let name, trimmed8 = List.hd results in
-  let workload = match Workloads.Suite.find name with Ok w -> w | Error e -> failwith e in
-  let r = Driver.run_workload ~with_callgrind:true workload Workloads.Scale.Simsmall in
-  let trimmed1 = Analysis.Partition.trim ~bus_bytes_per_cycle:1.0 (Driver.cdfg r) in
+  let trimmed1 = Analysis.Partition.trim ~bus_bytes_per_cycle:1.0 (cdfg name) in
   Printf.printf
     "\nBus sensitivity (%s): coverage %.1f%% at 8 B/cycle vs %.1f%% at 1 B/cycle.\n" name
     (100.0 *. trimmed8.Analysis.Partition.coverage)

@@ -39,28 +39,21 @@ let () =
         ]
       program
   in
-  let tool = Option.get !sigil in
+  let snap = Sigil.Profile_io.snapshot_of_tool (Option.get !sigil) in
 
   Format.printf "Aggregate profile (per calling context):@.@.";
-  Sigil.Report.pp Format.std_formatter tool;
+  Sigil.Report.pp Format.std_formatter snap;
 
   Format.printf "@.Communication edges (who feeds whom, unique vs total bytes):@.@.";
-  Sigil.Report.pp_edges Format.std_formatter tool;
+  Sigil.Report.pp_edges Format.std_formatter snap;
 
   (* the numbers to notice *)
-  let profile = Sigil.Tool.profile tool in
-  let machine = Sigil.Tool.machine tool in
-  let contexts = Dbi.Machine.contexts machine in
-  let symbols = Dbi.Machine.symbols machine in
-  Dbi.Context.iter contexts (fun ctx ->
-      if
-        ctx <> Dbi.Context.root
-        && Dbi.Symbol.name symbols (Dbi.Context.fn contexts ctx) = "consumer"
-      then begin
-        let s = Sigil.Profile.stats profile ctx in
+  List.iter
+    (fun (s : Sigil.Profile_io.ctx_stats) ->
+      if Sigil.Profile_io.name snap s.ctx = "consumer" then
         Format.printf
           "@.The consumer read %d input bytes in total, but only %d are unique —@.an \
            accelerator for it needs a quarter of the naive bandwidth estimate.@."
-          (s.Sigil.Profile.input_unique + s.Sigil.Profile.input_nonunique)
-          s.Sigil.Profile.input_unique
-      end)
+          (s.input_unique + s.input_nonunique)
+          s.input_unique)
+    (Sigil.Profile_io.contexts snap)

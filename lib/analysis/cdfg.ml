@@ -14,21 +14,18 @@ type node = {
 }
 
 type t = {
-  nodes : (Dbi.Context.id, node) Hashtbl.t;
+  nodes : node array; (* by context id *)
   preorder : Dbi.Context.id list;
   tin : int array; (* Euler intervals for ancestor tests *)
   tout : int array;
-  root_ctx : Dbi.Context.id;
 }
+
+module P = Sigil.Profile_io
 
 let is_ancestor t a b = t.tin.(a) <= t.tin.(b) && t.tout.(b) <= t.tout.(a)
 
-let build ?callgrind sigil_tool =
-  let machine = Sigil.Tool.machine sigil_tool in
-  let profile = Sigil.Tool.profile sigil_tool in
-  let contexts = Dbi.Machine.contexts machine in
-  let symbols = Dbi.Machine.symbols machine in
-  let n = Dbi.Context.count contexts in
+let of_snapshot ?self_cycles snap =
+  let n = P.count snap in
   let tin = Array.make n 0 and tout = Array.make n 0 in
   let clock = ref 0 in
   let preorder = ref [] in
@@ -36,39 +33,33 @@ let build ?callgrind sigil_tool =
     incr clock;
     tin.(ctx) <- !clock;
     preorder := ctx :: !preorder;
-    List.iter dfs (Dbi.Context.children contexts ctx);
+    List.iter dfs (P.children snap ctx);
     incr clock;
     tout.(ctx) <- !clock
   in
   dfs Dbi.Context.root;
   let preorder = List.rev !preorder in
-  (* inclusive ops by post-order accumulation *)
-  let self_ops = Array.make n 0 in
-  let incl_ops = Array.make n 0 in
-  List.iter
-    (fun ctx ->
-      let s = Sigil.Profile.stats profile ctx in
-      self_ops.(ctx) <- s.Sigil.Profile.int_ops + s.Sigil.Profile.fp_ops)
-    preorder;
-  let rec accumulate ctx =
-    let kids = Dbi.Context.children contexts ctx in
-    List.iter accumulate kids;
-    incl_ops.(ctx) <-
-      self_ops.(ctx) + List.fold_left (fun acc k -> acc + incl_ops.(k)) 0 kids
+  (* inclusive ops and cycles by post-order accumulation *)
+  let self_ops ctx =
+    let s = P.stats snap ctx in
+    s.int_ops + s.fp_ops
   in
-  accumulate Dbi.Context.root;
-  let incl_cycles = Array.make n 0 in
-  (match callgrind with
-  | Some cg ->
-    let self_cycles ctx = Callgrind.Estimate.cycles (Callgrind.Tool.cost cg ctx) in
-    let rec acc_cycles ctx =
-      let kids = Dbi.Context.children contexts ctx in
-      List.iter acc_cycles kids;
-      incl_cycles.(ctx) <-
-        self_cycles ctx + List.fold_left (fun acc k -> acc + incl_cycles.(k)) 0 kids
+  let inclusive self =
+    let incl = Array.make n 0 in
+    let rec accumulate ctx =
+      let kids = P.children snap ctx in
+      List.iter accumulate kids;
+      incl.(ctx) <- self ctx + List.fold_left (fun acc k -> acc + incl.(k)) 0 kids
     in
-    acc_cycles Dbi.Context.root
-  | None -> Array.blit incl_ops 0 incl_cycles 0 n);
+    accumulate Dbi.Context.root;
+    incl
+  in
+  let incl_ops = inclusive self_ops in
+  let incl_cycles =
+    match self_cycles with
+    | Some cycles -> inclusive cycles
+    | None -> incl_ops
+  in
   (* Crossing-edge accumulation: an edge s->d contributes input to every
      box (ancestor chain of d) that does not also contain s — i.e. the
      nodes strictly below the LCA on d's chain — and output symmetrically
@@ -78,35 +69,26 @@ let build ?callgrind sigil_tool =
   let out_u = Array.make n 0 and out_t = Array.make n 0 in
   let ancestor a b = tin.(a) <= tin.(b) && tout.(b) <= tout.(a) in
   List.iter
-    (fun (e : Sigil.Profile.edge) ->
+    (fun (e : P.edge) ->
       let rec charge_up arr_u arr_t v stop_test =
         if v <> Dbi.Context.root && not (stop_test v) then begin
-          arr_u.(v) <- arr_u.(v) + e.Sigil.Profile.unique_bytes;
-          arr_t.(v) <- arr_t.(v) + e.Sigil.Profile.bytes;
-          match Dbi.Context.parent contexts v with
-          | Some p -> charge_up arr_u arr_t p stop_test
-          | None -> ()
+          arr_u.(v) <- arr_u.(v) + e.unique_bytes;
+          arr_t.(v) <- arr_t.(v) + e.bytes;
+          charge_up arr_u arr_t (P.stats snap v).parent stop_test
         end
       in
-      charge_up in_u in_t e.Sigil.Profile.dst (fun v -> ancestor v e.Sigil.Profile.src);
-      charge_up out_u out_t e.Sigil.Profile.src (fun v -> ancestor v e.Sigil.Profile.dst))
-    (Sigil.Profile.edges profile);
-  let nodes = Hashtbl.create n in
-  List.iter
-    (fun ctx ->
-      let s = Sigil.Profile.stats profile ctx in
-      let name =
-        if ctx = Dbi.Context.root then "<root>"
-        else Dbi.Symbol.name symbols (Dbi.Context.fn contexts ctx)
-      in
-      Hashtbl.add nodes ctx
+      charge_up in_u in_t e.dst (fun v -> ancestor v e.src);
+      charge_up out_u out_t e.src (fun v -> ancestor v e.dst))
+    (P.edges snap);
+  let nodes =
+    Array.init n (fun ctx ->
         {
           ctx;
-          name;
-          path = Dbi.Context.path contexts symbols ctx;
-          children = Dbi.Context.children contexts ctx;
-          self_ops = self_ops.(ctx);
-          self_calls = s.Sigil.Profile.calls;
+          name = P.name snap ctx;
+          path = P.path snap ctx;
+          children = P.children snap ctx;
+          self_ops = self_ops ctx;
+          self_calls = (P.stats snap ctx).calls;
           incl_ops = incl_ops.(ctx);
           incl_cycles = incl_cycles.(ctx);
           incl_input_unique = in_u.(ctx);
@@ -114,14 +96,19 @@ let build ?callgrind sigil_tool =
           incl_output_unique = out_u.(ctx);
           incl_output_total = out_t.(ctx);
         })
-    preorder;
-  { nodes; preorder; tin; tout; root_ctx = Dbi.Context.root }
+  in
+  { nodes; preorder; tin; tout }
+
+let build ?callgrind tool =
+  let self_cycles =
+    Option.map (fun cg ctx -> Callgrind.Estimate.cycles (Callgrind.Tool.cost cg ctx)) callgrind
+  in
+  of_snapshot ?self_cycles (P.snapshot_of_tool tool)
 
 let node t ctx =
-  match Hashtbl.find_opt t.nodes ctx with
-  | Some n -> n
-  | None -> invalid_arg "Cdfg.node: unknown context"
+  if ctx < 0 || ctx >= Array.length t.nodes then invalid_arg "Cdfg.node: unknown context";
+  t.nodes.(ctx)
 
 let contexts t = t.preorder
-let root t = node t t.root_ctx
+let root t = t.nodes.(Dbi.Context.root)
 let total_cycles t = (root t).incl_cycles

@@ -8,8 +8,8 @@
     discarded, edges crossing the box accumulate into the node's
     communication cost, and computation sums over the sub-tree.
 
-    When a Callgrind cost table from the same run is supplied, each node
-    also carries the estimated software cycles used as [t_sw] by
+    When per-context cycle estimates from the same run are supplied, each
+    node also carries the estimated software cycles used as [t_sw] by
     partitioning. *)
 
 type node = {
@@ -29,8 +29,16 @@ type node = {
 
 type t
 
-(** [build ?callgrind sigil_tool] constructs the graph from a finished
-    Sigil run. [callgrind] must come from the same machine run (tool
+(** [of_snapshot ?self_cycles snap] constructs the graph from a profile.
+    [self_cycles ctx] is the estimated cycles [ctx] spent itself; callers
+    build it from Callgrind's estimate of the same run, e.g.
+    [fun ctx -> Callgrind.Estimate.cycles (Callgrind.Tool.cost cg ctx)].
+    Without it, cycles are operation counts. *)
+val of_snapshot : ?self_cycles:(Dbi.Context.id -> int) -> Sigil.Profile_io.snapshot -> t
+
+(** [build ?callgrind sigil_tool] is [of_snapshot] of the run's
+    {!Sigil.Profile_io.snapshot_of_tool}, with [callgrind]'s estimate as
+    the self cycles. [callgrind] must come from the same machine run (tool
     attached alongside Sigil) so context ids agree. *)
 val build : ?callgrind:Callgrind.Tool.t -> Sigil.Tool.t -> t
 

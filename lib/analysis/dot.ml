@@ -8,79 +8,55 @@ let escape name =
     name;
   Buffer.contents buf
 
-let fn_label tool ctx =
-  let machine = Sigil.Tool.machine tool in
-  if ctx = Dbi.Context.root then "<root>"
-  else
-    escape
-      (Dbi.Symbol.name
-         (Dbi.Machine.symbols machine)
-         (Dbi.Context.fn (Dbi.Machine.contexts machine) ctx))
+module P = Sigil.Profile_io
 
-let cdfg ?(min_bytes = 1) ?(max_nodes = 64) tool ppf =
-  let machine = Sigil.Tool.machine tool in
-  let profile = Sigil.Tool.profile tool in
-  let contexts = Dbi.Machine.contexts machine in
+let cdfg ?(min_bytes = 1) ?(max_nodes = 64) snap ppf =
   (* keep the hottest contexts plus every ancestor, so call edges connect *)
+  let ops (s : P.ctx_stats) = s.int_ops + s.fp_ops in
   let hot =
-    let scored =
-      List.map
-        (fun ctx ->
-          let s = Sigil.Profile.stats profile ctx in
-          (ctx, s.Sigil.Profile.int_ops + s.Sigil.Profile.fp_ops))
-        (Sigil.Profile.contexts profile)
-    in
-    let sorted = List.sort (fun (_, a) (_, b) -> compare b a) scored in
-    List.filteri (fun i _ -> i < max_nodes) sorted |> List.map fst
+    List.stable_sort (fun a b -> compare (ops b) (ops a)) (P.active_contexts snap)
+    |> List.filteri (fun i _ -> i < max_nodes)
   in
-  let keep = Hashtbl.create 64 in
+  let keep = Array.make (P.count snap) false in
   let rec keep_up ctx =
-    if not (Hashtbl.mem keep ctx) then begin
-      Hashtbl.replace keep ctx ();
-      match Dbi.Context.parent contexts ctx with
-      | Some p -> keep_up p
-      | None -> ()
+    if ctx >= 0 && not keep.(ctx) then begin
+      keep.(ctx) <- true;
+      keep_up (P.stats snap ctx).parent
     end
   in
-  List.iter keep_up hot;
+  List.iter (fun (s : P.ctx_stats) -> keep_up s.ctx) hot;
+  let kept = List.filter (fun (s : P.ctx_stats) -> keep.(s.ctx)) (P.contexts snap) in
   Format.fprintf ppf "digraph cdfg {@.";
   Format.fprintf ppf "  rankdir=TB; node [shape=box, fontsize=10];@.";
-  Hashtbl.iter
-    (fun ctx () ->
-      let s = Sigil.Profile.stats profile ctx in
-      Format.fprintf ppf "  n%d [label=\"%s\\nops=%d calls=%d\"];@." ctx (fn_label tool ctx)
-        (s.Sigil.Profile.int_ops + s.Sigil.Profile.fp_ops)
-        s.Sigil.Profile.calls)
-    keep;
+  List.iter
+    (fun (s : P.ctx_stats) ->
+      Format.fprintf ppf "  n%d [label=\"%s\\nops=%d calls=%d\"];@." s.ctx
+        (escape (P.name snap s.ctx)) (ops s) s.calls)
+    kept;
   (* call edges: bold, as in Fig 1 *)
-  Hashtbl.iter
-    (fun ctx () ->
-      match Dbi.Context.parent contexts ctx with
-      | Some p when Hashtbl.mem keep p ->
-        Format.fprintf ppf "  n%d -> n%d [style=bold];@." p ctx
-      | Some _ | None -> ())
-    keep;
+  List.iter
+    (fun (s : P.ctx_stats) ->
+      if s.parent >= 0 && keep.(s.parent) then
+        Format.fprintf ppf "  n%d -> n%d [style=bold];@." s.parent s.ctx)
+    kept;
   (* data-dependency edges: dashed, weighted by unique bytes *)
   List.iter
-    (fun (e : Sigil.Profile.edge) ->
-      if
-        e.Sigil.Profile.unique_bytes >= min_bytes
-        && Hashtbl.mem keep e.Sigil.Profile.src
-        && Hashtbl.mem keep e.Sigil.Profile.dst
-      then
-        Format.fprintf ppf "  n%d -> n%d [style=dashed, label=\"%d/%d\"];@." e.Sigil.Profile.src
-          e.Sigil.Profile.dst e.Sigil.Profile.unique_bytes e.Sigil.Profile.bytes)
-    (Sigil.Profile.edges profile);
+    (fun (e : P.edge) ->
+      if e.unique_bytes >= min_bytes && keep.(e.src) && keep.(e.dst) then
+        Format.fprintf ppf "  n%d -> n%d [style=dashed, label=\"%d/%d\"];@." e.src e.dst
+          e.unique_bytes e.bytes)
+    (P.edges snap);
   Format.fprintf ppf "}@."
 
-let critical_path tool critpath ppf =
+let critical_path snap critpath ppf =
   let nodes = Critpath.critical_path critpath in
   Format.fprintf ppf "digraph critical_path {@.";
   Format.fprintf ppf "  rankdir=LR; node [shape=box, style=filled, fillcolor=gray85, fontsize=10];@.";
   List.iteri
     (fun i (n : Critpath.node) ->
       Format.fprintf ppf "  n%d [label=\"%s #%d\\nself=%d incl=%d\"];@." i
-        (fn_label tool n.Critpath.ctx) n.Critpath.occurrence n.Critpath.self n.Critpath.inclusive)
+        (escape (P.name snap n.Critpath.ctx))
+        n.Critpath.occurrence n.Critpath.self n.Critpath.inclusive)
     nodes;
   List.iteri
     (fun i (_ : Critpath.node) ->
@@ -94,5 +70,5 @@ let to_file render path =
       render ppf;
       Format.pp_print_flush ppf ())
 
-let save_cdfg ?min_bytes ?max_nodes tool path = to_file (cdfg ?min_bytes ?max_nodes tool) path
-let save_critical_path tool critpath path = to_file (critical_path tool critpath) path
+let save_cdfg ?min_bytes ?max_nodes snap path = to_file (cdfg ?min_bytes ?max_nodes snap) path
+let save_critical_path snap critpath path = to_file (critical_path snap critpath) path

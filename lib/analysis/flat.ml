@@ -11,14 +11,9 @@ type row = {
   written : int;
 }
 
-let fn_of tool ctx =
-  let machine = Sigil.Tool.machine tool in
-  Dbi.Symbol.name
-    (Dbi.Machine.symbols machine)
-    (Dbi.Context.fn (Dbi.Machine.contexts machine) ctx)
+module P = Sigil.Profile_io
 
-let rows tool =
-  let profile = Sigil.Tool.profile tool in
+let rows snap =
   let table : (string, row) Hashtbl.t = Hashtbl.create 64 in
   let merge name f =
     let cur =
@@ -41,53 +36,47 @@ let rows tool =
     Hashtbl.replace table name (f cur)
   in
   List.iter
-    (fun ctx ->
-      if ctx <> Dbi.Context.root then begin
-        let s = Sigil.Profile.stats profile ctx in
-        merge (fn_of tool ctx) (fun r ->
+    (fun (s : P.ctx_stats) ->
+      if s.ctx <> Dbi.Context.root then
+        merge (P.name snap s.ctx) (fun r ->
             {
               r with
               contexts = r.contexts + 1;
-              calls = r.calls + s.Sigil.Profile.calls;
-              int_ops = r.int_ops + s.Sigil.Profile.int_ops;
-              fp_ops = r.fp_ops + s.Sigil.Profile.fp_ops;
-              local_unique = r.local_unique + s.Sigil.Profile.local_unique;
-              local_total =
-                r.local_total + s.Sigil.Profile.local_unique + s.Sigil.Profile.local_nonunique;
-              written = r.written + s.Sigil.Profile.written;
-            })
-      end)
-    (Sigil.Profile.contexts profile);
+              calls = r.calls + s.calls;
+              int_ops = r.int_ops + s.int_ops;
+              fp_ops = r.fp_ops + s.fp_ops;
+              local_unique = r.local_unique + s.local_unique;
+              local_total = r.local_total + s.local_unique + s.local_nonunique;
+              written = r.written + s.written;
+            }))
+    (P.active_contexts snap);
   (* edges: same-function pairs collapse into local traffic; the rest is
      input for the consumer's function *)
   List.iter
-    (fun (e : Sigil.Profile.edge) ->
-      if e.Sigil.Profile.dst <> Dbi.Context.root then begin
-        let dst_name = fn_of tool e.Sigil.Profile.dst in
-        let src_name =
-          if e.Sigil.Profile.src = Dbi.Context.root then "<input>"
-          else fn_of tool e.Sigil.Profile.src
-        in
+    (fun (e : P.edge) ->
+      if e.dst <> Dbi.Context.root then begin
+        let dst_name = P.name snap e.dst in
+        let src_name = if e.src = Dbi.Context.root then "<input>" else P.name snap e.src in
         if src_name = dst_name then
           merge dst_name (fun r ->
               {
                 r with
-                local_unique = r.local_unique + e.Sigil.Profile.unique_bytes;
-                local_total = r.local_total + e.Sigil.Profile.bytes;
+                local_unique = r.local_unique + e.unique_bytes;
+                local_total = r.local_total + e.bytes;
               })
         else
           merge dst_name (fun r ->
               {
                 r with
-                input_unique = r.input_unique + e.Sigil.Profile.unique_bytes;
-                input_total = r.input_total + e.Sigil.Profile.bytes;
+                input_unique = r.input_unique + e.unique_bytes;
+                input_total = r.input_total + e.bytes;
               })
       end)
-    (Sigil.Profile.edges profile);
+    (P.edges snap);
   let all = Hashtbl.fold (fun _ r acc -> r :: acc) table [] in
   List.sort (fun a b -> compare (b.int_ops + b.fp_ops) (a.int_ops + a.fp_ops)) all
 
-let pp ?(limit = 25) ppf tool =
+let pp ?(limit = 25) ppf snap =
   Format.fprintf ppf "%10s %8s %5s %11s %11s %10s  %s@." "ops" "calls" "ctxs" "in-uniq/tot"
     "local-u/tot" "written" "function";
   List.iteri
@@ -96,33 +85,26 @@ let pp ?(limit = 25) ppf tool =
         Format.fprintf ppf "%10d %8d %5d %5d/%-5d %5d/%-5d %10d  %s@."
           (row.int_ops + row.fp_ops) row.calls row.contexts row.input_unique row.input_total
           row.local_unique row.local_total row.written row.name)
-    (rows tool)
+    (rows snap)
 
-let calltree ?(max_depth = 6) ppf tool =
-  let machine = Sigil.Tool.machine tool in
-  let profile = Sigil.Tool.profile tool in
-  let contexts = Dbi.Machine.contexts machine in
-  let incl_ops = Hashtbl.create 64 in
+let calltree ?(max_depth = 6) ppf snap =
+  let incl_ops = Array.make (P.count snap) 0 in
   let rec fill ctx =
-    let s = Sigil.Profile.stats profile ctx in
-    let own = s.Sigil.Profile.int_ops + s.Sigil.Profile.fp_ops in
-    let kids = Dbi.Context.children contexts ctx in
-    let total = List.fold_left (fun acc k -> acc + fill k) own kids in
-    Hashtbl.replace incl_ops ctx total;
+    let s = P.stats snap ctx in
+    let own = s.int_ops + s.fp_ops in
+    let total = List.fold_left (fun acc k -> acc + fill k) own (P.children snap ctx) in
+    incl_ops.(ctx) <- total;
     total
   in
   ignore (fill Dbi.Context.root);
   let rec walk depth ctx =
     if depth <= max_depth then begin
-      let s = Sigil.Profile.stats profile ctx in
-      let name = if ctx = Dbi.Context.root then "<root>" else fn_of tool ctx in
-      let _, out_unique = Sigil.Profile.output_bytes profile ctx in
+      let s = P.stats snap ctx in
+      let _, out_unique = P.output_bytes snap ctx in
       Format.fprintf ppf "%s%s  incl-ops=%d calls=%d in-uniq=%d out-uniq=%d@."
         (String.make (2 * depth) ' ')
-        name
-        (Hashtbl.find incl_ops ctx)
-        s.Sigil.Profile.calls s.Sigil.Profile.input_unique out_unique;
-      List.iter (walk (depth + 1)) (Dbi.Context.children contexts ctx)
+        (P.name snap ctx) incl_ops.(ctx) s.calls s.input_unique out_unique;
+      List.iter (walk (depth + 1)) (P.children snap ctx)
     end
   in
   walk 0 Dbi.Context.root

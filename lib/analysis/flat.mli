@@ -20,15 +20,15 @@ type row = {
   written : int;
 }
 
-(** [rows tool] is one row per function name, sorted by decreasing
+(** [rows snap] is one row per function name, sorted by decreasing
     operation count. The root context is excluded. Edges between contexts
     of the same function are re-classified as local traffic. *)
-val rows : Sigil.Tool.t -> row list
+val rows : Sigil.Profile_io.snapshot -> row list
 
-(** [pp ?limit ppf tool] prints the flat profile (default top 25). *)
-val pp : ?limit:int -> Format.formatter -> Sigil.Tool.t -> unit
+(** [pp ?limit ppf snap] prints the flat profile (default top 25). *)
+val pp : ?limit:int -> Format.formatter -> Sigil.Profile_io.snapshot -> unit
 
-(** [calltree ?max_depth ppf tool] prints the calling-context tree with
+(** [calltree ?max_depth ppf snap] prints the calling-context tree with
     per-node inclusive operation counts and unique input/output bytes — a
     text rendering of the paper's Fig 1. *)
-val calltree : ?max_depth:int -> Format.formatter -> Sigil.Tool.t -> unit
+val calltree : ?max_depth:int -> Format.formatter -> Sigil.Profile_io.snapshot -> unit

@@ -27,32 +27,24 @@ let byte_breakdown tool =
       elements = total;
     }
 
-let fn_name tool ctx =
-  let machine = Sigil.Tool.machine tool in
-  if ctx = Dbi.Context.root then "<input>"
-  else
-    Dbi.Symbol.name (Dbi.Machine.symbols machine)
-      (Dbi.Context.fn (Dbi.Machine.contexts machine) ctx)
+module P = Sigil.Profile_io
 
 let top_reusers ?(n = 10) tool =
   let reuse = Sigil.Tool.reuse tool in
-  let profile = Sigil.Tool.profile tool in
-  let unique_total =
-    let u, _ = Sigil.Profile.totals profile in
-    max 1 u
-  in
+  let snap = P.snapshot_of_tool tool in
+  let unique_total = max 1 (fst (P.totals snap)) in
   let rows =
     List.filter_map
       (fun ctx ->
         let r = Sigil.Reuse.fn_reuse reuse ctx in
         if r.Sigil.Reuse.reuse_reads = 0 then None
         else
-          let s = Sigil.Profile.stats profile ctx in
-          let unique_bytes = s.Sigil.Profile.input_unique + s.Sigil.Profile.local_unique in
+          let s = P.stats snap ctx in
+          let unique_bytes = s.input_unique + s.local_unique in
           Some
             {
               ctx;
-              label = fn_name tool ctx;
+              label = P.name snap ctx;
               avg_lifetime = Sigil.Reuse.avg_lifetime reuse ctx;
               reuse_reads = r.Sigil.Reuse.reuse_reads;
               unique_bytes;
@@ -75,22 +67,12 @@ let top_reusers ?(n = 10) tool =
         else { row with label = Printf.sprintf "%s(%d)" row.label k })
       rows
   in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  take n rows
+  List.filteri (fun i _ -> i < n) rows
 
 let find_contexts tool name =
-  let machine = Sigil.Tool.machine tool in
-  let contexts = Dbi.Machine.contexts machine in
-  let symbols = Dbi.Machine.symbols machine in
-  let acc = ref [] in
-  Dbi.Context.iter contexts (fun ctx ->
-      if ctx <> Dbi.Context.root && Dbi.Symbol.name symbols (Dbi.Context.fn contexts ctx) = name
-      then acc := ctx :: !acc);
-  List.rev !acc
+  let snap = P.snapshot_of_tool tool in
+  List.init (P.count snap) Fun.id
+  |> List.filter (fun ctx -> ctx <> Dbi.Context.root && P.name snap ctx = name)
 
 let lifetime_histogram_dominant tool name =
   let reuse = Sigil.Tool.reuse tool in

@@ -1,4 +1,8 @@
-(** Data-reuse reports (§IV-B): the rows behind Figs 8–12. *)
+(** Data-reuse reports (§IV-B): the rows behind Figs 8–12.
+
+    Each takes the live tool, whose reuse histograms no saved profile
+    holds yet; names and Table I totals come from its
+    {!Sigil.Profile_io.snapshot_of_tool}. *)
 
 (** One stacked bar of Fig 8: fractions of data elements by re-use count. *)
 type byte_breakdown = {

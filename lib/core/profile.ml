@@ -129,19 +129,6 @@ let merge ~into src =
   into.last_edge <- no_edge
 
 let edges t = Hashtbl.fold (fun _ e acc -> e :: acc) t.edges []
-let in_edges t ctx = List.filter (fun e -> e.dst = ctx) (edges t)
-let out_edges t ctx = List.filter (fun e -> e.src = ctx) (edges t)
-
-let output_bytes t ctx =
-  List.fold_left
-    (fun (total, unique) e -> (total + e.bytes, unique + e.unique_bytes))
-    (0, 0) (out_edges t ctx)
-
-let input_bytes t ctx =
-  List.fold_left
-    (fun (total, unique) e -> (total + e.bytes, unique + e.unique_bytes))
-    (0, 0) (in_edges t ctx)
-
 let contexts t =
   let acc = ref [] in
   for ctx = Array.length t.stats - 1 downto 0 do

@@ -5,8 +5,9 @@
     input/local (produced by another function vs. by itself) and
     unique/non-unique (first use vs. re-use) — plus operation counts and
     calls; and for every producer→consumer pair, a communication edge
-    weighted by total and unique bytes. Output communication of a context
-    is the sum over its outgoing edges. *)
+    weighted by total and unique bytes. This is the write side: reports
+    and analyses read a {!Profile_io.snapshot} of it, which also sums each
+    context's incoming and outgoing edges. *)
 
 type fn_stats = {
   mutable input_unique : int; (** bytes read, produced elsewhere, first use *)
@@ -69,16 +70,6 @@ val merge : into:t -> t -> unit
 
 (** All communication edges, unordered. *)
 val edges : t -> edge list
-
-(** Incoming edges of one context. *)
-val in_edges : t -> Dbi.Context.id -> edge list
-
-(** [output_bytes t ctx] sums outgoing edges: [(total, unique)]. *)
-val output_bytes : t -> Dbi.Context.id -> int * int
-
-(** [input_bytes t ctx] is [(total, unique)] input read by [ctx] (excludes
-    local). *)
-val input_bytes : t -> Dbi.Context.id -> int * int
 
 (** Contexts with any recorded activity, ascending id. *)
 val contexts : t -> Dbi.Context.id list

@@ -19,17 +19,48 @@ type edge = {
   unique_bytes : int;
 }
 
+(* Every array is indexed by the dense context id. *)
 type snapshot = {
   names : string array; (* by function id *)
-  by_ctx : (Dbi.Context.id, ctx_stats) Hashtbl.t;
-  order : Dbi.Context.id list; (* preorder *)
+  preorder : ctx_stats list;
+  by_ctx : ctx_stats array;
+  kids : Dbi.Context.id list array; (* in tree order *)
   edge_list : edge list;
+  out_total : int array;
+  out_unique : int array;
+  in_total : int array;
+  in_unique : int array;
 }
 
 let make ~names ~contexts ~edges =
-  let by_ctx = Hashtbl.create 256 in
-  List.iter (fun s -> Hashtbl.replace by_ctx s.ctx s) contexts;
-  { names; by_ctx; order = List.map (fun s -> s.ctx) contexts; edge_list = edges }
+  let by_ctx = Array.of_list contexts in
+  Array.sort (fun a b -> compare a.ctx b.ctx) by_ctx;
+  Array.iteri
+    (fun i s -> if s.ctx <> i then invalid_arg "Profile_io.make: context ids are not dense")
+    by_ctx;
+  let n = Array.length by_ctx in
+  let kids = Array.make n [] in
+  List.iter (fun s -> if s.parent >= 0 then kids.(s.parent) <- s.ctx :: kids.(s.parent)) contexts;
+  let out_total = Array.make n 0 and out_unique = Array.make n 0 in
+  let in_total = Array.make n 0 and in_unique = Array.make n 0 in
+  List.iter
+    (fun e ->
+      out_total.(e.src) <- out_total.(e.src) + e.bytes;
+      out_unique.(e.src) <- out_unique.(e.src) + e.unique_bytes;
+      in_total.(e.dst) <- in_total.(e.dst) + e.bytes;
+      in_unique.(e.dst) <- in_unique.(e.dst) + e.unique_bytes)
+    edges;
+  {
+    names;
+    preorder = contexts;
+    by_ctx;
+    kids = Array.map List.rev kids;
+    edge_list = edges;
+    out_total;
+    out_unique;
+    in_total;
+    in_unique;
+  }
 
 let snapshot_of_tool tool =
   let machine = Tool.machine tool in
@@ -77,12 +108,11 @@ let render snap =
   Buffer.add_string buf "sigil-profile 1\n";
   Array.iteri (fun id name -> Printf.bprintf buf "S %d %s\n" id name) snap.names;
   List.iter
-    (fun ctx ->
-      let s = Hashtbl.find snap.by_ctx ctx in
+    (fun s ->
       Printf.bprintf buf "C %d %d %d %d\n" s.ctx s.parent s.fn s.calls;
       Printf.bprintf buf "T %d %d %d %d %d %d %d %d\n" s.ctx s.input_unique s.input_nonunique
         s.local_unique s.local_nonunique s.written s.int_ops s.fp_ops)
-    snap.order;
+    snap.preorder;
   List.iter
     (fun e -> Printf.bprintf buf "X %d %d %d %d\n" e.src e.dst e.bytes e.unique_bytes)
     snap.edge_list;
@@ -96,10 +126,13 @@ let fn_name snap fn =
   else if fn < Array.length snap.names then snap.names.(fn)
   else "?" ^ string_of_int fn
 
+let count snap = Array.length snap.by_ctx
+
 let stats snap ctx =
-  match Hashtbl.find_opt snap.by_ctx ctx with
-  | Some s -> s
-  | None -> invalid_arg "Profile_io.stats: unknown context"
+  if ctx < 0 || ctx >= count snap then invalid_arg "Profile_io.stats: unknown context";
+  snap.by_ctx.(ctx)
+
+let name snap ctx = fn_name snap (stats snap ctx).fn
 
 let path snap ctx =
   if ctx = Dbi.Context.root then "<root>"
@@ -113,20 +146,24 @@ let path snap ctx =
     String.concat "/" (collect [] ctx)
   end
 
-let contexts snap = List.map (stats snap) snap.order
-let edges snap = snap.edge_list
+let contexts snap = snap.preorder
 
-let children snap ctx =
-  List.filter_map
-    (fun c ->
-      let s = stats snap c in
-      if s.parent = ctx && c <> Dbi.Context.root then Some c else None)
-    snap.order
+let active s =
+  List.exists
+    (fun n -> n <> 0)
+    [ s.calls; s.input_unique; s.input_nonunique; s.local_unique; s.local_nonunique; s.written;
+      s.int_ops; s.fp_ops ]
+
+let active_contexts snap = List.filter active (Array.to_list snap.by_ctx)
+let edges snap = snap.edge_list
+let children snap ctx = snap.kids.(ctx)
+let output_bytes snap ctx = (snap.out_total.(ctx), snap.out_unique.(ctx))
+let input_bytes snap ctx = (snap.in_total.(ctx), snap.in_unique.(ctx))
 
 let totals snap =
-  List.fold_left
+  Array.fold_left
     (fun (unique, total) s ->
       let u = s.input_unique + s.local_unique in
       let n = s.input_nonunique + s.local_nonunique in
       (unique + u, total + u + n))
-    (0, 0) (contexts snap)
+    (0, 0) snap.by_ctx

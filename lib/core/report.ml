@@ -12,32 +12,27 @@ type row = {
   written : int;
 }
 
-let rows tool =
-  let machine = Tool.machine tool in
-  let profile = Tool.profile tool in
-  let contexts = Dbi.Machine.contexts machine in
-  let symbols = Dbi.Machine.symbols machine in
-  let make ctx =
-    let s = Profile.stats profile ctx in
-    let output_total, output_unique = Profile.output_bytes profile ctx in
+let rows snap =
+  let make (s : Profile_io.ctx_stats) =
+    let output_total, output_unique = Profile_io.output_bytes snap s.ctx in
     {
-      ctx;
-      path = Dbi.Context.path contexts symbols ctx;
-      calls = s.Profile.calls;
-      ops = s.Profile.int_ops + s.Profile.fp_ops;
-      input_unique = s.Profile.input_unique;
-      input_total = s.Profile.input_unique + s.Profile.input_nonunique;
-      local_unique = s.Profile.local_unique;
-      local_total = s.Profile.local_unique + s.Profile.local_nonunique;
+      ctx = s.ctx;
+      path = Profile_io.path snap s.ctx;
+      calls = s.calls;
+      ops = s.int_ops + s.fp_ops;
+      input_unique = s.input_unique;
+      input_total = s.input_unique + s.input_nonunique;
+      local_unique = s.local_unique;
+      local_total = s.local_unique + s.local_nonunique;
       output_unique;
       output_total;
-      written = s.Profile.written;
+      written = s.written;
     }
   in
-  let all = List.map make (Profile.contexts profile) in
+  let all = List.map make (Profile_io.active_contexts snap) in
   List.sort (fun a b -> compare b.ops a.ops) all
 
-let pp ?(limit = 25) ppf tool =
+let pp ?(limit = 25) ppf snap =
   Format.fprintf ppf "%10s %8s %11s %11s %11s %11s  %s@." "ops" "calls" "in-uniq/tot"
     "local-u/tot" "out-uniq/tot" "written" "function";
   List.iteri
@@ -46,21 +41,18 @@ let pp ?(limit = 25) ppf tool =
         Format.fprintf ppf "%10d %8d %5d/%-5d %5d/%-5d %5d/%-6d %11d  %s@." row.ops row.calls
           row.input_unique row.input_total row.local_unique row.local_total row.output_unique
           row.output_total row.written row.path)
-    (rows tool)
+    (rows snap)
 
-let pp_edges ?(limit = 25) ppf tool =
-  let machine = Tool.machine tool in
-  let contexts = Dbi.Machine.contexts machine in
-  let symbols = Dbi.Machine.symbols machine in
-  let edges = Profile.edges (Tool.profile tool) in
+let pp_edges ?(limit = 25) ppf snap =
   let edges =
-    List.sort (fun (a : Profile.edge) b -> compare b.unique_bytes a.unique_bytes) edges
+    List.sort
+      (fun (a : Profile_io.edge) b -> compare b.unique_bytes a.unique_bytes)
+      (Profile_io.edges snap)
   in
   Format.fprintf ppf "%12s %12s  %s -> %s@." "unique-bytes" "total-bytes" "producer" "consumer";
   List.iteri
-    (fun i (e : Profile.edge) ->
+    (fun i (e : Profile_io.edge) ->
       if i < limit then
         Format.fprintf ppf "%12d %12d  %s -> %s@." e.unique_bytes e.bytes
-          (Dbi.Context.path contexts symbols e.src)
-          (Dbi.Context.path contexts symbols e.dst))
+          (Profile_io.path snap e.src) (Profile_io.path snap e.dst))
     edges

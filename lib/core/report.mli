@@ -1,4 +1,4 @@
-(** Textual rendering of Sigil aggregate profiles. *)
+(** Textual rendering of Sigil aggregate profiles, live or loaded. *)
 
 type row = {
   ctx : Dbi.Context.id;
@@ -14,13 +14,13 @@ type row = {
   written : int;
 }
 
-(** [rows tool] builds one row per active context, sorted by decreasing
-    operation count. *)
-val rows : Tool.t -> row list
+(** [rows snap] builds one row per active context, sorted by decreasing
+    operation count (ties by context id). *)
+val rows : Profile_io.snapshot -> row list
 
-(** [pp ?limit ppf tool] prints the aggregate profile (default top 25). *)
-val pp : ?limit:int -> Format.formatter -> Tool.t -> unit
+(** [pp ?limit ppf snap] prints the aggregate profile (default top 25). *)
+val pp : ?limit:int -> Format.formatter -> Profile_io.snapshot -> unit
 
-(** [pp_edges ?limit ppf tool] prints communication edges sorted by unique
-    bytes. *)
-val pp_edges : ?limit:int -> Format.formatter -> Tool.t -> unit
+(** [pp_edges ?limit ppf snap] prints communication edges sorted by
+    unique bytes (ties in the snapshot's edge order). *)
+val pp_edges : ?limit:int -> Format.formatter -> Profile_io.snapshot -> unit

@@ -171,15 +171,6 @@ let callgrind run =
   | Some t -> t
   | None -> invalid_arg "Driver.callgrind: Callgrind was not attached to this run"
 
-let cdfg run = Analysis.Cdfg.build ?callgrind:run.callgrind (sigil run)
-
-let fn_name run ctx =
-  if ctx = Dbi.Context.root then "<root>"
-  else
-    Dbi.Symbol.name
-      (Dbi.Machine.symbols run.machine)
-      (Dbi.Context.fn (Dbi.Machine.contexts run.machine) ctx)
-
 module Stats = struct
   let of_run r = Option.value r.stats ~default:Telemetry.empty
 

@@ -101,13 +101,6 @@ val sigil : run -> Sigil.Tool.t
 
 val callgrind : run -> Callgrind.Tool.t
 
-(** [cdfg run] builds the control data flow graph from a run that had both
-    tools attached (Callgrind optional). *)
-val cdfg : run -> Analysis.Cdfg.t
-
-(** [fn_name run ctx] renders a context's function name. *)
-val fn_name : run -> Dbi.Context.id -> string
-
 (** Telemetry aggregation and the [--stats-out] JSON artifact. *)
 module Stats : sig
   (** [of_run r] is the run's snapshot ([Telemetry.empty] when the job ran

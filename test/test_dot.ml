@@ -35,7 +35,7 @@ let toy_critpath () =
 let render_cdfg ?min_bytes ?max_nodes tool =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  Analysis.Dot.cdfg ?min_bytes ?max_nodes tool ppf;
+  Analysis.Dot.cdfg ?min_bytes ?max_nodes (Sigil.Profile_io.snapshot_of_tool tool) ppf;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
@@ -73,7 +73,7 @@ let test_critical_path_dot () =
   let tool, cp = toy_critpath () in
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  Analysis.Dot.critical_path tool cp ppf;
+  Analysis.Dot.critical_path (Sigil.Profile_io.snapshot_of_tool tool) cp ppf;
   Format.pp_print_flush ppf ();
   let dot = Buffer.contents buf in
   Alcotest.(check bool) "digraph" true (contains dot "digraph critical_path");
@@ -87,8 +87,9 @@ let test_save_files () =
       if Sys.file_exists p1 then Sys.remove p1;
       if Sys.file_exists p2 then Sys.remove p2)
     (fun () ->
-      Analysis.Dot.save_cdfg tool p1;
-      Analysis.Dot.save_critical_path tool cp p2;
+      let snap = Sigil.Profile_io.snapshot_of_tool tool in
+      Analysis.Dot.save_cdfg snap p1;
+      Analysis.Dot.save_critical_path snap cp p2;
       Alcotest.(check bool) "cdfg file non-empty" true ((Unix.stat p1).Unix.st_size > 0);
       Alcotest.(check bool) "cp file non-empty" true ((Unix.stat p2).Unix.st_size > 0))
 

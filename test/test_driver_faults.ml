@@ -160,7 +160,25 @@ let test_cli_numeric_flags_checked () =
       ("sigil_run", "blackscholes --timeout=-1");
       ("sigil_critpath", "blackscholes --cores 0");
       ("sigil_trace", "repair src.tf dst.tf --chunk-bytes 0");
+      ("sigil_partition", "canneal --bus=-2");
+      ("sigil_partition", "canneal --bus=0");
+      ("sigil_partition", "canneal --max-coverage=7");
+      ("sigil_partition", "canneal --max-coverage=-0.1");
+      ("sigil_run", "blackscholes --limit=-3");
+      ("sigil_run", "canneal blackscholes --domains=-4");
+      ("sigil_run", "canneal blackscholes -j 0");
     ]
+
+(* A --histogram naming a function the workload never ran is an error
+   like an unknown workload: one stderr line and exit 2. *)
+let test_cli_unknown_histogram_function () =
+  let code, lines = Cli.stderr "sigil_reuse" "canneal --histogram nosuchfn" in
+  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check (list string))
+    "one stderr line" [ "error: no function \"nosuchfn\" ran in canneal" ] lines;
+  let code, lines = Cli.stderr "sigil_reuse" "canneal --histogram annealer_thread::Run" in
+  Alcotest.(check int) "a known function exits 0" 0 code;
+  Alcotest.(check (list string)) "and prints no error" [] lines
 
 (* The bench harness rejects a bad argument with one "bench: ..." line
    and exit 2 before any workload runs: a leftover flag is never ignored. *)
@@ -205,5 +223,7 @@ let () =
           Alcotest.test_case "numeric flags checked at parse time" `Quick
             test_cli_numeric_flags_checked;
           Alcotest.test_case "bench arguments rejected" `Quick test_cli_bench_arguments_rejected;
+          Alcotest.test_case "unknown histogram function" `Quick
+            test_cli_unknown_histogram_function;
         ] );
     ]

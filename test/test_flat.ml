@@ -1,3 +1,4 @@
+(* The profile of [body], run under Sigil alone. *)
 let run_guest body =
   let tool = ref None in
   let _ =
@@ -11,7 +12,7 @@ let run_guest body =
         ]
       body
   in
-  Option.get !tool
+  Sigil.Profile_io.snapshot_of_tool (Option.get !tool)
 
 (* "kernel" runs in two contexts; context 2 reads what context 1 wrote, so
    the flat view must fold that edge into local traffic. *)
@@ -30,31 +31,31 @@ let two_contexts m =
 let find rows name = List.find (fun (r : Analysis.Flat.row) -> r.Analysis.Flat.name = name) rows
 
 let test_contexts_merged () =
-  let tool = run_guest two_contexts in
-  let rows = Analysis.Flat.rows tool in
+  let snap = run_guest two_contexts in
+  let rows = Analysis.Flat.rows snap in
   let kernel = find rows "kernel" in
   Alcotest.(check int) "two contexts" 2 kernel.Analysis.Flat.contexts;
   Alcotest.(check int) "ops summed" 30 (kernel.Analysis.Flat.int_ops + kernel.Analysis.Flat.fp_ops);
   Alcotest.(check int) "calls summed" 2 kernel.Analysis.Flat.calls
 
 let test_same_function_edge_is_local () =
-  let tool = run_guest two_contexts in
-  let kernel = find (Analysis.Flat.rows tool) "kernel" in
+  let snap = run_guest two_contexts in
+  let kernel = find (Analysis.Flat.rows snap) "kernel" in
   Alcotest.(check int) "no cross-function input" 0 kernel.Analysis.Flat.input_total;
   Alcotest.(check int) "edge folded into local" 8 kernel.Analysis.Flat.local_total
 
 let test_program_input_attributed () =
-  let tool =
+  let snap =
     run_guest (fun m ->
         Dbi.Guest.call m "main" (fun () ->
             Dbi.Guest.call m "reader" (fun () -> Dbi.Guest.read m 0x300000 8)))
   in
-  let reader = find (Analysis.Flat.rows tool) "reader" in
+  let reader = find (Analysis.Flat.rows snap) "reader" in
   Alcotest.(check int) "program input is input" 8 reader.Analysis.Flat.input_unique
 
 let test_sorted_by_ops () =
-  let tool = run_guest two_contexts in
-  match Analysis.Flat.rows tool with
+  let snap = run_guest two_contexts in
+  match Analysis.Flat.rows snap with
   | first :: rest ->
     List.iter
       (fun (r : Analysis.Flat.row) ->
@@ -77,20 +78,20 @@ let contains haystack needle =
   go 0
 
 let test_pp_output () =
-  let tool = run_guest two_contexts in
-  let out = render (fun ppf -> Analysis.Flat.pp ppf tool) in
+  let snap = run_guest two_contexts in
+  let out = render (fun ppf -> Analysis.Flat.pp ppf snap) in
   Alcotest.(check bool) "mentions kernel" true (contains out "kernel")
 
 let test_calltree_rendering () =
-  let tool = run_guest two_contexts in
-  let out = render (fun ppf -> Analysis.Flat.calltree ppf tool) in
+  let snap = run_guest two_contexts in
+  let out = render (fun ppf -> Analysis.Flat.calltree ppf snap) in
   Alcotest.(check bool) "root line" true (contains out "<root>");
   Alcotest.(check bool) "indented kernel" true (contains out "    kernel");
   Alcotest.(check bool) "inclusive ops on root" true (contains out "incl-ops=30")
 
 let test_calltree_depth_limit () =
-  let tool = run_guest two_contexts in
-  let out = render (fun ppf -> Analysis.Flat.calltree ~max_depth:1 ppf tool) in
+  let snap = run_guest two_contexts in
+  let out = render (fun ppf -> Analysis.Flat.calltree ~max_depth:1 ppf snap) in
   Alcotest.(check bool) "kernel pruned" false (contains out "kernel");
   Alcotest.(check bool) "main kept" true (contains out "main")
 

@@ -151,6 +151,91 @@ let test_compare_edges_only () =
     Alcotest.(check bool) "removed" true (d.status = `Removed)
   | rows -> Alcotest.failf "expected one removed edge, got %d rows" (List.length rows)
 
+(* ---------------------------------------------------------------- *)
+(* Report goldens                                                   *)
+(* ---------------------------------------------------------------- *)
+
+(* [cli_output name args] is the stdout of CLI [name] run with [args]. *)
+let cli_output name args =
+  let out = Filename.temp_file name ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s > %s" (Filename.quote (Cli.exe name)) args (Filename.quote out))
+      in
+      if code <> 0 then Alcotest.failf "%s %s exited %d" name args code;
+      In_channel.with_open_bin out In_channel.input_all)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* Edges of equal weight may print in any order, so the edge listing and
+   the DOT file are pinned by their sorted lines. *)
+let sorted_md5 s = md5 (String.concat "\n" (List.sort compare (String.split_on_char '\n' s)))
+
+(* The MD5s of the simsmall reports: [sigil_run W], with [--flat], with
+   [--tree], [sigil_partition W] and [sigil_reuse W]; then the sorted
+   lines of [sigil_run W --edges] and of the [--dot] file. *)
+let report_goldens =
+  [
+    ( "canneal",
+      [
+        "a3c36161a9433cffd297bd71a71b6657";
+        "02f3190404ec8b90b09dc569fea2f9a9";
+        "51de84e64f7e3a061f98e51ea8862e7c";
+        "1dff437f5f521311e5f85feb65f03f9b";
+        "7324a5638efb65a7088bcb21104655c2";
+        "6ea789b2b35d0a4d07a380cec4c297ab";
+        "d7d6f7fbc5433943f3a13d45c80affe6";
+      ] );
+    ( "dedup",
+      [
+        "70e64973fe92356cfee511d9754d31e6";
+        "b6dbced5a7479adc9c182a545bb2607a";
+        "d6a0149ffbbb926be7c680e108ac08af";
+        "9b03a8b6d703e2633c8bc3e3990b054e";
+        "ba661d1c27ad092564f01ba8db99f71d";
+        "389b6d126e3011a3ff87124796780874";
+        "bcbfdb2a57233630dc06b32c03e3f8b3";
+      ] );
+    ( "vips",
+      [
+        "24feb13fca0e4a81ddb622d647f49f94";
+        "42e51073d9c698506c9ecea0cbffcbc2";
+        "f511852811ca024d3bd9fdda1d5cde9f";
+        "b64db1d73ea833df59eafcfb39051009";
+        "d8a339f30ac3f9683a830a6020c7dfca";
+        "08ad00a7cb60a2387e3136e22ed9d706";
+        "bd64c0dfffea4b37b16132c828995687";
+      ] );
+  ]
+
+let test_report_goldens () =
+  List.iter
+    (fun (name, want) ->
+      let dot = Filename.temp_file name ".dot" in
+      let dot_lines =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove dot)
+          (fun () ->
+            ignore (cli_output "sigil_run" (name ^ " --dot " ^ Filename.quote dot));
+            In_channel.with_open_bin dot In_channel.input_all)
+      in
+      let got =
+        [
+          md5 (cli_output "sigil_run" name);
+          md5 (cli_output "sigil_run" (name ^ " --flat"));
+          md5 (cli_output "sigil_run" (name ^ " --tree"));
+          md5 (cli_output "sigil_partition" name);
+          md5 (cli_output "sigil_reuse" name);
+          sorted_md5 (cli_output "sigil_run" (name ^ " --edges"));
+          sorted_md5 dot_lines;
+        ]
+      in
+      Alcotest.(check (list string)) (name ^ " reports") want got)
+    report_goldens
+
 let () =
   Alcotest.run "output_compare"
     [
@@ -169,4 +254,5 @@ let () =
           Alcotest.test_case "sorted by magnitude" `Quick test_compare_sorted_by_magnitude;
           Alcotest.test_case "edges only" `Quick test_compare_edges_only;
         ] );
+      ("goldens", [ Alcotest.test_case "reports" `Quick test_report_goldens ]);
     ]

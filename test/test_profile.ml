@@ -22,8 +22,36 @@ let test_edges_aggregate () =
     let e21 = List.find (fun (e : Profile.edge) -> e.Profile.src = 2) edges in
     Alcotest.(check int) "total bytes" 16 e21.Profile.bytes;
     Alcotest.(check int) "unique bytes" 8 e21.Profile.unique_bytes);
-  Alcotest.(check (pair int int)) "input bytes of 1" (20, 12) (Profile.input_bytes p 1);
-  Alcotest.(check (pair int int)) "output bytes of 2" (16, 8) (Profile.output_bytes p 2)
+  (* a snapshot sums each context's edges: contexts 1-3 under the root *)
+  let context ctx =
+    let s = Profile.stats p ctx in
+    {
+      Profile_io.ctx;
+      parent = (if ctx = 0 then -1 else 0);
+      fn = -1;
+      calls = s.Profile.calls;
+      input_unique = s.Profile.input_unique;
+      input_nonunique = s.Profile.input_nonunique;
+      local_unique = s.Profile.local_unique;
+      local_nonunique = s.Profile.local_nonunique;
+      written = s.Profile.written;
+      int_ops = s.Profile.int_ops;
+      fp_ops = s.Profile.fp_ops;
+    }
+  in
+  let snap =
+    Profile_io.make ~names:[||] ~contexts:(List.init 4 context)
+      ~edges:
+        (List.map
+           (fun (e : Profile.edge) ->
+             let bytes = e.bytes and unique_bytes = e.unique_bytes in
+             { Profile_io.src = e.src; dst = e.dst; bytes; unique_bytes })
+           (Profile.edges p))
+  in
+  Alcotest.(check (pair int int)) "input bytes of 1" (20, 12) (Profile_io.input_bytes snap 1);
+  Alcotest.(check (pair int int)) "output bytes of 2" (16, 8) (Profile_io.output_bytes snap 2);
+  Alcotest.(check (pair int int)) "output bytes of 3" (4, 4) (Profile_io.output_bytes snap 3);
+  Alcotest.(check (pair int int)) "no input to 2" (0, 0) (Profile_io.input_bytes snap 2)
 
 let test_local_reads_make_no_edges () =
   let p = Profile.create () in

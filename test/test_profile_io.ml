@@ -83,23 +83,61 @@ let test_children () =
   Alcotest.(check int) "main has three children" 3
     (List.length (Sigil.Profile_io.children snap main.ctx))
 
-(* The loaded profile's dump is byte for byte the live run's rendering. *)
+let render f =
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  f ppf;
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+(* Every report and analysis of a snapshot, rendered in full. *)
+let reports snap =
+  let all = max_int in
+  let ranked = Analysis.Partition.rank (Analysis.Partition.trim (Analysis.Cdfg.of_snapshot snap)) in
+  [
+    ("Report.pp", render (fun ppf -> Sigil.Report.pp ~limit:all ppf snap));
+    ("Report.pp_edges", render (fun ppf -> Sigil.Report.pp_edges ~limit:all ppf snap));
+    ("Flat.pp", render (fun ppf -> Analysis.Flat.pp ~limit:all ppf snap));
+    ("Flat.calltree", render (fun ppf -> Analysis.Flat.calltree ~max_depth:all ppf snap));
+    ("Dot.cdfg", render (Analysis.Dot.cdfg snap));
+    ( "Partition.rank",
+      String.concat "\n"
+        (List.map
+           (fun (c : Analysis.Partition.candidate) ->
+             Printf.sprintf "%s %h %h" c.path c.breakeven c.coverage)
+           ranked) );
+  ]
+
+(* For every workload, the loaded profile dumps byte for byte as the live
+   run's rendering, and every report reads the same from either. *)
 let test_workload_roundtrip () =
-  let w = match Workloads.Suite.find "vips" with Ok w -> w | Error e -> Alcotest.fail e in
-  let tool = run_guest (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall) in
-  with_temp (fun path ->
-      save tool path;
-      Alcotest.(check (pair int int)) "totals survive"
-        (Sigil.Profile.totals (Sigil.Tool.profile tool))
-        (Sigil.Profile_io.totals (Tracefile.Profile_file.load path));
-      with_temp (fun txt ->
-          let records = Tracefile.Convert.binary_to_text path txt in
-          let snap = Sigil.Profile_io.snapshot_of_tool tool in
-          Alcotest.(check int) "one record per context and edge"
-            (List.length (Sigil.Profile_io.contexts snap) + List.length (Sigil.Profile_io.edges snap))
-            records;
-          Alcotest.(check string) "dump = to_string" (Sigil.Profile_io.to_string tool)
-            (In_channel.with_open_bin txt In_channel.input_all)))
+  List.iter
+    (fun name ->
+      let w = Result.get_ok (Workloads.Suite.find name) in
+      let tool = run_guest (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall) in
+      let live = Sigil.Profile_io.snapshot_of_tool tool in
+      with_temp (fun path ->
+          save tool path;
+          let loaded = Tracefile.Profile_file.load path in
+          Alcotest.(check (pair int int))
+            (name ^ ": totals survive")
+            (Sigil.Profile.totals (Sigil.Tool.profile tool))
+            (Sigil.Profile_io.totals loaded);
+          List.iter2
+            (fun (what, a) (_, b) -> Alcotest.(check string) (name ^ ": " ^ what) a b)
+            (reports live) (reports loaded);
+          with_temp (fun txt ->
+              let records = Tracefile.Convert.binary_to_text path txt in
+              Alcotest.(check int)
+                (name ^ ": one record per context and edge")
+                (List.length (Sigil.Profile_io.contexts live)
+                + List.length (Sigil.Profile_io.edges live))
+                records;
+              Alcotest.(check string)
+                (name ^ ": dump = to_string")
+                (Sigil.Profile_io.to_string tool)
+                (In_channel.with_open_bin txt In_channel.input_all))))
+    (Workloads.Suite.names ())
 
 let check_corrupt_at what expected f =
   match f () with

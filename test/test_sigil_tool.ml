@@ -74,20 +74,23 @@ let test_classification_exact () =
 
 let test_edges_exact () =
   let tool, m = run_guest toy in
-  let p = Sigil.Tool.profile tool in
+  let snap = Sigil.Profile_io.snapshot_of_tool tool in
   let consumer = find_ctx m "main/consumer" in
   let producer = find_ctx m "main/producer" in
   let main = find_ctx m "main" in
   let edge src =
-    List.find (fun (e : Sigil.Profile.edge) -> e.Sigil.Profile.src = src)
-      (Sigil.Profile.in_edges p consumer)
+    List.find
+      (fun (e : Sigil.Profile_io.edge) -> e.src = src && e.dst = consumer)
+      (Sigil.Profile_io.edges snap)
   in
   Alcotest.(check (pair int int)) "main->consumer (total, unique)" (16, 8)
-    ((edge main).Sigil.Profile.bytes, (edge main).Sigil.Profile.unique_bytes);
+    ((edge main).bytes, (edge main).unique_bytes);
   Alcotest.(check (pair int int)) "producer->consumer" (16, 16)
-    ((edge producer).Sigil.Profile.bytes, (edge producer).Sigil.Profile.unique_bytes);
+    ((edge producer).bytes, (edge producer).unique_bytes);
   Alcotest.(check (pair int int)) "producer output" (16, 16)
-    (Sigil.Profile.output_bytes p producer)
+    (Sigil.Profile_io.output_bytes snap producer);
+  Alcotest.(check (pair int int)) "consumer input" (32, 24)
+    (Sigil.Profile_io.input_bytes snap consumer)
 
 let test_reuse_bins_exact () =
   let tool, _ = run_guest ~options:Sigil.Options.(with_reuse default) toy in
@@ -199,15 +202,16 @@ let test_memory_limit_accuracy_loss () =
   let tool, m = run_guest ~options:Sigil.Options.(with_max_chunks default 2) body in
   Alcotest.(check bool) "evictions happened" true (Sigil.Tool.shadow_evictions tool > 0);
   (* the read of the evicted byte is misattributed to program input *)
-  let p = Sigil.Tool.profile tool in
   let consumer = find_ctx m "main/consumer" in
-  match Sigil.Profile.in_edges p consumer with
-  | [ e ] -> Alcotest.(check int) "producer forgotten" Dbi.Context.root e.Sigil.Profile.src
+  let snap = Sigil.Profile_io.snapshot_of_tool tool in
+  let into_consumer (e : Sigil.Profile_io.edge) = e.dst = consumer in
+  match List.filter into_consumer (Sigil.Profile_io.edges snap) with
+  | [ e ] -> Alcotest.(check int) "producer forgotten" Dbi.Context.root e.src
   | edges -> Alcotest.failf "expected one edge, got %d" (List.length edges)
 
 let test_report_rows () =
   let tool, _ = run_guest toy in
-  let rows = Sigil.Report.rows tool in
+  let rows = Sigil.Report.rows (Sigil.Profile_io.snapshot_of_tool tool) in
   Alcotest.(check bool) "has rows" true (List.length rows >= 3);
   let consumer = List.find (fun r -> r.Sigil.Report.path = "main/consumer") rows in
   Alcotest.(check int) "row input unique" 24 consumer.Sigil.Report.input_unique;
@@ -226,7 +230,7 @@ let test_stripped_run_still_works () =
         ]
       toy
   in
-  let rows = Sigil.Report.rows (Option.get !tool) in
+  let rows = Sigil.Report.rows (Sigil.Profile_io.snapshot_of_tool (Option.get !tool)) in
   Alcotest.(check bool) "rows exist" true (List.length rows >= 3);
   List.iter
     (fun row ->

@@ -408,11 +408,12 @@ let test_embedded_tables () =
           Alcotest.(check string) "root" "<root>" (Tracefile.Reader.fn_name rd Dbi.Context.root);
           (* every context the trace mentions resolves to the name the
              producing run would print *)
+          let snap = Sigil.Profile_io.snapshot_of_tool (Driver.sigil r) in
           Tracefile.Reader.iter rd (function
             | Event_log.Call { ctx; _ } ->
               Alcotest.(check string)
                 (Printf.sprintf "ctx %d" ctx)
-                (Driver.fn_name r ctx) (Tracefile.Reader.fn_name rd ctx)
+                (Sigil.Profile_io.name snap ctx) (Tracefile.Reader.fn_name rd ctx)
             | _ -> ())))
 
 let test_sink_memory_bound () =
