@@ -180,6 +180,7 @@ let fig8_to_11 () =
 
   let vips = reuse_run "vips" small in
   let tool = Driver.sigil vips in
+  let snap = Sigil.Profile_io.snapshot_of_tool tool in
   banner "Fig 9: average re-use lifetimes of the top vips functions";
   print_string
     (Analysis.Table.bar_chart
@@ -192,7 +193,7 @@ let fig8_to_11 () =
   List.iter
     (fun (figure, fn) ->
       banner (Printf.sprintf "Fig %s: re-use lifetime distribution of %S in vips" figure fn);
-      let hist = Analysis.Reuse_report.lifetime_histogram_dominant tool fn in
+      let hist = Analysis.Reuse_report.lifetime_histogram_dominant tool snap fn in
       print_string
         (Analysis.Table.bar_chart
            ~fmt:(Printf.sprintf "%.0f")

@@ -7,6 +7,10 @@ open Cmdliner
 let run name scale limit fn_hist line_size =
   let workload = Cli_common.resolve name in
   match line_size with
+  | Some _ when fn_hist <> [] ->
+    (* lifetime histograms are kept per byte: line mode has none *)
+    Format.eprintf "error: --histogram needs byte mode, not --line-size@.";
+    exit 2
   | Some size ->
     let options = Sigil.Options.with_line_size Sigil.Options.default size in
     let r = Driver.run_workload ~options workload scale in
@@ -29,9 +33,10 @@ let run name scale limit fn_hist line_size =
     let options = Sigil.Options.(with_reuse default) in
     let r = Driver.run_workload ~options workload scale in
     let tool = Driver.sigil r in
+    let snap = Sigil.Profile_io.snapshot_of_tool tool in
     List.iter
       (fun fn ->
-        if Analysis.Reuse_report.find_contexts tool fn = [] then begin
+        if Analysis.Reuse_report.find_contexts snap fn = [] then begin
           Format.eprintf "error: no function %S ran in %s@." fn name;
           exit 2
         end)
@@ -63,7 +68,7 @@ let run name scale limit fn_hist line_size =
       (fun fn ->
         Format.printf "@.re-use lifetime histogram for %s (bin %d):@." fn
           (Sigil.Reuse.lifetime_bin_width (Sigil.Tool.reuse tool));
-        let hist = Analysis.Reuse_report.lifetime_histogram tool fn in
+        let hist = Analysis.Reuse_report.lifetime_histogram tool snap fn in
         if hist = [] then Format.printf "  (no re-used bytes)@."
         else
           print_string

@@ -35,6 +35,7 @@ let () =
   (* Figs 9-11: drill into vips *)
   let r = run "vips" () in
   let tool = Driver.sigil r in
+  let snap = Sigil.Profile_io.snapshot_of_tool tool in
   print_string
     (Analysis.Table.section "vips: top functions by data re-use, with avg lifetimes (Fig 9)");
   let rows = Analysis.Reuse_report.top_reusers ~n:8 tool in
@@ -55,7 +56,7 @@ let () =
       print_string
         (Analysis.Table.section
            (Printf.sprintf "vips: re-use lifetime histogram of %S (Figs 10/11)" fn));
-      let hist = Analysis.Reuse_report.lifetime_histogram tool fn in
+      let hist = Analysis.Reuse_report.lifetime_histogram tool snap fn in
       (* log-ish rendering: show counts directly, the shape is the point *)
       print_string
         (Analysis.Table.bar_chart

@@ -69,12 +69,11 @@ let top_reusers ?(n = 10) tool =
   in
   List.filteri (fun i _ -> i < n) rows
 
-let find_contexts tool name =
-  let snap = P.snapshot_of_tool tool in
+let find_contexts snap name =
   List.init (P.count snap) Fun.id
   |> List.filter (fun ctx -> ctx <> Dbi.Context.root && P.name snap ctx = name)
 
-let lifetime_histogram_dominant tool name =
+let lifetime_histogram_dominant tool snap name =
   let reuse = Sigil.Tool.reuse tool in
   let best =
     List.fold_left
@@ -83,13 +82,13 @@ let lifetime_histogram_dominant tool name =
         match acc with
         | Some (_, best_reads) when best_reads >= r.Sigil.Reuse.reuse_reads -> acc
         | Some _ | None -> Some (ctx, r.Sigil.Reuse.reuse_reads))
-      None (find_contexts tool name)
+      None (find_contexts snap name)
   in
   match best with
   | Some (ctx, _) -> Sigil.Reuse.histogram reuse ctx
   | None -> []
 
-let lifetime_histogram tool name =
+let lifetime_histogram tool snap name =
   let reuse = Sigil.Tool.reuse tool in
   let merged = Hashtbl.create 64 in
   List.iter
@@ -100,5 +99,5 @@ let lifetime_histogram tool name =
           | Some r -> r := !r + count
           | None -> Hashtbl.add merged bin (ref count))
         (Sigil.Reuse.histogram reuse ctx))
-    (find_contexts tool name);
+    (find_contexts snap name);
   List.sort compare (Hashtbl.fold (fun bin r acc -> (bin, !r) :: acc) merged [])

@@ -1,8 +1,9 @@
 (** Data-reuse reports (§IV-B): the rows behind Figs 8–12.
 
     Each takes the live tool, whose reuse histograms no saved profile
-    holds yet; names and Table I totals come from its
-    {!Sigil.Profile_io.snapshot_of_tool}. *)
+    holds yet; names and Table I totals come from the run's
+    {!Sigil.Profile_io.snapshot_of_tool}, which the per-function queries
+    take from the caller. *)
 
 (** One stacked bar of Fig 8: fractions of data elements by re-use count. *)
 type byte_breakdown = {
@@ -32,16 +33,17 @@ val byte_breakdown : Sigil.Tool.t -> byte_breakdown
     several contexts, as the paper does. *)
 val top_reusers : ?n:int -> Sigil.Tool.t -> fn_row list
 
-(** [lifetime_histogram sigil_tool name] merges the lifetime histograms of
-    every context executing function [name]: [(bin_start, count)]
-    ascending (Figs 10–11). *)
-val lifetime_histogram : Sigil.Tool.t -> string -> (int * int) list
+(** [lifetime_histogram sigil_tool snapshot name] merges the lifetime
+    histograms of every context executing function [name]:
+    [(bin_start, count)] ascending (Figs 10–11). *)
+val lifetime_histogram : Sigil.Tool.t -> Sigil.Profile_io.snapshot -> string -> (int * int) list
 
-(** [lifetime_histogram_dominant sigil_tool name] is the histogram of the
-    single context of [name] contributing the most re-use (the paper's
-    per-context accounting distinguishes [conv_gen] from [conv_gen(1)]). *)
-val lifetime_histogram_dominant : Sigil.Tool.t -> string -> (int * int) list
+(** [lifetime_histogram_dominant sigil_tool snapshot name] is the histogram
+    of the single context of [name] contributing the most re-use (the
+    paper's per-context accounting distinguishes [conv_gen] from
+    [conv_gen(1)]). *)
+val lifetime_histogram_dominant :
+  Sigil.Tool.t -> Sigil.Profile_io.snapshot -> string -> (int * int) list
 
-(** [find_contexts sigil_tool name] lists contexts whose function is
-    [name]. *)
-val find_contexts : Sigil.Tool.t -> string -> Dbi.Context.id list
+(** [find_contexts snapshot name] lists contexts whose function is [name]. *)
+val find_contexts : Sigil.Profile_io.snapshot -> string -> Dbi.Context.id list

@@ -51,16 +51,25 @@ type t = {
   mutable syscalls : int;
   mutable finished : bool;
   budget : int; (* max_int = unlimited *)
-  timeout_s : float; (* infinity = none *)
-  started_s : float;
-  mutable next_check : int; (* clock value at which to re-check the guards *)
+  mutable hooks : (t -> unit) list; (* epoch hooks, in registration order *)
+  mutable fresh : (t -> unit) list; (* hooks registered since the last check *)
+  mutable next_epoch : int; (* the next multiple of 2^16 on the clock *)
+  mutable next_check : int; (* clock value at which to re-check the guards and hooks *)
 }
 
-(* How many clock ticks may pass between wall-clock probes when a timeout
-   is armed: rare enough that the monotonic read never shows up in the
-   event hot path, frequent enough that a runaway guest is caught within
-   a fraction of a second. *)
-let timeout_probe_interval = 1 lsl 16
+(* Epochs are 2^16 clock ticks: rare enough that a hook (a wall-clock
+   read, a progress sample) never shows up in the event hot path, frequent
+   enough that a runaway guest is caught within a fraction of a second. *)
+let epoch_mask = (1 lsl 16) - 1
+
+let on_epoch t hook =
+  t.fresh <- t.fresh @ [ hook ];
+  t.next_check <- min t.next_check (t.now + 1)
+
+(* The wall-clock guard is an epoch hook like any other. *)
+let timeout_hook limit_s =
+  let started_s = monotonic_s () in
+  fun t -> if monotonic_s () -. started_s > limit_s then raise (Timeout { limit_s; now = t.now })
 
 let initial_stack = 64
 
@@ -73,7 +82,7 @@ let create ?(stripped = false) ?(call_overhead = 10) ?budget ?timeout_s () =
   | Some _ | None -> ());
   if call_overhead < 0 then invalid_arg "Machine.create: negative call overhead";
   let budget = Option.value budget ~default:max_int in
-  let timeout_s = Option.value timeout_s ~default:infinity in
+  let fresh = Option.to_list (Option.map timeout_hook timeout_s) in
   {
     symbols = Symbol.create ~stripped ();
     contexts = Context.create ();
@@ -98,21 +107,26 @@ let create ?(stripped = false) ?(call_overhead = 10) ?budget ?timeout_s () =
     syscalls = 0;
     finished = false;
     budget;
-    timeout_s;
-    started_s = (if timeout_s < infinity then monotonic_s () else 0.0);
-    next_check = (if timeout_s < infinity then 0 else budget);
+    hooks = [];
+    fresh;
+    next_epoch = epoch_mask + 1;
+    next_check = (if fresh = [] then budget else 1);
   }
 
 (* One [now >= next_check] comparison per clock bump is all the guards
-   cost; this slow path runs only at the budget boundary and at timeout
-   probe points. *)
+   and hooks cost; this slow path runs only at the budget boundary, at
+   epoch boundaries and at the first event after a hook is registered.
+   The next epoch is the next multiple of 2^16 above [now], so hooks see
+   the same clock values on every run, and an event that crosses several
+   multiples fires them once. *)
 let check_limits t =
   if t.now > t.budget then raise (Budget_exhausted { budget = t.budget; now = t.now });
-  if t.timeout_s < infinity then begin
-    if monotonic_s () -. t.started_s > t.timeout_s then
-      raise (Timeout { limit_s = t.timeout_s; now = t.now });
-    t.next_check <- min t.budget (t.now + timeout_probe_interval)
-  end
+  let due = (if t.now >= t.next_epoch then t.hooks else []) @ t.fresh in
+  t.next_epoch <- (t.now lor epoch_mask) + 1;
+  t.hooks <- t.hooks @ t.fresh;
+  t.fresh <- [];
+  t.next_check <- (if t.hooks = [] then t.budget else min t.budget t.next_epoch);
+  List.iter (fun hook -> hook t) due
 
 (* Amortized growth: attaching is O(1) amortized instead of copying the
    whole array per tool, so attach-heavy drivers (one tool per run times

@@ -14,18 +14,27 @@ type t
 
 (** {2 Run guards}
 
-    Long or runaway guest runs can be bounded in two platform-independent
-    ways: a cap on the retired-instruction clock and a wall-clock timeout.
-    Both raise out of the event-injection call that crossed the limit, so
-    [Driver.run_many] captures them as structured per-job errors while the
-    remaining jobs of its batch proceed. *)
+    Long or runaway guest runs can be bounded in two ways: a cap on the
+    retired-instruction clock and a wall-clock timeout. Both raise out of
+    the event-injection call that crossed the limit, so [Driver.run_many]
+    captures them as structured per-job errors while the remaining jobs of
+    its batch proceed. The timeout, like anything else that watches a run
+    (the driver's progress heartbeat), is an epoch hook ({!on_epoch}). *)
 
 exception Budget_exhausted of { budget : int; now : int }
 (** The retired-instruction clock passed the configured budget. *)
 
 exception Timeout of { limit_s : float; now : int }
 (** The run held the host CPU longer than the configured wall-clock limit
-    (checked every ~65k retired instructions, so the overshoot is tiny). *)
+    (checked at each epoch, so the overshoot is tiny). *)
+
+(** [on_epoch t hook] runs [hook t] on the running domain at the next
+    clock-advancing event, then at the first such event at or past each
+    multiple of 2^16 on the clock, so a hook sees the same clock values on
+    every run; an event that crosses several multiples fires it once. Hooks
+    run in registration order; an exception a hook raises escapes from the
+    event call, aborting the run. *)
+val on_epoch : t -> (t -> unit) -> unit
 
 (** Aggregate event counters, available even with no tool attached (the
     "native" run of the overhead experiments still knows its own size). *)
@@ -48,8 +57,8 @@ type counters = {
     charged to the caller's context before each [enter] — this is what
     bounds function-level parallelism the way real call overhead does.
     [budget] arms the retired-instruction guard ({!Budget_exhausted});
-    [timeout_s] arms the wall-clock guard ({!Timeout}), measured from
-    machine creation. *)
+    [timeout_s] registers the wall-clock guard ({!Timeout}), measured from
+    machine creation, as an epoch hook. *)
 val create : ?stripped:bool -> ?call_overhead:int -> ?budget:int -> ?timeout_s:float -> unit -> t
 
 (** [attach t tool] adds a tool; events flow to tools in attachment order. *)

@@ -24,8 +24,7 @@ val monotonic_s : unit -> float
     trips, the corresponding {!Machine.Budget_exhausted} or
     {!Machine.Timeout} escapes from this call. [on_start] is invoked with
     the machine after the tools attach and before the workload begins —
-    a progress reporter can hold onto it and sample the clock from another
-    domain while the run executes. *)
+    a progress reporter registers its {!Machine.on_epoch} hook there. *)
 val run :
   ?stripped:bool ->
   ?call_overhead:int ->

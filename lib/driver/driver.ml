@@ -150,7 +150,7 @@ let run_many ?pool ?progress jobs =
           Progress.start p ~workload:j.j_workload.Workloads.Workload.name
             ~scale:(Workloads.Scale.name j.j_scale)
         in
-        let result = attempt ~on_start:(Progress.attach h) j in
+        let result = attempt ~on_start:(Progress.attach p h) j in
         Progress.finish p h ~ok:(Result.is_ok result);
         result
   in

@@ -1,140 +1,105 @@
 type handle = {
   h_label : string;
-  mutable h_machine : Dbi.Machine.t option;
-  mutable h_sigil : Sigil.Tool.t option;
+  mutable h_job : (Dbi.Machine.t * Sigil.Tool.t option) option;
+  mutable h_instr : int; (* the job's clock and evictions at its latest sample *)
+  mutable h_evictions : int;
 }
 
 type t = {
   total : int;
-  interval_s : float;
   plain : bool;
   start_s : float;
-  lock : Mutex.t; (* protects active / finished / failed *)
+  lock : Mutex.t; (* protects every mutable field below, the handles' and stderr *)
   mutable active : handle list;
   mutable finished : int;
   mutable failed : int;
-  stop : bool Atomic.t;
-  mutable ticker : unit Domain.t option;
+  mutable drawn_s : float; (* when the live line was last redrawn *)
   mutable live_len : int; (* width of the current live line, for erasing *)
 }
 
+let redraw_interval_s = 0.5
 let now_s = Dbi.Runner.monotonic_s
 
-(* Racy by design: the machine runs in another domain and these are plain
-   mutable int fields. Word-sized reads can be stale, never torn. *)
-let describe h =
-  match h.h_machine with
-  | None -> h.h_label
-  | Some m ->
-    let instr = Dbi.Machine.now m in
-    let ev = match h.h_sigil with Some s -> Sigil.Tool.shadow_evictions s | None -> 0 in
-    if ev > 0 then Printf.sprintf "%s %.1fMi ev:%d" h.h_label (float_of_int instr /. 1e6) ev
-    else Printf.sprintf "%s %.1fMi" h.h_label (float_of_int instr /. 1e6)
+(* On the job's own domain, under the lock. *)
+let sample h =
+  Option.iter
+    (fun (m, sigil) ->
+      h.h_instr <- Dbi.Machine.now m;
+      h.h_evictions <- Option.fold ~none:0 ~some:Sigil.Tool.shadow_evictions sigil)
+    h.h_job
 
-let status_line t =
-  Mutex.lock t.lock;
-  let finished = t.finished and failed = t.failed in
-  let active = List.map describe t.active in
-  Mutex.unlock t.lock;
-  let elapsed = now_s () -. t.start_s in
+let describe h =
+  let mi = float_of_int h.h_instr /. 1e6 in
+  if Option.is_none h.h_job then h.h_label
+  else if h.h_evictions > 0 then Printf.sprintf "%s %.1fMi ev:%d" h.h_label mi h.h_evictions
+  else Printf.sprintf "%s %.1fMi" h.h_label mi
+
+(* The tty line, under the lock. *)
+let redraw t =
+  let now = now_s () in
   let eta =
-    if finished > 0 && finished < t.total then
+    if t.finished > 0 && t.finished < t.total then
       Printf.sprintf " eta %.0fs"
-        (elapsed /. float_of_int finished *. float_of_int (t.total - finished))
+        ((now -. t.start_s) /. float_of_int t.finished *. float_of_int (t.total - t.finished))
     else ""
   in
-  let failures = if failed > 0 then Printf.sprintf " %d failed" failed else "" in
-  Printf.sprintf "[%d/%d]%s %s%s" finished t.total failures (String.concat " | " active) eta
-
-let erase t =
-  if t.live_len > 0 then begin
-    Printf.eprintf "\r%s\r" (String.make t.live_len ' ');
-    t.live_len <- 0
-  end
-
-let redraw t =
-  let line = status_line t in
+  let failures = if t.failed > 0 then Printf.sprintf " %d failed" t.failed else "" in
+  let line =
+    Printf.sprintf "[%d/%d]%s %s%s" t.finished t.total failures
+      (String.concat " | " (List.map describe t.active))
+      eta
+  in
   let pad = max 0 (t.live_len - String.length line) in
-  Printf.eprintf "\r%s%s" line (String.make pad ' ');
-  flush stderr;
-  t.live_len <- String.length line + pad
+  Printf.eprintf "\r%s%s%!" line (String.make pad ' ');
+  t.live_len <- String.length line + pad;
+  t.drawn_s <- now
 
-let rec ticker_loop t =
-  if not (Atomic.get t.stop) then begin
-    redraw t;
-    (* sleep in small steps so close is prompt *)
-    let deadline = now_s () +. t.interval_s in
-    while (not (Atomic.get t.stop)) && now_s () < deadline do
-      Unix.sleepf 0.05
-    done;
-    ticker_loop t
-  end
-
-let create ?(interval_s = 0.5) ?force_plain ~total () =
-  let plain =
-    match force_plain with Some p -> p | None -> not (Unix.isatty Unix.stderr)
-  in
-  let t =
-    {
-      total;
-      interval_s;
-      plain;
-      start_s = now_s ();
-      lock = Mutex.create ();
-      active = [];
-      finished = 0;
-      failed = 0;
-      stop = Atomic.make false;
-      ticker = None;
-      live_len = 0;
-    }
-  in
-  if not plain then t.ticker <- Some (Domain.spawn (fun () -> ticker_loop t));
-  t
+let create ~total () =
+  {
+    total;
+    plain = not (Unix.isatty Unix.stderr);
+    start_s = now_s ();
+    lock = Mutex.create ();
+    active = [];
+    finished = 0;
+    failed = 0;
+    drawn_s = neg_infinity;
+    live_len = 0;
+  }
 
 let start t ~workload ~scale =
-  let h = { h_label = Printf.sprintf "%s(%s)" workload scale; h_machine = None; h_sigil = None } in
-  Mutex.lock t.lock;
-  t.active <- t.active @ [ h ];
-  let pos = t.finished + List.length t.active in
-  Mutex.unlock t.lock;
-  if t.plain then begin
-    Printf.eprintf "[%d/%d] %s started\n" pos t.total h.h_label;
-    flush stderr
-  end;
+  let label = Printf.sprintf "%s(%s)" workload scale in
+  let h = { h_label = label; h_job = None; h_instr = 0; h_evictions = 0 } in
+  Mutex.protect t.lock (fun () ->
+      t.active <- t.active @ [ h ];
+      if t.plain then
+        Printf.eprintf "[%d/%d] %s started\n%!" (t.finished + List.length t.active) t.total label
+      else redraw t);
   h
 
-let attach h machine sigil =
-  h.h_machine <- Some machine;
-  h.h_sigil <- sigil
+let attach t h machine sigil =
+  Mutex.protect t.lock (fun () -> h.h_job <- Some (machine, sigil));
+  Dbi.Machine.on_epoch machine (fun _ ->
+      Mutex.protect t.lock (fun () ->
+          sample h;
+          if (not t.plain) && now_s () -. t.drawn_s >= redraw_interval_s then redraw t))
 
 let finish t h ~ok =
-  Mutex.lock t.lock;
-  t.active <- List.filter (fun x -> x != h) t.active;
-  t.finished <- t.finished + 1;
-  if not ok then t.failed <- t.failed + 1;
-  let finished = t.finished in
-  Mutex.unlock t.lock;
-  if t.plain then begin
-    let detail =
-      match h.h_machine with
-      | None -> ""
-      | Some m ->
-        let ev = match h.h_sigil with Some s -> Sigil.Tool.shadow_evictions s | None -> 0 in
-        Printf.sprintf " (%.1fMi, %d evictions)" (float_of_int (Dbi.Machine.now m) /. 1e6) ev
-    in
-    Printf.eprintf "[%d/%d] %s %s%s\n" finished t.total h.h_label
-      (if ok then "done" else "FAILED")
-      detail;
-    flush stderr
-  end
+  Mutex.protect t.lock (fun () ->
+      sample h;
+      t.active <- List.filter (fun x -> x != h) t.active;
+      t.finished <- t.finished + 1;
+      if not ok then t.failed <- t.failed + 1;
+      if t.plain then
+        Printf.eprintf "[%d/%d] %s %s%s\n%!" t.finished t.total h.h_label
+          (if ok then "done" else "FAILED")
+          (if Option.is_none h.h_job then ""
+           else
+             Printf.sprintf " (%.1fMi, %d evictions)" (float_of_int h.h_instr /. 1e6)
+               h.h_evictions)
+      else redraw t)
 
 let close t =
-  match t.ticker with
-  | Some d ->
-    Atomic.set t.stop true;
-    Domain.join d;
-    t.ticker <- None;
-    erase t;
-    flush stderr
-  | None -> ()
+  Mutex.protect t.lock (fun () ->
+      if t.live_len > 0 then Printf.eprintf "\r%s\r%!" (String.make t.live_len ' ');
+      t.live_len <- 0)

@@ -8,16 +8,16 @@
     Two rendering modes, chosen at {!create} time from
     [Unix.isatty stderr]:
 
-    - {b tty}: a single live status line, rewritten in place by a ticker
-      domain every [interval_s] seconds and erased at {!close};
+    - {b tty}: a single live status line, redrawn in place at most every
+      0.5 s and erased at {!close};
     - {b plain} (stderr redirected to a file or CI log): one start line and
-      one finish line per job, no control characters, no ticker domain.
+      one finish line per job, no control characters.
 
-    The ticker samples each live run's {!Dbi.Machine} clock and shadow
-    eviction counter from outside the running domain. Those are plain
-    mutable [int] fields, so the reads are racy — they may lag the worker —
-    but OCaml ints are word-sized, a torn read is impossible, and a stale
-    heartbeat costs nothing. Progress output never feeds results or
+    Nothing runs beside the jobs. {!attach} registers a
+    {!Dbi.Machine.on_epoch} hook, so each job samples its own clock and
+    eviction count on its own domain every 2^16 retired instructions, and
+    redraws the tty line from there. Every sample, count and write to
+    stderr happens under one lock. Progress output never feeds results or
     telemetry snapshots; determinism is untouched. *)
 
 type t
@@ -25,24 +25,23 @@ type t
 (** A job registered with {!start}. *)
 type handle
 
-(** [create ~total ()] builds a reporter for a batch of [total] jobs.
-    [interval_s] (default 0.5) is the tty refresh period; [force_plain]
-    (default [not (Unix.isatty stderr)]) selects plain-line mode. *)
-val create : ?interval_s:float -> ?force_plain:bool -> total:int -> unit -> t
+(** [create ~total ()] builds a reporter for a batch of [total] jobs. *)
+val create : total:int -> unit -> t
 
-(** [start t ~workload ~scale] registers a job as running (plain mode
-    prints the start line). Call it from the domain that runs the job. *)
+(** [start t ~workload ~scale] registers a job as running: plain mode
+    prints its start line, tty mode redraws. Call it from the domain that
+    runs the job. *)
 val start : t -> workload:string -> scale:string -> handle
 
-(** [attach h machine sigil] gives the reporter the live machine (and tool,
-    when Sigil is attached) to sample instructions and evictions from;
-    wired through the [on_start] hook of [Dbi.Runner.run]. *)
-val attach : handle -> Dbi.Machine.t -> Sigil.Tool.t option -> unit
+(** [attach t h machine sigil] hooks the job's machine (and tool, when
+    Sigil is attached) to sample instructions and evictions at each
+    epoch; wired through the [on_start] hook of [Dbi.Runner.run]. *)
+val attach : t -> handle -> Dbi.Machine.t -> Sigil.Tool.t option -> unit
 
-(** [finish t h ~ok] marks the job done and (plain mode) prints its final
-    clock/eviction line. *)
+(** [finish t h ~ok] marks the job done, reading its final clock and
+    evictions; plain mode prints them, tty mode redraws. Call it from the
+    domain that ran the job. *)
 val finish : t -> handle -> ok:bool -> unit
 
-(** [close t] stops and joins the ticker and erases the live line.
-    Idempotent. *)
+(** [close t] erases the live line. Idempotent. *)
 val close : t -> unit

@@ -170,12 +170,17 @@ let test_cli_numeric_flags_checked () =
     ]
 
 (* A --histogram naming a function the workload never ran is an error
-   like an unknown workload: one stderr line and exit 2. *)
+   like an unknown workload: one stderr line and exit 2. So is one asked
+   of line mode, which keeps no histograms. *)
 let test_cli_unknown_histogram_function () =
   let code, lines = Cli.stderr "sigil_reuse" "canneal --histogram nosuchfn" in
   Alcotest.(check int) "exit code" 2 code;
   Alcotest.(check (list string))
     "one stderr line" [ "error: no function \"nosuchfn\" ran in canneal" ] lines;
+  let code, lines = Cli.stderr "sigil_reuse" "blackscholes --line-size 64 --histogram nosuch" in
+  Alcotest.(check int) "line mode: exit code" 2 code;
+  Alcotest.(check (list string))
+    "line mode: one stderr line" [ "error: --histogram needs byte mode, not --line-size" ] lines;
   let code, lines = Cli.stderr "sigil_reuse" "canneal --histogram annealer_thread::Run" in
   Alcotest.(check int) "a known function exits 0" 0 code;
   Alcotest.(check (list string)) "and prints no error" [] lines
@@ -202,6 +207,61 @@ let test_cli_bench_arguments_rejected () =
         "bench: --scale: unknown scale \"huge\" (expected simsmall|simmedium|simlarge)" );
     ]
 
+(* --progress in plain mode (stderr is a file here): one started and one
+   done line per workload, whose counts are the run's own, and stdout
+   byte-identical to a run without it. *)
+let test_progress_plain () =
+  let args = "canneal dedup -j 2" in
+  let code, out, err = Cli.run "sigil_run" (args ^ " --progress") in
+  Alcotest.(check int) "exit code" 0 code;
+  let _, plain_out, _ = Cli.run "sigil_run" args in
+  Alcotest.(check string) "stdout as without --progress" plain_out out;
+  let out = Array.of_list (String.split_on_char '\n' out) in
+  (* the run's own counts, from its report on stdout *)
+  let counts w =
+    let i = ref 0 in
+    while out.(!i) <> Printf.sprintf "== sigil: %s (simsmall) ==" w do
+      incr i
+    done;
+    ( Scanf.sscanf out.(!i + 1) "guest instructions: %d" Fun.id,
+      Scanf.sscanf out.(!i + 2) "shadow footprint: %_[^,], evictions: %d" Fun.id )
+  in
+  let started, finished =
+    List.partition_map
+      (fun line ->
+        match Scanf.sscanf_opt line "[%_d/2] %[^(](simsmall) started%!" Fun.id with
+        | Some w -> Left w
+        | None -> (
+          match
+            Scanf.sscanf_opt line "[%_d/2] %[^(](simsmall) done (%[0-9.]Mi, %d evictions)%!"
+              (fun w mi ev -> (w, mi, ev))
+          with
+          | Some d -> Right d
+          | None -> Alcotest.failf "unexpected stderr line %S" line))
+      err
+  in
+  Alcotest.(check (list string)) "one started line per workload" [ "canneal"; "dedup" ]
+    (List.sort compare started);
+  Alcotest.(check (list string)) "one done line per workload" [ "canneal"; "dedup" ]
+    (List.sort compare (List.map (fun (w, _, _) -> w) finished));
+  List.iter
+    (fun (w, mi, ev) ->
+      let instr, evictions = counts w in
+      Alcotest.(check string) (w ^ " instructions") (Printf.sprintf "%.1f" (float instr /. 1e6)) mi;
+      Alcotest.(check int) (w ^ " evictions") evictions ev)
+    finished
+
+let test_progress_failed_run () =
+  let code, lines = Cli.stderr "sigil_run" "blackscholes --instr-budget 1000 --progress" in
+  Alcotest.(check int) "exit code" 3 code;
+  Alcotest.(check (list string)) "started, one FAILED progress line, the cause"
+    [
+      "[1/1] blackscholes(simsmall) started";
+      "[1/1] blackscholes(simsmall) FAILED (0.0Mi, 0 evictions)";
+      "sigil_run: FAILED blackscholes@simsmall: instruction budget 1000 exhausted (clock 1001)";
+    ]
+    lines
+
 let () =
   Alcotest.run "driver_faults"
     [
@@ -225,5 +285,7 @@ let () =
           Alcotest.test_case "bench arguments rejected" `Quick test_cli_bench_arguments_rejected;
           Alcotest.test_case "unknown histogram function" `Quick
             test_cli_unknown_histogram_function;
+          Alcotest.test_case "progress lines match the runs" `Quick test_progress_plain;
+          Alcotest.test_case "progress on a failed run" `Quick test_progress_failed_run;
         ] );
     ]

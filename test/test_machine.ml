@@ -202,6 +202,100 @@ let test_calls_allocate_nothing () =
   Alcotest.(check (float 0.)) "minor words for 10 k enter/leave pairs" 0. (words -. empty);
   Alcotest.(check int) "stack unwound" 0 (Dbi.Machine.stack_depth m)
 
+(* Epoch hooks. [drive ?mid m] runs a fixed mix of ops and accesses,
+   including one op that jumps past several multiples of 2^16, calling
+   [mid m] once when the clock first passes 200_000; it returns every
+   clock value an event left, in order. *)
+let epoch = 1 lsl 16
+
+let drive ?(mid = ignore) m =
+  let clocks = ref [ Dbi.Machine.now m ] in
+  let record () = clocks := Dbi.Machine.now m :: !clocks in
+  let called = ref false in
+  let _ = Dbi.Machine.enter m "main" in
+  for i = 1 to 100_000 do
+    Dbi.Machine.op m Dbi.Event.Int_op (1 + (i mod 13));
+    record ();
+    if i mod 3 = 0 then begin
+      Dbi.Machine.read m 0x200000 8;
+      record ()
+    end;
+    if i mod 5 = 0 then begin
+      Dbi.Machine.write m 0x200008 4;
+      record ()
+    end;
+    if i = 10_000 then begin
+      Dbi.Machine.op m Dbi.Event.Fp_op (3 * epoch + 17);
+      record ()
+    end;
+    if (not !called) && Dbi.Machine.now m > 200_000 then begin
+      called := true;
+      mid m
+    end
+  done;
+  Dbi.Machine.leave m;
+  List.rev !clocks
+
+let hooked ?mid () =
+  let m = fresh () in
+  let seen = ref [] in
+  Dbi.Machine.on_epoch m (fun m -> seen := Dbi.Machine.now m :: !seen);
+  let clocks = drive ?mid m in
+  (clocks, List.rev !seen)
+
+(* The first value after each multiple of 2^16 that [clocks] crosses,
+   once per event however many multiples it crosses. *)
+let epoch_firsts clocks =
+  let rec go = function
+    | prev :: (c :: _ as rest) -> if c / epoch > prev / epoch then c :: go rest else go rest
+    | [ _ ] | [] -> []
+  in
+  go clocks
+
+let test_epoch_hook_clock () =
+  let clocks, seen = hooked () in
+  let _, again = hooked () in
+  Alcotest.(check (list int)) "same clock values on a second run" seen again;
+  Alcotest.(check bool) "the run spans many epochs" true (List.length seen > 10);
+  Alcotest.(check bool) "one event crosses several multiples" true
+    (List.exists2 (fun a b -> (b / epoch) - (a / epoch) > 1) (List.rev (List.tl (List.rev clocks)))
+       (List.tl clocks));
+  (* registered at clock 0: it fires at the first event, then at the first
+     value at or past each multiple *)
+  Alcotest.(check (list int)) "first event, then each epoch's first value"
+    (List.nth clocks 1 :: epoch_firsts (List.tl clocks))
+    seen
+
+let test_epoch_hook_registered_mid_run () =
+  let late = ref [] in
+  let at = ref 0 in
+  let mid m =
+    at := Dbi.Machine.now m;
+    Dbi.Machine.on_epoch m (fun m -> late := Dbi.Machine.now m :: !late)
+  in
+  let clocks, seen = hooked ~mid () in
+  let _, unperturbed = hooked () in
+  let late = List.rev !late in
+  let rec after = function c :: rest -> if c > !at then c :: rest else after rest | [] -> [] in
+  let from_next = after clocks in
+  Alcotest.(check int) "fires at the next event" (List.hd from_next) (List.hd late);
+  Alcotest.(check (list int)) "then at each epoch's first value" (epoch_firsts from_next)
+    (List.tl late);
+  Alcotest.(check (list int)) "the earlier hook is unperturbed" unperturbed seen
+
+exception Hook_abort of int
+
+let test_epoch_hook_raises () =
+  let m = fresh () in
+  Dbi.Machine.on_epoch m (fun m ->
+      if Dbi.Machine.now m >= 2 * epoch then raise (Hook_abort (Dbi.Machine.now m)));
+  let expected = List.find (fun c -> c >= 2 * epoch) (drive (fresh ())) in
+  match drive m with
+  | _ -> Alcotest.fail "the hook's exception never escaped"
+  | exception Hook_abort now ->
+    Alcotest.(check int) "aborted at the epoch's first value" expected now;
+    Alcotest.(check int) "the clock stopped there" now (Dbi.Machine.now m)
+
 let () =
   Alcotest.run "machine"
     [
@@ -221,5 +315,9 @@ let () =
           Alcotest.test_case "stripped machine" `Quick test_stripped_machine;
           Alcotest.test_case "bad event args" `Quick test_bad_event_args;
           Alcotest.test_case "calls allocate nothing" `Quick test_calls_allocate_nothing;
+          Alcotest.test_case "epoch hook clock" `Quick test_epoch_hook_clock;
+          Alcotest.test_case "epoch hook registered mid-run" `Quick
+            test_epoch_hook_registered_mid_run;
+          Alcotest.test_case "epoch hook raises" `Quick test_epoch_hook_raises;
         ] );
     ]

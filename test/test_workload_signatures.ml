@@ -129,7 +129,7 @@ let test_vips_lifetime_ordering () =
     List.fold_left
       (fun acc ctx -> max acc (Sigil.Reuse.avg_lifetime reuse ctx))
       0.0
-      (Analysis.Reuse_report.find_contexts tool name)
+      (Analysis.Reuse_report.find_contexts (Sigil.Profile_io.snapshot_of_tool tool) name)
   in
   let conv = avg "conv_gen" and xyz = avg "imb_XYZ2Lab" in
   Alcotest.(check bool)
