@@ -629,16 +629,16 @@ let suite_bench () =
           pf "FAILED (%s): %s\n" which (Driver.Run_error.to_string e))
       results
   in
-  let t0 = Dbi.Runner.monotonic_s () in
+  let t0 = Dbi.Machine.monotonic_s () in
   let seq = Driver.run_many (jobs ()) in
-  let sequential_s = Dbi.Runner.monotonic_s () -. t0 in
-  let t1 = Dbi.Runner.monotonic_s () in
+  let sequential_s = Dbi.Machine.monotonic_s () -. t0 in
+  let t1 = Dbi.Machine.monotonic_s () in
   let par =
     if domains > 1 then
       Pool.with_pool ~domains (fun p -> Driver.run_many ~pool:p (jobs ()))
     else Driver.run_many (jobs ())
   in
-  let parallel_s = Dbi.Runner.monotonic_s () -. t1 in
+  let parallel_s = Dbi.Machine.monotonic_s () -. t1 in
   report_failures "sequential" seq;
   report_failures "parallel" par;
   let fp_seq = fingerprint seq and fp_par = fingerprint par in
@@ -765,7 +765,7 @@ let parse_args args =
    section at simsmall. The events section writes BENCH_events.json and
    the suite section BENCH_suite.json. *)
 let () =
-  let t0 = Dbi.Runner.monotonic_s () in
+  let t0 = Dbi.Machine.monotonic_s () in
   let selected, domains = parse_args (List.tl (Array.to_list Sys.argv)) in
   suite_domains := domains;
   let pool = if domains > 1 then Some (Pool.create ~domains ()) else None in
@@ -775,7 +775,7 @@ let () =
   (match pool with Some p -> Pool.shutdown p | None -> ());
   banner
     (Printf.sprintf "done in %.1fs (%d domain%s)"
-       (Dbi.Runner.monotonic_s () -. t0)
+       (Dbi.Machine.monotonic_s () -. t0)
        domains
        (if domains = 1 then "" else "s"));
   if !alloc_failures > 0 then exit 1;

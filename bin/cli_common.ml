@@ -75,7 +75,7 @@ let resolve name =
   match Workloads.Suite.find name with
   | Ok w -> w
   | Error e ->
-    prerr_endline e;
+    prerr_endline ("error: " ^ e);
     exit 2
 
 let with_max_chunks options = function

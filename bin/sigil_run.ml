@@ -36,7 +36,7 @@ let run names scale limit max_chunks stripped domains timeout budget events_path
      List.iter
        (fun (flag, set) ->
          if set then begin
-           Format.eprintf "sigil_run: %s requires a single WORKLOAD@." flag;
+           Format.eprintf "error: %s requires a single WORKLOAD@." flag;
            exit 2
          end)
        single_only);

@@ -36,6 +36,13 @@ exception Timeout of { limit_s : float; now : int }
     event call, aborting the run. *)
 val on_epoch : t -> (t -> unit) -> unit
 
+(** [monotonic_s ()] is a monotonic wall-clock reading in seconds
+    (CLOCK_MONOTONIC; an arbitrary epoch, so only differences are
+    meaningful). Unlike [Unix.gettimeofday] it never goes backwards under
+    NTP adjustment — the timeout guard, the runner's elapsed time, the
+    progress heartbeat and the benchmark harness all read this clock. *)
+val monotonic_s : unit -> float
+
 (** Aggregate event counters, available even with no tool attached (the
     "native" run of the overhead experiments still knows its own size). *)
 type counters = {

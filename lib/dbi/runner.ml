@@ -3,19 +3,15 @@ type result = {
   elapsed_s : float;
 }
 
-external monotonic_ns : unit -> int64 = "dbi_monotonic_ns"
-
-let monotonic_s () = Int64.to_float (monotonic_ns ()) /. 1e9
-
 let run ?(stripped = false) ?call_overhead ?budget ?timeout_s ?(tools = []) ?on_start workload
     =
   let machine = Machine.create ~stripped ?call_overhead ?budget ?timeout_s () in
   List.iter (fun make -> Machine.attach machine (make machine)) tools;
   (match on_start with Some f -> f machine | None -> ());
-  let t0 = monotonic_s () in
+  let t0 = Machine.monotonic_s () in
   workload machine;
   Machine.finish machine;
-  let t1 = monotonic_s () in
+  let t1 = Machine.monotonic_s () in
   { machine; elapsed_s = t1 -. t0 }
 
 let time_native workload = run ~tools:[] workload

@@ -10,13 +10,6 @@ type result = {
   elapsed_s : float; (** host wall-clock seconds for the guest run *)
 }
 
-(** [monotonic_s ()] is a monotonic wall-clock reading in seconds
-    (CLOCK_MONOTONIC; an arbitrary epoch, so only differences are
-    meaningful). Unlike [Unix.gettimeofday] it never goes backwards under
-    NTP adjustment — every elapsed-time measurement in the runner and the
-    benchmark harness uses this. *)
-val monotonic_s : unit -> float
-
 (** [run ~stripped ~tools workload] executes [workload machine] with every
     tool in [tools] attached (tool constructors receive the machine first,
     Valgrind-style). [Machine.finish] is called on normal return.

@@ -18,7 +18,7 @@ type t = {
 }
 
 let redraw_interval_s = 0.5
-let now_s = Dbi.Runner.monotonic_s
+let now_s = Dbi.Machine.monotonic_s
 
 (* On the job's own domain, under the lock. *)
 let sample h =

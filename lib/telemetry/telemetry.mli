@@ -9,7 +9,7 @@
       written. The same (workload, scale, options) triple produces the
       same value on every host, at every [--domains] level. These are the
       testable metrics: golden values in the suite, byte-identical JSON
-      between sequential and parallel runs in CI.
+      between sequential and parallel runs in [test/cli/stats.t].
     - {b wall-clock} ([Wall]): phase timings, throughput, per-domain task
       distribution — anything the host scheduler can perturb. Reported,
       never asserted.
