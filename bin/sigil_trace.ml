@@ -50,7 +50,8 @@ let inspect path check =
       Format.printf "%s: binary %s (version %d)@." path
         (Tracefile.Frame.kind_name (Tracefile.Reader.kind r))
         (Tracefile.Reader.version r);
-      Format.printf "  options:     %s@." (Tracefile.Reader.options_tag r);
+      let options = Tracefile.Reader.options_tag r in
+      Format.printf "  options:     %s@." (if options = "" then "-" else options);
       Format.printf "  records:     %d@." (Tracefile.Reader.entry_count r);
       Format.printf "  chunks:      %d (target %d B)@." (Tracefile.Reader.chunk_count r)
         (Tracefile.Reader.chunk_bytes r);

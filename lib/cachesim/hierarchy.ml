@@ -21,19 +21,6 @@ type counts = {
 let zero_counts =
   { ir = 0; dr = 0; dw = 0; i1mr = 0; d1mr = 0; d1mw = 0; ilmr = 0; dlmr = 0; dlmw = 0 }
 
-let add_counts a b =
-  {
-    ir = a.ir + b.ir;
-    dr = a.dr + b.dr;
-    dw = a.dw + b.dw;
-    i1mr = a.i1mr + b.i1mr;
-    d1mr = a.d1mr + b.d1mr;
-    d1mw = a.d1mw + b.d1mw;
-    ilmr = a.ilmr + b.ilmr;
-    dlmr = a.dlmr + b.dlmr;
-    dlmw = a.dlmw + b.dlmw;
-  }
-
 (* The nine counters live in [t] itself and are bumped in place: an
    access allocates nothing. [counts] assembles a record on request. *)
 type t = {

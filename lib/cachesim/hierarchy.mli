@@ -27,7 +27,6 @@ type counts = {
 }
 
 val zero_counts : counts
-val add_counts : counts -> counts -> counts
 
 val create : config -> t
 

@@ -5,5 +5,3 @@ let ll_penalty = 100
 let cycles (c : Cost.t) =
   c.ir + (branch_penalty * c.bcm) + (l1_penalty * Cost.l1_misses c)
   + (ll_penalty * Cost.ll_misses c)
-
-let seconds ?(ghz = 1.0) c = float_of_int (cycles c) /. (ghz *. 1e9)

@@ -8,13 +8,5 @@
     i.e. one cycle per retired instruction, 10 per branch mispredict, 10 per
     first-level cache miss, 100 per last-level miss. *)
 
-val branch_penalty : int
-val l1_penalty : int
-val ll_penalty : int
-
 (** [cycles cost] is the estimated cycle count for a cost record. *)
 val cycles : Cost.t -> int
-
-(** [seconds ?ghz cost] converts to seconds at a nominal clock
-    (default 1 GHz). *)
-val seconds : ?ghz:float -> Cost.t -> float

@@ -156,15 +156,5 @@ let inclusive_cost t ctx =
 
 let total t = inclusive_cost t Dbi.Context.root
 
-let fold t f acc =
-  let result = ref acc in
-  Array.iteri
-    (fun ctx cost ->
-      match cost with
-      | Some c -> result := f ctx c !result
-      | None -> ())
-    t.costs;
-  !result
-
 let machine t = t.machine
 let hierarchy t = t.hierarchy

@@ -28,9 +28,6 @@ val inclusive_cost : t -> Dbi.Context.id -> Cost.t
 (** [total t] is the whole-program cost (inclusive cost of the root). *)
 val total : t -> Cost.t
 
-(** [fold t f acc] folds over all contexts with a recorded cost. *)
-val fold : t -> (Dbi.Context.id -> Cost.t -> 'a -> 'a) -> 'a -> 'a
-
 val machine : t -> Dbi.Machine.t
 
 (** The simulated cache hierarchy, for its whole-run counters. *)

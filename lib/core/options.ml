@@ -24,7 +24,6 @@ let default =
 let with_reuse t = { t with reuse_mode = true }
 let with_stats t = { t with collect_stats = true }
 let with_events t = { t with collect_events = true }
-let with_per_byte_shadow t = { t with per_byte_shadow = true }
 
 let with_line_size t size =
   if size <= 0 || size land (size - 1) <> 0 then

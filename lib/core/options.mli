@@ -17,10 +17,13 @@ type t = {
           freed FIFO ("free up space from shadow bytes of addresses that
           have been least recently touched"); [None] = unlimited *)
   per_byte_shadow : bool;
-      (** drive the shadow engine one byte at a time instead of through the
-          range-batched fast path. Reference implementation kept for
-          differential testing and the range-vs-per-byte ablation; output
-          is identical, only slower. *)
+      (** always [false]: {!Tool.create} rejects a set value. The per-byte
+          shadow engine is gone; the differential oracle for the shadow is
+          the spec in [test/sigil_spec.ml]. The field stays only because
+          perfbench reads it and its [per_byte=false] token is in every
+          trace header ({!fingerprint}), so its trace sizes depend on it;
+          both go with the benchmark change that rewrites
+          [perfbench/references.json]. *)
   instr_budget : int option;
       (** fault-isolation guard: abort the run (raising
           [Dbi.Machine.Budget_exhausted]) once the retired-instruction
@@ -43,7 +46,6 @@ val default : t
 val with_reuse : t -> t
 val with_stats : t -> t
 val with_events : t -> t
-val with_per_byte_shadow : t -> t
 val with_line_size : t -> int -> t
 val with_max_chunks : t -> int -> t
 val with_instr_budget : t -> int -> t

@@ -88,9 +88,6 @@ let record_run t ~producer ~consumer ~bytes ~unique_bytes =
     e.unique_bytes <- e.unique_bytes + unique_bytes
   end
 
-let record_read t ~producer ~consumer ~unique ~bytes =
-  record_run t ~producer ~consumer ~bytes ~unique_bytes:(if unique then bytes else 0)
-
 let record_write t ~ctx ~bytes =
   let s = stats t ctx in
   s.written <- s.written + bytes
@@ -104,29 +101,6 @@ let record_ops t ~ctx kind count =
 let record_call t ~ctx =
   let s = stats t ctx in
   s.calls <- s.calls + 1
-
-let merge ~into src =
-  for ctx = 0 to Array.length src.stats - 1 do
-    match src.stats.(ctx) with
-    | None -> ()
-    | Some s ->
-      let d = stats into ctx in
-      d.input_unique <- d.input_unique + s.input_unique;
-      d.input_nonunique <- d.input_nonunique + s.input_nonunique;
-      d.local_unique <- d.local_unique + s.local_unique;
-      d.local_nonunique <- d.local_nonunique + s.local_nonunique;
-      d.written <- d.written + s.written;
-      d.int_ops <- d.int_ops + s.int_ops;
-      d.fp_ops <- d.fp_ops + s.fp_ops;
-      d.calls <- d.calls + s.calls
-  done;
-  Hashtbl.iter
-    (fun _ (e : edge) ->
-      let d = edge into e.src e.dst in
-      d.bytes <- d.bytes + e.bytes;
-      d.unique_bytes <- d.unique_bytes + e.unique_bytes)
-    src.edges;
-  into.last_edge <- no_edge
 
 let edges t = Hashtbl.fold (fun _ e acc -> e :: acc) t.edges []
 let contexts t =

@@ -34,17 +34,12 @@ val create : unit -> t
 (** [stats t ctx] is the live stats record for [ctx] (created on demand). *)
 val stats : t -> Dbi.Context.id -> fn_stats
 
-(** [record_read t ~producer ~consumer ~unique ~bytes] classifies a read:
-    local when [producer = consumer], otherwise input for the consumer and
-    an edge [producer -> consumer]. Reads of never-written data arrive with
-    [producer = Dbi.Context.root] (program input). *)
-val record_read :
-  t -> producer:Dbi.Context.id -> consumer:Dbi.Context.id -> unique:bool -> bytes:int -> unit
-
 (** [record_run t ~producer ~consumer ~bytes ~unique_bytes] records one
     coalesced run of {!Shadow.read_range} — [bytes] total of which
     [unique_bytes] were first-use — with a single stats and edge update.
-    [record_read] is the single-flag special case. *)
+    The read is local when [producer = consumer], otherwise input for the
+    consumer and an edge [producer -> consumer]. Reads of never-written
+    data arrive with [producer = Dbi.Context.root] (program input). *)
 val record_run :
   t ->
   producer:Dbi.Context.id ->
@@ -56,17 +51,6 @@ val record_run :
 val record_write : t -> ctx:Dbi.Context.id -> bytes:int -> unit
 val record_ops : t -> ctx:Dbi.Context.id -> Dbi.Event.op_kind -> int -> unit
 val record_call : t -> ctx:Dbi.Context.id -> unit
-
-(** [merge ~into src] adds every stat and edge of [src] into [into].
-
-    All fields are sums, so merging is commutative and associative: folding
-    any permutation of a profile list into an empty profile yields the same
-    aggregate — which is what lets the domain-parallel suite runner reduce
-    shard profiles in completion order without losing determinism. Both
-    profiles must index the {e same} context tree (repeated or sharded runs
-    of one deterministic workload); merging across unrelated trees is
-    meaningless. [src] is not modified. *)
-val merge : into:t -> t -> unit
 
 (** All communication edges, unordered. *)
 val edges : t -> edge list

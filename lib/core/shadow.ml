@@ -9,12 +9,6 @@ let null_sink =
     on_version_end = (fun ~producer:_ ~nonunique:_ -> ());
   }
 
-type read_result = {
-  producer : Dbi.Context.id;
-  producer_call : int;
-  unique : bool;
-}
-
 let chunk_bits = 12
 let chunk_size = 1 lsl chunk_bits
 let chunk_bytes = chunk_size
@@ -133,11 +127,11 @@ let create ?(reuse = false) ?(track_writer_call = false) ?max_chunks ?(sink = nu
    per shadowed guest byte; each 16-bit plane adds a small bigarray
    header. *)
 let per_chunk_bytes reuse track_writer_call =
-  let bytes_per_byte =
+  let shadow_bytes =
     2 + 2 + 4 + (if track_writer_call then 4 else 0) + if reuse then 16 else 0
   in
   let planes = 4 + (if track_writer_call then 2 else 0) + if reuse then 8 else 0 in
-  (bytes_per_byte * chunk_size) + (planes * 16)
+  (shadow_bytes * chunk_size) + (planes * 16)
 
 let page_bytes = (page_slots * 8) + 16
 
@@ -329,17 +323,6 @@ let[@inline] packed_producer p = p lsr 33
 let[@inline] packed_producer_call p = (p lsr 1) land max_u32
 let[@inline] packed_unique p = p land 1 = 1
 
-let read t ~ctx ~call ~now addr =
-  check_packed ctx call now;
-  let c = chunk_for t addr in
-  let i = addr land (chunk_size - 1) in
-  let p = read_byte c i ~ctx ~call ~now t.sink in
-  {
-    producer = packed_producer p;
-    producer_call = packed_producer_call p;
-    unique = packed_unique p;
-  }
-
 let[@inline] check_range addr len =
   if len <= 0 then invalid_arg "Shadow: range length must be positive";
   if addr < 0 || addr > max_address - len then invalid_arg "Shadow: address out of range"
@@ -467,11 +450,6 @@ let[@inline] write_byte t (c : chunk) i ~ctx ~call =
   | Some _ -> if byte_live c i then flush_byte t c i);
   Bigarray.Array1.unsafe_set c.writer i ctx;
   match c.writer_call with None -> () | Some wc -> u32_set wc i call
-
-let write t ~ctx ~call ~now:_ addr =
-  check_packed ctx call 0;
-  let c = chunk_for t addr in
-  write_byte t c (addr land (chunk_size - 1)) ~ctx ~call
 
 let write_span_fast (c : chunk) i0 span ~ctx =
   let reader_a = c.reader in

@@ -49,52 +49,38 @@ type sink = {
           [producer = Dbi.Context.root]. Only emitted in reuse mode. *)
 }
 
-(** Result of shadowing one read. *)
-type read_result = {
-  producer : Dbi.Context.id;
-      (** last writer, or {!Dbi.Context.root} when the byte was never
-          written (program input) *)
-  producer_call : int;
-      (** the producer's call number, when [track_writer_call] was set
-          (0 otherwise) — event files need it to attach transfer edges to
-          the right call of the producer *)
-  unique : bool;
-      (** first read by this (context, call) since the last write — the
-          reason Table I stores both the last reader and its call number.
-          Cross-call re-reads by the same function are unique: an
-          accelerator re-fetches its inputs on every invocation. *)
-}
-
 (** [create ~reuse ~track_writer_call ~max_chunks ~sink ()] builds an empty
     table. [reuse] allocates the extended shadow objects;
     [track_writer_call] adds the producer call number (used in event-file
     mode). *)
 val create : ?reuse:bool -> ?track_writer_call:bool -> ?max_chunks:int -> ?sink:sink -> unit -> t
 
-(** [read t ~ctx ~call ~now addr] classifies and records a 1-byte read.
-
-    @raise Invalid_argument if [addr] is outside the shadowed region. *)
-val read : t -> ctx:Dbi.Context.id -> call:int -> now:int -> int -> read_result
-
-(** [write t ~ctx ~call ~now addr] records a 1-byte write: the previous
-    version (if any) is flushed to the sink and [ctx] becomes the
-    producer. *)
-val write : t -> ctx:Dbi.Context.id -> call:int -> now:int -> int -> unit
-
 (** [read_range t ~ctx ~call ~now addr len on_run] shadows a [len]-byte
-    read as one operation and reports it as {e runs}: maximal spans of
-    consecutive bytes that share the same producer and producer call. The
-    chunk is resolved once per within-chunk span, and the caller pays its
-    per-access accounting (profile update, transfer accumulation) once per
-    run instead of once per byte. Byte-for-byte equivalent to [len] calls
-    of {!read}: same classification, same sink callbacks in the same order.
+    read by call [call] of context [ctx] as one operation and reports it
+    as {e runs}: maximal spans of consecutive bytes that share the same
+    producer and producer call. The chunk is resolved once per
+    within-chunk span, and the caller pays its per-access accounting
+    (profile update, transfer accumulation) once per run instead of once
+    per byte.
+
+    Each byte is classified as Table I prescribes. Its producer is its last
+    writer, or {!Dbi.Context.root} when it was never written (program
+    input). Its read is {e unique} (first use) unless [(ctx, call)] is the
+    byte's last reader since its last write — the reason Table I stores
+    both the last reader and its call number. Cross-call re-reads by the
+    same function are unique: an accelerator re-fetches its inputs on
+    every invocation. A read by any other reader in between also makes
+    the next read unique again (one last reader per byte, not a reader
+    set).
 
     Callback contract:
     - [on_run ~producer ~producer_call ~bytes ~unique_bytes] is called once
       per run, in address order, before [read_range] returns. [bytes] is
       positive and the [bytes] of one call sum to [len]; [unique_bytes] of
-      them were first-use reads (see {!read_result.unique});
-      [producer_call] is 0 unless [track_writer_call] was set.
+      them were unique reads. [producer_call] is the producer's call
+      number when [track_writer_call] was set (event files need it to
+      attach transfer edges to the right call of the producer), and 0
+      otherwise.
     - Two consecutive runs never share both [producer] and
       [producer_call]. Runs coalesce across chunk boundaries.
     - Sink callbacks (episode and version ends, including those of chunks
@@ -119,8 +105,9 @@ val read_range :
   unit
 
 (** [write_range t ~ctx ~call ~now addr len] records a [len]-byte write,
-    resolving each chunk once per span. Equivalent to [len] calls of
-    {!write}. *)
+    resolving each chunk once per span: each byte's previous version (if
+    any) is flushed to the sink and [ctx], call [call], becomes its
+    producer. *)
 val write_range : t -> ctx:Dbi.Context.id -> call:int -> now:int -> int -> int -> unit
 
 (** [flush t] ends every live episode and version (program end). The table

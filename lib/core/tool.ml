@@ -133,6 +133,8 @@ let create ?(options = Options.default) ?event_sink machine =
      turns them on even without the option *)
   if options.Options.collect_events && event_sink = None then
     invalid_arg "Sigil.Tool.create: collect_events needs an event_sink";
+  if options.Options.per_byte_shadow then
+    invalid_arg "Sigil.Tool.create: per_byte_shadow is no longer supported";
   let events_dispatched = ref 0 in
   let sink =
     Option.map
@@ -209,20 +211,6 @@ let[@inline] xfer_add t frame ~producer ~producer_call ~bytes ~unique_bytes =
   if producer <> frame.ctx || producer_call <> frame.call then
     xfers_add t.xfers (xfer_key producer producer_call) ~bytes ~unique_bytes
 
-(* Per-byte reference path (Options.per_byte_shadow): the pre-range
-   implementation, kept for differential tests and the ablation. *)
-let byte_read t frame addr =
-  let r =
-    Shadow.read t.shadow ~ctx:frame.ctx ~call:frame.call ~now:(Dbi.Machine.now t.machine) addr
-  in
-  Profile.record_read t.profile ~producer:r.Shadow.producer ~consumer:frame.ctx
-    ~unique:r.Shadow.unique ~bytes:1;
-  match t.sink with
-  | None -> ()
-  | Some _ ->
-    xfer_add t frame ~producer:r.Shadow.producer ~producer_call:r.Shadow.producer_call ~bytes:1
-      ~unique_bytes:(if r.Shadow.unique then 1 else 0)
-
 let tool t : Dbi.Tool.t =
   let line_mode = t.line <> None in
   let log = t.sink <> None in
@@ -264,13 +252,8 @@ let tool t : Dbi.Tool.t =
         | Some line -> Line_shadow.touch line ~now:(Dbi.Machine.now t.machine) addr size
         | None ->
           let frame = top t in
-          if t.options.Options.per_byte_shadow then
-            for i = 0 to size - 1 do
-              byte_read t frame (addr + i)
-            done
-          else
-            Shadow.read_range t.shadow ~ctx:frame.ctx ~call:frame.call
-              ~now:(Dbi.Machine.now t.machine) addr size on_run);
+          Shadow.read_range t.shadow ~ctx:frame.ctx ~call:frame.call
+            ~now:(Dbi.Machine.now t.machine) addr size on_run);
     on_write =
       (fun ~ctx ~addr ~size ->
         match t.line with
@@ -278,12 +261,8 @@ let tool t : Dbi.Tool.t =
         | None ->
           let frame = top t in
           Profile.record_write t.profile ~ctx ~bytes:size;
-          let now = Dbi.Machine.now t.machine in
-          if t.options.Options.per_byte_shadow then
-            for i = 0 to size - 1 do
-              Shadow.write t.shadow ~ctx:frame.ctx ~call:frame.call ~now (addr + i)
-            done
-          else Shadow.write_range t.shadow ~ctx:frame.ctx ~call:frame.call ~now addr size);
+          Shadow.write_range t.shadow ~ctx:frame.ctx ~call:frame.call
+            ~now:(Dbi.Machine.now t.machine) addr size);
     on_op =
       (fun ~ctx ~kind ~count ->
         if not line_mode then begin

@@ -23,7 +23,7 @@ type t
     for arbitrarily long traces.
 
     @raise Invalid_argument when [Options.collect_events] is set and no
-    [event_sink] is given. *)
+    [event_sink] is given, or when [Options.per_byte_shadow] is set. *)
 val create : ?options:Options.t -> ?event_sink:Event_log.sink -> Dbi.Machine.t -> t
 
 (** The callback record to attach to the machine. *)

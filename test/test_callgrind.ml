@@ -79,8 +79,7 @@ let test_estimate_formula () =
   c.Callgrind.Cost.d1mr <- 3;
   c.Callgrind.Cost.dlmw <- 1;
   (* 100 + 10*2 + 10*3 + 100*1 *)
-  Alcotest.(check int) "CEst" 250 (Callgrind.Estimate.cycles c);
-  Alcotest.(check (float 1e-12)) "seconds at 1GHz" 250e-9 (Callgrind.Estimate.seconds c)
+  Alcotest.(check int) "CEst" 250 (Callgrind.Estimate.cycles c)
 
 let test_cost_arithmetic () =
   let a = Callgrind.Cost.zero () and b = Callgrind.Cost.zero () in
@@ -93,18 +92,6 @@ let test_cost_arithmetic () =
   let c = Callgrind.Cost.copy a in
   c.Callgrind.Cost.ir <- 0;
   Alcotest.(check int) "copy is independent" 12 a.Callgrind.Cost.ir
-
-let test_report_rows_sorted () =
-  let tool, _ =
-    run_guest (fun m ->
-        Dbi.Guest.call m "main" (fun () ->
-            Dbi.Guest.call m "light" (fun () -> Dbi.Guest.iop m 5);
-            Dbi.Guest.call m "heavy" (fun () -> Dbi.Guest.iop m 5000)))
-  in
-  match Callgrind.Report.rows tool with
-  | first :: _ ->
-    Alcotest.(check string) "heaviest first" "main/heavy" first.Callgrind.Report.path
-  | [] -> Alcotest.fail "no rows"
 
 let test_unvisited_ctx_zero_cost () =
   let tool, _ = run_guest (fun m -> Dbi.Guest.call m "main" (fun () -> ())) in
@@ -228,7 +215,6 @@ let () =
           Alcotest.test_case "cache misses attributed" `Quick test_cache_misses_attributed;
           Alcotest.test_case "estimate formula" `Quick test_estimate_formula;
           Alcotest.test_case "cost arithmetic" `Quick test_cost_arithmetic;
-          Alcotest.test_case "report rows sorted" `Quick test_report_rows_sorted;
           Alcotest.test_case "unvisited ctx zero cost" `Quick test_unvisited_ctx_zero_cost;
           Alcotest.test_case "simsmall goldens" `Quick test_simsmall_goldens;
           Alcotest.test_case "allocation bound" `Quick test_allocation_bound;

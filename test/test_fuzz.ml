@@ -6,6 +6,8 @@ type action =
   | Fp of int
   | Read of int * int
   | Write of int * int
+  | Memcpy of int * int * int (* dst, src, length *)
+  | Syscall of (int * int) * (int * int) (* the span the kernel reads, the one it writes *)
   | Branch of bool
   | Call of prog
 
@@ -19,27 +21,59 @@ and prog = {
 let arena = 0x200000 - 16
 let arena_size = 8192
 
+(* The 4 KiB chunk boundaries inside the arena. *)
+let boundaries = [ 0x200000; 0x201000 ]
+
+(* Where a [len]-byte span starts: anywhere in the arena, or across or
+   next to a chunk boundary. The boundary spans fall in a few dozen
+   bytes, so the same bytes are read again by the same call, by another
+   call and by another function. *)
+let gen_addr len =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun o -> arena + o) (int_range 0 (arena_size - len));
+      map2 (fun b d -> b + d) (oneofl boundaries) (int_range (-len - 8) 8);
+    ]
+
+let gen_span max_len =
+  QCheck.Gen.(int_range 1 max_len >>= fun len -> map (fun a -> (a, len)) (gen_addr len))
+
+let gen_leaf_action =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, map (fun n -> Op (1 + n)) (int_range 0 50));
+      (1, map (fun n -> Fp (1 + n)) (int_range 0 50));
+      (4, map (fun (a, s) -> Read (a, s)) (gen_span 8));
+      (3, map (fun (a, s) -> Write (a, s)) (gen_span 8));
+      (1, gen_span 160 >>= fun (src, len) -> map (fun dst -> Memcpy (dst, src, len)) (gen_addr len));
+      (1, map2 (fun r w -> Syscall (r, w)) (gen_span 160) (gen_span 160));
+      (1, map (fun b -> Branch b) bool);
+    ]
+
+let gen_name = QCheck.Gen.map (fun i -> Printf.sprintf "fn%d" i) (QCheck.Gen.int_range 0 7)
+
+(* Calls nest three deep. A callee is this function again (recursion) or
+   any other, and is sometimes called twice in a row, so its second call
+   re-reads what the first read. *)
 let gen_prog =
   let open QCheck.Gen in
-  let gen_leaf_action =
-    oneof
-      [
-        map (fun n -> Op (1 + n)) (int_range 0 50);
-        map (fun n -> Fp (1 + n)) (int_range 0 50);
-        map2 (fun a s -> Read (arena + min a (arena_size - 8), 1 + s)) (int_range 0 (arena_size - 8)) (int_range 0 7);
-        map2 (fun a s -> Write (arena + min a (arena_size - 8), 1 + s)) (int_range 0 (arena_size - 8)) (int_range 0 7);
-        map (fun b -> Branch b) bool;
-      ]
+  let rec prog depth name =
+    let callee = frequency [ (3, gen_name); (1, return name) ] >>= prog (depth - 1) in
+    let action =
+      if depth = 0 then map (fun a -> [ a ]) gen_leaf_action
+      else
+        frequency
+          [
+            (8, map (fun a -> [ a ]) gen_leaf_action);
+            (1, map (fun p -> [ Call p ]) callee);
+            (1, map (fun p -> [ Call p; Call p ]) callee);
+          ]
+    in
+    map (fun actions -> { name; actions = List.concat actions }) (list_size (int_range 0 12) action)
   in
-  let gen_name = map (fun i -> Printf.sprintf "fn%d" i) (int_range 0 7) in
-  fix
-    (fun self depth ->
-      let action =
-        if depth = 0 then gen_leaf_action
-        else frequency [ (4, gen_leaf_action); (1, map (fun p -> Call p) (self (depth - 1))) ]
-      in
-      map2 (fun name actions -> { name; actions }) gen_name (list_size (int_range 0 12) action))
-    3
+  gen_name >>= prog 3
 
 let rec interp m prog =
   Dbi.Guest.call m prog.name (fun () ->
@@ -49,6 +83,8 @@ let rec interp m prog =
           | Fp n -> Dbi.Guest.flop m n
           | Read (a, s) -> Dbi.Guest.read m a s
           | Write (a, s) -> Dbi.Guest.write m a s
+          | Memcpy (dst, src, len) -> Dbi.Guest.memcpy m ~dst ~src len
+          | Syscall (r, w) -> Dbi.Guest.syscall m "io" ~reads:[ r ] ~writes:[ w ]
           | Branch b -> Dbi.Guest.branch m b
           | Call p -> interp m p)
         prog.actions)
@@ -62,6 +98,9 @@ let rec print_prog p =
             | Fp n -> Printf.sprintf "f%d" n
             | Read (a, s) -> Printf.sprintf "r%d+%d" (a - arena) s
             | Write (a, s) -> Printf.sprintf "w%d+%d" (a - arena) s
+            | Memcpy (dst, src, len) -> Printf.sprintf "m%d<-%d+%d" (dst - arena) (src - arena) len
+            | Syscall ((ra, rl), (wa, wl)) ->
+              Printf.sprintf "s(r%d+%d,w%d+%d)" (ra - arena) rl (wa - arena) wl
             | Branch b -> if b then "b1" else "b0"
             | Call p -> print_prog p)
           p.actions))
@@ -186,32 +225,6 @@ let prop_reuse_consistent =
       let touched_bytes = c.Dbi.Machine.read_bytes + c.Dbi.Machine.written_bytes in
       elements <= max 1 touched_bytes)
 
-(* Differential check of the range-batched shadow engine: the same random
-   program driven through Shadow.read_range/write_range (default) and
-   through the per-byte reference loop must produce bit-identical profiles,
-   event logs, and reuse statistics. *)
-let run_differential ?range_log ?per_byte_log prog options =
-  let range = ref None and per_byte = ref None in
-  let _ =
-    Dbi.Runner.run ~call_overhead:0
-      ~tools:
-        [
-          (fun m ->
-            let t = Sigil.Tool.create ~options ?event_sink:(Option.map into range_log) m in
-            range := Some t;
-            Sigil.Tool.tool t);
-          (fun m ->
-            let t =
-              Sigil.Tool.create ~options:(Sigil.Options.with_per_byte_shadow options)
-                ?event_sink:(Option.map into per_byte_log) m
-            in
-            per_byte := Some t;
-            Sigil.Tool.tool t);
-        ]
-      (fun m -> interp m prog)
-  in
-  (Option.get !range, Option.get !per_byte)
-
 let profiles_equal a b =
   let ctxs p = Sigil.Profile.contexts p in
   let stats_of p ctx =
@@ -232,30 +245,44 @@ let profiles_equal a b =
   && List.for_all (fun ctx -> stats_of a ctx = stats_of b ctx) (ctxs a)
   && edges a = edges b
 
+(* Differential check of the range-batched shadow engine against the
+   per-byte reference: the Table I spec of sigil_spec.ml, which shares no
+   code with the engine. Every generated program runs in byte, reuse and
+   events modes; the tool and the spec must agree on every context's
+   stats and every edge, the eviction count, and, where the mode has
+   them, the reuse statistics and the event stream. *)
+let modes =
+  Sigil.Options.
+    [
+      ("byte", default);
+      ("reuse", with_reuse default);
+      ("events", with_events default);
+      ("events+reuse", with_events (with_reuse default));
+    ]
+
+let matches_spec ?max_chunks prog =
+  List.for_all
+    (fun (mode, options) ->
+      let options =
+        match max_chunks with
+        | Some n -> Sigil.Options.with_max_chunks options n
+        | None -> options
+      in
+      match Sigil_spec.check ~call_overhead:0 ~options (fun m -> interp m prog) with
+      | Ok _ -> true
+      | Error e -> QCheck.Test.fail_reportf "%s mode: %s" mode e)
+    modes
+
 let prop_range_matches_per_byte =
   QCheck.Test.make ~name:"range engine bit-identical to per-byte reference" ~count:120
-    arbitrary (fun prog ->
-      let range_log = ref [] and per_byte_log = ref [] in
-      let range, per_byte =
-        run_differential ~range_log ~per_byte_log prog
-          Sigil.Options.(with_events (with_reuse default))
-      in
-      let bins t = Sigil.Reuse.version_bins (Sigil.Tool.reuse t) in
-      profiles_equal (Sigil.Tool.profile range) (Sigil.Tool.profile per_byte)
-      && bins range = bins per_byte
-      && !range_log = !per_byte_log)
+    arbitrary matches_spec
 
+(* The arena spans three chunks: one or two live chunks evict on most
+   programs, often in the middle of a range. *)
 let prop_range_matches_per_byte_limited =
-  QCheck.Test.make ~name:"range engine matches per-byte under FIFO eviction" ~count:60
-    arbitrary (fun prog ->
-      (* max_chunks 1 forces evictions on every cross-chunk access; the
-         arena spans two chunks, so random traces hit the mid-range path *)
-      let options = Sigil.Options.(with_max_chunks (with_reuse default) 1) in
-      let range, per_byte = run_differential prog options in
-      profiles_equal (Sigil.Tool.profile range) (Sigil.Tool.profile per_byte)
-      && Sigil.Reuse.version_bins (Sigil.Tool.reuse range)
-         = Sigil.Reuse.version_bins (Sigil.Tool.reuse per_byte)
-      && Sigil.Tool.shadow_evictions range = Sigil.Tool.shadow_evictions per_byte)
+  QCheck.Test.make ~name:"range engine matches per-byte under FIFO eviction" ~count:80
+    QCheck.(pair arbitrary (1 -- 2))
+    (fun (prog, max_chunks) -> matches_spec ~max_chunks prog)
 
 (* Single-tool runner for the line-shadow and telemetry properties. *)
 let run_one ?log options prog =
@@ -276,12 +303,27 @@ let run_one ?log options prog =
 (* Reference model for the line shadow: per-line access counts computed
    straight off the action list, independent of any shadow machinery. *)
 let rec line_counts tbl line_bits prog =
+  let access a s =
+    for line = a lsr line_bits to (a + s - 1) lsr line_bits do
+      Hashtbl.replace tbl line (1 + Option.value ~default:0 (Hashtbl.find_opt tbl line))
+    done
+  in
+  (* memcpy and the kernel access their spans a word at a time *)
+  let rec words a len =
+    if len > 0 then begin
+      access a (min 8 len);
+      words (a + 8) (len - 8)
+    end
+  in
   List.iter
     (function
-      | Read (a, s) | Write (a, s) ->
-        for line = a lsr line_bits to (a + s - 1) lsr line_bits do
-          Hashtbl.replace tbl line (1 + Option.value ~default:0 (Hashtbl.find_opt tbl line))
-        done
+      | Read (a, s) | Write (a, s) -> access a s
+      | Memcpy (dst, src, len) ->
+        words src len;
+        words dst len
+      | Syscall ((ra, rl), (wa, wl)) ->
+        words ra rl;
+        words wa wl
       | Call p -> line_counts tbl line_bits p
       | Op _ | Fp _ | Branch _ -> ())
     prog.actions
@@ -322,7 +364,6 @@ let gen_aligned_prog =
         map (fun a -> Write (arena + (8 * a), 8)) (int_range 0 ((arena_size / 8) - 1));
       ]
   in
-  let gen_name = map (fun i -> Printf.sprintf "fn%d" i) (int_range 0 7) in
   fix
     (fun self depth ->
       let action =

@@ -1,10 +1,14 @@
 open Sigil
 
+(* A read of [bytes] bytes, all unique or all re-used. *)
+let record_read p ~producer ~consumer ~unique ~bytes =
+  Profile.record_run p ~producer ~consumer ~bytes ~unique_bytes:(if unique then bytes else 0)
+
 let test_local_vs_input () =
   let p = Profile.create () in
-  Profile.record_read p ~producer:1 ~consumer:1 ~unique:true ~bytes:4;
-  Profile.record_read p ~producer:2 ~consumer:1 ~unique:true ~bytes:8;
-  Profile.record_read p ~producer:2 ~consumer:1 ~unique:false ~bytes:2;
+  record_read p ~producer:1 ~consumer:1 ~unique:true ~bytes:4;
+  record_read p ~producer:2 ~consumer:1 ~unique:true ~bytes:8;
+  record_read p ~producer:2 ~consumer:1 ~unique:false ~bytes:2;
   let s = Profile.stats p 1 in
   Alcotest.(check int) "local unique" 4 s.Profile.local_unique;
   Alcotest.(check int) "input unique" 8 s.Profile.input_unique;
@@ -13,9 +17,9 @@ let test_local_vs_input () =
 
 let test_edges_aggregate () =
   let p = Profile.create () in
-  Profile.record_read p ~producer:2 ~consumer:1 ~unique:true ~bytes:8;
-  Profile.record_read p ~producer:2 ~consumer:1 ~unique:false ~bytes:8;
-  Profile.record_read p ~producer:3 ~consumer:1 ~unique:true ~bytes:4;
+  record_read p ~producer:2 ~consumer:1 ~unique:true ~bytes:8;
+  record_read p ~producer:2 ~consumer:1 ~unique:false ~bytes:8;
+  record_read p ~producer:3 ~consumer:1 ~unique:true ~bytes:4;
   (match Profile.edges p with
   | edges ->
     Alcotest.(check int) "two edges" 2 (List.length edges);
@@ -55,7 +59,7 @@ let test_edges_aggregate () =
 
 let test_local_reads_make_no_edges () =
   let p = Profile.create () in
-  Profile.record_read p ~producer:1 ~consumer:1 ~unique:true ~bytes:100;
+  record_read p ~producer:1 ~consumer:1 ~unique:true ~bytes:100;
   Alcotest.(check int) "no edges" 0 (List.length (Profile.edges p))
 
 let test_ops_calls_writes () =
@@ -79,16 +83,16 @@ let test_contexts_listing () =
 
 let test_totals () =
   let p = Profile.create () in
-  Profile.record_read p ~producer:1 ~consumer:2 ~unique:true ~bytes:10;
-  Profile.record_read p ~producer:2 ~consumer:2 ~unique:false ~bytes:5;
+  record_read p ~producer:1 ~consumer:2 ~unique:true ~bytes:10;
+  record_read p ~producer:2 ~consumer:2 ~unique:false ~bytes:5;
   Alcotest.(check (pair int int)) "unique, total" (10, 15) (Profile.totals p)
 
 let test_edge_cache_consistency () =
   (* alternate between two edges; the one-entry cache must not misroute *)
   let p = Profile.create () in
   for _ = 1 to 10 do
-    Profile.record_read p ~producer:1 ~consumer:3 ~unique:true ~bytes:1;
-    Profile.record_read p ~producer:2 ~consumer:3 ~unique:true ~bytes:1
+    record_read p ~producer:1 ~consumer:3 ~unique:true ~bytes:1;
+    record_read p ~producer:2 ~consumer:3 ~unique:true ~bytes:1
   done;
   let by_src src =
     List.find (fun (e : Profile.edge) -> e.Profile.src = src) (Profile.edges p)
@@ -103,7 +107,7 @@ let qcheck_unique_bounded =
       let p = Profile.create () in
       List.iter
         (fun (producer, consumer, unique) ->
-          Profile.record_read p ~producer ~consumer ~unique ~bytes:3)
+          record_read p ~producer ~consumer ~unique ~bytes:3)
         reads;
       List.for_all
         (fun (e : Profile.edge) -> e.Profile.unique_bytes <= e.Profile.bytes)
@@ -116,7 +120,7 @@ let qcheck_totals_conserved =
       let p = Profile.create () in
       List.iter
         (fun (producer, consumer, unique) ->
-          Profile.record_read p ~producer ~consumer ~unique ~bytes:2)
+          record_read p ~producer ~consumer ~unique ~bytes:2)
         reads;
       let unique, total = Profile.totals p in
       unique <= total && total = 2 * List.length reads)

@@ -16,60 +16,60 @@ let addr = 0x200000
 
 let test_producer_tracking () =
   let t = Shadow.create () in
-  Shadow.write t ~ctx:3 ~call:1 ~now:0 addr;
-  let r = Shadow.read t ~ctx:5 ~call:1 ~now:1 addr in
-  Alcotest.(check int) "producer is writer" 3 r.Shadow.producer;
-  Alcotest.(check bool) "first read unique" true r.Shadow.unique
+  Run_list.write_byte t ~ctx:3 ~call:1 ~now:0 addr;
+  let r = Run_list.read_byte t ~ctx:5 ~call:1 ~now:1 addr in
+  Alcotest.(check int) "producer is writer" 3 r.Run_list.producer;
+  Alcotest.(check bool) "first read unique" true (r.Run_list.unique_bytes = 1)
 
 let test_never_written_is_program_input () =
   let t = Shadow.create () in
-  let r = Shadow.read t ~ctx:5 ~call:1 ~now:0 addr in
-  Alcotest.(check int) "root producer" Dbi.Context.root r.Shadow.producer;
-  Alcotest.(check bool) "unique" true r.Shadow.unique
+  let r = Run_list.read_byte t ~ctx:5 ~call:1 ~now:0 addr in
+  Alcotest.(check int) "root producer" Dbi.Context.root r.Run_list.producer;
+  Alcotest.(check bool) "unique" true (r.Run_list.unique_bytes = 1)
 
 let test_nonunique_same_call () =
   let t = Shadow.create () in
-  Shadow.write t ~ctx:1 ~call:1 ~now:0 addr;
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:1 addr in
-  let r2 = Shadow.read t ~ctx:2 ~call:1 ~now:2 addr in
-  Alcotest.(check bool) "same-call re-read non-unique" false r2.Shadow.unique;
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 addr;
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:1 addr in
+  let r2 = Run_list.read_byte t ~ctx:2 ~call:1 ~now:2 addr in
+  Alcotest.(check bool) "same-call re-read non-unique" false (r2.Run_list.unique_bytes = 1);
   (* a later call of the same function must re-fetch: unique again *)
-  let r3 = Shadow.read t ~ctx:2 ~call:2 ~now:3 addr in
-  Alcotest.(check bool) "cross-call read unique" true r3.Shadow.unique
+  let r3 = Run_list.read_byte t ~ctx:2 ~call:2 ~now:3 addr in
+  Alcotest.(check bool) "cross-call read unique" true (r3.Run_list.unique_bytes = 1)
 
 let test_reader_alternation_limitation () =
   (* the paper's single last-reader pointer: f,g,f counts the third read
      as unique again *)
   let t = Shadow.create () in
-  Shadow.write t ~ctx:1 ~call:1 ~now:0 addr;
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:1 addr in
-  let _ = Shadow.read t ~ctx:3 ~call:1 ~now:2 addr in
-  let r = Shadow.read t ~ctx:2 ~call:1 ~now:3 addr in
-  Alcotest.(check bool) "f again counts unique" true r.Shadow.unique
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 addr;
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:1 addr in
+  let _ = Run_list.read_byte t ~ctx:3 ~call:1 ~now:2 addr in
+  let r = Run_list.read_byte t ~ctx:2 ~call:1 ~now:3 addr in
+  Alcotest.(check bool) "f again counts unique" true (r.Run_list.unique_bytes = 1)
 
 let test_write_resets_uniqueness () =
   let t = Shadow.create () in
-  Shadow.write t ~ctx:1 ~call:1 ~now:0 addr;
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:1 addr in
-  Shadow.write t ~ctx:1 ~call:2 ~now:2 addr;
-  let r = Shadow.read t ~ctx:2 ~call:1 ~now:3 addr in
-  Alcotest.(check bool) "new version, unique again" true r.Shadow.unique
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 addr;
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:1 addr in
+  Run_list.write_byte t ~ctx:1 ~call:2 ~now:2 addr;
+  let r = Run_list.read_byte t ~ctx:2 ~call:1 ~now:3 addr in
+  Alcotest.(check bool) "new version, unique again" true (r.Run_list.unique_bytes = 1)
 
 let test_producer_call_tracked () =
   let t = Shadow.create ~track_writer_call:true () in
-  Shadow.write t ~ctx:1 ~call:7 ~now:0 addr;
-  let r = Shadow.read t ~ctx:2 ~call:1 ~now:1 addr in
-  Alcotest.(check int) "producer call" 7 r.Shadow.producer_call
+  Run_list.write_byte t ~ctx:1 ~call:7 ~now:0 addr;
+  let r = Run_list.read_byte t ~ctx:2 ~call:1 ~now:1 addr in
+  Alcotest.(check int) "producer call" 7 r.Run_list.producer_call
 
 let test_episode_reporting () =
   let sink, episodes, _ = collecting () in
   let t = Shadow.create ~reuse:true ~sink () in
-  Shadow.write t ~ctx:1 ~call:1 ~now:0 addr;
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:10 addr in
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:25 addr in
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:40 addr in
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 addr;
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:10 addr in
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:25 addr in
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:40 addr in
   (* a different call of the same fn closes the episode *)
-  let _ = Shadow.read t ~ctx:2 ~call:2 ~now:50 addr in
+  let _ = Run_list.read_byte t ~ctx:2 ~call:2 ~now:50 addr in
   Alcotest.(check (list (pair int (pair int (pair int int)))))
     "episode: reader 2, 3 reads, lifetime 10..40"
     [ (2, (3, (10, 40))) ]
@@ -78,28 +78,28 @@ let test_episode_reporting () =
 let test_version_reporting_on_overwrite () =
   let sink, _, versions = collecting () in
   let t = Shadow.create ~reuse:true ~sink () in
-  Shadow.write t ~ctx:1 ~call:1 ~now:0 addr;
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:1 addr in
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:2 addr in
-  Shadow.write t ~ctx:1 ~call:2 ~now:3 addr;
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 addr;
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:1 addr in
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:2 addr in
+  Run_list.write_byte t ~ctx:1 ~call:2 ~now:3 addr;
   Alcotest.(check (list (pair int int))) "version: producer 1, reuse 1" [ (1, 1) ] !versions
 
 let test_flush_reports_everything () =
   let sink, episodes, versions = collecting () in
   let t = Shadow.create ~reuse:true ~sink () in
-  Shadow.write t ~ctx:1 ~call:1 ~now:0 addr;
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:1 addr in
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 addr;
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:1 addr in
   Shadow.flush t;
   Alcotest.(check int) "one episode" 1 (List.length !episodes);
   Alcotest.(check int) "one version" 1 (List.length !versions);
   (* flush is terminal for that byte's state *)
-  let r = Shadow.read t ~ctx:2 ~call:1 ~now:5 addr in
-  Alcotest.(check int) "producer forgotten" Dbi.Context.root r.Shadow.producer
+  let r = Run_list.read_byte t ~ctx:2 ~call:1 ~now:5 addr in
+  Alcotest.(check int) "producer forgotten" Dbi.Context.root r.Run_list.producer
 
 let test_input_version_reported () =
   let sink, _, versions = collecting () in
   let t = Shadow.create ~reuse:true ~sink () in
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:1 addr in
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:1 addr in
   Shadow.flush t;
   Alcotest.(check (list (pair int int)))
     "program input producer root" [ (Dbi.Context.root, 0) ] !versions
@@ -107,10 +107,10 @@ let test_input_version_reported () =
 let test_fifo_eviction () =
   let t = Shadow.create ~max_chunks:2 () in
   let chunk = Shadow.chunk_bytes in
-  Shadow.write t ~ctx:1 ~call:1 ~now:0 0;
-  Shadow.write t ~ctx:1 ~call:1 ~now:0 chunk;
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 0;
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 chunk;
   Alcotest.(check int) "two live" 2 (Shadow.chunks_live t);
-  Shadow.write t ~ctx:1 ~call:1 ~now:0 (2 * chunk);
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 (2 * chunk);
   Alcotest.(check int) "still two live" 2 (Shadow.chunks_live t);
   Alcotest.(check int) "one eviction" 1 (Shadow.evictions t);
   (* the oldest chunk was dropped: its producer is forgotten *)
@@ -120,19 +120,19 @@ let test_fifo_eviction () =
 let test_eviction_flushes_stats () =
   let sink, episodes, _ = collecting () in
   let t = Shadow.create ~reuse:true ~max_chunks:1 ~sink () in
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:1 0 in
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:1 0 in
   (* touching a second chunk evicts the first, closing its episode *)
-  let _ = Shadow.read t ~ctx:2 ~call:1 ~now:2 Shadow.chunk_bytes in
+  let _ = Run_list.read_byte t ~ctx:2 ~call:1 ~now:2 Shadow.chunk_bytes in
   Alcotest.(check int) "episode flushed by eviction" 1 (List.length !episodes)
 
 let test_footprint_accounting () =
   let t = Shadow.create () in
   let base = Shadow.footprint_bytes t in
-  Shadow.write t ~ctx:1 ~call:1 ~now:0 addr;
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 addr;
   let one = Shadow.footprint_bytes t in
   Alcotest.(check bool) "grows with chunks" true (one > base);
   let reuse = Shadow.create ~reuse:true () in
-  Shadow.write reuse ~ctx:1 ~call:1 ~now:0 addr;
+  Run_list.write_byte reuse ~ctx:1 ~call:1 ~now:0 addr;
   Alcotest.(check bool) "reuse mode costs more" true
     (Shadow.footprint_bytes reuse - base > one - base);
   Alcotest.(check int) "peak equals live here" (Shadow.footprint_bytes t)
@@ -141,9 +141,9 @@ let test_footprint_accounting () =
 let test_address_range_checked () =
   let t = Shadow.create () in
   Alcotest.check_raises "out of range" (Invalid_argument "Shadow: address out of range")
-    (fun () -> ignore (Shadow.read t ~ctx:1 ~call:1 ~now:0 Shadow.max_address));
+    (fun () -> ignore (Run_list.read_byte t ~ctx:1 ~call:1 ~now:0 Shadow.max_address));
   Alcotest.check_raises "negative" (Invalid_argument "Shadow: address out of range") (fun () ->
-      Shadow.write t ~ctx:1 ~call:1 ~now:0 (-1))
+      Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 (-1))
 
 let qcheck_last_writer_wins =
   QCheck.Test.make ~name:"producer is always the last writer" ~count:200
@@ -153,15 +153,15 @@ let qcheck_last_writer_wins =
       let last = Hashtbl.create 16 in
       List.iter
         (fun (ctx, a) ->
-          Shadow.write t ~ctx ~call:1 ~now:0 a;
+          Run_list.write_byte t ~ctx ~call:1 ~now:0 a;
           Hashtbl.replace last a ctx)
         writes;
       Hashtbl.fold
         (fun a ctx ok ->
           ok
           &&
-          let r = Shadow.read t ~ctx:99 ~call:1 ~now:1 a in
-          r.Shadow.producer = ctx)
+          let r = Run_list.read_byte t ~ctx:99 ~call:1 ~now:1 a in
+          r.Run_list.producer = ctx)
         last true)
 
 let () =

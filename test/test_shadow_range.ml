@@ -1,7 +1,7 @@
 open Sigil
 
 (* Range API: chunk clamping, run coalescing, eviction mid-range, and
-   byte-for-byte equivalence with the single-byte calls. *)
+   byte-for-byte equivalence with one-byte ranges. *)
 
 let run_t = Run_list.run_t
 
@@ -108,7 +108,7 @@ let test_eviction_mid_range_flushes_sink () =
     }
   in
   let t = mk ~reuse:true ~max_chunks:1 ~sink () in
-  Shadow.write t ~ctx:9 ~call:1 ~now:0 0;
+  Run_list.write_byte t ~ctx:9 ~call:1 ~now:0 0;
   (* cross-chunk read evicts chunk 0 when it reaches chunk 1; the flush
      reports the written byte's version and, as program input, the two
      bytes of chunk 0 the read itself just touched *)
@@ -158,11 +158,11 @@ let test_range_equals_per_byte () =
       (function
         | `W (ctx, call, a, n) ->
           for i = 0 to n - 1 do
-            Shadow.write by_byte ~ctx ~call ~now:0 (a + i)
+            Run_list.write_byte by_byte ~ctx ~call ~now:0 (a + i)
           done;
           []
         | `R (ctx, call, a, n) ->
-          List.init n (fun i -> Shadow.read by_byte ~ctx ~call ~now:call (a + i)))
+          List.init n (fun i -> Run_list.read_byte by_byte ~ctx ~call ~now:call (a + i)))
       ops
   in
   (* sink call sequences identical *)
@@ -176,9 +176,7 @@ let test_range_equals_per_byte () =
       let run_unique =
         List.fold_left (fun a (r : Run_list.run) -> a + r.unique_bytes) 0 runs
       in
-      let byte_unique =
-        List.fold_left (fun a (r : Shadow.read_result) -> a + if r.Shadow.unique then 1 else 0) 0 bytes
-      in
+      let byte_unique = List.fold_left (fun a (r : Run_list.run) -> a + r.unique_bytes) 0 bytes in
       Alcotest.(check int) "bytes" (List.length bytes) run_total;
       Alcotest.(check int) "unique bytes" byte_unique run_unique)
     range_results byte_results
@@ -200,9 +198,9 @@ let test_packed_footprint () =
      superpage so the page allocation doesn't blur the numbers. *)
   let marginal mk_t =
     let t = mk_t () in
-    Shadow.write t ~ctx:1 ~call:1 ~now:0 addr;
+    Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 addr;
     let one = Shadow.footprint_bytes t in
-    Shadow.write t ~ctx:1 ~call:1 ~now:0 (addr + Shadow.chunk_bytes);
+    Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 (addr + Shadow.chunk_bytes);
     Shadow.footprint_bytes t - one
   in
   let baseline = marginal (fun () -> mk ()) in

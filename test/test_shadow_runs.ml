@@ -1,10 +1,10 @@
 open Sigil
 
-(* Differential test of the callback range read against the per-byte
-   shadow: random write/read ranges over an arena that straddles several
-   4 KB chunks, in every reuse x producer-call mode, with and without a
-   FIFO limit small enough to evict chunks (and recycle their planes)
-   mid-range. *)
+(* Differential test of the callback range read against the same trace
+   cut into one-byte ranges: random write/read ranges over an arena that
+   straddles several 4 KB chunks, in every reuse x producer-call mode,
+   with and without a FIFO limit small enough to evict chunks (and
+   recycle their planes) mid-range. *)
 
 type op =
   | W of { ctx : int; call : int; addr : int; len : int }
@@ -75,7 +75,7 @@ let logging () =
 
 (* [runs] must be exactly the maximal coalescing of [bytes], the per-byte
    results of the same read. *)
-let check_runs ~len (runs : Run_list.run list) (bytes : Shadow.read_result list) =
+let check_runs ~len (runs : Run_list.run list) (bytes : Run_list.run list) =
   let total = List.fold_left (fun a (r : Run_list.run) -> a + r.bytes) 0 runs in
   if total <> len then QCheck.Test.fail_reportf "runs cover %d bytes of %d" total len;
   let rec adjacent = function
@@ -98,14 +98,12 @@ let check_runs ~len (runs : Run_list.run list) (bytes : Shadow.read_result list)
          if r.bytes <= 0 then QCheck.Test.fail_reportf "empty run";
          let span, rest = split r.bytes [] bytes in
          List.iter
-           (fun (b : Shadow.read_result) ->
-             if b.Shadow.producer <> r.producer || b.Shadow.producer_call <> r.producer_call then
+           (fun (b : Run_list.run) ->
+             if b.producer <> r.producer || b.producer_call <> r.producer_call then
                QCheck.Test.fail_reportf "run (%d, %d) holds a byte of (%d, %d)" r.producer
-                 r.producer_call b.Shadow.producer b.Shadow.producer_call)
+                 r.producer_call b.producer b.producer_call)
            span;
-         let unique =
-           List.length (List.filter (fun (b : Shadow.read_result) -> b.Shadow.unique) span)
-         in
+         let unique = List.fold_left (fun a (b : Run_list.run) -> a + b.unique_bytes) 0 span in
          if unique <> r.unique_bytes then
            QCheck.Test.fail_reportf "run reports %d unique bytes, per-byte reads %d" r.unique_bytes
              unique;
@@ -129,12 +127,14 @@ let check_case (max_chunks, ops) =
           | W { ctx; call; addr; len } ->
             Shadow.write_range by_range ~ctx ~call ~now addr len;
             for i = 0 to len - 1 do
-              Shadow.write by_byte ~ctx ~call ~now (addr + i)
+              Run_list.write_byte by_byte ~ctx ~call ~now (addr + i)
             done
           | R { ctx; call; addr; len } ->
             let runs = Run_list.read_range by_range ~ctx ~call ~now addr len in
             runs_seen := !runs_seen + List.length runs;
-            let bytes = List.init len (fun i -> Shadow.read by_byte ~ctx ~call ~now (addr + i)) in
+            let bytes =
+              List.init len (fun i -> Run_list.read_byte by_byte ~ctx ~call ~now (addr + i))
+            in
             check_runs ~len runs bytes)
         ops;
       Shadow.flush by_range;

@@ -142,6 +142,14 @@ let test_events_need_a_sink () =
   let _ = run_guest ~event_sink:(fun _ -> incr seen) toy in
   Alcotest.(check bool) "a sink without the option receives entries" true (!seen > 0)
 
+(* The per-byte engine is gone: a set [per_byte_shadow] fails loudly
+   instead of running the range engine under its name. *)
+let test_per_byte_refused () =
+  let options = { Sigil.Options.default with per_byte_shadow = true } in
+  Alcotest.check_raises "per_byte_shadow"
+    (Invalid_argument "Sigil.Tool.create: per_byte_shadow is no longer supported") (fun () ->
+      ignore (Sigil.Tool.create ~options (Dbi.Machine.create ())))
+
 let test_same_function_cross_call_edge () =
   (* a function consuming data from an earlier call of itself produces a
      dependency edge in the event log but local bytes in the profile *)
@@ -420,6 +428,7 @@ let () =
           Alcotest.test_case "reuse bins exact" `Quick test_reuse_bins_exact;
           Alcotest.test_case "event log structure" `Quick test_event_log_structure;
           Alcotest.test_case "events need a sink" `Quick test_events_need_a_sink;
+          Alcotest.test_case "per-byte shadow refused" `Quick test_per_byte_refused;
           Alcotest.test_case "same-fn cross-call edge" `Quick test_same_function_cross_call_edge;
           Alcotest.test_case "line mode" `Quick test_line_mode;
           Alcotest.test_case "memory limit accuracy loss" `Quick test_memory_limit_accuracy_loss;
