@@ -33,6 +33,11 @@ let raw_ctx ctx = "ctx:" ^ string_of_int ctx
 
 let run name scale load_path cores summary =
   Cli_common.guard @@ fun () ->
+  if summary && cores <> [] then begin
+    (* the summary pass keeps no DAG to schedule *)
+    Format.eprintf "error: --cores needs the full report, not --summary@.";
+    exit 2
+  end;
   match load_path with
   | Some path ->
     let r = Tracefile.Reader.open_file path in
@@ -79,7 +84,9 @@ let cmd =
       value
       & opt_all Cli_common.pos_int []
       & info [ "cores" ] ~docv:"N"
-          ~doc:"Also list-schedule the dependency chains onto $(docv) cores (repeatable).")
+          ~doc:
+            "Also list-schedule the dependency chains onto $(docv) cores (repeatable; not \
+             with $(b,--summary)).")
   in
   let summary =
     Arg.(

@@ -16,13 +16,9 @@ type node = {
 type t = {
   nodes : node array; (* by context id *)
   preorder : Dbi.Context.id list;
-  tin : int array; (* Euler intervals for ancestor tests *)
-  tout : int array;
 }
 
 module P = Sigil.Profile_io
-
-let is_ancestor t a b = t.tin.(a) <= t.tin.(b) && t.tout.(b) <= t.tout.(a)
 
 let of_snapshot ?self_cycles snap =
   let n = P.count snap in
@@ -97,7 +93,7 @@ let of_snapshot ?self_cycles snap =
           incl_output_total = out_t.(ctx);
         })
   in
-  { nodes; preorder; tin; tout }
+  { nodes; preorder }
 
 let build ?callgrind tool =
   let self_cycles =

@@ -52,6 +52,3 @@ val root : t -> node
 
 (** [total_cycles t] is the whole-program estimated cycle count. *)
 val total_cycles : t -> int
-
-(** [is_ancestor t a b] holds when [a] is [b] or an ancestor of [b]. *)
-val is_ancestor : t -> Dbi.Context.id -> Dbi.Context.id -> bool

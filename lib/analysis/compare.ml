@@ -65,8 +65,6 @@ let diff_many ~before ~after =
   let b_paths, b_edges = index before and a_paths, a_edges = index after in
   { paths = diff_indexed b_paths a_paths; edges = diff_indexed b_edges a_edges }
 
-let diff before after = diff_many ~before:[ before ] ~after:[ after ]
-
 let changed t =
   let keep = List.filter (fun d -> d.status <> `Same) in
   { paths = keep t.paths; edges = keep t.edges }

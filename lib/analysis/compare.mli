@@ -26,9 +26,6 @@ type delta = {
     absolute [after - before], then by key. Identical rows get [`Same]. *)
 type t = { paths : delta list; edges : delta list }
 
-(** [diff before after] compares two snapshots. *)
-val diff : Sigil.Profile_io.snapshot -> Sigil.Profile_io.snapshot -> t
-
 (** [diff_many ~before ~after] diffs two {e sets} of snapshots — e.g. the
     per-shard profiles a domain-parallel suite run produced — by summing
     each side's per-key aggregates first. The sums are commutative, so the

@@ -2,9 +2,12 @@
 
     Geometry follows Callgrind's simulator: size, associativity and line
     size, all powers of two. Accesses are by byte address and length; an
-    access that straddles a line boundary touches both lines (and counts as
-    a miss if either misses), like cg_sim does. The access path allocates
-    nothing, so the simulator adds no GC work per guest event. *)
+    access touches every line its bytes fall in, in address order, and
+    misses if any of them missed, like cg_sim does. The cache keeps tags
+    only: it counts nothing, so callers charge each access from the
+    result of {!access} (Callgrind into its per-context [Cost.t]). The
+    access path allocates nothing, so the simulator adds no GC work per
+    guest event. *)
 
 type t
 
@@ -28,22 +31,7 @@ val create : config -> t
 
 (** [access t addr len] touches [len] bytes at [addr]; returns [true] on a
     hit (every touched line present). Lines touched are made
-    most-recently-used. Allocates nothing. *)
+    most-recently-used. Allocates nothing.
+
+    @raise Invalid_argument if [len] is not positive. *)
 val access : t -> int -> int -> bool
-
-(** [repeat_hits t n] counts [n] more accesses that hit without touching
-    the tag array. It is exact only for repeats of an access that lies in
-    one line and was the last access to [t]: that line is then MRU in its
-    set, so touching it again would hit and move nothing. Callers use it
-    to batch the sequential instruction fetches that fall in one line. *)
-val repeat_hits : t -> int -> unit
-
-val accesses : t -> int
-val misses : t -> int
-val config : t -> config
-
-(** Installs that replaced an invalid way (cold fills), i.e. how much of the
-    cache the workload actually occupied. *)
-val lines_filled : t -> int
-
-val reset : t -> unit

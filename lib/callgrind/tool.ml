@@ -43,10 +43,10 @@ let ctx_fn t ctx =
   if ctx = Dbi.Context.root then -1 else Dbi.Context.fn (Dbi.Machine.contexts t.machine) ctx
 
 (* [n] fetches of one L1I line, starting at [addr]: the first is simulated,
-   the rest are hits on the line it left MRU. *)
+   the rest hit the line it left MRU and move nothing, so they are only
+   counted. *)
 let fetch_line t (c : Cost.t) addr n =
   let level = Cachesim.Hierarchy.fetch t.hierarchy addr fetch_size in
-  if n > 1 then Cachesim.Hierarchy.fetch_hits t.hierarchy (n - 1);
   c.ir <- c.ir + n;
   if level > 0 then begin
     c.i1mr <- c.i1mr + 1;
@@ -157,4 +157,3 @@ let inclusive_cost t ctx =
 let total t = inclusive_cost t Dbi.Context.root
 
 let machine t = t.machine
-let hierarchy t = t.hierarchy

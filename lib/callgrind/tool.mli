@@ -29,6 +29,3 @@ val inclusive_cost : t -> Dbi.Context.id -> Cost.t
 val total : t -> Cost.t
 
 val machine : t -> Dbi.Machine.t
-
-(** The simulated cache hierarchy, for its whole-run counters. *)
-val hierarchy : t -> Cachesim.Hierarchy.t

@@ -143,8 +143,6 @@ let footprint_peak_bytes t =
   (dir_len * 8) + (t.pages * page_bytes)
   + (t.peak * per_chunk_bytes t.reuse_mode t.track_writer_call)
 
-let chunks_live t = t.live
-let chunks_peak t = t.peak
 let evictions t = t.evictions
 
 let flush_byte t (c : chunk) i =
@@ -512,11 +510,3 @@ let telemetry t =
       hist "shadow.read_size" t.read_size;
       peak "shadow.footprint_peak_bytes" (footprint_peak_bytes t);
     ]
-
-let producer_of t addr =
-  if addr < 0 || addr >= max_address then invalid_arg "Shadow: address out of range";
-  match slot_of t (addr lsr chunk_bits) with
-  | None -> None
-  | Some c ->
-    let w = Bigarray.Array1.unsafe_get c.writer (addr land (chunk_size - 1)) in
-    if w <> no_ctx then Some w else None

@@ -121,11 +121,6 @@ val max_address : int
 
 val chunk_bytes : int
 
-(** Live second-level chunks. *)
-val chunks_live : t -> int
-
-val chunks_peak : t -> int
-
 (** Chunks freed by the FIFO limiter. *)
 val evictions : t -> int
 
@@ -140,7 +135,3 @@ val footprint_peak_bytes : t -> int
     power-of-two read-size histogram, and the peak footprint. All values
     derive from the guest event stream only. *)
 val telemetry : t -> Telemetry.sample list
-
-(** [producer_of t addr] peeks at the current producer without recording a
-    read; [None] if the byte has no live shadow. Test/debug helper. *)
-val producer_of : t -> int -> Dbi.Context.id option

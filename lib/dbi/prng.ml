@@ -27,11 +27,3 @@ let int t bound =
   assert (bound > 0);
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
-
-let float t =
-  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
-  v /. 9007199254740992.0
-
-let bool t = Int64.logand (next t) 1L = 1L
-
-let split t = create (next t)

@@ -19,13 +19,3 @@ val next : t -> int64
 (** [int t bound] returns a uniform value in [\[0, bound)]. [bound] must be
     positive. *)
 val int : t -> int -> int
-
-(** [float t] returns a uniform float in [\[0, 1)]. *)
-val float : t -> float
-
-(** [bool t] returns a uniform boolean. *)
-val bool : t -> bool
-
-(** [split t] derives an independent generator without disturbing [t]'s
-    stream position more than one step. *)
-val split : t -> t

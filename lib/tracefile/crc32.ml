@@ -15,4 +15,3 @@ let bytes b ~pos ~len =
   done;
   !c lxor 0xFFFFFFFF land 0xFFFFFFFF
 
-let string s = bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

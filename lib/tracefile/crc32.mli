@@ -4,4 +4,3 @@
     in 32 bits and are stored as unsigned little-endian words. *)
 
 val bytes : bytes -> pos:int -> len:int -> int
-val string : string -> int

@@ -1,6 +1,7 @@
 (* The list-building form of [Shadow.read_range], shared by the shadow
    tests: the runs one range read reports, in the order it reports them;
-   and the one-byte reads and writes the tests build traces from. *)
+   the one-byte reads and writes the tests build traces from; and what the
+   tests read back through them and through telemetry. *)
 
 type run = { producer : Dbi.Context.id; producer_call : int; bytes : int; unique_bytes : int }
 
@@ -26,3 +27,12 @@ let read_byte t ~ctx ~call ~now addr =
   | runs -> Alcotest.failf "a one-byte read reported %d runs" (List.length runs)
 
 let write_byte t ~ctx ~call ~now addr = Sigil.Shadow.write_range t ~ctx ~call ~now addr 1
+
+(* Live second-level chunks, as the shadow's telemetry reports them. *)
+let chunks_live t =
+  Telemetry.get_int (Telemetry.of_samples (Sigil.Shadow.telemetry t)) "shadow.chunks_live"
+
+(* The producer of the byte at [addr], read by a context no test uses:
+   root when it was never written or its chunk was evicted. The read is
+   recorded like any other, and it brings an evicted chunk back. *)
+let producer t addr = (read_byte t ~ctx:99 ~call:1 ~now:0 addr).producer

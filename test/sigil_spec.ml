@@ -1,14 +1,15 @@
 (* An executable spec of Sigil's shadow and profile semantics, written
    longhand from the paper's definitions: the Table I shadow fields, the
    unique/non-unique rule per (function, call), the re-use episodes and
-   versions of the reuse study, and the sequential event file of §II-C2.
-   It is a tool of its own, slow on purpose: one hash-table entry per
-   shadowed byte, the open calls as a plain list, no packing, no chunk
-   planes, no run coalescing. It shares no code with [Sigil.Shadow],
-   [Sigil.Tool], [Sigil.Profile] or [Sigil.Reuse], so a wrong kernel in
-   the engine cannot fail both sides the same way. [check] runs a guest
-   under the real tool and the spec at once and compares everything the
-   tool reports. *)
+   versions of the reuse study, the sequential event file of §II-C2, and
+   the per-line access counts of line mode (§IV-B3). It is a tool of its
+   own, slow on purpose: one hash-table entry per shadowed byte or line,
+   the open calls as a plain list, no packing, no chunk planes, no run
+   coalescing. It shares no code with [Sigil.Shadow], [Sigil.Tool],
+   [Sigil.Profile], [Sigil.Reuse] or [Sigil.Line_shadow], so a wrong
+   kernel in the engine cannot fail both sides the same way. [check] runs
+   a guest under the real tool and the spec at once and compares
+   everything the tool reports. *)
 
 type ctx = Dbi.Context.id
 
@@ -54,8 +55,19 @@ type frame = {
   xfers : (ctx * int, int * int) Hashtbl.t; (* -> (bytes, unique bytes) *)
 }
 
+(* Line mode: one cache-line-sized block, touched [accesses] times from
+   clock [first] to clock [last]. *)
+type line = {
+  mutable accesses : int;
+  first : int;
+  mutable last : int;
+}
+
 type t = {
   machine : Dbi.Machine.t;
+  line_size : int option; (* line mode, which shadows nothing else *)
+  lines : (int, line) Hashtbl.t; (* by line index, address / line size *)
+  mutable touches : int; (* accesses seen in line mode *)
   bytes : (int, byte) Hashtbl.t; (* by byte address *)
   max_chunks : int option;
   chunks : int Queue.t; (* live 4 KiB chunk numbers, first touch first *)
@@ -76,9 +88,12 @@ let lifetime_bin = 1000
 
 let new_frame ctx call = { ctx; call; int_ops = 0; fp_ops = 0; xfers = Hashtbl.create 8 }
 
-let create ?max_chunks machine =
+let create ?max_chunks ?line_size machine =
   {
     machine;
+    line_size;
+    lines = Hashtbl.create 256;
+    touches = 0;
     bytes = Hashtbl.create 4096;
     max_chunks;
     chunks = Queue.create ();
@@ -238,7 +253,24 @@ let end_fragment t f =
               { src_ctx; src_call; dst_ctx = f.ctx; dst_call = f.call; bytes; unique_bytes }));
   Hashtbl.reset f.xfers
 
-let tool t : Dbi.Tool.t =
+(* Line mode counts an access once on every line one of its bytes falls
+   in, and keeps no Table I state at all. *)
+let touch_lines t line_size addr size =
+  let now = Dbi.Machine.now t.machine in
+  t.touches <- t.touches + 1;
+  for l = addr / line_size to (addr + size - 1) / line_size do
+    match Hashtbl.find_opt t.lines l with
+    | Some r ->
+      r.accesses <- r.accesses + 1;
+      r.last <- now
+    | None -> Hashtbl.add t.lines l { accesses = 1; first = now; last = now }
+  done
+
+let line_tool t line_size : Dbi.Tool.t =
+  let touch ~ctx:_ ~addr ~size = touch_lines t line_size addr size in
+  { (Dbi.Tool.nop "sigil-spec-lines") with on_read = touch; on_write = touch }
+
+let byte_tool t : Dbi.Tool.t =
   {
     name = "sigil-spec";
     on_enter =
@@ -285,6 +317,11 @@ let tool t : Dbi.Tool.t =
         Hashtbl.iter (fun _ b -> end_version t b) t.bytes;
         Hashtbl.reset t.bytes);
   }
+
+let tool t =
+  match t.line_size with
+  | Some size -> line_tool t size
+  | None -> byte_tool t
 
 (* {2 Comparison with the real tool} *)
 
@@ -367,12 +404,40 @@ let compare_reuse t tool =
     (Ok ())
     (List.init ctxs Fun.id)
 
+let compare_lines t tool =
+  let line = Option.get (Sigil.Tool.line_shadow tool) in
+  let tool_lines =
+    List.map
+      (fun (r : Sigil.Line_shadow.line_record) -> [ r.line_addr; r.accesses; r.first; r.last ])
+      (Sigil.Line_shadow.records line)
+  in
+  let spec_lines =
+    Hashtbl.fold (fun l r acc -> [ l; r.accesses; r.first; r.last ] :: acc) t.lines []
+    |> List.sort compare
+  in
+  let* () =
+    Result.map_error
+      (( ^ ) "line (index accesses first last) ")
+      (first_diff 0 ints tool_lines spec_lines)
+  in
+  let s = Telemetry.of_samples (Sigil.Tool.telemetry tool) in
+  let spec_accesses = Hashtbl.fold (fun _ r acc -> acc + r.accesses) t.lines 0 in
+  List.fold_left
+    (fun acc (name, want) ->
+      let* () = acc in
+      let got = Telemetry.get_int s name in
+      if got = want then Ok () else mismatch "%s: tool %d, spec %d" name got want)
+    (Ok ())
+    [ ("line.touches", t.touches); ("line.accesses", spec_accesses);
+      ("line.lines", Hashtbl.length t.lines) ]
+
 (* [check ?call_overhead ~options guest] runs [guest] under the real tool
    (configured by [options]; events collected when [collect_events] is
    set) and the spec side by side, then compares every context's Table I
    stats and every edge, the eviction count, and, as [options] turns them
-   on, the reuse statistics and the whole event stream. [Ok] holds the
-   tool, [Error] names the first difference. *)
+   on, the reuse statistics, the whole event stream, or the line records
+   and [line.*] telemetry of line mode. [Ok] holds the tool, [Error] names
+   the first difference. *)
 let check ?call_overhead ~(options : Sigil.Options.t) guest =
   let engine = ref None and spec = ref None and log = ref [] in
   let event_sink =
@@ -387,7 +452,7 @@ let check ?call_overhead ~(options : Sigil.Options.t) guest =
             engine := Some x;
             Sigil.Tool.tool x);
           (fun m ->
-            let x = create ?max_chunks:options.max_chunks m in
+            let x = create ?max_chunks:options.max_chunks ?line_size:options.line_size m in
             spec := Some x;
             tool x);
         ]
@@ -400,6 +465,7 @@ let check ?call_overhead ~(options : Sigil.Options.t) guest =
     else mismatch "evictions: tool %d, spec %d" (Sigil.Tool.shadow_evictions tool) t.evictions
   in
   let* () = if options.reuse_mode then compare_reuse t tool else Ok () in
+  let* () = if options.line_size <> None then compare_lines t tool else Ok () in
   let* () =
     if options.collect_events then
       Result.map_error (( ^ ) "event ")

@@ -101,7 +101,8 @@ let test_unvisited_ctx_zero_cost () =
 (* Whole-program Callgrind totals for every PARSEC clone at simsmall, pinned
    from the per-fetch cache model before fetches were batched per line.
    Any change to the cache simulator or to Callgrind's charging must leave
-   every counter here unchanged. *)
+   every counter here unchanged. The same runs carry the cache spec of
+   cache_spec.ml, which must agree with every context's cost. *)
 type golden = {
   ir : int;
   dr : int;
@@ -167,8 +168,12 @@ let test_simsmall_goldens () =
   List.iter
     (fun (name, g) ->
       let w = Result.get_ok (Workloads.Suite.find name) in
-      let r = Driver.run_workload ~with_sigil:false ~with_callgrind:true w Workloads.Scale.Simsmall in
-      let c = Callgrind.Tool.total (Option.get r.Driver.callgrind) in
+      let tool =
+        match Cache_spec.check (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall) with
+        | Ok tool -> tool
+        | Error e -> Alcotest.failf "%s: %s" name e
+      in
+      let c = Callgrind.Tool.total tool in
       let check field want got = Alcotest.(check int) (name ^ " " ^ field) want got in
       check "ir" g.ir c.Callgrind.Cost.ir;
       check "dr" g.dr c.Callgrind.Cost.dr;

@@ -82,14 +82,6 @@ let test_internal_edges_absorbed () =
   Alcotest.(check int) "main input" 0 main.Analysis.Cdfg.incl_input_unique;
   Alcotest.(check int) "main output" 0 main.Analysis.Cdfg.incl_output_unique
 
-let test_ancestor_relation () =
-  let cdfg, m = build () in
-  let a = find_ctx m "main/A" and b = find_ctx m "main/A/B" and c = find_ctx m "main/C" in
-  Alcotest.(check bool) "A anc B" true (Analysis.Cdfg.is_ancestor cdfg a b);
-  Alcotest.(check bool) "B not anc A" false (Analysis.Cdfg.is_ancestor cdfg b a);
-  Alcotest.(check bool) "A not anc C" false (Analysis.Cdfg.is_ancestor cdfg a c);
-  Alcotest.(check bool) "self ancestor" true (Analysis.Cdfg.is_ancestor cdfg a a)
-
 let test_cycles_from_callgrind () =
   let cdfg, _ = build () in
   (* with a callgrind table attached, cycles >= ops (misses only add) *)
@@ -121,7 +113,6 @@ let () =
           Alcotest.test_case "inclusive ops" `Quick test_inclusive_ops;
           Alcotest.test_case "crossing edges" `Quick test_crossing_edges;
           Alcotest.test_case "internal edges absorbed" `Quick test_internal_edges_absorbed;
-          Alcotest.test_case "ancestor relation" `Quick test_ancestor_relation;
           Alcotest.test_case "cycles from callgrind" `Quick test_cycles_from_callgrind;
           Alcotest.test_case "without callgrind cycles=ops" `Quick
             test_without_callgrind_cycles_are_ops;

@@ -300,60 +300,22 @@ let run_one ?log options prog =
   in
   Option.get !sigil
 
-(* Reference model for the line shadow: per-line access counts computed
-   straight off the action list, independent of any shadow machinery. *)
-let rec line_counts tbl line_bits prog =
-  let access a s =
-    for line = a lsr line_bits to (a + s - 1) lsr line_bits do
-      Hashtbl.replace tbl line (1 + Option.value ~default:0 (Hashtbl.find_opt tbl line))
-    done
-  in
-  (* memcpy and the kernel access their spans a word at a time *)
-  let rec words a len =
-    if len > 0 then begin
-      access a (min 8 len);
-      words (a + 8) (len - 8)
-    end
-  in
-  List.iter
-    (function
-      | Read (a, s) | Write (a, s) -> access a s
-      | Memcpy (dst, src, len) ->
-        words src len;
-        words dst len
-      | Syscall ((ra, rl), (wa, wl)) ->
-        words ra rl;
-        words wa wl
-      | Call p -> line_counts tbl line_bits p
-      | Op _ | Fp _ | Branch _ -> ())
-    prog.actions
+(* Line mode against the spec of sigil_spec.ml: every line's access
+   count and first and last clock, and the [line.*] telemetry. *)
+let line_shadow_matches_spec line_size prog =
+  let options = Sigil.Options.with_line_size Sigil.Options.default line_size in
+  match Sigil_spec.check ~call_overhead:0 ~options (fun m -> interp m prog) with
+  | Ok _ -> true
+  | Error e -> QCheck.Test.fail_reportf "%dB lines: %s" line_size e
 
-let line_shadow_matches_reference line_size line_bits prog =
-  let t = run_one (Sigil.Options.with_line_size Sigil.Options.default line_size) prog in
-  let line = Option.get (Sigil.Tool.line_shadow t) in
-  let tbl = Hashtbl.create 256 in
-  line_counts tbl line_bits prog;
-  let c = Dbi.Machine.counters (Sigil.Tool.machine t) in
-  let s = Telemetry.of_samples (Sigil.Tool.telemetry t) in
-  Sigil.Line_shadow.lines line = Hashtbl.length tbl
-  && List.for_all
-       (fun (r : Sigil.Line_shadow.line_record) ->
-         Hashtbl.find_opt tbl r.Sigil.Line_shadow.line_addr
-         = Some r.Sigil.Line_shadow.accesses)
-       (Sigil.Line_shadow.records line)
-  && Telemetry.get_int s "line.touches" = c.Dbi.Machine.reads + c.Dbi.Machine.writes
-  && Telemetry.get_int s "line.accesses"
-     = Hashtbl.fold (fun _ n acc -> acc + n) tbl 0
-
-(* At 1-byte lines the line shadow IS a byte shadow: its records must agree
-   exactly with the per-byte access counts of the action trace. *)
+(* At 1-byte lines the line shadow is a byte shadow; at 64-byte lines
+   random spans straddle lines. *)
 let prop_line_shadow_per_byte =
   QCheck.Test.make ~name:"line shadow at 1B lines matches per-byte reference" ~count:100
-    arbitrary (fun prog -> line_shadow_matches_reference 1 0 prog)
+    arbitrary (fun prog -> line_shadow_matches_spec 1 prog && line_shadow_matches_spec 64 prog)
 
-(* Aligned accesses: every access covers exactly one 8-byte line, so the
-   line-granularity and byte-granularity views must coincide line for
-   line (the arena base is 16-byte aligned). *)
+(* Aligned accesses: every access covers exactly one 8-byte line (the
+   arena base is 16-byte aligned). *)
 let gen_aligned_prog =
   let open QCheck.Gen in
   let gen_leaf_action =
@@ -376,7 +338,7 @@ let gen_aligned_prog =
 let prop_line_shadow_aligned =
   QCheck.Test.make ~name:"line shadow on aligned accesses matches reference" ~count:100
     (QCheck.make ~print:print_prog gen_aligned_prog)
-    (fun prog -> line_shadow_matches_reference 8 3 prog)
+    (fun prog -> line_shadow_matches_spec 8 prog)
 
 (* The FIFO memory limit's accounting, read back through telemetry: chunks
    are conserved (allocated - evicted = live) and the cap really binds. *)

@@ -85,10 +85,11 @@ let test_callgrind_save () =
       Alcotest.(check bool) "file non-empty" true ((Unix.stat path).Unix.st_size > 100))
 
 let snapshot body = Sigil.Profile_io.snapshot_of_tool (run_sigil body)
+let diff a b = Analysis.Compare.diff_many ~before:[ a ] ~after:[ b ]
 
 let test_compare_same () =
   let a = snapshot (toy 10) and b = snapshot (toy 10) in
-  let diff = Analysis.Compare.diff a b in
+  let diff = diff a b in
   List.iter
     (fun (d : Analysis.Compare.delta) ->
       Alcotest.(check bool) ("same " ^ d.Analysis.Compare.key) true
@@ -99,7 +100,7 @@ let test_compare_same () =
 
 let test_compare_changed () =
   let a = snapshot (toy 10) and b = snapshot (toy 50) in
-  let changed = (Analysis.Compare.changed (Analysis.Compare.diff a b)).paths in
+  let changed = (Analysis.Compare.changed (diff a b)).paths in
   match List.find_opt (fun (d : Analysis.Compare.delta) -> d.Analysis.Compare.key = "main/worker") changed with
   | Some d ->
     Alcotest.(check int) "ops before" 10 d.Analysis.Compare.before;
@@ -114,7 +115,7 @@ let test_compare_added_removed () =
         Dbi.Guest.call m "main" (fun () ->
             Dbi.Guest.call m "newcomer" (fun () -> Dbi.Guest.iop m 5)))
   in
-  let deltas = (Analysis.Compare.diff a b).paths in
+  let deltas = (diff a b).paths in
   let by_path p =
     List.find (fun (d : Analysis.Compare.delta) -> d.Analysis.Compare.key = p) deltas
   in
@@ -123,7 +124,7 @@ let test_compare_added_removed () =
 
 let test_compare_sorted_by_magnitude () =
   let a = snapshot (toy 10) and b = snapshot (toy 5000) in
-  match (Analysis.Compare.changed (Analysis.Compare.diff a b)).paths with
+  match (Analysis.Compare.changed (diff a b)).paths with
   | first :: _ ->
     Alcotest.(check string) "biggest mover first" "main/worker" first.Analysis.Compare.key
   | [] -> Alcotest.fail "no changes"
@@ -142,7 +143,7 @@ let test_compare_edges_only () =
     Sigil.Profile_io.make ~names:(Sigil.Profile_io.names a)
       ~contexts:(Sigil.Profile_io.contexts a) ~edges:[]
   in
-  let diff = Analysis.Compare.changed (Analysis.Compare.diff a b) in
+  let diff = Analysis.Compare.changed (diff a b) in
   Alcotest.(check int) "no path changed" 0 (List.length diff.paths);
   match diff.edges with
   | [ d ] ->

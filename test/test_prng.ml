@@ -28,31 +28,6 @@ let test_int_bound_one () =
     Alcotest.(check int) "bound 1 always 0" 0 (Dbi.Prng.int rng 1)
   done
 
-let test_float_bounds () =
-  let rng = Dbi.Prng.create 9L in
-  for _ = 1 to 1000 do
-    let v = Dbi.Prng.float rng in
-    Alcotest.(check bool) "in [0,1)" true (v >= 0.0 && v < 1.0)
-  done
-
-let test_split_independent () =
-  let a = Dbi.Prng.create 11L in
-  let b = Dbi.Prng.split a in
-  (* the split stream does not mirror the parent *)
-  let eq = ref 0 in
-  for _ = 1 to 20 do
-    if Dbi.Prng.next a = Dbi.Prng.next b then incr eq
-  done;
-  Alcotest.(check bool) "streams diverge" true (!eq < 3)
-
-let test_bool_mixes () =
-  let rng = Dbi.Prng.create 3L in
-  let trues = ref 0 in
-  for _ = 1 to 1000 do
-    if Dbi.Prng.bool rng then incr trues
-  done;
-  Alcotest.(check bool) "roughly balanced" true (!trues > 400 && !trues < 600)
-
 let test_int_distribution () =
   let rng = Dbi.Prng.create 5L in
   let counts = Array.make 8 0 in
@@ -83,9 +58,6 @@ let () =
           Alcotest.test_case "of_string deterministic" `Quick test_of_string_deterministic;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int bound one" `Quick test_int_bound_one;
-          Alcotest.test_case "float bounds" `Quick test_float_bounds;
-          Alcotest.test_case "split independent" `Quick test_split_independent;
-          Alcotest.test_case "bool mixes" `Quick test_bool_mixes;
           Alcotest.test_case "int distribution" `Quick test_int_distribution;
           QCheck_alcotest.to_alcotest qcheck_int_in_range;
         ] );

@@ -65,17 +65,15 @@ let test_cross_chunk_span () =
   let t = mk () in
   let start = (3 * Shadow.chunk_bytes) - 5 in
   Shadow.write_range t ~ctx:7 ~call:1 ~now:0 start 10;
-  Alcotest.(check int) "two chunks allocated" 2 (Shadow.chunks_live t);
+  Alcotest.(check int) "two chunks allocated" 2 (Run_list.chunks_live t);
   let runs = Run_list.read_range t ~ctx:5 ~call:1 ~now:1 start 10 in
   Alcotest.(check (list run_t))
     "runs coalesce across the chunk boundary"
     [ { Run_list.producer = 7; producer_call = 0; bytes = 10; unique_bytes = 10 } ]
     runs;
   (* both sides of the boundary really are shadowed *)
-  Alcotest.(check (option int)) "left of boundary" (Some 7) (Shadow.producer_of t start);
-  Alcotest.(check (option int))
-    "right of boundary" (Some 7)
-    (Shadow.producer_of t (start + 9))
+  Alcotest.(check int) "left of boundary" 7 (Run_list.producer t start);
+  Alcotest.(check int) "right of boundary" 7 (Run_list.producer t (start + 9))
 
 let test_eviction_mid_range () =
   (* with max_chunks = 1, a cross-chunk write must evict the first chunk
@@ -83,15 +81,13 @@ let test_eviction_mid_range () =
   let t = mk ~max_chunks:1 () in
   let start = Shadow.chunk_bytes - 4 in
   Shadow.write_range t ~ctx:7 ~call:1 ~now:0 start 8;
-  Alcotest.(check int) "one live chunk" 1 (Shadow.chunks_live t);
+  Alcotest.(check int) "one live chunk" 1 (Run_list.chunks_live t);
   Alcotest.(check int) "first chunk evicted mid-range" 1 (Shadow.evictions t);
-  Alcotest.(check (option int)) "evicted side forgotten" None (Shadow.producer_of t start);
-  Alcotest.(check (option int))
-    "surviving side kept" (Some 7)
-    (Shadow.producer_of t Shadow.chunk_bytes);
+  Alcotest.(check int) "surviving side kept" 7 (Run_list.producer t Shadow.chunk_bytes);
   (* reading back across the boundary thrashes the single slot again:
      re-allocating chunk 0 evicts chunk 1 before its span is read, so every
-     byte comes back as program input — exactly what per-byte reads do *)
+     byte comes back as program input — exactly what per-byte reads do,
+     and the evicted side's writer is forgotten *)
   let runs = Run_list.read_range t ~ctx:5 ~call:1 ~now:1 start 8 in
   Alcotest.(check (list run_t))
     "thrashed bytes read as root-produced"
@@ -246,7 +242,6 @@ let test_recycled_chunk_reads_fresh () =
         [ { Run_list.producer = Dbi.Context.root; producer_call = 0; bytes = n; unique_bytes = n } ]
         (Run_list.read_range t ~ctx:5 ~call:9 ~now:10 b n);
       Alcotest.(check int) (mode ^ ": one eviction") 1 (Shadow.evictions t);
-      Alcotest.(check (option int)) (mode ^ ": no stale writer") None (Shadow.producer_of t (b + 17));
       log := [];
       (* a second read by the same call is non-unique; a new reader then
          closes a two-read episode that began at B's first read *)

@@ -4,7 +4,8 @@
 
 open Sigil
 
-let entry = Alcotest.testable (fun ppf e -> Fmt.string ppf (Event_log.entry_to_string e)) ( = )
+let entry =
+  Alcotest.testable (fun ppf e -> Format.pp_print_string ppf (Event_log.entry_to_string e)) ( = )
 
 let with_temp ext f =
   let path = Filename.temp_file "sigil_tracefile" ext in
