@@ -9,9 +9,10 @@ type node = {
 (* Growable columns stored in fixed-size blocks: appending never copies
    what is already stored, so the DAG's peak memory is its size, not its
    size plus a doubled copy. Only the spine (one pointer per block) is
-   ever copied; its spare slots hold the newest block until their own
-   arrives. Blocks are large enough to be allocated straight in the major
-   heap. *)
+   ever copied; its spare slots hold the block that grew it until their
+   own arrives, so a lookup is bounded by the column's count, never by
+   the spine's length. Blocks are large enough to be allocated straight in
+   the major heap. *)
 let add_block spine k block =
   let spine =
     if k < Array.length spine then spine else Array.append spine (Array.make (max 16 k) block)
@@ -19,20 +20,29 @@ let add_block spine k block =
   spine.(k) <- block;
   spine
 
-(* Ints, in blocks of 4096. *)
+(* Every column value and table handle is an unsigned 32-bit lane of a
+   [Bytes.t], read and written without boxing an int32; the all-ones lane
+   is the table's "no node". A pass checks what it stores against
+   [lane_none] first, so no value wraps. *)
+let lane_none = 0xFFFF_FFFF
+let[@inline] lane b i = Int32.to_int (Bytes.get_int32_le b (i lsl 2)) land lane_none
+let[@inline] set_lane b i v = Bytes.set_int32_le b (i lsl 2) (Int32.of_int v)
+
+(* Lanes, in blocks of 4096 (16 KB). *)
 module Col = struct
   let bits = 12
   let mask = (1 lsl bits) - 1
+  let block_bytes = 4 lsl bits
 
-  type t = { mutable blocks : int array array; mutable n : int }
+  type t = { mutable blocks : Bytes.t array; mutable n : int }
 
   let create () = { blocks = [||]; n = 0 }
-  let[@inline] get c i = c.blocks.(i lsr bits).(i land mask)
+  let[@inline] get c i = lane c.blocks.(i lsr bits) (i land mask)
 
   let push c v =
     let k = c.n lsr bits in
-    if c.n land mask = 0 then c.blocks <- add_block c.blocks k (Array.make (mask + 1) 0);
-    c.blocks.(k).(c.n land mask) <- v;
+    if c.n land mask = 0 then c.blocks <- add_block c.blocks k (Bytes.create block_bytes);
+    set_lane c.blocks.(k) (c.n land mask) v;
     c.n <- c.n + 1
 end
 
@@ -72,7 +82,7 @@ let[@inline] read c =
   if b < 0x80 then b else read_more c (b land 0x7F) 7
 
 (* Nodes are numbered by creation order, which is topological. A node's
-   inclusive length is an int column indexed by node id; the rest is its
+   inclusive length is a lane column indexed by node id; the rest is its
    record in one byte stream of LEB128 varints: context, call number,
    dependency count, then [id - dep] per dependency in the order the pass
    resolved them (transfers in arrival order, the call edge, the previous
@@ -102,15 +112,18 @@ let key_ctx key = key lsr call_bits
 let key_call key = key land ((1 lsl call_bits) - 1)
 
 (* "No node": the handle of an absent previous occurrence, caller or
-   producer. *)
-let none = min_int
+   producer. Handles are node ids or inclusive lengths, both below it. *)
+let none = lane_none
 
 (* The open call stack, pooled by depth: slot 0 is the synthetic root.
    Only the innermost frame ever has work pending (a call closes its
    caller's fragment first, a return closes its own), so its operations
    and resolved dependencies live in one scratch buffer. The latest closed
-   occurrence of every call is [latest.(ctx).(call)]: call numbers count
-   from 1 per context in Call order, so each context's row is dense. *)
+   occurrence of every call is lane [call] of [latest.(ctx)], [none] until
+   it closes: call numbers count from 1 per context in Call order, so each
+   context's row is dense. A row's first block starts at 8 lanes and
+   doubles until it is whole; later lanes come in whole blocks, which are
+   never copied. *)
 type pass_state = {
   mutable f_key : int array;
   mutable f_last : int array; (* previous occurrence of this call, or [none] *)
@@ -120,7 +133,7 @@ type pass_state = {
   mutable dep_buf : int array; (* the open fragment's dependency handles *)
   mutable n_deps : int;
   mutable xfer_pending : bool; (* a transfer arrived, resolved or not *)
-  mutable latest : int array array; (* by context, then call number *)
+  mutable latest : Bytes.t array array; (* by context, then block of call numbers *)
   mutable calls : int array; (* calls seen per context *)
   mutable total_ops : int;
   mutable node_count : int;
@@ -150,12 +163,13 @@ let push_frame s key call_pred =
   s.depth <- d
 
 (* A producer outside the table never closed: program input, evicted or
-   out of range. *)
+   out of range. The calls seen bound the lookup: a row's spare spine
+   slots point at a block of other calls. *)
 let latest_find s ctx call =
-  if ctx < 0 || ctx >= Array.length s.latest then none
+  if ctx < 0 || ctx >= Array.length s.calls || call < 0 || call > s.calls.(ctx) then none
   else
     let row = s.latest.(ctx) in
-    if call < 0 || call >= Array.length row then none else row.(call)
+    if Array.length row = 0 then none else lane row.(call lsr Col.bits) (call land Col.mask)
 
 let fail_at s what fmt = Printf.ksprintf failwith ("Critpath: entry %d: %s " ^^ fmt) s.index what
 
@@ -176,10 +190,14 @@ let register_call s ctx call =
     fail_at s "Call" "out of sequence: expected (ctx %d, call %d), found (ctx %d, call %d)" ctx
       next ctx call;
   s.calls.(ctx) <- call;
-  let row = s.latest.(ctx) in
-  if call >= Array.length row then
-    s.latest.(ctx) <-
-      Array.init (max 8 (2 * call)) (fun i -> if i < Array.length row then row.(i) else none)
+  let row = s.latest.(ctx) and k = call lsr Col.bits and j = call land Col.mask in
+  if k > 0 && j = 0 then s.latest.(ctx) <- add_block row k (Bytes.make Col.block_bytes '\xff')
+  else if k = 0 && (row = [||] || 4 * j >= Bytes.length row.(0)) then begin
+    let old = if row = [||] then Bytes.empty else row.(0) in
+    let b = Bytes.make (min Col.block_bytes (max 32 (2 * Bytes.length old))) '\xff' in
+    Bytes.blit old 0 b 0 (Bytes.length old);
+    s.latest.(ctx) <- [| b |]
+  end
 
 (* The innermost frame must be (ctx, call). *)
 let check_open s what ctx call =
@@ -203,24 +221,26 @@ let close_fragment s ~add ~incl =
   end;
   if s.f_last.(d) <> none then push_dep s s.f_last.(d);
   let key = s.f_key.(d) in
-  let h = add ~key ~self:s.pending_ops s.dep_buf s.n_deps in
+  let h = add ~at:s.index ~key ~self:s.pending_ops s.dep_buf s.n_deps in
   s.node_count <- s.node_count + 1;
   s.total_ops <- s.total_ops + s.pending_ops;
   s.f_last.(d) <- h;
   s.pending_ops <- 0;
   s.n_deps <- 0;
   s.xfer_pending <- false;
-  s.latest.(key_ctx key).(key_call key) <- h;
+  let ctx = key_ctx key and call = key_call key in
+  set_lane s.latest.(ctx).(call lsr Col.bits) (call land Col.mask) h;
   if s.best_handle = none || incl s.best_handle < incl h then s.best_handle <- h;
   h
 
-(* One pass over the event stream, generic in the node handle: [add]
-   records a node whose dependencies are the handles [deps.(0 .. nd-1)]
-   and returns its handle, [incl] reads a handle's inclusive chain length
-   back. The full analysis hands out node ids; the O(1) summary uses the
-   inclusive lengths themselves as handles. Returns (serial length,
-   fragment count, best handle or [none]). *)
-let pass ~(add : key:int -> self:int -> int array -> int -> int) ~(incl : int -> int)
+(* One pass over the event stream, generic in the node handle: [add ~at]
+   records a node, closed by entry [at], whose dependencies are the
+   handles [deps.(0 .. nd-1)] and returns its handle, [incl] reads a
+   handle's inclusive chain length back. The full analysis hands out
+   node ids; the O(1) summary uses the inclusive lengths themselves as
+   handles. Returns (serial length, fragment count, best handle or
+   [none]). *)
+let pass ~(add : at:int -> key:int -> self:int -> int array -> int -> int) ~(incl : int -> int)
     (stream : stream) =
   let s =
     {
@@ -232,7 +252,7 @@ let pass ~(add : key:int -> self:int -> int array -> int -> int) ~(incl : int ->
       dep_buf = Array.make 16 0;
       n_deps = 0;
       xfer_pending = false;
-      latest = [| [| none |] |];
+      latest = [| [| Bytes.make 32 '\xff' |] |];
       calls = [| 0 |];
       total_ops = 0;
       node_count = 0;
@@ -245,6 +265,14 @@ let pass ~(add : key:int -> self:int -> int array -> int -> int) ~(incl : int ->
       (match entry with
       | Sigil.Event_log.Comp { ctx; call; int_ops; fp_ops } ->
         check_open s "Comp" ctx call;
+        (* the serial length bounds every inclusive length and finish
+           time; each count is bounded first, so the sum cannot wrap *)
+        if int_ops < 0 || fp_ops < 0 || int_ops >= lane_none || fp_ops >= lane_none
+           || s.total_ops + s.pending_ops + int_ops + fp_ops >= lane_none
+        then
+          fail_at s "Comp" "past the 32-bit bound: expected a serial length below %d, found \
+                            %d int and %d fp ops at (ctx %d, call %d)"
+            lane_none int_ops fp_ops ctx call;
         s.pending_ops <- s.pending_ops + int_ops + fp_ops
       | Sigil.Event_log.Xfer { src_ctx; src_call; dst_ctx; dst_call; _ } ->
         check_open s "Xfer" dst_ctx dst_call;
@@ -275,8 +303,12 @@ let pass ~(add : key:int -> self:int -> int array -> int -> int) ~(incl : int ->
 
 let analyze_stream stream =
   let n_incl = Col.create () and records = Buf.create () and seek = Col.create () in
-  let add ~key ~self deps nd =
+  let add ~at ~key ~self deps nd =
     let id = n_incl.Col.n in
+    (* a record takes 3 bytes or more, so this bounds the node ids too *)
+    if id mod seek_every = 0 && records.Buf.n >= lane_none then
+      Printf.ksprintf failwith "Critpath: entry %d: node %d's record starts past the 32-bit \
+                                bound, at byte %d" at id records.Buf.n;
     if id mod seek_every = 0 then Col.push seek records.Buf.n;
     Buf.put records (key_ctx key);
     Buf.put records (key_call key);
@@ -297,7 +329,7 @@ let analyze_stream stream =
 type summary = { s_serial : int; s_critical : int; s_fragments : int }
 
 let summarize_stream stream =
-  let add ~key:_ ~self deps nd =
+  let add ~at:_ ~key:_ ~self deps nd =
     let start = ref 0 in
     for j = 0 to nd - 1 do
       if deps.(j) > !start then start := deps.(j)
@@ -412,14 +444,33 @@ type schedule = {
   utilization : float;
 }
 
+(* [free.(0 .. n-1)] as a binary min-heap of free times: gives its top
+   the time [v] and restores the order. *)
+let replace_top free n v =
+  let i = ref 0 and l = ref 1 in
+  while !l < n do
+    let c = if !l + 1 < n && free.(!l + 1) < free.(!l) then !l + 1 else !l in
+    if free.(c) < v then begin
+      free.(!i) <- free.(c);
+      i := c;
+      l := (2 * c) + 1
+    end
+    else l := n
+  done;
+  free.(!i) <- v
+
 (* Greedy list scheduling in creation order (every dependency closes before
    its consumer, so creation order is topological): each fragment starts as
    soon as its dependencies have finished and the earliest-free core is
-   available. *)
+   available. Cores are alike, so which earliest-free core takes it moves
+   no start time: the free times form a binary min-heap, and only
+   [min cores nodes] of them are kept. Finish times are lanes: none
+   exceeds the serial length. *)
 let schedule t ~cores =
   if cores <= 0 then invalid_arg "Critpath.schedule: cores must be positive";
-  let finish = Array.make (max 1 t.nodes) 0 in
-  let core_free = Array.make cores 0 in
+  let finish = Bytes.create (4 * t.nodes) in
+  let n = min cores (max 1 t.nodes) in
+  let free = Array.make n 0 in
   let makespan = ref 0 in
   let c = { buf = t.records; pos = 0 } in
   for i = 0 to t.nodes - 1 do
@@ -427,17 +478,12 @@ let schedule t ~cores =
     let ready = ref 0 and dep_start = ref 0 in
     for _ = 1 to read c do
       let d = i - read c in
-      if finish.(d) > !ready then ready := finish.(d);
+      if lane finish d > !ready then ready := lane finish d;
       if Col.get t.n_incl d > !dep_start then dep_start := Col.get t.n_incl d
     done;
-    let core = ref 0 in
-    for k = 1 to cores - 1 do
-      if core_free.(k) < core_free.(!core) then core := k
-    done;
-    let start = max !ready core_free.(!core) in
-    let stop = start + Col.get t.n_incl i - !dep_start in
-    core_free.(!core) <- stop;
-    finish.(i) <- stop;
+    let stop = max !ready free.(0) + Col.get t.n_incl i - !dep_start in
+    replace_top free n stop;
+    set_lane finish i stop;
     if stop > !makespan then makespan := stop
   done;
   let makespan = !makespan in
@@ -447,5 +493,5 @@ let schedule t ~cores =
     speedup = (if makespan = 0 then 1.0 else float_of_int t.serial /. float_of_int makespan);
     utilization =
       (if makespan = 0 then 1.0
-       else float_of_int t.serial /. float_of_int (cores * makespan));
+       else float_of_int t.serial /. (float_of_int cores *. float_of_int makespan));
   }

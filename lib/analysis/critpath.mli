@@ -47,27 +47,34 @@ type stream = (Sigil.Event_log.entry -> unit) -> unit
     Call numbers count from 1 per context in Call order, as
     [Dbi.Machine] numbers them, and context ids lie in [0, 0xFFFE]. A
     transfer whose producer is outside that range, or has not been called
-    yet, imposes no ordering, like one from program input.
+    yet, imposes no ordering, like one from program input. The serial
+    length stays below 2^32 - 1 and the node records below 4 GB, so every
+    inclusive length, node id and finish time fits an unsigned 32-bit
+    lane. Sigil's shadow packs its clock into 32 bits as well.
 
-    Each node costs 8 bytes for its inclusive length, in an int column
+    Each node costs 4 bytes for its inclusive length, a 32-bit lane
     indexed by node id, plus its record in one byte stream: LEB128
     varints of its context, call number, dependency count and, per
     dependency, how many nodes back it lies. Most fields fit one byte, so
-    a record is about 7 bytes on canneal. The byte offset of every 64th record costs 1/8 byte more per
-    node. A node's self cost and best predecessor are derived from its
+    a record is about 7 bytes and a node about 11 bytes on canneal. The
+    byte offset of every 64th record costs 1/16 byte more per node. A
+    node's self cost and best predecessor are derived from its
     dependencies' inclusive lengths, and the occurrence index of a
     {!critical_path} node by one scan when the path is read. Columns grow
-    in fixed blocks (4096 ints, 64 KB of records), so growth never copies
-    the DAG. While the pass runs, the latest occurrence of each call
-    costs 8 bytes more, in one array per context indexed by call number
-    and grown by doubling. The pass allocates nothing per entry or per
-    node on the minor heap beyond what the stream itself allocates.
+    in fixed blocks (4096 lanes, 64 KB of records), so growth never
+    copies the DAG. While the pass runs, the latest occurrence of each
+    call costs 4 bytes more, in one row of lanes per context indexed by
+    call number: a row starts at 8 lanes and doubles until it fills one
+    4096-lane block, then gains whole blocks and is never copied again.
+    The pass allocates nothing per entry or per node on the minor heap
+    beyond what the stream itself allocates.
 
     @raise Failure when a Comp, Xfer or Ret does not name the innermost
     open call, a Call's context is out of range or its number is not that
-    context's next one, or an entry arrives after the root returned. The
-    message gives the 0-based entry index and the expected and found
-    (ctx, call). {!summarize_stream} fails the same way. *)
+    context's next one, an entry arrives after the root returned, or a
+    bound above is passed. The message gives the 0-based entry index and
+    the expected and found (ctx, call). {!summarize_stream} fails the
+    same way. *)
 val analyze_stream : stream -> t
 
 (** {2 O(1)-per-fragment summary}
@@ -75,7 +82,7 @@ val analyze_stream : stream -> t
     When only the Fig 13 numbers are wanted, the DAG need not be retained:
     a fragment's contribution reduces to one int (its inclusive chain
     length), so the pass keeps just the open call stack and the
-    latest-occurrence table (8 bytes per call). *)
+    latest-occurrence table (4 bytes per call). *)
 
 type summary = {
   s_serial : int; (** total operations (serial schedule length) *)
@@ -129,5 +136,6 @@ type schedule = {
 
 (** [schedule t ~cores] maps every fragment onto [cores] slots, respecting
     the dependency edges; with unlimited cores the makespan approaches the
-    critical-path length. *)
+    critical-path length. It costs 4 bytes per node, and cores past the
+    node count cost nothing. *)
 val schedule : t -> cores:int -> schedule

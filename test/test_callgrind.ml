@@ -98,6 +98,27 @@ let test_unvisited_ctx_zero_cost () =
   let c = Callgrind.Tool.cost tool 9999 in
   Alcotest.(check int) "zero" 0 c.Callgrind.Cost.ir
 
+(* An access that straddles a 64 B line touches both lines, so the second
+   line is warm afterwards. No PARSEC clone makes a straddle whose second
+   line changes a count, so this guest does, for reads and writes, at the
+   default geometry and under the cache spec: a line walk that stopped at
+   the first line would miss twice in each pair. *)
+let test_straddling_accesses () =
+  let guest m =
+    Dbi.Guest.call m "main" (fun () ->
+        Dbi.Guest.read m (0x200000 + 60) 8;
+        Dbi.Guest.read m (0x200000 + 64) 8;
+        Dbi.Guest.write m (0x300000 + 62) 4;
+        Dbi.Guest.write m (0x300000 + 64) 4)
+  in
+  match Cache_spec.check ~call_overhead:0 guest with
+  | Error e -> Alcotest.fail e
+  | Ok tool ->
+    let c = Callgrind.Tool.total tool in
+    Alcotest.(check (list int))
+      "D1mr D1mw DLmr DLmw: only the straddles miss" [ 1; 1; 1; 1 ]
+      Callgrind.Cost.[ c.d1mr; c.d1mw; c.dlmr; c.dlmw ]
+
 (* Whole-program Callgrind totals for every PARSEC clone at simsmall, pinned
    from the per-fetch cache model before fetches were batched per line.
    Any change to the cache simulator or to Callgrind's charging must leave
@@ -221,6 +242,7 @@ let () =
           Alcotest.test_case "estimate formula" `Quick test_estimate_formula;
           Alcotest.test_case "cost arithmetic" `Quick test_cost_arithmetic;
           Alcotest.test_case "unvisited ctx zero cost" `Quick test_unvisited_ctx_zero_cost;
+          Alcotest.test_case "straddling accesses" `Quick test_straddling_accesses;
           Alcotest.test_case "simsmall goldens" `Quick test_simsmall_goldens;
           Alcotest.test_case "allocation bound" `Quick test_allocation_bound;
         ] );

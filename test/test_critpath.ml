@@ -105,6 +105,24 @@ let test_out_of_range_producer_ignored () =
         (Analysis.Critpath.summarize_stream stream).Analysis.Critpath.s_critical)
     [ (1 lsl 40) + 1; 1 - (1 lsl 40) ]
 
+(* A context's calls live in blocks of 4096 lanes, and a row's spare
+   spine slots point at a block that holds other calls: a producer past
+   the calls seen must read as absent, whichever block its number
+   falls in. Call 4097 is lane 1 of block 1, and so would call 8193 be
+   through the spare slot 2. *)
+let test_producer_past_calls_seen () =
+  let calls = List.concat (List.init 4096 (fun i -> [ call 1 (i + 1); ret 1 (i + 1) ])) in
+  let stream =
+    stream_of
+      (calls
+      @ [ call 1 4097; comp 1 4097 1000; ret 1 4097;
+          call 2 1; xfer (1, 8193) (2, 1) 8; comp 2 1 5; ret 2 1 ])
+  in
+  Alcotest.(check int) "critical path" 1000
+    (Analysis.Critpath.critical_path_length (Analysis.Critpath.analyze_stream stream));
+  Alcotest.(check int) "summary" 1000
+    (Analysis.Critpath.summarize_stream stream).Analysis.Critpath.s_critical
+
 let test_mismatched_comp_rejected () =
   match Analysis.Critpath.analyze_stream (stream_of [ call 1 1; comp 2 9 10 ]) with
   | exception Failure _ -> ()
@@ -185,12 +203,55 @@ let test_schedule_bounds () =
         (s.Analysis.Critpath.speedup <= float_of_int cores +. 1e-9);
       Alcotest.(check bool) "utilization in (0,1]" true
         (s.Analysis.Critpath.utilization > 0.0 && s.Analysis.Critpath.utilization <= 1.0 +. 1e-9))
-    [ 1; 2; 4; 16 ]
+    (* past the node count, up to the largest count a caller can pass *)
+    [ 1; 2; 4; 16; max_int ]
 
 let test_schedule_cores_validated () =
   let t = Analysis.Critpath.analyze_stream (stream_of []) in
   Alcotest.check_raises "zero cores" (Invalid_argument "Critpath.schedule: cores must be positive")
     (fun () -> ignore (Analysis.Critpath.schedule t ~cores:0))
+
+(* Columns hold unsigned 32-bit lanes: a length of 2^32 - 2 reads back
+   whole through every column (inclusive, latest, finish), and a Comp
+   that takes the serial length to 2^32 fails where it arrives, in both
+   passes, instead of wrapping. *)
+let test_lane_bound () =
+  let top = (1 lsl 32) - 2 in
+  let fits =
+    stream_of [ call 1 1; comp 1 1 top; ret 1 1; call 1 2; xfer (1, 1) (1, 2) 8; ret 1 2 ]
+  in
+  let t = Analysis.Critpath.analyze_stream fits in
+  Alcotest.(check int) "critical path" top (Analysis.Critpath.critical_path_length t);
+  Alcotest.(check int) "summary" top
+    (Analysis.Critpath.summarize_stream fits).Analysis.Critpath.s_critical;
+  Alcotest.(check int) "makespan" top
+    (Analysis.Critpath.schedule t ~cores:2).Analysis.Critpath.makespan;
+  let past = stream_of [ call 1 1; comp 1 1 10; call 2 1; comp 2 1 ((1 lsl 32) - 10); ret 2 1 ] in
+  let expected =
+    Failure
+      "Critpath: entry 3: Comp past the 32-bit bound: expected a serial length below 4294967295, \
+       found 4294967286 int and 0 fp ops at (ctx 2, call 1)"
+  in
+  Alcotest.check_raises "analyze" expected (fun () ->
+      ignore (Analysis.Critpath.analyze_stream past));
+  Alcotest.check_raises "summary" expected (fun () ->
+      ignore (Analysis.Critpath.summarize_stream past));
+  (* two counts whose sum wraps past max_int are refused too *)
+  let wraps =
+    stream_of
+      [ call 1 1; comp 1 1 5;
+        Event_log.Comp { ctx = 1; call = 1; int_ops = max_int; fp_ops = max_int } ]
+  in
+  let expected =
+    Failure
+      (Printf.sprintf
+         "Critpath: entry 2: Comp past the 32-bit bound: expected a serial length below \
+          4294967295, found %d int and %d fp ops at (ctx 1, call 1)" max_int max_int)
+  in
+  Alcotest.check_raises "analyze, wrapping sum" expected (fun () ->
+      ignore (Analysis.Critpath.analyze_stream wraps));
+  Alcotest.check_raises "summary, wrapping sum" expected (fun () ->
+      ignore (Analysis.Critpath.summarize_stream wraps))
 
 let qcheck_parallelism_at_least_one =
   (* random well-formed single-level logs: parallelism >= 1 *)
@@ -226,6 +287,7 @@ let () =
           Alcotest.test_case "unknown producer ignored" `Quick test_unknown_producer_ignored;
           Alcotest.test_case "out-of-range producer ignored" `Quick
             test_out_of_range_producer_ignored;
+          Alcotest.test_case "producer past the calls seen" `Quick test_producer_past_calls_seen;
           Alcotest.test_case "mismatched comp rejected" `Quick test_mismatched_comp_rejected;
           Alcotest.test_case "empty log" `Quick test_empty_log;
           Alcotest.test_case "node count" `Quick test_node_count;
@@ -234,6 +296,7 @@ let () =
           Alcotest.test_case "schedule respects deps" `Quick test_schedule_respects_deps;
           Alcotest.test_case "schedule bounds" `Quick test_schedule_bounds;
           Alcotest.test_case "schedule cores validated" `Quick test_schedule_cores_validated;
+          Alcotest.test_case "32-bit lane bound" `Quick test_lane_bound;
           QCheck_alcotest.to_alcotest qcheck_parallelism_at_least_one;
         ] );
     ]
