@@ -498,10 +498,22 @@ let alloc_failures = ref 0
    run. *)
 let alloc_bound = 0.01
 
-let minor_words f =
+(* Major words less those promoted from the minor heap: what went
+   straight to the major heap, as blocks of chunk size do. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* The minor and direct major words [f] allocates; the major counters are
+   read outside the minor window, so the minor count is [f]'s alone. *)
+let words f =
+  let major = direct_major_words () in
   let before = Gc.minor_words () in
   let r = f () in
-  (Gc.minor_words () -. before, r)
+  let minor = Gc.minor_words () -. before in
+  ((minor, direct_major_words () -. major), r)
+
+let ( -- ) (a, b) (c, d) = (a -. c, b -. d)
 
 (* The stages of the Fig 13 pipeline, and whether [alloc_bound] gates
    them: the guest program is the workload's own, and [schedule] builds
@@ -516,23 +528,24 @@ let alloc_stage_names =
     ("schedule (4 cores)", false);
   |]
 
-(* Retired instructions of one workload and the minor words of each stage
-   in [alloc_stage_names], as the difference from the stage before it; a
-   decode pass and [schedule] are measured alone. Minor words repeat
-   exactly run to run at one domain, so the host does not matter. *)
+(* Retired instructions of one workload and the minor and direct major
+   words of each stage in [alloc_stage_names], as the difference from the
+   stage before it; a decode pass and [schedule] are measured alone. Both
+   counts repeat exactly run to run at one domain, so the host does not
+   matter. *)
 let alloc_stages name scale =
   let w = workload name in
   let options = Sigil.Options.(with_events default) in
   let run tool = Dbi.Runner.run ~tools:[ tool ] (fun m -> w.Workloads.Workload.run m scale) in
   let sigil sink m = Sigil.Tool.tool (Sigil.Tool.create ~options ~event_sink:sink m) in
-  let nop, r = minor_words (fun () -> run (fun _ -> Dbi.Tool.nop "nop")) in
-  let null, _ = minor_words (fun () -> run (sigil ignore)) in
+  let nop, r = words (fun () -> run (fun _ -> Dbi.Tool.nop "nop")) in
+  let null, _ = words (fun () -> run (sigil ignore)) in
   let tf = Filename.temp_file ("bench_alloc_" ^ name) ".tf" in
   Fun.protect
     ~finally:(fun () -> Sys.remove tf)
     (fun () ->
       let written, () =
-        minor_words (fun () ->
+        words (fun () ->
             let wr = Tracefile.Writer.create ~options tf in
             let m = (run (sigil (Tracefile.Writer.sink wr))).Dbi.Runner.machine in
             Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
@@ -542,15 +555,41 @@ let alloc_stages name scale =
         let rd = Tracefile.Reader.open_file tf in
         Fun.protect
           ~finally:(fun () -> Tracefile.Reader.close rd)
-          (fun () -> minor_words (fun () -> f rd))
+          (fun () -> words (fun () -> f rd))
       in
       let decode, () = read (fun rd -> Tracefile.Reader.iter rd ignore) in
       let analyze, cp =
         read (fun rd -> Analysis.Critpath.analyze_stream (Tracefile.Reader.iter rd))
       in
-      let schedule, _ = minor_words (fun () -> Analysis.Critpath.schedule cp ~cores:4) in
-      ( Dbi.Machine.now r.Dbi.Runner.machine,
-        [| nop; null -. nop; written -. null; decode; analyze -. decode; schedule |] ))
+      let schedule, _ = words (fun () -> Analysis.Critpath.schedule cp ~cores:4) in
+      let stages = [| nop; null -- nop; written -- null; decode; analyze -- decode; schedule |] in
+      (Dbi.Machine.now r.Dbi.Runner.machine, Array.map fst stages, Array.map snd stages))
+
+(* One table of words per retired instruction, stage by stage; [bound]
+   gates the stages marked so. *)
+let alloc_table ?bound runs instr kind pick =
+  pf "%-34s" "stage";
+  List.iter (fun (name, _) -> pf " %13s" name) runs;
+  pf " %13s\n" "all";
+  Array.iteri
+    (fun k (stage, gated) ->
+      pf "%-34s" stage;
+      List.iter
+        (fun (name, (i, minor, major)) ->
+          let v = (pick minor major).(k) /. float_of_int i in
+          pf " %13.4f" v;
+          match bound with
+          | Some bound when gated && v > bound ->
+            incr alloc_failures;
+            Printf.eprintf "alloc: %s: %s allocates %.4f %s words per instruction (bound %g)\n"
+              name stage v kind bound
+          | _ -> ())
+        runs;
+      let words =
+        List.fold_left (fun acc (_, (_, minor, major)) -> acc +. (pick minor major).(k)) 0. runs
+      in
+      pf " %13.4f\n" (words /. float_of_int instr))
+    alloc_stage_names
 
 let alloc_bench () =
   let scale = !alloc_scale in
@@ -562,28 +601,12 @@ let alloc_bench () =
       (fun name -> (name, alloc_stages name scale))
       [ "canneal"; "streamcluster"; "blackscholes" ]
   in
-  let instr = List.fold_left (fun acc (_, (i, _)) -> acc + i) 0 runs in
-  pf "%-34s" "stage";
-  List.iter (fun (name, _) -> pf " %13s" name) runs;
-  pf " %13s\n" "all";
-  Array.iteri
-    (fun k (stage, gated) ->
-      pf "%-34s" stage;
-      List.iter
-        (fun (name, (i, words)) ->
-          let v = words.(k) /. float_of_int i in
-          pf " %13.4f" v;
-          if gated && v > alloc_bound then begin
-            incr alloc_failures;
-            Printf.eprintf "alloc: %s: %s allocates %.4f minor words per instruction (bound %g)\n"
-              name stage v alloc_bound
-          end)
-        runs;
-      let words = List.fold_left (fun acc (_, (_, words)) -> acc +. words.(k)) 0. runs in
-      pf " %13.4f\n" (words /. float_of_int instr))
-    alloc_stage_names;
+  let instr = List.fold_left (fun acc (_, (i, _, _)) -> acc + i) 0 runs in
+  alloc_table ~bound:alloc_bound runs instr "minor" (fun minor _ -> minor);
   pf "%d retired instructions; gated stages (emission, writer, decode, analyze) bound %g\n" instr
-    alloc_bound
+    alloc_bound;
+  pf "\ndirect major words per retired instruction (major less promoted):\n";
+  alloc_table runs instr "major" (fun _ major -> major)
 
 (* failed workloads (Driver.run_many isolates them); a non-zero count turns
    into exit code 3 (valid but incomplete results) at the end of the run *)

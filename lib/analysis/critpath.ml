@@ -97,6 +97,7 @@ type t = {
   n_incl : Col.t;
   records : Buf.t;
   seek : Col.t; (* byte offset of node [k * seek_every]'s record *)
+  mutable finish : Bytes.t; (* [schedule]'s finish-time lanes: made once, reused *)
 }
 
 let seek_every = 64
@@ -324,7 +325,7 @@ let analyze_stream stream =
     id
   in
   let serial, nodes, best = pass ~add ~incl:(Col.get n_incl) stream in
-  { serial; best; nodes; n_incl; records; seek }
+  { serial; best; nodes; n_incl; records; seek; finish = Bytes.empty }
 
 type summary = { s_serial : int; s_critical : int; s_fragments : int }
 
@@ -468,7 +469,9 @@ let replace_top free n v =
    exceeds the serial length. *)
 let schedule t ~cores =
   if cores <= 0 then invalid_arg "Critpath.schedule: cores must be positive";
-  let finish = Bytes.create (4 * t.nodes) in
+  (* every lane is written before it is read, so no reset is needed *)
+  if Bytes.length t.finish < 4 * t.nodes then t.finish <- Bytes.create (4 * t.nodes);
+  let finish = t.finish in
   let n = min cores (max 1 t.nodes) in
   let free = Array.make n 0 in
   let makespan = ref 0 in

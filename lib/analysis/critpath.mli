@@ -136,6 +136,7 @@ type schedule = {
 
 (** [schedule t ~cores] maps every fragment onto [cores] slots, respecting
     the dependency edges; with unlimited cores the makespan approaches the
-    critical-path length. It costs 4 bytes per node, and cores past the
-    node count cost nothing. *)
+    critical-path length. It costs 4 bytes per node, once: every schedule
+    of [t] reuses the first one's buffer, so calls on one [t] must not
+    run in parallel. Cores past the node count cost nothing. *)
 val schedule : t -> cores:int -> schedule

@@ -72,9 +72,13 @@ type t = {
   max_chunks : int;
   sink : sink;
   fifo : int Queue.t; (* chunk indices, creation order *)
-  mutable live : int;
+  mutable live : int; (* mapped chunks: what the FIFO limit bounds *)
+  mutable pages : int; (* mapped superpages: only [flush] unmaps them *)
+  (* what [flush] unmapped: counters and footprints still count it, as
+     the state the run ended with *)
+  mutable released_chunks : int;
+  mutable released_pages : int;
   mutable peak : int;
-  mutable pages : int; (* superpages are never freed: monotone *)
   mutable evictions : int;
   mutable last_chunk : chunk; (* single-entry lookup cache, [no_chunk] when empty *)
   (* telemetry probes: plain int bumps, once per call (not per byte) *)
@@ -109,8 +113,10 @@ let create ?(reuse = false) ?(track_writer_call = false) ?max_chunks ?(sink = nu
     sink;
     fifo = Queue.create ();
     live = 0;
-    peak = 0;
     pages = 0;
+    released_chunks = 0;
+    released_pages = 0;
+    peak = 0;
     evictions = 0;
     last_chunk = no_chunk;
     allocs = 0;
@@ -135,22 +141,27 @@ let per_chunk_bytes reuse track_writer_call =
 
 let page_bytes = (page_slots * 8) + 16
 
+let chunks_live t = t.live + t.released_chunks
+let pages t = t.pages + t.released_pages
+
 let footprint_bytes t =
-  (dir_len * 8) + (t.pages * page_bytes)
-  + (t.live * per_chunk_bytes t.reuse_mode t.track_writer_call)
+  (dir_len * 8) + (pages t * page_bytes)
+  + (chunks_live t * per_chunk_bytes t.reuse_mode t.track_writer_call)
 
 let footprint_peak_bytes t =
-  (dir_len * 8) + (t.pages * page_bytes)
+  (dir_len * 8) + (pages t * page_bytes)
   + (t.peak * per_chunk_bytes t.reuse_mode t.track_writer_call)
 
 let evictions t = t.evictions
 
-let flush_byte t (c : chunk) i =
-  let reader = Bigarray.Array1.unsafe_get c.reader i in
-  let writer = Bigarray.Array1.unsafe_get c.writer i in
-  (match c.reuse with
+(* Reports the byte's open episode and version to the sink (reuse mode
+   only: otherwise there is nothing to report). *)
+let end_byte t (c : chunk) i =
+  match c.reuse with
   | None -> ()
   | Some r ->
+    let reader = Bigarray.Array1.unsafe_get c.reader i in
+    let writer = Bigarray.Array1.unsafe_get c.writer i in
     let reads = u32_get r.ep_reads i in
     if reader <> no_ctx && reads > 0 then
       t.sink.on_episode_end ~reader ~reads ~first:(u32_get r.ep_first i)
@@ -160,7 +171,10 @@ let flush_byte t (c : chunk) i =
     if writer <> no_ctx || reader <> no_ctx then begin
       let producer = if writer <> no_ctx then writer else Dbi.Context.root in
       t.sink.on_version_end ~producer ~nonunique:(u32_get r.ver_nonunique i)
-    end);
+    end
+
+let flush_byte t (c : chunk) i =
+  end_byte t c i;
   Bigarray.Array1.unsafe_set c.writer i no_ctx;
   (match c.writer_call with None -> () | Some wc -> u32_set wc i 0);
   Bigarray.Array1.unsafe_set c.reader i no_ctx;
@@ -251,7 +265,7 @@ let new_chunk t index =
   page.(index land (page_slots - 1)) <- Some c;
   Queue.add index t.fifo;
   t.live <- t.live + 1;
-  if t.live > t.peak then t.peak <- t.live;
+  if chunks_live t > t.peak then t.peak <- chunks_live t;
   c
 
 let chunk_for t addr =
@@ -482,25 +496,38 @@ let write_range t ~ctx ~call ~now:_ addr len =
     remaining := !remaining - span
   done
 
+(* Program end: reports every live byte, in address order, then unmaps
+   every chunk and superpage instead of resetting them byte by byte. *)
 let flush t =
-  Array.iter
-    (function
-      | Some page ->
-        Array.iter
-          (function
-            | Some c -> flush_chunk t c
-            | None -> ())
-          page
-      | None -> ())
-    t.dir
+  if t.reuse_mode then
+    Array.iter
+      (function
+        | Some page ->
+          Array.iter
+            (function
+              | Some c ->
+                for i = 0 to chunk_size - 1 do
+                  if byte_live c i then end_byte t c i
+                done
+              | None -> ())
+            page
+        | None -> ())
+      t.dir;
+  Array.fill t.dir 0 dir_len None;
+  Queue.clear t.fifo;
+  t.last_chunk <- no_chunk;
+  t.released_chunks <- t.released_chunks + t.live;
+  t.live <- 0;
+  t.released_pages <- t.released_pages + t.pages;
+  t.pages <- 0
 
 let telemetry t =
   Telemetry.
     [
       count "shadow.chunks_allocated" t.allocs;
-      gauge "shadow.chunks_live" t.live;
+      gauge "shadow.chunks_live" (chunks_live t);
       peak "shadow.chunks_peak" t.peak;
-      gauge "shadow.pages" t.pages;
+      gauge "shadow.pages" (pages t);
       count "shadow.evictions" t.evictions;
       count "shadow.range_reads" t.range_reads;
       count "shadow.range_read_bytes" t.range_read_bytes;

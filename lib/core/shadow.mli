@@ -110,8 +110,13 @@ val read_range :
     producer. *)
 val write_range : t -> ctx:Dbi.Context.id -> call:int -> now:int -> int -> int -> unit
 
-(** [flush t] ends every live episode and version (program end). The table
-    remains usable. *)
+(** [flush t] ends every live episode and version (program end), then
+    unmaps every chunk and superpage, so the planes outlive the run only
+    until the GC takes them. The table remains usable, every byte back to
+    never touched: a later access maps fresh chunks, which the FIFO limit
+    bounds as before. What [flush] unmapped still counts in {!telemetry}
+    and the footprints, which keep describing the state the run ended
+    with: [flush] changes none of their values. *)
 val flush : t -> unit
 
 (** {2 Introspection} *)
@@ -125,7 +130,7 @@ val chunk_bytes : int
 val evictions : t -> int
 
 (** Current footprint estimate in host bytes (directory + live superpages
-    + live chunks). *)
+    + live chunks), counting what {!flush} unmapped as still live. *)
 val footprint_bytes : t -> int
 
 val footprint_peak_bytes : t -> int

@@ -26,7 +26,10 @@ type t
     [event_sink] is given, or when [Options.per_byte_shadow] is set. *)
 val create : ?options:Options.t -> ?event_sink:Event_log.sink -> Dbi.Machine.t -> t
 
-(** The callback record to attach to the machine. *)
+(** The callback record to attach to the machine. Its [on_finish] ends
+    the run: it releases the shadow's chunks (the {!Shadow.flush} end
+    state), so a tool kept alive for its profile, reuse statistics or
+    telemetry no longer holds the shadow memory. *)
 val tool : t -> Dbi.Tool.t
 
 val options : t -> Options.t

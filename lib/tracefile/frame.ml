@@ -197,7 +197,7 @@ let encode_entry d buf (e : Sigil.Event_log.entry) =
     pop d
 
 (* Makes the entry's position the running pair. *)
-let read_pos d byte b ~pos =
+let read_pos d byte b ~len ~pos =
   if byte land flag_samepos <> 0 then ()
   else if byte land flag_stackpos <> 0 then begin
     if d.depth = 0 then failwith "Tracefile: stackpos flag with no open frame";
@@ -205,13 +205,13 @@ let read_pos d byte b ~pos =
     d.d_call <- d.st_call.(d.depth - 1)
   end
   else begin
-    d.d_ctx <- d.d_ctx + Varint.read_signed b ~pos;
-    d.d_call <- d.d_call + Varint.read_signed b ~pos
+    d.d_ctx <- d.d_ctx + Varint.read_signed b ~len ~pos;
+    d.d_call <- d.d_call + Varint.read_signed b ~len ~pos
   end
 
-let decode_entry d b ~pos : Sigil.Event_log.entry =
+let decode_entry d b ~len ~pos : Sigil.Event_log.entry =
   if !pos = 0 then reset d;
-  if !pos >= Bytes.length b then raise Varint.Truncated;
+  if !pos >= len then raise Varint.Truncated;
   let byte = Char.code (Bytes.get b !pos) in
   incr pos;
   let base = byte land 0x07 in
@@ -223,31 +223,31 @@ let decode_entry d b ~pos : Sigil.Event_log.entry =
   if samenum && base <> tag_xfer && base <> tag_comp then
     failwith (Printf.sprintf "Tracefile: unknown entry tag 0x%02x" byte);
   if base = tag_call then begin
-    read_pos d byte b ~pos;
+    read_pos d byte b ~len ~pos;
     push d d.d_ctx d.d_call;
     Sigil.Event_log.set_call d.scratch ~ctx:d.d_ctx ~call:d.d_call
   end
   else if base = tag_comp then begin
-    read_pos d byte b ~pos;
-    let int_ops = if samenum then d.n_ops else Varint.read b ~pos in
+    read_pos d byte b ~len ~pos;
+    let int_ops = if samenum then d.n_ops else Varint.read b ~len ~pos in
     d.n_ops <- int_ops;
-    let fp_ops = if omit then 0 else Varint.read b ~pos in
+    let fp_ops = if omit then 0 else Varint.read b ~len ~pos in
     Sigil.Event_log.set_comp d.scratch ~ctx:d.d_ctx ~call:d.d_call ~int_ops ~fp_ops
   end
   else if base = tag_xfer then begin
-    read_pos d byte b ~pos;
+    read_pos d byte b ~len ~pos;
     if not samesrc then begin
-      d.s_ctx <- d.d_ctx + Varint.read_signed b ~pos;
-      d.s_call <- d.d_call + Varint.read_signed b ~pos
+      d.s_ctx <- d.d_ctx + Varint.read_signed b ~len ~pos;
+      d.s_call <- d.d_call + Varint.read_signed b ~len ~pos
     end;
-    let bytes = if samenum then d.n_bytes else Varint.read b ~pos in
+    let bytes = if samenum then d.n_bytes else Varint.read b ~len ~pos in
     d.n_bytes <- bytes;
-    let unique_bytes = if omit then bytes else Varint.read b ~pos in
+    let unique_bytes = if omit then bytes else Varint.read b ~len ~pos in
     Sigil.Event_log.set_xfer d.scratch ~src_ctx:d.s_ctx ~src_call:d.s_call ~dst_ctx:d.d_ctx
       ~dst_call:d.d_call ~bytes ~unique_bytes
   end
   else if base = tag_ret then begin
-    read_pos d byte b ~pos;
+    read_pos d byte b ~len ~pos;
     pop d;
     Sigil.Event_log.set_ret d.scratch ~ctx:d.d_ctx ~call:d.d_call
   end

@@ -84,13 +84,14 @@ val reset : delta -> unit
 
 val encode_entry : delta -> Buffer.t -> Sigil.Event_log.entry -> unit
 
-(** [decode_entry d b ~pos] decodes the entry at [!pos] and advances
-    [pos] past it; at [!pos = 0], a chunk's first entry, it {!reset}s [d]
+(** [decode_entry d b ~len ~pos] decodes the entry at [!pos] and advances
+    [pos] past it, reading only the first [len] bytes of [b] (the chunk's
+    payload); at [!pos = 0], a chunk's first entry, it {!reset}s [d]
     first. The result is [d]'s scratch entry of its constructor,
     lent as {!Sigil.Event_log.sink} describes: the next decode through [d]
     may overwrite it, so a caller that keeps it stores
     [Sigil.Event_log.copy] of it.
 
-    @raise Varint.Truncated on a cut-off value.
+    @raise Varint.Truncated on a value cut off at [len].
     @raise Failure on an unknown tag. *)
-val decode_entry : delta -> bytes -> pos:int ref -> Sigil.Event_log.entry
+val decode_entry : delta -> bytes -> len:int -> pos:int ref -> Sigil.Event_log.entry

@@ -13,9 +13,9 @@ let encode buf r =
         s.written; s.int_ops; s.fp_ops ]
     | Edge e -> [ 2; e.src; e.dst; e.bytes; e.unique_bytes ])
 
-let decode b ~pos =
+let decode b ~len ~pos =
   (* Array.init reads the fields in file order *)
-  let fields n = Array.init n (fun _ -> Varint.read b ~pos) in
+  let fields n = Array.init n (fun _ -> Varint.read b ~len ~pos) in
   match (fields 1).(0) with
   | 1 ->
     let v = fields 9 in

@@ -10,8 +10,16 @@ type tables = {
 
 let no_tables = { names = [||]; stripped = false; ctx_parent = [||]; ctx_fn = [||] }
 
+(* Where a reader reads sections: the 16-byte header scratch and one
+   payload buffer, grown to the longest section read or indexed. It is
+   longer than most, so every decode is bounded by its section's length. *)
+type scratch = { header : bytes; mutable payload : bytes }
+
+let scratch () = { header = Bytes.create Frame.chunk_header_bytes; payload = Bytes.empty }
+
 type t = {
   ic : in_channel;
+  sc : scratch;
   r_kind : Frame.kind;
   r_options_tag : string;
   r_chunk_bytes : int;
@@ -30,38 +38,40 @@ let read_bytes_at ic ~offset ~len =
 (* The only place a section header is parsed: the 16-byte framing at
    [offset] (a data section of any kind or an index checkpoint), its
    payload bounded by [limit] and checked against the stored CRC-32.
-   Returns the magic, the header's count field and the payload. *)
-let section_at ic ~offset ~limit =
+   Returns the magic, the header's count field and the payload length;
+   the payload is the first that many bytes of [sc.payload]. *)
+let section_at sc ic ~offset ~limit =
   if limit - offset < Frame.chunk_header_bytes then Frame.corrupt ~offset "truncated chunk header";
-  let header = read_bytes_at ic ~offset ~len:Frame.chunk_header_bytes in
-  let magic = Frame.get_u32 header 0 in
+  seek_in ic offset;
+  really_input ic sc.header 0 Frame.chunk_header_bytes;
+  let magic = Frame.get_u32 sc.header 0 in
   if magic <> Frame.ckpt_magic && Frame.kind_of_magic magic = None then
     Frame.corrupt ~offset "bad chunk magic";
-  let len = Frame.get_u32 header 8 in
+  let len = Frame.get_u32 sc.header 8 in
   if limit - offset - Frame.chunk_header_bytes < len then
     Frame.corrupt ~offset "truncated chunk payload";
-  let payload = Bytes.create len in
-  really_input ic payload 0 len;
-  let crc = Frame.get_u32 header 12 in
-  let actual = Crc32.bytes payload ~pos:0 ~len in
+  if Bytes.length sc.payload < len then sc.payload <- Bytes.create len;
+  really_input ic sc.payload 0 len;
+  let crc = Frame.get_u32 sc.header 12 in
+  let actual = Crc32.bytes sc.payload ~pos:0 ~len in
   if actual <> crc then
     Frame.corrupt ~offset
       (Printf.sprintf "chunk CRC mismatch (stored 0x%08x, computed 0x%08x)" crc actual);
-  (magic, Frame.get_u32 header 4, payload)
+  (magic, Frame.get_u32 sc.header 4, len)
 
-(* Decodes the [count] records of a section payload whose first byte is
-   at file offset [base], applying [f offset record] to each. Only
-   decoding failures are the section's fault; [f]'s own exceptions pass
-   through unchanged. *)
-let decode_section decode f ~base payload count =
+(* Decodes the [count] records of a section payload, the first [len]
+   bytes of [payload], whose first byte is at file offset [base],
+   applying [f offset record] to each. Only decoding failures are the
+   section's fault; [f]'s own exceptions pass through unchanged. *)
+let decode_section decode f ~base payload ~len count =
   let pos = ref 0 in
   for _ = 1 to count do
     let offset = base + !pos in
-    match decode payload ~pos with
+    match decode payload ~len ~pos with
     | r -> f offset r
     | exception (Varint.Truncated | Failure _) -> Frame.corrupt ~offset "undecodable record"
   done;
-  if !pos <> Bytes.length payload then
+  if !pos <> len then
     Frame.corrupt ~offset:(base + !pos) "section payload has trailing garbage"
 
 (* Forward walk over the sections in [start, limit), keeping every data
@@ -71,15 +81,15 @@ let decode_section decode f ~base payload count =
    returned with its offset and reason: the recovered sections are a
    strict prefix, never records past a gap. The kind is the first data
    section's ([Events] when there is none). *)
-let walk ic ~start ~limit =
+let walk sc ic ~start ~limit =
   let d = Frame.delta () in
   let kind = ref None in
   let rec go offset acc entries =
     if offset >= limit then (List.rev acc, entries, None)
     else
       match
-        let magic, count, payload = section_at ic ~offset ~limit in
-        let c = { c_offset = offset; c_entries = count; c_bytes = Bytes.length payload } in
+        let magic, count, len = section_at sc ic ~offset ~limit in
+        let c = { c_offset = offset; c_entries = count; c_bytes = len } in
         let k = Frame.kind_of_magic magic in
         (match (k, !kind) with
         | Some k, Some first when k <> first -> Frame.corrupt ~offset "section kind changes mid-file"
@@ -89,7 +99,7 @@ let walk ic ~start ~limit =
         | _ -> ());
         if k = Some Frame.Events then
           decode_section (Frame.decode_entry d) (fun _ _ -> ())
-            ~base:(offset + Frame.chunk_header_bytes) payload count;
+            ~base:(offset + Frame.chunk_header_bytes) sc.payload ~len count;
         (k <> None, c)
       with
       | exception Frame.Corrupt { offset; reason } -> (List.rev acc, entries, Some (offset, reason))
@@ -104,14 +114,14 @@ let walk ic ~start ~limit =
    and CRC clean. Salvage refuses to resume past a gap (delta state and
    entry accounting would be guesses), so these are reported as dropped
    rather than silently resurrected. *)
-let count_resync ic ~start ~limit =
+let count_resync sc ic ~start ~limit =
   let rec go offset n =
     if limit - offset < Frame.chunk_header_bytes then n
     else
-      match section_at ic ~offset ~limit with
+      match section_at sc ic ~offset ~limit with
       | exception Frame.Corrupt _ -> go (offset + 1) n
-      | magic, _, payload ->
-        let next = offset + Frame.chunk_header_bytes + Bytes.length payload in
+      | magic, _, len ->
+        let next = offset + Frame.chunk_header_bytes + len in
         go next (if magic <> Frame.ckpt_magic then n + 1 else n)
   in
   go start 0
@@ -129,12 +139,12 @@ let parse_header ic ~file_len =
     Frame.corrupt ~offset:magic_len (Printf.sprintf "unsupported version %d" version);
   let pos = ref (magic_len + 1) in
   try
-    let tag_len = Varint.read pre ~pos in
+    let tag_len = Varint.read pre ~len:pre_len ~pos in
     if tag_len < 0 || tag_len > pre_len - !pos then
       Frame.corrupt ~offset:!pos "options fingerprint overruns header";
     let tag = Bytes.sub_string pre !pos tag_len in
     pos := !pos + tag_len;
-    let chunk_bytes = Varint.read pre ~pos in
+    let chunk_bytes = Varint.read pre ~len:pre_len ~pos in
     (tag, chunk_bytes, !pos)
   with Varint.Truncated -> Frame.corrupt ~offset:!pos "truncated header"
 
@@ -166,7 +176,7 @@ let parse_tail ic ~file_len ~data_start =
   (* every counted item takes at least one byte, so a count past the
      bytes left is damage, not a table to allocate *)
   let count () =
-    let n = Varint.read meta ~pos in
+    let n = Varint.read meta ~len:meta_len ~pos in
     if n < 0 || n > meta_len - !pos then
       Frame.corrupt ~offset:tables_offset "table count out of range";
     n
@@ -178,7 +188,7 @@ let parse_tail ic ~file_len ~data_start =
     incr pos;
     let names =
       Array.init symbol_count (fun _ ->
-          let len = Varint.read meta ~pos in
+          let len = Varint.read meta ~len:meta_len ~pos in
           if len < 0 || len > meta_len - !pos then
             Frame.corrupt ~offset:tables_offset "symbol name overruns table";
           let name = Bytes.sub_string meta !pos len in
@@ -189,8 +199,8 @@ let parse_tail ic ~file_len ~data_start =
     let ctx_fn = Array.make context_count (-1) in
     let ctx_parent = Array.make context_count (-1) in
     for ctx = 1 to context_count - 1 do
-      let parent = Varint.read meta ~pos in
-      let fn = Varint.read meta ~pos in
+      let parent = Varint.read meta ~len:meta_len ~pos in
+      let fn = Varint.read meta ~len:meta_len ~pos in
       if parent < 0 || parent >= ctx || (symbol_count > 0 && (fn < 0 || fn >= symbol_count)) then
         Frame.corrupt ~offset:tables_offset
           (Printf.sprintf "context %d has parent %d and function %d" ctx parent fn);
@@ -203,9 +213,9 @@ let parse_tail ic ~file_len ~data_start =
     let next_free = ref data_start and entries = ref 0 in
     let chunks =
       Array.init chunk_count (fun _ ->
-          let c_offset = Varint.read meta ~pos in
-          let c_entries = Varint.read meta ~pos in
-          let c_bytes = Varint.read meta ~pos in
+          let c_offset = Varint.read meta ~len:meta_len ~pos in
+          let c_entries = Varint.read meta ~len:meta_len ~pos in
+          let c_bytes = Varint.read meta ~len:meta_len ~pos in
           if
             c_offset < !next_free || c_entries < 0 || c_bytes < 0
             || c_bytes > tables_offset - c_offset - Frame.chunk_header_bytes
@@ -264,6 +274,7 @@ let pp_salvage_report ppf r =
    whatever the walk would have dropped raises instead. *)
 let open_trace ~strict path =
   let ic = open_in_bin path in
+  let sc = scratch () in
   match
     let file_len = in_channel_length ic in
     (* a damaged header is unsalvageable: without the chunk-size framing
@@ -293,7 +304,7 @@ let open_trace ~strict path =
         (tl.t_chunks, tl.t_total_entries, report, kind_at ic tl.t_chunks)
       | _ ->
         let limit = match tail with Some tl -> tl.t_tables_offset | None -> file_len in
-        let recovered, entries, bad, kind = walk ic ~start:data_start ~limit in
+        let recovered, entries, bad, kind = walk sc ic ~start:data_start ~limit in
         if strict then begin
           match bad with
           | Some (offset, reason) -> Frame.corrupt ~offset reason
@@ -306,7 +317,7 @@ let open_trace ~strict path =
           match (tail, bad) with
           | Some tl, _ -> max 0 (Array.length tl.t_chunks - Array.length recovered)
           | None, None -> 0
-          | None, Some (b, _) -> 1 + count_resync ic ~start:(b + 1) ~limit
+          | None, Some (b, _) -> 1 + count_resync sc ic ~start:(b + 1) ~limit
         in
         let report =
           {
@@ -326,9 +337,13 @@ let open_trace ~strict path =
         let c = chunks.(Array.length chunks - 1) in
         c.c_offset + Frame.chunk_header_bytes + c.c_bytes
     in
+    (* reads of indexed chunks never grow the buffer: size it now *)
+    let longest = Array.fold_left (fun m c -> max m c.c_bytes) 0 chunks in
+    if Bytes.length sc.payload < longest then sc.payload <- Bytes.create longest;
     let tables = match tail with Some tl -> tl.t_tables | None -> no_tables in
     ( {
         ic;
+        sc;
         r_kind = kind;
         r_options_tag = tag;
         r_chunk_bytes = chunk_bytes;
@@ -369,17 +384,14 @@ let fn_name { tables = tb; _ } ctx =
   end
   else "ctx:" ^ string_of_int ctx
 
-(* One indexed chunk's payload: the section at its offset, which must be
-   the data chunk the index describes. *)
+(* Reads one indexed chunk into [t.sc.payload] and returns its length:
+   the section at its offset, which must be the data chunk the index
+   describes. *)
 let read_chunk t (c : chunk) =
-  let magic, count, payload = section_at t.ic ~offset:c.c_offset ~limit:t.data_end in
-  if
-    magic <> Frame.section_magic t.r_kind
-    || count <> c.c_entries
-    || Bytes.length payload <> c.c_bytes
-  then
+  let magic, count, len = section_at t.sc t.ic ~offset:c.c_offset ~limit:t.data_end in
+  if magic <> Frame.section_magic t.r_kind || count <> c.c_entries || len <> c.c_bytes then
     Frame.corrupt ~offset:c.c_offset "chunk header disagrees with index";
-  payload
+  len
 
 (* Raises at the first chunk unless [t] holds [kind]. *)
 let expect t kind =
@@ -392,7 +404,8 @@ let records t kind decode f =
   expect t kind;
   Array.iter
     (fun c ->
-      decode_section decode f ~base:(c.c_offset + Frame.chunk_header_bytes) (read_chunk t c)
+      let len = read_chunk t c in
+      decode_section decode f ~base:(c.c_offset + Frame.chunk_header_bytes) t.sc.payload ~len
         c.c_entries)
     t.chunks
 

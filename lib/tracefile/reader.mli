@@ -4,8 +4,10 @@
 
     Opening a file parses the header, the trailer, the chunk index and the
     embedded symbol/context tables, but no records. {!iter} and {!records}
-    then stream the file one chunk at a time, so peak memory is one
-    chunk's payload regardless of file length.
+    then stream the file one chunk at a time, each decoded in place in one
+    payload buffer the reader reuses for every section it reads. Opening
+    sizes it for the longest chunk, so peak memory is that one buffer
+    regardless of file length, and a pass allocates no payload.
 
     Both ways to open a trace share one forward walk over the section
     framing: {!open_salvage} keeps the longest intact prefix it finds, and
@@ -107,12 +109,15 @@ val fn_name : t -> Dbi.Context.id -> string
     @raise Frame.Corrupt when [t] is not an event trace. *)
 val iter : t -> (Sigil.Event_log.entry -> unit) -> unit
 
-(** [records t kind decode f] applies [f offset (decode payload ~pos)] to
-    each record of a [kind] file in order, [offset] being the record's
-    file offset. A wrong kind, a record [decode] fails on ([Failure],
-    [Varint.Truncated]) or bytes after a chunk's last record raise
-    {!Frame.Corrupt} at their offset. *)
-val records : t -> Frame.kind -> (bytes -> pos:int ref -> 'a) -> (int -> 'a -> unit) -> unit
+(** [records t kind decode f] applies [f offset (decode payload ~len ~pos)]
+    to each record of a [kind] file in order, [offset] being the record's
+    file offset. [payload] is the reader's reused buffer: the chunk is its
+    first [len] bytes, [decode] must read no further, and what it returns
+    must not alias [payload]. A wrong kind, a record [decode] fails on
+    ([Failure], [Varint.Truncated]) or bytes after a chunk's last record
+    raise {!Frame.Corrupt} at their offset. *)
+val records :
+  t -> Frame.kind -> (bytes -> len:int -> pos:int ref -> 'a) -> (int -> 'a -> unit) -> unit
 
 (** [validate t] decodes every chunk of an event trace, checking framing,
     CRCs and entry counts against the index.

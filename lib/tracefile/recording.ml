@@ -16,8 +16,8 @@ let encode buf r =
     | Op (kind, n) -> [ (if kind = Int_op then 5 else 6); n ]
     | Branch taken -> [ (if taken then 8 else 7) ])
 
-let decode b ~pos =
-  let field () = Varint.read b ~pos in
+let decode b ~len ~pos =
+  let field () = Varint.read b ~len ~pos in
   match field () with
   | 1 -> Enter (field ())
   | 2 -> Leave

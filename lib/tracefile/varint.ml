@@ -19,13 +19,12 @@ let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag u = (u lsr 1) lxor (-(u land 1))
 let write_signed buf n = write buf (zigzag n)
 
-let read b ~pos =
-  let len = Bytes.length b in
+let read b ~len ~pos =
   let r = ref 0 and shift = ref 0 and p = ref !pos and continue = ref true in
   while !continue do
     (* 9 groups of 7 bits cover the 63-bit int; a 10th byte is overlong *)
     if !p >= len || !shift > 62 then raise Truncated;
-    let c = Char.code (Bytes.unsafe_get b !p) in
+    let c = Char.code (Bytes.get b !p) in
     incr p;
     r := !r lor ((c land 0x7f) lsl !shift);
     shift := !shift + 7;
@@ -34,4 +33,4 @@ let read b ~pos =
   pos := !p;
   !r
 
-let read_signed b ~pos = unzigzag (read b ~pos)
+let read_signed b ~len ~pos = unzigzag (read b ~len ~pos)

@@ -14,9 +14,11 @@ exception Truncated
 val write : Buffer.t -> int -> unit
 val write_signed : Buffer.t -> int -> unit
 
-(** [read b pos] decodes at [!pos], advancing [pos] past the value.
+(** [read b ~len ~pos] decodes at [!pos], advancing [pos] past the value.
+    Only the first [len] bytes of [b] are read: a buffer reused across
+    chunks is longer than most of them.
 
-    @raise Truncated on a malformed or cut-off encoding. *)
-val read : bytes -> pos:int ref -> int
+    @raise Truncated on a malformed encoding or one cut off at [len]. *)
+val read : bytes -> len:int -> pos:int ref -> int
 
-val read_signed : bytes -> pos:int ref -> int
+val read_signed : bytes -> len:int -> pos:int ref -> int

@@ -146,6 +146,78 @@ let test_address_range_checked () =
   Alcotest.check_raises "negative" (Invalid_argument "Shadow: address out of range") (fun () ->
       Run_list.write_byte t ~ctx:1 ~call:1 ~now:0 (-1))
 
+(* The shadow's telemetry and footprints, as one comparable string. *)
+let accounting t =
+  Printf.sprintf "%s footprint %d peak %d"
+    (Telemetry.to_json (Telemetry.of_samples (Shadow.telemetry t)))
+    (Shadow.footprint_bytes t) (Shadow.footprint_peak_bytes t)
+
+(* [flush] unmaps the planes: a shadow spread over 256 chunks in 8
+   superpages (each page alone holds 4096 words of slots) shrinks to an
+   empty shadow's heap, in every mode, and no telemetry sample or
+   footprint moves. *)
+let test_flush_releases () =
+  List.iter
+    (fun (mode, reuse, track_writer_call) ->
+      let mk () = Shadow.create ~reuse ~track_writer_call () in
+      let empty = Obj.reachable_words (Obj.repr (mk ())) in
+      let t = mk () in
+      for k = 0 to 255 do
+        let addr = ((k mod 8) lsl 24) + (k / 8 * Shadow.chunk_bytes) in
+        Shadow.write_range t ~ctx:1 ~call:1 ~now:k addr 8;
+        ignore (Run_list.read_range t ~ctx:2 ~call:1 ~now:k addr 8)
+      done;
+      let spread = Obj.reachable_words (Obj.repr t) in
+      if spread < empty + (8 * 4096) then
+        Alcotest.failf "%s: 256 chunks hold only %d words (empty %d)" mode spread empty;
+      let before = accounting t in
+      Shadow.flush t;
+      Alcotest.(check string) (mode ^ ": telemetry and footprints unchanged") before (accounting t);
+      let released = Obj.reachable_words (Obj.repr t) in
+      if released > empty + 16 then
+        Alcotest.failf "%s: a flushed shadow holds %d words, an empty one %d (%d before flush)" mode
+          released empty spread)
+    [ ("byte", false, false); ("events", false, true); ("reuse", true, false) ]
+
+(* After [flush] the table starts over: bytes read as never touched, in
+   fresh chunks that count on top of the released ones (allocated less
+   evicted is still live), under the same FIFO limit, and a second flush
+   reports nothing again. *)
+let test_usable_after_flush () =
+  let chunk = Shadow.chunk_bytes in
+  let sink, episodes, versions = collecting () in
+  let t = Shadow.create ~reuse:true ~max_chunks:2 ~sink () in
+  for k = 0 to 3 do
+    Run_list.write_byte t ~ctx:1 ~call:1 ~now:k (k * chunk)
+  done;
+  Alcotest.(check int) "two evictions" 2 (Shadow.evictions t);
+  Shadow.flush t;
+  let reported = (List.length !episodes, List.length !versions) in
+  Alcotest.(check int) "producer forgotten" Dbi.Context.root (Run_list.producer t (3 * chunk));
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:5 (4 * chunk);
+  Alcotest.(check int) "two mapped chunks fit the limit" 2 (Shadow.evictions t);
+  Run_list.write_byte t ~ctx:1 ~call:1 ~now:6 (5 * chunk);
+  Alcotest.(check int) "a third evicts" 3 (Shadow.evictions t);
+  let tel = Telemetry.of_samples (Shadow.telemetry t) in
+  let get = Telemetry.get_int tel in
+  Alcotest.(check int) "released 2 + mapped 2" 4 (get "shadow.chunks_live");
+  Alcotest.(check int) "allocated - evicted = live"
+    (get "shadow.chunks_allocated" - get "shadow.evictions")
+    (get "shadow.chunks_live");
+  Alcotest.(check bool) "footprint within its peak" true
+    (Shadow.footprint_bytes t <= Shadow.footprint_peak_bytes t);
+  (* the byte read at chunk 3 went with the eviction; the second flush
+     reports the two written bytes and none of the released ones *)
+  Shadow.flush t;
+  let reports () = (List.length !episodes, List.length !versions) in
+  Alcotest.(check (pair int int)) "only bytes touched after the flush report"
+    (fst reported + 1, snd reported + 3)
+    (reports ());
+  Shadow.flush t;
+  Alcotest.(check (pair int int)) "a flush of a flushed table reports nothing"
+    (fst reported + 1, snd reported + 3)
+    (reports ())
+
 let qcheck_last_writer_wins =
   QCheck.Test.make ~name:"producer is always the last writer" ~count:200
     QCheck.(list (pair (int_range 1 20) (int_range 0 4095)))
@@ -186,6 +258,8 @@ let () =
           Alcotest.test_case "eviction flushes stats" `Quick test_eviction_flushes_stats;
           Alcotest.test_case "footprint accounting" `Quick test_footprint_accounting;
           Alcotest.test_case "address range checked" `Quick test_address_range_checked;
+          Alcotest.test_case "flush releases the chunks" `Quick test_flush_releases;
+          Alcotest.test_case "usable after flush" `Quick test_usable_after_flush;
           QCheck_alcotest.to_alcotest qcheck_last_writer_wins;
         ] );
     ]

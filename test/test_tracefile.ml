@@ -34,7 +34,7 @@ let test_varint_cases () =
     Tracefile.Varint.write_signed buf n;
     let b = Buffer.to_bytes buf in
     let pos = ref 0 in
-    let n' = Tracefile.Varint.read_signed b ~pos in
+    let n' = Tracefile.Varint.read_signed b ~len:(Bytes.length b) ~pos in
     Alcotest.(check int) (Printf.sprintf "signed %d" n) n n';
     Alcotest.(check int) "consumed all" (Bytes.length b) !pos
   in
@@ -43,15 +43,21 @@ let test_varint_cases () =
   let buf = Buffer.create 16 in
   Tracefile.Varint.write buf max_int;
   let b = Buffer.to_bytes buf in
-  Alcotest.(check int) "max_int unsigned" max_int (Tracefile.Varint.read b ~pos:(ref 0))
+  Alcotest.(check int) "max_int unsigned" max_int
+    (Tracefile.Varint.read b ~len:(Bytes.length b) ~pos:(ref 0))
 
 let test_varint_truncated () =
   let buf = Buffer.create 16 in
   Tracefile.Varint.write buf 1_000_000;
   let b = Bytes.sub (Buffer.to_bytes buf) 0 (Buffer.length buf - 1) in
-  match Tracefile.Varint.read b ~pos:(ref 0) with
+  (match Tracefile.Varint.read b ~len:(Bytes.length b) ~pos:(ref 0) with
   | exception Tracefile.Varint.Truncated -> ()
-  | v -> Alcotest.failf "truncated varint decoded to %d" v
+  | v -> Alcotest.failf "truncated varint decoded to %d" v);
+  (* the bound, not the buffer's end, cuts it *)
+  let b = Buffer.to_bytes buf in
+  match Tracefile.Varint.read b ~len:(Bytes.length b - 1) ~pos:(ref 0) with
+  | exception Tracefile.Varint.Truncated -> ()
+  | v -> Alcotest.failf "varint cut by its bound decoded to %d" v
 
 let qcheck_entry_gen =
   let open QCheck.Gen in
@@ -87,7 +93,9 @@ let codec_roundtrip =
       let d' = Tracefile.Frame.delta () in
       let pos = ref 0 in
       let decoded =
-        List.map (fun _ -> Event_log.copy (Tracefile.Frame.decode_entry d' b ~pos)) entries
+        List.map
+          (fun _ -> Event_log.copy (Tracefile.Frame.decode_entry d' b ~len:(Bytes.length b) ~pos))
+          entries
       in
       !pos = Bytes.length b && decoded = entries)
 
@@ -196,6 +204,51 @@ let test_corrupted_crc () =
                   Tracefile.Reader.iter r ignore);
               check_corrupt_at ~expected_offset:victim (fun () ->
                   Tracefile.Reader.validate r))))
+
+(* A reader decodes every chunk in one buffer sized for the longest, so a
+   shorter chunk sits in front of the stale tail of a longer one: its
+   decode must stop at its own length. Chunk 1 is ten 6-byte computations;
+   chunk 2 holds one whole 4-byte computation and one cut inside its op
+   count, yet its CRC matches. Read past its 8 bytes, the cut varint
+   would end in chunk 1's bytes and the chunk would fail elsewhere, as
+   trailing garbage. Both the indexed read and the open-time walk of a
+   file without its trailer name the cut record. *)
+let test_short_chunk_after_long () =
+  with_temp ".tf" (fun path ->
+      let w = Tracefile.Writer.create ~chunk_bytes:60 path in
+      let add s = Tracefile.Writer.add_record w Buffer.add_string s in
+      for _ = 1 to 10 do
+        add "\x12\x00\x00\xff\xff\x7f"
+      done;
+      add "\x12\x00\x00\x05";
+      add "\x12\x00\x00\xff";
+      Tracefile.Writer.close w;
+      let offsets, data_end =
+        let r = Tracefile.Reader.open_file path in
+        Fun.protect
+          ~finally:(fun () -> Tracefile.Reader.close r)
+          (fun () -> (Tracefile.Reader.chunk_offsets r, Tracefile.Reader.data_end r))
+      in
+      let second = List.nth offsets 1 in
+      Alcotest.(check int) "chunk 2 holds 8 bytes" (second + 16 + 8) data_end;
+      let located what f =
+        match f () with
+        | exception Tracefile.Frame.Corrupt { offset; reason } ->
+          Alcotest.(check (pair int string)) what (second + 16 + 4, "undecodable record")
+            (offset, reason)
+        | _ -> Alcotest.failf "%s: the cut record decoded" what
+      in
+      let r = Tracefile.Reader.open_file path in
+      Fun.protect
+        ~finally:(fun () -> Tracefile.Reader.close r)
+        (fun () ->
+          located "iter" (fun () -> Tracefile.Reader.iter r ignore);
+          located "validate" (fun () -> Tracefile.Reader.validate r));
+      let data = In_channel.with_open_bin path In_channel.input_all in
+      with_temp ".tf" (fun cut ->
+          Out_channel.with_open_bin cut (fun oc ->
+              Out_channel.output_string oc (String.sub data 0 data_end));
+          located "open without a trailer" (fun () -> Tracefile.Reader.open_file cut)))
 
 (* The binary trace is the only event file: a text file is corrupt at
    offset 0 for the reader and for every CLI that takes a trace, which
@@ -532,7 +585,9 @@ let test_deep_nesting_roundtrip () =
   let d' = Tracefile.Frame.delta () in
   let pos = ref 0 in
   let decoded =
-    List.map (fun _ -> Event_log.copy (Tracefile.Frame.decode_entry d' b ~pos)) entries
+    List.map
+      (fun _ -> Event_log.copy (Tracefile.Frame.decode_entry d' b ~len:(Bytes.length b) ~pos))
+      entries
   in
   Alcotest.(check int) "consumed all" (Bytes.length b) !pos;
   Alcotest.(check (list entry)) "codec roundtrip" entries decoded;
@@ -563,7 +618,8 @@ let test_writer_allocation_bound () =
 (* Decoding lends the scratch entries of one codec state, which serves
    every chunk of the pass, instead of allocating an entry per entry: a
    [Reader.iter] pass over canneal's trace allocates at most 0.01 minor
-   words per entry (payloads are read into major-heap blocks). *)
+   words per entry. Payloads go to one reused buffer: the pass allocates
+   less than two chunks' worth of words straight in the major heap. *)
 let test_reader_allocation_bound () =
   with_temp ".tf" (fun path ->
       let options = Sigil.Options.(with_events default) in
@@ -578,14 +634,27 @@ let test_reader_allocation_bound () =
         ~finally:(fun () -> Tracefile.Reader.close rd)
         (fun () ->
           let n = ref 0 in
+          let direct_major () =
+            let _, promoted, major = Gc.counters () in
+            major -. promoted
+          in
+          let major = direct_major () in
           let before = Gc.minor_words () in
           Tracefile.Reader.iter rd (fun _ -> incr n);
           let words = Gc.minor_words () -. before in
+          let major = direct_major () -. major in
           let per_entry = words /. float_of_int !n in
           if per_entry > 0.01 then
             Alcotest.failf
               "Reader.iter allocates %.4f minor words per entry over %d entries (bound 0.01)"
-              per_entry !n))
+              per_entry !n;
+          (* the trace spans 17 chunks; a pass decodes them all in one buffer *)
+          let buffers = 2 * Tracefile.Frame.default_chunk_bytes / 8 in
+          if major > float_of_int buffers then
+            Alcotest.failf
+              "Reader.iter allocates %.0f words straight in the major heap over %d chunks \
+               (bound %d: two chunk buffers)"
+              major (Tracefile.Reader.chunk_count rd) buffers))
 
 (* The lending contract end to end. For every PARSEC clone at simsmall, a
    live sink that keeps [copy e] ends up with the stream it printed during
@@ -651,6 +720,7 @@ let () =
         [
           Alcotest.test_case "truncated file" `Quick test_truncated_file;
           Alcotest.test_case "corrupted crc" `Quick test_corrupted_crc;
+          Alcotest.test_case "short chunk after a long one" `Quick test_short_chunk_after_long;
           Alcotest.test_case "not a tracefile" `Quick test_not_a_tracefile;
           Alcotest.test_case "crafted table counts" `Quick test_crafted_counts;
           Alcotest.test_case "context table checked at open" `Quick test_context_table_checked;
