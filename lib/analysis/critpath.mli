@@ -2,23 +2,25 @@
 
     Reconstructs the dependency chains of Fig 3 from a stream of
     {!Sigil.Event_log} entries, read from a saved trace or produced live
-    by a workload running inside the stream: every function call is split
-    into occurrence nodes (a new occurrence each time the function resumes
-    after a child call), with
+    by a workload running inside the stream. test/critpath_spec.ml, the
+    executable spec that checks this module, states each rule under the
+    bracketed name cited here. Every function call is split into
+    occurrence nodes, a new one each time the function resumes after a
+    child call ([fragment], [fragment-close], [fragment-end]), with
 
-    - a conservative order edge from the previous occurrence of the same
-      call,
-    - a call edge from the caller's occurrence that issued the call, and
+    - an order edge from the previous occurrence of the call ([order-edge]),
+    - a call edge from the caller's occurrence that issued the call
+      ([call-edge]), and
     - data-dependency edges from the producing call's latest occurrence for
-      every transfer the fragment consumed.
+      every transfer the fragment consumed ([data-edge]).
 
     Functions are modelled as non-blocking: a caller's resumption does not
     depend on the child returning, only on explicit data edges. Node
     self-cost is the operations retired in the fragment; the inclusive cost
     of a node is the longest dependent chain from the program start; the
-    program's critical path is the maximum inclusive cost. The maximum
-    theoretical function-level parallelism (Fig 13) is the ratio of the
-    serial length (total operations) to the critical-path length. *)
+    program's critical path is the maximum inclusive cost ([length]). The
+    maximum theoretical function-level parallelism (Fig 13) is the ratio of
+    the serial length (total operations) to the critical-path length. *)
 
 type node = {
   ctx : Dbi.Context.id;
@@ -107,12 +109,12 @@ val critical_path_length : t -> int
 val parallelism : t -> float
 
 (** Nodes on the critical path, program order (main-side first, leaf
-    last). Their occurrence indices cost one scan of the nodes up to the
-    path's end. *)
+    last), ties broken by [path-end] and [path-pred]. Their occurrence
+    indices ([occurrence]) cost one scan of the nodes up to the path's end. *)
 val critical_path : t -> node list
 
 (** Distinct contexts along the critical path, leaf-to-start order,
-    consecutive duplicates removed — the paper's
+    consecutive duplicates removed ([contexts]) — the paper's
     [drand48_iterate -> ... -> main] rendering. *)
 val critical_path_contexts : t -> Dbi.Context.id list
 
@@ -125,7 +127,7 @@ val node_count : t -> int
     program can be mapped onto multiple cores such that dependencies are
     respected... The developer can map dependency chains onto these slots."
     Greedy list scheduling of the fragment DAG onto a fixed number of
-    scheduling slots. *)
+    scheduling slots ([schedule]). *)
 
 type schedule = {
   cores : int;

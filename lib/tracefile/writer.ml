@@ -6,6 +6,7 @@ type t = {
   chunk_bytes : int;
   checkpoint_every : int;
   buf : Buffer.t; (* current chunk payload *)
+  mutable payload : Bytes.t; (* a section's payload, copied out of its buffer *)
   head : Buffer.t; (* scratch for headers / trailer sections *)
   delta : Frame.delta;
   mutable chunk_entries : int;
@@ -48,6 +49,7 @@ let create ?(kind = Frame.Events) ?(chunk_bytes = Frame.default_chunk_bytes)
     chunk_bytes;
     checkpoint_every;
     buf = Buffer.create (chunk_bytes + 64);
+    payload = Bytes.create (chunk_bytes + 64);
     head;
     delta = Frame.delta ();
     chunk_entries = 0;
@@ -71,16 +73,19 @@ let add_index_triples b index =
     index
 
 (* The one place a section is framed: the 16-byte header, then the
-   payload. *)
-let write_section t magic count payload =
-  let len = Bytes.length payload in
+   payload [b]. It is checksummed and written from the writer's one
+   payload buffer, which grows only when a section overruns it. *)
+let write_section t magic count b =
+  let len = Buffer.length b in
+  if len > Bytes.length t.payload then t.payload <- Bytes.create len;
+  Buffer.blit b 0 t.payload 0 len;
   Buffer.clear t.head;
   Frame.add_u32 t.head magic;
   Frame.add_u32 t.head count;
   Frame.add_u32 t.head len;
-  Frame.add_u32 t.head (Crc32.bytes payload ~pos:0 ~len);
+  Frame.add_u32 t.head (Crc32.bytes t.payload ~pos:0 ~len);
   Buffer.output_buffer t.oc t.head;
-  output_bytes t.oc payload;
+  output t.oc t.payload 0 len;
   Buffer.clear t.head
 
 (* An index checkpoint records the entry total so far and the index
@@ -92,7 +97,7 @@ let write_checkpoint t =
   Varint.write b t.total_entries;
   let index = List.rev t.index_rev in
   add_index_triples b index;
-  write_section t Frame.ckpt_magic (List.length index) (Buffer.to_bytes b);
+  write_section t Frame.ckpt_magic (List.length index) b;
   t.checkpoints <- t.checkpoints + 1;
   flush t.oc
 
@@ -102,7 +107,7 @@ let flush_chunk ?(force = false) t =
   if t.chunk_entries > 0 || force then begin
     let offset = pos_out t.oc in
     let payload_len = Buffer.length t.buf in
-    write_section t t.magic t.chunk_entries (Buffer.to_bytes t.buf);
+    write_section t t.magic t.chunk_entries t.buf;
     Buffer.clear t.buf;
     t.index_rev <- (offset, t.chunk_entries, payload_len) :: t.index_rev;
     Telemetry.Hist.observe t.chunk_payload payload_len;

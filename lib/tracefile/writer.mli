@@ -2,9 +2,9 @@
     {!Frame.kind}. An event-trace writer is a bounded-buffer
     {!Sigil.Event_log.sink}: entries are varint/delta-encoded into an
     in-memory chunk buffer that is framed and flushed to disk every time
-    it reaches the chunk target, so the memory held on behalf of the trace
-    never exceeds one chunk (plus one entry) no matter how long the run
-    is. [close] appends the symbol and context tables of the producing run
+    it reaches the chunk target, through one payload buffer made at
+    [create], so the trace holds two chunks' worth of memory (plus one
+    entry) no matter how long the run is. [close] appends the symbol and context tables of the producing run
     (making the file self-describing for name resolution), the chunk
     index, and the trailer.
 

@@ -1,7 +1,9 @@
-(* The compact critical-path DAG against the list-based implementation
-   it replaced (Critpath_ref, kept verbatim): a qcheck differential over
-   random well-nested event streams, long deterministic streams past the
-   generator's reach, the located failures of a malformed stream, MD5
+(* Analysis.Critpath against the executable spec of its model,
+   test/critpath_spec.ml, which shares no code with it (Critpath_check
+   compares them): a qcheck differential over random well-nested event
+   streams and long deterministic streams past the generator's reach,
+   each also checking that the analysis's path is a longest path of the
+   spec's DAG; then the located failures of a malformed stream, MD5
    goldens of the reports, and the allocation and size bounds. *)
 
 open Sigil
@@ -109,45 +111,17 @@ let arb_stream =
     ~print:(fun es -> String.concat "\n" (List.map Event_log.entry_to_string es))
     ~small:List.length gen_stream
 
-(* The default core counts end above every generated stream's node
-   count, where the schedule keeps no core past the node count. *)
-let agree ?(cores = [ 1; 2; 3; 4; 5; 1000; 4096 ]) entries =
+(* Every value the analysis reports equals the spec's, and its path is
+   a longest path of the spec's DAG; the failure names the first
+   difference. *)
+let agree ?cores entries =
   let stream = stream_of entries in
-  let r = Critpath_ref.analyze_stream stream and t = Cp.analyze_stream stream in
-  let ref_path =
-    List.map
-      (fun (n : Critpath_ref.node) ->
-        Critpath_ref.(n.ctx, n.call, n.occurrence, n.self, n.inclusive))
-      (Critpath_ref.critical_path r)
-  in
-  let path =
-    List.map (fun (n : Cp.node) -> Cp.(n.ctx, n.call, n.occurrence, n.self, n.inclusive))
-      (Cp.critical_path t)
-  in
-  let rs = Critpath_ref.summarize_stream stream in
-  let s = Cp.summarize_stream stream in
-  let schedules_agree =
-    List.for_all
-      (fun cores ->
-        let a = Critpath_ref.schedule r ~cores and b = Cp.schedule t ~cores in
-        a.Critpath_ref.makespan = b.Cp.makespan
-        && a.Critpath_ref.utilization = b.Cp.utilization
-        && a.Critpath_ref.speedup = b.Cp.speedup)
-      cores
-  in
-  Critpath_ref.serial_length r = Cp.serial_length t
-  && Critpath_ref.critical_path_length r = Cp.critical_path_length t
-  && Critpath_ref.node_count r = Cp.node_count t
-  && Critpath_ref.parallelism r = Cp.parallelism t
-  && ref_path = path
-  && Critpath_ref.critical_path_contexts r = Cp.critical_path_contexts t
-  && rs.Critpath_ref.s_serial = s.Cp.s_serial
-  && rs.Critpath_ref.s_critical = s.Cp.s_critical
-  && rs.Critpath_ref.s_fragments = s.Cp.s_fragments
-  && schedules_agree
+  let spec = Critpath_spec.build stream and t = Cp.analyze_stream stream in
+  Critpath_check.agree ?cores spec t (Cp.summarize_stream stream)
 
 let differential =
-  QCheck.Test.make ~name:"columns agree with the list-based DAG" ~count:500 arb_stream agree
+  QCheck.Test.make ~name:"columns agree with the spec" ~count:500 arb_stream (fun entries ->
+      match agree entries with Ok () -> true | Error msg -> QCheck.Test.fail_report msg)
 
 (* The generator must reach the cases it promises, or the differential
    says less than it claims. *)
@@ -195,7 +169,8 @@ let test_generator_coverage () =
    critical path runs through the whole stream. The producer (0xFFFE, 1)
    is called first and consumed only by the trailing root fragment, a
    dependency more than 2^14 nodes back; when it is heavy the path jumps
-   back along it. *)
+   back along it. Context 200 (6,834 calls) is last named as a producer
+   by a call number it never reached. *)
 let long_stream ~heavy =
   let out = ref [] in
   let emit e = out := e :: !out in
@@ -226,6 +201,11 @@ let long_stream ~heavy =
         end;
         comp 1 c 1)
   done;
+  (* a producer past the calls its context has seen, in a context of
+     more than 4096 calls: no edge, so this heavy call stays off the path *)
+  call_ret 201 1 (fun () ->
+      comp 201 1 50_000;
+      xfer (200, !wide + 4096) (201, 1));
   comp 0 0 5;
   xfer (0xFFFE, 1) (0, 0);
   List.rev !out
@@ -233,8 +213,9 @@ let long_stream ~heavy =
 let test_long_streams () =
   List.iter
     (fun heavy ->
-      if not (agree ~cores:[ 1; 2; 3; 4; 8; 100 ] (long_stream ~heavy)) then
-        Alcotest.failf "long stream (heavy producer %b) disagrees with the list-based DAG" heavy)
+      match agree ~cores:[ 1; 2; 3; 4; 8; 100 ] (long_stream ~heavy) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "long stream (heavy producer %b): %s" heavy msg)
     [ false; true ]
 
 (* ---------------------------------------------------------------- *)

@@ -1,8 +1,9 @@
 (* Streaming critical-path analysis over binary traces must be
    bit-identical to the live one: for every PARSEC workload at simsmall,
    the workload runs inside analyze_stream with its entries teed into the
-   binary writer, then analyze_stream and summarize_stream over the binary
-   reader must agree with the live analysis on every number. *)
+   binary writer and the spec test/critpath_spec.ml, then analyze_stream
+   and summarize_stream over the binary reader must agree with the live
+   analysis on every number, and the live analysis with the spec. *)
 
 let with_temp f =
   let path = Filename.temp_file "sigil_cps" ".tf" in
@@ -13,20 +14,26 @@ let check_workload (w : Workloads.Workload.t) =
       let options = Sigil.Options.(with_events default) in
       let writer = Tracefile.Writer.create ~options path in
       let entries = ref 0 in
-      let live =
-        Analysis.Critpath.analyze_stream (fun emit ->
-            let r =
-              Driver.run_workload ~options
-                ~event_sink:(fun e ->
-                  incr entries;
-                  Tracefile.Writer.add writer e;
-                  emit e)
-                w Workloads.Scale.Simsmall
-            in
-            let m = r.Driver.machine in
-            Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
-              ~contexts:(Dbi.Machine.contexts m) writer)
+      let live = ref None in
+      let spec =
+        Critpath_spec.build (fun spec_emit ->
+            live :=
+              Some
+                (Analysis.Critpath.analyze_stream (fun emit ->
+                     let r =
+                       Driver.run_workload ~options
+                         ~event_sink:(fun e ->
+                           incr entries;
+                           Tracefile.Writer.add writer e;
+                           spec_emit e;
+                           emit e)
+                         w Workloads.Scale.Simsmall
+                     in
+                     let m = r.Driver.machine in
+                     Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
+                       ~contexts:(Dbi.Machine.contexts m) writer)))
       in
+      let live = Option.get !live in
       let reader = Tracefile.Reader.open_file path in
       Fun.protect
         ~finally:(fun () -> Tracefile.Reader.close reader)
@@ -67,7 +74,10 @@ let check_workload (w : Workloads.Workload.t) =
           Alcotest.(check int)
             (name ^ " summary fragments")
             (Analysis.Critpath.node_count live)
-            s.Analysis.Critpath.s_fragments))
+            s.Analysis.Critpath.s_fragments;
+          match Critpath_check.agree ~cores:[ 1; 2; 4; 8 ] spec live s with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s against the spec: %s" name msg))
 
 let tests =
   List.map

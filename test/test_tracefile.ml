@@ -596,24 +596,40 @@ let test_deep_nesting_roundtrip () =
       Alcotest.(check int) "one chunk" 1 (Tracefile.Writer.chunks w);
       Alcotest.(check (list entry)) "file roundtrip" entries (read_entries path))
 
+(* Words allocated straight in the major heap so far: major less promoted. *)
+let direct_major () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
 (* The writer encodes straight into its chunk buffer: over entries built
-   beforehand, [Writer.add] allocates at most 0.01 minor words per entry
-   (chunk payloads are copied out in major-heap blocks). *)
+   beforehand, [Writer.add] allocates at most 0.01 minor words per entry.
+   Every section is checksummed and written from one payload buffer made
+   at [create]: writing canneal's trace, closing included, allocates less
+   than two chunks' worth of words straight in the major heap, whatever
+   its chunk count. *)
 let test_writer_allocation_bound () =
   let options = Sigil.Options.(with_events default) in
   let entries = Array.of_list (run_entries ~options "canneal") in
   with_temp ".tf" (fun path ->
       let w = Tracefile.Writer.create ~options path in
+      let major = direct_major () in
       let before = Gc.minor_words () in
       for i = 0 to Array.length entries - 1 do
         Tracefile.Writer.add w entries.(i)
       done;
       let words = Gc.minor_words () -. before in
       Tracefile.Writer.close w;
+      let major = direct_major () -. major in
       let per_entry = words /. float_of_int (Array.length entries) in
       if per_entry > 0.01 then
         Alcotest.failf "Writer.add allocates %.4f minor words per entry over %d entries (bound 0.01)"
-          per_entry (Array.length entries))
+          per_entry (Array.length entries);
+      let buffers = 2 * Tracefile.Frame.default_chunk_bytes / 8 in
+      if major > float_of_int buffers then
+        Alcotest.failf
+          "the writer allocates %.0f words straight in the major heap over %d chunks (bound %d: \
+           two chunk buffers)"
+          major (Tracefile.Writer.chunks w) buffers)
 
 (* Decoding lends the scratch entries of one codec state, which serves
    every chunk of the pass, instead of allocating an entry per entry: a
@@ -634,10 +650,6 @@ let test_reader_allocation_bound () =
         ~finally:(fun () -> Tracefile.Reader.close rd)
         (fun () ->
           let n = ref 0 in
-          let direct_major () =
-            let _, promoted, major = Gc.counters () in
-            major -. promoted
-          in
           let major = direct_major () in
           let before = Gc.minor_words () in
           Tracefile.Reader.iter rd (fun _ -> incr n);
