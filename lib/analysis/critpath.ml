@@ -104,13 +104,12 @@ let seek_every = 64
 
 type stream = (Sigil.Event_log.entry -> unit) -> unit
 
-(* Context ids fit the shadow's 16-bit plane, call numbers the 40 bits
-   below them; a pass only packs a (ctx, call) it has checked. *)
+(* Context ids fit the shadow's 16-bit plane; a pass only packs a
+   (ctx, call) it has checked. *)
 let max_ctx = Sigil.Shadow.max_ctx
-let call_bits = 40
-let call_key ctx call = (ctx lsl call_bits) lor call
-let key_ctx key = key lsr call_bits
-let key_call key = key land ((1 lsl call_bits) - 1)
+let call_key = Sigil.Event_log.call_key
+let key_ctx = Sigil.Event_log.key_ctx
+let key_call = Sigil.Event_log.key_call
 
 (* "No node": the handle of an absent previous occurrence, caller or
    producer. Handles are node ids or inclusive lengths, both below it. *)

@@ -56,4 +56,3 @@ let copy t =
 
 let l1_misses t = t.i1mr + t.d1mr + t.d1mw
 let ll_misses t = t.ilmr + t.dlmr + t.dlmw
-let ops t = t.int_ops + t.fp_ops

@@ -33,6 +33,3 @@ val copy : t -> t
 val l1_misses : t -> int
 
 val ll_misses : t -> int
-
-(** Total computational operations (int + fp). *)
-val ops : t -> int

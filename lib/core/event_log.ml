@@ -16,6 +16,11 @@ type entry =
     }
   | Ret of { mutable ctx : Dbi.Context.id; mutable call : int }
 
+let call_bits = 40
+let call_key ctx call = (ctx lsl call_bits) lor call
+let key_ctx key = key lsr call_bits
+let key_call key = key land ((1 lsl call_bits) - 1)
+
 type sink = entry -> unit
 
 let copy = function

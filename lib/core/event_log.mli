@@ -45,6 +45,19 @@ type entry =
 (** The fields are mutable only so that a producer can refill one entry
     per constructor (see {!scratch}); no consumer writes them. *)
 
+(** {2 Call keys}
+
+    One call of one context, the pair every entry carries, packed into
+    one int: the context in the bits from 40 up, the call number in the
+    40 below. The packing is exact for a context id below 2^22 and a
+    call number below 2^40, which holds for every context id up to
+    {!Shadow.max_ctx} and every call number the shadow's 32-bit
+    writer-call plane stores; keys then order by context, then call. *)
+
+val call_key : Dbi.Context.id -> int -> int
+val key_ctx : int -> Dbi.Context.id
+val key_call : int -> int
+
 (** {2 Sinks}
 
     {b Lending contract.} A producer on the hot path — the Sigil tool and

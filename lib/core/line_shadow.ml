@@ -48,7 +48,6 @@ let touch t ~now addr size =
     | exception Not_found -> Hashtbl.add t.table line { accesses = 1; first = now; last = now }
   done
 
-let line_size t = t.size
 let lines t = Hashtbl.length t.table
 
 let records t =

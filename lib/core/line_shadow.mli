@@ -31,8 +31,6 @@ val create : ?line_size:int -> unit -> t
     [\[addr, addr+size)]. *)
 val touch : t -> now:int -> int -> int -> unit
 
-val line_size : t -> int
-
 (** Number of distinct lines touched. *)
 val lines : t -> int
 

@@ -1,12 +1,5 @@
-(* Per-fragment transfer accumulator: key packs (src context, src call). *)
-let xfer_key src_ctx src_call = (src_ctx lsl 40) lor (src_call land ((1 lsl 40) - 1))
-let xfer_src key = key lsr 40
-let xfer_call key = key land ((1 lsl 40) - 1)
-
-(* Transfers consumed by the open fragment, summed per producer key. A
-   call flushes its caller's fragment before it runs, so only the
-   innermost frame ever has transfers pending and one accumulator serves
-   the whole stack. Open addressing with linear probing over int arrays
+(* Transfers consumed by the open fragment, summed per producer
+   [Event_log.call_key]. Open addressing with linear probing over int arrays
    (load at most one half); [used] lists the occupied slots, and a flush
    sorts it by key in place, emits, and empties exactly those slots. *)
 type xfers = {
@@ -99,15 +92,13 @@ let sort_used x =
     sift keys used 0 last
   done
 
-(* Call frames are pooled: a frame is reused by every call that runs at
-   its depth, so entering a call allocates nothing. *)
-type frame = {
-  mutable ctx : Dbi.Context.id;
-  mutable call : int;
-  mutable frag_int_ops : int;
-  mutable frag_fp_ops : int;
-}
-
+(* Only the innermost call ever has an open fragment: a call flushes its
+   caller's fragment before it runs, and a return flushes its own. So the
+   tool keeps one fragment, owned by [(owner_ctx, owner_call)], and takes
+   the call stack from the machine. A context is a call path, live at
+   most once, so its latest call ([Dbi.Machine.call_number]) is the one
+   running. Whenever the owner changes the fragment is empty: every
+   callback but [on_enter] only moves ownership after a return. *)
 type t = {
   options : Options.t;
   machine : Dbi.Machine.t;
@@ -117,15 +108,13 @@ type t = {
   line : Line_shadow.t option;
   sink : Event_log.sink option; (* where produced events flow *)
   scratch : Event_log.scratch; (* the entries lent to [sink], refilled per event *)
-  events_dispatched : int ref; (* telemetry: entries pushed into the sink *)
-  mutable frames : frame array; (* slot 0 = synthetic root; grows by doubling *)
-  mutable depth : int; (* slot of the innermost frame *)
-  xfers : xfers; (* the innermost frame's pending transfers *)
+  mutable events_dispatched : int; (* telemetry: entries pushed into the sink *)
+  mutable owner_ctx : Dbi.Context.id; (* the open fragment's call *)
+  mutable owner_call : int;
+  mutable int_ops : int; (* the open fragment's operations *)
+  mutable fp_ops : int;
+  xfers : xfers; (* the open fragment's pending transfers *)
 }
-
-let new_frame () = { ctx = Dbi.Context.root; call = 0; frag_int_ops = 0; frag_fp_ops = 0 }
-
-let initial_frames = 64
 
 let create ?(options = Options.default) ?event_sink machine =
   let reuse = Reuse.create () in
@@ -135,16 +124,8 @@ let create ?(options = Options.default) ?event_sink machine =
     invalid_arg "Sigil.Tool.create: collect_events needs an event_sink";
   if options.Options.per_byte_shadow then
     invalid_arg "Sigil.Tool.create: per_byte_shadow is no longer supported";
-  let events_dispatched = ref 0 in
-  let sink =
-    Option.map
-      (fun emit e ->
-        incr events_dispatched;
-        emit e)
-      event_sink
-  in
   let shadow =
-    Shadow.create ~reuse:options.Options.reuse_mode ~track_writer_call:(sink <> None)
+    Shadow.create ~reuse:options.Options.reuse_mode ~track_writer_call:(event_sink <> None)
       ?max_chunks:options.Options.max_chunks ~sink:(Reuse.sink reuse) ()
   in
   {
@@ -157,24 +138,30 @@ let create ?(options = Options.default) ?event_sink machine =
       (match options.Options.line_size with
       | Some size -> Some (Line_shadow.create ~line_size:size ())
       | None -> None);
-    sink;
+    sink = event_sink;
     scratch = Event_log.scratch ();
-    events_dispatched;
-    frames = Array.init initial_frames (fun _ -> new_frame ());
-    depth = 0;
+    events_dispatched = 0;
+    owner_ctx = Dbi.Context.root;
+    owner_call = 0;
+    int_ops = 0;
+    fp_ops = 0;
     xfers = new_xfers 16;
   }
 
-let flush_fragment t frame =
+let[@inline] emit t sink e =
+  t.events_dispatched <- t.events_dispatched + 1;
+  sink e
+
+let flush_fragment t =
   match t.sink with
   | None -> ()
-  | Some emit ->
-    if frame.frag_int_ops > 0 || frame.frag_fp_ops > 0 then
-      emit
-        (Event_log.set_comp t.scratch ~ctx:frame.ctx ~call:frame.call ~int_ops:frame.frag_int_ops
-           ~fp_ops:frame.frag_fp_ops);
-    frame.frag_int_ops <- 0;
-    frame.frag_fp_ops <- 0;
+  | Some sink ->
+    if t.int_ops > 0 || t.fp_ops > 0 then
+      emit t sink
+        (Event_log.set_comp t.scratch ~ctx:t.owner_ctx ~call:t.owner_call ~int_ops:t.int_ops
+           ~fp_ops:t.fp_ops);
+    t.int_ops <- 0;
+    t.fp_ops <- 0;
     let x = t.xfers in
     if x.n > 0 then begin
       (* sorted by key, for reproducible event files *)
@@ -182,104 +169,93 @@ let flush_fragment t frame =
       for u = 0 to x.n - 1 do
         let i = x.used.(u) in
         let key = x.keys.(i) in
-        emit
-          (Event_log.set_xfer t.scratch ~src_ctx:(xfer_src key) ~src_call:(xfer_call key)
-             ~dst_ctx:frame.ctx ~dst_call:frame.call ~bytes:x.bytes.(i) ~unique_bytes:x.unique.(i));
+        emit t sink
+          (Event_log.set_xfer t.scratch ~src_ctx:(Event_log.key_ctx key)
+             ~src_call:(Event_log.key_call key) ~dst_ctx:t.owner_ctx ~dst_call:t.owner_call
+             ~bytes:x.bytes.(i) ~unique_bytes:x.unique.(i));
         x.keys.(i) <- no_key
       done;
       x.n <- 0
     end
 
-let[@inline] top t = t.frames.(t.depth)
-
-(* Makes the frame above the innermost one the innermost, for a new call. *)
-let push t ctx call =
-  let depth = t.depth + 1 in
-  if depth = Array.length t.frames then
-    t.frames <-
-      Array.init (2 * depth) (fun i ->
-          if i < depth then t.frames.(i) else new_frame ());
-  let frame = t.frames.(depth) in
-  frame.ctx <- ctx;
-  frame.call <- call;
-  t.depth <- depth
+(* Makes [ctx], the context running now, the owner of the open fragment. *)
+let[@inline] own t ctx =
+  if ctx <> t.owner_ctx then begin
+    t.owner_ctx <- ctx;
+    t.owner_call <- Dbi.Machine.call_number t.machine ctx
+  end
 
 (* Dependency edges also cover a function consuming data from an earlier
    call of itself (the PRNG-state chains of §IV-C); only reads of the
    current call's own writes impose no ordering. *)
-let[@inline] xfer_add t frame ~producer ~producer_call ~bytes ~unique_bytes =
-  if producer <> frame.ctx || producer_call <> frame.call then
-    xfers_add t.xfers (xfer_key producer producer_call) ~bytes ~unique_bytes
+let[@inline] xfer_add t ~producer ~producer_call ~bytes ~unique_bytes =
+  if producer <> t.owner_ctx || producer_call <> t.owner_call then
+    xfers_add t.xfers (Event_log.call_key producer producer_call) ~bytes ~unique_bytes
 
-let tool t : Dbi.Tool.t =
-  let line_mode = t.line <> None in
+(* Line mode shadows lines instead of bytes and skips per-function
+   aggregation (§IV-B3): reads and writes touch the line records, and
+   nothing else is listened to. *)
+let line_tool t line : Dbi.Tool.t =
+  let touch ~ctx:_ ~addr ~size =
+    Line_shadow.touch line ~now:(Dbi.Machine.now t.machine) addr size
+  in
+  { (Dbi.Tool.nop "sigil") with on_read = touch; on_write = touch }
+
+let byte_tool t : Dbi.Tool.t =
   let log = t.sink <> None in
   (* Range reads: one shadow traversal for the whole access, then one
      profile update and one transfer-accumulator hit per coalesced run. *)
   let on_run ~producer ~producer_call ~bytes ~unique_bytes =
-    let frame = top t in
-    Profile.record_run t.profile ~producer ~consumer:frame.ctx ~bytes ~unique_bytes;
-    if log then xfer_add t frame ~producer ~producer_call ~bytes ~unique_bytes
+    Profile.record_run t.profile ~producer ~consumer:t.owner_ctx ~bytes ~unique_bytes;
+    if log then xfer_add t ~producer ~producer_call ~bytes ~unique_bytes
   in
   {
     name = "sigil";
     on_enter =
       (fun ~ctx ~fn:_ ~call ->
-        if not line_mode then begin
-          let parent = top t in
-          flush_fragment t parent;
-          Profile.record_call t.profile ~ctx;
-          (match t.sink with
-          | Some emit -> emit (Event_log.set_call t.scratch ~ctx ~call)
-          | None -> ());
-          push t ctx call
-        end);
+        flush_fragment t;
+        Profile.record_call t.profile ~ctx;
+        (match t.sink with
+        | Some sink -> emit t sink (Event_log.set_call t.scratch ~ctx ~call)
+        | None -> ());
+        t.owner_ctx <- ctx;
+        t.owner_call <- call);
     on_leave =
-      (fun ~ctx:_ ~fn:_ ->
-        (* an unbalanced leave at the root is ignored; the machine
-           validates, be safe *)
-        if (not line_mode) && t.depth > 0 then begin
-          let frame = top t in
-          flush_fragment t frame;
-          (match t.sink with
-          | Some emit -> emit (Event_log.set_ret t.scratch ~ctx:frame.ctx ~call:frame.call)
-          | None -> ());
-          t.depth <- t.depth - 1
+      (fun ~ctx ~fn:_ ->
+        (* the machine never leaves the root; be safe *)
+        if ctx <> Dbi.Context.root then begin
+          own t ctx;
+          flush_fragment t;
+          match t.sink with
+          | Some sink -> emit t sink (Event_log.set_ret t.scratch ~ctx ~call:t.owner_call)
+          | None -> ()
         end);
     on_read =
-      (fun ~ctx:_ ~addr ~size ->
-        match t.line with
-        | Some line -> Line_shadow.touch line ~now:(Dbi.Machine.now t.machine) addr size
-        | None ->
-          let frame = top t in
-          Shadow.read_range t.shadow ~ctx:frame.ctx ~call:frame.call
-            ~now:(Dbi.Machine.now t.machine) addr size on_run);
+      (fun ~ctx ~addr ~size ->
+        own t ctx;
+        Shadow.read_range t.shadow ~ctx ~call:t.owner_call ~now:(Dbi.Machine.now t.machine) addr
+          size on_run);
     on_write =
       (fun ~ctx ~addr ~size ->
-        match t.line with
-        | Some line -> Line_shadow.touch line ~now:(Dbi.Machine.now t.machine) addr size
-        | None ->
-          let frame = top t in
-          Profile.record_write t.profile ~ctx ~bytes:size;
-          Shadow.write_range t.shadow ~ctx:frame.ctx ~call:frame.call
-            ~now:(Dbi.Machine.now t.machine) addr size);
+        own t ctx;
+        Profile.record_write t.profile ~ctx ~bytes:size;
+        Shadow.write_range t.shadow ~ctx ~call:t.owner_call ~now:(Dbi.Machine.now t.machine) addr
+          size);
     on_op =
       (fun ~ctx ~kind ~count ->
-        if not line_mode then begin
-          Profile.record_ops t.profile ~ctx kind count;
-          let frame = top t in
-          match kind with
-          | Dbi.Event.Int_op -> frame.frag_int_ops <- frame.frag_int_ops + count
-          | Dbi.Event.Fp_op -> frame.frag_fp_ops <- frame.frag_fp_ops + count
-        end);
+        own t ctx;
+        Profile.record_ops t.profile ~ctx kind count;
+        match kind with
+        | Dbi.Event.Int_op -> t.int_ops <- t.int_ops + count
+        | Dbi.Event.Fp_op -> t.fp_ops <- t.fp_ops + count);
     on_branch = (fun ~ctx:_ ~taken:_ -> ());
     on_finish =
       (fun () ->
-        for depth = t.depth downto 0 do
-          flush_fragment t t.frames.(depth)
-        done;
+        flush_fragment t;
         Shadow.flush t.shadow);
   }
+
+let tool t = match t.line with Some line -> line_tool t line | None -> byte_tool t
 
 let options t = t.options
 let machine t = t.machine
@@ -296,7 +272,7 @@ let telemetry t =
   @ (match t.line with Some line -> Line_shadow.telemetry line | None -> [])
   @ Telemetry.
       [
-        count "events.dispatched" !(t.events_dispatched);
+        count "events.dispatched" t.events_dispatched;
         count "profile.unique_read_bytes" unique;
         count "profile.read_bytes" total;
         gauge "profile.contexts" (List.length (Profile.contexts t.profile));

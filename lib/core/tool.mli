@@ -7,9 +7,14 @@
     records (line mode), and the sequential {!Event_log} entries (event
     mode), streamed into a caller's sink as the run produces them.
 
+    The tool keeps no call stack of its own: it takes each event's
+    context, and that context's current call, from the machine.
+
     In line-granularity mode the tool shadows lines instead of bytes and
-    skips per-function aggregation, exactly as §IV-B3 describes; the
-    byte-level machinery is disabled for that run. *)
+    skips per-function aggregation, exactly as §IV-B3 describes: {!tool}
+    then returns a callback set of its own that listens to reads and
+    writes only, so the byte shadow, the profile and the event sink stay
+    untouched for that run. *)
 
 type t
 

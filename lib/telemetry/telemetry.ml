@@ -56,7 +56,6 @@ let seconds name v = { name; domain = Wall; value = Seconds v }
 type snapshot = sample list (* sorted by name, names unique *)
 
 let empty = []
-let samples s = s
 
 let combine_values name a b =
   match (a, b) with

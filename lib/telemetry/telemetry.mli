@@ -85,9 +85,6 @@ val empty : snapshot
     constructors or domains. *)
 val of_samples : sample list -> snapshot
 
-(** Samples in ascending name order. *)
-val samples : snapshot -> sample list
-
 (** [merge a b] combines per name (union of names; see {!value} for the
     per-constructor rule). Associative and commutative with {!empty} as
     identity — folding per-run snapshots in any order yields the same

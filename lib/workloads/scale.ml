@@ -19,5 +19,4 @@ let of_string = function
   | "simlarge" -> Ok Simlarge
   | s -> Error (Printf.sprintf "unknown scale %S (expected simsmall|simmedium|simlarge)" s)
 
-let all = [ Simsmall; Simmedium; Simlarge ]
 let apply t base = base * factor t

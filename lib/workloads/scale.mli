@@ -14,7 +14,5 @@ val name : t -> string
 (** [of_string s] accepts ["simsmall" | "simmedium" | "simlarge"]. *)
 val of_string : string -> (t, string) result
 
-val all : t list
-
 (** [apply t base] is [base * factor t]. *)
 val apply : t -> int -> int

@@ -176,20 +176,34 @@ let test_same_function_cross_call_edge () =
   in
   Alcotest.(check int) "cross-call self edge" 1 (List.length self_edges)
 
+(* Line mode listens to reads and writes only: even with an event sink
+   it emits nothing, and the byte shadow and profile stay untouched. *)
 let test_line_mode () =
   let body m =
     Dbi.Guest.call m "main" (fun () ->
         let a = Dbi.Guest.alloc m 256 in
+        Dbi.Guest.write m a 8;
         for _ = 1 to 3 do
           Dbi.Guest.read m a 8
         done;
+        Dbi.Guest.call m "f" (fun () -> Dbi.Guest.iop m 5);
         Dbi.Guest.read m (a + 128) 8)
   in
-  let tool, _ = run_guest ~options:Sigil.Options.(with_line_size default 64) body in
+  let entries = ref 0 in
+  let tool, _ =
+    run_guest ~options:Sigil.Options.(with_line_size default 64)
+      ~event_sink:(fun _ -> incr entries)
+      body
+  in
   match Sigil.Tool.line_shadow tool with
   | None -> Alcotest.fail "line mode not active"
   | Some line ->
     Alcotest.(check int) "two lines touched" 2 (Sigil.Line_shadow.lines line);
+    Alcotest.(check int) "no entry reaches the sink" 0 !entries;
+    let telemetry = Telemetry.of_samples (Sigil.Tool.telemetry tool) in
+    List.iter
+      (fun name -> Alcotest.(check int) name 0 (Telemetry.get_int telemetry name))
+      [ "events.dispatched"; "shadow.range_reads"; "shadow.range_writes" ];
     (* line mode replaces function aggregation *)
     Alcotest.(check (list int)) "no byte profile" []
       (Sigil.Profile.contexts (Sigil.Tool.profile tool))
@@ -249,10 +263,13 @@ let test_stripped_run_still_works () =
     rows;
   ignore r
 
-(* A recursive guest function nested deeper than the tool's initial frame
-   pool, entered twice so the second descent runs on frames recycled from
-   the first. Each level reads its caller's slot and, after the recursive
-   call returns, its callee's slot, so transfers cross many frames. *)
+(* A recursive guest function 300 calls deep, entered twice so the
+   second descent runs every context's second call. Each level reads its
+   caller's slot and, after the recursive call returns, its callee's slot,
+   so transfers cross many calls, and after every return the open
+   fragment passes back to a caller, whose call the tool reads from the
+   machine. The name recalls the pool of per-depth frames the tool once
+   kept; the goldens predate it and still hold without it. *)
 let recursion_depth = 300
 
 let deep_recursion m =
@@ -297,7 +314,7 @@ let test_frame_pool_deep_recursion () =
             in
             tool := Some t;
             let hooks = Sigil.Tool.tool t in
-            (* an unbalanced leave at the root is ignored: no Ret, no pop *)
+            (* an unbalanced leave at the root is ignored: no Ret *)
             hooks.Dbi.Tool.on_leave ~ctx:Dbi.Context.root ~fn:0;
             hooks);
         ]

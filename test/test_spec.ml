@@ -49,6 +49,41 @@ let test_alternating_readers () =
       Alcotest.(check (pair int int)) "g: every read unique" (8 * rounds, 0) (input "g"))
     Sigil.Options.[ default; with_reuse default; with_events default ]
 
+(* Work at the root on both sides of main, and one function called twice
+   back to back. The generated guests run inside one top-level call and
+   the workloads inside main, so this is the only guest whose root work
+   follows a return: the reads, ops, syscall and call after main belong
+   to the root's call 0, not to main's call that returned last. *)
+let root_work m =
+  let a = Dbi.Guest.alloc m 64 in
+  Dbi.Guest.iop m 3;
+  Dbi.Guest.write m a 16;
+  Dbi.Guest.call m "main" (fun () ->
+      Dbi.Guest.read m a 8;
+      for i = 0 to 1 do
+        Dbi.Guest.call m "f" (fun () ->
+            Dbi.Guest.read m (a + 8) 8;
+            Dbi.Guest.flop m 2;
+            Dbi.Guest.write m (a + 16 + (8 * i)) 8)
+      done);
+  Dbi.Guest.read m (a + 16) 8;
+  Dbi.Guest.read m (a + 24) 8;
+  Dbi.Guest.iop m 4;
+  Dbi.Guest.syscall m "write" ~reads:[ (a + 16, 16) ] ~writes:[ (a + 32, 8) ];
+  Dbi.Guest.call m "g" (fun () -> Dbi.Guest.read m (a + 32) 8)
+
+let test_root_work () =
+  List.iter
+    (fun call_overhead ->
+      List.iter
+        (fun options ->
+          match Sigil_spec.check ~call_overhead ~options root_work with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "call_overhead %d: %s" call_overhead e)
+        Sigil.Options.
+          [ default; with_reuse default; with_events default; with_events (with_reuse default) ])
+    [ 0; 10 ]
+
 let () =
   let open Sigil.Options in
   Alcotest.run "spec"
@@ -60,5 +95,6 @@ let () =
             (workload "dedup" (with_events (with_reuse (with_max_chunks default 100))));
           Alcotest.test_case "vips reuse" `Quick (workload "vips" (with_reuse default));
           Alcotest.test_case "alternating readers all unique" `Quick test_alternating_readers;
+          Alcotest.test_case "root work after main" `Quick test_root_work;
         ] );
     ]
