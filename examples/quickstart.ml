@@ -50,10 +50,12 @@ let () =
   (* the numbers to notice *)
   List.iter
     (fun (s : Sigil.Profile_io.ctx_stats) ->
-      if Sigil.Profile_io.name snap s.ctx = "consumer" then
+      if Sigil.Profile_io.name snap s.ctx = "consumer" then begin
+        let total = s.input_unique + s.input_nonunique in
         Format.printf
           "@.The consumer read %d input bytes in total, but only %d are unique —@.an \
-           accelerator for it needs a quarter of the naive bandwidth estimate.@."
-          (s.input_unique + s.input_nonunique)
-          s.input_unique)
+           accelerator for it needs %.0f%% of the naive bandwidth estimate.@."
+          total s.input_unique
+          (100.0 *. float_of_int s.input_unique /. float_of_int total)
+      end)
     (Sigil.Profile_io.contexts snap)

@@ -26,7 +26,8 @@ let render ~headers rows =
   List.iter emit rows;
   Buffer.contents buf
 
-let bar_chart ?(width = 50) ?(fmt = Printf.sprintf "%.2f") items =
+let bar_chart ?(fmt = Printf.sprintf "%.2f") items =
+  let width = 50 in
   let max_v = List.fold_left (fun acc (_, v) -> max acc v) 0.0 items in
   let max_label =
     List.fold_left (fun acc (label, _) -> max acc (String.length label)) 0 items
@@ -44,7 +45,8 @@ let bar_chart ?(width = 50) ?(fmt = Printf.sprintf "%.2f") items =
     items;
   Buffer.contents buf
 
-let stacked_bar ?(width = 60) segments =
+let stacked_bar segments =
+  let width = 60 in
   let fills = [| '#'; '='; '-'; '.'; ' ' |] in
   let total = List.fold_left (fun acc (_, f) -> acc +. max 0.0 f) 0.0 segments in
   let buf = Buffer.create 256 in

@@ -7,17 +7,17 @@
     rows are padded with empty cells. *)
 val render : headers:string list -> string list list -> string
 
-(** [bar_chart ?width ?fmt items] renders one horizontal bar per
-    [(label, value)], scaled so the largest value spans [width] (default
-    50) characters. Negative values are clamped to 0. [fmt] formats the
-    numeric suffix (default ["%.2f"]). *)
-val bar_chart : ?width:int -> ?fmt:(float -> string) -> (string * float) list -> string
+(** [bar_chart ?fmt items] renders one horizontal bar per
+    [(label, value)], scaled so the largest value spans 50 characters.
+    Negative values are clamped to 0. [fmt] formats the numeric suffix
+    (default ["%.2f"]). *)
+val bar_chart : ?fmt:(float -> string) -> (string * float) list -> string
 
-(** [stacked_bar ?width segments] renders one 100%-stacked bar from
-    fractions (label, fraction); fractions are normalized if they do not
-    sum to 1. Each segment uses the next fill character from
+(** [stacked_bar segments] renders one 100%-stacked bar, 60 characters
+    wide, from fractions (label, fraction); fractions are normalized if
+    they do not sum to 1. Each segment uses the next fill character from
     [['#'; '='; '-'; '.'; ' ']]. *)
-val stacked_bar : ?width:int -> (string * float) list -> string
+val stacked_bar : (string * float) list -> string
 
 (** [section title] renders an underlined section heading. *)
 val section : string -> string

@@ -20,16 +20,16 @@ type cell = {
 }
 
 type t = {
-  bin : int;
   mutable cells : cell option array;
   mutable zero : int;
   mutable low : int;
   mutable high : int;
 }
 
-let create ?(lifetime_bin = 1000) () =
-  if lifetime_bin <= 0 then invalid_arg "Reuse.create: bin width must be positive";
-  { bin = lifetime_bin; cells = Array.make 256 None; zero = 0; low = 0; high = 0 }
+(* the paper's "Bin size: 1000" *)
+let lifetime_bin = 1000
+
+let create () = { cells = Array.make 256 None; zero = 0; low = 0; high = 0 }
 
 let cell t ctx =
   let len = Array.length t.cells in
@@ -59,7 +59,7 @@ let sink t : Shadow.sink =
           c.reused_episodes <- c.reused_episodes + 1;
           c.reuse_reads <- c.reuse_reads + (reads - 1);
           c.lifetime_sum <- c.lifetime_sum + lifetime;
-          let bin = lifetime / t.bin * t.bin in
+          let bin = lifetime / lifetime_bin * lifetime_bin in
           match Hashtbl.find c.hist bin with
           | r -> incr r
           | exception Not_found -> Hashtbl.add c.hist bin (ref 1)
@@ -109,4 +109,4 @@ let contexts t =
   done;
   !acc
 
-let lifetime_bin_width t = t.bin
+let lifetime_bin_width _ = lifetime_bin

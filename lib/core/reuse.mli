@@ -26,9 +26,9 @@ type version_bins = {
   high : int; (** more than 9 *)
 }
 
-(** [create ~lifetime_bin ()] sets the histogram bin width (default 1000,
-    the paper's "Bin size: 1000"). *)
-val create : ?lifetime_bin:int -> unit -> t
+(** [create ()] starts an empty accumulator. Lifetime histograms use the
+    paper's "Bin size: 1000". *)
+val create : unit -> t
 
 val sink : t -> Shadow.sink
 

@@ -13,10 +13,7 @@ type t = {
   slot : int Domain.DLS.key;
 }
 
-let default_cap = 8
-
-let recommended ?(cap = default_cap) () =
-  max 1 (min cap (Domain.recommended_domain_count ()))
+let recommended () = max 1 (min 8 (Domain.recommended_domain_count ()))
 
 let rec worker_loop t =
   Mutex.lock t.lock;

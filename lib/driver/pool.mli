@@ -27,10 +27,10 @@ type t
     @raise Invalid_argument if [domains < 1]. *)
 val create : ?domains:int -> unit -> t
 
-(** [recommended ?cap ()] is [Domain.recommended_domain_count] capped at
-    [cap] (default 8) and floored at 1 — the default pool size everywhere a
-    [--domains] flag is left unset. *)
-val recommended : ?cap:int -> unit -> int
+(** [recommended ()] is [Domain.recommended_domain_count] capped at 8
+    and floored at 1 — the default pool size everywhere a [--domains]
+    flag is left unset. *)
+val recommended : unit -> int
 
 (** Number of domains the pool applies to a batch (including the caller). *)
 val size : t -> int

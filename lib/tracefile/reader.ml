@@ -414,7 +414,3 @@ let records t kind decode f =
 let iter t f =
   let d = Frame.delta () in
   records t Frame.Events (Frame.decode_entry d) (fun _ e -> f e)
-
-(* decode_section checks each chunk's count and the index sums to the
-   entry total, so a full decode is the whole check *)
-let validate t = iter t ignore

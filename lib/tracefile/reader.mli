@@ -118,9 +118,3 @@ val iter : t -> (Sigil.Event_log.entry -> unit) -> unit
     raise {!Frame.Corrupt} at their offset. *)
 val records :
   t -> Frame.kind -> (bytes -> len:int -> pos:int ref -> 'a) -> (int -> 'a -> unit) -> unit
-
-(** [validate t] decodes every chunk of an event trace, checking framing,
-    CRCs and entry counts against the index.
-
-    @raise Frame.Corrupt on the first damaged chunk. *)
-val validate : t -> unit

@@ -294,7 +294,7 @@ let test_repair_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Tracefile.Reader.close r)
     (fun () ->
-      Tracefile.Reader.validate r;
+      Tracefile.Convert.validate r;
       Alcotest.(check int) "entry count matches the salvage report"
         report.Tracefile.Reader.recovered_entries
         (Tracefile.Reader.entry_count r);
@@ -325,7 +325,7 @@ let test_repair_of_truncated_tmp () =
   Fun.protect
     ~finally:(fun () -> Tracefile.Reader.close r)
     (fun () ->
-      Tracefile.Reader.validate r;
+      Tracefile.Convert.validate r;
       Alcotest.(check int) "repair preserves every salvaged entry"
         report.Tracefile.Reader.recovered_entries
         (Tracefile.Reader.entry_count r));

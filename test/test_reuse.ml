@@ -19,7 +19,7 @@ let test_episode_accumulation () =
   Alcotest.(check (float 1e-9)) "avg lifetime" 1000.0 (Reuse.avg_lifetime r 3)
 
 let test_histogram_binning () =
-  let r = Reuse.create ~lifetime_bin:1000 () in
+  let r = Reuse.create () in
   let sink = Reuse.sink r in
   feed_episode sink ~reader:1 ~reads:2 ~first:0 ~last:999;
   (* bin 0 *)
@@ -63,10 +63,6 @@ let test_empty_context () =
   Alcotest.(check int) "no episodes" 0 fr.Reuse.episodes;
   Alcotest.(check (list (pair int int))) "no histogram" [] (Reuse.histogram r 42)
 
-let test_bin_width_validation () =
-  Alcotest.check_raises "bad width" (Invalid_argument "Reuse.create: bin width must be positive")
-    (fun () -> ignore (Reuse.create ~lifetime_bin:0 ()))
-
 let qcheck_histogram_counts_match =
   QCheck.Test.make ~name:"histogram total = reused episodes" ~count:200
     QCheck.(list (pair (int_range 1 5) (int_range 0 100_000)))
@@ -92,7 +88,6 @@ let () =
           Alcotest.test_case "version bins" `Quick test_version_bins;
           Alcotest.test_case "contexts listing" `Quick test_contexts_listing;
           Alcotest.test_case "empty context" `Quick test_empty_context;
-          Alcotest.test_case "bin width validation" `Quick test_bin_width_validation;
           QCheck_alcotest.to_alcotest qcheck_histogram_counts_match;
         ] );
     ]

@@ -137,7 +137,7 @@ let test_multichunk_roundtrip () =
         (fun () ->
           Alcotest.(check int) "entry count" (List.length entries)
             (Tracefile.Reader.entry_count r);
-          Tracefile.Reader.validate r))
+          Tracefile.Convert.validate r))
 
 let test_qcheck_file_roundtrip =
   QCheck.Test.make ~name:"file roundtrip (random logs, tiny chunks)" ~count:50
@@ -203,7 +203,7 @@ let test_corrupted_crc () =
               check_corrupt_at ~expected_offset:victim (fun () ->
                   Tracefile.Reader.iter r ignore);
               check_corrupt_at ~expected_offset:victim (fun () ->
-                  Tracefile.Reader.validate r))))
+                  Tracefile.Convert.validate r))))
 
 (* A reader decodes every chunk in one buffer sized for the longest, so a
    shorter chunk sits in front of the stale tail of a longer one: its
@@ -243,7 +243,7 @@ let test_short_chunk_after_long () =
         ~finally:(fun () -> Tracefile.Reader.close r)
         (fun () ->
           located "iter" (fun () -> Tracefile.Reader.iter r ignore);
-          located "validate" (fun () -> Tracefile.Reader.validate r));
+          located "validate" (fun () -> Tracefile.Convert.validate r));
       let data = In_channel.with_open_bin path In_channel.input_all in
       with_temp ".tf" (fun cut ->
           Out_channel.with_open_bin cut (fun oc ->
