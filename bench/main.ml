@@ -256,8 +256,8 @@ let fig13 () =
       let snap = Sigil.Profile_io.snapshot_of_tool (Driver.sigil run) in
       let path =
         Analysis.Critpath.critical_path_contexts cp
+        |> List.filter (fun ctx -> ctx <> Dbi.Context.root)
         |> List.map (Sigil.Profile_io.name snap)
-        |> List.filter (fun n -> n <> "<root>")
       in
       let shown = List.filteri (fun i _ -> i < 8) path in
       pf "%s critical path (leaf -> main): %s%s\n" name

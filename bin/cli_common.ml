@@ -18,18 +18,14 @@ let pos_int = checked Arg.int (fun n -> n > 0) "a positive integer"
 
 let power_of_two = checked Arg.int (fun n -> n > 0 && n land (n - 1) = 0) "a power of two"
 
+let known_workloads = "Known: " ^ String.concat ", " (Workloads.Suite.names ()) ^ "."
+
 let workload_arg =
-  let doc =
-    "Workload to profile. Known: " ^ String.concat ", " (Workloads.Suite.names ()) ^ "."
-  in
+  let doc = "Workload to profile. " ^ known_workloads in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc)
 
 let workloads_arg =
-  let doc =
-    "Workloads to profile (one or more). Known: "
-    ^ String.concat ", " (Workloads.Suite.names ())
-    ^ "."
-  in
+  let doc = "Workloads to profile (one or more). " ^ known_workloads in
   Arg.(non_empty & pos_all string [] & info [] ~docv:"WORKLOAD" ~doc)
 
 let domains_arg =

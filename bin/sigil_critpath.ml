@@ -2,17 +2,18 @@
    event file, longest path and function-level parallelism limit. Works
    from a live run or from a saved binary event trace, through the same
    streaming pass; traces embed the producing run's symbol/context
-   tables, so loaded traces print real function names. *)
+   tables, so loaded traces print real function names, and both name
+   contexts through one [Dbi.Names] table. *)
 
 open Cmdliner
 
-let report title cp describe cores =
+let report title cp names cores =
   Format.printf "== critical path: %s ==@." title;
   Format.printf "serial length (ops):        %d@." (Analysis.Critpath.serial_length cp);
   Format.printf "critical path length (ops): %d@." (Analysis.Critpath.critical_path_length cp);
   Format.printf "max function-level parallelism: %.2fx@.@." (Analysis.Critpath.parallelism cp);
-  let names = List.map describe (Analysis.Critpath.critical_path_contexts cp) in
-  Format.printf "critical path (leaf -> main):@.  %s@." (String.concat " -> " names);
+  let path = List.map (Dbi.Names.name names) (Analysis.Critpath.critical_path_contexts cp) in
+  Format.printf "critical path (leaf -> main):@.  %s@." (String.concat " -> " path);
   List.iter
     (fun n ->
       let s = Analysis.Critpath.schedule cp ~cores:n in
@@ -29,17 +30,14 @@ let print_summary title (s : Analysis.Critpath.summary) =
   Format.printf "max function-level parallelism: %.2fx@."
     (Analysis.Critpath.summary_parallelism s)
 
-let raw_ctx ctx = "ctx:" ^ string_of_int ctx
-
 let run name scale load_path cores summary =
   Cli_common.guard @@ fun () ->
-  if summary && cores <> [] then begin
-    (* the summary pass keeps no DAG to schedule *)
-    Format.eprintf "error: --cores needs the full report, not --summary@.";
-    exit 2
-  end;
-  match load_path with
-  | Some path ->
+  (* the summary pass keeps no DAG to schedule *)
+  if summary && cores <> [] then failwith "--cores needs the full report, not --summary";
+  match (name, load_path) with
+  | Some _, Some _ -> failwith "give a WORKLOAD or --load FILE, not both"
+  | None, None -> failwith "give a WORKLOAD or --load FILE"
+  | None, Some path ->
     let r = Tracefile.Reader.open_file path in
     Fun.protect
       ~finally:(fun () -> Tracefile.Reader.close r)
@@ -47,11 +45,8 @@ let run name scale load_path cores summary =
         let stream = Tracefile.Reader.iter r in
         if summary then print_summary path (Analysis.Critpath.summarize_stream stream)
         else
-          let describe =
-            if Tracefile.Reader.has_names r then Tracefile.Reader.fn_name r else raw_ctx
-          in
-          report path (Analysis.Critpath.analyze_stream stream) describe cores)
-  | None ->
+          report path (Analysis.Critpath.analyze_stream stream) (Tracefile.Reader.names r) cores)
+  | Some name, None ->
     (* the workload runs inside the stream, so a live run goes through the
        same pass as a loaded trace and no entry outlives its fragment *)
     let workload = Cli_common.resolve name in
@@ -66,18 +61,27 @@ let run name scale load_path cores summary =
     if summary then print_summary title (Analysis.Critpath.summarize_stream stream)
     else
       let cp = Analysis.Critpath.analyze_stream stream in
-      let snap = Sigil.Profile_io.snapshot_of_tool (Driver.sigil (Option.get !run)) in
-      report title cp (Sigil.Profile_io.name snap) cores
+      let m = (Option.get !run).Driver.machine in
+      report title cp
+        (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m))
+        cores
 
 let cmd =
+  let workload =
+    let doc = "Workload to run and analyze (or $(b,--load) a trace). " in
+    Arg.(
+      value
+      & pos 0 (some string) None
+      & info [] ~docv:"WORKLOAD" ~doc:(doc ^ Cli_common.known_workloads))
+  in
   let load =
     Arg.(
       value
       & opt (some string) None
       & info [ "load" ] ~docv:"FILE"
           ~doc:
-            "Post-process a saved binary event trace (sigil_run --events) instead of running. \
-             A text dump from sigil_trace convert is not an event trace.")
+            "Post-process a saved binary event trace (sigil_run --events) instead of running \
+             a WORKLOAD. A text dump from sigil_trace convert is not an event trace.")
   in
   let cores =
     Arg.(
@@ -99,6 +103,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "sigil_critpath" ~doc:"Critical-path analysis over Sigil event files")
-    Term.(const run $ Cli_common.workload_arg $ Cli_common.scale_arg $ load $ cores $ summary)
+    Term.(const run $ workload $ Cli_common.scale_arg $ load $ cores $ summary)
 
 let () = exit (Cmd.eval cmd)

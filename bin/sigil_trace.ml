@@ -55,8 +55,9 @@ let inspect path check =
       Format.printf "  records:     %d@." (Tracefile.Reader.entry_count r);
       Format.printf "  chunks:      %d (target %d B)@." (Tracefile.Reader.chunk_count r)
         (Tracefile.Reader.chunk_bytes r);
-      Format.printf "  symbols:     %d@." (Tracefile.Reader.symbol_count r);
-      Format.printf "  contexts:    %d@." (Tracefile.Reader.context_count r);
+      let names = Tracefile.Reader.names r in
+      Format.printf "  symbols:     %d@." (Array.length names.Dbi.Names.symbols);
+      Format.printf "  contexts:    %d@." (Array.length names.Dbi.Names.parent);
       Format.printf "  file size:   %d B@." (file_size path);
       if check then begin
         Tracefile.Convert.validate r;

@@ -48,27 +48,8 @@ let cdfg ?(min_bytes = 1) ?(max_nodes = 64) snap ppf =
     (P.edges snap);
   Format.fprintf ppf "}@."
 
-let critical_path snap critpath ppf =
-  let nodes = Critpath.critical_path critpath in
-  Format.fprintf ppf "digraph critical_path {@.";
-  Format.fprintf ppf "  rankdir=LR; node [shape=box, style=filled, fillcolor=gray85, fontsize=10];@.";
-  List.iteri
-    (fun i (n : Critpath.node) ->
-      Format.fprintf ppf "  n%d [label=\"%s #%d\\nself=%d incl=%d\"];@." i
-        (escape (P.name snap n.Critpath.ctx))
-        n.Critpath.occurrence n.Critpath.self n.Critpath.inclusive)
-    nodes;
-  List.iteri
-    (fun i (_ : Critpath.node) ->
-      if i > 0 then Format.fprintf ppf "  n%d -> n%d [style=bold];@." (i - 1) i)
-    nodes;
-  Format.fprintf ppf "}@."
-
-let to_file render path =
+let save_cdfg ?min_bytes ?max_nodes snap path =
   Dbi.Atomic_file.write path (fun oc ->
       let ppf = Format.formatter_of_out_channel oc in
-      render ppf;
+      cdfg ?min_bytes ?max_nodes snap ppf;
       Format.pp_print_flush ppf ())
-
-let save_cdfg ?min_bytes ?max_nodes snap path = to_file (cdfg ?min_bytes ?max_nodes snap) path
-let save_critical_path snap critpath path = to_file (critical_path snap critpath) path

@@ -54,7 +54,7 @@ let candidate_of ?(bus_bytes_per_cycle = default_bus_bytes_per_cycle) cdfg total
    own sub-tree always win with breakeven 1.0. *)
 let trim ?(bus_bytes_per_cycle = default_bus_bytes_per_cycle) ?(max_coverage = 0.5) cdfg =
   let total = Cdfg.total_cycles cdfg in
-  let never_merge n = n.Cdfg.name = "<root>" || n.Cdfg.name = "main" || is_syscall n.Cdfg.name in
+  let never_merge n = n.Cdfg.ctx = Dbi.Context.root || n.Cdfg.name = "main" || is_syscall n.Cdfg.name in
   let box_allowed n =
     n.Cdfg.children = []
     || float_of_int n.Cdfg.incl_cycles <= max_coverage *. float_of_int (max 1 total)

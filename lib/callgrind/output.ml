@@ -10,22 +10,16 @@ let pp_cost_line ppf line cost =
   List.iter (fun v -> Format.fprintf ppf " %d" v) (cost_fields cost);
   Format.fprintf ppf "@."
 
-let fn_label machine ctx =
-  if ctx = Dbi.Context.root then "<root>"
-  else
-    Dbi.Symbol.name
-      (Dbi.Machine.symbols machine)
-      (Dbi.Context.fn (Dbi.Machine.contexts machine) ctx)
-
 (* Context-qualified function name: callgrind distinguishes contexts with
    "name'ctx<N>" suffixes; we do the same for non-first contexts of a
    function. *)
 let fn_names machine =
   let contexts = Dbi.Machine.contexts machine in
+  let table = Dbi.Names.make ~symbols:(Dbi.Machine.symbols machine) ~contexts in
   let seen = Hashtbl.create 64 in
   let names = Hashtbl.create 64 in
   Dbi.Context.iter contexts (fun ctx ->
-      let base = fn_label machine ctx in
+      let base = Dbi.Names.name table ctx in
       let k = match Hashtbl.find_opt seen base with Some k -> k + 1 | None -> 0 in
       Hashtbl.replace seen base k;
       Hashtbl.replace names ctx (if k = 0 then base else Printf.sprintf "%s'ctx%d" base k));

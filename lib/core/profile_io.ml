@@ -21,7 +21,7 @@ type edge = {
 
 (* Every array is indexed by the dense context id. *)
 type snapshot = {
-  names : string array; (* by function id *)
+  names : Dbi.Names.t;
   preorder : ctx_stats list;
   by_ctx : ctx_stats array;
   kids : Dbi.Context.id list array; (* in tree order *)
@@ -66,18 +66,14 @@ let snapshot_of_tool tool =
   let machine = Tool.machine tool in
   let profile = Tool.profile tool in
   let contexts = Dbi.Machine.contexts machine in
-  let symbols = Dbi.Machine.symbols machine in
-  let names = Array.make (Dbi.Symbol.count symbols) "" in
-  Dbi.Symbol.iter symbols (fun id name -> names.(id) <- name);
+  let names = Dbi.Names.make ~symbols:(Dbi.Machine.symbols machine) ~contexts in
   let rec visit acc ctx =
     let s = Profile.stats profile ctx in
-    let parent = match Dbi.Context.parent contexts ctx with Some p -> p | None -> -1 in
-    let fn = if ctx = Dbi.Context.root then -1 else Dbi.Context.fn contexts ctx in
     let stats =
       {
         ctx;
-        parent;
-        fn;
+        parent = names.Dbi.Names.parent.(ctx);
+        fn = names.Dbi.Names.fn.(ctx);
         calls = s.Profile.calls;
         input_unique = s.Profile.input_unique;
         input_nonunique = s.Profile.input_nonunique;
@@ -106,7 +102,7 @@ let snapshot_of_tool tool =
 let render snap =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "sigil-profile 1\n";
-  Array.iteri (fun id name -> Printf.bprintf buf "S %d %s\n" id name) snap.names;
+  Array.iteri (fun id name -> Printf.bprintf buf "S %d %s\n" id name) snap.names.Dbi.Names.symbols;
   List.iter
     (fun s ->
       Printf.bprintf buf "C %d %d %d %d\n" s.ctx s.parent s.fn s.calls;
@@ -121,31 +117,15 @@ let render snap =
 let to_string tool = render (snapshot_of_tool tool)
 let names snap = snap.names
 
-let fn_name snap fn =
-  if fn < 0 then "<root>"
-  else if fn < Array.length snap.names then snap.names.(fn)
-  else "?" ^ string_of_int fn
-
+let fn_name snap fn = Dbi.Names.fn_name snap.names fn
 let count snap = Array.length snap.by_ctx
 
 let stats snap ctx =
   if ctx < 0 || ctx >= count snap then invalid_arg "Profile_io.stats: unknown context";
   snap.by_ctx.(ctx)
 
-let name snap ctx = fn_name snap (stats snap ctx).fn
-
-let path snap ctx =
-  if ctx = Dbi.Context.root then "<root>"
-  else begin
-    let rec collect acc ctx =
-      if ctx = Dbi.Context.root || ctx < 0 then acc
-      else
-        let s = stats snap ctx in
-        collect (fn_name snap s.fn :: acc) s.parent
-    in
-    String.concat "/" (collect [] ctx)
-  end
-
+let name snap ctx = Dbi.Names.name snap.names ctx
+let path snap ctx = Dbi.Names.path snap.names ctx
 let contexts snap = snap.preorder
 
 let active s =

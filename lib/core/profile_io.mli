@@ -45,14 +45,15 @@ type snapshot
 (** [snapshot_of_tool tool] captures a finished run's profile. *)
 val snapshot_of_tool : Tool.t -> snapshot
 
-(** [make ~names ~contexts ~edges] is the snapshot with function names
-    [names] (by id), [contexts] in preorder and [edges]; a loader builds
-    one from a saved profile. Per-context lookups, children and edge sums
-    are computed here, once.
+(** [make ~names ~contexts ~edges] is the snapshot of the run whose
+    function names and context tree are [names], with [contexts] in
+    preorder (their [parent] and [fn] as [names] has them) and [edges]; a
+    loader builds one from a saved profile. Per-context lookups, children
+    and edge sums are computed here, once.
 
     @raise Invalid_argument unless the context ids are [0 .. n-1], each
     once, and every edge names one of them. *)
-val make : names:string array -> contexts:ctx_stats list -> edges:edge list -> snapshot
+val make : names:Dbi.Names.t -> contexts:ctx_stats list -> edges:edge list -> snapshot
 
 (** [render snap] is the text dump above. The rendering is canonical
     (symbols by id, preorder contexts, sorted edges), so two runs are
@@ -65,20 +66,20 @@ val to_string : Tool.t -> string
 
 (** {2 Queries} *)
 
-(** Function names by id. *)
-val names : snapshot -> string array
+(** The run's function names and context tree. *)
+val names : snapshot -> Dbi.Names.t
 
-(** Function name by id ([fn = -1] renders ["<root>"]). *)
+(** [fn_name snap fn] is [Dbi.Names.fn_name]: ["<root>"] for [-1]. *)
 val fn_name : snapshot -> int -> string
 
 (** Number of contexts; their ids are [0 .. count - 1]. *)
 val count : snapshot -> int
 
-(** [name snap ctx] is the name of the function [ctx] runs (["<root>"]
-    for the root). *)
+(** [name snap ctx] is [Dbi.Names.name]: the name of the function [ctx]
+    runs, ["<root>"] for the root. *)
 val name : snapshot -> Dbi.Context.id -> string
 
-(** [path snap ctx] renders the full call path, as {!Dbi.Context.path}. *)
+(** [path snap ctx] is [Dbi.Names.path]: the full call path. *)
 val path : snapshot -> Dbi.Context.id -> string
 
 (** Contexts in preorder (root first). *)

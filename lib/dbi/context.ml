@@ -60,18 +60,6 @@ let parent t id = if id = root then None else Some (node t id).parent
 let depth t id = (node t id).depth
 let count t = t.n
 
-let path t symbols id =
-  if id = root then "<root>"
-  else begin
-    let rec collect acc id =
-      if id = root then acc
-      else
-        let n = node t id in
-        collect (Symbol.name symbols n.fn :: acc) n.parent
-    in
-    String.concat "/" (collect [] id)
-  end
-
 let iter t f =
   for id = 0 to t.n - 1 do
     f id

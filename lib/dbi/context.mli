@@ -36,10 +36,6 @@ val depth : t -> id -> int
 (** Number of interned contexts, including [root]. *)
 val count : t -> int
 
-(** [path t symbols ctx] renders the full call path, outermost first,
-    e.g. ["main/localSearch/pkmedian"]. [root] renders as ["<root>"]. *)
-val path : t -> Symbol.t -> id -> string
-
 (** [iter t f] applies [f id] to every context in id order, [root]
     included. *)
 val iter : t -> (id -> unit) -> unit

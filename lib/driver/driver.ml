@@ -89,31 +89,23 @@ let run_workload ?(options = Sigil.Options.default) ?event_sink ?(with_sigil = t
     stats;
   }
 
+(* A job is its workload and scale (named in progress lines and errors)
+   and the run itself, with its optional arguments already applied. *)
 type job = {
   j_workload : Workloads.Workload.t;
   j_scale : Workloads.Scale.t;
-  j_options : Sigil.Options.t;
-  j_event_sink : Sigil.Event_log.sink option;
-  j_with_sigil : bool;
-  j_with_callgrind : bool;
-  j_stripped : bool;
+  j_run : ?on_start:(Dbi.Machine.t -> Sigil.Tool.t option -> unit) -> unit -> run;
 }
 
-let job ?(options = Sigil.Options.default) ?event_sink ?(with_sigil = true)
-    ?(with_callgrind = false) ?(stripped = false) workload scale =
+let job ?options ?event_sink ?with_sigil ?with_callgrind ?stripped workload scale =
   {
     j_workload = workload;
     j_scale = scale;
-    j_options = options;
-    j_event_sink = event_sink;
-    j_with_sigil = with_sigil;
-    j_with_callgrind = with_callgrind;
-    j_stripped = stripped;
+    j_run =
+      (fun ?on_start () ->
+        run_workload ?options ?event_sink ?with_sigil ?with_callgrind ?stripped ?on_start workload
+          scale);
   }
-
-let run_job ?on_start j =
-  run_workload ~options:j.j_options ?event_sink:j.j_event_sink ~with_sigil:j.j_with_sigil
-    ~with_callgrind:j.j_with_callgrind ~stripped:j.j_stripped ?on_start j.j_workload j.j_scale
 
 let classify = function
   | Dbi.Machine.Timeout { limit_s; now } -> Run_error.Timeout { limit_s; now }
@@ -124,7 +116,7 @@ let classify = function
    from [Pool]'s point of view every task returns normally: a crashing
    workload can never take the rest of the batch down with it. *)
 let attempt ?on_start j =
-  match run_job ?on_start j with
+  match j.j_run ?on_start () with
   | r -> Ok r
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in

@@ -36,8 +36,7 @@ let repair ?chunk_bytes src dst =
       let w = Writer.create ~chunk_bytes ~options_tag:(Reader.options_tag r) dst in
       match Reader.iter r (Writer.add w) with
       | () ->
-        let names, stripped, ctx_parent, ctx_fn = Reader.raw_tables r in
-        Writer.close_raw ~names ~stripped ~ctx_parent ~ctx_fn w;
+        Writer.close_names (Reader.names r) w;
         report
       | exception e ->
         Writer.discard w;

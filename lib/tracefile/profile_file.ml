@@ -29,18 +29,12 @@ let decode b ~len ~pos =
   | tag -> failwith (Printf.sprintf "unknown record tag %d" tag)
 
 let save ?options snap path =
-  let contexts = P.contexts snap in
-  (* the context table: dense ids, the root's entry unused *)
-  let table field =
-    Array.init (List.length contexts) (fun ctx -> if ctx = 0 then 0 else field (P.stats snap ctx))
-  in
-  let ctx_parent = table (fun s -> s.parent) and ctx_fn = table (fun s -> s.fn) in
   let w = Writer.create ~kind:Frame.Profile ?options path in
   match
-    List.iter (fun s -> Writer.add_record w encode (Ctx s)) contexts;
+    List.iter (fun s -> Writer.add_record w encode (Ctx s)) (P.contexts snap);
     List.iter (fun e -> Writer.add_record w encode (Edge e)) (P.edges snap)
   with
-  | () -> Writer.close_raw ~names:(P.names snap) ~ctx_parent ~ctx_fn w
+  | () -> Writer.close_names (P.names snap) w
   | exception e ->
     Writer.discard w;
     raise e
@@ -48,8 +42,8 @@ let save ?options snap path =
 (* Every context of the table has exactly one record, and every id a
    record names is in the table; the tree itself was checked at open. *)
 let of_reader r =
-  let names, _, ctx_parent, ctx_fn = Reader.raw_tables r in
-  let seen = Array.make (Array.length ctx_parent) false in
+  let names : Dbi.Names.t = Reader.names r in
+  let seen = Array.make (Array.length names.parent) false in
   let contexts = ref [] and edges = ref [] in
   Reader.records r Frame.Profile decode (fun offset rc ->
       let known ctx =
@@ -61,8 +55,7 @@ let of_reader r =
         known s.ctx;
         if seen.(s.ctx) then Frame.corrupt ~offset (Printf.sprintf "context %d recorded twice" s.ctx);
         seen.(s.ctx) <- true;
-        let parent, fn = if s.ctx = 0 then (-1, -1) else (ctx_parent.(s.ctx), ctx_fn.(s.ctx)) in
-        contexts := { s with parent; fn } :: !contexts
+        contexts := { s with parent = names.parent.(s.ctx); fn = names.fn.(s.ctx) } :: !contexts
       | Edge e ->
         known e.src;
         known e.dst;

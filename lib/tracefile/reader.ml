@@ -1,15 +1,5 @@
 type chunk = { c_offset : int; c_entries : int; c_bytes : int }
 
-(* The embedded tables; all empty when the file carries none. *)
-type tables = {
-  names : string array; (* function names *)
-  stripped : bool;
-  ctx_parent : int array; (* per-context parent and function ids *)
-  ctx_fn : int array;
-}
-
-let no_tables = { names = [||]; stripped = false; ctx_parent = [||]; ctx_fn = [||] }
-
 (* Where a reader reads sections: the 16-byte header scratch and one
    payload buffer, grown to the longest section read or indexed. It is
    longer than most, so every decode is bounded by its section's length. *)
@@ -26,7 +16,7 @@ type t = {
   chunks : chunk array;
   total_entries : int;
   data_end : int; (* first byte past the last chunk this reader may read *)
-  tables : tables;
+  names : Dbi.Names.t; (* the embedded tables; empty when the file carries none *)
 }
 
 let read_bytes_at ic ~offset ~len =
@@ -151,7 +141,7 @@ let parse_header ic ~file_len =
 type tail = {
   t_tables_offset : int;
   t_total_entries : int;
-  t_tables : tables;
+  t_names : Dbi.Names.t;
   t_chunks : chunk array;
 }
 
@@ -186,7 +176,7 @@ let parse_tail ic ~file_len ~data_start =
     if !pos >= meta_len then raise Varint.Truncated;
     let stripped = Bytes.get meta !pos = '\001' in
     incr pos;
-    let names =
+    let symbols =
       Array.init symbol_count (fun _ ->
           let len = Varint.read meta ~len:meta_len ~pos in
           if len < 0 || len > meta_len - !pos then
@@ -196,16 +186,16 @@ let parse_tail ic ~file_len ~data_start =
           name)
     in
     let context_count = count () in
-    let ctx_fn = Array.make context_count (-1) in
-    let ctx_parent = Array.make context_count (-1) in
+    let fn = Array.make context_count (-1) in
+    let parent = Array.make context_count (-1) in
     for ctx = 1 to context_count - 1 do
-      let parent = Varint.read meta ~len:meta_len ~pos in
-      let fn = Varint.read meta ~len:meta_len ~pos in
-      if parent < 0 || parent >= ctx || (symbol_count > 0 && (fn < 0 || fn >= symbol_count)) then
+      let p = Varint.read meta ~len:meta_len ~pos in
+      let f = Varint.read meta ~len:meta_len ~pos in
+      if p < 0 || p >= ctx || (symbol_count > 0 && (f < 0 || f >= symbol_count)) then
         Frame.corrupt ~offset:tables_offset
-          (Printf.sprintf "context %d has parent %d and function %d" ctx parent fn);
-      ctx_parent.(ctx) <- parent;
-      ctx_fn.(ctx) <- fn
+          (Printf.sprintf "context %d has parent %d and function %d" ctx p f);
+      parent.(ctx) <- p;
+      fn.(ctx) <- f
     done;
     pos := index_offset - tables_offset;
     let chunk_count = count () in
@@ -228,7 +218,7 @@ let parse_tail ic ~file_len ~data_start =
     {
       t_tables_offset = tables_offset;
       t_total_entries = total_entries;
-      t_tables = { names; stripped; ctx_parent; ctx_fn };
+      t_names = { Dbi.Names.symbols; stripped; parent; fn };
       t_chunks = chunks;
     }
   with Varint.Truncated ->
@@ -340,7 +330,7 @@ let open_trace ~strict path =
     (* reads of indexed chunks never grow the buffer: size it now *)
     let longest = Array.fold_left (fun m c -> max m c.c_bytes) 0 chunks in
     if Bytes.length sc.payload < longest then sc.payload <- Bytes.create longest;
-    let tables = match tail with Some tl -> tl.t_tables | None -> no_tables in
+    let names = match tail with Some tl -> tl.t_names | None -> Dbi.Names.empty in
     ( {
         ic;
         sc;
@@ -350,7 +340,7 @@ let open_trace ~strict path =
         chunks;
         total_entries = entries;
         data_end;
-        tables;
+        names;
       },
       report )
   with
@@ -371,18 +361,7 @@ let chunk_bytes t = t.r_chunk_bytes
 let entry_count t = t.total_entries
 let chunk_count t = Array.length t.chunks
 let chunk_offsets t = Array.to_list (Array.map (fun c -> c.c_offset) t.chunks)
-let symbol_count t = Array.length t.tables.names
-let context_count t = Array.length t.tables.ctx_fn
-let has_names t = symbol_count t > 0 && context_count t > 0
-let raw_tables { tables = tb; _ } = (tb.names, tb.stripped, tb.ctx_parent, tb.ctx_fn)
-
-let fn_name { tables = tb; _ } ctx =
-  if ctx = Dbi.Context.root then "<root>"
-  else if ctx > 0 && ctx < Array.length tb.ctx_fn then begin
-    let fn = tb.ctx_fn.(ctx) in
-    if fn >= 0 && fn < Array.length tb.names then tb.names.(fn) else "ctx:" ^ string_of_int ctx
-  end
-  else "ctx:" ^ string_of_int ctx
+let names t = t.names
 
 (* Reads one indexed chunk into [t.sc.payload] and returns its length:
    the section at its offset, which must be the data chunk the index

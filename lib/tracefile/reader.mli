@@ -82,22 +82,10 @@ val chunk_count : t -> int
 
 (** File offset of each chunk's header, in chunk order (from the index). *)
 val chunk_offsets : t -> int list
-val symbol_count : t -> int
-val context_count : t -> int
 
-(** Whether the trace embeds non-empty symbol and context tables. *)
-val has_names : t -> bool
-
-(** [raw_tables t] is [(names, stripped, ctx_parent, ctx_fn)] — the
-    embedded tables as the dense arrays the format stores (empty when the
-    trace carries none). Used by [Convert.repair] to re-emit the tables
-    into the rewritten trace. *)
-val raw_tables : t -> string array * bool * int array * int array
-
-(** [fn_name t ctx] resolves a context id to its function name through the
-    embedded tables; ["<root>"] for the root context, ["ctx:<id>"] when the
-    trace carries no tables or the id is unknown. *)
-val fn_name : t -> Dbi.Context.id -> string
+(** The embedded symbol and context tables ([Dbi.Names.empty] when the
+    trace carries none, or when salvage lost the tail). *)
+val names : t -> Dbi.Names.t
 
 (** {2 Streaming access} *)
 

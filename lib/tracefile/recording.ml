@@ -56,10 +56,10 @@ let iter r f = Reader.records r Frame.Recording decode f
 
 (* An enter's symbol id resolves through the embedded symbol table. *)
 let name r ~offset fn =
-  let names, _, _, _ = Reader.raw_tables r in
-  if fn < 0 || fn >= Array.length names then
+  let symbols = (Reader.names r).Dbi.Names.symbols in
+  if fn < 0 || fn >= Array.length symbols then
     Frame.corrupt ~offset (Printf.sprintf "unknown symbol id %d" fn);
-  names.(fn)
+  symbols.(fn)
 
 let to_line r ~offset = function
   | Enter fn -> "E " ^ name r ~offset fn

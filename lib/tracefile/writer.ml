@@ -159,50 +159,27 @@ let telemetry t =
       hist "trace.chunk_payload_bytes" t.chunk_payload;
     ]
 
-let write_tables_raw t ~names ~stripped ~ctx_parent ~ctx_fn =
+(* The tables section: the symbol count, the stripped byte and the
+   names, then the context count and each context's (parent, fn); the
+   root (0) is implicit. *)
+let write_tables t (names : Dbi.Names.t) =
   let b = t.head in
   Buffer.clear b;
-  Varint.write b (Array.length names);
-  Buffer.add_char b (if stripped then '\001' else '\000');
+  Varint.write b (Array.length names.symbols);
+  Buffer.add_char b (if names.stripped then '\001' else '\000');
   Array.iter
     (fun name ->
       Varint.write b (String.length name);
       Buffer.add_string b name)
-    names;
-  let count = Array.length ctx_parent in
+    names.symbols;
+  let count = Array.length names.parent in
   Varint.write b count;
-  (* dense ids; root (0) is implicit, every other node is (parent, fn) *)
   for ctx = 1 to count - 1 do
-    Varint.write b ctx_parent.(ctx);
-    Varint.write b ctx_fn.(ctx)
+    Varint.write b names.parent.(ctx);
+    Varint.write b names.fn.(ctx)
   done;
   Buffer.output_buffer t.oc b;
   Buffer.clear b
-
-let tables_of ~symbols ~contexts =
-  let names, stripped =
-    match symbols with
-    | None -> ([||], false)
-    | Some syms ->
-      let arr = Array.make (Dbi.Symbol.count syms) "" in
-      (* Symbol.iter yields the degraded "???:<id>" names on a stripped
-         table, matching what the producing run itself could see *)
-      Dbi.Symbol.iter syms (fun id name -> arr.(id) <- name);
-      (arr, Dbi.Symbol.is_stripped syms)
-  in
-  let ctx_parent, ctx_fn =
-    match contexts with
-    | None -> ([||], [||])
-    | Some ctxs ->
-      let count = Dbi.Context.count ctxs in
-      let parent = Array.make count 0 and fn = Array.make count 0 in
-      for ctx = 1 to count - 1 do
-        parent.(ctx) <- (match Dbi.Context.parent ctxs ctx with Some p -> p | None -> 0);
-        fn.(ctx) <- Dbi.Context.fn ctxs ctx
-      done;
-      (parent, fn)
-  in
-  (names, stripped, ctx_parent, ctx_fn)
 
 let write_index t index =
   let b = t.head in
@@ -212,11 +189,11 @@ let write_index t index =
   Buffer.output_buffer t.oc b;
   Buffer.clear b
 
-let finalize t ~names ~stripped ~ctx_parent ~ctx_fn =
+let close_names names t =
   if not t.closed then begin
     flush_chunk ~force:(t.index_rev = [] && t.magic <> Frame.chunk_magic) t;
     let tables_offset = pos_out t.oc in
-    write_tables_raw t ~names ~stripped ~ctx_parent ~ctx_fn;
+    write_tables t names;
     let index_offset = pos_out t.oc in
     write_index t (List.rev t.index_rev);
     let b = t.head in
@@ -234,11 +211,12 @@ let finalize t ~names ~stripped ~ctx_parent ~ctx_fn =
   end
 
 let close ?symbols ?contexts t =
-  let names, stripped, ctx_parent, ctx_fn = tables_of ~symbols ~contexts in
-  finalize t ~names ~stripped ~ctx_parent ~ctx_fn
-
-let close_raw ?(names = [||]) ?(stripped = false) ?(ctx_parent = [||]) ?(ctx_fn = [||]) t =
-  finalize t ~names ~stripped ~ctx_parent ~ctx_fn
+  close_names
+    (match (symbols, contexts) with
+    | Some symbols, Some contexts -> Dbi.Names.make ~symbols ~contexts
+    | None, None -> Dbi.Names.empty
+    | _ -> invalid_arg "Tracefile.Writer.close: symbols and contexts go together")
+    t
 
 let discard t =
   if not t.closed then begin

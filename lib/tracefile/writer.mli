@@ -65,19 +65,17 @@ val bytes_written : t -> int
     configuration. *)
 val telemetry : t -> Telemetry.sample list
 
-(** [close ?symbols ?contexts w] flushes the final chunk, writes the
-    embedded tables (empty when omitted: readers then print raw context
-    ids), the chunk index and the trailer, closes
-    the .tmp and renames it over the destination. Idempotent. *)
-val close : ?symbols:Dbi.Symbol.t -> ?contexts:Dbi.Context.t -> t -> unit
+(** [close_names names w] flushes the final chunk, writes [names] as the
+    embedded tables, the chunk index and the trailer, closes the .tmp and
+    renames it over the destination. Idempotent. *)
+val close_names : Dbi.Names.t -> t -> unit
 
-(** [close_raw ?names ?stripped ?ctx_parent ?ctx_fn w] is {!close} for
-    callers holding the tables as raw arrays rather than live [Dbi]
-    structures — e.g. [Convert.repair] re-emitting the tables recovered
-    from a damaged trace. Arrays are indexed by dense id (context 0 is the
-    implicit root). *)
-val close_raw :
-  ?names:string array -> ?stripped:bool -> ?ctx_parent:int array -> ?ctx_fn:int array -> t -> unit
+(** [close ?symbols ?contexts w] is {!close_names} with the producing
+    run's tables ([Dbi.Names.make]), or with [Dbi.Names.empty] when both
+    are omitted: readers then print raw context ids.
+
+    @raise Invalid_argument when only one of them is given. *)
+val close : ?symbols:Dbi.Symbol.t -> ?contexts:Dbi.Context.t -> t -> unit
 
 (** [discard w] abandons the trace: closes and deletes the .tmp without
     ever touching the destination path. Idempotent; a no-op after a

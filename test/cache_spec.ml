@@ -238,7 +238,10 @@ let check ?call_overhead ?(cache_config = Cachesim.Hierarchy.default) guest =
               first :=
                 Some
                   (Printf.sprintf "%s of %s: tool %d, spec %d" name
-                     (Dbi.Context.path (Dbi.Machine.contexts m) (Dbi.Machine.symbols m) ctx)
+                     (Dbi.Names.path
+                        (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m)
+                           ~contexts:(Dbi.Machine.contexts m))
+                        ctx)
                      got want))
           (fields (Callgrind.Tool.cost tool ctx))
           (fields (cost t ctx)));

@@ -40,8 +40,9 @@ let test_path_rendering () =
   let ctx =
     List.fold_left (fun parent fn -> Dbi.Context.enter t parent fn) Dbi.Context.root ids
   in
-  Alcotest.(check string) "path" "main/localSearch/pkmedian" (Dbi.Context.path t syms ctx);
-  Alcotest.(check string) "root path" "<root>" (Dbi.Context.path t syms Dbi.Context.root)
+  let names = Dbi.Names.make ~symbols:syms ~contexts:t in
+  Alcotest.(check string) "path" "main/localSearch/pkmedian" (Dbi.Names.path names ctx);
+  Alcotest.(check string) "root path" "<root>" (Dbi.Names.path names Dbi.Context.root)
 
 let test_children_order () =
   let t = Dbi.Context.create () in

@@ -334,7 +334,7 @@ let test_dag_size () =
 
 let sigil_critpath = Cli.exe "sigil_critpath"
 
-let cli_md5 args =
+let cli_output args =
   let out = Filename.temp_file "sigil_critpath" ".out" in
   Fun.protect
     ~finally:(fun () -> Sys.remove out)
@@ -344,7 +344,40 @@ let cli_md5 args =
            (Filename.quote out))
       in
       if code <> 0 then Alcotest.failf "sigil_critpath %s exited %d" args code;
-      Digest.to_hex (Digest.file out))
+      In_channel.with_open_bin out In_channel.input_all)
+
+let cli_md5 args = Digest.to_hex (Digest.string (cli_output args))
+
+(* A trace closed without tables names contexts by the rule a live report
+   uses for ids its table lacks: the root is "<root>", every other
+   context "ctx:<id>". *)
+let test_cli_without_tables () =
+  let _, entries = run_entries "blackscholes" in
+  let path = Filename.temp_file "sigil_critpath" ".tf" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let w = Tracefile.Writer.create path in
+      Array.iter (Tracefile.Writer.add w) entries;
+      Tracefile.Writer.close w;
+      let contexts =
+        Cp.critical_path_contexts (Cp.analyze_stream (fun f -> Array.iter f entries))
+      in
+      Alcotest.(check bool) "path reaches the root" true
+        (List.length contexts > 1 && List.nth contexts (List.length contexts - 1) = 0);
+      let expected =
+        List.map (fun ctx -> if ctx = 0 then "<root>" else Printf.sprintf "ctx:%d" ctx) contexts
+      in
+      let lines = String.split_on_char '\n' (cli_output ("--load " ^ Filename.quote path)) in
+      let rec after_title = function
+        | "critical path (leaf -> main):" :: line :: _ -> line
+        | _ :: rest -> after_title rest
+        | [] -> Alcotest.fail "no critical path listing"
+      in
+      Alcotest.(check string)
+        "path names"
+        ("  " ^ String.concat " -> " expected)
+        (after_title lines))
 
 (* A Call out of sequence in a loaded trace is a located error: exit 2
    and one stderr line naming the entry. *)
@@ -359,7 +392,7 @@ let test_cli_bad_calls () =
           [ Call { ctx = 1; call = 1 }; Ret { ctx = 1; call = 1 }; Call { ctx = 1; call = 3 } ];
       Tracefile.Writer.close w;
       let code, lines =
-        Cli.stderr "sigil_critpath" ("blackscholes --load " ^ Filename.quote path)
+        Cli.stderr "sigil_critpath" ("--load " ^ Filename.quote path)
       in
       Alcotest.(check int) "exit code" 2 code;
       Alcotest.(check (list string))
@@ -423,7 +456,11 @@ let () =
           Alcotest.test_case "located" `Quick test_located_failures;
           Alcotest.test_case "located on the CLI" `Quick test_cli_bad_calls;
         ] );
-      ("goldens", [ Alcotest.test_case "reports" `Quick test_report_goldens ]);
+      ( "goldens",
+        [
+          Alcotest.test_case "reports" `Quick test_report_goldens;
+          Alcotest.test_case "names without tables" `Quick test_cli_without_tables;
+        ] );
       ( "allocation",
         [
           Alcotest.test_case "analyze bound" `Quick test_allocation_bound;

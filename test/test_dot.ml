@@ -1,11 +1,11 @@
-let run_guest ?(options = Sigil.Options.default) ?event_sink body =
+let run_guest body =
   let tool = ref None in
   let _ =
     Dbi.Runner.run ~call_overhead:0
       ~tools:
         [
           (fun m ->
-            let t = Sigil.Tool.create ~options ?event_sink m in
+            let t = Sigil.Tool.create m in
             tool := Some t;
             Sigil.Tool.tool t);
         ]
@@ -22,15 +22,6 @@ let toy m =
       Dbi.Guest.call m "consumer" (fun () ->
           Dbi.Guest.read_range m a 32;
           Dbi.Guest.flop m 9))
-
-(* [toy] run inside the critical-path pass's stream *)
-let toy_critpath () =
-  let tool = ref None in
-  let cp =
-    Analysis.Critpath.analyze_stream (fun emit ->
-        tool := Some (run_guest ~options:Sigil.Options.(with_events default) ~event_sink:emit toy))
-  in
-  (Option.get !tool, cp)
 
 let render_cdfg ?min_bytes ?max_nodes tool =
   let buf = Buffer.create 1024 in
@@ -69,29 +60,14 @@ let test_cdfg_max_nodes_keeps_ancestors () =
   Alcotest.(check bool) "hot kept" true (contains dot "hot");
   Alcotest.(check bool) "ancestor kept" true (contains dot "mid")
 
-let test_critical_path_dot () =
-  let tool, cp = toy_critpath () in
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  Analysis.Dot.critical_path (Sigil.Profile_io.snapshot_of_tool tool) cp ppf;
-  Format.pp_print_flush ppf ();
-  let dot = Buffer.contents buf in
-  Alcotest.(check bool) "digraph" true (contains dot "digraph critical_path");
-  Alcotest.(check bool) "self/incl labels" true (contains dot "self=")
-
 let test_save_files () =
-  let tool, cp = toy_critpath () in
-  let p1 = Filename.temp_file "cdfg" ".dot" and p2 = Filename.temp_file "cp" ".dot" in
+  let tool = run_guest toy in
+  let p1 = Filename.temp_file "cdfg" ".dot" in
   Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists p1 then Sys.remove p1;
-      if Sys.file_exists p2 then Sys.remove p2)
+    ~finally:(fun () -> if Sys.file_exists p1 then Sys.remove p1)
     (fun () ->
-      let snap = Sigil.Profile_io.snapshot_of_tool tool in
-      Analysis.Dot.save_cdfg snap p1;
-      Analysis.Dot.save_critical_path snap cp p2;
-      Alcotest.(check bool) "cdfg file non-empty" true ((Unix.stat p1).Unix.st_size > 0);
-      Alcotest.(check bool) "cp file non-empty" true ((Unix.stat p2).Unix.st_size > 0))
+      Analysis.Dot.save_cdfg (Sigil.Profile_io.snapshot_of_tool tool) p1;
+      Alcotest.(check bool) "cdfg file non-empty" true ((Unix.stat p1).Unix.st_size > 0))
 
 let test_name_escaping () =
   let tool =
@@ -110,7 +86,6 @@ let () =
           Alcotest.test_case "cdfg structure" `Quick test_cdfg_structure;
           Alcotest.test_case "min bytes filter" `Quick test_cdfg_min_bytes_filter;
           Alcotest.test_case "max nodes keeps ancestors" `Quick test_cdfg_max_nodes_keeps_ancestors;
-          Alcotest.test_case "critical path dot" `Quick test_critical_path_dot;
           Alcotest.test_case "save files" `Quick test_save_files;
           Alcotest.test_case "name escaping" `Quick test_name_escaping;
         ] );

@@ -35,9 +35,13 @@ let gen_entries n =
           }
       | _ -> Event_log.Ret { ctx = i; call = i / 2 })
 
-let names_table = [| "main"; "f"; "g" |]
-let ctx_parent_table = [| 0; 0; 1 |]
-let ctx_fn_table = [| 0; 1; 2 |]
+let names =
+  {
+    Dbi.Names.symbols = [| "main"; "f"; "g" |];
+    stripped = false;
+    parent = [| -1; 0; 1 |];
+    fn = [| -1; 1; 2 |];
+  }
 
 (* Small chunks and a tight checkpoint cadence so a ~700-byte stream spans
    a dozen data chunks with several interleaved checkpoint sections — every
@@ -46,8 +50,7 @@ let write_trace ?(entries = 220) path =
   let w = Tracefile.Writer.create ~chunk_bytes:48 ~checkpoint_every:3 path in
   let es = gen_entries entries in
   List.iter (Tracefile.Writer.add w) es;
-  Tracefile.Writer.close_raw ~names:names_table ~ctx_parent:ctx_parent_table ~ctx_fn:ctx_fn_table
-    w;
+  Tracefile.Writer.close_names names w;
   es
 
 let read_entries path =
@@ -304,7 +307,7 @@ let test_repair_roundtrip () =
       Alcotest.(check bool) "repaired entries are a prefix of the original" true
         (got = take (List.length got) baseline);
       (* the source had an intact tail, so tables and options survive *)
-      Alcotest.(check bool) "tables preserved" true (Tracefile.Reader.has_names r);
+      Alcotest.(check bool) "tables preserved" true (Tracefile.Reader.names r = names);
       Alcotest.(check string) "options tag preserved"
         (Sigil.Options.fingerprint Sigil.Options.default)
         (Tracefile.Reader.options_tag r))

@@ -9,7 +9,11 @@ type recorded =
   | Finish
 
 let recorder m log : Dbi.Tool.t =
-  let name ctx = Dbi.Context.path (Dbi.Machine.contexts m) (Dbi.Machine.symbols m) ctx in
+  let name ctx =
+    Dbi.Names.path
+      (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m))
+      ctx
+  in
   {
     name = "recorder";
     on_enter = (fun ~ctx ~fn:_ ~call -> log := Enter (name ctx, call) :: !log);

@@ -44,7 +44,7 @@ let test_edges_aggregate () =
     }
   in
   let snap =
-    Profile_io.make ~names:[||] ~contexts:(List.init 4 context)
+    Profile_io.make ~names:Dbi.Names.empty ~contexts:(List.init 4 context)
       ~edges:
         (List.map
            (fun (e : Profile.edge) ->

@@ -157,7 +157,9 @@ let write_raw_profile path records =
   List.iter
     (Tracefile.Writer.add_record w (fun buf ints -> List.iter (Tracefile.Varint.write buf) ints))
     records;
-  Tracefile.Writer.close_raw ~names:[| "main" |] ~ctx_parent:[| 0; 0 |] ~ctx_fn:[| 0; 0 |] w;
+  Tracefile.Writer.close_names
+    { Dbi.Names.symbols = [| "main" |]; stripped = false; parent = [| -1; 0 |]; fn = [| -1; 0 |] }
+    w;
   let r = Tracefile.Reader.open_file path in
   let first = List.hd (Tracefile.Reader.chunk_offsets r) + Tracefile.Frame.chunk_header_bytes in
   Tracefile.Reader.close r;
@@ -194,7 +196,9 @@ let three_contexts ~ctx_parent path =
   List.iter
     (Tracefile.Writer.add_record w (fun buf ints -> List.iter (Tracefile.Varint.write buf) ints))
     (List.init 3 (fun ctx -> [ 1; ctx; 1; 0; 0; 0; 0; 0; 3; 0 ]));
-  Tracefile.Writer.close_raw ~names:[| "main" |] ~ctx_parent ~ctx_fn:[| 0; 0; 0 |] w
+  Tracefile.Writer.close_names
+    { Dbi.Names.symbols = [| "main" |]; stripped = false; parent = ctx_parent; fn = [| -1; 0; 0 |] }
+    w
 
 (* The probes of a damaged or hostile profile given to sigil_diff: each
    exits 2 with one located stderr line (a missing parent used to exit
@@ -219,8 +223,8 @@ let test_diff_rejects_damage () =
             fun p ->
               Out_channel.with_open_bin p (fun oc ->
                   output_string oc (String.sub data 0 (String.length data / 2))) );
-          ("parent that does not exist", three_contexts ~ctx_parent:[| 0; 0; 5 |]);
-          ("parent cycle", three_contexts ~ctx_parent:[| 0; 2; 1 |]);
+          ("parent that does not exist", three_contexts ~ctx_parent:[| -1; 0; 5 |]);
+          ("parent cycle", three_contexts ~ctx_parent:[| -1; 2; 1 |]);
         ])
 
 (* Two profiles that differ only by their edges are not identical. *)

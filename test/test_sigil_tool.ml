@@ -30,10 +30,10 @@ let run_events body =
 
 let find_ctx m path_wanted =
   let contexts = Dbi.Machine.contexts m in
-  let symbols = Dbi.Machine.symbols m in
+  let names = Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts in
   let found = ref None in
   Dbi.Context.iter contexts (fun ctx ->
-      if Dbi.Context.path contexts symbols ctx = path_wanted then found := Some ctx);
+      if Dbi.Names.path names ctx = path_wanted then found := Some ctx);
   match !found with
   | Some ctx -> ctx
   | None -> Alcotest.failf "no context %s" path_wanted

@@ -108,7 +108,7 @@ let test_replay_identity_suite () =
 let write_recording ?(names = [| "main" |]) path records =
   let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Recording path in
   List.iter (Recording.add w) records;
-  Tracefile.Writer.close_raw ~names w;
+  Tracefile.Writer.close_names { Dbi.Names.empty with symbols = names } w;
   with_reader path (fun r ->
       let offsets = ref [] in
       Recording.iter r (fun offset _ -> offsets := offset :: !offsets);
@@ -163,7 +163,7 @@ let test_malformed_rejected () =
       let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Recording path in
       Recording.add w (Enter 0);
       Tracefile.Writer.add_record w Tracefile.Varint.write 9;
-      Tracefile.Writer.close_raw ~names:[| "main" |] w;
+      Tracefile.Writer.close_names { Dbi.Names.empty with symbols = [| "main" |] } w;
       match replay path with
       | exception Tracefile.Frame.Corrupt { reason = "undecodable record"; _ } -> ()
       | exception e -> Alcotest.failf "unknown tag raised %s" (Printexc.to_string e)

@@ -272,7 +272,7 @@ let test_not_a_tracefile () =
                 [ "error: corrupt trace at offset 0: not a sigil tracefile (too short)" ]
                 lines)
             [
-              ("sigil_critpath --load", "sigil_critpath", "blackscholes --load " ^ p);
+              ("sigil_critpath --load", "sigil_critpath", "--load " ^ p);
               ("sigil_trace inspect", "sigil_trace", "inspect " ^ p);
               ("sigil_trace convert", "sigil_trace", "convert " ^ p ^ " " ^ Filename.quote out);
             ];
@@ -351,7 +351,10 @@ let test_context_table_checked () =
       with_temp ".tf" (fun path ->
           let w = Tracefile.Writer.create path in
           List.iter (Tracefile.Writer.add w) sample_entries;
-          Tracefile.Writer.close_raw ~names:[| "main"; "f" |] ~ctx_parent ~ctx_fn w;
+          Tracefile.Writer.close_names
+            { Dbi.Names.symbols = [| "main"; "f" |]; stripped = false; parent = ctx_parent;
+              fn = ctx_fn }
+            w;
           let data = In_channel.with_open_bin path In_channel.input_all in
           let tables_offset =
             Tracefile.Frame.get_u64 (Bytes.of_string data) (String.length data - 32)
@@ -393,7 +396,7 @@ let test_kind_mismatch () =
       let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Profile path in
       Tracefile.Writer.add_record w (fun buf ints -> List.iter (Tracefile.Varint.write buf) ints)
         [ 1; 0; 0; 0; 0; 0; 0; 0; 0; 0 ];
-      Tracefile.Writer.close_raw ~ctx_parent:[| 0 |] ~ctx_fn:[| 0 |] w;
+      Tracefile.Writer.close_names { Dbi.Names.empty with parent = [| -1 |]; fn = [| -1 |] } w;
       let first =
         let r = Tracefile.Reader.open_file path in
         Fun.protect
@@ -401,7 +404,7 @@ let test_kind_mismatch () =
           (fun () -> List.hd (Tracefile.Reader.chunk_offsets r))
       in
       check_corrupt_at ~expected_offset:first (fun () -> read_entries path);
-      let code, lines = Cli.stderr "sigil_critpath" ("blackscholes --load " ^ Filename.quote path) in
+      let code, lines = Cli.stderr "sigil_critpath" ("--load " ^ Filename.quote path) in
       Alcotest.(check int) "critpath exit code" 2 code;
       Alcotest.(check (list string))
         "one stderr line"
@@ -458,8 +461,12 @@ let test_embedded_tables () =
       Fun.protect
         ~finally:(fun () -> Tracefile.Reader.close rd)
         (fun () ->
-          Alcotest.(check bool) "has names" true (Tracefile.Reader.has_names rd);
-          Alcotest.(check string) "root" "<root>" (Tracefile.Reader.fn_name rd Dbi.Context.root);
+          let names = Tracefile.Reader.names rd in
+          let live =
+            Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m)
+          in
+          Alcotest.(check bool) "table as the run's" true (names = live);
+          Alcotest.(check string) "root" "<root>" (Dbi.Names.name names Dbi.Context.root);
           (* every context the trace mentions resolves to the name the
              producing run would print *)
           let snap = Sigil.Profile_io.snapshot_of_tool (Driver.sigil r) in
@@ -467,7 +474,7 @@ let test_embedded_tables () =
             | Event_log.Call { ctx; _ } ->
               Alcotest.(check string)
                 (Printf.sprintf "ctx %d" ctx)
-                (Sigil.Profile_io.name snap ctx) (Tracefile.Reader.fn_name rd ctx)
+                (Sigil.Profile_io.name snap ctx) (Dbi.Names.name names ctx)
             | _ -> ())))
 
 let test_sink_memory_bound () =
