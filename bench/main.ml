@@ -411,7 +411,8 @@ let write_trace ?options name path =
       ~event_sink:(Tracefile.Writer.sink w) (workload name) small
   in
   let m = run.Driver.machine in
-  Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m) w;
+  Tracefile.Writer.close_names
+    (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m)) w;
   w
 
 (* Every figure here is a size: a pure function of the code, so
@@ -548,8 +549,9 @@ let alloc_stages name scale =
         words (fun () ->
             let wr = Tracefile.Writer.create ~options tf in
             let m = (run (sigil (Tracefile.Writer.sink wr))).Dbi.Runner.machine in
-            Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
-              ~contexts:(Dbi.Machine.contexts m) wr)
+            Tracefile.Writer.close_names
+              (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m))
+              wr)
       in
       let read f =
         let rd = Tracefile.Reader.open_file tf in

@@ -103,8 +103,8 @@ let run names scale limit max_chunks stripped domains timeout budget events_path
     match (events_path, event_writer) with
     | Some path, Some w ->
       let m = r.Driver.machine in
-      Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m)
-        w;
+      Tracefile.Writer.close_names
+        (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m)) w;
       Format.printf
         "@.binary event trace (%d records, %d chunks, peak buffer %d B) written to %s@."
         (Tracefile.Writer.entries w) (Tracefile.Writer.chunks w)

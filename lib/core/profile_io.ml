@@ -32,7 +32,13 @@ type snapshot = {
   in_unique : int array;
 }
 
-let make ~names ~contexts ~edges =
+let make ~(names : Dbi.Names.t) ~contexts ~edges =
+  let in_table s =
+    if s.ctx < 0 || s.ctx >= Array.length names.parent then
+      invalid_arg (Printf.sprintf "Profile_io.make: context %d is not in the names table" s.ctx);
+    { s with parent = names.parent.(s.ctx); fn = names.fn.(s.ctx) }
+  in
+  let contexts = List.map in_table contexts in
   let by_ctx = Array.of_list contexts in
   Array.sort (fun a b -> compare a.ctx b.ctx) by_ctx;
   Array.iteri
@@ -72,8 +78,8 @@ let snapshot_of_tool tool =
     let stats =
       {
         ctx;
-        parent = names.Dbi.Names.parent.(ctx);
-        fn = names.Dbi.Names.fn.(ctx);
+        parent = -1;
+        fn = -1;
         calls = s.Profile.calls;
         input_unique = s.Profile.input_unique;
         input_nonunique = s.Profile.input_nonunique;

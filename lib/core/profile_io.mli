@@ -47,12 +47,13 @@ val snapshot_of_tool : Tool.t -> snapshot
 
 (** [make ~names ~contexts ~edges] is the snapshot of the run whose
     function names and context tree are [names], with [contexts] in
-    preorder (their [parent] and [fn] as [names] has them) and [edges]; a
-    loader builds one from a saved profile. Per-context lookups, children
-    and edge sums are computed here, once.
+    preorder and [edges]; a loader builds one from a saved profile. Each
+    context's [parent] and [fn] are taken from [names], whatever the
+    record holds. Per-context lookups, children and edge sums are computed
+    here, once.
 
-    @raise Invalid_argument unless the context ids are [0 .. n-1], each
-    once, and every edge names one of them. *)
+    @raise Invalid_argument unless every context id is in [names] and the
+    ids are [0 .. n-1], each once, and every edge names one of them. *)
 val make : names:Dbi.Names.t -> contexts:ctx_stats list -> edges:edge list -> snapshot
 
 (** [render snap] is the text dump above. The rendering is canonical

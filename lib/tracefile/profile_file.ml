@@ -55,7 +55,7 @@ let of_reader r =
         known s.ctx;
         if seen.(s.ctx) then Frame.corrupt ~offset (Printf.sprintf "context %d recorded twice" s.ctx);
         seen.(s.ctx) <- true;
-        contexts := { s with parent = names.parent.(s.ctx); fn = names.fn.(s.ctx) } :: !contexts
+        contexts := s :: !contexts
       | Edge e ->
         known e.src;
         known e.dst;

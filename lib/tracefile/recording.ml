@@ -46,7 +46,8 @@ let record path workload =
   let w = Writer.create ~kind:Frame.Recording ~options_tag:"" path in
   match (Dbi.Runner.run ~tools:[ recorder w ] workload).machine with
   | m ->
-    Writer.close ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m) w;
+    Writer.close_names
+      (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m)) w;
     m
   | exception e ->
     Writer.discard w;

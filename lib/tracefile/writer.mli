@@ -4,12 +4,13 @@
     in-memory chunk buffer that is framed and flushed to disk every time
     it reaches the chunk target, through one payload buffer made at
     [create], so the trace holds two chunks' worth of memory (plus one
-    entry) no matter how long the run is. [close] appends the symbol and context tables of the producing run
-    (making the file self-describing for name resolution), the chunk
-    index, and the trailer.
+    entry) no matter how long the run is. [close_names] appends the
+    symbol and context tables of the producing run (making the file
+    self-describing for name resolution), the chunk index, and the
+    trailer.
 
     Crash safety: all output goes to [path ^ ".tmp"] and is renamed to
-    [path] only by a successful [close], so the destination is always
+    [path] only by a successful [close_names], so the destination is always
     either absent, the previous complete trace, or the new complete trace.
     Every [checkpoint_every] data chunks the writer emits an
     index-checkpoint section ({!Frame.ckpt_magic}) and flushes the channel.
@@ -72,13 +73,14 @@ val close_names : Dbi.Names.t -> t -> unit
 
 (** [close ?symbols ?contexts w] is {!close_names} with the producing
     run's tables ([Dbi.Names.make]), or with [Dbi.Names.empty] when both
-    are omitted: readers then print raw context ids.
+    are omitted. It is kept only for perfbench/layerbench, its one
+    caller; every other writer is closed with {!close_names}.
 
     @raise Invalid_argument when only one of them is given. *)
 val close : ?symbols:Dbi.Symbol.t -> ?contexts:Dbi.Context.t -> t -> unit
 
 (** [discard w] abandons the trace: closes and deletes the .tmp without
     ever touching the destination path. Idempotent; a no-op after a
-    successful [close]. Use on the failure path so a crashed run leaves no
+    successful [close_names]. Use on the failure path so a crashed run leaves no
     partial artifact behind. *)
 val discard : t -> unit

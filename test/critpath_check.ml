@@ -88,3 +88,7 @@ let agree ?(cores = [ 1; 2; 3; 4; 5; 1000; 4096 ]) spec t (summary : Cp.summary)
         (S.schedule spec ~cores))
     (Ok ()) cores
 
+(* [agree] on the analysis and the spec of the stream [entries]. *)
+let agree_on ?cores entries =
+  let stream = Helpers.stream_of entries in
+  agree ?cores (S.build stream) (Cp.analyze_stream stream) (Cp.summarize_stream stream)

@@ -101,8 +101,8 @@ let qcheck_no_overlap =
       in
       pairs !live)
 
-let () =
-  Alcotest.run "addr_space"
+let suite =
+  ( "addr_space",
     [
       ( "addr_space",
         [
@@ -117,4 +117,4 @@ let () =
           Alcotest.test_case "bad sizes" `Quick test_bad_sizes;
           QCheck_alcotest.to_alcotest qcheck_no_overlap;
         ] );
-    ]
+    ] )

@@ -37,8 +37,8 @@ let test_entries_validation () =
     (Invalid_argument "Branch.create: entries must be a positive power of two") (fun () ->
       ignore (Cachesim.Branch.create ~entries:100 ()))
 
-let () =
-  Alcotest.run "branch"
+let suite =
+  ( "branch",
     [
       ( "branch",
         [
@@ -48,4 +48,4 @@ let () =
           Alcotest.test_case "sites independent" `Quick test_sites_independent;
           Alcotest.test_case "entries validation" `Quick test_entries_validation;
         ] );
-    ]
+    ] )

@@ -95,8 +95,8 @@ let qcheck_working_set_fits =
       done;
       !all_hit)
 
-let () =
-  Alcotest.run "cache"
+let suite =
+  ( "cache",
     [
       ( "cache",
         [
@@ -110,4 +110,4 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_matches_spec;
           QCheck_alcotest.to_alcotest qcheck_working_set_fits;
         ] );
-    ]
+    ] )

@@ -9,16 +9,6 @@ let run_guest body =
   in
   (Option.get !tool, r.Dbi.Runner.machine)
 
-let find_ctx m path_wanted =
-  let contexts = Dbi.Machine.contexts m in
-  let names = Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts in
-  let found = ref None in
-  Dbi.Context.iter contexts (fun ctx ->
-      if Dbi.Names.path names ctx = path_wanted then found := Some ctx);
-  match !found with
-  | Some ctx -> ctx
-  | None -> Alcotest.failf "no context %s" path_wanted
-
 let test_ir_attribution () =
   let tool, m =
     run_guest (fun m ->
@@ -30,8 +20,8 @@ let test_ir_attribution () =
                 Dbi.Guest.write m 0x200010 8);
             Dbi.Guest.branch m true))
   in
-  let main_cost = Callgrind.Tool.cost tool (find_ctx m "main") in
-  let f_cost = Callgrind.Tool.cost tool (find_ctx m "main/f") in
+  let main_cost = Callgrind.Tool.cost tool (Helpers.find_ctx m "main") in
+  let f_cost = Callgrind.Tool.cost tool (Helpers.find_ctx m "main/f") in
   (* main: 5 ops + 1 branch = 6 Ir; f: 3 ops + 2 accesses = 5 Ir *)
   Alcotest.(check int) "main ir" 6 main_cost.Callgrind.Cost.ir;
   Alcotest.(check int) "f ir" 5 f_cost.Callgrind.Cost.ir;
@@ -48,7 +38,7 @@ let test_inclusive_cost () =
             Dbi.Guest.iop m 10;
             Dbi.Guest.call m "f" (fun () -> Dbi.Guest.iop m 7)))
   in
-  let incl = Callgrind.Tool.inclusive_cost tool (find_ctx m "main") in
+  let incl = Callgrind.Tool.inclusive_cost tool (Helpers.find_ctx m "main") in
   Alcotest.(check int) "inclusive int ops" 17 incl.Callgrind.Cost.int_ops;
   let total = Callgrind.Tool.total tool in
   Alcotest.(check int) "total matches" 17 total.Callgrind.Cost.int_ops
@@ -67,8 +57,8 @@ let test_cache_misses_attributed () =
                   Dbi.Guest.read m 0x200000 8
                 done)))
   in
-  let cold = Callgrind.Tool.cost tool (find_ctx m "main/cold") in
-  let hot = Callgrind.Tool.cost tool (find_ctx m "main/hot") in
+  let cold = Callgrind.Tool.cost tool (Helpers.find_ctx m "main/cold") in
+  let hot = Callgrind.Tool.cost tool (Helpers.find_ctx m "main/hot") in
   Alcotest.(check int) "cold D1 misses" 64 cold.Callgrind.Cost.d1mr;
   Alcotest.(check int) "hot no D1 misses" 0 hot.Callgrind.Cost.d1mr
 
@@ -231,8 +221,8 @@ let test_allocation_bound () =
           per_instr)
     [ "canneal"; "dedup" ]
 
-let () =
-  Alcotest.run "callgrind"
+let suite =
+  ( "callgrind",
     [
       ( "callgrind",
         [
@@ -246,4 +236,4 @@ let () =
           Alcotest.test_case "simsmall goldens" `Quick test_simsmall_goldens;
           Alcotest.test_case "allocation bound" `Quick test_allocation_bound;
         ] );
-    ]
+    ] )

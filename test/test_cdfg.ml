@@ -21,16 +21,6 @@ let run_guest body =
   in
   (Option.get !sigil, Option.get !cg, r.Dbi.Runner.machine)
 
-let find_ctx m path_wanted =
-  let contexts = Dbi.Machine.contexts m in
-  let names = Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts in
-  let found = ref None in
-  Dbi.Context.iter contexts (fun ctx ->
-      if Dbi.Names.path names ctx = path_wanted then found := Some ctx);
-  match !found with
-  | Some ctx -> ctx
-  | None -> Alcotest.failf "no context %s" path_wanted
-
 let toy m =
   Dbi.Guest.call m "main" (fun () ->
       let buf = Dbi.Guest.alloc m 64 in
@@ -55,14 +45,14 @@ let build () =
 
 let test_inclusive_ops () =
   let cdfg, m = build () in
-  let node path = Analysis.Cdfg.node cdfg (find_ctx m path) in
+  let node path = Analysis.Cdfg.node cdfg (Helpers.find_ctx m path) in
   Alcotest.(check int) "A self" 100 (node "main/A").Analysis.Cdfg.self_ops;
   Alcotest.(check int) "A inclusive" 150 (node "main/A").Analysis.Cdfg.incl_ops;
   Alcotest.(check int) "root inclusive" 180 (Analysis.Cdfg.root cdfg).Analysis.Cdfg.incl_ops
 
 let test_crossing_edges () =
   let cdfg, m = build () in
-  let node path = Analysis.Cdfg.node cdfg (find_ctx m path) in
+  let node path = Analysis.Cdfg.node cdfg (Helpers.find_ctx m path) in
   (* A's box: out-crossing bytes are A->C (8) and B->C (8); B->A stays in *)
   let a = node "main/A" in
   Alcotest.(check int) "A box output unique" 16 a.Analysis.Cdfg.incl_output_unique;
@@ -78,7 +68,7 @@ let test_internal_edges_absorbed () =
   let cdfg, m = build () in
   (* the main box contains every transfer: nothing crosses it except
      program I/O (none here) *)
-  let main = Analysis.Cdfg.node cdfg (find_ctx m "main") in
+  let main = Analysis.Cdfg.node cdfg (Helpers.find_ctx m "main") in
   Alcotest.(check int) "main input" 0 main.Analysis.Cdfg.incl_input_unique;
   Alcotest.(check int) "main output" 0 main.Analysis.Cdfg.incl_output_unique
 
@@ -105,8 +95,8 @@ let test_preorder_contexts () =
     Alcotest.(check bool) "all nodes present" true (List.length rest >= 4)
   | [] -> Alcotest.fail "empty preorder"
 
-let () =
-  Alcotest.run "cdfg"
+let suite =
+  ( "cdfg",
     [
       ( "cdfg",
         [
@@ -118,4 +108,4 @@ let () =
             test_without_callgrind_cycles_are_ops;
           Alcotest.test_case "preorder contexts" `Quick test_preorder_contexts;
         ] );
-    ]
+    ] )

@@ -71,8 +71,8 @@ let test_fn_of_root_rejected () =
   Alcotest.check_raises "root has no fn" (Invalid_argument "Context.fn: root has no function")
     (fun () -> ignore (Dbi.Context.fn t Dbi.Context.root))
 
-let () =
-  Alcotest.run "context"
+let suite =
+  ( "context",
     [
       ( "context",
         [
@@ -85,4 +85,4 @@ let () =
           Alcotest.test_case "recursion chains" `Quick test_recursion_chains;
           Alcotest.test_case "fn of root rejected" `Quick test_fn_of_root_rejected;
         ] );
-    ]
+    ] )

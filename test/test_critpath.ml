@@ -1,7 +1,5 @@
 open Sigil
 
-let stream_of entries f = List.iter f entries
-
 let call ctx call = Event_log.Call { ctx; call }
 let ret ctx call = Event_log.Ret { ctx; call }
 let comp ctx call ops = Event_log.Comp { ctx; call; int_ops = ops; fp_ops = 0 }
@@ -13,7 +11,7 @@ let test_serial_chain () =
   (* second call of f consumes the first call's output: fully serial *)
   let t =
     Analysis.Critpath.analyze_stream
-      (stream_of
+      (Helpers.stream_of
          [
            call 1 1; comp 1 1 10; ret 1 1;
            call 1 2; xfer (1, 1) (1, 2) 8; comp 1 2 10; ret 1 2;
@@ -26,7 +24,7 @@ let test_serial_chain () =
 let test_independent_calls_parallel () =
   let t =
     Analysis.Critpath.analyze_stream
-      (stream_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
+      (Helpers.stream_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
   in
   Alcotest.(check int) "critical path one call" 10 (Analysis.Critpath.critical_path_length t);
   Alcotest.(check (float 1e-9)) "2x parallel" 2.0 (Analysis.Critpath.parallelism t)
@@ -35,7 +33,7 @@ let test_non_blocking_caller () =
   (* A(5) calls B(7); A resumes for 4 more ops without reading B's data:
      the resumption depends only on A's previous occurrence (Fig 3) *)
   let entries = [ call 1 1; comp 1 1 5; call 2 1; comp 2 1 7; ret 2 1; comp 1 1 4; ret 1 1 ] in
-  let t = Analysis.Critpath.analyze_stream (stream_of entries) in
+  let t = Analysis.Critpath.analyze_stream (Helpers.stream_of entries) in
   Alcotest.(check int) "serial" 16 (Analysis.Critpath.serial_length t);
   (* chains: A1(5)->B(12) and A1(5)->A2(9); B wins *)
   Alcotest.(check int) "critical path through B" 12 (Analysis.Critpath.critical_path_length t)
@@ -46,7 +44,7 @@ let test_data_dep_orders_caller () =
     [ call 1 1; comp 1 1 5; call 2 1; comp 2 1 7; ret 2 1;
       xfer (2, 1) (1, 1) 8; comp 1 1 4; ret 1 1 ]
   in
-  let t = Analysis.Critpath.analyze_stream (stream_of entries) in
+  let t = Analysis.Critpath.analyze_stream (Helpers.stream_of entries) in
   Alcotest.(check int) "fully serial now" 16 (Analysis.Critpath.critical_path_length t)
 
 let test_occurrences_within_call_ordered () =
@@ -55,13 +53,13 @@ let test_occurrences_within_call_ordered () =
   let entries =
     [ call 1 1; comp 1 1 6; call 2 1; ret 2 1; comp 1 1 6; ret 1 1 ]
   in
-  let t = Analysis.Critpath.analyze_stream (stream_of entries) in
+  let t = Analysis.Critpath.analyze_stream (Helpers.stream_of entries) in
   Alcotest.(check int) "both fragments chain" 12 (Analysis.Critpath.critical_path_length t)
 
 let test_path_nodes_and_contexts () =
   let t =
     Analysis.Critpath.analyze_stream
-      (stream_of
+      (Helpers.stream_of
          [
            call 1 1; comp 1 1 3;
            call 2 1; xfer (1, 1) (2, 1) 4; comp 2 1 5; ret 2 1;
@@ -82,7 +80,7 @@ let test_unknown_producer_ignored () =
   (* transfers from evicted/unknown producers impose no ordering *)
   let t =
     Analysis.Critpath.analyze_stream
-      (stream_of [ call 1 1; xfer (99, 5) (1, 1) 8; comp 1 1 10; ret 1 1 ])
+      (Helpers.stream_of [ call 1 1; xfer (99, 5) (1, 1) 8; comp 1 1 10; ret 1 1 ])
   in
   Alcotest.(check int) "runs fine" 10 (Analysis.Critpath.critical_path_length t)
 
@@ -92,7 +90,7 @@ let test_out_of_range_producer_ignored () =
   List.iter
     (fun src_call ->
       let stream =
-        stream_of
+        Helpers.stream_of
           [
             call 1 1; comp 1 1 10; ret 1 1;
             call 1 2; xfer (1, src_call) (1, 2) 8; comp 1 2 10; ret 1 2;
@@ -113,7 +111,7 @@ let test_out_of_range_producer_ignored () =
 let test_producer_past_calls_seen () =
   let calls = List.concat (List.init 4096 (fun i -> [ call 1 (i + 1); ret 1 (i + 1) ])) in
   let stream =
-    stream_of
+    Helpers.stream_of
       (calls
       @ [ call 1 4097; comp 1 4097 1000; ret 1 4097;
           call 2 1; xfer (1, 8193) (2, 1) 8; comp 2 1 5; ret 2 1 ])
@@ -124,19 +122,19 @@ let test_producer_past_calls_seen () =
     (Analysis.Critpath.summarize_stream stream).Analysis.Critpath.s_critical
 
 let test_mismatched_comp_rejected () =
-  match Analysis.Critpath.analyze_stream (stream_of [ call 1 1; comp 2 9 10 ]) with
+  match Analysis.Critpath.analyze_stream (Helpers.stream_of [ call 1 1; comp 2 9 10 ]) with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "accepted mismatched Comp"
 
 let test_empty_log () =
-  let t = Analysis.Critpath.analyze_stream (stream_of []) in
+  let t = Analysis.Critpath.analyze_stream (Helpers.stream_of []) in
   Alcotest.(check int) "zero serial" 0 (Analysis.Critpath.serial_length t);
   Alcotest.(check (float 1e-9)) "parallelism 1" 1.0 (Analysis.Critpath.parallelism t)
 
 let test_node_count () =
   let t =
     Analysis.Critpath.analyze_stream
-      (stream_of [ call 1 1; comp 1 1 6; call 2 1; ret 2 1; comp 1 1 6; ret 1 1 ])
+      (Helpers.stream_of [ call 1 1; comp 1 1 6; call 2 1; ret 2 1; comp 1 1 6; ret 1 1 ])
   in
   (* root fragment + A occ0 + B occ0 + A occ1 *)
   Alcotest.(check int) "four nodes" 4 (Analysis.Critpath.node_count t)
@@ -144,7 +142,7 @@ let test_node_count () =
 let test_schedule_one_core_serializes () =
   let t =
     Analysis.Critpath.analyze_stream
-      (stream_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
+      (Helpers.stream_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
   in
   let s = Analysis.Critpath.schedule t ~cores:1 in
   Alcotest.(check int) "makespan = serial" (Analysis.Critpath.serial_length t)
@@ -154,7 +152,7 @@ let test_schedule_one_core_serializes () =
 let test_schedule_parallel_work () =
   let t =
     Analysis.Critpath.analyze_stream
-      (stream_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
+      (Helpers.stream_of [ call 1 1; comp 1 1 10; ret 1 1; call 1 2; comp 1 2 10; ret 1 2 ])
   in
   let s = Analysis.Critpath.schedule t ~cores:2 in
   Alcotest.(check int) "two independent calls overlap" 10 s.Analysis.Critpath.makespan;
@@ -163,7 +161,7 @@ let test_schedule_parallel_work () =
 let test_schedule_respects_deps () =
   let t =
     Analysis.Critpath.analyze_stream
-      (stream_of
+      (Helpers.stream_of
          [
            call 1 1; comp 1 1 10; ret 1 1;
            call 1 2; xfer (1, 1) (1, 2) 8; comp 1 2 10; ret 1 2;
@@ -181,7 +179,7 @@ let test_schedule_respects_deps () =
            (call 1 c :: (if c > 1 then [ xfer (1, c - 1) (1, c) 8 ] else []))
            @ [ comp 1 c 3; ret 1 c ]))
   in
-  let t = Analysis.Critpath.analyze_stream (stream_of chain) in
+  let t = Analysis.Critpath.analyze_stream (Helpers.stream_of chain) in
   (* each call closes an empty root fragment, then its own *)
   Alcotest.(check int) "chain nodes" (2 * n) (Analysis.Critpath.node_count t);
   let s = Analysis.Critpath.schedule t ~cores:8 in
@@ -190,7 +188,7 @@ let test_schedule_respects_deps () =
 let test_schedule_bounds () =
   let t =
     Analysis.Critpath.analyze_stream
-      (stream_of
+      (Helpers.stream_of
          [ call 1 1; comp 1 1 7; ret 1 1; call 2 1; comp 2 1 9; ret 2 1;
            call 3 1; comp 3 1 5; ret 3 1 ])
   in
@@ -207,7 +205,7 @@ let test_schedule_bounds () =
     [ 1; 2; 4; 16; max_int ]
 
 let test_schedule_cores_validated () =
-  let t = Analysis.Critpath.analyze_stream (stream_of []) in
+  let t = Analysis.Critpath.analyze_stream (Helpers.stream_of []) in
   Alcotest.check_raises "zero cores" (Invalid_argument "Critpath.schedule: cores must be positive")
     (fun () -> ignore (Analysis.Critpath.schedule t ~cores:0))
 
@@ -218,7 +216,7 @@ let test_schedule_cores_validated () =
 let test_lane_bound () =
   let top = (1 lsl 32) - 2 in
   let fits =
-    stream_of [ call 1 1; comp 1 1 top; ret 1 1; call 1 2; xfer (1, 1) (1, 2) 8; ret 1 2 ]
+    Helpers.stream_of [ call 1 1; comp 1 1 top; ret 1 1; call 1 2; xfer (1, 1) (1, 2) 8; ret 1 2 ]
   in
   let t = Analysis.Critpath.analyze_stream fits in
   Alcotest.(check int) "critical path" top (Analysis.Critpath.critical_path_length t);
@@ -226,7 +224,7 @@ let test_lane_bound () =
     (Analysis.Critpath.summarize_stream fits).Analysis.Critpath.s_critical;
   Alcotest.(check int) "makespan" top
     (Analysis.Critpath.schedule t ~cores:2).Analysis.Critpath.makespan;
-  let past = stream_of [ call 1 1; comp 1 1 10; call 2 1; comp 2 1 ((1 lsl 32) - 10); ret 2 1 ] in
+  let past = Helpers.stream_of [ call 1 1; comp 1 1 10; call 2 1; comp 2 1 ((1 lsl 32) - 10); ret 2 1 ] in
   let expected =
     Failure
       "Critpath: entry 3: Comp past the 32-bit bound: expected a serial length below 4294967295, \
@@ -238,7 +236,7 @@ let test_lane_bound () =
       ignore (Analysis.Critpath.summarize_stream past));
   (* two counts whose sum wraps past max_int are refused too *)
   let wraps =
-    stream_of
+    Helpers.stream_of
       [ call 1 1; comp 1 1 5;
         Event_log.Comp { ctx = 1; call = 1; int_ops = max_int; fp_ops = max_int } ]
   in
@@ -269,12 +267,12 @@ let qcheck_parallelism_at_least_one =
             (counts, ret ctx n :: comp ctx n ops :: call ctx n :: acc))
           ([], []) calls
       in
-      let t = Analysis.Critpath.analyze_stream (stream_of (List.rev entries)) in
+      let t = Analysis.Critpath.analyze_stream (Helpers.stream_of (List.rev entries)) in
       Analysis.Critpath.parallelism t >= 1.0 -. 1e-9
       && Analysis.Critpath.critical_path_length t <= Analysis.Critpath.serial_length t)
 
-let () =
-  Alcotest.run "critpath"
+let suite =
+  ( "critpath",
     [
       ( "critpath",
         [
@@ -299,4 +297,4 @@ let () =
           Alcotest.test_case "32-bit lane bound" `Quick test_lane_bound;
           QCheck_alcotest.to_alcotest qcheck_parallelism_at_least_one;
         ] );
-    ]
+    ] )

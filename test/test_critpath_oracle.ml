@@ -9,8 +9,6 @@
 open Sigil
 module Cp = Analysis.Critpath
 
-let stream_of entries f = List.iter f entries
-
 (* A simsmall events-mode run of [name], its entries collected through the
    tool's sink. *)
 let run_entries name =
@@ -111,17 +109,9 @@ let arb_stream =
     ~print:(fun es -> String.concat "\n" (List.map Event_log.entry_to_string es))
     ~small:List.length gen_stream
 
-(* Every value the analysis reports equals the spec's, and its path is
-   a longest path of the spec's DAG; the failure names the first
-   difference. *)
-let agree ?cores entries =
-  let stream = stream_of entries in
-  let spec = Critpath_spec.build stream and t = Cp.analyze_stream stream in
-  Critpath_check.agree ?cores spec t (Cp.summarize_stream stream)
-
 let differential =
   QCheck.Test.make ~name:"columns agree with the spec" ~count:500 arb_stream (fun entries ->
-      match agree entries with Ok () -> true | Error msg -> QCheck.Test.fail_report msg)
+      match Critpath_check.agree_on entries with Ok () -> true | Error msg -> QCheck.Test.fail_report msg)
 
 (* The generator must reach the cases it promises, or the differential
    says less than it claims. *)
@@ -213,7 +203,7 @@ let long_stream ~heavy =
 let test_long_streams () =
   List.iter
     (fun heavy ->
-      match agree ~cores:[ 1; 2; 3; 4; 8; 100 ] (long_stream ~heavy) with
+      match Critpath_check.agree_on ~cores:[ 1; 2; 3; 4; 8; 100 ] (long_stream ~heavy) with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "long stream (heavy producer %b): %s" heavy msg)
     [ false; true ]
@@ -223,7 +213,7 @@ let test_long_streams () =
 (* ---------------------------------------------------------------- *)
 
 let expect_failure name entries expected =
-  match Cp.analyze_stream (stream_of entries) with
+  match Cp.analyze_stream (Helpers.stream_of entries) with
   | exception Failure msg -> Alcotest.(check string) name expected msg
   | _ -> Alcotest.failf "%s: malformed stream accepted" name
 
@@ -231,7 +221,7 @@ let expect_failure name entries expected =
    binary trace, the failure stays the analysis's, not a chunk's *)
 let expect_everywhere name entries expected =
   expect_failure name entries expected;
-  (match Cp.summarize_stream (stream_of entries) with
+  (match Cp.summarize_stream (Helpers.stream_of entries) with
   | exception Failure msg -> Alcotest.(check string) (name ^ ", summary") expected msg
   | _ -> Alcotest.failf "%s, summary: malformed stream accepted" name);
   let path = Filename.temp_file "sigil_critpath" ".tf" in
@@ -240,7 +230,7 @@ let expect_everywhere name entries expected =
     (fun () ->
       let w = Tracefile.Writer.create path in
       List.iter (Tracefile.Writer.add w) entries;
-      Tracefile.Writer.close w;
+      Tracefile.Writer.close_names Dbi.Names.empty w;
       let r = Tracefile.Reader.open_file path in
       Fun.protect
         ~finally:(fun () -> Tracefile.Reader.close r)
@@ -359,7 +349,7 @@ let test_cli_without_tables () =
     (fun () ->
       let w = Tracefile.Writer.create path in
       Array.iter (Tracefile.Writer.add w) entries;
-      Tracefile.Writer.close w;
+      Tracefile.Writer.close_names Dbi.Names.empty w;
       let contexts =
         Cp.critical_path_contexts (Cp.analyze_stream (fun f -> Array.iter f entries))
       in
@@ -390,7 +380,7 @@ let test_cli_bad_calls () =
       List.iter (Tracefile.Writer.add w)
         Event_log.
           [ Call { ctx = 1; call = 1 }; Ret { ctx = 1; call = 1 }; Call { ctx = 1; call = 3 } ];
-      Tracefile.Writer.close w;
+      Tracefile.Writer.close_names Dbi.Names.empty w;
       let code, lines =
         Cli.stderr "sigil_critpath" ("--load " ^ Filename.quote path)
       in
@@ -442,8 +432,8 @@ let test_report_goldens () =
         (Digest.to_hex (Digest.string (String.concat "" lines))))
     report_goldens
 
-let () =
-  Alcotest.run "critpath_oracle"
+let suite =
+  ( "critpath_oracle",
     [
       ( "differential",
         [
@@ -466,4 +456,4 @@ let () =
           Alcotest.test_case "analyze bound" `Quick test_allocation_bound;
           Alcotest.test_case "DAG size" `Quick test_dag_size;
         ] );
-    ]
+    ] )

@@ -5,12 +5,8 @@
    and summarize_stream over the binary reader must agree with the live
    analysis on every number, and the live analysis with the spec. *)
 
-let with_temp f =
-  let path = Filename.temp_file "sigil_cps" ".tf" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
 let check_workload (w : Workloads.Workload.t) =
-  with_temp (fun path ->
+  Helpers.with_temp (fun path ->
       let options = Sigil.Options.(with_events default) in
       let writer = Tracefile.Writer.create ~options path in
       let entries = ref 0 in
@@ -30,8 +26,10 @@ let check_workload (w : Workloads.Workload.t) =
                          w Workloads.Scale.Simsmall
                      in
                      let m = r.Driver.machine in
-                     Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
-                       ~contexts:(Dbi.Machine.contexts m) writer)))
+                     Tracefile.Writer.close_names
+                       (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m)
+                          ~contexts:(Dbi.Machine.contexts m))
+                       writer)))
       in
       let live = Option.get !live in
       let reader = Tracefile.Reader.open_file path in
@@ -85,4 +83,4 @@ let tests =
       Alcotest.test_case w.Workloads.Workload.name `Slow (fun () -> check_workload w))
     Workloads.Suite.parsec
 
-let () = Alcotest.run "critpath_stream" [ ("parsec simsmall", tests) ]
+let suite = ("critpath_stream", [ ("parsec simsmall", tests) ])

@@ -30,23 +30,18 @@ let render_cdfg ?min_bytes ?max_nodes tool =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_cdfg_structure () =
   let tool = run_guest toy in
   let dot = render_cdfg tool in
-  Alcotest.(check bool) "digraph" true (contains dot "digraph cdfg");
-  Alcotest.(check bool) "producer node" true (contains dot "producer");
-  Alcotest.(check bool) "bold call edges" true (contains dot "style=bold");
-  Alcotest.(check bool) "dashed data edge with weight" true (contains dot "style=dashed, label=\"32/32\"")
+  Alcotest.(check bool) "digraph" true (Helpers.contains dot "digraph cdfg");
+  Alcotest.(check bool) "producer node" true (Helpers.contains dot "producer");
+  Alcotest.(check bool) "bold call edges" true (Helpers.contains dot "style=bold");
+  Alcotest.(check bool) "dashed data edge with weight" true (Helpers.contains dot "style=dashed, label=\"32/32\"")
 
 let test_cdfg_min_bytes_filter () =
   let tool = run_guest toy in
   let dot = render_cdfg ~min_bytes:1000 tool in
-  Alcotest.(check bool) "data edge filtered" false (contains dot "style=dashed")
+  Alcotest.(check bool) "data edge filtered" false (Helpers.contains dot "style=dashed")
 
 let test_cdfg_max_nodes_keeps_ancestors () =
   let tool =
@@ -57,8 +52,8 @@ let test_cdfg_max_nodes_keeps_ancestors () =
   in
   let dot = render_cdfg ~max_nodes:1 tool in
   (* keeping only the hottest leaf must still pull in its call chain *)
-  Alcotest.(check bool) "hot kept" true (contains dot "hot");
-  Alcotest.(check bool) "ancestor kept" true (contains dot "mid")
+  Alcotest.(check bool) "hot kept" true (Helpers.contains dot "hot");
+  Alcotest.(check bool) "ancestor kept" true (Helpers.contains dot "mid")
 
 let test_save_files () =
   let tool = run_guest toy in
@@ -76,10 +71,10 @@ let test_name_escaping () =
             Dbi.Guest.call m "weird\"name\\fn" (fun () -> Dbi.Guest.iop m 5)))
   in
   let dot = render_cdfg tool in
-  Alcotest.(check bool) "no raw quote in label" false (contains dot "weird\"name")
+  Alcotest.(check bool) "no raw quote in label" false (Helpers.contains dot "weird\"name")
 
-let () =
-  Alcotest.run "dot"
+let suite =
+  ( "dot",
     [
       ( "dot",
         [
@@ -89,4 +84,4 @@ let () =
           Alcotest.test_case "save files" `Quick test_save_files;
           Alcotest.test_case "name escaping" `Quick test_name_escaping;
         ] );
-    ]
+    ] )

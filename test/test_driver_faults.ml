@@ -119,8 +119,8 @@ let test_run_error_rendering () =
     "dedup@simsmall: instruction budget 10 exhausted (clock 11)"
     (Driver.Run_error.to_string e)
 
-let () =
-  Alcotest.run "driver_faults"
+let suite =
+  ( "driver_faults",
     [
       ( "isolate",
         [
@@ -133,4 +133,4 @@ let () =
           Alcotest.test_case "wall-clock timeout" `Quick test_timeout_guard;
           Alcotest.test_case "Run_error.to_string" `Quick test_run_error_rendering;
         ] );
-    ]
+    ] )

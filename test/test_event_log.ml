@@ -12,21 +12,17 @@ let sample_entries =
     Event_log.Ret { ctx = 1; call = 1 };
   ]
 
-let with_temp ext f =
-  let path = Filename.temp_file "sigil_events" ext in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
 let write_trace ~chunk_bytes entries path =
   let w = Tracefile.Writer.create ~chunk_bytes path in
   List.iter (Tracefile.Writer.add w) entries;
-  Tracefile.Writer.close w
+  Tracefile.Writer.close_names Dbi.Names.empty w
 
 (* A writer that dies midway publishes nothing: dumping a trace whose
    third chunk fails its CRC raises, the previous file keeps its bytes
    and no .tmp is left behind. *)
 let test_write_file_crash_safe () =
-  with_temp ".tf" (fun tf ->
-      with_temp ".txt" (fun txt ->
+  Helpers.with_temp ~ext:".tf" (fun tf ->
+      Helpers.with_temp ~ext:".txt" (fun txt ->
           write_trace ~chunk_bytes:64 sample_entries tf;
           ignore (Tracefile.Convert.binary_to_text tf txt : int);
           let before = In_channel.with_open_bin txt In_channel.input_all in
@@ -48,9 +44,9 @@ let test_write_file_crash_safe () =
           Alcotest.(check string) "old file untouched" before
             (In_channel.with_open_bin txt In_channel.input_all)))
 
-let () =
-  Alcotest.run "event_log"
+let suite =
+  ( "event_log",
     [
       ( "event_log",
         [ Alcotest.test_case "crash-safe file writer" `Quick test_write_file_crash_safe ] );
-    ]
+    ] )

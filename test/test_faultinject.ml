@@ -53,15 +53,6 @@ let write_trace ?(entries = 220) path =
   Tracefile.Writer.close_names names w;
   es
 
-let read_entries path =
-  let r = Tracefile.Reader.open_file path in
-  Fun.protect
-    ~finally:(fun () -> Tracefile.Reader.close r)
-    (fun () ->
-      let out = ref [] in
-      Tracefile.Reader.iter r (fun e -> out := Event_log.copy e :: !out);
-      List.rev !out)
-
 let take n l = List.filteri (fun i _ -> i < n) l
 
 (* The core invariant check. Returns what happened so sweeps can also
@@ -98,7 +89,7 @@ let check_salvage_invariant ~what ~baseline path =
    yields the whole original trace or a [Frame.Corrupt] with an offset,
    never a shorter list and never another exception. *)
 let check_open_file_invariant ~what ~baseline path =
-  match read_entries path with
+  match Helpers.read_entries path with
   | entries when entries = baseline -> `Full
   | entries ->
     Alcotest.failf "%s: open_file returned %d of %d entries without an error" what
@@ -116,7 +107,7 @@ let test_truncation_sweep () =
   with_temp_dir @@ fun dir ->
   let src = Filename.concat dir "clean.tf" in
   let baseline = write_trace src in
-  (match read_entries src with
+  (match Helpers.read_entries src with
   | got when got = baseline -> ()
   | _ -> Alcotest.fail "clean trace does not round-trip");
   let len = Faultinject.file_length src in
@@ -340,16 +331,16 @@ let test_close_is_atomic_rename () =
   let path = Filename.concat dir "out.tf" in
   (* pre-existing good trace *)
   let _ = write_trace ~entries:20 path in
-  let old = read_entries path in
+  let old = Helpers.read_entries path in
   (* a new writer that dies must leave the old trace untouched *)
   let w = Tracefile.Writer.create ~chunk_bytes:48 path in
   List.iter (Tracefile.Writer.add w) (gen_entries 60);
   Tracefile.Writer.discard w;
   Alcotest.(check bool) "old trace still present" true (Sys.file_exists path);
-  Alcotest.(check bool) "old trace unchanged" true (read_entries path = old);
+  Alcotest.(check bool) "old trace unchanged" true (Helpers.read_entries path = old);
   (* and a successful close replaces it completely *)
   let fresh = write_trace ~entries:40 path in
-  Alcotest.(check bool) "new trace replaced the old one" true (read_entries path = fresh)
+  Alcotest.(check bool) "new trace replaced the old one" true (Helpers.read_entries path = fresh)
 
 (* ---------------------------------------------------------------- *)
 (* The other kinds: a saved profile and a raw recording             *)
@@ -389,18 +380,15 @@ let write_recording path =
       ~options_tag:"" path
   in
   let m = (Dbi.Runner.run ~tools:[ Tracefile.Recording.recorder w ] small_guest).machine in
-  Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m) w
-
-let with_reader path f =
-  let r = Tracefile.Reader.open_file path in
-  Fun.protect ~finally:(fun () -> Tracefile.Reader.close r) (fun () -> f r)
+  Tracefile.Writer.close_names
+    (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m)) w
 
 let recording_records r =
   let out = ref [] in
   Tracefile.Recording.iter r (fun _ rc -> out := rc :: !out);
   List.rev !out
 
-let replay path = with_reader path (fun r -> ignore (Tracefile.Recording.replay ~tools:[] r))
+let replay path = Helpers.with_reader path (fun r -> ignore (Tracefile.Recording.replay ~tools:[] r))
 
 (* [f ()] must raise [Frame.Corrupt] at an offset inside the file. *)
 let expect_located ~what ~len f =
@@ -416,7 +404,7 @@ let expect_located ~what ~len f =
 let section_spans path =
   let data = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
   let tables = Tracefile.Frame.get_u64 data (Bytes.length data - 32) in
-  let first = with_reader path (fun r -> List.hd (Tracefile.Reader.chunk_offsets r)) in
+  let first = Helpers.with_reader path (fun r -> List.hd (Tracefile.Reader.chunk_offsets r)) in
   let rec go off acc =
     if off >= tables then List.rev acc
     else
@@ -448,7 +436,7 @@ let test_recording_truncation_sweep () =
   let src = Filename.concat dir "clean.rec" and dst = Filename.concat dir "cut.rec" in
   write_recording src;
   replay src;
-  let baseline = with_reader src recording_records in
+  let baseline = Helpers.with_reader src recording_records in
   let len = Faultinject.file_length src in
   let partial = ref 0 in
   for cut = 0 to len - 1 do
@@ -525,8 +513,8 @@ let test_recording_flip_sweep () =
   (* data chunks and checkpoints *)
   Alcotest.(check bool) "several sections" true (sections >= 4)
 
-let () =
-  Alcotest.run "faultinject"
+let suite =
+  ( "faultinject",
     [
       ( "salvage",
         [
@@ -550,4 +538,4 @@ let () =
           Alcotest.test_case "repair a torn crash tmp" `Quick test_repair_of_truncated_tmp;
           Alcotest.test_case "close is atomic rename" `Quick test_close_is_atomic_rename;
         ] );
-    ]
+    ] )

@@ -72,31 +72,26 @@ let render f =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_pp_output () =
   let snap = run_guest two_contexts in
   let out = render (fun ppf -> Analysis.Flat.pp ppf snap) in
-  Alcotest.(check bool) "mentions kernel" true (contains out "kernel")
+  Alcotest.(check bool) "mentions kernel" true (Helpers.contains out "kernel")
 
 let test_calltree_rendering () =
   let snap = run_guest two_contexts in
   let out = render (fun ppf -> Analysis.Flat.calltree ppf snap) in
-  Alcotest.(check bool) "root line" true (contains out "<root>");
-  Alcotest.(check bool) "indented kernel" true (contains out "    kernel");
-  Alcotest.(check bool) "inclusive ops on root" true (contains out "incl-ops=30")
+  Alcotest.(check bool) "root line" true (Helpers.contains out "<root>");
+  Alcotest.(check bool) "indented kernel" true (Helpers.contains out "    kernel");
+  Alcotest.(check bool) "inclusive ops on root" true (Helpers.contains out "incl-ops=30")
 
 let test_calltree_depth_limit () =
   let snap = run_guest two_contexts in
   let out = render (fun ppf -> Analysis.Flat.calltree ~max_depth:1 ppf snap) in
-  Alcotest.(check bool) "kernel pruned" false (contains out "kernel");
-  Alcotest.(check bool) "main kept" true (contains out "main")
+  Alcotest.(check bool) "kernel pruned" false (Helpers.contains out "kernel");
+  Alcotest.(check bool) "main kept" true (Helpers.contains out "main")
 
-let () =
-  Alcotest.run "flat"
+let suite =
+  ( "flat",
     [
       ( "flat",
         [
@@ -109,4 +104,4 @@ let () =
           Alcotest.test_case "calltree rendering" `Quick test_calltree_rendering;
           Alcotest.test_case "calltree depth limit" `Quick test_calltree_depth_limit;
         ] );
-    ]
+    ] )

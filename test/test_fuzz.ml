@@ -1,109 +1,8 @@
-(* Property-based fuzzing: random guest programs, run under every tool at
-   once, must satisfy the conservation laws that tie the layers together. *)
-
-type action =
-  | Op of int
-  | Fp of int
-  | Read of int * int
-  | Write of int * int
-  | Memcpy of int * int * int (* dst, src, length *)
-  | Syscall of (int * int) * (int * int) (* the span the kernel reads, the one it writes *)
-  | Branch of bool
-  | Call of prog
-
-and prog = {
-  name : string;
-  actions : action list;
-}
-
-(* Straddle a chunk boundary (0x200000 is chunk-aligned, chunks are 4 KB)
-   so random spans exercise the cross-chunk paths of the range engine. *)
-let arena = 0x200000 - 16
-let arena_size = 8192
-
-(* The 4 KiB chunk boundaries inside the arena. *)
-let boundaries = [ 0x200000; 0x201000 ]
-
-(* Where a [len]-byte span starts: anywhere in the arena, or across or
-   next to a chunk boundary. The boundary spans fall in a few dozen
-   bytes, so the same bytes are read again by the same call, by another
-   call and by another function. *)
-let gen_addr len =
-  let open QCheck.Gen in
-  oneof
-    [
-      map (fun o -> arena + o) (int_range 0 (arena_size - len));
-      map2 (fun b d -> b + d) (oneofl boundaries) (int_range (-len - 8) 8);
-    ]
-
-let gen_span max_len =
-  QCheck.Gen.(int_range 1 max_len >>= fun len -> map (fun a -> (a, len)) (gen_addr len))
-
-let gen_leaf_action =
-  let open QCheck.Gen in
-  frequency
-    [
-      (1, map (fun n -> Op (1 + n)) (int_range 0 50));
-      (1, map (fun n -> Fp (1 + n)) (int_range 0 50));
-      (4, map (fun (a, s) -> Read (a, s)) (gen_span 8));
-      (3, map (fun (a, s) -> Write (a, s)) (gen_span 8));
-      (1, gen_span 160 >>= fun (src, len) -> map (fun dst -> Memcpy (dst, src, len)) (gen_addr len));
-      (1, map2 (fun r w -> Syscall (r, w)) (gen_span 160) (gen_span 160));
-      (1, map (fun b -> Branch b) bool);
-    ]
-
-let gen_name = QCheck.Gen.map (fun i -> Printf.sprintf "fn%d" i) (QCheck.Gen.int_range 0 7)
-
-(* Calls nest three deep. A callee is this function again (recursion) or
-   any other, and is sometimes called twice in a row, so its second call
-   re-reads what the first read. *)
-let gen_prog =
-  let open QCheck.Gen in
-  let rec prog depth name =
-    let callee = frequency [ (3, gen_name); (1, return name) ] >>= prog (depth - 1) in
-    let action =
-      if depth = 0 then map (fun a -> [ a ]) gen_leaf_action
-      else
-        frequency
-          [
-            (8, map (fun a -> [ a ]) gen_leaf_action);
-            (1, map (fun p -> [ Call p ]) callee);
-            (1, map (fun p -> [ Call p; Call p ]) callee);
-          ]
-    in
-    map (fun actions -> { name; actions = List.concat actions }) (list_size (int_range 0 12) action)
-  in
-  gen_name >>= prog 3
-
-let rec interp m prog =
-  Dbi.Guest.call m prog.name (fun () ->
-      List.iter
-        (function
-          | Op n -> Dbi.Guest.iop m n
-          | Fp n -> Dbi.Guest.flop m n
-          | Read (a, s) -> Dbi.Guest.read m a s
-          | Write (a, s) -> Dbi.Guest.write m a s
-          | Memcpy (dst, src, len) -> Dbi.Guest.memcpy m ~dst ~src len
-          | Syscall (r, w) -> Dbi.Guest.syscall m "io" ~reads:[ r ] ~writes:[ w ]
-          | Branch b -> Dbi.Guest.branch m b
-          | Call p -> interp m p)
-        prog.actions)
-
-let rec print_prog p =
-  Printf.sprintf "%s[%s]" p.name
-    (String.concat ";"
-       (List.map
-          (function
-            | Op n -> Printf.sprintf "i%d" n
-            | Fp n -> Printf.sprintf "f%d" n
-            | Read (a, s) -> Printf.sprintf "r%d+%d" (a - arena) s
-            | Write (a, s) -> Printf.sprintf "w%d+%d" (a - arena) s
-            | Memcpy (dst, src, len) -> Printf.sprintf "m%d<-%d+%d" (dst - arena) (src - arena) len
-            | Syscall ((ra, rl), (wa, wl)) ->
-              Printf.sprintf "s(r%d+%d,w%d+%d)" (ra - arena) rl (wa - arena) wl
-            | Branch b -> if b then "b1" else "b0"
-            | Call p -> print_prog p)
-          p.actions))
+(* Property-based fuzzing: random guests from guest_gen.ml, run under every
+   tool at once, must satisfy the conservation laws that tie the layers
+   together, and each layer must agree with its spec: sigil_spec.ml for the
+   shadow, cache_spec.ml for Callgrind, critpath_spec.ml for the critical
+   path of the stream the guest emitted. *)
 
 (* An event sink that keeps the entries in [log], newest first. *)
 let into log e = log := Sigil.Event_log.copy e :: !log
@@ -127,11 +26,11 @@ let run_all ?(event_sink = ignore) prog =
             cg := Some t;
             Callgrind.Tool.tool t);
         ]
-      (fun m -> interp m prog)
+      (fun m -> Guest_gen.interp m prog)
   in
   (Option.get !sigil, Option.get !cg, r.Dbi.Runner.machine)
 
-let arbitrary = QCheck.make ~print:print_prog gen_prog
+let arbitrary = Guest_gen.arbitrary
 
 let prop_conservation =
   QCheck.Test.make ~name:"ops/bytes conserved across all layers" ~count:120 arbitrary
@@ -186,7 +85,10 @@ let prop_event_log_consistent =
             | Sigil.Event_log.Comp _ | Sigil.Event_log.Xfer _ -> (c, r))
           (0, 0) entries
       in
-      let cp = Analysis.Critpath.analyze_stream (fun f -> List.iter f entries) in
+      (match Critpath_check.agree_on entries with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_reportf "critical path: %s" e);
+      let cp = Analysis.Critpath.analyze_stream (Helpers.stream_of entries) in
       let c = Dbi.Machine.counters m in
       calls = rets
       && calls = c.Dbi.Machine.calls
@@ -268,7 +170,7 @@ let matches_spec ?max_chunks prog =
         | Some n -> Sigil.Options.with_max_chunks options n
         | None -> options
       in
-      match Sigil_spec.check ~call_overhead:0 ~options (fun m -> interp m prog) with
+      match Sigil_spec.check ~call_overhead:0 ~options (fun m -> Guest_gen.interp m prog) with
       | Ok _ -> true
       | Error e -> QCheck.Test.fail_reportf "%s mode: %s" mode e)
     modes
@@ -296,7 +198,7 @@ let run_one ?log options prog =
             sigil := Some t;
             Sigil.Tool.tool t);
         ]
-      (fun m -> interp m prog)
+      (fun m -> Guest_gen.interp m prog)
   in
   Option.get !sigil
 
@@ -304,7 +206,7 @@ let run_one ?log options prog =
    count and first and last clock, and the [line.*] telemetry. *)
 let line_shadow_matches_spec line_size prog =
   let options = Sigil.Options.with_line_size Sigil.Options.default line_size in
-  match Sigil_spec.check ~call_overhead:0 ~options (fun m -> interp m prog) with
+  match Sigil_spec.check ~call_overhead:0 ~options (fun m -> Guest_gen.interp m prog) with
   | Ok _ -> true
   | Error e -> QCheck.Test.fail_reportf "%dB lines: %s" line_size e
 
@@ -314,30 +216,10 @@ let prop_line_shadow_per_byte =
   QCheck.Test.make ~name:"line shadow at 1B lines matches per-byte reference" ~count:100
     arbitrary (fun prog -> line_shadow_matches_spec 1 prog && line_shadow_matches_spec 64 prog)
 
-(* Aligned accesses: every access covers exactly one 8-byte line (the
-   arena base is 16-byte aligned). *)
-let gen_aligned_prog =
-  let open QCheck.Gen in
-  let gen_leaf_action =
-    oneof
-      [
-        map (fun n -> Op (1 + n)) (int_range 0 50);
-        map (fun a -> Read (arena + (8 * a), 8)) (int_range 0 ((arena_size / 8) - 1));
-        map (fun a -> Write (arena + (8 * a), 8)) (int_range 0 ((arena_size / 8) - 1));
-      ]
-  in
-  fix
-    (fun self depth ->
-      let action =
-        if depth = 0 then gen_leaf_action
-        else frequency [ (4, gen_leaf_action); (1, map (fun p -> Call p) (self (depth - 1))) ]
-      in
-      map2 (fun name actions -> { name; actions }) gen_name (list_size (int_range 0 12) action))
-    2
-
+(* Aligned accesses: every access covers exactly one 8-byte line. *)
 let prop_line_shadow_aligned =
   QCheck.Test.make ~name:"line shadow on aligned accesses matches reference" ~count:100
-    (QCheck.make ~print:print_prog gen_aligned_prog)
+    (QCheck.make ~print:Guest_gen.print Guest_gen.gen_aligned)
     (fun prog -> line_shadow_matches_spec 8 prog)
 
 (* The FIFO memory limit's accounting, read back through telemetry: chunks
@@ -386,7 +268,7 @@ let prop_trace_replay_identical =
           let original =
             Tracefile.Recording.record path (fun m ->
                 (* record runs with default overhead; fine, it is recorded *)
-                interp m prog)
+                Guest_gen.interp m prog)
           in
           let replayed_tool = ref None in
           let r = Tracefile.Reader.open_file path in
@@ -409,8 +291,43 @@ let prop_trace_replay_identical =
           && Dbi.Context.count (Dbi.Machine.contexts original)
              = Dbi.Context.count (Dbi.Machine.contexts replayed)))
 
-let () =
-  Alcotest.run "fuzz"
+(* Callgrind against the cache spec of cache_spec.ml, line-batched fetches
+   and all, at a generated geometry: every context's cost must agree. *)
+let cache_config (c : Guest_gen.caches) =
+  let cache (g : Guest_gen.cache) =
+    { Cachesim.Cache.size = g.size; assoc = g.assoc; line = g.line }
+  in
+  { Cachesim.Hierarchy.l1i = cache c.l1i; l1d = cache c.l1d; ll = cache c.ll }
+
+let prop_matches_cache_spec =
+  QCheck.Test.make ~name:"line-batched fetches match per-fetch oracle" ~count:300
+    QCheck.(pair arbitrary (make ~print:Guest_gen.print_caches Guest_gen.gen_caches))
+    (fun (guest, caches) ->
+      match
+        Cache_spec.check ~cache_config:(cache_config caches) (fun m -> Guest_gen.interp m guest)
+      with
+      | Ok _ -> true
+      | Error e -> QCheck.Test.fail_reportf "%s" e)
+
+(* Fixed cases the generator may miss: one long root-context run, and a
+   function whose cursor wraps its code page mid-run, at the default
+   geometry. *)
+let test_fixed_cases () =
+  let open Guest_gen in
+  List.iter
+    (fun (label, guest) ->
+      match Cache_spec.check ~cache_config:Cachesim.Hierarchy.default (fun m -> interp m guest) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" label e)
+    [
+      ("root run", [ Op 5000; Read (arena, 8); Op 3 ]);
+      ( "page wrap",
+        [ Call ("f", [ Op 1000; Write (arena, 4); Op 2000; Call ("g", [ Op 1030 ]); Op 7 ]) ] );
+      ("line-sized runs", [ Call ("f", [ Op 16; Op 15; Op 17; Op 1; Fp 64 ]) ]);
+    ]
+
+let suite =
+  ( "fuzz",
     [
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
@@ -428,4 +345,12 @@ let () =
             prop_stats_flag_inert;
             prop_trace_replay_identical;
           ] );
-    ]
+    ] )
+
+let callgrind_suite =
+  ( "callgrind_batch",
+    [
+      ( "callgrind_batch",
+        Alcotest.test_case "fixed cases" `Quick test_fixed_cases
+        :: List.map QCheck_alcotest.to_alcotest [ prop_matches_cache_spec ] );
+    ] )

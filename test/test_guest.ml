@@ -69,8 +69,8 @@ let test_branch_and_ops () =
   Alcotest.(check int) "iops" 2 c.Dbi.Machine.int_ops;
   Alcotest.(check int) "flops" 3 c.Dbi.Machine.fp_ops
 
-let () =
-  Alcotest.run "guest"
+let suite =
+  ( "guest",
     [
       ( "guest",
         [
@@ -84,4 +84,4 @@ let () =
           Alcotest.test_case "memcpy moves bytes" `Quick test_memcpy_moves_bytes;
           Alcotest.test_case "branch and ops" `Quick test_branch_and_ops;
         ] );
-    ]
+    ] )

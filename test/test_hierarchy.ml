@@ -52,8 +52,8 @@ let test_same_line_fetch () =
   Alcotest.(check level) "line still resident" Cachesim.Hierarchy.l1_hit
     (Cachesim.Hierarchy.fetch h 124 4)
 
-let () =
-  Alcotest.run "hierarchy"
+let suite =
+  ( "hierarchy",
     [
       ( "hierarchy",
         [
@@ -64,4 +64,4 @@ let () =
           Alcotest.test_case "level values" `Quick test_level_values;
           Alcotest.test_case "fetch hits" `Quick test_same_line_fetch;
         ] );
-    ]
+    ] )

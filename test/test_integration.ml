@@ -2,7 +2,7 @@
    workloads, checking the invariants the paper's experiments rely on. *)
 
 let run ?event_sink name ~options =
-  let w = match Workloads.Suite.find name with Ok w -> w | Error e -> Alcotest.fail e in
+  let w = Helpers.find_workload name in
   let sigil = ref None and cg = ref None in
   let r =
     Dbi.Runner.run
@@ -149,7 +149,7 @@ let test_fig8_blackscholes_zero_reuse () =
    +. bd.Analysis.Reuse_report.over_nine)
 
 let test_dedup_memory_limiter () =
-  let w = match Workloads.Suite.find "dedup" with Ok w -> w | Error e -> Alcotest.fail e in
+  let w = Helpers.find_workload "dedup" in
   let run_with options =
     let sigil = ref None in
     let _ =
@@ -193,8 +193,8 @@ let test_line_mode_on_workload () =
     in
     Alcotest.(check bool) "some line re-used >1000 times" true hot
 
-let () =
-  Alcotest.run "integration"
+let suite =
+  ( "integration",
     [
       ( "integration",
         [
@@ -211,4 +211,4 @@ let () =
           Alcotest.test_case "dedup memory limiter" `Slow test_dedup_memory_limiter;
           Alcotest.test_case "line mode on workload" `Slow test_line_mode_on_workload;
         ] );
-    ]
+    ] )

@@ -70,8 +70,8 @@ let test_line_size_validation () =
     (Invalid_argument "Line_shadow.create: line size must be a positive power of two") (fun () ->
       ignore (Line_shadow.create ~line_size:48 ()))
 
-let () =
-  Alcotest.run "line_shadow"
+let suite =
+  ( "line_shadow",
     [
       ( "line_shadow",
         [
@@ -83,4 +83,4 @@ let () =
           Alcotest.test_case "records sorted" `Quick test_records_sorted;
           Alcotest.test_case "line size validation" `Quick test_line_size_validation;
         ] );
-    ]
+    ] )

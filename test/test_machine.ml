@@ -300,8 +300,8 @@ let test_epoch_hook_raises () =
     Alcotest.(check int) "aborted at the epoch's first value" expected now;
     Alcotest.(check int) "the clock stopped there" now (Dbi.Machine.now m)
 
-let () =
-  Alcotest.run "machine"
+let suite =
+  ( "machine",
     [
       ( "machine",
         [
@@ -324,4 +324,4 @@ let () =
             test_epoch_hook_registered_mid_run;
           Alcotest.test_case "epoch hook raises" `Quick test_epoch_hook_raises;
         ] );
-    ]
+    ] )

@@ -30,11 +30,6 @@ let run_callgrind body =
   in
   Option.get !tool
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let toy ops m =
   Dbi.Guest.call m "main" (fun () ->
       Dbi.Guest.call m "worker" (fun () ->
@@ -51,18 +46,18 @@ let render_callgrind tool =
 let test_callgrind_format_headers () =
   let tool = run_callgrind (toy 10) in
   let out = render_callgrind tool in
-  Alcotest.(check bool) "version" true (contains out "version: 1");
+  Alcotest.(check bool) "version" true (Helpers.contains out "version: 1");
   Alcotest.(check bool) "events line" true
-    (contains out "events: Ir Dr Dw I1mr D1mr D1mw ILmr DLmr DLmw Bc Bcm");
-  Alcotest.(check bool) "fn record" true (contains out "fn=worker");
-  Alcotest.(check bool) "call record" true (contains out "cfn=worker");
-  Alcotest.(check bool) "calls line" true (contains out "calls=1")
+    (Helpers.contains out "events: Ir Dr Dw I1mr D1mr D1mw ILmr DLmr DLmw Bc Bcm");
+  Alcotest.(check bool) "fn record" true (Helpers.contains out "fn=worker");
+  Alcotest.(check bool) "call record" true (Helpers.contains out "cfn=worker");
+  Alcotest.(check bool) "calls line" true (Helpers.contains out "calls=1")
 
 let test_callgrind_format_costs () =
   let tool = run_callgrind (toy 10) in
   let out = render_callgrind tool in
   (* worker self: Ir = 10 ops + 1 read = 11, Dr = 1 *)
-  Alcotest.(check bool) "worker self cost line" true (contains out "11 1 0")
+  Alcotest.(check bool) "worker self cost line" true (Helpers.contains out "11 1 0")
 
 let test_callgrind_context_suffixes () =
   let tool =
@@ -72,8 +67,8 @@ let test_callgrind_context_suffixes () =
             Dbi.Guest.call m "b" (fun () -> Dbi.Guest.call m "k" (fun () -> Dbi.Guest.iop m 2))))
   in
   let out = render_callgrind tool in
-  Alcotest.(check bool) "first context plain" true (contains out "fn=k\n");
-  Alcotest.(check bool) "second context suffixed" true (contains out "fn=k'ctx1")
+  Alcotest.(check bool) "first context plain" true (Helpers.contains out "fn=k\n");
+  Alcotest.(check bool) "second context suffixed" true (Helpers.contains out "fn=k'ctx1")
 
 let test_callgrind_save () =
   let tool = run_callgrind (toy 10) in
@@ -237,8 +232,8 @@ let test_report_goldens () =
       Alcotest.(check (list string)) (name ^ " reports") want got)
     report_goldens
 
-let () =
-  Alcotest.run "output_compare"
+let suite =
+  ( "output_compare",
     [
       ( "callgrind_output",
         [
@@ -256,4 +251,4 @@ let () =
           Alcotest.test_case "edges only" `Quick test_compare_edges_only;
         ] );
       ("goldens", [ Alcotest.test_case "reports" `Quick test_report_goldens ]);
-    ]
+    ] )

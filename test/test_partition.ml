@@ -165,8 +165,8 @@ let test_top_bottom () =
        (fun (c : Analysis.Partition.candidate) -> c.Analysis.Partition.name)
        (Analysis.Partition.bottom 2 ranked))
 
-let () =
-  Alcotest.run "partition"
+let suite =
+  ( "partition",
     [
       ( "partition",
         [
@@ -179,4 +179,4 @@ let () =
           Alcotest.test_case "rank dedups by name" `Quick test_rank_dedups_by_name;
           Alcotest.test_case "top and bottom" `Quick test_top_bottom;
         ] );
-    ]
+    ] )

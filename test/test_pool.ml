@@ -169,8 +169,8 @@ let test_shutdown () =
     (Invalid_argument "Pool.map: pool is shut down") (fun () ->
       ignore (Pool.map p (fun i -> i) [ 1 ]))
 
-let () =
-  Alcotest.run "pool"
+let suite =
+  ( "pool",
     [
       ( "pool",
         [
@@ -192,4 +192,4 @@ let () =
             test_accounting_does_not_allocate;
           Alcotest.test_case "shutdown" `Quick test_shutdown;
         ] );
-    ]
+    ] )

@@ -48,8 +48,8 @@ let qcheck_int_in_range =
       let v = Dbi.Prng.int rng bound in
       v >= 0 && v < bound)
 
-let () =
-  Alcotest.run "prng"
+let suite =
+  ( "prng",
     [
       ( "prng",
         [
@@ -61,4 +61,4 @@ let () =
           Alcotest.test_case "int distribution" `Quick test_int_distribution;
           QCheck_alcotest.to_alcotest qcheck_int_in_range;
         ] );
-    ]
+    ] )

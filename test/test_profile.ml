@@ -15,6 +15,11 @@ let test_local_vs_input () =
   Alcotest.(check int) "input nonunique" 2 s.Profile.input_nonunique;
   Alcotest.(check int) "local nonunique" 0 s.Profile.local_nonunique
 
+(* Contexts 1-3 under the root, running functions 0-2. *)
+let four_contexts =
+  { Dbi.Names.empty with symbols = [| "f"; "g"; "h" |]; parent = [| -1; 0; 0; 0 |];
+    fn = [| -1; 0; 1; 2 |] }
+
 let test_edges_aggregate () =
   let p = Profile.create () in
   record_read p ~producer:2 ~consumer:1 ~unique:true ~bytes:8;
@@ -31,7 +36,7 @@ let test_edges_aggregate () =
     let s = Profile.stats p ctx in
     {
       Profile_io.ctx;
-      parent = (if ctx = 0 then -1 else 0);
+      parent = -1;
       fn = -1;
       calls = s.Profile.calls;
       input_unique = s.Profile.input_unique;
@@ -44,7 +49,7 @@ let test_edges_aggregate () =
     }
   in
   let snap =
-    Profile_io.make ~names:Dbi.Names.empty ~contexts:(List.init 4 context)
+    Profile_io.make ~names:four_contexts ~contexts:(List.init 4 context)
       ~edges:
         (List.map
            (fun (e : Profile.edge) ->
@@ -56,6 +61,21 @@ let test_edges_aggregate () =
   Alcotest.(check (pair int int)) "output bytes of 2" (16, 8) (Profile_io.output_bytes snap 2);
   Alcotest.(check (pair int int)) "output bytes of 3" (4, 4) (Profile_io.output_bytes snap 3);
   Alcotest.(check (pair int int)) "no input to 2" (0, 0) (Profile_io.input_bytes snap 2)
+
+(* [make] takes each context's parent and function from the table, so a
+   context the table lacks is an error, as a gap in the ids is. *)
+let test_make_needs_the_table () =
+  let context ctx =
+    { Profile_io.ctx; parent = -1; fn = -1; calls = 0; input_unique = 0; input_nonunique = 0;
+      local_unique = 0; local_nonunique = 0; written = 0; int_ops = 0; fp_ops = 0 }
+  in
+  let snap = Profile_io.make ~names:four_contexts ~contexts:(List.init 4 context) ~edges:[] in
+  Alcotest.(check (list int)) "parents from the table" [ -1; 0; 0; 0 ]
+    (List.map (fun (s : Profile_io.ctx_stats) -> s.parent) (Profile_io.contexts snap));
+  Alcotest.(check string) "path from the table" "h" (Profile_io.path snap 3);
+  Alcotest.check_raises "context outside the table"
+    (Invalid_argument "Profile_io.make: context 4 is not in the names table") (fun () ->
+      ignore (Profile_io.make ~names:four_contexts ~contexts:(List.init 5 context) ~edges:[]))
 
 let test_local_reads_make_no_edges () =
   let p = Profile.create () in
@@ -125,8 +145,8 @@ let qcheck_totals_conserved =
       let unique, total = Profile.totals p in
       unique <= total && total = 2 * List.length reads)
 
-let () =
-  Alcotest.run "profile"
+let suite =
+  ( "profile",
     [
       ( "profile",
         [
@@ -139,5 +159,6 @@ let () =
           Alcotest.test_case "edge cache consistency" `Quick test_edge_cache_consistency;
           QCheck_alcotest.to_alcotest qcheck_unique_bounded;
           QCheck_alcotest.to_alcotest qcheck_totals_conserved;
+          Alcotest.test_case "make needs the table" `Quick test_make_needs_the_table;
         ] );
-    ]
+    ] )

@@ -26,16 +26,12 @@ let toy m =
           Dbi.Guest.read_range m a 32;
           Dbi.Guest.flop m 9))
 
-let with_temp f =
-  let path = Filename.temp_file "sigil_profile" ".prof" in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
-
 let save tool path =
   Tracefile.Profile_file.save (Sigil.Profile_io.snapshot_of_tool tool) path
 
 (* [save] then [load] of [tool]'s profile. *)
 let reload tool =
-  with_temp (fun path ->
+  Helpers.with_temp (fun path ->
       save tool path;
       Tracefile.Profile_file.load path)
 
@@ -116,7 +112,7 @@ let test_workload_roundtrip () =
       let w = Result.get_ok (Workloads.Suite.find name) in
       let tool = run_guest (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall) in
       let live = Sigil.Profile_io.snapshot_of_tool tool in
-      with_temp (fun path ->
+      Helpers.with_temp (fun path ->
           save tool path;
           let loaded = Tracefile.Profile_file.load path in
           Alcotest.(check (pair int int))
@@ -126,7 +122,7 @@ let test_workload_roundtrip () =
           List.iter2
             (fun (what, a) (_, b) -> Alcotest.(check string) (name ^ ": " ^ what) a b)
             (reports live) (reports loaded);
-          with_temp (fun txt ->
+          Helpers.with_temp (fun txt ->
               let records = Tracefile.Convert.binary_to_text path txt in
               Alcotest.(check int)
                 (name ^ ": one record per context and edge")
@@ -146,7 +142,7 @@ let check_corrupt_at what expected f =
     Alcotest.(check int) (what ^ ": offset (" ^ reason ^ ")") expected offset
 
 let test_bad_header_rejected () =
-  with_temp (fun path ->
+  Helpers.with_temp (fun path ->
       Out_channel.with_open_bin path (fun oc -> output_string oc "sigil-profile 1\nS 0 main\n");
       check_corrupt_at "text profile" 0 (fun () -> Tracefile.Profile_file.load path))
 
@@ -173,7 +169,7 @@ let test_malformed_record_rejected () =
   let ctx_bytes = 10 in
   List.iter
     (fun (what, records, at) ->
-      with_temp (fun path ->
+      Helpers.with_temp (fun path ->
           let first = write_raw_profile path records in
           check_corrupt_at what (first + at) (fun () -> Tracefile.Profile_file.load path)))
     [
@@ -183,7 +179,7 @@ let test_malformed_record_rejected () =
       ("unknown tag", [ ctx 0; [ 5 ] ], ctx_bytes);
       ("negative context", [ ctx 0; ctx (-1) ], ctx_bytes);
     ];
-  with_temp (fun path ->
+  Helpers.with_temp (fun path ->
       let first = write_raw_profile path [ ctx 0 ] in
       (* a missing context is reported where the records end *)
       check_corrupt_at "context without a record" (first + ctx_bytes) (fun () ->
@@ -204,12 +200,12 @@ let three_contexts ~ctx_parent path =
    exits 2 with one located stderr line (a missing parent used to exit
    125, a cycle to hang). *)
 let test_diff_rejects_damage () =
-  with_temp (fun good ->
+  Helpers.with_temp (fun good ->
       save (run_guest toy) good;
       let data = In_channel.with_open_bin good In_channel.input_all in
       List.iter
         (fun (what, write) ->
-          with_temp (fun bad ->
+          Helpers.with_temp (fun bad ->
               write bad;
               let code, lines =
                 Cli.stderr "sigil_diff" (Filename.quote good ^ " " ^ Filename.quote bad)
@@ -234,8 +230,8 @@ let test_diff_sees_edges () =
     Sigil.Profile_io.make ~names:(Sigil.Profile_io.names live)
       ~contexts:(Sigil.Profile_io.contexts live) ~edges:[]
   in
-  with_temp (fun a ->
-      with_temp (fun b ->
+  Helpers.with_temp (fun a ->
+      Helpers.with_temp (fun b ->
           Tracefile.Profile_file.save live a;
           Tracefile.Profile_file.save no_edges b;
           let out = Filename.temp_file "sigil_diff" ".out" in
@@ -255,8 +251,8 @@ let test_diff_sees_edges () =
                  && String.ends_with ~suffix:"main/producer -> main/consumer" l)
                lines)))
 
-let () =
-  Alcotest.run "profile_io"
+let suite =
+  ( "profile_io",
     [
       ( "profile_io",
         [
@@ -270,4 +266,4 @@ let () =
           Alcotest.test_case "sigil_diff rejects damage" `Quick test_diff_rejects_damage;
           Alcotest.test_case "sigil_diff sees edges" `Quick test_diff_sees_edges;
         ] );
-    ]
+    ] )

@@ -76,8 +76,8 @@ let qcheck_histogram_counts_match =
       let hist_total = List.fold_left (fun acc (_, c) -> acc + c) 0 (Reuse.histogram r 1) in
       hist_total = (Reuse.fn_reuse r 1).Reuse.reused_episodes)
 
-let () =
-  Alcotest.run "reuse"
+let suite =
+  ( "reuse",
     [
       ( "reuse",
         [
@@ -90,4 +90,4 @@ let () =
           Alcotest.test_case "empty context" `Quick test_empty_context;
           QCheck_alcotest.to_alcotest qcheck_histogram_counts_match;
         ] );
-    ]
+    ] )

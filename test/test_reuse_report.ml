@@ -4,12 +4,9 @@
    conv_gen(1) distinction depends on. All inputs are deterministic, so
    every value here is exact — a change is a behaviour change. *)
 
-let find_workload name =
-  match Workloads.Suite.find name with Ok w -> w | Error e -> Alcotest.fail e
-
 let run_reuse name =
   let options = Sigil.Options.(with_reuse default) in
-  Driver.sigil (Driver.run_workload ~options (find_workload name) Workloads.Scale.Simsmall)
+  Driver.sigil (Driver.run_workload ~options (Helpers.find_workload name) Workloads.Scale.Simsmall)
 
 (* one run per workload, shared across the cases below *)
 let canneal = lazy (run_reuse "canneal")
@@ -138,8 +135,8 @@ let test_unknown_function () =
   Alcotest.(check bool) "unknown function: no contexts" true
     (Analysis.Reuse_report.find_contexts snap "no_such_function" = [])
 
-let () =
-  Alcotest.run "reuse_report"
+let suite =
+  ( "reuse_report",
     [
       ( "breakdown",
         [
@@ -159,4 +156,4 @@ let () =
             test_lifetime_histogram_bodytrack;
           Alcotest.test_case "unknown function" `Quick test_unknown_function;
         ] );
-    ]
+    ] )

@@ -237,8 +237,8 @@ let qcheck_last_writer_wins =
           r.Run_list.producer = ctx)
         last true)
 
-let () =
-  Alcotest.run "shadow"
+let suite =
+  ( "shadow",
     [
       ( "shadow",
         [
@@ -262,4 +262,4 @@ let () =
           Alcotest.test_case "usable after flush" `Quick test_usable_after_flush;
           QCheck_alcotest.to_alcotest qcheck_last_writer_wins;
         ] );
-    ]
+    ] )

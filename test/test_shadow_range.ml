@@ -263,8 +263,8 @@ let test_recycled_chunk_reads_fresh () =
         (Telemetry.get_int (Telemetry.of_samples (Shadow.telemetry t)) "shadow.chunks_allocated"))
     [ (false, false); (false, true); (true, false); (true, true) ]
 
-let () =
-  Alcotest.run "shadow_range"
+let suite =
+  ( "shadow_range",
     [
       ( "range",
         [
@@ -282,4 +282,4 @@ let () =
           Alcotest.test_case "packed footprint" `Quick test_packed_footprint;
           Alcotest.test_case "recycled chunk reads fresh" `Quick test_recycled_chunk_reads_fresh;
         ] );
-    ]
+    ] )

@@ -183,10 +183,10 @@ let test_thrashing_case () =
     modes
     (check_case (Some 1, ops))
 
-let () =
-  Alcotest.run "shadow_runs"
+let suite =
+  ( "shadow_runs",
     [
       ( "runs",
         Alcotest.test_case "thrashing case" `Quick test_thrashing_case
         :: List.map QCheck_alcotest.to_alcotest [ prop_runs_match_per_byte ] );
-    ]
+    ] )

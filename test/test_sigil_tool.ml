@@ -28,16 +28,6 @@ let run_events body =
   in
   (tool, m, List.rev !log)
 
-let find_ctx m path_wanted =
-  let contexts = Dbi.Machine.contexts m in
-  let names = Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts in
-  let found = ref None in
-  Dbi.Context.iter contexts (fun ctx ->
-      if Dbi.Names.path names ctx = path_wanted then found := Some ctx);
-  match !found with
-  | Some ctx -> ctx
-  | None -> Alcotest.failf "no context %s" path_wanted
-
 (* main writes 8 bytes, producer writes 16 more; consumer reads all 24,
    re-reads main's 8, and writes + reads back 8 of its own. *)
 let toy m =
@@ -61,23 +51,23 @@ let toy m =
 let test_classification_exact () =
   let tool, m = run_guest toy in
   let p = Sigil.Tool.profile tool in
-  let s = Sigil.Profile.stats p (find_ctx m "main/consumer") in
+  let s = Sigil.Profile.stats p (Helpers.find_ctx m "main/consumer") in
   Alcotest.(check int) "input unique" 24 s.Sigil.Profile.input_unique;
   Alcotest.(check int) "input nonunique" 8 s.Sigil.Profile.input_nonunique;
   Alcotest.(check int) "local unique" 8 s.Sigil.Profile.local_unique;
   Alcotest.(check int) "local nonunique" 0 s.Sigil.Profile.local_nonunique;
   Alcotest.(check int) "written" 8 s.Sigil.Profile.written;
   Alcotest.(check int) "fp ops" 7 s.Sigil.Profile.fp_ops;
-  let sp = Sigil.Profile.stats p (find_ctx m "main/producer") in
+  let sp = Sigil.Profile.stats p (Helpers.find_ctx m "main/producer") in
   Alcotest.(check int) "producer writes" 16 sp.Sigil.Profile.written;
   Alcotest.(check int) "producer int ops" 5 sp.Sigil.Profile.int_ops
 
 let test_edges_exact () =
   let tool, m = run_guest toy in
   let snap = Sigil.Profile_io.snapshot_of_tool tool in
-  let consumer = find_ctx m "main/consumer" in
-  let producer = find_ctx m "main/producer" in
-  let main = find_ctx m "main" in
+  let consumer = Helpers.find_ctx m "main/consumer" in
+  let producer = Helpers.find_ctx m "main/producer" in
+  let main = Helpers.find_ctx m "main" in
   let edge src =
     List.find
       (fun (e : Sigil.Profile_io.edge) -> e.src = src && e.dst = consumer)
@@ -102,9 +92,9 @@ let test_reuse_bins_exact () =
 
 let test_event_log_structure () =
   let _, m, entries = run_events toy in
-  let consumer = find_ctx m "main/consumer" in
-  let producer = find_ctx m "main/producer" in
-  let main = find_ctx m "main" in
+  let consumer = Helpers.find_ctx m "main/consumer" in
+  let producer = Helpers.find_ctx m "main/producer" in
+  let main = Helpers.find_ctx m "main" in
   let xfers =
     List.filter_map
       (function
@@ -162,7 +152,7 @@ let test_same_function_cross_call_edge () =
             Dbi.Guest.write m a 8))
   in
   let tool, m, entries = run_events body in
-  let iter_ctx = find_ctx m "main/iter" in
+  let iter_ctx = Helpers.find_ctx m "main/iter" in
   let p = Sigil.Tool.profile tool in
   let s = Sigil.Profile.stats p iter_ctx in
   Alcotest.(check int) "classified local" 8 s.Sigil.Profile.local_unique;
@@ -224,7 +214,7 @@ let test_memory_limit_accuracy_loss () =
   let tool, m = run_guest ~options:Sigil.Options.(with_max_chunks default 2) body in
   Alcotest.(check bool) "evictions happened" true (Sigil.Tool.shadow_evictions tool > 0);
   (* the read of the evicted byte is misattributed to program input *)
-  let consumer = find_ctx m "main/consumer" in
+  let consumer = Helpers.find_ctx m "main/consumer" in
   let snap = Sigil.Profile_io.snapshot_of_tool tool in
   let into_consumer (e : Sigil.Profile_io.edge) = e.dst = consumer in
   match List.filter into_consumer (Sigil.Profile_io.edges snap) with
@@ -435,8 +425,8 @@ let test_events_allocation_bound () =
           name (events -. byte) !entries chunks bound)
     [ "canneal"; "dedup"; "vips"; "bodytrack" ]
 
-let () =
-  Alcotest.run "sigil_tool"
+let suite =
+  ( "sigil_tool",
     [
       ( "sigil_tool",
         [
@@ -455,4 +445,4 @@ let () =
           Alcotest.test_case "allocation bound" `Quick test_allocation_bound;
           Alcotest.test_case "events allocation bound" `Quick test_events_allocation_bound;
         ] );
-    ]
+    ] )

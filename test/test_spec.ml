@@ -1,6 +1,6 @@
 (* The tool against the Table I spec (sigil_spec.ml) on real workloads, and
-   the last-reader heuristic stated as a check. The generated guests are
-   in test_fuzz.ml. *)
+   the last-reader heuristic stated as a check. The generated guests
+   (guest_gen.ml) run against the spec in test_fuzz.ml. *)
 
 let small = Workloads.Scale.Simsmall
 
@@ -84,9 +84,9 @@ let test_root_work () =
           [ default; with_reuse default; with_events default; with_events (with_reuse default) ])
     [ 0; 10 ]
 
-let () =
+let suite =
   let open Sigil.Options in
-  Alcotest.run "spec"
+  ( "spec",
     [
       ( "spec",
         [
@@ -97,4 +97,4 @@ let () =
           Alcotest.test_case "alternating readers all unique" `Quick test_alternating_readers;
           Alcotest.test_case "root work after main" `Quick test_root_work;
         ] );
-    ]
+    ] )

@@ -70,8 +70,8 @@ let test_diff_many_order_independent () =
     (let c = Analysis.Compare.changed d12 in
      List.length c.paths + List.length c.edges)
 
-let () =
-  Alcotest.run "suite_determinism"
+let suite =
+  ( "suite_determinism",
     [
       ( "determinism",
         [
@@ -79,4 +79,4 @@ let () =
           Alcotest.test_case "Compare.diff_many order-independent" `Quick
             test_diff_many_order_independent;
         ] );
-    ]
+    ] )

@@ -49,8 +49,8 @@ let test_growth () =
   Alcotest.(check int) "count grows" 500 (Dbi.Symbol.count t);
   Alcotest.(check string) "late name intact" "fn499" (Dbi.Symbol.name t 499)
 
-let () =
-  Alcotest.run "symbol"
+let suite =
+  ( "symbol",
     [
       ( "symbol",
         [
@@ -63,4 +63,4 @@ let () =
           Alcotest.test_case "iter order" `Quick test_iter_order;
           Alcotest.test_case "table growth" `Quick test_growth;
         ] );
-    ]
+    ] )

@@ -7,20 +7,13 @@
 let snapshot =
   Alcotest.testable (fun ppf s -> Telemetry.pp ppf s) Telemetry.equal
 
-let find_workload name =
-  match Workloads.Suite.find name with Ok w -> w | Error e -> Alcotest.fail e
-
 let small = Workloads.Scale.Simsmall
 
 let run_stats ?(options = Sigil.Options.default) name =
   let options = Sigil.Options.with_stats options in
-  Driver.Stats.of_run (Driver.run_workload ~options (find_workload name) small)
+  Driver.Stats.of_run (Driver.run_workload ~options (Helpers.find_workload name) small)
 
 let geti = Telemetry.get_int
-
-let with_temp ext f =
-  let path = Filename.temp_file "sigil_telemetry" ext in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
 (* ---------------------------------------------------------------- *)
 (* Histogram bucketing                                              *)
@@ -200,15 +193,15 @@ let test_golden_dedup_evictions () =
 (* the trace writer buffers at most one chunk plus the entry that crossed
    the flush threshold, and every dispatched event becomes an entry *)
 let test_writer_buffer_bound () =
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let options = Sigil.Options.(with_stats (with_events default)) in
       let chunk_bytes = 4096 in
       let w = Tracefile.Writer.create ~chunk_bytes ~options path in
       let r =
         Driver.run_workload ~options ~event_sink:(Tracefile.Writer.sink w)
-          (find_workload "blackscholes") small
+          (Helpers.find_workload "blackscholes") small
       in
-      Tracefile.Writer.close w;
+      Tracefile.Writer.close_names Dbi.Names.empty w;
       let s =
         Telemetry.merge (Driver.Stats.of_run r)
           (Telemetry.of_samples (Tracefile.Writer.telemetry w))
@@ -232,7 +225,7 @@ let stats_specs = [ "blackscholes"; "canneal"; "dedup"; "streamcluster" ]
 let run_suite_stats pool =
   let options = Sigil.Options.(with_stats default) in
   Driver.run_many ?pool
-    (List.map (fun n -> Driver.job ~options (find_workload n) small) stats_specs)
+    (List.map (fun n -> Driver.job ~options (Helpers.find_workload n) small) stats_specs)
 
 let test_deterministic_j_invariance () =
   let sequential = run_suite_stats None in
@@ -262,7 +255,7 @@ let test_deterministic_j_invariance () =
    Sigil tool attached, without the snapshot assembly [Driver] adds when
    stats are on. *)
 let guest_run_minor_words options name =
-  let workload = find_workload name in
+  let workload = Helpers.find_workload name in
   let before = Gc.minor_words () in
   let _ =
     Dbi.Runner.run
@@ -277,7 +270,7 @@ let guest_run_minor_words options name =
 let test_stats_collection_is_inert () =
   List.iter
     (fun name ->
-      let run options = Driver.run_workload ~options (find_workload name) small in
+      let run options = Driver.run_workload ~options (Helpers.find_workload name) small in
       let off = run Sigil.Options.default in
       let on_ = run Sigil.Options.(with_stats default) in
       let check what = Alcotest.(check bool) (name ^ ": " ^ what) true in
@@ -299,8 +292,8 @@ let test_stats_collection_is_inert () =
         (guest_run_minor_words Sigil.Options.(with_stats default) name))
     [ "canneal"; "dedup"; "streamcluster" ]
 
-let () =
-  Alcotest.run "telemetry"
+let suite =
+  ( "telemetry",
     [
       ( "hist",
         [
@@ -330,4 +323,4 @@ let () =
           Alcotest.test_case "collection never perturbs the run" `Quick
             test_stats_collection_is_inert;
         ] );
-    ]
+    ] )

@@ -18,16 +18,7 @@ let small_guest m =
           Dbi.Guest.branch m true);
       Dbi.Guest.syscall m "write" ~reads:[ (a, 16) ] ~writes:[])
 
-let with_temp f =
-  let path = Filename.temp_file "dbi_trace" ".rec" in
-  let finally () = if Sys.file_exists path then Sys.remove path in
-  Fun.protect ~finally (fun () -> f path)
-
-let with_reader path f =
-  let r = Tracefile.Reader.open_file path in
-  Fun.protect ~finally:(fun () -> Tracefile.Reader.close r) (fun () -> f r)
-
-let replay ?(tools = []) path = with_reader path (Recording.replay ~tools)
+let replay ?(tools = []) path = Helpers.with_reader path (Recording.replay ~tools)
 
 (* A tool constructor that also hands the Sigil tool back. *)
 let sigil ?(options = Sigil.Options.default) cell m =
@@ -36,7 +27,7 @@ let sigil ?(options = Sigil.Options.default) cell m =
   Sigil.Tool.tool t
 
 let test_counters_reproduced () =
-  with_temp (fun path ->
+  Helpers.with_temp (fun path ->
       let original = Recording.record path small_guest in
       let replayed = replay path in
       let a = Dbi.Machine.counters original and b = Dbi.Machine.counters replayed in
@@ -50,22 +41,21 @@ let test_counters_reproduced () =
       Alcotest.(check int) "clock" (Dbi.Machine.now original) (Dbi.Machine.now replayed))
 
 let test_sigil_profile_reproduced () =
-  with_temp (fun path ->
+  Helpers.with_temp (fun path ->
       (* sigil attached live, next to the recorder, vs sigil driven from the
          recording *)
       let live = ref None and replayed = ref None in
       let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Recording path in
       let m = (Dbi.Runner.run ~tools:[ Recording.recorder w; sigil live ] small_guest).machine in
-      Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m) w;
+      Tracefile.Writer.close_names
+        (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m)) w;
       ignore (replay ~tools:[ sigil replayed ] path);
       let text t = Sigil.Profile_io.to_string (Option.get t) in
       Alcotest.(check string) "profiles identical" (text !live) (text !replayed))
 
 let test_workload_trace_roundtrip () =
-  with_temp (fun path ->
-      let w =
-        match Workloads.Suite.find "swaptions" with Ok w -> w | Error e -> Alcotest.fail e
-      in
+  Helpers.with_temp (fun path ->
+      let w = Helpers.find_workload "swaptions" in
       let original =
         Recording.record path (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall)
       in
@@ -91,7 +81,7 @@ let test_replay_identity_suite () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let run m = w.run m Workloads.Scale.Simsmall in
-      with_temp (fun path ->
+      Helpers.with_temp (fun path ->
           ignore (Recording.record path run);
           List.iter
             (fun (mode, options) ->
@@ -109,13 +99,13 @@ let write_recording ?(names = [| "main" |]) path records =
   let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Recording path in
   List.iter (Recording.add w) records;
   Tracefile.Writer.close_names { Dbi.Names.empty with symbols = names } w;
-  with_reader path (fun r ->
+  Helpers.with_reader path (fun r ->
       let offsets = ref [] in
       Recording.iter r (fun offset _ -> offsets := offset :: !offsets);
       (List.rev !offsets, Tracefile.Reader.data_end r))
 
 let test_spaced_names_roundtrip () =
-  with_temp (fun path ->
+  Helpers.with_temp (fun path ->
       ignore
         (write_recording ~names:[| "main"; "operator new" |] path
            [ Enter 0; Enter 1; Op (Int_op, 5); Leave; Leave ]);
@@ -148,7 +138,7 @@ let expected_offset (offsets, end_) = function Some i -> List.nth offsets i | No
 let test_malformed_rejected () =
   List.iter
     (fun (records, blamed, reason) ->
-      with_temp (fun path ->
+      Helpers.with_temp (fun path ->
           let where = write_recording path records in
           match replay path with
           | exception Tracefile.Frame.Corrupt c ->
@@ -159,7 +149,7 @@ let test_malformed_rejected () =
           | _ -> Alcotest.failf "accepted %s" reason))
     malformed;
   (* an undecodable record: an unknown tag *)
-  with_temp (fun path ->
+  Helpers.with_temp (fun path ->
       let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Recording path in
       Recording.add w (Enter 0);
       Tracefile.Writer.add_record w Tracefile.Varint.write 9;
@@ -172,7 +162,7 @@ let test_malformed_rejected () =
 (* A recording whose workload raises publishes nothing: neither the file
    nor its .tmp is left. *)
 let test_record_crash_safe () =
-  with_temp (fun path ->
+  Helpers.with_temp (fun path ->
       Sys.remove path;
       (match
          Recording.record path (fun m ->
@@ -189,7 +179,7 @@ let test_record_crash_safe () =
 let test_replay_malformed_cli () =
   List.iter
     (fun (records, blamed, reason) ->
-      with_temp (fun path ->
+      Helpers.with_temp (fun path ->
           let where = write_recording path records in
           let code, lines = Cli.stderr "sigil_trace" ("replay " ^ Filename.quote path) in
           Alcotest.(check int) "exit code" 2 code;
@@ -203,8 +193,8 @@ let test_replay_malformed_cli () =
             lines))
     malformed
 
-let () =
-  Alcotest.run "trace"
+let suite =
+  ( "trace",
     [
       ( "trace",
         [
@@ -217,4 +207,4 @@ let () =
           Alcotest.test_case "replay malformed on the CLI" `Quick test_replay_malformed_cli;
           Alcotest.test_case "replay identity over the suite" `Slow test_replay_identity_suite;
         ] );
-    ]
+    ] )

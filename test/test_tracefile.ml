@@ -7,10 +7,6 @@ open Sigil
 let entry =
   Alcotest.testable (fun ppf e -> Format.pp_print_string ppf (Event_log.entry_to_string e)) ( = )
 
-let with_temp ext f =
-  let path = Filename.temp_file "sigil_tracefile" ext in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
 let sample_entries =
   [
     Event_log.Comp { ctx = 0; call = 0; int_ops = 10; fp_ops = 0 };
@@ -106,31 +102,22 @@ let codec_roundtrip =
 let write_entries ?chunk_bytes entries path =
   let w = Tracefile.Writer.create ?chunk_bytes path in
   List.iter (Tracefile.Writer.add w) entries;
-  Tracefile.Writer.close w;
+  Tracefile.Writer.close_names Dbi.Names.empty w;
   w
 
-let read_entries path =
-  let r = Tracefile.Reader.open_file path in
-  Fun.protect
-    ~finally:(fun () -> Tracefile.Reader.close r)
-    (fun () ->
-      let acc = ref [] in
-      Tracefile.Reader.iter r (fun e -> acc := Event_log.copy e :: !acc);
-      List.rev !acc)
-
 let test_file_roundtrip () =
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let _w = write_entries sample_entries path in
-      Alcotest.(check (list entry)) "roundtrip" sample_entries (read_entries path))
+      Alcotest.(check (list entry)) "roundtrip" sample_entries (Helpers.read_entries path))
 
 let test_multichunk_roundtrip () =
   (* tiny chunks force many chunk boundaries; delta state must reset at
      each so every chunk decodes on its own *)
   let entries = List.concat (List.init 100 (fun _ -> sample_entries)) in
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let w = write_entries ~chunk_bytes:64 entries path in
       Alcotest.(check bool) "several chunks" true (Tracefile.Writer.chunks w > 5);
-      Alcotest.(check (list entry)) "roundtrip" entries (read_entries path);
+      Alcotest.(check (list entry)) "roundtrip" entries (Helpers.read_entries path);
       let r = Tracefile.Reader.open_file path in
       Fun.protect
         ~finally:(fun () -> Tracefile.Reader.close r)
@@ -143,9 +130,9 @@ let test_qcheck_file_roundtrip =
   QCheck.Test.make ~name:"file roundtrip (random logs, tiny chunks)" ~count:50
     (QCheck.list_of_size (QCheck.Gen.int_range 0 200) qcheck_entry)
     (fun entries ->
-      with_temp ".tf" (fun path ->
+      Helpers.with_temp ~ext:".tf" (fun path ->
           let _ = write_entries ~chunk_bytes:32 entries path in
-          read_entries path = entries))
+          Helpers.read_entries path = entries))
 
 (* ---------------------------------------------------------------- *)
 (* Corruption diagnostics                                           *)
@@ -159,7 +146,7 @@ let check_corrupt_at ~expected_offset f =
 
 let test_truncated_file () =
   let entries = List.concat (List.init 200 (fun _ -> sample_entries)) in
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let _ = write_entries ~chunk_bytes:128 entries path in
       let offsets =
         let r = Tracefile.Reader.open_file path in
@@ -172,7 +159,7 @@ let test_truncated_file () =
          index) vanish, so open must re-scan the framing and name the
          first incomplete chunk *)
       let data = In_channel.with_open_bin path In_channel.input_all in
-      with_temp ".tf" (fun cut_path ->
+      Helpers.with_temp ~ext:".tf" (fun cut_path ->
           Out_channel.with_open_bin cut_path (fun oc ->
               Out_channel.output_string oc (String.sub data 0 (last_offset + 20)));
           check_corrupt_at ~expected_offset:last_offset (fun () ->
@@ -180,7 +167,7 @@ let test_truncated_file () =
 
 let test_corrupted_crc () =
   let entries = List.concat (List.init 200 (fun _ -> sample_entries)) in
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let _ = write_entries ~chunk_bytes:128 entries path in
       let victim =
         let r = Tracefile.Reader.open_file path in
@@ -193,7 +180,7 @@ let test_corrupted_crc () =
       let data = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
       let target = victim + 16 + 3 (* inside chunk 2's payload *) in
       Bytes.set data target (Char.chr (Char.code (Bytes.get data target) lxor 0xff));
-      with_temp ".tf" (fun bad_path ->
+      Helpers.with_temp ~ext:".tf" (fun bad_path ->
           Out_channel.with_open_bin bad_path (fun oc ->
               Out_channel.output_bytes oc data);
           let r = Tracefile.Reader.open_file bad_path in
@@ -214,7 +201,7 @@ let test_corrupted_crc () =
    trailing garbage. Both the indexed read and the open-time walk of a
    file without its trailer name the cut record. *)
 let test_short_chunk_after_long () =
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let w = Tracefile.Writer.create ~chunk_bytes:60 path in
       let add s = Tracefile.Writer.add_record w Buffer.add_string s in
       for _ = 1 to 10 do
@@ -222,7 +209,7 @@ let test_short_chunk_after_long () =
       done;
       add "\x12\x00\x00\x05";
       add "\x12\x00\x00\xff";
-      Tracefile.Writer.close w;
+      Tracefile.Writer.close_names Dbi.Names.empty w;
       let offsets, data_end =
         let r = Tracefile.Reader.open_file path in
         Fun.protect
@@ -245,7 +232,7 @@ let test_short_chunk_after_long () =
           located "iter" (fun () -> Tracefile.Reader.iter r ignore);
           located "validate" (fun () -> Tracefile.Convert.validate r));
       let data = In_channel.with_open_bin path In_channel.input_all in
-      with_temp ".tf" (fun cut ->
+      Helpers.with_temp ~ext:".tf" (fun cut ->
           Out_channel.with_open_bin cut (fun oc ->
               Out_channel.output_string oc (String.sub data 0 data_end));
           located "open without a trailer" (fun () -> Tracefile.Reader.open_file cut)))
@@ -254,13 +241,13 @@ let test_short_chunk_after_long () =
    offset 0 for the reader and for every CLI that takes a trace, which
    exits 2 with one stderr line. *)
 let test_not_a_tracefile () =
-  with_temp ".txt" (fun path ->
+  Helpers.with_temp ~ext:".txt" (fun path ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "C 1 1\n");
       (match Tracefile.Reader.open_file path with
       | exception Tracefile.Frame.Corrupt { offset = 0; _ } -> ()
       | exception e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
       | _ -> Alcotest.fail "text file opened as tracefile");
-      with_temp ".out" (fun out ->
+      Helpers.with_temp ~ext:".out" (fun out ->
           Sys.remove out;
           let p = Filename.quote path in
           List.iter
@@ -318,7 +305,7 @@ let test_crafted_counts () =
   let tables ~symbols ~contexts = varints [ symbols ] ^ "\000" ^ varints [ contexts ] in
   List.iter
     (fun (what, tables, chunk_count) ->
-      with_temp ".tf" (fun path ->
+      Helpers.with_temp ~ext:".tf" (fun path ->
           let tables_offset = write_crafted_tail ~tables ~chunk_count path in
           check_corrupt_at ~expected_offset:tables_offset (fun () ->
               Tracefile.Reader.open_file path);
@@ -348,7 +335,7 @@ let test_crafted_counts () =
 let test_context_table_checked () =
   List.iter
     (fun (what, ctx_parent, ctx_fn) ->
-      with_temp ".tf" (fun path ->
+      Helpers.with_temp ~ext:".tf" (fun path ->
           let w = Tracefile.Writer.create path in
           List.iter (Tracefile.Writer.add w) sample_entries;
           Tracefile.Writer.close_names
@@ -384,7 +371,7 @@ let test_context_table_checked () =
    and a profile is not an event trace. Each mismatch is damage at the
    first chunk, on the API and on the CLI. *)
 let test_kind_mismatch () =
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let _ = write_entries sample_entries path in
       let r = Tracefile.Reader.open_file path in
       let first = List.hd (Tracefile.Reader.chunk_offsets r) in
@@ -392,7 +379,7 @@ let test_kind_mismatch () =
           Tracefile.Recording.replay ~tools:[] r);
       Tracefile.Reader.close r;
       check_corrupt_at ~expected_offset:first (fun () -> Tracefile.Profile_file.load path));
-  with_temp ".prof" (fun path ->
+  Helpers.with_temp ~ext:".prof" (fun path ->
       let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Profile path in
       Tracefile.Writer.add_record w (fun buf ints -> List.iter (Tracefile.Varint.write buf) ints)
         [ 1; 0; 0; 0; 0; 0; 0; 0; 0; 0 ];
@@ -403,7 +390,7 @@ let test_kind_mismatch () =
           ~finally:(fun () -> Tracefile.Reader.close r)
           (fun () -> List.hd (Tracefile.Reader.chunk_offsets r))
       in
-      check_corrupt_at ~expected_offset:first (fun () -> read_entries path);
+      check_corrupt_at ~expected_offset:first (fun () -> Helpers.read_entries path);
       let code, lines = Cli.stderr "sigil_critpath" ("--load " ^ Filename.quote path) in
       Alcotest.(check int) "critpath exit code" 2 code;
       Alcotest.(check (list string))
@@ -417,8 +404,8 @@ let test_kind_mismatch () =
 
 (* The dump is one entry_to_string line per entry, in trace order. *)
 let test_dump () =
-  with_temp ".tf" (fun tf ->
-      with_temp ".txt" (fun txt ->
+  Helpers.with_temp ~ext:".tf" (fun tf ->
+      Helpers.with_temp ~ext:".txt" (fun txt ->
           let _ = write_entries ~chunk_bytes:64 sample_entries tf in
           let n = Tracefile.Convert.binary_to_text tf txt in
           Alcotest.(check int) "entry count" (List.length sample_entries) n;
@@ -433,9 +420,6 @@ let test_dump () =
 (* Live runs: embedded tables, memory bound, size bound             *)
 (* ---------------------------------------------------------------- *)
 
-let find_workload name =
-  match Workloads.Suite.find name with Ok w -> w | Error e -> Alcotest.fail e
-
 (* A simsmall run's entries in trace order, collected through the tool's
    sink. *)
 let run_entries ~options name =
@@ -443,20 +427,21 @@ let run_entries ~options name =
   let _r =
     Driver.run_workload ~options
       ~event_sink:(fun e -> acc := Event_log.copy e :: !acc)
-      (find_workload name) Workloads.Scale.Simsmall
+      (Helpers.find_workload name) Workloads.Scale.Simsmall
   in
   List.rev !acc
 
 let test_embedded_tables () =
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let options = Sigil.Options.(with_events default) in
       let w = Tracefile.Writer.create ~options path in
       let r =
         Driver.run_workload ~options ~event_sink:(Tracefile.Writer.sink w)
-          (find_workload "blackscholes") Workloads.Scale.Simsmall
+          (Helpers.find_workload "blackscholes") Workloads.Scale.Simsmall
       in
       let m = r.Driver.machine in
-      Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m) w;
+      Tracefile.Writer.close_names
+        (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m)) w;
       let rd = Tracefile.Reader.open_file path in
       Fun.protect
         ~finally:(fun () -> Tracefile.Reader.close rd)
@@ -478,15 +463,15 @@ let test_embedded_tables () =
             | _ -> ())))
 
 let test_sink_memory_bound () =
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let options = Sigil.Options.(with_events default) in
       let chunk_bytes = 4096 in
       let w = Tracefile.Writer.create ~chunk_bytes ~options path in
       let _r =
         Driver.run_workload ~options ~event_sink:(Tracefile.Writer.sink w)
-          (find_workload "blackscholes") Workloads.Scale.Simsmall
+          (Helpers.find_workload "blackscholes") Workloads.Scale.Simsmall
       in
-      Tracefile.Writer.close w;
+      Tracefile.Writer.close_names Dbi.Names.empty w;
       Alcotest.(check bool) "entries flowed" true (Tracefile.Writer.entries w > 10_000);
       (* the writer may exceed the target only by the one entry that
          crossed the threshold *)
@@ -503,8 +488,8 @@ let test_dedup_size_ratio () =
   in
   let entries = run_entries ~options "dedup" in
   let size path = In_channel.with_open_bin path In_channel.length |> Int64.to_int in
-  with_temp ".txt" (fun txt ->
-      with_temp ".tf" (fun tf ->
+  Helpers.with_temp ~ext:".txt" (fun txt ->
+      Helpers.with_temp ~ext:".tf" (fun tf ->
           ignore (write_entries entries tf : Tracefile.Writer.t);
           ignore (Tracefile.Convert.binary_to_text tf txt : int);
           let ratio = float_of_int (size txt) /. float_of_int (size tf) in
@@ -535,17 +520,18 @@ let file_md5 path = Digest.to_hex (Digest.file path)
 let test_trace_goldens () =
   List.iter
     (fun (name, binary_md5, text_md5) ->
-      with_temp ".tf" (fun tf ->
-          with_temp ".txt" (fun txt ->
+      Helpers.with_temp ~ext:".tf" (fun tf ->
+          Helpers.with_temp ~ext:".txt" (fun txt ->
               let options = Sigil.Options.(with_events default) in
               let w = Tracefile.Writer.create ~options tf in
               let r =
                 Driver.run_workload ~options ~event_sink:(Tracefile.Writer.sink w)
-                  (find_workload name) Workloads.Scale.Simsmall
+                  (Helpers.find_workload name) Workloads.Scale.Simsmall
               in
               let m = r.Driver.machine in
-              Tracefile.Writer.close ~symbols:(Dbi.Machine.symbols m)
-                ~contexts:(Dbi.Machine.contexts m) w;
+              Tracefile.Writer.close_names
+                (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m))
+                w;
               ignore (Tracefile.Convert.binary_to_text tf txt : int);
               Alcotest.(check string) (name ^ " binary trace") binary_md5 (file_md5 tf);
               Alcotest.(check string) (name ^ " text log") text_md5 (file_md5 txt))))
@@ -598,10 +584,10 @@ let test_deep_nesting_roundtrip () =
   in
   Alcotest.(check int) "consumed all" (Bytes.length b) !pos;
   Alcotest.(check (list entry)) "codec roundtrip" entries decoded;
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let w = write_entries entries path in
       Alcotest.(check int) "one chunk" 1 (Tracefile.Writer.chunks w);
-      Alcotest.(check (list entry)) "file roundtrip" entries (read_entries path))
+      Alcotest.(check (list entry)) "file roundtrip" entries (Helpers.read_entries path))
 
 (* Words allocated straight in the major heap so far: major less promoted. *)
 let direct_major () =
@@ -617,7 +603,7 @@ let direct_major () =
 let test_writer_allocation_bound () =
   let options = Sigil.Options.(with_events default) in
   let entries = Array.of_list (run_entries ~options "canneal") in
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let w = Tracefile.Writer.create ~options path in
       let major = direct_major () in
       let before = Gc.minor_words () in
@@ -625,7 +611,7 @@ let test_writer_allocation_bound () =
         Tracefile.Writer.add w entries.(i)
       done;
       let words = Gc.minor_words () -. before in
-      Tracefile.Writer.close w;
+      Tracefile.Writer.close_names Dbi.Names.empty w;
       let major = direct_major () -. major in
       let per_entry = words /. float_of_int (Array.length entries) in
       if per_entry > 0.01 then
@@ -644,14 +630,14 @@ let test_writer_allocation_bound () =
    words per entry. Payloads go to one reused buffer: the pass allocates
    less than two chunks' worth of words straight in the major heap. *)
 let test_reader_allocation_bound () =
-  with_temp ".tf" (fun path ->
+  Helpers.with_temp ~ext:".tf" (fun path ->
       let options = Sigil.Options.(with_events default) in
       let w = Tracefile.Writer.create ~options path in
       let _r =
         Driver.run_workload ~options ~event_sink:(Tracefile.Writer.sink w)
-          (find_workload "canneal") Workloads.Scale.Simsmall
+          (Helpers.find_workload "canneal") Workloads.Scale.Simsmall
       in
-      Tracefile.Writer.close w;
+      Tracefile.Writer.close_names Dbi.Names.empty w;
       let rd = Tracefile.Reader.open_file path in
       Fun.protect
         ~finally:(fun () -> Tracefile.Reader.close rd)
@@ -696,7 +682,7 @@ let test_lend_contract () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let name = w.Workloads.Workload.name in
-      with_temp ".tf" (fun path ->
+      Helpers.with_temp ~ext:".tf" (fun path ->
           let options = Sigil.Options.(with_events default) in
           let wr = Tracefile.Writer.create ~options path in
           let kept = ref [] and printed = ref [] in
@@ -708,16 +694,16 @@ let test_lend_contract () =
                 Tracefile.Writer.add wr e)
               w Workloads.Scale.Simsmall
           in
-          Tracefile.Writer.close wr;
+          Tracefile.Writer.close_names Dbi.Names.empty wr;
           let printed = List.rev !printed in
           let strings = List.map Event_log.entry_to_string in
           check_stream (name ^ " kept copies") printed (strings (List.rev !kept));
-          check_stream (name ^ " decoded copies") printed (strings (read_entries path))))
+          check_stream (name ^ " decoded copies") printed (strings (Helpers.read_entries path))))
     Workloads.Suite.parsec
 
-let () =
+let suite =
   let qt = QCheck_alcotest.to_alcotest in
-  Alcotest.run "tracefile"
+  ( "tracefile",
     [
       ( "varint",
         [
@@ -756,4 +742,4 @@ let () =
           Alcotest.test_case "reader allocation bound" `Slow test_reader_allocation_bound;
           Alcotest.test_case "lend contract" `Slow test_lend_contract;
         ] );
-    ]
+    ] )

@@ -3,7 +3,7 @@
    future tuning cannot silently lose them. *)
 
 let reuse_run name =
-  let w = match Workloads.Suite.find name with Ok w -> w | Error e -> Alcotest.fail e in
+  let w = Helpers.find_workload name in
   let tool = ref None in
   let _ =
     Dbi.Runner.run
@@ -20,7 +20,7 @@ let reuse_run name =
 
 (* The workload runs inside the critical-path pass's stream. *)
 let parallelism name =
-  let w = match Workloads.Suite.find name with Ok w -> w | Error e -> Alcotest.fail e in
+  let w = Helpers.find_workload name in
   Analysis.Critpath.parallelism
     (Analysis.Critpath.analyze_stream (fun emit ->
          ignore
@@ -35,7 +35,7 @@ let parallelism name =
               (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall))))
 
 let paired_run name =
-  let w = match Workloads.Suite.find name with Ok w -> w | Error e -> Alcotest.fail e in
+  let w = Helpers.find_workload name in
   let sigil = ref None and cg = ref None in
   let _ =
     Dbi.Runner.run
@@ -139,7 +139,7 @@ let test_vips_lifetime_ordering () =
 
 (* raytrace: hot BVH ancestors give >1000-reuse lines (Fig 12) *)
 let test_raytrace_hot_lines () =
-  let w = match Workloads.Suite.find "raytrace" with Ok w -> w | Error e -> Alcotest.fail e in
+  let w = Helpers.find_workload "raytrace" in
   let tool = ref None in
   let _ =
     Dbi.Runner.run
@@ -178,8 +178,8 @@ let test_dedup_bottom_candidates () =
   Alcotest.(check bool) "write_file or adler32 in the worst four" true
     (List.mem "write_file" bottom || List.mem "adler32" bottom)
 
-let () =
-  Alcotest.run "workload_signatures"
+let suite =
+  ( "workload_signatures",
     [
       ( "signatures",
         [
@@ -197,4 +197,4 @@ let () =
           Alcotest.test_case "libquantum parallelism" `Quick test_libquantum_parallelism;
           Alcotest.test_case "dedup bottom candidates" `Slow test_dedup_bottom_candidates;
         ] );
-    ]
+    ] )

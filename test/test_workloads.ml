@@ -76,7 +76,7 @@ let test_signature_functions_present () =
 
 let test_sha1_two_contexts () =
   (* dedup's Table II rows: sha1 reached through two calling contexts *)
-  let w = match Workloads.Suite.find "dedup" with Ok w -> w | Error e -> Alcotest.fail e in
+  let w = Helpers.find_workload "dedup" in
   let m = run_native w in
   let contexts = Dbi.Machine.contexts m in
   let symbols = Dbi.Machine.symbols m in
@@ -109,8 +109,8 @@ let test_scale_parsing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted bad scale"
 
-let () =
-  Alcotest.run "workloads"
+let suite =
+  ( "workloads",
     [
       ( "workloads",
         [
@@ -123,4 +123,4 @@ let () =
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "scale parsing" `Quick test_scale_parsing;
         ] );
-    ]
+    ] )
