@@ -70,6 +70,17 @@ let paired_run name scale =
       Driver.run_workload ~options:(baseline_options name) ~with_callgrind:true (workload name)
         scale)
 
+(* The run's profile saved to a file and loaded back: Figs 7-11 and
+   Tables II/III analyse what a reader without Sigil gets. *)
+let saved_profile (run : Driver.run) =
+  let snap = Sigil.Profile_io.snapshot_of_tool ?callgrind:run.Driver.callgrind (Driver.sigil run) in
+  let path = Filename.temp_file "bench" ".profile" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Tracefile.Profile_file.save snap path;
+      Tracefile.Profile_file.load path)
+
 let native_time name scale =
   Driver.time_native (workload name) scale
 

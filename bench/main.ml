@@ -118,11 +118,7 @@ let fig4_5_6 () =
 (* ------------------------------------------------------------------ *)
 
 let trimmed name =
-  let run = paired_run name small in
-  let cg = Driver.callgrind run in
-  let self_cycles ctx = Callgrind.Estimate.cycles (Callgrind.Tool.cost cg ctx) in
-  Analysis.Partition.trim
-    (Analysis.Cdfg.of_snapshot ~self_cycles (Sigil.Profile_io.snapshot_of_tool (Driver.sigil run)))
+  Analysis.Partition.trim (Analysis.Cdfg.of_snapshot (saved_profile (paired_run name small)))
 
 let fig7_tables () =
   banner "Fig 7: coverage of the trimmed-calltree leaves";
@@ -167,8 +163,7 @@ let fig8_to_11 () =
   banner "Fig 8: breakdown of data bytes by re-use count (simsmall)";
   List.iter
     (fun name ->
-      let run = reuse_run name small in
-      let bd = Analysis.Reuse_report.byte_breakdown (Driver.sigil run) in
+      let bd = Analysis.Reuse_report.breakdown (saved_profile (reuse_run name small)) in
       pf "%-14s %s" name
         (Analysis.Table.stacked_bar
            [
@@ -178,9 +173,7 @@ let fig8_to_11 () =
            ]))
     parsec;
 
-  let vips = reuse_run "vips" small in
-  let tool = Driver.sigil vips in
-  let snap = Sigil.Profile_io.snapshot_of_tool tool in
+  let snap = saved_profile (reuse_run "vips" small) in
   banner "Fig 9: average re-use lifetimes of the top vips functions";
   print_string
     (Analysis.Table.bar_chart
@@ -188,12 +181,12 @@ let fig8_to_11 () =
        (List.map
           (fun (r : Analysis.Reuse_report.fn_row) ->
             (r.Analysis.Reuse_report.label, r.Analysis.Reuse_report.avg_lifetime))
-          (Analysis.Reuse_report.top_reusers ~n:8 tool)));
+          (Analysis.Reuse_report.top ~n:8 snap)));
 
   List.iter
     (fun (figure, fn) ->
       banner (Printf.sprintf "Fig %s: re-use lifetime distribution of %S in vips" figure fn);
-      let hist = Analysis.Reuse_report.lifetime_histogram_dominant tool snap fn in
+      let hist = Analysis.Reuse_report.lifetime_histogram_dominant snap fn in
       print_string
         (Analysis.Table.bar_chart
            ~fmt:(Printf.sprintf "%.0f")

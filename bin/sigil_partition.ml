@@ -7,16 +7,16 @@ let run name scale limit bus max_coverage callgrind_out =
   Cli_common.guard @@ fun () ->
   let workload = Cli_common.resolve name in
   let r = Driver.run_workload ~with_callgrind:true workload scale in
-  let cg = Driver.callgrind r in
+  let snap = Sigil.Profile_io.snapshot_of_tool ~callgrind:(Driver.callgrind r) (Driver.sigil r) in
   (match callgrind_out with
   | Some path ->
-    Callgrind.Output.save cg path;
+    Callgrind.Output.save (Sigil.Profile_io.names snap)
+      ~calls:(fun ctx -> (Sigil.Profile_io.stats snap ctx).calls)
+      (Option.get (Sigil.Profile_io.costs snap))
+      path;
     Format.printf "callgrind-format profile written to %s@." path
   | None -> ());
-  let self_cycles ctx = Callgrind.Estimate.cycles (Callgrind.Tool.cost cg ctx) in
-  let cdfg =
-    Analysis.Cdfg.of_snapshot ~self_cycles (Sigil.Profile_io.snapshot_of_tool (Driver.sigil r))
-  in
+  let cdfg = Analysis.Cdfg.of_snapshot snap in
   let trimmed = Analysis.Partition.trim ~bus_bytes_per_cycle:bus ~max_coverage cdfg in
   let ranked = Analysis.Partition.rank trimmed in
   Format.printf "== partitioning: %s (%s), bus %.1f B/cycle ==@." name

@@ -32,8 +32,7 @@ let run name scale limit fn_hist line_size =
   | None ->
     let options = Sigil.Options.(with_reuse default) in
     let r = Driver.run_workload ~options workload scale in
-    let tool = Driver.sigil r in
-    let snap = Sigil.Profile_io.snapshot_of_tool tool in
+    let snap = Sigil.Profile_io.snapshot_of_tool (Driver.sigil r) in
     List.iter
       (fun fn ->
         if Analysis.Reuse_report.find_contexts snap fn = [] then begin
@@ -41,7 +40,7 @@ let run name scale limit fn_hist line_size =
           exit 2
         end)
       fn_hist;
-    let bd = Analysis.Reuse_report.byte_breakdown tool in
+    let bd = Analysis.Reuse_report.breakdown snap in
     Format.printf "== data reuse: %s (%s) ==@." name (Workloads.Scale.name scale);
     Format.printf "data elements: %d@." bd.Analysis.Reuse_report.elements;
     Format.printf "re-use counts: zero %.1f%%  1-9 %.1f%%  >9 %.1f%%@.@."
@@ -58,7 +57,7 @@ let run name scale limit fn_hist line_size =
             string_of_int row.Analysis.Reuse_report.reuse_reads;
             Printf.sprintf "%.1f%%" (100.0 *. row.Analysis.Reuse_report.unique_share);
           ])
-        (Analysis.Reuse_report.top_reusers ~n:limit tool)
+        (Analysis.Reuse_report.top ~n:limit snap)
     in
     print_string
       (Analysis.Table.render
@@ -67,8 +66,8 @@ let run name scale limit fn_hist line_size =
     List.iter
       (fun fn ->
         Format.printf "@.re-use lifetime histogram for %s (bin %d):@." fn
-          (Sigil.Reuse.lifetime_bin_width (Sigil.Tool.reuse tool));
-        let hist = Analysis.Reuse_report.lifetime_histogram tool snap fn in
+          Sigil.Reuse.lifetime_bin_width;
+        let hist = Analysis.Reuse_report.lifetime_histogram snap fn in
         if hist = [] then Format.printf "  (no re-used bytes)@."
         else
           print_string

@@ -20,7 +20,7 @@ type t = {
 
 module P = Sigil.Profile_io
 
-let of_snapshot ?self_cycles snap =
+let of_snapshot snap =
   let n = P.count snap in
   let tin = Array.make n 0 and tout = Array.make n 0 in
   let clock = ref 0 in
@@ -52,8 +52,10 @@ let of_snapshot ?self_cycles snap =
   in
   let incl_ops = inclusive self_ops in
   let incl_cycles =
-    match self_cycles with
-    | Some cycles -> inclusive cycles
+    match P.costs snap with
+    | Some c ->
+      let cost = Callgrind.Output.cost c in
+      inclusive (fun ctx -> Callgrind.Estimate.cycles (cost ctx))
     | None -> incl_ops
   in
   (* Crossing-edge accumulation: an edge s->d contributes input to every
@@ -95,11 +97,7 @@ let of_snapshot ?self_cycles snap =
   in
   { nodes; preorder }
 
-let build ?callgrind tool =
-  let self_cycles =
-    Option.map (fun cg ctx -> Callgrind.Estimate.cycles (Callgrind.Tool.cost cg ctx)) callgrind
-  in
-  of_snapshot ?self_cycles (P.snapshot_of_tool tool)
+let build ?callgrind tool = of_snapshot (P.snapshot_of_tool ?callgrind tool)
 
 let node t ctx =
   if ctx < 0 || ctx >= Array.length t.nodes then invalid_arg "Cdfg.node: unknown context";

@@ -8,8 +8,8 @@
     discarded, edges crossing the box accumulate into the node's
     communication cost, and computation sums over the sub-tree.
 
-    When per-context cycle estimates from the same run are supplied, each
-    node also carries the estimated software cycles used as [t_sw] by
+    When the profile holds Callgrind's costs, each node also carries the
+    estimated software cycles ({!Callgrind.Estimate}) used as [t_sw] by
     partitioning. *)
 
 type node = {
@@ -29,17 +29,14 @@ type node = {
 
 type t
 
-(** [of_snapshot ?self_cycles snap] constructs the graph from a profile.
-    [self_cycles ctx] is the estimated cycles [ctx] spent itself; callers
-    build it from Callgrind's estimate of the same run, e.g.
-    [fun ctx -> Callgrind.Estimate.cycles (Callgrind.Tool.cost cg ctx)].
-    Without it, cycles are operation counts. *)
-val of_snapshot : ?self_cycles:(Dbi.Context.id -> int) -> Sigil.Profile_io.snapshot -> t
+(** [of_snapshot snap] constructs the graph from a profile. A context's
+    self cycles are Callgrind's estimate of its costs when [snap] holds
+    them, else its operation count. *)
+val of_snapshot : Sigil.Profile_io.snapshot -> t
 
-(** [build ?callgrind sigil_tool] is [of_snapshot] of the run's
-    {!Sigil.Profile_io.snapshot_of_tool}, with [callgrind]'s estimate as
-    the self cycles. [callgrind] must come from the same machine run (tool
-    attached alongside Sigil) so context ids agree. *)
+(** [build ?callgrind sigil_tool] is
+    [of_snapshot (Sigil.Profile_io.snapshot_of_tool ?callgrind sigil_tool)],
+    kept for perfbench, which partitions the live tools. *)
 val build : ?callgrind:Callgrind.Tool.t -> Sigil.Tool.t -> t
 
 val node : t -> Dbi.Context.id -> node

@@ -14,24 +14,21 @@ type fn_row = {
   unique_share : float;
 }
 
-let byte_breakdown tool =
-  let bins = Sigil.Reuse.version_bins (Sigil.Tool.reuse tool) in
-  let total = bins.Sigil.Reuse.zero + bins.Sigil.Reuse.low + bins.Sigil.Reuse.high in
-  if total = 0 then { zero = 0.; one_to_nine = 0.; over_nine = 0.; elements = 0 }
-  else
-    let f n = float_of_int n /. float_of_int total in
-    {
-      zero = f bins.Sigil.Reuse.zero;
-      one_to_nine = f bins.Sigil.Reuse.low;
-      over_nine = f bins.Sigil.Reuse.high;
-      elements = total;
-    }
-
 module P = Sigil.Profile_io
 
-let top_reusers ?(n = 10) tool =
-  let reuse = Sigil.Tool.reuse tool in
-  let snap = P.snapshot_of_tool tool in
+let summary snap =
+  match P.reuse snap with
+  | Some r -> r
+  | None -> invalid_arg "Reuse_report: the profile has no reuse summary"
+
+let breakdown snap =
+  let { Sigil.Reuse.zero; low; high } = Sigil.Reuse.version_bins (summary snap) in
+  let total = zero + low + high in
+  let f n = if total = 0 then 0. else float_of_int n /. float_of_int total in
+  { zero = f zero; one_to_nine = f low; over_nine = f high; elements = total }
+
+let top ?(n = 10) snap =
+  let reuse = summary snap in
   let unique_total = max 1 (fst (P.totals snap)) in
   let rows =
     List.filter_map
@@ -45,7 +42,8 @@ let top_reusers ?(n = 10) tool =
             {
               ctx;
               label = P.name snap ctx;
-              avg_lifetime = Sigil.Reuse.avg_lifetime reuse ctx;
+              (* a re-read makes its episode reused: reused_episodes > 0 *)
+              avg_lifetime = float_of_int r.lifetime_sum /. float_of_int r.reused_episodes;
               reuse_reads = r.Sigil.Reuse.reuse_reads;
               unique_bytes;
               unique_share = float_of_int unique_bytes /. float_of_int unique_total;
@@ -73,31 +71,24 @@ let find_contexts snap name =
   List.init (P.count snap) Fun.id
   |> List.filter (fun ctx -> ctx <> Dbi.Context.root && P.name snap ctx = name)
 
-let lifetime_histogram_dominant tool snap name =
-  let reuse = Sigil.Tool.reuse tool in
-  let best =
-    List.fold_left
-      (fun acc ctx ->
-        let r = Sigil.Reuse.fn_reuse reuse ctx in
-        match acc with
-        | Some (_, best_reads) when best_reads >= r.Sigil.Reuse.reuse_reads -> acc
-        | Some _ | None -> Some (ctx, r.Sigil.Reuse.reuse_reads))
-      None (find_contexts snap name)
-  in
-  match best with
-  | Some (ctx, _) -> Sigil.Reuse.histogram reuse ctx
-  | None -> []
+let lifetime_histogram_dominant snap name =
+  let reuse = summary snap in
+  let reads ctx = (Sigil.Reuse.fn_reuse reuse ctx).reuse_reads in
+  match find_contexts snap name with
+  | [] -> []
+  | c :: cs ->
+    let best = List.fold_left (fun best ctx -> if reads ctx > reads best then ctx else best) c cs in
+    Sigil.Reuse.histogram reuse best
 
-let lifetime_histogram tool snap name =
-  let reuse = Sigil.Tool.reuse tool in
-  let merged = Hashtbl.create 64 in
-  List.iter
-    (fun ctx ->
-      List.iter
-        (fun (bin, count) ->
-          match Hashtbl.find_opt merged bin with
-          | Some r -> r := !r + count
-          | None -> Hashtbl.add merged bin (ref count))
-        (Sigil.Reuse.histogram reuse ctx))
-    (find_contexts snap name);
-  List.sort compare (Hashtbl.fold (fun bin r acc -> (bin, !r) :: acc) merged [])
+(* the contexts' bins, sorted, with equal bins summed *)
+let lifetime_histogram snap name =
+  List.concat_map (Sigil.Reuse.histogram (summary snap)) (find_contexts snap name)
+  |> List.sort compare
+  |> List.fold_left
+       (fun acc (bin, n) ->
+         match acc with (b, m) :: rest when b = bin -> (b, m + n) :: rest | _ -> (bin, n) :: acc)
+       []
+  |> List.rev
+
+let byte_breakdown tool = breakdown (P.snapshot_of_tool tool)
+let top_reusers ?n tool = top ?n (P.snapshot_of_tool tool)

@@ -1,62 +1,78 @@
-let events =
-  [ "Ir"; "Dr"; "Dw"; "I1mr"; "D1mr"; "D1mw"; "ILmr"; "DLmr"; "DLmw"; "Bc"; "Bcm" ]
+let events = [| "Ir"; "Dr"; "Dw"; "I1mr"; "D1mr"; "D1mw"; "ILmr"; "DLmr"; "DLmw"; "Bc"; "Bcm" |]
 
-let cost_fields (c : Cost.t) =
-  [ c.Cost.ir; c.Cost.dr; c.Cost.dw; c.Cost.i1mr; c.Cost.d1mr; c.Cost.d1mw; c.Cost.ilmr;
-    c.Cost.dlmr; c.Cost.dlmw; c.Cost.bc; c.Cost.bcm ]
+type costs = {
+  columns : string array;
+  rows : int array array;
+}
 
-let pp_cost_line ppf line cost =
-  Format.fprintf ppf "%d" line;
-  List.iter (fun v -> Format.fprintf ppf " %d" v) (cost_fields cost);
-  Format.fprintf ppf "@."
+let row (c : Cost.t) =
+  Cost.[| c.ir; c.dr; c.dw; c.i1mr; c.d1mr; c.d1mw; c.ilmr; c.dlmr; c.dlmw; c.bc; c.bcm |]
+
+(* the columns are looked up once, at [cost t] *)
+let cost t =
+  let col name =
+    match Array.find_index (String.equal name) t.columns with
+    | Some i -> fun ctx -> t.rows.(ctx).(i)
+    | None -> fun _ -> 0
+  in
+  let ir = col "Ir" and dr = col "Dr" and dw = col "Dw" and i1mr = col "I1mr" in
+  let d1mr = col "D1mr" and d1mw = col "D1mw" and ilmr = col "ILmr" and dlmr = col "DLmr" in
+  let dlmw = col "DLmw" and bc = col "Bc" and bcm = col "Bcm" in
+  fun ctx : Cost.t ->
+    { ir = ir ctx; int_ops = 0; fp_ops = 0; dr = dr ctx; dw = dw ctx; d1mr = d1mr ctx;
+      d1mw = d1mw ctx; dlmr = dlmr ctx; dlmw = dlmw ctx; i1mr = i1mr ctx; ilmr = ilmr ctx;
+      bc = bc ctx; bcm = bcm ctx; calls = 0 }
 
 (* Context-qualified function name: callgrind distinguishes contexts with
    "name'ctx<N>" suffixes; we do the same for non-first contexts of a
    function. *)
-let fn_names machine =
-  let contexts = Dbi.Machine.contexts machine in
-  let table = Dbi.Names.make ~symbols:(Dbi.Machine.symbols machine) ~contexts in
+let fn_names names =
   let seen = Hashtbl.create 64 in
-  let names = Hashtbl.create 64 in
-  Dbi.Context.iter contexts (fun ctx ->
-      let base = Dbi.Names.name table ctx in
+  Array.init (Array.length names.Dbi.Names.parent) (fun ctx ->
+      let base = Dbi.Names.name names ctx in
       let k = match Hashtbl.find_opt seen base with Some k -> k + 1 | None -> 0 in
       Hashtbl.replace seen base k;
-      Hashtbl.replace names ctx (if k = 0 then base else Printf.sprintf "%s'ctx%d" base k));
-  names
+      if k = 0 then base else Printf.sprintf "%s'ctx%d" base k)
 
-let write tool ppf =
-  let machine = Tool.machine tool in
-  let contexts = Dbi.Machine.contexts machine in
-  let names = fn_names machine in
-  let name ctx = Hashtbl.find names ctx in
+let write names ~calls t ppf =
+  let name = fn_names names in
+  (* a context's parent is older than it: children and inclusive rows
+     accumulate from the youngest context up *)
+  let kids = Array.make (Array.length t.rows) [] and incl = Array.map Array.copy t.rows in
+  for ctx = Array.length t.rows - 1 downto 1 do
+    let parent = names.Dbi.Names.parent.(ctx) in
+    kids.(parent) <- ctx :: kids.(parent);
+    Array.iteri (fun i v -> incl.(parent).(i) <- incl.(parent).(i) + v) incl.(ctx)
+  done;
+  let pp_cost_line line row =
+    Format.fprintf ppf "%d" line;
+    Array.iter (fun v -> Format.fprintf ppf " %d" v) row;
+    Format.fprintf ppf "@."
+  in
   Format.fprintf ppf "# callgrind format@.";
   Format.fprintf ppf "version: 1@.";
   Format.fprintf ppf "creator: sigil-ocaml@.";
   Format.fprintf ppf "positions: line@.";
-  Format.fprintf ppf "events: %s@." (String.concat " " events);
+  Format.fprintf ppf "events: %s@." (String.concat " " (Array.to_list t.columns));
   Format.fprintf ppf "@.";
   let rec visit ctx =
-    let self = Tool.cost tool ctx in
     Format.fprintf ppf "fl=<guest>@.";
-    Format.fprintf ppf "fn=%s@." (name ctx);
-    pp_cost_line ppf (ctx + 1) self;
+    Format.fprintf ppf "fn=%s@." name.(ctx);
+    pp_cost_line (ctx + 1) t.rows.(ctx);
     List.iter
       (fun child ->
-        let incl = Tool.inclusive_cost tool child in
-        let calls = (Tool.cost tool child).Cost.calls in
         Format.fprintf ppf "cfl=<guest>@.";
-        Format.fprintf ppf "cfn=%s@." (name child);
-        Format.fprintf ppf "calls=%d %d@." (max 1 calls) (child + 1);
-        pp_cost_line ppf (ctx + 1) incl)
-      (Dbi.Context.children contexts ctx);
+        Format.fprintf ppf "cfn=%s@." name.(child);
+        Format.fprintf ppf "calls=%d %d@." (max 1 (calls child)) (child + 1);
+        pp_cost_line (ctx + 1) incl.(child))
+      kids.(ctx);
     Format.fprintf ppf "@.";
-    List.iter visit (Dbi.Context.children contexts ctx)
+    List.iter visit kids.(ctx)
   in
   visit Dbi.Context.root
 
-let save tool path =
+let save names ~calls t path =
   Dbi.Atomic_file.write path (fun oc ->
       let ppf = Format.formatter_of_out_channel oc in
-      write tool ppf;
+      write names ~calls t ppf;
       Format.pp_print_flush ppf ())

@@ -1,18 +1,32 @@
-(** Callgrind output-file writer.
+(** Callgrind's part of a profile: per-context costs in named columns, and
+    the callgrind output format rendered from them.
 
-    Serializes a finished run in the callgrind profile format (the format
-    callgrind_annotate and KCachegrind read): an [events:] header naming
-    the counters, one [fn=] block per calling context with its self cost
-    line, and [cfn=]/[calls=] records for every call edge with the
-    callee's inclusive cost. Positions are synthetic (one "line" per
-    context) since guests have no source files. *)
+    The format is the one callgrind_annotate and KCachegrind read: an
+    [events:] header naming the counters, one [fn=] block per calling
+    context with its self cost line, and [cfn=]/[calls=] records for every
+    call edge with the callee's inclusive cost. Positions are synthetic
+    (one "line" per context) since guests have no source files. *)
 
-(** The event counters written, in column order. *)
-val events : string list
+(** The event counters of a live run's table, in column order. *)
+val events : string array
 
-(** [write tool ppf] emits the profile. *)
-val write : Tool.t -> Format.formatter -> unit
+(** Self costs by context: [rows.(ctx)] holds one value per column. *)
+type costs = {
+  columns : string array;
+  rows : int array array;
+}
 
-(** [save tool path] writes to a file crash-safely, through
-    [Dbi.Atomic_file.write]. *)
-val save : Tool.t -> string -> unit
+(** [row c] is [c] in the columns {!events}. *)
+val row : Cost.t -> int array
+
+(** [cost t ctx] is row [ctx] by column name (0 for a missing column);
+    [cost t] looks the columns up once, for any number of contexts. *)
+val cost : costs -> Dbi.Context.id -> Cost.t
+
+(** [write names ~calls t ppf] emits the profile of the run whose context
+    tree is [names]; [calls ctx] is the number of times [ctx] was entered. *)
+val write : Dbi.Names.t -> calls:(Dbi.Context.id -> int) -> costs -> Format.formatter -> unit
+
+(** [save names ~calls t path] writes {!write}'s output to a file
+    crash-safely, through [Dbi.Atomic_file.write]. *)
+val save : Dbi.Names.t -> calls:(Dbi.Context.id -> int) -> costs -> string -> unit

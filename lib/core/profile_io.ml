@@ -30,13 +30,16 @@ type snapshot = {
   out_unique : int array;
   in_total : int array;
   in_unique : int array;
+  costs : Callgrind.Output.costs option;
+  reuse : Reuse.t option;
 }
 
-let make ~(names : Dbi.Names.t) ~contexts ~edges =
+let make ~(names : Dbi.Names.t) ~contexts ~edges ~costs ~reuse =
   let in_table s =
     if s.ctx < 0 || s.ctx >= Array.length names.parent then
       invalid_arg (Printf.sprintf "Profile_io.make: context %d is not in the names table" s.ctx);
-    { s with parent = names.parent.(s.ctx); fn = names.fn.(s.ctx) }
+    let parent = names.parent.(s.ctx) and fn = names.fn.(s.ctx) in
+    if s.parent = parent && s.fn = fn then s else { s with parent; fn }
   in
   let contexts = List.map in_table contexts in
   let by_ctx = Array.of_list contexts in
@@ -66,9 +69,11 @@ let make ~(names : Dbi.Names.t) ~contexts ~edges =
     out_unique;
     in_total;
     in_unique;
+    costs;
+    reuse;
   }
 
-let snapshot_of_tool tool =
+let snapshot_of_tool ?callgrind tool =
   let machine = Tool.machine tool in
   let profile = Tool.profile tool in
   let contexts = Dbi.Machine.contexts machine in
@@ -78,8 +83,8 @@ let snapshot_of_tool tool =
     let stats =
       {
         ctx;
-        parent = -1;
-        fn = -1;
+        parent = names.parent.(ctx);
+        fn = names.fn.(ctx);
         calls = s.Profile.calls;
         input_unique = s.Profile.input_unique;
         input_nonunique = s.Profile.input_nonunique;
@@ -103,7 +108,15 @@ let snapshot_of_tool tool =
         })
       (Profile.edges profile)
   in
+  (* the accumulator is finished: the snapshot shares it, copying no histogram *)
+  let reuse = if (Tool.options tool).Options.reuse_mode then Some (Tool.reuse tool) else None in
+  let costs cg =
+    let row ctx = Callgrind.Output.row (Callgrind.Tool.cost cg ctx) in
+    let rows = Array.init (Dbi.Context.count contexts) row in
+    { Callgrind.Output.columns = Callgrind.Output.events; rows }
+  in
   make ~names ~contexts:(List.rev (visit [] Dbi.Context.root)) ~edges:(List.sort compare edges)
+    ~costs:(Option.map costs callgrind) ~reuse
 
 let render snap =
   let buf = Buffer.create 4096 in
@@ -122,6 +135,8 @@ let render snap =
 
 let to_string tool = render (snapshot_of_tool tool)
 let names snap = snap.names
+let costs snap = snap.costs
+let reuse snap = snap.reuse
 
 let fn_name snap fn = Dbi.Names.fn_name snap.names fn
 let count snap = Array.length snap.by_ctx

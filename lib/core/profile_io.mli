@@ -5,13 +5,14 @@
     commonly used benchmarks... researchers can use the data without
     running Sigil". A {!snapshot} is that data: a finished run's symbol
     table, calling-context tree, per-context aggregates and communication
-    edges, inspectable without a machine or a re-run. Every report and
-    analysis reads a snapshot, whether {!snapshot_of_tool} took it from a
-    live run or [Tracefile.Profile_file.load] read it from disk, so the
-    two give the same output. It is saved and loaded as a profile section
-    of the binary trace container ([Tracefile.Profile_file],
-    docs/FORMATS.md §6); {!render} is its text dump, which nothing parses
-    back:
+    edges and, when the run had them, Callgrind's per-context costs and
+    the reuse summary, inspectable without a machine or a re-run. Every
+    report and analysis reads a snapshot, whether {!snapshot_of_tool}
+    took it from a live run or [Tracefile.Profile_file.load] read it from
+    disk, so the two give the same output. It is saved and loaded as a
+    profile section of the binary trace container
+    ([Tracefile.Profile_file], docs/FORMATS.md §3); {!render} is its text
+    dump of the Sigil part, which nothing parses back:
     {v
  sigil-profile 1
  S <fn-id> <name>                         symbols
@@ -42,19 +43,24 @@ type edge = {
 
 type snapshot
 
-(** [snapshot_of_tool tool] captures a finished run's profile. *)
-val snapshot_of_tool : Tool.t -> snapshot
+(** [snapshot_of_tool ?callgrind tool] captures a finished run's profile,
+    with the costs of [callgrind] (attached to the same machine) and, in
+    reuse mode, [tool]'s reuse accumulator, shared and not copied. *)
+val snapshot_of_tool : ?callgrind:Callgrind.Tool.t -> Tool.t -> snapshot
 
-(** [make ~names ~contexts ~edges] is the snapshot of the run whose
-    function names and context tree are [names], with [contexts] in
-    preorder and [edges]; a loader builds one from a saved profile. Each
+(** [make ~names ~contexts ~edges ~costs ~reuse] is the snapshot of the
+    run whose function names and context tree are [names], with [contexts]
+    in preorder, [edges], and Callgrind's costs and the reuse summary when
+    the run had them; a loader builds one from a saved profile. Each
     context's [parent] and [fn] are taken from [names], whatever the
     record holds. Per-context lookups, children and edge sums are computed
     here, once.
 
     @raise Invalid_argument unless every context id is in [names] and the
     ids are [0 .. n-1], each once, and every edge names one of them. *)
-val make : names:Dbi.Names.t -> contexts:ctx_stats list -> edges:edge list -> snapshot
+val make :
+  names:Dbi.Names.t -> contexts:ctx_stats list -> edges:edge list ->
+  costs:Callgrind.Output.costs option -> reuse:Reuse.t option -> snapshot
 
 (** [render snap] is the text dump above. The rendering is canonical
     (symbols by id, preorder contexts, sorted edges), so two runs are
@@ -69,6 +75,13 @@ val to_string : Tool.t -> string
 
 (** The run's function names and context tree. *)
 val names : snapshot -> Dbi.Names.t
+
+(** Callgrind's self costs by context, when the run had Callgrind. *)
+val costs : snapshot -> Callgrind.Output.costs option
+
+(** The reuse summary (version bins, and each context's episode counts
+    and lifetime histogram), when the run was in reuse mode. *)
+val reuse : snapshot -> Reuse.t option
 
 (** [fn_name snap fn] is [Dbi.Names.fn_name]: ["<root>"] for [-1]. *)
 val fn_name : snapshot -> int -> string

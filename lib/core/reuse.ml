@@ -27,7 +27,7 @@ type t = {
 }
 
 (* the paper's "Bin size: 1000" *)
-let lifetime_bin = 1000
+let lifetime_bin_width = 1000
 
 let create () = { cells = Array.make 256 None; zero = 0; low = 0; high = 0 }
 
@@ -59,7 +59,7 @@ let sink t : Shadow.sink =
           c.reused_episodes <- c.reused_episodes + 1;
           c.reuse_reads <- c.reuse_reads + (reads - 1);
           c.lifetime_sum <- c.lifetime_sum + lifetime;
-          let bin = lifetime / lifetime_bin * lifetime_bin in
+          let bin = lifetime / lifetime_bin_width * lifetime_bin_width in
           match Hashtbl.find c.hist bin with
           | r -> incr r
           | exception Not_found -> Hashtbl.add c.hist bin (ref 1)
@@ -84,11 +84,6 @@ let fn_reuse t ctx =
     | None -> { episodes = 0; reused_episodes = 0; reuse_reads = 0; lifetime_sum = 0 }
   else { episodes = 0; reused_episodes = 0; reuse_reads = 0; lifetime_sum = 0 }
 
-let avg_lifetime t ctx =
-  let r = fn_reuse t ctx in
-  if r.reused_episodes = 0 then 0.0
-  else float_of_int r.lifetime_sum /. float_of_int r.reused_episodes
-
 let histogram t ctx =
   if ctx >= Array.length t.cells then []
   else
@@ -109,4 +104,15 @@ let contexts t =
   done;
   !acc
 
-let lifetime_bin_width _ = lifetime_bin
+let restore (bins : version_bins) rows =
+  let t = { (create ()) with zero = bins.zero; low = bins.low; high = bins.high } in
+  List.iter
+    (fun (ctx, (r : fn_reuse), hist) ->
+      let c = cell t ctx in
+      c.episodes <- r.episodes;
+      c.reused_episodes <- r.reused_episodes;
+      c.reuse_reads <- r.reuse_reads;
+      c.lifetime_sum <- r.lifetime_sum;
+      List.iter (fun (bin, n) -> Hashtbl.replace c.hist bin (ref n)) hist)
+    rows;
+  t

@@ -26,17 +26,16 @@ type version_bins = {
   high : int; (** more than 9 *)
 }
 
-(** [create ()] starts an empty accumulator. Lifetime histograms use the
-    paper's "Bin size: 1000". *)
+(** [create ()] starts an empty accumulator. *)
 val create : unit -> t
+
+(** [restore bins rows] is the finished accumulator of a saved profile:
+    {!version_bins} [bins], and [(ctx, fn_reuse, histogram)] [rows]. *)
+val restore : version_bins -> (Dbi.Context.id * fn_reuse * (int * int) list) list -> t
 
 val sink : t -> Shadow.sink
 
 val fn_reuse : t -> Dbi.Context.id -> fn_reuse
-
-(** [avg_lifetime t ctx] is the average re-use lifetime of a re-used byte
-    in [ctx] (0 when nothing was re-used). *)
-val avg_lifetime : t -> Dbi.Context.id -> float
 
 (** [histogram t ctx] lists [(bin_start, count)] ascending; a lifetime [l]
     falls in the bin starting at [l / width * width]. *)
@@ -47,4 +46,6 @@ val version_bins : t -> version_bins
 (** Contexts with at least one closed episode, ascending. *)
 val contexts : t -> Dbi.Context.id list
 
-val lifetime_bin_width : t -> int
+(** The width of a lifetime histogram's bins: the paper's "Bin size:
+    1000". *)
+val lifetime_bin_width : int

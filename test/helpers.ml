@@ -6,7 +6,10 @@
    width, and exits 1 when any of them failed. A first argument that names
    one of the suites runs that suite alone and passes the rest of the
    command line to alcotest: [dune exec test/cache_tests.exe -- fuzz test
-   fuzz 3]. *)
+   fuzz 3]. Alcotest's own [test NAME_REGEX [TESTCASES]] exits after the
+   first run and rejects a run whose tests it skips entirely, so that
+   filter is applied here, to every suite: a suite with no matching test
+   is left out, and a filter no test of any suite matches exits 1. *)
 let run suites =
   let argv, suites =
     match Array.to_list Sys.argv with
@@ -14,10 +17,45 @@ let run suites =
       (Array.of_list (exe :: rest), [ (name, List.assoc name suites) ])
     | _ -> (Sys.argv, suites)
   in
+  let argv, filter =
+    match Array.to_list argv with
+    | exe :: "test" :: regex :: rest ->
+      (* TESTCASES is "4,6-10,19", with "-" or ".." in a range *)
+      let cases, rest =
+        match rest with c :: r when c <> "" && c.[0] <> '-' -> ([ c ], r) | _ -> ([], rest)
+      in
+      let dash = Re.compile (Re.alt [ Re.char '-'; Re.str ".." ]) in
+      let in_range i r =
+        match List.map int_of_string (Re.split dash r) with
+        | [ a; b ] -> a <= i && i <= b
+        | _ -> int_of_string r = i
+      in
+      let name = Re.execp (Re.compile (Re.Pcre.re regex)) in
+      let index i =
+        List.for_all (fun c -> List.exists (in_range i) (String.split_on_char ',' c)) cases
+      in
+      let filter ~name:n ~index:i = if name n && index i then `Run else `Skip in
+      (Array.of_list (exe :: rest), Some (String.concat " " (regex :: cases), filter))
+    | _ -> (argv, None)
+  in
+  let suites =
+    match filter with
+    | None -> suites
+    | Some (described, f) ->
+      let matches (group, tests) =
+        List.exists (fun i -> f ~name:group ~index:i = `Run) (List.init (List.length tests) Fun.id)
+      in
+      let kept = List.filter (fun (_, groups) -> List.exists matches groups) suites in
+      if kept = [] then (
+        prerr_endline ("no test matches the filter " ^ described);
+        exit 1);
+      kept
+  in
+  let filter = Option.map snd filter in
   let failed =
     List.filter
       (fun (name, groups) ->
-        match Alcotest.run ~and_exit:false ~argv name groups with
+        match Alcotest.run ~and_exit:false ?filter ~argv name groups with
         | () -> false
         | exception Alcotest.Test_error -> true)
       suites

@@ -374,7 +374,7 @@ let compare_profile t tool =
   Result.map_error (( ^ ) "edge (src dst bytes unique) ") (first_diff 0 ints tool_edges spec_edges)
 
 let compare_reuse t tool =
-  let r = Sigil.Tool.reuse tool in
+  let r = Option.get (Sigil.Profile_io.reuse (Sigil.Profile_io.snapshot_of_tool tool)) in
   let bins = Sigil.Reuse.version_bins r in
   let* () =
     if [ bins.zero; bins.low; bins.high ] = [ t.zero; t.low; t.high ] then Ok ()

@@ -133,8 +133,8 @@ let test_vips_reuse_contrast () =
       (conv.Analysis.Reuse_report.avg_lifetime > 20.0 *. xyz.Analysis.Reuse_report.avg_lifetime)
   | _ -> Alcotest.fail "expected conv_gen and imb_XYZ2Lab among top reusers");
   let snap = Sigil.Profile_io.snapshot_of_tool sigil in
-  let h_conv = Analysis.Reuse_report.lifetime_histogram sigil snap "conv_gen" in
-  let h_xyz = Analysis.Reuse_report.lifetime_histogram sigil snap "imb_XYZ2Lab" in
+  let h_conv = Analysis.Reuse_report.lifetime_histogram snap "conv_gen" in
+  let h_xyz = Analysis.Reuse_report.lifetime_histogram snap "imb_XYZ2Lab" in
   let max_bin h = List.fold_left (fun acc (b, _) -> max acc b) 0 h in
   Alcotest.(check bool) "conv_gen long tail" true (max_bin h_conv > 10 * max_bin h_xyz);
   Alcotest.(check bool) "xyz2lab peaks at zero" true

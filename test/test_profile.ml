@@ -56,6 +56,7 @@ let test_edges_aggregate () =
              let bytes = e.bytes and unique_bytes = e.unique_bytes in
              { Profile_io.src = e.src; dst = e.dst; bytes; unique_bytes })
            (Profile.edges p))
+      ~costs:None ~reuse:None
   in
   Alcotest.(check (pair int int)) "input bytes of 1" (20, 12) (Profile_io.input_bytes snap 1);
   Alcotest.(check (pair int int)) "output bytes of 2" (16, 8) (Profile_io.output_bytes snap 2);
@@ -69,13 +70,16 @@ let test_make_needs_the_table () =
     { Profile_io.ctx; parent = -1; fn = -1; calls = 0; input_unique = 0; input_nonunique = 0;
       local_unique = 0; local_nonunique = 0; written = 0; int_ops = 0; fp_ops = 0 }
   in
-  let snap = Profile_io.make ~names:four_contexts ~contexts:(List.init 4 context) ~edges:[] in
+  let snap = Profile_io.make ~names:four_contexts ~contexts:(List.init 4 context) ~edges:[]
+      ~costs:None ~reuse:None in
   Alcotest.(check (list int)) "parents from the table" [ -1; 0; 0; 0 ]
     (List.map (fun (s : Profile_io.ctx_stats) -> s.parent) (Profile_io.contexts snap));
   Alcotest.(check string) "path from the table" "h" (Profile_io.path snap 3);
   Alcotest.check_raises "context outside the table"
     (Invalid_argument "Profile_io.make: context 4 is not in the names table") (fun () ->
-      ignore (Profile_io.make ~names:four_contexts ~contexts:(List.init 5 context) ~edges:[]))
+      ignore
+        (Profile_io.make ~names:four_contexts ~contexts:(List.init 5 context) ~edges:[]
+           ~costs:None ~reuse:None))
 
 let test_local_reads_make_no_edges () =
   let p = Profile.create () in

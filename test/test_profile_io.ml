@@ -228,7 +228,7 @@ let test_diff_sees_edges () =
   let live = Sigil.Profile_io.snapshot_of_tool (run_guest toy) in
   let no_edges =
     Sigil.Profile_io.make ~names:(Sigil.Profile_io.names live)
-      ~contexts:(Sigil.Profile_io.contexts live) ~edges:[]
+      ~contexts:(Sigil.Profile_io.contexts live) ~edges:[] ~costs:None ~reuse:None
   in
   Helpers.with_temp (fun a ->
       Helpers.with_temp (fun b ->

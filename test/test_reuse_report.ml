@@ -97,9 +97,8 @@ let test_context_labels_bodytrack () =
 let test_lifetime_histogram_canneal () =
   let tool = Lazy.force canneal in
   let snap = Sigil.Profile_io.snapshot_of_tool tool in
-  Alcotest.(check int) "bin width" 1000
-    (Sigil.Reuse.lifetime_bin_width (Sigil.Tool.reuse tool));
-  let hist = Analysis.Reuse_report.lifetime_histogram tool snap "annealer_thread::Run" in
+  Alcotest.(check int) "bin width" 1000 Sigil.Reuse.lifetime_bin_width;
+  let hist = Analysis.Reuse_report.lifetime_histogram snap "annealer_thread::Run" in
   Alcotest.(check int) "bin count" 1457 (List.length hist);
   Alcotest.(check int) "total reused bytes" 92_160
     (List.fold_left (fun acc (_, c) -> acc + c) 0 hist);
@@ -111,7 +110,7 @@ let test_lifetime_histogram_canneal () =
   Alcotest.(check int) "single context" 1
     (List.length (Analysis.Reuse_report.find_contexts snap "annealer_thread::Run"));
   Alcotest.(check (list (pair int int))) "dominant = merged for one context" hist
-    (Analysis.Reuse_report.lifetime_histogram_dominant tool snap "annealer_thread::Run")
+    (Analysis.Reuse_report.lifetime_histogram_dominant snap "annealer_thread::Run")
 
 let test_lifetime_histogram_bodytrack () =
   let tool = Lazy.force bodytrack in
@@ -121,17 +120,17 @@ let test_lifetime_histogram_bodytrack () =
     (List.length (Analysis.Reuse_report.find_contexts snap fn));
   Alcotest.(check (list (pair int int))) "merged histogram sums both contexts"
     [ (16_000, 13_824) ]
-    (Analysis.Reuse_report.lifetime_histogram tool snap fn);
+    (Analysis.Reuse_report.lifetime_histogram snap fn);
   Alcotest.(check (list (pair int int))) "dominant context alone" [ (16_000, 12_288) ]
-    (Analysis.Reuse_report.lifetime_histogram_dominant tool snap fn)
+    (Analysis.Reuse_report.lifetime_histogram_dominant snap fn)
 
 let test_unknown_function () =
   let tool = Lazy.force canneal in
   let snap = Sigil.Profile_io.snapshot_of_tool tool in
   Alcotest.(check (list (pair int int))) "unknown function: empty histogram" []
-    (Analysis.Reuse_report.lifetime_histogram tool snap "no_such_function");
+    (Analysis.Reuse_report.lifetime_histogram snap "no_such_function");
   Alcotest.(check (list (pair int int))) "unknown function: empty dominant" []
-    (Analysis.Reuse_report.lifetime_histogram_dominant tool snap "no_such_function");
+    (Analysis.Reuse_report.lifetime_histogram_dominant snap "no_such_function");
   Alcotest.(check bool) "unknown function: no contexts" true
     (Analysis.Reuse_report.find_contexts snap "no_such_function" = [])
 

@@ -2,22 +2,6 @@
    paper reports for its namesake. These tests pin those signatures so
    future tuning cannot silently lose them. *)
 
-let reuse_run name =
-  let w = Helpers.find_workload name in
-  let tool = ref None in
-  let _ =
-    Dbi.Runner.run
-      ~tools:
-        [
-          (fun m ->
-            let t = Sigil.Tool.create ~options:Sigil.Options.(with_reuse default) m in
-            tool := Some t;
-            Sigil.Tool.tool t);
-        ]
-      (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall)
-  in
-  Option.get !tool
-
 (* The workload runs inside the critical-path pass's stream. *)
 let parallelism name =
   let w = Helpers.find_workload name in
@@ -34,28 +18,39 @@ let parallelism name =
                 ]
               (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall))))
 
-let paired_run name =
-  let w = Helpers.find_workload name in
-  let sigil = ref None and cg = ref None in
-  let _ =
-    Dbi.Runner.run
-      ~tools:
-        [
-          (fun m ->
-            let t = Sigil.Tool.create m in
-            sigil := Some t;
-            Sigil.Tool.tool t);
-          (fun m ->
-            let t = Callgrind.Tool.create m in
-            cg := Some t;
-            Callgrind.Tool.tool t);
-        ]
-      (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall)
-  in
-  (Option.get !sigil, Option.get !cg)
+(* One run per workload, Sigil in reuse mode beside Callgrind, shared by
+   every case below. *)
+let runs = Hashtbl.create 16
+
+let run name =
+  match Hashtbl.find_opt runs name with
+  | Some r -> r
+  | None ->
+    let w = Helpers.find_workload name in
+    let sigil = ref None and cg = ref None in
+    let _ =
+      Dbi.Runner.run
+        ~tools:
+          [
+            (fun m ->
+              let t = Sigil.Tool.create ~options:Sigil.Options.(with_reuse default) m in
+              sigil := Some t;
+              Sigil.Tool.tool t);
+            (fun m ->
+              let t = Callgrind.Tool.create m in
+              cg := Some t;
+              Callgrind.Tool.tool t);
+          ]
+        (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall)
+    in
+    let r = (Option.get !sigil, Option.get !cg) in
+    Hashtbl.add runs name r;
+    r
+
+let reuse_run name = fst (run name)
 
 let coverage name =
-  let sigil, cg = paired_run name in
+  let sigil, cg = run name in
   (Analysis.Partition.trim (Analysis.Cdfg.build ~callgrind:cg sigil)).Analysis.Partition.coverage
 
 let fn_share_of_ops tool name =
@@ -83,7 +78,7 @@ let test_blackscholes_zero_reuse () =
 
 (* bodytrack: FlexImage::Set's box communicates almost nothing (S = 1.000) *)
 let test_bodytrack_fleximage_breakeven () =
-  let sigil, cg = paired_run "bodytrack" in
+  let sigil, cg = run "bodytrack" in
   let cdfg = Analysis.Cdfg.build ~callgrind:cg sigil in
   let set_ctx =
     List.find
@@ -123,13 +118,12 @@ let test_streamcluster_parallelism () =
 
 (* vips: conv_gen's lifetimes dwarf imb_XYZ2Lab's (Figs 9-11) *)
 let test_vips_lifetime_ordering () =
-  let tool = reuse_run "vips" in
-  let reuse = Sigil.Tool.reuse tool in
+  let snap = Sigil.Profile_io.snapshot_of_tool (reuse_run "vips") in
   let avg name =
     List.fold_left
-      (fun acc ctx -> max acc (Sigil.Reuse.avg_lifetime reuse ctx))
-      0.0
-      (Analysis.Reuse_report.find_contexts (Sigil.Profile_io.snapshot_of_tool tool) name)
+      (fun acc (r : Analysis.Reuse_report.fn_row) ->
+        if Sigil.Profile_io.name snap r.ctx = name then max acc r.avg_lifetime else acc)
+      0.0 (Analysis.Reuse_report.top snap)
   in
   let conv = avg "conv_gen" and xyz = avg "imb_XYZ2Lab" in
   Alcotest.(check bool)
@@ -167,7 +161,7 @@ let test_libquantum_parallelism () =
 (* dedup: write_file and adler32 sit near the bottom of the candidate list
    (Table III flavour: I/O and checksum wrappers are poor accelerators) *)
 let test_dedup_bottom_candidates () =
-  let sigil, cg = paired_run "dedup" in
+  let sigil, cg = run "dedup" in
   let trimmed = Analysis.Partition.trim (Analysis.Cdfg.build ~callgrind:cg sigil) in
   let ranked = Analysis.Partition.rank trimmed in
   let bottom =
@@ -177,6 +171,57 @@ let test_dedup_bottom_candidates () =
   in
   Alcotest.(check bool) "write_file or adler32 in the worst four" true
     (List.mem "write_file" bottom || List.mem "adler32" bottom)
+
+(* Every case study reads the same from a run's live snapshot as from its
+   saved profile: Callgrind's costs and the reuse summary survive
+   [Profile_file.save] and [load] exactly. *)
+let analyses snap =
+  let module P = Sigil.Profile_io in
+  let module R = Analysis.Reuse_report in
+  let lines f l = String.concat "\n" (List.map f l) in
+  let ranked = Analysis.Partition.rank (Analysis.Partition.trim (Analysis.Cdfg.of_snapshot snap)) in
+  let b = R.breakdown snap and top = R.top snap in
+  [
+    ( "partition",
+      lines
+        (fun (c : Analysis.Partition.candidate) ->
+          Printf.sprintf "%s %h %h" c.path c.breakeven c.coverage)
+        ranked );
+    ("breakdown", Printf.sprintf "%h %h %h %d" b.zero b.one_to_nine b.over_nine b.elements);
+    ( "top reusers",
+      lines
+        (fun (r : R.fn_row) ->
+          Printf.sprintf "%d %s %h %d %d %h" r.ctx r.label r.avg_lifetime r.reuse_reads
+            r.unique_bytes r.unique_share)
+        top );
+    ( "lifetime histograms",
+      lines
+        (fun (r : R.fn_row) ->
+          R.lifetime_histogram snap (P.name snap r.ctx)
+          |> lines (fun (bin, n) -> Printf.sprintf "%d %d" bin n))
+        top );
+    ("render", P.render snap);
+    ( "callgrind-out",
+      Format.asprintf "%t"
+        (Callgrind.Output.write (P.names snap)
+           ~calls:(fun ctx -> (P.stats snap ctx).calls)
+           (Option.get (P.costs snap))) );
+  ]
+
+let test_saved_profiles_analyse_alike () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let sigil, cg = run w.name in
+      let live = Sigil.Profile_io.snapshot_of_tool ~callgrind:cg sigil in
+      let loaded =
+        Helpers.with_temp (fun path ->
+            Tracefile.Profile_file.save live path;
+            Tracefile.Profile_file.load path)
+      in
+      List.iter2
+        (fun (what, a) (_, b) -> Alcotest.(check string) (w.name ^ ": " ^ what) a b)
+        (analyses live) (analyses loaded))
+    Workloads.Suite.parsec
 
 let suite =
   ( "workload_signatures",
@@ -196,5 +241,7 @@ let suite =
           Alcotest.test_case "raytrace hot lines" `Quick test_raytrace_hot_lines;
           Alcotest.test_case "libquantum parallelism" `Quick test_libquantum_parallelism;
           Alcotest.test_case "dedup bottom candidates" `Slow test_dedup_bottom_candidates;
+          Alcotest.test_case "saved profiles analyse alike" `Slow
+            test_saved_profiles_analyse_alike;
         ] );
     ] )
