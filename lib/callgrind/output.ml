@@ -1,27 +1,15 @@
 let events = [| "Ir"; "Dr"; "Dw"; "I1mr"; "D1mr"; "D1mw"; "ILmr"; "DLmr"; "DLmw"; "Bc"; "Bcm" |]
 
-type costs = {
-  columns : string array;
-  rows : int array array;
-}
+type costs = int array array
 
 let row (c : Cost.t) =
   Cost.[| c.ir; c.dr; c.dw; c.i1mr; c.d1mr; c.d1mw; c.ilmr; c.dlmr; c.dlmw; c.bc; c.bcm |]
 
-(* the columns are looked up once, at [cost t] *)
-let cost t =
-  let col name =
-    match Array.find_index (String.equal name) t.columns with
-    | Some i -> fun ctx -> t.rows.(ctx).(i)
-    | None -> fun _ -> 0
-  in
-  let ir = col "Ir" and dr = col "Dr" and dw = col "Dw" and i1mr = col "I1mr" in
-  let d1mr = col "D1mr" and d1mw = col "D1mw" and ilmr = col "ILmr" and dlmr = col "DLmr" in
-  let dlmw = col "DLmw" and bc = col "Bc" and bcm = col "Bcm" in
-  fun ctx : Cost.t ->
-    { ir = ir ctx; int_ops = 0; fp_ops = 0; dr = dr ctx; dw = dw ctx; d1mr = d1mr ctx;
-      d1mw = d1mw ctx; dlmr = dlmr ctx; dlmw = dlmw ctx; i1mr = i1mr ctx; ilmr = ilmr ctx;
-      bc = bc ctx; bcm = bcm ctx; calls = 0 }
+let cost (t : costs) ctx : Cost.t =
+  match t.(ctx) with
+  | [| ir; dr; dw; i1mr; d1mr; d1mw; ilmr; dlmr; dlmw; bc; bcm |] ->
+    { ir; int_ops = 0; fp_ops = 0; dr; dw; d1mr; d1mw; dlmr; dlmw; i1mr; ilmr; bc; bcm; calls = 0 }
+  | _ -> invalid_arg "Output.cost: a row is not in the columns of events"
 
 (* Context-qualified function name: callgrind distinguishes contexts with
    "name'ctx<N>" suffixes; we do the same for non-first contexts of a
@@ -38,8 +26,8 @@ let write names ~calls t ppf =
   let name = fn_names names in
   (* a context's parent is older than it: children and inclusive rows
      accumulate from the youngest context up *)
-  let kids = Array.make (Array.length t.rows) [] and incl = Array.map Array.copy t.rows in
-  for ctx = Array.length t.rows - 1 downto 1 do
+  let kids = Array.make (Array.length t) [] and incl = Array.map Array.copy t in
+  for ctx = Array.length t - 1 downto 1 do
     let parent = names.Dbi.Names.parent.(ctx) in
     kids.(parent) <- ctx :: kids.(parent);
     Array.iteri (fun i v -> incl.(parent).(i) <- incl.(parent).(i) + v) incl.(ctx)
@@ -53,12 +41,12 @@ let write names ~calls t ppf =
   Format.fprintf ppf "version: 1@.";
   Format.fprintf ppf "creator: sigil-ocaml@.";
   Format.fprintf ppf "positions: line@.";
-  Format.fprintf ppf "events: %s@." (String.concat " " (Array.to_list t.columns));
+  Format.fprintf ppf "events: %s@." (String.concat " " (Array.to_list events));
   Format.fprintf ppf "@.";
   let rec visit ctx =
     Format.fprintf ppf "fl=<guest>@.";
     Format.fprintf ppf "fn=%s@." name.(ctx);
-    pp_cost_line (ctx + 1) t.rows.(ctx);
+    pp_cost_line (ctx + 1) t.(ctx);
     List.iter
       (fun child ->
         Format.fprintf ppf "cfl=<guest>@.";

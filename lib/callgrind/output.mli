@@ -1,5 +1,5 @@
-(** Callgrind's part of a profile: per-context costs in named columns, and
-    the callgrind output format rendered from them.
+(** Callgrind's part of a profile: per-context costs in the columns
+    {!events}, and the callgrind output format rendered from them.
 
     The format is the one callgrind_annotate and KCachegrind read: an
     [events:] header naming the counters, one [fn=] block per calling
@@ -7,20 +7,18 @@
     call edge with the callee's inclusive cost. Positions are synthetic
     (one "line" per context) since guests have no source files. *)
 
-(** The event counters of a live run's table, in column order. *)
+(** The event counters, in column order. *)
 val events : string array
 
-(** Self costs by context: [rows.(ctx)] holds one value per column. *)
-type costs = {
-  columns : string array;
-  rows : int array array;
-}
+(** Self costs by context: [costs.(ctx)] holds one value per column of
+    {!events}. *)
+type costs = int array array
 
 (** [row c] is [c] in the columns {!events}. *)
 val row : Cost.t -> int array
 
-(** [cost t ctx] is row [ctx] by column name (0 for a missing column);
-    [cost t] looks the columns up once, for any number of contexts. *)
+(** [cost t ctx] is row [ctx] of [t] (zero operation mix and calls).
+    @raise Invalid_argument if the row's length is not {!events}'. *)
 val cost : costs -> Dbi.Context.id -> Cost.t
 
 (** [write names ~calls t ppf] emits the profile of the run whose context

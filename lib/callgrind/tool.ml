@@ -156,4 +156,8 @@ let inclusive_cost t ctx =
 
 let total t = inclusive_cost t Dbi.Context.root
 
+let costs t =
+  let n = Dbi.Context.count (Dbi.Machine.contexts t.machine) in
+  Array.init n (fun ctx -> Output.row (cost t ctx))
+
 let machine t = t.machine

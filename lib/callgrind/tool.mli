@@ -28,4 +28,7 @@ val inclusive_cost : t -> Dbi.Context.id -> Cost.t
 (** [total t] is the whole-program cost (inclusive cost of the root). *)
 val total : t -> Cost.t
 
+(** [costs t] is every context's self cost, as a profile holds them. *)
+val costs : t -> Output.costs
+
 val machine : t -> Dbi.Machine.t

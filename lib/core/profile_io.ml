@@ -110,13 +110,8 @@ let snapshot_of_tool ?callgrind tool =
   in
   (* the accumulator is finished: the snapshot shares it, copying no histogram *)
   let reuse = if (Tool.options tool).Options.reuse_mode then Some (Tool.reuse tool) else None in
-  let costs cg =
-    let row ctx = Callgrind.Output.row (Callgrind.Tool.cost cg ctx) in
-    let rows = Array.init (Dbi.Context.count contexts) row in
-    { Callgrind.Output.columns = Callgrind.Output.events; rows }
-  in
   make ~names ~contexts:(List.rev (visit [] Dbi.Context.root)) ~edges:(List.sort compare edges)
-    ~costs:(Option.map costs callgrind) ~reuse
+    ~costs:(Option.map Callgrind.Tool.costs callgrind) ~reuse
 
 let render snap =
   let buf = Buffer.create 4096 in

@@ -4,9 +4,9 @@ module R = Sigil.Reuse
 (* A context record (tag 1) carries a context's calls and Table I totals
    (its parent and function live in the context table); an edge record
    (tag 2) carries one producer -> consumer edge. Callgrind's costs are
-   their column names (tag 3), then one row per context in id order (tag
-   4); the reuse summary is the version bins (tag 5), then one record per
-   context with episodes, ascending (tag 6). *)
+   their column names, [Callgrind.Output.events] (tag 3), then one row per
+   context in id order (tag 4); the reuse summary is the version bins (tag
+   5), then one record per context with episodes, ascending (tag 6). *)
 type record =
   | Ctx of P.ctx_stats
   | Edge of P.edge
@@ -78,9 +78,9 @@ let save ?options snap path =
     List.iter (fun s -> add (Ctx s)) (P.contexts snap);
     List.iter (fun e -> add (Edge e)) (P.edges snap);
     Option.iter
-      (fun (c : Callgrind.Output.costs) ->
-        add (Columns c.columns);
-        Array.iter (fun row -> add (Row row)) c.rows)
+      (fun costs ->
+        add (Columns Callgrind.Output.events);
+        Array.iter (fun row -> add (Row row)) costs)
       (P.costs snap);
     Option.iter
       (fun r ->
@@ -94,15 +94,16 @@ let save ?options snap path =
     Writer.discard w;
     raise e
 
-(* Every context of the table has exactly one record, and one cost row
-   when the columns are present; every id a record names is in the table;
-   the tree itself was checked at open. *)
+(* Every context of the table has exactly one record, and one cost row in
+   the columns of [Callgrind.Output.events] when they are present; every
+   id a record names is in the table; the tree itself was checked at
+   open. *)
 let of_reader r =
   let names : Dbi.Names.t = Reader.names r in
   let n = Array.length names.parent in
   let seen = Array.make n false in
   let contexts = ref [] and edges = ref [] in
-  let columns = ref [||] and rows = ref [] and bins = ref None in
+  let columns = ref false and rows = ref [] and bins = ref None in
   let reuse = ref [] and last = ref (-1) in
   Reader.records r Frame.Profile decode (fun offset rc ->
       let corrupt fmt = Printf.ksprintf (Frame.corrupt ~offset) fmt in
@@ -117,9 +118,12 @@ let of_reader r =
         known e.src;
         known e.dst;
         edges := e :: !edges
-      | Columns c -> columns := c
+      | Columns c ->
+        if c <> Callgrind.Output.events then corrupt "cost columns are not Callgrind's events";
+        columns := true
       | Row row ->
-        if Array.length row <> Array.length !columns then corrupt "cost row without its columns";
+        if not !columns || Array.length row <> Array.length Callgrind.Output.events then
+          corrupt "cost row without its columns";
         rows := row :: !rows
       | Bins b -> bins := Some b
       | Reuse (ctx, f, hist) ->
@@ -130,9 +134,9 @@ let of_reader r =
   let missing fmt = Printf.ksprintf (Frame.corrupt ~offset:(Reader.data_end r)) fmt in
   Array.iteri (fun ctx seen -> if not seen then missing "context %d has no record" ctx) seen;
   let costs =
-    if !columns = [||] then None
+    if not !columns then None
     else if List.length !rows <> n then missing "cost rows do not match the contexts"
-    else Some { Callgrind.Output.columns = !columns; rows = Array.of_list (List.rev !rows) }
+    else Some (Array.of_list (List.rev !rows))
   in
   let reuse = Option.map (fun bins -> R.restore bins (List.rev !reuse)) !bins in
   P.make ~names ~contexts:(List.rev !contexts) ~edges:(List.rev !edges) ~costs ~reuse

@@ -43,13 +43,7 @@ let output tool f =
   f
     (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m))
     ~calls:(fun ctx -> (Callgrind.Tool.cost tool ctx).Callgrind.Cost.calls)
-    {
-      Callgrind.Output.columns = Callgrind.Output.events;
-      rows =
-        Array.init
-          (Dbi.Context.count (Dbi.Machine.contexts m))
-          (fun ctx -> Callgrind.Output.row (Callgrind.Tool.cost tool ctx));
-    }
+    (Callgrind.Tool.costs tool)
 
 let render_callgrind tool =
   let buf = Buffer.create 1024 in

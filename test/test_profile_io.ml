@@ -162,11 +162,16 @@ let write_raw_profile path records =
   first
 
 (* Every record is checked: a context outside the table, a context
-   recorded twice or not at all, an edge to an unknown context and an
-   unknown tag each fail at the offending record's offset. *)
+   recorded twice or not at all, an edge to an unknown context, cost
+   columns other than Callgrind's events, a cost row before them, a reuse
+   record before the bins and an unknown tag each fail at the offending
+   record's offset. *)
 let test_malformed_record_rejected () =
   let ctx id = [ 1; id; 1; 0; 0; 0; 0; 0; 3; 0 ] in
   let ctx_bytes = 10 in
+  let columns names =
+    3 :: String.length names :: List.map Char.code (List.of_seq (String.to_seq names))
+  in
   List.iter
     (fun (what, records, at) ->
       Helpers.with_temp (fun path ->
@@ -176,7 +181,14 @@ let test_malformed_record_rejected () =
       ("context outside the table", [ ctx 0; ctx 7 ], ctx_bytes);
       ("context twice", [ ctx 0; ctx 1; ctx 1 ], 2 * ctx_bytes);
       ("edge to an unknown context", [ ctx 0; ctx 1; [ 2; 1; 9; 8; 8 ] ], 2 * ctx_bytes);
-      ("unknown tag", [ ctx 0; [ 5 ] ], ctx_bytes);
+      ( "misspelled cost columns",
+        [ ctx 0; ctx 1; columns "Ir Dr Dw I1mr D1mr D1mw ILmr DLmr DLmw Bc BCM" ],
+        2 * ctx_bytes );
+      ( "cost row without its columns",
+        [ ctx 0; ctx 1; 4 :: 11 :: List.init 11 Fun.id ],
+        2 * ctx_bytes );
+      ("reuse record before the bins", [ ctx 0; ctx 1; [ 6; 1; 1; 0; 0; 0; 0 ] ], 2 * ctx_bytes);
+      ("unknown tag", [ ctx 0; [ 9 ] ], ctx_bytes);
       ("negative context", [ ctx 0; ctx (-1) ], ctx_bytes);
     ];
   Helpers.with_temp (fun path ->

@@ -18,22 +18,24 @@ let parallelism name =
                 ]
               (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall))))
 
-(* One run per workload, Sigil in reuse mode beside Callgrind, shared by
-   every case below. *)
+(* One run per workload and Sigil mode, Sigil beside Callgrind, shared by
+   every case below: the partition signatures read byte mode, as
+   sigil_partition runs it, and the reuse signatures reuse mode. *)
 let runs = Hashtbl.create 16
 
-let run name =
-  match Hashtbl.find_opt runs name with
+let run ~reuse name =
+  match Hashtbl.find_opt runs (name, reuse) with
   | Some r -> r
   | None ->
     let w = Helpers.find_workload name in
+    let options = if reuse then Sigil.Options.(with_reuse default) else Sigil.Options.default in
     let sigil = ref None and cg = ref None in
     let _ =
       Dbi.Runner.run
         ~tools:
           [
             (fun m ->
-              let t = Sigil.Tool.create ~options:Sigil.Options.(with_reuse default) m in
+              let t = Sigil.Tool.create ~options m in
               sigil := Some t;
               Sigil.Tool.tool t);
             (fun m ->
@@ -44,13 +46,13 @@ let run name =
         (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall)
     in
     let r = (Option.get !sigil, Option.get !cg) in
-    Hashtbl.add runs name r;
+    Hashtbl.add runs (name, reuse) r;
     r
 
-let reuse_run name = fst (run name)
+let reuse_run name = fst (run ~reuse:true name)
 
 let coverage name =
-  let sigil, cg = run name in
+  let sigil, cg = run ~reuse:false name in
   (Analysis.Partition.trim (Analysis.Cdfg.build ~callgrind:cg sigil)).Analysis.Partition.coverage
 
 let fn_share_of_ops tool name =
@@ -78,7 +80,7 @@ let test_blackscholes_zero_reuse () =
 
 (* bodytrack: FlexImage::Set's box communicates almost nothing (S = 1.000) *)
 let test_bodytrack_fleximage_breakeven () =
-  let sigil, cg = run "bodytrack" in
+  let sigil, cg = run ~reuse:false "bodytrack" in
   let cdfg = Analysis.Cdfg.build ~callgrind:cg sigil in
   let set_ctx =
     List.find
@@ -116,16 +118,22 @@ let test_streamcluster_parallelism () =
   Alcotest.(check bool) "high limit" true (sc > 10.0);
   Alcotest.(check bool) "above fluidanimate" true (sc > parallelism "fluidanimate")
 
-(* vips: conv_gen's lifetimes dwarf imb_XYZ2Lab's (Figs 9-11) *)
+(* vips: conv_gen's lifetimes dwarf imb_XYZ2Lab's (Figs 9-11), taking
+   each function's longest average lifetime over all of its contexts *)
 let test_vips_lifetime_ordering () =
   let snap = Sigil.Profile_io.snapshot_of_tool (reuse_run "vips") in
+  let reuse = Option.get (Sigil.Profile_io.reuse snap) in
   let avg name =
     List.fold_left
-      (fun acc (r : Analysis.Reuse_report.fn_row) ->
-        if Sigil.Profile_io.name snap r.ctx = name then max acc r.avg_lifetime else acc)
-      0.0 (Analysis.Reuse_report.top snap)
+      (fun acc ctx ->
+        let r = Sigil.Reuse.fn_reuse reuse ctx in
+        if r.reused_episodes = 0 then acc
+        else max acc (float_of_int r.lifetime_sum /. float_of_int r.reused_episodes))
+      0.0
+      (Analysis.Reuse_report.find_contexts snap name)
   in
   let conv = avg "conv_gen" and xyz = avg "imb_XYZ2Lab" in
+  Alcotest.(check bool) "imb_XYZ2Lab re-uses data" true (xyz > 0.0);
   Alcotest.(check bool)
     (Printf.sprintf "conv %.0f >> xyz %.0f" conv xyz)
     true
@@ -161,7 +169,7 @@ let test_libquantum_parallelism () =
 (* dedup: write_file and adler32 sit near the bottom of the candidate list
    (Table III flavour: I/O and checksum wrappers are poor accelerators) *)
 let test_dedup_bottom_candidates () =
-  let sigil, cg = run "dedup" in
+  let sigil, cg = run ~reuse:false "dedup" in
   let trimmed = Analysis.Partition.trim (Analysis.Cdfg.build ~callgrind:cg sigil) in
   let ranked = Analysis.Partition.rank trimmed in
   let bottom =
@@ -211,7 +219,7 @@ let analyses snap =
 let test_saved_profiles_analyse_alike () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
-      let sigil, cg = run w.name in
+      let sigil, cg = run ~reuse:true w.name in
       let live = Sigil.Profile_io.snapshot_of_tool ~callgrind:cg sigil in
       let loaded =
         Helpers.with_temp (fun path ->
