@@ -72,7 +72,7 @@ let of_snapshot snap =
         if v <> Dbi.Context.root && not (stop_test v) then begin
           arr_u.(v) <- arr_u.(v) + e.unique_bytes;
           arr_t.(v) <- arr_t.(v) + e.bytes;
-          charge_up arr_u arr_t (P.stats snap v).parent stop_test
+          charge_up arr_u arr_t (P.parent snap v) stop_test
         end
       in
       charge_up in_u in_t e.dst (fun v -> ancestor v e.src);

@@ -21,7 +21,7 @@ let cdfg ?(min_bytes = 1) ?(max_nodes = 64) snap ppf =
   let rec keep_up ctx =
     if ctx >= 0 && not keep.(ctx) then begin
       keep.(ctx) <- true;
-      keep_up (P.stats snap ctx).parent
+      keep_up (P.parent snap ctx)
     end
   in
   List.iter (fun (s : P.ctx_stats) -> keep_up s.ctx) hot;
@@ -36,8 +36,9 @@ let cdfg ?(min_bytes = 1) ?(max_nodes = 64) snap ppf =
   (* call edges: bold, as in Fig 1 *)
   List.iter
     (fun (s : P.ctx_stats) ->
-      if s.parent >= 0 && keep.(s.parent) then
-        Format.fprintf ppf "  n%d -> n%d [style=bold];@." s.parent s.ctx)
+      let parent = P.parent snap s.ctx in
+      if parent >= 0 && keep.(parent) then
+        Format.fprintf ppf "  n%d -> n%d [style=bold];@." parent s.ctx)
     kept;
   (* data-dependency edges: dashed, weighted by unique bytes *)
   List.iter

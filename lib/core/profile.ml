@@ -1,4 +1,7 @@
 type fn_stats = {
+  ctx : Dbi.Context.id;
+  fn : Dbi.Symbol.id;
+  mutable calls : int;
   mutable input_unique : int;
   mutable input_nonunique : int;
   mutable local_unique : int;
@@ -6,7 +9,6 @@ type fn_stats = {
   mutable written : int;
   mutable int_ops : int;
   mutable fp_ops : int;
-  mutable calls : int;
 }
 
 type edge = {
@@ -20,7 +22,8 @@ type edge = {
 let edge_key src dst = (src lsl 30) lor dst
 
 type t = {
-  mutable stats : fn_stats option array;
+  contexts : Dbi.Context.t;
+  mutable stats : fn_stats array; (* [absent] where a context has none yet *)
   edges : (int, edge) Hashtbl.t;
   mutable last_edge : edge; (* consecutive reads usually share an edge *)
 }
@@ -29,33 +32,36 @@ type t = {
    matches and is never updated. *)
 let no_edge = { src = -1; dst = -1; bytes = 0; unique_bytes = 0 }
 
-let create () = { stats = Array.make 256 None; edges = Hashtbl.create 256; last_edge = no_edge }
+let zero ctx fn =
+  { ctx; fn; calls = 0; input_unique = 0; input_nonunique = 0; local_unique = 0;
+    local_nonunique = 0; written = 0; int_ops = 0; fp_ops = 0 }
 
-let zero_stats () =
-  {
-    input_unique = 0;
-    input_nonunique = 0;
-    local_unique = 0;
-    local_nonunique = 0;
-    written = 0;
-    int_ops = 0;
-    fp_ops = 0;
-    calls = 0;
-  }
+(* The empty slot of [stats], never handed out nor updated: a sentinel
+   rather than an option keeps a [Some] block off every context. *)
+let absent = zero (-1) (-1)
+
+let create contexts =
+  { contexts; stats = Array.make 256 absent; edges = Hashtbl.create 256; last_edge = no_edge }
 
 let stats t ctx =
   let len = Array.length t.stats in
   if ctx >= len then begin
-    let grown = Array.make (max (2 * len) (ctx + 1)) None in
+    let grown = Array.make (max (2 * len) (ctx + 1)) absent in
     Array.blit t.stats 0 grown 0 len;
     t.stats <- grown
   end;
-  match t.stats.(ctx) with
-  | Some s -> s
-  | None ->
-    let s = zero_stats () in
-    t.stats.(ctx) <- Some s;
+  let s = t.stats.(ctx) in
+  if s != absent then s
+  else begin
+    let s = zero ctx (if ctx = Dbi.Context.root then -1 else Dbi.Context.fn t.contexts ctx) in
+    t.stats.(ctx) <- s;
     s
+  end
+
+let active s =
+  s.calls lor s.input_unique lor s.input_nonunique lor s.local_unique lor s.local_nonunique
+  lor s.written lor s.int_ops lor s.fp_ops
+  <> 0
 
 let edge t src dst =
   let last = t.last_edge in
@@ -106,17 +112,15 @@ let edges t = Hashtbl.fold (fun _ e acc -> e :: acc) t.edges []
 let contexts t =
   let acc = ref [] in
   for ctx = Array.length t.stats - 1 downto 0 do
-    match t.stats.(ctx) with
-    | Some _ -> acc := ctx :: !acc
-    | None -> ()
+    if active t.stats.(ctx) then acc := ctx :: !acc
   done;
   !acc
 
-let totals t =
+let read_totals stats =
   List.fold_left
-    (fun (unique, total) ctx ->
-      let s = stats t ctx in
+    (fun (unique, total) s ->
       let u = s.input_unique + s.local_unique in
-      let n = s.input_nonunique + s.local_nonunique in
-      (unique + u, total + u + n))
-    (0, 0) (contexts t)
+      (unique + u, total + u + s.input_nonunique + s.local_nonunique))
+    (0, 0) stats
+
+let totals t = read_totals (List.map (stats t) (contexts t))

@@ -5,11 +5,16 @@
     input/local (produced by another function vs. by itself) and
     unique/non-unique (first use vs. re-use) — plus operation counts and
     calls; and for every producer→consumer pair, a communication edge
-    weighted by total and unique bytes. This is the write side: reports
-    and analyses read a {!Profile_io.snapshot} of it, which also sums each
+    weighted by total and unique bytes. These records are the one shape of
+    a context's numbers: a {!Profile_io.snapshot} shares a finished run's
+    records and a saved profile's loader builds them, and reports and
+    analyses read them through the snapshot, which also sums each
     context's incoming and outgoing edges. *)
 
 type fn_stats = {
+  ctx : Dbi.Context.id;
+  fn : Dbi.Symbol.id; (** the function [ctx] runs, [-1] for the root *)
+  mutable calls : int;
   mutable input_unique : int; (** bytes read, produced elsewhere, first use *)
   mutable input_nonunique : int;
   mutable local_unique : int; (** bytes read, produced by this context *)
@@ -17,7 +22,6 @@ type fn_stats = {
   mutable written : int; (** bytes written *)
   mutable int_ops : int;
   mutable fp_ops : int;
-  mutable calls : int;
 }
 
 type edge = {
@@ -29,10 +33,16 @@ type edge = {
 
 type t
 
-val create : unit -> t
+(** [create contexts] is an empty profile of the run whose calling
+    contexts are [contexts]. *)
+val create : Dbi.Context.t -> t
 
 (** [stats t ctx] is the live stats record for [ctx] (created on demand). *)
 val stats : t -> Dbi.Context.id -> fn_stats
+
+(** [active s] holds when [s] recorded a call, an operation, a read or a
+    write. *)
+val active : fn_stats -> bool
 
 (** [record_run t ~producer ~consumer ~bytes ~unique_bytes] records one
     coalesced run of {!Shadow.read_range} — [bytes] total of which
@@ -55,9 +65,12 @@ val record_call : t -> ctx:Dbi.Context.id -> unit
 (** All communication edges, unordered. *)
 val edges : t -> edge list
 
-(** Contexts with any recorded activity, ascending id. *)
+(** Contexts with any recorded activity ({!active}), ascending id. *)
 val contexts : t -> Dbi.Context.id list
 
-(** Totals across all contexts: [(unique_reads, total_reads)] where reads =
-    input + local. *)
+(** [read_totals stats] sums [stats]' reads: [(unique, total)] where
+    reads = input + local. *)
+val read_totals : fn_stats list -> int * int
+
+(** [read_totals] over every context. *)
 val totals : t -> int * int

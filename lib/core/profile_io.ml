@@ -1,23 +1,5 @@
-type ctx_stats = {
-  ctx : Dbi.Context.id;
-  parent : Dbi.Context.id;
-  fn : int;
-  calls : int;
-  input_unique : int;
-  input_nonunique : int;
-  local_unique : int;
-  local_nonunique : int;
-  written : int;
-  int_ops : int;
-  fp_ops : int;
-}
-
-type edge = {
-  src : Dbi.Context.id;
-  dst : Dbi.Context.id;
-  bytes : int;
-  unique_bytes : int;
-}
+type ctx_stats = Profile.fn_stats
+type edge = Profile.edge
 
 (* Every array is indexed by the dense context id. *)
 type snapshot = {
@@ -35,25 +17,32 @@ type snapshot = {
 }
 
 let make ~(names : Dbi.Names.t) ~contexts ~edges ~costs ~reuse =
-  let in_table s =
-    if s.ctx < 0 || s.ctx >= Array.length names.parent then
-      invalid_arg (Printf.sprintf "Profile_io.make: context %d is not in the names table" s.ctx);
-    let parent = names.parent.(s.ctx) and fn = names.fn.(s.ctx) in
-    if s.parent = parent && s.fn = fn then s else { s with parent; fn }
+  let invalid fmt = Printf.ksprintf (fun m -> invalid_arg ("Profile_io.make: " ^ m)) fmt in
+  let n = Array.length names.parent in
+  let slots = Array.make n None in
+  List.iter
+    (fun (s : ctx_stats) ->
+      if s.ctx < 0 || s.ctx >= n then invalid "context %d is not in the names table" s.ctx;
+      if slots.(s.ctx) <> None then invalid "context %d has two records" s.ctx;
+      if s.fn <> names.fn.(s.ctx) then
+        invalid "context %d runs function %d, not %d" s.ctx names.fn.(s.ctx) s.fn;
+      slots.(s.ctx) <- Some s)
+    contexts;
+  let by_ctx =
+    Array.mapi
+      (fun ctx s -> match s with Some s -> s | None -> invalid "context %d has no record" ctx)
+      slots
   in
-  let contexts = List.map in_table contexts in
-  let by_ctx = Array.of_list contexts in
-  Array.sort (fun a b -> compare a.ctx b.ctx) by_ctx;
-  Array.iteri
-    (fun i s -> if s.ctx <> i then invalid_arg "Profile_io.make: context ids are not dense")
-    by_ctx;
-  let n = Array.length by_ctx in
+  (* ids grow in creation order, so ascending ids are tree order *)
   let kids = Array.make n [] in
-  List.iter (fun s -> if s.parent >= 0 then kids.(s.parent) <- s.ctx :: kids.(s.parent)) contexts;
+  for ctx = n - 1 downto 1 do
+    kids.(names.parent.(ctx)) <- ctx :: kids.(names.parent.(ctx))
+  done;
+  let rec visit acc ctx = List.fold_left visit (by_ctx.(ctx) :: acc) kids.(ctx) in
   let out_total = Array.make n 0 and out_unique = Array.make n 0 in
   let in_total = Array.make n 0 and in_unique = Array.make n 0 in
   List.iter
-    (fun e ->
+    (fun (e : edge) ->
       out_total.(e.src) <- out_total.(e.src) + e.bytes;
       out_unique.(e.src) <- out_unique.(e.src) + e.unique_bytes;
       in_total.(e.dst) <- in_total.(e.dst) + e.bytes;
@@ -61,9 +50,9 @@ let make ~(names : Dbi.Names.t) ~contexts ~edges ~costs ~reuse =
     edges;
   {
     names;
-    preorder = contexts;
+    preorder = (if n = 0 then [] else List.rev (visit [] Dbi.Context.root));
     by_ctx;
-    kids = Array.map List.rev kids;
+    kids;
     edge_list = edges;
     out_total;
     out_unique;
@@ -74,43 +63,16 @@ let make ~(names : Dbi.Names.t) ~contexts ~edges ~costs ~reuse =
   }
 
 let snapshot_of_tool ?callgrind tool =
-  let machine = Tool.machine tool in
-  let profile = Tool.profile tool in
-  let contexts = Dbi.Machine.contexts machine in
-  let names = Dbi.Names.make ~symbols:(Dbi.Machine.symbols machine) ~contexts in
-  let rec visit acc ctx =
-    let s = Profile.stats profile ctx in
-    let stats =
-      {
-        ctx;
-        parent = names.parent.(ctx);
-        fn = names.fn.(ctx);
-        calls = s.Profile.calls;
-        input_unique = s.Profile.input_unique;
-        input_nonunique = s.Profile.input_nonunique;
-        local_unique = s.Profile.local_unique;
-        local_nonunique = s.Profile.local_nonunique;
-        written = s.Profile.written;
-        int_ops = s.Profile.int_ops;
-        fp_ops = s.Profile.fp_ops;
-      }
-    in
-    List.fold_left visit (stats :: acc) (Dbi.Context.children contexts ctx)
+  let machine = Tool.machine tool and profile = Tool.profile tool in
+  let names =
+    Dbi.Names.make ~symbols:(Dbi.Machine.symbols machine) ~contexts:(Dbi.Machine.contexts machine)
   in
-  let edges =
-    List.map
-      (fun (e : Profile.edge) ->
-        {
-          src = e.Profile.src;
-          dst = e.Profile.dst;
-          bytes = e.Profile.bytes;
-          unique_bytes = e.Profile.unique_bytes;
-        })
-      (Profile.edges profile)
-  in
-  (* the accumulator is finished: the snapshot shares it, copying no histogram *)
+  (* the run is finished: the snapshot shares its records and its reuse
+     accumulator, copying no counter *)
   let reuse = if (Tool.options tool).Options.reuse_mode then Some (Tool.reuse tool) else None in
-  make ~names ~contexts:(List.rev (visit [] Dbi.Context.root)) ~edges:(List.sort compare edges)
+  make ~names
+    ~contexts:(List.init (Array.length names.parent) (Profile.stats profile))
+    ~edges:(List.sort compare (Profile.edges profile))
     ~costs:(Option.map Callgrind.Tool.costs callgrind) ~reuse
 
 let render snap =
@@ -118,13 +80,13 @@ let render snap =
   Buffer.add_string buf "sigil-profile 1\n";
   Array.iteri (fun id name -> Printf.bprintf buf "S %d %s\n" id name) snap.names.Dbi.Names.symbols;
   List.iter
-    (fun s ->
-      Printf.bprintf buf "C %d %d %d %d\n" s.ctx s.parent s.fn s.calls;
+    (fun (s : ctx_stats) ->
+      Printf.bprintf buf "C %d %d %d %d\n" s.ctx snap.names.parent.(s.ctx) s.fn s.calls;
       Printf.bprintf buf "T %d %d %d %d %d %d %d %d\n" s.ctx s.input_unique s.input_nonunique
         s.local_unique s.local_nonunique s.written s.int_ops s.fp_ops)
     snap.preorder;
   List.iter
-    (fun e -> Printf.bprintf buf "X %d %d %d %d\n" e.src e.dst e.bytes e.unique_bytes)
+    (fun (e : edge) -> Printf.bprintf buf "X %d %d %d %d\n" e.src e.dst e.bytes e.unique_bytes)
     snap.edge_list;
   Buffer.contents buf
 
@@ -144,22 +106,11 @@ let name snap ctx = Dbi.Names.name snap.names ctx
 let path snap ctx = Dbi.Names.path snap.names ctx
 let contexts snap = snap.preorder
 
-let active s =
-  List.exists
-    (fun n -> n <> 0)
-    [ s.calls; s.input_unique; s.input_nonunique; s.local_unique; s.local_nonunique; s.written;
-      s.int_ops; s.fp_ops ]
-
-let active_contexts snap = List.filter active (Array.to_list snap.by_ctx)
+let active_contexts snap = List.filter Profile.active (Array.to_list snap.by_ctx)
+let parent snap ctx = snap.names.parent.(ctx)
 let edges snap = snap.edge_list
 let children snap ctx = snap.kids.(ctx)
 let output_bytes snap ctx = (snap.out_total.(ctx), snap.out_unique.(ctx))
 let input_bytes snap ctx = (snap.in_total.(ctx), snap.in_unique.(ctx))
 
-let totals snap =
-  Array.fold_left
-    (fun (unique, total) s ->
-      let u = s.input_unique + s.local_unique in
-      let n = s.input_nonunique + s.local_nonunique in
-      (unique + u, total + u + n))
-    (0, 0) snap.by_ctx
+let totals snap = Profile.read_totals snap.preorder

@@ -16,48 +16,36 @@
     {v
  sigil-profile 1
  S <fn-id> <name>                         symbols
- C <ctx> <parent> <fn-id> <calls>         context-tree nodes (preorder)
+ C <ctx> <parent> <fn-id> <calls>         context-tree nodes, preorder (parent from the table)
  T <ctx> <in-u> <in-n> <loc-u> <loc-n> <written> <iops> <fops>
  X <src> <dst> <bytes> <unique>           communication edges v}  *)
 
-type ctx_stats = {
-  ctx : Dbi.Context.id;
-  parent : Dbi.Context.id; (** -1 for the root *)
-  fn : int; (** -1 for the root *)
-  calls : int;
-  input_unique : int;
-  input_nonunique : int;
-  local_unique : int;
-  local_nonunique : int;
-  written : int;
-  int_ops : int;
-  fp_ops : int;
-}
+(** A context's calls and Table I totals: the live profile's own record,
+    which a snapshot shares. *)
+type ctx_stats = Profile.fn_stats
 
-type edge = {
-  src : Dbi.Context.id;
-  dst : Dbi.Context.id;
-  bytes : int;
-  unique_bytes : int;
-}
+(** A producer -> consumer edge: the live profile's own record. *)
+type edge = Profile.edge
 
 type snapshot
 
 (** [snapshot_of_tool ?callgrind tool] captures a finished run's profile,
-    with the costs of [callgrind] (attached to the same machine) and, in
-    reuse mode, [tool]'s reuse accumulator, shared and not copied. *)
+    with the costs of [callgrind] (attached to the same machine). It
+    shares [tool]'s stats and edge records and, in reuse mode, its reuse
+    accumulator, copying no counter. *)
 val snapshot_of_tool : ?callgrind:Callgrind.Tool.t -> Tool.t -> snapshot
 
 (** [make ~names ~contexts ~edges ~costs ~reuse] is the snapshot of the
-    run whose function names and context tree are [names], with [contexts]
-    in preorder, [edges], and Callgrind's costs and the reuse summary when
-    the run had them; a loader builds one from a saved profile. Each
-    context's [parent] and [fn] are taken from [names], whatever the
-    record holds. Per-context lookups, children and edge sums are computed
-    here, once.
+    run whose function names and context tree are [names], with one
+    record per context in [contexts], in any order, [edges], and
+    Callgrind's costs and the reuse summary when the run had them; a
+    loader builds one from a saved profile. The preorder, children,
+    per-context lookups and edge sums are computed here, once, from
+    [names] and the records.
 
-    @raise Invalid_argument unless every context id is in [names] and the
-    ids are [0 .. n-1], each once, and every edge names one of them. *)
+    @raise Invalid_argument unless every context of [names] has exactly
+    one record, every record's context is in [names] and its [fn] is the
+    one [names] gives, and every edge names a context. *)
 val make :
   names:Dbi.Names.t -> contexts:ctx_stats list -> edges:edge list ->
   costs:Callgrind.Output.costs option -> reuse:Reuse.t option -> snapshot
@@ -99,11 +87,15 @@ val path : snapshot -> Dbi.Context.id -> string
 (** Contexts in preorder (root first). *)
 val contexts : snapshot -> ctx_stats list
 
-(** Contexts that recorded a call, an operation, a read or a write, by
-    ascending id: the contexts a live {!Profile} holds stats for. *)
+(** Contexts that are {!Profile.active}, by ascending id: the contexts a
+    live {!Profile} lists. *)
 val active_contexts : snapshot -> ctx_stats list
 
 val stats : snapshot -> Dbi.Context.id -> ctx_stats
+
+(** [parent snap ctx] is [ctx]'s calling context in the names table, [-1]
+    for the root. *)
+val parent : snapshot -> Dbi.Context.id -> Dbi.Context.id
 
 (** Edges, sorted when the snapshot came from {!snapshot_of_tool} or a
     saved file. *)
@@ -120,5 +112,6 @@ val output_bytes : snapshot -> Dbi.Context.id -> int * int
     local reads): [(total, unique)]. *)
 val input_bytes : snapshot -> Dbi.Context.id -> int * int
 
-(** Program-wide [(unique, total)] read bytes, as {!Profile.totals}. *)
+(** Program-wide [(unique, total)] read bytes: {!Profile.read_totals} of
+    every context. *)
 val totals : snapshot -> int * int

@@ -1,47 +1,16 @@
-type row = {
-  ctx : Dbi.Context.id;
-  path : string;
-  calls : int;
-  ops : int;
-  input_unique : int;
-  input_total : int;
-  local_unique : int;
-  local_total : int;
-  output_unique : int;
-  output_total : int;
-  written : int;
-}
-
-let rows snap =
-  let make (s : Profile_io.ctx_stats) =
-    let output_total, output_unique = Profile_io.output_bytes snap s.ctx in
-    {
-      ctx = s.ctx;
-      path = Profile_io.path snap s.ctx;
-      calls = s.calls;
-      ops = s.int_ops + s.fp_ops;
-      input_unique = s.input_unique;
-      input_total = s.input_unique + s.input_nonunique;
-      local_unique = s.local_unique;
-      local_total = s.local_unique + s.local_nonunique;
-      output_unique;
-      output_total;
-      written = s.written;
-    }
-  in
-  let all = List.map make (Profile_io.active_contexts snap) in
-  List.sort (fun a b -> compare b.ops a.ops) all
-
 let pp ?(limit = 25) ppf snap =
+  let ops (s : Profile_io.ctx_stats) = s.int_ops + s.fp_ops in
   Format.fprintf ppf "%10s %8s %11s %11s %11s %11s  %s@." "ops" "calls" "in-uniq/tot"
     "local-u/tot" "out-uniq/tot" "written" "function";
   List.iteri
-    (fun i row ->
+    (fun i (s : Profile_io.ctx_stats) ->
       if i < limit then
-        Format.fprintf ppf "%10d %8d %5d/%-5d %5d/%-5d %5d/%-6d %11d  %s@." row.ops row.calls
-          row.input_unique row.input_total row.local_unique row.local_total row.output_unique
-          row.output_total row.written row.path)
-    (rows snap)
+        let output_total, output_unique = Profile_io.output_bytes snap s.ctx in
+        Format.fprintf ppf "%10d %8d %5d/%-5d %5d/%-5d %5d/%-6d %11d  %s@." (ops s) s.calls
+          s.input_unique (s.input_unique + s.input_nonunique) s.local_unique
+          (s.local_unique + s.local_nonunique) output_unique output_total s.written
+          (Profile_io.path snap s.ctx))
+    (List.stable_sort (fun a b -> compare (ops b) (ops a)) (Profile_io.active_contexts snap))
 
 let pp_edges ?(limit = 25) ppf snap =
   let edges =

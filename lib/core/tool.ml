@@ -132,7 +132,7 @@ let create ?(options = Options.default) ?event_sink machine =
     options;
     machine;
     shadow;
-    profile = Profile.create ();
+    profile = Profile.create (Dbi.Machine.contexts machine);
     reuse;
     line =
       (match options.Options.line_size with

@@ -1,27 +1,29 @@
 module P = Sigil.Profile_io
 module R = Sigil.Reuse
 
-(* A context record (tag 1) carries a context's calls and Table I totals
-   (its parent and function live in the context table); an edge record
-   (tag 2) carries one producer -> consumer edge. Callgrind's costs are
-   their column names, [Callgrind.Output.events] (tag 3), then one row per
-   context in id order (tag 4); the reuse summary is the version bins (tag
-   5), then one record per context with episodes, ascending (tag 6). *)
+(* A profile is one per-context table: its column names (tag 3), Table
+   I's fields ([table1]) and, when the run had Callgrind,
+   [Callgrind.Output.events], then one row per context in id order (tag
+   4). Then come one record per producer -> consumer edge (tag 2) and, in
+   reuse mode, the version bins (tag 5) and one record per context with
+   episodes, ascending (tag 6). *)
 type record =
-  | Ctx of P.ctx_stats
-  | Edge of P.edge
   | Columns of string array (* one space-separated string in the file *)
   | Row of int array
+  | Edge of P.edge
   | Bins of R.version_bins
   | Reuse of Dbi.Context.id * R.fn_reuse * (int * int) list
+
+let table1 = [| "calls"; "in_u"; "in_n"; "loc_u"; "loc_n"; "written"; "iops"; "fops" |]
+let with_costs = Array.append table1 Callgrind.Output.events
+
+let table1_row (s : P.ctx_stats) =
+  [| s.calls; s.input_unique; s.input_nonunique; s.local_unique; s.local_nonunique; s.written;
+     s.int_ops; s.fp_ops |]
 
 let encode buf r =
   let ints = List.iter (Varint.write buf) in
   match r with
-  | Ctx s ->
-    ints
-      [ 1; s.ctx; s.calls; s.input_unique; s.input_nonunique; s.local_unique; s.local_nonunique;
-        s.written; s.int_ops; s.fp_ops ]
   | Edge e -> ints [ 2; e.src; e.dst; e.bytes; e.unique_bytes ]
   | Columns names ->
     let names = String.concat " " (Array.to_list names) in
@@ -45,12 +47,6 @@ let decode b ~len ~pos =
     n
   in
   match int () with
-  | 1 ->
-    let v = fields 9 in
-    Ctx
-      { ctx = v.(0); parent = -1; fn = -1; calls = v.(1); input_unique = v.(2);
-        input_nonunique = v.(3); local_unique = v.(4); local_nonunique = v.(5); written = v.(6);
-        int_ops = v.(7); fp_ops = v.(8) }
   | 2 ->
     let v = fields 4 in
     Edge { src = v.(0); dst = v.(1); bytes = v.(2); unique_bytes = v.(3) }
@@ -74,14 +70,14 @@ let decode b ~len ~pos =
 let save ?options snap path =
   let w = Writer.create ~kind:Frame.Profile ?options path in
   let add = Writer.add_record w encode in
+  let costs = P.costs snap in
   match
-    List.iter (fun s -> add (Ctx s)) (P.contexts snap);
+    add (Columns (if Option.is_none costs then table1 else with_costs));
+    for ctx = 0 to P.count snap - 1 do
+      let row = table1_row (P.stats snap ctx) in
+      add (Row (match costs with Some c -> Array.append row c.(ctx) | None -> row))
+    done;
     List.iter (fun e -> add (Edge e)) (P.edges snap);
-    Option.iter
-      (fun costs ->
-        add (Columns Callgrind.Output.events);
-        Array.iter (fun row -> add (Row row)) costs)
-      (P.costs snap);
     Option.iter
       (fun r ->
         add (Bins (R.version_bins r));
@@ -94,52 +90,67 @@ let save ?options snap path =
     Writer.discard w;
     raise e
 
-(* Every context of the table has exactly one record, and one cost row in
-   the columns of [Callgrind.Output.events] when they are present; every
-   id a record names is in the table; the tree itself was checked at
-   open. *)
+let rec ascending = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+  | _ -> true
+
+(* The loader accepts only what [save] writes: the columns once, then
+   exactly one row per context of the table; edges that name contexts of
+   the table, each pair once; the bins once, then reuse records of
+   contexts with episodes, ascending, each histogram's bins ascending.
+   The tree itself was checked at open. *)
 let of_reader r =
   let names : Dbi.Names.t = Reader.names r in
   let n = Array.length names.parent in
-  let seen = Array.make n false in
-  let contexts = ref [] and edges = ref [] in
-  let columns = ref false and rows = ref [] and bins = ref None in
-  let reuse = ref [] and last = ref (-1) in
+  let columns = ref 0 and rows = ref [] and row_count = ref 0 in
+  let edges = ref [] and pairs = Hashtbl.create 64 in
+  let bins = ref None and reuse = ref [] and last = ref (-1) in
   Reader.records r Frame.Profile decode (fun offset rc ->
       let corrupt fmt = Printf.ksprintf (Frame.corrupt ~offset) fmt in
       let known ctx = if ctx < 0 || ctx >= n then corrupt "context %d is not in the table" ctx in
       match rc with
-      | Ctx s ->
-        known s.ctx;
-        if seen.(s.ctx) then corrupt "context %d recorded twice" s.ctx;
-        seen.(s.ctx) <- true;
-        contexts := s :: !contexts
+      | Columns c ->
+        if !columns > 0 then corrupt "second columns record";
+        if c <> table1 && c <> with_costs then
+          corrupt "columns are not Table I's fields and Callgrind's events";
+        columns := Array.length c
+      | Row row ->
+        if !columns = 0 || Array.length row <> !columns then
+          corrupt "row does not match the columns";
+        if !row_count = n then corrupt "row of context %d, which is not in the table" n;
+        incr row_count;
+        rows := row :: !rows
       | Edge e ->
         known e.src;
         known e.dst;
+        if Hashtbl.mem pairs (e.src, e.dst) then corrupt "edge %d -> %d recorded twice" e.src e.dst;
+        Hashtbl.add pairs (e.src, e.dst) ();
         edges := e :: !edges
-      | Columns c ->
-        if c <> Callgrind.Output.events then corrupt "cost columns are not Callgrind's events";
-        columns := true
-      | Row row ->
-        if not !columns || Array.length row <> Array.length Callgrind.Output.events then
-          corrupt "cost row without its columns";
-        rows := row :: !rows
-      | Bins b -> bins := Some b
+      | Bins b ->
+        if !bins <> None then corrupt "second reuse bins record";
+        bins := Some b
       | Reuse (ctx, f, hist) ->
         known ctx;
         if !bins = None || ctx <= !last then corrupt "reuse record of context %d out of place" ctx;
+        if f.episodes = 0 then corrupt "reuse record of context %d has no episode" ctx;
+        if not (ascending hist) then corrupt "histogram bins of context %d not ascending" ctx;
         last := ctx;
         reuse := (ctx, f, hist) :: !reuse);
-  let missing fmt = Printf.ksprintf (Frame.corrupt ~offset:(Reader.data_end r)) fmt in
-  Array.iteri (fun ctx seen -> if not seen then missing "context %d has no record" ctx) seen;
+  if !row_count < n then
+    Frame.corrupt ~offset:(Reader.data_end r) (Printf.sprintf "context %d has no row" !row_count);
+  let rows = Array.of_list (List.rev !rows) and k = Array.length table1 in
+  let contexts =
+    List.init n (fun ctx : P.ctx_stats ->
+        let v = rows.(ctx) in
+        { ctx; fn = names.fn.(ctx); calls = v.(0); input_unique = v.(1); input_nonunique = v.(2);
+          local_unique = v.(3); local_nonunique = v.(4); written = v.(5); int_ops = v.(6);
+          fp_ops = v.(7) })
+  in
   let costs =
-    if not !columns then None
-    else if List.length !rows <> n then missing "cost rows do not match the contexts"
-    else Some (Array.of_list (List.rev !rows))
+    if !columns > k then Some (Array.map (fun row -> Array.sub row k (!columns - k)) rows) else None
   in
   let reuse = Option.map (fun bins -> R.restore bins (List.rev !reuse)) !bins in
-  P.make ~names ~contexts:(List.rev !contexts) ~edges:(List.rev !edges) ~costs ~reuse
+  P.make ~names ~contexts ~edges:(List.rev !edges) ~costs ~reuse
 
 let load path =
   let r = Reader.open_file path in

@@ -1,8 +1,9 @@
 (** Saved profiles: a {!Frame.Profile} kind of the binary trace container
     (docs/FORMATS.md §3 and §6). The embedded tables hold the names and
-    the context tree; the sections hold one record per context (calls and
-    Table I totals) in preorder, then one per edge, then, when the
-    snapshot has them, Callgrind's cost rows and the reuse summary. The
+    the context tree; the sections hold one per-context table, its column
+    names once (Table I's fields, then [Callgrind.Output.events] when the
+    snapshot has costs) and one row per context in id order, then one
+    record per edge and, when the snapshot has it, the reuse summary. The
     text dump is [Sigil.Profile_io.render] of the loaded snapshot. *)
 
 (** [save ?options snap path] writes [snap], whose context
@@ -12,11 +13,15 @@ val save : ?options:Sigil.Options.t -> Sigil.Profile_io.snapshot -> string -> un
 
 (** [of_reader r] decodes the profile [r] holds.
 
-    @raise Frame.Corrupt when [r] is not a profile, a record cannot be
-    decoded or names a context outside the table, a context has no
-    record or two, the cost columns are not [Callgrind.Output.events] or
-    the cost rows do not match them and the contexts, or a reuse record
-    precedes the bins or breaks context order. *)
+    @raise Frame.Corrupt at the offending record's offset when [r] is not
+    a profile or holds anything [save] does not write: an undecodable or
+    unknown record (the per-context record 1 of older profiles among
+    them), columns other than Table I's fields and Callgrind's events or
+    given twice, a row before them, of another length or past the
+    contexts, an edge naming a context outside the table or recorded
+    twice, bins given twice, or a reuse record before the bins, out of
+    context order, with no episode or with bins not ascending; and at
+    the end of the records when a context has no row. *)
 val of_reader : Reader.t -> Sigil.Profile_io.snapshot
 
 (** [load path] is {!of_reader} of [Reader.open_file path]. *)

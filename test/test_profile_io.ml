@@ -125,8 +125,9 @@ let test_workload_roundtrip () =
           Helpers.with_temp (fun txt ->
               let records = Tracefile.Convert.binary_to_text path txt in
               Alcotest.(check int)
-                (name ^ ": one record per context and edge")
-                (List.length (Sigil.Profile_io.contexts live)
+                (name ^ ": the columns, one row per context, one record per edge")
+                (1
+                + List.length (Sigil.Profile_io.contexts live)
                 + List.length (Sigil.Profile_io.edges live))
                 records;
               Alcotest.(check string)
@@ -161,49 +162,64 @@ let write_raw_profile path records =
   Tracefile.Reader.close r;
   first
 
-(* Every record is checked: a context outside the table, a context
-   recorded twice or not at all, an edge to an unknown context, cost
-   columns other than Callgrind's events, a cost row before them, a reuse
-   record before the bins and an unknown tag each fail at the offending
-   record's offset. *)
+(* The records [save] writes for a two-context table, each a list of
+   varints: the columns of Table I alone, one row per context. *)
+let columns names =
+  3 :: String.length names :: List.map Char.code (List.of_seq (String.to_seq names))
+
+let table1_names = "calls in_u in_n loc_u loc_n written iops fops"
+let table1 = columns table1_names
+let row = [ 4; 8; 1; 0; 0; 0; 0; 0; 3; 0 ]
+let table = [ table1; row; row ]
+
+(* The loader takes only what [save] writes: each case is a valid prefix
+   and the record that breaks it, which fails at its own offset. *)
 let test_malformed_record_rejected () =
-  let ctx id = [ 1; id; 1; 0; 0; 0; 0; 0; 3; 0 ] in
-  let ctx_bytes = 10 in
-  let columns names =
-    3 :: String.length names :: List.map Char.code (List.of_seq (String.to_seq names))
+  let size records =
+    let b = Buffer.create 64 in
+    List.iter (List.iter (Tracefile.Varint.write b)) records;
+    Buffer.length b
   in
+  let bins = [ 5; 1; 0; 0 ] in
   List.iter
-    (fun (what, records, at) ->
+    (fun (what, prefix, bad) ->
       Helpers.with_temp (fun path ->
-          let first = write_raw_profile path records in
-          check_corrupt_at what (first + at) (fun () -> Tracefile.Profile_file.load path)))
+          let first = write_raw_profile path (prefix @ [ bad ]) in
+          check_corrupt_at what (first + size prefix) (fun () ->
+              Tracefile.Profile_file.load path)))
     [
-      ("context outside the table", [ ctx 0; ctx 7 ], ctx_bytes);
-      ("context twice", [ ctx 0; ctx 1; ctx 1 ], 2 * ctx_bytes);
-      ("edge to an unknown context", [ ctx 0; ctx 1; [ 2; 1; 9; 8; 8 ] ], 2 * ctx_bytes);
+      ("row past the contexts", table, row);
+      ("row without its columns", [], row);
+      ("row of another length", [ table1 ], [ 4; 7; 1; 0; 0; 0; 0; 0; 3 ]);
+      ("second columns record", table, table1);
       ( "misspelled cost columns",
-        [ ctx 0; ctx 1; columns "Ir Dr Dw I1mr D1mr D1mw ILmr DLmr DLmw Bc BCM" ],
-        2 * ctx_bytes );
-      ( "cost row without its columns",
-        [ ctx 0; ctx 1; 4 :: 11 :: List.init 11 Fun.id ],
-        2 * ctx_bytes );
-      ("reuse record before the bins", [ ctx 0; ctx 1; [ 6; 1; 1; 0; 0; 0; 0 ] ], 2 * ctx_bytes);
-      ("unknown tag", [ ctx 0; [ 9 ] ], ctx_bytes);
-      ("negative context", [ ctx 0; ctx (-1) ], ctx_bytes);
+        [],
+        columns (table1_names ^ " Ir Dr Dw I1mr D1mr D1mw ILmr DLmr DLmw Bc BCM") );
+      ("edge to an unknown context", table, [ 2; 1; 9; 8; 8 ]);
+      ("negative context", table, [ 2; -1; 1; 8; 8 ]);
+      ("edge recorded twice", table @ [ [ 2; 0; 1; 8; 8 ] ], [ 2; 0; 1; 4; 4 ]);
+      ("reuse record before the bins", table, [ 6; 1; 1; 0; 0; 0; 0 ]);
+      ("second reuse bins record", table @ [ bins ], bins);
+      ("reuse record with no episode", table @ [ bins ], [ 6; 1; 0; 0; 0; 0; 0 ]);
+      ( "histogram bins not ascending",
+        table @ [ bins ],
+        [ 6; 1; 2; 2; 0; 5000; 2; 1000; 1; 1000; 1 ] );
+      ("unknown tag", table, [ 9 ]);
+      (* the per-context record of profiles saved before the table *)
+      ("record 1 of an older profile", [], [ 1; 0; 1; 0; 0; 0; 0; 0; 3; 0 ]);
     ];
   Helpers.with_temp (fun path ->
-      let first = write_raw_profile path [ ctx 0 ] in
-      (* a missing context is reported where the records end *)
-      check_corrupt_at "context without a record" (first + ctx_bytes) (fun () ->
+      let first = write_raw_profile path [ table1; row ] in
+      (* a missing row is reported where the records end *)
+      check_corrupt_at "context without a row" (first + size [ table1; row ]) (fun () ->
           Tracefile.Profile_file.load path))
 
-(* A profile with a record for each of three contexts, whose tree is
-   [ctx_parent]. *)
+(* A profile of three contexts whose tree is [ctx_parent]. *)
 let three_contexts ~ctx_parent path =
   let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Profile path in
   List.iter
     (Tracefile.Writer.add_record w (fun buf ints -> List.iter (Tracefile.Varint.write buf) ints))
-    (List.init 3 (fun ctx -> [ 1; ctx; 1; 0; 0; 0; 0; 0; 3; 0 ]));
+    [ table1; row; row; row ];
   Tracefile.Writer.close_names
     { Dbi.Names.symbols = [| "main" |]; stripped = false; parent = ctx_parent; fn = [| -1; 0; 0 |] }
     w

@@ -221,13 +221,19 @@ let test_memory_limit_accuracy_loss () =
   | [ e ] -> Alcotest.(check int) "producer forgotten" Dbi.Context.root e.src
   | edges -> Alcotest.failf "expected one edge, got %d" (List.length edges)
 
+(* The records the report prints, found by their call path. *)
 let test_report_rows () =
   let tool, _ = run_guest toy in
-  let rows = Sigil.Report.rows (Sigil.Profile_io.snapshot_of_tool tool) in
+  let snap = Sigil.Profile_io.snapshot_of_tool tool in
+  let rows = Sigil.Profile_io.active_contexts snap in
   Alcotest.(check bool) "has rows" true (List.length rows >= 3);
-  let consumer = List.find (fun r -> r.Sigil.Report.path = "main/consumer") rows in
-  Alcotest.(check int) "row input unique" 24 consumer.Sigil.Report.input_unique;
-  Alcotest.(check int) "row input total" 32 consumer.Sigil.Report.input_total
+  let consumer =
+    List.find
+      (fun (s : Sigil.Profile_io.ctx_stats) -> Sigil.Profile_io.path snap s.ctx = "main/consumer")
+      rows
+  in
+  Alcotest.(check int) "row input unique" 24 consumer.input_unique;
+  Alcotest.(check int) "row input total" 32 (consumer.input_unique + consumer.input_nonunique)
 
 let test_stripped_run_still_works () =
   let tool = ref None in
@@ -242,14 +248,14 @@ let test_stripped_run_still_works () =
         ]
       toy
   in
-  let rows = Sigil.Report.rows (Sigil.Profile_io.snapshot_of_tool (Option.get !tool)) in
+  let snap = Sigil.Profile_io.snapshot_of_tool (Option.get !tool) in
+  let rows = Sigil.Profile_io.active_contexts snap in
   Alcotest.(check bool) "rows exist" true (List.length rows >= 3);
   List.iter
-    (fun row ->
+    (fun (s : Sigil.Profile_io.ctx_stats) ->
+      let path = Sigil.Profile_io.path snap s.ctx in
       Alcotest.(check bool) "names degraded" true
-        (row.Sigil.Report.path = "<root>"
-        || String.length row.Sigil.Report.path >= 4
-           && String.sub row.Sigil.Report.path 0 4 = "???:"))
+        (path = "<root>" || (String.length path >= 4 && String.sub path 0 4 = "???:")))
     rows;
   ignore r
 

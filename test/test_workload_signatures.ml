@@ -180,9 +180,10 @@ let test_dedup_bottom_candidates () =
   Alcotest.(check bool) "write_file or adler32 in the worst four" true
     (List.mem "write_file" bottom || List.mem "adler32" bottom)
 
-(* Every case study reads the same from a run's live snapshot as from its
-   saved profile: Callgrind's costs and the reuse summary survive
-   [Profile_file.save] and [load] exactly. *)
+(* Every case study and report reads the same from a run's live snapshot
+   as from its saved profile: the per-context table, the edges,
+   Callgrind's costs and the reuse summary survive [Profile_file.save]
+   and [load] exactly. *)
 let analyses snap =
   let module P = Sigil.Profile_io in
   let module R = Analysis.Reuse_report in
@@ -209,6 +210,13 @@ let analyses snap =
           |> lines (fun (bin, n) -> Printf.sprintf "%d %d" bin n))
         top );
     ("render", P.render snap);
+    ("Report.pp", Format.asprintf "%t" (fun ppf -> Sigil.Report.pp ~limit:max_int ppf snap));
+    ( "Report.pp_edges",
+      Format.asprintf "%t" (fun ppf -> Sigil.Report.pp_edges ~limit:max_int ppf snap) );
+    ("Flat.pp", Format.asprintf "%t" (fun ppf -> Analysis.Flat.pp ~limit:max_int ppf snap));
+    ( "Flat.calltree",
+      Format.asprintf "%t" (fun ppf -> Analysis.Flat.calltree ~max_depth:max_int ppf snap) );
+    ("Dot.cdfg", Format.asprintf "%t" (Analysis.Dot.cdfg snap));
     ( "callgrind-out",
       Format.asprintf "%t"
         (Callgrind.Output.write (P.names snap)
@@ -228,7 +236,10 @@ let test_saved_profiles_analyse_alike () =
       in
       List.iter2
         (fun (what, a) (_, b) -> Alcotest.(check string) (w.name ^ ": " ^ what) a b)
-        (analyses live) (analyses loaded))
+        (analyses live) (analyses loaded);
+      let diff = Analysis.Compare.diff_many ~before:[ live ] ~after:[ loaded ] in
+      Alcotest.(check bool) (w.name ^ ": Compare.diff_many finds no change") true
+        (Analysis.Compare.is_empty (Analysis.Compare.changed diff)))
     Workloads.Suite.parsec
 
 let suite =
