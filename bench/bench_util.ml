@@ -78,8 +78,9 @@ let saved_profile (run : Driver.run) =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Tracefile.Profile_file.save snap path;
-      Tracefile.Profile_file.load path)
+      Tracefile.Profile_file.save snap path
+        ~run:{ workload = run.Driver.workload.name; scale = Workloads.Scale.name run.Driver.scale };
+      fst (Tracefile.Profile_file.load path))
 
 let native_time name scale =
   Driver.time_native (workload name) scale

@@ -9,7 +9,7 @@ open Cmdliner
 
 let run before after limit all =
   Cli_common.guard @@ fun () ->
-  let load = List.map Tracefile.Profile_file.load in
+  let load = List.map (fun path -> fst (Tracefile.Profile_file.load path)) in
   let diff = Analysis.Compare.diff_many ~before:(load before) ~after:(load after) in
   let diff = if all then diff else Analysis.Compare.changed diff in
   if Analysis.Compare.is_empty diff then print_endline "profiles are identical"

@@ -1,26 +1,28 @@
 (* HW/SW partitioning case study (paper §IV-A): trim the control data flow
-   graph and rank accelerator candidates by breakeven speedup. *)
+   graph of a saved profile and rank accelerator candidates by breakeven
+   speedup. *)
 
 open Cmdliner
 
-let run name scale limit bus max_coverage callgrind_out =
+let run path limit bus max_coverage callgrind_out =
   Cli_common.guard @@ fun () ->
-  let workload = Cli_common.resolve name in
-  let r = Driver.run_workload ~with_callgrind:true workload scale in
-  let snap = Sigil.Profile_io.snapshot_of_tool ~callgrind:(Driver.callgrind r) (Driver.sigil r) in
+  let snap, _, title = Cli_common.load_profile path in
+  let costs =
+    match Sigil.Profile_io.costs snap with
+    | Some c -> c
+    | None -> failwith (path ^ " has no cost columns (save it with sigil_run --save-profile)")
+  in
   (match callgrind_out with
-  | Some path ->
+  | Some out ->
     Callgrind.Output.save (Sigil.Profile_io.names snap)
       ~calls:(fun ctx -> (Sigil.Profile_io.stats snap ctx).calls)
-      (Option.get (Sigil.Profile_io.costs snap))
-      path;
-    Format.printf "callgrind-format profile written to %s@." path
+      costs out;
+    Format.printf "callgrind-format profile written to %s@." out
   | None -> ());
   let cdfg = Analysis.Cdfg.of_snapshot snap in
   let trimmed = Analysis.Partition.trim ~bus_bytes_per_cycle:bus ~max_coverage cdfg in
   let ranked = Analysis.Partition.rank trimmed in
-  Format.printf "== partitioning: %s (%s), bus %.1f B/cycle ==@." name
-    (Workloads.Scale.name scale) bus;
+  Format.printf "== partitioning: %s, bus %.1f B/cycle ==@." title bus;
   Format.printf "trimmed-tree leaf coverage: %.1f%% of estimated cycles@.@."
     (100.0 *. trimmed.Analysis.Partition.coverage);
   let rows =
@@ -67,7 +69,8 @@ let cmd =
   Cmd.v
     (Cmd.info "sigil_partition" ~doc:"Communication-aware HW/SW partitioning from Sigil profiles")
     Term.(
-      const run $ Cli_common.workload_arg $ Cli_common.scale_arg $ Cli_common.limit_arg $ bus
-      $ max_coverage $ callgrind_out)
+      const run
+      $ Cli_common.file_arg "Profile saved by sigil_run --save-profile, with Callgrind's costs."
+      $ Cli_common.limit_arg $ bus $ max_coverage $ callgrind_out)
 
 let () = exit (Cmd.eval cmd)

@@ -1,8 +1,10 @@
 (* Run one or more workloads under Sigil and dump the aggregate profiles
    (optionally the event file, a saved profile or a DOT graph), the tool's
-   primary interface. Multi-workload invocations fan the independent runs
-   out over a domain pool (-j/--domains); reports print in argument order
-   and are bit-identical to a sequential run. *)
+   primary interface and the only sigil_* program besides sigil_trace
+   record that runs a workload: the case-study tools read the files it
+   saves. Multi-workload invocations fan the independent runs out over a
+   domain pool (-j/--domains); reports print in argument order and are
+   bit-identical to a sequential run. *)
 
 open Cmdliner
 
@@ -17,34 +19,44 @@ let report name scale r =
     (float_of_int (Sigil.Tool.shadow_footprint_peak_bytes tool) /. 1e6)
     (Sigil.Tool.shadow_evictions tool)
 
+(* Fig 12's line-granularity block (§IV-B3), which takes the per-function
+   table's place in line mode: it is printed by the run, not saved. *)
+let pp_lines name scale size line =
+  Format.printf "== line-granularity reuse: %s (%s), %dB lines ==@.lines touched: %d@.@." name
+    (Workloads.Scale.name scale) size (Sigil.Line_shadow.lines line);
+  let b : Sigil.Line_shadow.bins = Sigil.Line_shadow.bins line in
+  let row label n = [ label; string_of_int n ] in
+  print_string
+    (Analysis.Table.render ~headers:[ "re-use count"; "lines" ]
+       [ row "< 10" b.under_10; row "< 100" b.under_100; row "< 1000" b.under_1000;
+         row "< 10000" b.under_10000; row "> 10000" b.over_10000 ])
+
 let pp_stats ~det snapshot =
   let s = if det then Telemetry.deterministic snapshot else snapshot in
   Telemetry.pp Format.std_formatter s
 
-let run names scale limit max_chunks stripped domains timeout budget events_path chunk_bytes
-    checkpoint_every stats stats_out stats_det progress edges flat tree save_profile dot_path =
+let run names scale limit max_chunks stripped domains timeout budget reuse line_size events_path
+    chunk_bytes checkpoint_every stats stats_out stats_det progress edges flat tree save_profile
+    dot_path =
   Cli_common.guard @@ fun () ->
-  let workloads = List.map Cli_common.resolve names in
-  (if List.length names > 1 then
-     let single_only =
-       [
-         ("--events", events_path <> None);
-         ("--save-profile", save_profile <> None);
-         ("--dot", dot_path <> None);
-       ]
-     in
-     List.iter
-       (fun (flag, set) ->
-         if set then begin
-           Format.eprintf "error: %s requires a single WORKLOAD@." flag;
-           exit 2
-         end)
-       single_only);
-  let options = Cli_common.with_max_chunks Sigil.Options.default max_chunks in
-  let options = if events_path <> None then Sigil.Options.with_events options else options in
-  let options = Cli_common.with_guards options ~timeout ~budget in
+  let workloads = List.map Cli_run.resolve names in
+  if List.length names > 1 then
+    List.iter
+      (fun (flag, set) -> if set then failwith (flag ^ " requires a single WORKLOAD"))
+      [ ("--events", events_path <> None); ("--save-profile", save_profile <> None);
+        ("--dot", dot_path <> None) ];
+  (* line mode keeps no profile or events, so the readers would get zeros *)
+  if line_size <> None then
+    List.iter
+      (fun (flag, set) -> if set then failwith (flag ^ " needs byte mode, not --line-size"))
+      [ ("--events", events_path <> None); ("--save-profile", save_profile <> None) ];
   let want_stats = stats || stats_out <> None in
-  let options = if want_stats then Sigil.Options.with_stats options else options in
+  (* the flags' values were checked when parsed *)
+  let options =
+    { Sigil.Options.default with reuse_mode = reuse; collect_events = events_path <> None;
+      line_size; max_chunks; instr_budget = budget; timeout_s = timeout;
+      collect_stats = want_stats }
+  in
   (* events stream straight into the binary chunk writer during the run:
      the tool buffers at most one chunk, never the whole trace *)
   let event_writer =
@@ -53,14 +65,16 @@ let run names scale limit max_chunks stripped domains timeout budget events_path
       events_path
   in
   let event_sink = Option.map Tracefile.Writer.sink event_writer in
+  (* a saved profile carries Callgrind's costs, as the paper runs Sigil on
+     Callgrind: partitioning needs them *)
+  let with_callgrind = save_profile <> None in
+  let job w = Driver.job ~options ?event_sink ~with_callgrind ~stripped w scale in
   (* the pool handle survives [with_domains] only for its accounting
      atomics, which [Driver.Stats] folds into the wall-clock aggregate *)
   let results, pool_used =
-    Cli_common.with_domains domains (fun pool ->
-        Cli_common.with_progress progress (List.length workloads) (fun prog ->
-            ( Driver.run_many ?pool ?progress:prog
-                (List.map (fun w -> Driver.job ~options ?event_sink ~stripped w scale) workloads),
-              pool )))
+    Cli_run.with_domains domains (fun pool ->
+        Cli_run.with_progress progress (List.length workloads) (fun prog ->
+            (Driver.run_many ?pool ?progress:prog (List.map job workloads), pool)))
   in
   let failures = ref 0 in
   (* one snapshot per run feeds every report and file below *)
@@ -74,9 +88,13 @@ let run names scale limit max_chunks stripped domains timeout budget events_path
           None
         | Ok r ->
           report name scale r;
-          let snap = Sigil.Profile_io.snapshot_of_tool (Driver.sigil r) in
-          if flat then Analysis.Flat.pp ~limit Format.std_formatter snap
-          else Sigil.Report.pp ~limit Format.std_formatter snap;
+          let tool = Driver.sigil r in
+          let snap = Sigil.Profile_io.snapshot_of_tool ?callgrind:r.Driver.callgrind tool in
+          (match (line_size, Sigil.Tool.line_shadow tool) with
+          | Some size, Some line -> pp_lines name scale size line
+          | _ ->
+            if flat then Analysis.Flat.pp ~limit Format.std_formatter snap
+            else Sigil.Report.pp ~limit Format.std_formatter snap);
           if tree then begin
             Format.printf "@.calltree (inclusive ops, unique bytes in/out):@.";
             Analysis.Flat.calltree Format.std_formatter snap
@@ -92,7 +110,9 @@ let run names scale limit max_chunks stripped domains timeout budget events_path
   | [ Ok r ], [ Some snap ] -> (
     (match save_profile with
     | Some path ->
-      Tracefile.Profile_file.save ~options:(Sigil.Tool.options (Driver.sigil r)) snap path;
+      Tracefile.Profile_file.save ~options:(Sigil.Tool.options (Driver.sigil r))
+        ~run:{ workload = List.hd names; scale = Workloads.Scale.name scale }
+        snap path;
       Format.printf "@.profile written to %s@." path
     | None -> ());
     (match dot_path with
@@ -150,9 +170,19 @@ let run names scale limit max_chunks stripped domains timeout budget events_path
       Format.printf "@.stats written to %s@." path
     | None -> ()
   end;
-  if !failures > 0 then exit Cli_common.exit_partial
+  if !failures > 0 then exit Cli_run.exit_partial
 
 let cmd =
+  let reuse =
+    let doc = "Also track re-use counts and lifetimes: a saved profile holds its reuse summary." in
+    Arg.(value & flag & info [ "reuse" ] ~doc)
+  in
+  let line_size =
+    let doc = "Shadow $(docv)-byte lines, not bytes, and print their re-use counts instead." in
+    let power_of_two n = n > 0 && n land (n - 1) = 0 in
+    let size = Cli_common.checked Arg.int power_of_two "a power of two" in
+    Arg.(value & opt (some size) None & info [ "line-size" ] ~docv:"BYTES" ~doc)
+  in
   let events =
     Arg.(
       value
@@ -198,8 +228,9 @@ let cmd =
       & opt (some string) None
       & info [ "save-profile" ] ~docv:"FILE"
           ~doc:
-            "Write the aggregate profile to $(docv) as a binary profile (sigil_diff compares \
-             profiles; sigil_trace convert dumps one as text).")
+            "Also run Callgrind and write the aggregate profile with its costs to $(docv) as a \
+             binary profile, for sigil_partition, sigil_reuse (with $(b,--reuse)) and \
+             sigil_diff; sigil_trace convert dumps one as text.")
   in
   let dot =
     Arg.(
@@ -210,11 +241,11 @@ let cmd =
   Cmd.v
     (Cmd.info "sigil_run" ~doc:"Profile workloads' function-level communication with Sigil")
     Term.(
-      const run $ Cli_common.workloads_arg $ Cli_common.scale_arg $ Cli_common.limit_arg
-      $ Cli_common.max_chunks_arg $ Cli_common.stripped_arg $ Cli_common.domains_arg
-      $ Cli_common.timeout_arg $ Cli_common.instr_budget_arg
-      $ events $ chunk_bytes $ checkpoint_every $ Cli_common.stats_arg $ Cli_common.stats_out_arg
-      $ Cli_common.stats_det_arg $ Cli_common.progress_arg $ edges $ flat $ tree $ save_profile
+      const run $ Cli_run.workloads_arg $ Cli_run.scale_arg $ Cli_common.limit_arg
+      $ Cli_run.max_chunks_arg $ Cli_run.stripped_arg $ Cli_run.domains_arg
+      $ Cli_run.timeout_arg $ Cli_run.instr_budget_arg $ reuse $ line_size
+      $ events $ chunk_bytes $ checkpoint_every $ Cli_run.stats_arg $ Cli_run.stats_out_arg
+      $ Cli_run.stats_det_arg $ Cli_run.progress_arg $ edges $ flat $ tree $ save_profile
       $ dot)
 
 let () = exit (Cmd.eval cmd)

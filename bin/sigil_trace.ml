@@ -7,7 +7,7 @@ open Cmdliner
 
 let record name scale path =
   Cli_common.guard @@ fun () ->
-  let workload = Cli_common.resolve name in
+  let workload = Cli_run.resolve name in
   let m = Tracefile.Recording.record path (fun m -> workload.Workloads.Workload.run m scale) in
   let c = Dbi.Machine.counters m in
   Format.printf "recorded %s (%s): %d instructions, %d calls -> %s@." name
@@ -105,7 +105,7 @@ let record_cmd =
   Cmd.v
     (Cmd.info "record" ~doc:"Run a workload and record its raw event stream as a binary recording")
     Term.(
-      const record $ Cli_common.workload_arg $ Cli_common.scale_arg
+      const record $ Cli_run.workload_arg $ Cli_run.scale_arg
       $ file 1 "FILE" "Recording output file.")
 
 let replay_cmd =

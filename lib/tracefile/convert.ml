@@ -14,7 +14,7 @@ let binary_to_text src dst =
             !n
           | Frame.Recording -> Recording.dump r oc
           | Frame.Profile ->
-            output_string oc (Sigil.Profile_io.render (Profile_file.of_reader r));
+            output_string oc (Sigil.Profile_io.render (fst (Profile_file.of_reader r)));
             Reader.entry_count r))
 
 let validate r =

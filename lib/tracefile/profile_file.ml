@@ -1,13 +1,17 @@
 module P = Sigil.Profile_io
 module R = Sigil.Reuse
 
-(* A profile is one per-context table: its column names (tag 3), Table
-   I's fields ([table1]) and, when the run had Callgrind,
-   [Callgrind.Output.events], then one row per context in id order (tag
-   4). Then come one record per producer -> consumer edge (tag 2) and, in
-   reuse mode, the version bins (tag 5) and one record per context with
-   episodes, ascending (tag 6). *)
+type run = { workload : string; scale : string }
+
+(* A profile opens with its run (tag 7: workload and scale), then holds
+   one per-context table: its column names (tag 3), Table I's fields
+   ([table1]) and, when the run had Callgrind, [Callgrind.Output.events],
+   then one row per context in id order (tag 4). Then come one record per
+   producer -> consumer edge (tag 2) and, in reuse mode, the version bins
+   (tag 5) and one record per context with episodes, ascending (tag 6).
+   Profiles saved before the run record existed start at the columns. *)
 type record =
+  | Run of run
   | Columns of string array (* one space-separated string in the file *)
   | Row of int array
   | Edge of P.edge
@@ -23,12 +27,19 @@ let table1_row (s : P.ctx_stats) =
 
 let encode buf r =
   let ints = List.iter (Varint.write buf) in
+  let str s =
+    Varint.write buf (String.length s);
+    Buffer.add_string buf s
+  in
   match r with
+  | Run { workload; scale } ->
+    ints [ 7 ];
+    str workload;
+    str scale
   | Edge e -> ints [ 2; e.src; e.dst; e.bytes; e.unique_bytes ]
   | Columns names ->
-    let names = String.concat " " (Array.to_list names) in
-    ints [ 3; String.length names ];
-    Buffer.add_string buf names
+    ints [ 3 ];
+    str (String.concat " " (Array.to_list names))
   | Row row -> ints (4 :: Array.length row :: Array.to_list row)
   | Bins b -> ints [ 5; b.zero; b.low; b.high ]
   | Reuse (ctx, f, hist) ->
@@ -46,14 +57,19 @@ let decode b ~len ~pos =
     if n < 0 || n > len - !pos then raise Varint.Truncated;
     n
   in
+  let str () =
+    let n = count () in
+    pos := !pos + n;
+    Bytes.sub_string b (!pos - n) n
+  in
   match int () with
+  | 7 ->
+    let workload = str () in
+    Run { workload; scale = str () }
   | 2 ->
     let v = fields 4 in
     Edge { src = v.(0); dst = v.(1); bytes = v.(2); unique_bytes = v.(3) }
-  | 3 ->
-    let n = count () in
-    pos := !pos + n;
-    Columns (Array.of_list (String.split_on_char ' ' (Bytes.sub_string b (!pos - n) n)))
+  | 3 -> Columns (Array.of_list (String.split_on_char ' ' (str ())))
   | 4 -> Row (fields (count ()))
   | 5 ->
     let v = fields 3 in
@@ -67,11 +83,12 @@ let decode b ~len ~pos =
         hist )
   | tag -> failwith (Printf.sprintf "unknown record tag %d" tag)
 
-let save ?options snap path =
+let save ?options ~run snap path =
   let w = Writer.create ~kind:Frame.Profile ?options path in
   let add = Writer.add_record w encode in
   let costs = P.costs snap in
   match
+    add (Run run);
     add (Columns (if Option.is_none costs then table1 else with_costs));
     for ctx = 0 to P.count snap - 1 do
       let row = table1_row (P.stats snap ctx) in
@@ -94,21 +111,25 @@ let rec ascending = function
   | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
   | _ -> true
 
-(* The loader accepts only what [save] writes: the columns once, then
-   exactly one row per context of the table; edges that name contexts of
-   the table, each pair once; the bins once, then reuse records of
-   contexts with episodes, ascending, each histogram's bins ascending.
-   The tree itself was checked at open. *)
+(* The loader accepts only what [save] writes: the run at most once and
+   first, the columns once, then exactly one row per context of the
+   table; edges that name contexts of the table, each pair once; the
+   bins once, then reuse records of contexts with episodes, ascending,
+   each histogram's bins ascending. The tree itself was checked at
+   open. *)
 let of_reader r =
   let names : Dbi.Names.t = Reader.names r in
   let n = Array.length names.parent in
-  let columns = ref 0 and rows = ref [] and row_count = ref 0 in
+  let run = ref None and columns = ref 0 and rows = ref [] and row_count = ref 0 in
   let edges = ref [] and pairs = Hashtbl.create 64 in
   let bins = ref None and reuse = ref [] and last = ref (-1) in
   Reader.records r Frame.Profile decode (fun offset rc ->
       let corrupt fmt = Printf.ksprintf (Frame.corrupt ~offset) fmt in
       let known ctx = if ctx < 0 || ctx >= n then corrupt "context %d is not in the table" ctx in
       match rc with
+      | Run v ->
+        if !run <> None || !columns > 0 then corrupt "run record out of place";
+        run := Some v
       | Columns c ->
         if !columns > 0 then corrupt "second columns record";
         if c <> table1 && c <> with_costs then
@@ -150,7 +171,7 @@ let of_reader r =
     if !columns > k then Some (Array.map (fun row -> Array.sub row k (!columns - k)) rows) else None
   in
   let reuse = Option.map (fun bins -> R.restore bins (List.rev !reuse)) !bins in
-  P.make ~names ~contexts ~edges:(List.rev !edges) ~costs ~reuse
+  (P.make ~names ~contexts ~edges:(List.rev !edges) ~costs ~reuse, !run)
 
 let load path =
   let r = Reader.open_file path in

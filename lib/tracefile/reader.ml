@@ -59,7 +59,8 @@ let decode_section decode f ~base payload ~len count =
     let offset = base + !pos in
     match decode payload ~len ~pos with
     | r -> f offset r
-    | exception (Varint.Truncated | Failure _) -> Frame.corrupt ~offset "undecodable record"
+    | exception Varint.Truncated -> Frame.corrupt ~offset "truncated record"
+    | exception Failure reason -> Frame.corrupt ~offset reason
   done;
   if !pos <> len then
     Frame.corrupt ~offset:(base + !pos) "section payload has trailing garbage"

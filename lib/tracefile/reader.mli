@@ -102,7 +102,8 @@ val iter : t -> (Sigil.Event_log.entry -> unit) -> unit
     file offset. [payload] is the reader's reused buffer: the chunk is its
     first [len] bytes, [decode] must read no further, and what it returns
     must not alias [payload]. A wrong kind, a record [decode] fails on
-    ([Failure], [Varint.Truncated]) or bytes after a chunk's last record
-    raise {!Frame.Corrupt} at their offset. *)
+    or bytes after a chunk's last record raise {!Frame.Corrupt} at their
+    offset; a decoder's [Failure] keeps its message as the reason, and
+    [Varint.Truncated] reads ["truncated record"]. *)
 val records :
   t -> Frame.kind -> (bytes -> len:int -> pos:int ref -> 'a) -> (int -> 'a -> unit) -> unit

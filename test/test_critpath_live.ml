@@ -1,6 +1,7 @@
-(* A live critical-path summary streams: the workload runs inside
-   summarize_stream, every entry is consumed as the tool emits it, and
-   nothing keeps the event log. Measured by the major heap's peak, which
+(* A critical-path summary streams: in process, the workload runs inside
+   summarize_stream and every entry is consumed as the tool emits it; on
+   the CLI, every entry of the saved trace as the reader decodes it.
+   Nothing keeps the event log. Measured by the major heap's peak, which
    is why this is an executable of its own: nothing run before it can
    have raised the peak. canneal at simsmall emits 284 K entries; a pass
    that kept them peaks near 2.5 M words, a streaming one near 0.25 M. *)
@@ -20,18 +21,20 @@ let test_in_process () =
   let peak = (Gc.quick_stat ()).Gc.top_heap_words in
   if peak > bound then Alcotest.failf "top_heap_words %d (bound %d)" peak bound
 
-(* the runtime prints its GC counters at exit under OCAMLRUNPARAM=v=0x400 *)
-let sigil_critpath = Cli.exe "sigil_critpath"
-
+(* The CLI reads canneal's trace as sigil_run --events writes it; the
+   runtime prints its GC counters at exit under OCAMLRUNPARAM=v=0x400. *)
 let test_cli () =
+  let trace = Filename.temp_file "canneal" ".tf" in
   let err = Filename.temp_file "sigil_critpath" ".err" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove err)
+    ~finally:(fun () -> List.iter Sys.remove [ trace; err ])
     (fun () ->
+      let sh fmt = Printf.ksprintf Sys.command fmt in
+      if sh "%s canneal --events %s > /dev/null" (Filename.quote (Cli.exe "sigil_run")) (Filename.quote trace) <> 0
+      then Alcotest.fail "sigil_run canneal --events failed";
       let code =
-        Sys.command
-          (Printf.sprintf "OCAMLRUNPARAM=v=0x400 %s canneal --summary > /dev/null 2> %s"
-             (Filename.quote sigil_critpath) (Filename.quote err))
+        sh "OCAMLRUNPARAM=v=0x400 %s %s --summary > /dev/null 2> %s"
+          (Filename.quote (Cli.exe "sigil_critpath")) (Filename.quote trace) (Filename.quote err)
       in
       if code <> 0 then Alcotest.failf "sigil_critpath exited %d" code;
       let peak =
@@ -43,7 +46,7 @@ let test_cli () =
       | None -> Alcotest.fail "no top_heap_words in the runtime's exit report"
       | Some peak ->
         if peak > bound then
-          Alcotest.failf "sigil_critpath canneal --summary: top_heap_words %d (bound %d)" peak
+          Alcotest.failf "sigil_critpath canneal.tf --summary: top_heap_words %d (bound %d)" peak
             bound)
 
 let () =

@@ -336,7 +336,6 @@ let cli_output args =
       if code <> 0 then Alcotest.failf "sigil_critpath %s exited %d" args code;
       In_channel.with_open_bin out In_channel.input_all)
 
-let cli_md5 args = Digest.to_hex (Digest.string (cli_output args))
 
 (* A trace closed without tables names contexts by the rule a live report
    uses for ids its table lacks: the root is "<root>", every other
@@ -358,7 +357,7 @@ let test_cli_without_tables () =
       let expected =
         List.map (fun ctx -> if ctx = 0 then "<root>" else Printf.sprintf "ctx:%d" ctx) contexts
       in
-      let lines = String.split_on_char '\n' (cli_output ("--load " ^ Filename.quote path)) in
+      let lines = String.split_on_char '\n' (cli_output (Filename.quote path)) in
       let rec after_title = function
         | "critical path (leaf -> main):" :: line :: _ -> line
         | _ :: rest -> after_title rest
@@ -382,7 +381,7 @@ let test_cli_bad_calls () =
           [ Call { ctx = 1; call = 1 }; Ret { ctx = 1; call = 1 }; Call { ctx = 1; call = 3 } ];
       Tracefile.Writer.close_names Dbi.Names.empty w;
       let code, lines =
-        Cli.stderr "sigil_critpath" ("--load " ^ Filename.quote path)
+        Cli.stderr "sigil_critpath" (Filename.quote path)
       in
       Alcotest.(check int) "exit code" 2 code;
       Alcotest.(check (list string))
@@ -395,7 +394,9 @@ let test_cli_bad_calls () =
 
 (* Pinned with the three-column DAG: the full report (parallelism, path
    contexts, 1/2/4/8-core schedules), the --summary report, and every
-   critical-path node as "ctx call occurrence self inclusive" lines. *)
+   critical-path node as "ctx call occurrence self inclusive" lines. The
+   reports are of the run's trace, their title line as it read when the
+   CLI ran the workload itself, "workload (simsmall)". *)
 let report_goldens =
   [
     ( "canneal",
@@ -415,11 +416,25 @@ let report_goldens =
 let test_report_goldens () =
   List.iter
     (fun (name, full, summary, path) ->
-      Alcotest.(check string)
-        (name ^ " full report") full
-        (cli_md5 (name ^ " --cores 1 --cores 2 --cores 4 --cores 8"));
-      Alcotest.(check string) (name ^ " summary") summary (cli_md5 (name ^ " --summary"));
-      let _, entries = run_entries name in
+      let r, entries = run_entries name in
+      Helpers.with_temp ~ext:".tf" (fun trace ->
+          let w = Tracefile.Writer.create ~options:Options.(with_events default) trace in
+          Array.iter (Tracefile.Writer.add w) entries;
+          let m = r.Driver.machine in
+          Tracefile.Writer.close_names
+            (Dbi.Names.make ~symbols:(Dbi.Machine.symbols m) ~contexts:(Dbi.Machine.contexts m))
+            w;
+          let md5 args =
+            let report = cli_output (Filename.quote trace ^ args) in
+            let eol = String.index report '\n' in
+            let title = String.sub report 0 (String.rindex_from report eol ':') in
+            let body = String.sub report eol (String.length report - eol) in
+            Digest.to_hex (Digest.string (Printf.sprintf "%s: %s (simsmall) ==%s" title name body))
+          in
+          Alcotest.(check string)
+            (name ^ " full report") full
+            (md5 " --cores 1 --cores 2 --cores 4 --cores 8");
+          Alcotest.(check string) (name ^ " summary") summary (md5 " --summary"));
       let lines =
         List.map
           (fun (n : Cp.node) ->

@@ -371,6 +371,7 @@ let write_profile path =
          ]
        small_guest);
   Tracefile.Profile_file.save (Profile_io.snapshot_of_tool (Option.get !tool)) path
+    ~run:{ workload = "small_guest"; scale = "-" }
 
 (* A recording of [small_guest] in 16-byte chunks with a checkpoint every
    3 chunks. *)

@@ -23,8 +23,9 @@ let run ?event_sink name ~options =
 
 let full_options = Sigil.Options.(with_events (with_reuse default))
 
-(* A full run whose entries go straight into the critical-path pass, as
-   in sigil_critpath; also returns the run's machine. *)
+(* A full run whose entries go straight into the critical-path pass,
+   which sigil_critpath runs over a saved trace; also returns the run's
+   machine. *)
 let critpath name =
   let machine = ref None in
   let cp =

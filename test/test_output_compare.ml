@@ -175,12 +175,21 @@ let cli_output name args =
 
 let md5 s = Digest.to_hex (Digest.string s)
 
+(* [saved_report reader name flags] is the stdout of CLI [reader] on the
+   profile that [sigil_run name flags --save-profile] writes. *)
+let saved_report reader name flags =
+  Helpers.with_temp ~ext:".prof" (fun prof ->
+      let prof = Filename.quote prof in
+      ignore (cli_output "sigil_run" (Printf.sprintf "%s %s --save-profile %s" name flags prof));
+      cli_output reader prof)
+
 (* Edges of equal weight may print in any order, so the edge listing and
    the DOT file are pinned by their sorted lines. *)
 let sorted_md5 s = md5 (String.concat "\n" (List.sort compare (String.split_on_char '\n' s)))
 
 (* The MD5s of the simsmall reports: [sigil_run W], with [--flat], with
-   [--tree], [sigil_partition W] and [sigil_reuse W]; then the sorted
+   [--tree], [sigil_partition] and [sigil_reuse] of W's saved profile
+   (saved with [--reuse] for [sigil_reuse]); then the sorted
    lines of [sigil_run W --edges] and of the [--dot] file. *)
 let report_goldens =
   [
@@ -232,8 +241,8 @@ let test_report_goldens () =
           md5 (cli_output "sigil_run" name);
           md5 (cli_output "sigil_run" (name ^ " --flat"));
           md5 (cli_output "sigil_run" (name ^ " --tree"));
-          md5 (cli_output "sigil_partition" name);
-          md5 (cli_output "sigil_reuse" name);
+          md5 (saved_report "sigil_partition" name "");
+          md5 (saved_report "sigil_reuse" name "--reuse");
           sorted_md5 (cli_output "sigil_run" (name ^ " --edges"));
           sorted_md5 dot_lines;
         ]

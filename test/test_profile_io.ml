@@ -26,14 +26,15 @@ let toy m =
           Dbi.Guest.read_range m a 32;
           Dbi.Guest.flop m 9))
 
-let save tool path =
+let save ?(workload = "toy") tool path =
   Tracefile.Profile_file.save (Sigil.Profile_io.snapshot_of_tool tool) path
+    ~run:{ workload; scale = "simsmall" }
 
 (* [save] then [load] of [tool]'s profile. *)
 let reload tool =
   Helpers.with_temp (fun path ->
       save tool path;
-      Tracefile.Profile_file.load path)
+      fst (Tracefile.Profile_file.load path))
 
 let test_roundtrip_stats () =
   let tool = run_guest toy in
@@ -104,8 +105,9 @@ let reports snap =
            ranked) );
   ]
 
-(* For every workload, the loaded profile dumps byte for byte as the live
-   run's rendering, and every report reads the same from either. *)
+(* For every workload, the loaded profile names its run, dumps byte for
+   byte as the live run's rendering, and every report reads the same from
+   either. *)
 let test_workload_roundtrip () =
   List.iter
     (fun name ->
@@ -113,8 +115,12 @@ let test_workload_roundtrip () =
       let tool = run_guest (fun m -> w.Workloads.Workload.run m Workloads.Scale.Simsmall) in
       let live = Sigil.Profile_io.snapshot_of_tool tool in
       Helpers.with_temp (fun path ->
-          save tool path;
-          let loaded = Tracefile.Profile_file.load path in
+          save ~workload:name tool path;
+          let loaded, run = Tracefile.Profile_file.load path in
+          Alcotest.(check (option (pair string string)))
+            (name ^ ": run")
+            (Some (name, "simsmall"))
+            (Option.map (fun (r : Tracefile.Profile_file.run) -> (r.workload, r.scale)) run);
           Alcotest.(check (pair int int))
             (name ^ ": totals survive")
             (Sigil.Profile.totals (Sigil.Tool.profile tool))
@@ -125,8 +131,8 @@ let test_workload_roundtrip () =
           Helpers.with_temp (fun txt ->
               let records = Tracefile.Convert.binary_to_text path txt in
               Alcotest.(check int)
-                (name ^ ": the columns, one row per context, one record per edge")
-                (1
+                (name ^ ": the run, the columns, one row per context, one record per edge")
+                (2
                 + List.length (Sigil.Profile_io.contexts live)
                 + List.length (Sigil.Profile_io.edges live))
                 records;
@@ -167,6 +173,7 @@ let write_raw_profile path records =
 let columns names =
   3 :: String.length names :: List.map Char.code (List.of_seq (String.to_seq names))
 
+let run_record = [ 7; 1; Char.code 'w'; 1; Char.code 's' ]
 let table1_names = "calls in_u in_n loc_u loc_n written iops fops"
 let table1 = columns table1_names
 let row = [ 4; 8; 1; 0; 0; 0; 0; 0; 3; 0 ]
@@ -192,6 +199,8 @@ let test_malformed_record_rejected () =
       ("row without its columns", [], row);
       ("row of another length", [ table1 ], [ 4; 7; 1; 0; 0; 0; 0; 0; 3 ]);
       ("second columns record", table, table1);
+      ("second run record", [ run_record ], run_record);
+      ("run record after the columns", [ table1 ], run_record);
       ( "misspelled cost columns",
         [],
         columns (table1_names ^ " Ir Dr Dw I1mr D1mr D1mw ILmr DLmr DLmw Bc BCM") );
@@ -208,6 +217,10 @@ let test_malformed_record_rejected () =
       (* the per-context record of profiles saved before the table *)
       ("record 1 of an older profile", [], [ 1; 0; 1; 0; 0; 0; 0; 0; 3; 0 ]);
     ];
+  (* a profile saved before the run record loads without one *)
+  Helpers.with_temp (fun path ->
+      ignore (write_raw_profile path table);
+      Alcotest.(check bool) "no run record" true (snd (Tracefile.Profile_file.load path) = None));
   Helpers.with_temp (fun path ->
       let first = write_raw_profile path [ table1; row ] in
       (* a missing row is reported where the records end *)
@@ -260,8 +273,9 @@ let test_diff_sees_edges () =
   in
   Helpers.with_temp (fun a ->
       Helpers.with_temp (fun b ->
-          Tracefile.Profile_file.save live a;
-          Tracefile.Profile_file.save no_edges b;
+          let run = { Tracefile.Profile_file.workload = "toy"; scale = "simsmall" } in
+          Tracefile.Profile_file.save live a ~run;
+          Tracefile.Profile_file.save no_edges b ~run;
           let out = Filename.temp_file "sigil_diff" ".out" in
           let code =
             Sys.command

@@ -148,14 +148,14 @@ let test_malformed_rejected () =
               (c.offset, c.reason)
           | _ -> Alcotest.failf "accepted %s" reason))
     malformed;
-  (* an undecodable record: an unknown tag *)
+  (* an undecodable record: an unknown tag, named in the reason *)
   Helpers.with_temp (fun path ->
       let w = Tracefile.Writer.create ~kind:Tracefile.Frame.Recording path in
       Recording.add w (Enter 0);
       Tracefile.Writer.add_record w Tracefile.Varint.write 9;
       Tracefile.Writer.close_names { Dbi.Names.empty with symbols = [| "main" |] } w;
       match replay path with
-      | exception Tracefile.Frame.Corrupt { reason = "undecodable record"; _ } -> ()
+      | exception Tracefile.Frame.Corrupt { reason = "unknown record tag 9"; _ } -> ()
       | exception e -> Alcotest.failf "unknown tag raised %s" (Printexc.to_string e)
       | _ -> Alcotest.fail "unknown tag accepted")
 

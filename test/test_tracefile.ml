@@ -221,7 +221,7 @@ let test_short_chunk_after_long () =
       let located what f =
         match f () with
         | exception Tracefile.Frame.Corrupt { offset; reason } ->
-          Alcotest.(check (pair int string)) what (second + 16 + 4, "undecodable record")
+          Alcotest.(check (pair int string)) what (second + 16 + 4, "truncated record")
             (offset, reason)
         | _ -> Alcotest.failf "%s: the cut record decoded" what
       in
@@ -259,7 +259,7 @@ let test_not_a_tracefile () =
                 [ "error: corrupt trace at offset 0: not a sigil tracefile (too short)" ]
                 lines)
             [
-              ("sigil_critpath --load", "sigil_critpath", "--load " ^ p);
+              ("sigil_critpath", "sigil_critpath", p);
               ("sigil_trace inspect", "sigil_trace", "inspect " ^ p);
               ("sigil_trace convert", "sigil_trace", "convert " ^ p ^ " " ^ Filename.quote out);
             ];
@@ -391,7 +391,7 @@ let test_kind_mismatch () =
           (fun () -> List.hd (Tracefile.Reader.chunk_offsets r))
       in
       check_corrupt_at ~expected_offset:first (fun () -> Helpers.read_entries path);
-      let code, lines = Cli.stderr "sigil_critpath" ("--load " ^ Filename.quote path) in
+      let code, lines = Cli.stderr "sigil_critpath" (Filename.quote path) in
       Alcotest.(check int) "critpath exit code" 2 code;
       Alcotest.(check (list string))
         "one stderr line"

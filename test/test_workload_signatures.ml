@@ -20,7 +20,8 @@ let parallelism name =
 
 (* One run per workload and Sigil mode, Sigil beside Callgrind, shared by
    every case below: the partition signatures read byte mode, as
-   sigil_partition runs it, and the reuse signatures reuse mode. *)
+   sigil_run --save-profile runs it for sigil_partition, and the reuse
+   signatures reuse mode. *)
 let runs = Hashtbl.create 16
 
 let run ~reuse name =
@@ -231,8 +232,9 @@ let test_saved_profiles_analyse_alike () =
       let live = Sigil.Profile_io.snapshot_of_tool ~callgrind:cg sigil in
       let loaded =
         Helpers.with_temp (fun path ->
-            Tracefile.Profile_file.save live path;
-            Tracefile.Profile_file.load path)
+            Tracefile.Profile_file.save live path
+              ~run:{ workload = w.name; scale = "simsmall" };
+            fst (Tracefile.Profile_file.load path))
       in
       List.iter2
         (fun (what, a) (_, b) -> Alcotest.(check string) (w.name ^ ": " ^ what) a b)
